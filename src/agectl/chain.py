@@ -90,19 +90,15 @@ def threshold_reward_affine(params: SystemParams) -> tuple[np.ndarray, np.ndarra
     p = params.contact_prob
     q = 1.0 - p
     u = np.asarray(params.utility.values)
-    qpow = q ** np.arange(M)
+    # tails[s-1] = sum_i u[s-1+i] q^i; u vanishes at max_age, so the full
+    # correlation's trailing terms add nothing
+    tails = np.correlate(u, q ** np.arange(M), "full")[M - 1 :]
+    heads = np.concatenate(([0.0], np.cumsum(u[:-1])))
+    pi1 = 1.0 / (np.arange(1, M + 1) + q / p)
     fixed = params.scan_cost / p + params.wifi_price
-
-    base = np.zeros(M + 1)
-    slope = np.zeros(M + 1)
-    head = 0.0
-    for s in range(1, M + 1):
-        tail = float(np.dot(u[s - 1 : M - 1], qpow[: M - s])) if s < M else 0.0
-        pi1 = 1.0 / (s + q / p)
-        base[s - 1] = pi1 * (head + tail - fixed)
-        slope[s - 1] = pi1
-        head += u[s - 1]
     # s = M + 1: always inactive, identically zero
+    base = np.append(pi1 * (heads + tails - fixed), 0.0)
+    slope = np.append(pi1, 0.0)
     return base, slope
 
 
@@ -140,6 +136,16 @@ def expected_reward_3g_only(params: SystemParams, s_3g: int) -> float:
     total = sum(u[:s_3g])
     cost = params.scan_cost + p * params.wifi_price + (1.0 - p) * params.price_3g - params.bonus
     return (total - cost) / s_3g
+
+
+def reward_curve_3g_only(params: SystemParams) -> np.ndarray:
+    """Rewards of the 3G-only policy for every s_3g in [1, max_age]; index
+    s_3g - 1 holds threshold s_3g.  Vector form of :func:`expected_reward_3g_only`."""
+    if not params.has_3g:
+        raise ValueError("3G-only policy needs a finite 3G price")
+    p = params.contact_prob
+    cost = params.scan_cost + p * params.wifi_price + (1.0 - p) * params.price_3g - params.bonus
+    return (np.cumsum(params.utility.values) - cost) / np.arange(1, params.max_age + 1)
 
 
 def expected_reward_two_threshold(params: SystemParams, s_wifi: int, s_3g: int) -> float:
@@ -276,11 +282,3 @@ def summary_for_threshold(params: SystemParams, s: int) -> ChainSummary:
         age=expected_age(s, params.contact_prob, M),
         update_rate=1.0 / (s + q / params.contact_prob),
     )
-
-
-def argmax_threshold(rewards: np.ndarray, tie_tol: float = TIE_TOL) -> int:
-    """Smallest threshold attaining the max of a reward curve, with tied values
-    (within ``tie_tol``) collapsed to the smallest index.  Thresholds are the
-    1-based positions in ``rewards``."""
-    best = float(np.max(rewards))
-    return int(np.argmax(rewards >= best - tie_tol)) + 1

@@ -9,6 +9,7 @@ or recorded traces.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -31,6 +32,10 @@ class LearningConfig:
     max_rounds: int = 500
 
     def __post_init__(self) -> None:
+        reals = (self.max_bonus, self.target_rate, self.learning_rate, self.tolerance,
+                 self.initial_bonus)
+        if not all(math.isfinite(x) for x in reals):
+            raise ValueError(f"learning settings must be finite, got {self}")
         if not 0.0 <= self.initial_bonus <= self.max_bonus:
             raise ValueError("initial bonus must lie in [0, max_bonus]")
         if self.round_slots < 1:

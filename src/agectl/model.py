@@ -36,6 +36,10 @@ class UtilityFunction:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("utility needs at least one age")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError(f"utility values must be finite, got {self.values}")
+        if self.step_cutoff is not None and self.step_cutoff < 1:
+            raise ValueError(f"step cutoff must be >= 1, got {self.step_cutoff}")
         for a, b in zip(self.values, self.values[1:]):
             if b > a + 1e-12:
                 raise ValueError(f"utility must be non-increasing, got {a} -> {b}")
@@ -105,9 +109,13 @@ class SystemParams:
             raise ValueError(f"contact probability must be in (0, 1), got {self.contact_prob}")
         if self.max_age < 2:
             raise ValueError(f"max_age must be >= 2, got {self.max_age}")
+        if not (math.isfinite(self.scan_cost) and math.isfinite(self.wifi_price)):
+            raise ValueError(f"costs must be finite, got G={self.scan_cost}, P={self.wifi_price}")
         if self.scan_cost < 0 or self.wifi_price < 0:
             raise ValueError("costs must be nonnegative")
         if self.price_3g is not None:
+            if math.isnan(self.price_3g):
+                raise ValueError("3G price must be a number or inf, got nan")
             if math.isinf(self.price_3g):
                 object.__setattr__(self, "price_3g", None)
             elif self.price_3g < 0:

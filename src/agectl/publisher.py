@@ -1,18 +1,17 @@
 """Publisher bonus optimization under complete information: target threshold
-from the per-slot message budget, bonus-range inversion by bisection on the
-monotone bonus -> threshold response, and the resulting age-minimal bonus.
+from the per-slot message budget, exact bonus-range inversion of the monotone
+bonus -> threshold response from its closed-form breakpoints
+(:func:`thresholds.bonus_edges`), and the resulting age-minimal bonus.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import chain, thresholds
 from .model import SystemParams
-
-#: bisection resolution for bonus interval endpoints (absolute, monetary units)
-EDGE_RESOLUTION = 1e-9
-MAX_BISECTIONS = 60
 
 
 @dataclass(frozen=True)
@@ -27,8 +26,8 @@ class PublisherInstance:
     def __post_init__(self) -> None:
         if self.n_users < 1:
             raise ValueError("need at least one user")
-        if self.rate_cap <= 0:
-            raise ValueError("rate cap must be positive")
+        if not (math.isfinite(self.rate_cap) and self.rate_cap > 0):
+            raise ValueError(f"rate cap must be positive and finite, got {self.rate_cap}")
 
 
 @dataclass(frozen=True)
@@ -38,10 +37,6 @@ class BonusSolution:
     bonus_hi: float
     rate: float         # achieved expected messages per slot
     age: float          # achieved expected age
-
-
-def _response(instance: PublisherInstance, bonus: float) -> int:
-    return int(thresholds.threshold_response(instance.params, [bonus])[0])
 
 
 def message_rate(params: SystemParams, n_users: int) -> float:
@@ -69,87 +64,52 @@ def target_threshold(n_users: int, rate_cap: float, p: float, max_age: int) -> i
     return max(1, min(max_age + 1, s))
 
 
+def _interval(edges: np.ndarray, s: int, price: float) -> tuple[float, float] | None:
+    lo = float(max(0.0, edges[s]))
+    hi = float(min(price, np.nextafter(edges[s - 1], -np.inf)))
+    return None if hi < lo else (lo, hi)
+
+
 def bonus_range_for_threshold(
     instance: PublisherInstance, s: int
 ) -> tuple[float, float] | None:
-    """Maximal interval of bonuses in [0, P] under which users pick threshold ``s``.
+    """Closed interval of bonuses in [0, P] under which users pick threshold ``s``.
 
-    The response B -> s*(B) is a non-increasing step function, so the preimage
-    of ``s`` is an interval; its edges are located by bisection to
-    :data:`EDGE_RESOLUTION`.  Returns None when no bonus induces ``s`` (the
-    response jumps over it, or ``s`` lies outside the attainable range).
+    Users pick ``s`` exactly when edges[s] <= B < edges[s - 1] (see
+    :func:`thresholds.bonus_edges`), so the interval is [edges[s], the float
+    just below edges[s - 1]] clipped into [0, P]; both ends induce ``s``.
+    Returns None when no bonus induces ``s`` (the response jumps over it, or
+    ``s`` lies outside the attainable range).
     """
     max_age = instance.params.max_age
     if not 1 <= s <= max_age + 1:
         raise ValueError(f"threshold {s} outside [1, {max_age + 1}]")
-    price = instance.params.wifi_price
-    s_zero = _response(instance, 0.0)
-    s_full = _response(instance, price)
-    if not s_full <= s <= s_zero:
-        return None
-
-    if s_zero <= s:
-        lo = 0.0
-    else:
-        # boundary between s*(B) > s (left) and s*(B) <= s (right)
-        a, b = 0.0, price
-        for _ in range(MAX_BISECTIONS):
-            if b - a <= EDGE_RESOLUTION:
-                break
-            mid = 0.5 * (a + b)
-            if _response(instance, mid) > s:
-                a = mid
-            else:
-                b = mid
-        lo = b
-    if s_full >= s:
-        hi = price
-    else:
-        # boundary between s*(B) >= s (left) and s*(B) < s (right)
-        a, b = 0.0, price
-        for _ in range(MAX_BISECTIONS):
-            if b - a <= EDGE_RESOLUTION:
-                break
-            mid = 0.5 * (a + b)
-            if _response(instance, mid) >= s:
-                a = mid
-            else:
-                b = mid
-        hi = a
-    if _response(instance, lo) != s or hi < lo:
-        return None  # response jumps over s
-    return lo, hi
+    return _interval(thresholds.bonus_edges(instance.params), s, instance.params.wifi_price)
 
 
 def optimal_bonus(instance: PublisherInstance) -> BonusSolution | None:
     """Solve the publisher problem: minimize expected age subject to the rate cap.
 
     Age increases with the threshold and the threshold response to the bonus
-    is monotone, so the optimum is the smallest attainable threshold that
-    still respects the budget.  Returns None when even a zero bonus leaves
-    users updating too often (no bonus in [0, P] can raise their threshold).
+    is non-increasing, so the optimum is the response at the largest bonus in
+    [0, P] that keeps s* >= target.  Returns None when even a zero bonus
+    leaves users updating too often (no bonus in [0, P] can raise their
+    threshold).
     """
     params = instance.params
     p = params.contact_prob
     max_age = params.max_age
     target = target_threshold(instance.n_users, instance.rate_cap, p, max_age)
 
-    s_zero = _response(instance, 0.0)
-    if s_zero < target:
+    edges = thresholds.bonus_edges(params)
+    if edges[target - 1] <= 0.0:
         return None
-
-    s_full = _response(instance, params.wifi_price)
-    candidate = max(target, s_full)
-    for s in range(candidate, s_zero + 1):
-        interval = bonus_range_for_threshold(instance, s)
-        if interval is None:
-            continue
-        if s == max_age + 1:
-            rate, age = 0.0, float(max_age)
-        else:
-            rate = instance.n_users / (s + (1.0 - p) / p)
-            age = chain.expected_age(s, p, max_age)
-        return BonusSolution(
-            threshold=s, bonus_lo=interval[0], bonus_hi=interval[1], rate=rate, age=age
-        )
-    return None  # unreachable for a monotone response; kept for safety
+    bonus = min(params.wifi_price, np.nextafter(edges[target - 1], -np.inf))
+    s = int(np.searchsorted(-edges, -bonus, side="left"))
+    lo, hi = _interval(edges, s, params.wifi_price)
+    if s == max_age + 1:
+        rate, age = 0.0, float(max_age)
+    else:
+        rate = instance.n_users / (s + (1.0 - p) / p)
+        age = chain.expected_age(s, p, max_age)
+    return BonusSolution(threshold=s, bonus_lo=lo, bonus_hi=hi, rate=rate, age=age)

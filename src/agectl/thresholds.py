@@ -209,7 +209,9 @@ def optimal_two_thresholds(
     When the 3G price is dominated by the WiFi cycle cost G/p + P the WiFi
     band is empty and only the 3G-only family competes with always-inactive;
     otherwise the full triangular grid plus the WiFi-only edge is searched.
-    Ties prefer smaller s_3g, then smaller s_wifi (least escalation).
+    Every pair within ``tie_tol`` of the best reward ties; ties prefer smaller
+    s_3g, then smaller s_wifi (least escalation).  Always-inactive wins unless
+    some pair earns more than ``tie_tol``.
     """
     if not params.has_3g:
         raise ValueError("optimal_two_thresholds needs a finite 3G price")
@@ -217,41 +219,61 @@ def optimal_two_thresholds(
     p = params.contact_prob
     never = M + 1
 
-    best = TwoThresholdResult(s_wifi=never, s_3g=never, reward=0.0)  # always inactive
     if params.price_3g <= params.scan_cost / p + params.wifi_price:
-        for s3 in range(1, M + 1):
-            r = chain.expected_reward_3g_only(params, s3)
-            if r > best.reward + tie_tol:
-                best = TwoThresholdResult(s_wifi=s3, s_3g=s3, reward=r)
-        return best
+        only_3g = chain.reward_curve_3g_only(params)
+        top = float(only_3g.max())
+        if top <= tie_tol:
+            return TwoThresholdResult(s_wifi=never, s_3g=never, reward=0.0)
+        s3 = int(np.argmax(only_3g >= top - tie_tol)) + 1
+        return TwoThresholdResult(s_wifi=s3, s_3g=s3, reward=float(only_3g[s3 - 1]))
 
-    wifi_only = chain.threshold_reward_curve(params)
+    wifi_only = chain.threshold_reward_curve(params)[:M]
     grid = chain.two_threshold_reward_grid(params)
-    for s3 in range(1, M + 1):
-        for s_w in range(1, s3 + 1):
-            r = float(grid[s_w - 1, s3 - 1])
-            if r > best.reward + tie_tol:
-                best = TwoThresholdResult(s_wifi=s_w, s_3g=s3, reward=r)
-    for s_w in range(1, M + 1):
-        r = float(wifi_only[s_w - 1])
-        if r > best.reward + tie_tol:
-            best = TwoThresholdResult(s_wifi=s_w, s_3g=never, reward=r)
-    return best
+    top = max(float(grid.max()), float(wifi_only.max()))
+    if top <= tie_tol:
+        return TwoThresholdResult(s_wifi=never, s_3g=never, reward=0.0)
+    hits = grid >= top - tie_tol
+    columns = hits.any(axis=0)
+    if columns.any():
+        s3 = int(np.argmax(columns)) + 1
+        s_w = int(np.argmax(hits[:, s3 - 1])) + 1
+        return TwoThresholdResult(s_wifi=s_w, s_3g=s3, reward=float(grid[s_w - 1, s3 - 1]))
+    s_w = int(np.argmax(wifi_only >= top - tie_tol)) + 1
+    return TwoThresholdResult(s_wifi=s_w, s_3g=never, reward=float(wifi_only[s_w - 1]))
+
+
+def bonus_edges(params: SystemParams) -> np.ndarray:
+    """Bonus breakpoints of the response B -> s*(B), padded with +inf and -inf.
+
+    On the affine curve E[r; s] = base_s + B * slope_s, the first crossing
+    E[r; j] >= E[r; j+1] holds exactly when B >= c_j with
+    c_j = (base_{j+1} - base_j) / (slope_j - slope_{j+1}); the slope pi_1(s)
+    strictly decreases, so the divisor is positive.  With e_j the running
+    minimum of c_1..c_j, s*(B) = min {j : B >= e_j}, so threshold s is the
+    answer exactly on ``edges[s] <= B < edges[s - 1]``.
+
+    Breakpoints that coincide in exact arithmetic (step and flat utilities)
+    come out split by float noise; an edge within ``chain.TIE_TOL`` below the
+    one before it takes that edge's value, so no threshold gets a sliver of
+    an interval that no real bonus can induce.
+    """
+    base, slope = chain.threshold_reward_affine(params)
+    edges = np.minimum.accumulate(np.diff(base) / -np.diff(slope))
+    starts = np.concatenate(([True], np.diff(edges) < -chain.TIE_TOL))
+    edges = edges[np.maximum.accumulate(np.where(starts, np.arange(edges.size), 0))]
+    return np.concatenate(([np.inf], edges, [-np.inf]))
 
 
 def threshold_response(params: SystemParams, bonuses: np.ndarray | list[float]) -> np.ndarray:
-    """s*(B) for every bonus in ``bonuses``, via the affine-in-bonus reward curve.
+    """s*(B) for every bonus in ``bonuses``: the count of bonus edges above B.
 
-    Applies the same first-crossing rule as :func:`optimal_threshold`, so the
-    two never disagree.  Only valid for bonuses within [0, min price]; beyond
-    that the closed form stops describing the model.
+    Only valid for bonuses within [0, min price]; beyond that the closed form
+    stops describing the model.
     """
-    base, slope = chain.threshold_reward_affine(params)
     b = np.atleast_1d(np.asarray(bonuses, dtype=float))
-    curves = base[None, :] + b[:, None] * slope[None, :]
-    crossed = curves[:, :-1] >= curves[:, 1:]
-    has_crossing = crossed.any(axis=1)
-    return np.where(has_crossing, crossed.argmax(axis=1) + 1, base.size)
+    if not np.isfinite(b).all():
+        raise ValueError("bonuses must be finite")
+    return np.searchsorted(-bonus_edges(params), -b, side="left")
 
 
 _SWEEPABLE = {"G": "scan_cost", "P": "wifi_price", "B": "bonus"}

@@ -19,9 +19,11 @@ from agectl import (
     threshold_reward_curve,
     transition_matrix,
 )
-from agectl.chain import threshold_reward_affine
+from agectl.chain import reward_curve_3g_only, threshold_reward_affine
 
-from conftest import make_rng, random_wifi_params, reference_replay, threshold_action
+from conftest import (
+    make_rng, random_3g_params, random_wifi_params, reference_replay, threshold_action,
+)
 
 
 def linear_params(max_age=12, p=0.54, **kw):
@@ -123,6 +125,13 @@ class TestExpectedReward:
             got = base + params.bonus * slope
             assert np.allclose(got, threshold_reward_curve(params), atol=1e-12)
 
+    def test_curve_matches_scalar_closed_form(self):
+        rng = make_rng(507)
+        for _ in range(40):
+            params = random_wifi_params(rng, m_range=(2, 60))
+            scalar = [expected_reward_threshold(params, s) for s in range(1, params.max_age + 2)]
+            assert np.allclose(threshold_reward_curve(params), scalar, rtol=1e-12, atol=1e-12)
+
     def test_unimodality_over_random_instances(self):
         rng = make_rng(606)
         for _ in range(200):
@@ -170,6 +179,13 @@ class TestTwoThreshold:
             assert expected_reward_two_threshold(params, s, s) == pytest.approx(
                 expected_reward_3g_only(params, s), abs=1e-12
             )
+
+    def test_3g_only_curve_matches_scalar_form(self):
+        rng = make_rng(807)
+        for _ in range(20):
+            params = random_3g_params(rng, m_range=(2, 60))
+            scalar = [expected_reward_3g_only(params, s) for s in range(1, params.max_age + 1)]
+            assert np.allclose(reward_curve_3g_only(params), scalar, rtol=1e-12, atol=1e-12)
 
     def test_matches_oracle_gain(self):
         rng = make_rng(808)

@@ -40,6 +40,20 @@ class TestSolve:
         assert code == 2
         assert "M" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--M", "12", "--p", "0.54", "--G", "nan"),
+            ("--M", "4", "--p", "0.54", "--utility", "tabular", "--values", "3,nan,1,0"),
+            ("--M", "12", "--p", "0.54", "--utility", "step", "--v", "1", "--k", "0"),
+        ],
+        ids=["nan-scan-cost", "nan-utility-value", "zero-step-cutoff"],
+    )
+    def test_invalid_value_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, "solve", *argv)
+        assert code == 2
+        assert err
+
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "solve", "--no-such-flag")

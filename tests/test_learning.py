@@ -27,6 +27,13 @@ def config(**kw):
     return LearningConfig(**defaults)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("field", ["target_rate", "learning_rate", "tolerance", "max_bonus"])
+    def test_non_finite_setting_rejected(self, field):
+        with pytest.raises(ValueError):
+            config(**{field: float("nan")})
+
+
 class TestLearningStep:
     def test_zero_correction_at_target(self):
         cfg = config()

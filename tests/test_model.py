@@ -1,5 +1,7 @@
 """Core model: utilities, rewards, transitions, policies, config loading."""
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +17,7 @@ from agectl import (
     normalize_utility,
     params_from_mapping,
 )
+from agectl.cli import main
 
 
 def linear_params(max_age=12, p=0.54, **kw):
@@ -91,6 +94,23 @@ class TestSystemParams:
 
     def test_scaled_scan_cost(self):
         assert linear_params(scan_cost=0.99).scaled_scan_cost == pytest.approx(0.09)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("scan_cost", math.nan), ("scan_cost", math.inf), ("wifi_price", math.nan),
+         ("wifi_price", math.inf), ("price_3g", math.nan)],
+    )
+    def test_non_finite_costs_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            linear_params(**{field: value})
+
+    def test_non_finite_or_cutoff_free_utility_rejected(self):
+        with pytest.raises(ValueError):
+            UtilityFunction.tabular([3, math.nan, 1, 0])
+        with pytest.raises(ValueError):
+            UtilityFunction.step(math.nan, 3, 8)
+        with pytest.raises(ValueError):
+            UtilityFunction.step(1.0, 0, 8)
 
 
 class TestReward:
@@ -200,3 +220,12 @@ class TestConfig:
     def test_missing_key_reported(self):
         with pytest.raises(ValueError, match="'p'"):
             params_from_mapping({"M": "12"})
+
+    def test_readme_example_config_solves(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```[^\n]*\n(.*?)```", readme, re.S)
+        example = next(b for b in blocks if b.startswith("# params.cfg"))
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text(example)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert "s,1" in capsys.readouterr().out

@@ -1,6 +1,8 @@
 """Publisher problem: target threshold, bonus-range inversion, and the
 age-minimal bonus against a dense grid-scan oracle."""
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +31,32 @@ def sponsorship_instance(n_users=20, rate_cap=11.0):
     return PublisherInstance(params=params, n_users=n_users, rate_cap=rate_cap)
 
 
+def exact_edges(params):
+    """Bonus edges e_1..e_M of a linear-utility instance in exact rationals:
+    e_j is the running minimum of the crossing bonuses
+    c_j = (base_{j+1} - base_j) / (slope_j - slope_{j+1}) of the affine curve
+    E[r; s] = base_s + B * slope_s, computed from the float inputs exactly."""
+    M = params.max_age
+    p = Fraction(params.contact_prob)
+    q = 1 - p
+    u = [Fraction(v) for v in params.utility.values]
+    cost = Fraction(params.scan_cost) / p + Fraction(params.wifi_price)
+    base, slope = [], []
+    for s in range(1, M + 1):
+        pi1 = 1 / (s + q / p)
+        tail = sum(u[s - 1 + i] * q**i for i in range(M - s + 1))
+        base.append(pi1 * (sum(u[: s - 1]) + tail - cost))
+        slope.append(pi1)
+    base.append(Fraction(0))
+    slope.append(Fraction(0))
+    edges, low = [], None
+    for j in range(M):
+        c = (base[j + 1] - base[j]) / (slope[j] - slope[j + 1])
+        low = c if low is None else min(low, c)
+        edges.append(low)
+    return edges
+
+
 def grid_scan_best(instance, n_points=10_001):
     """Oracle: enumerate bonuses on a dense grid, keep those within the rate
     cap, and pick the age-minimal (equivalently threshold-minimal) one."""
@@ -44,6 +72,13 @@ def grid_scan_best(instance, n_points=10_001):
     if not feasible.any():
         return None
     return int(response[feasible].min())
+
+
+class TestInstance:
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, 0.0])
+    def test_bad_rate_cap_rejected_on_construction(self, cap):
+        with pytest.raises(ValueError):
+            sponsorship_instance(rate_cap=cap)
 
 
 class TestTargetThreshold:
@@ -125,6 +160,47 @@ class TestBonusRange:
         inst = sponsorship_instance()
         s_full = int(threshold_response(inst.params, [40.0])[0])
         assert s_full == 1  # nothing below is attainable
+
+    @pytest.mark.parametrize("n_users", [20, 50])
+    def test_interval_ends_are_the_rational_edges(self, n_users):
+        inst = sponsorship_instance(n_users=n_users)
+        price = Fraction(inst.params.wifi_price)
+        edges = [math.inf] + exact_edges(inst.params) + [-math.inf]
+        attained = 0
+        for s in range(1, inst.params.max_age + 2):
+            lo, hi = max(Fraction(0), edges[s]), min(price, edges[s - 1])
+            interval = bonus_range_for_threshold(inst, s)
+            if lo >= hi:
+                assert interval is None
+                continue
+            assert interval is not None
+            assert abs(interval[0] - lo) <= 1e-12
+            assert abs(interval[1] - hi) <= 1e-12
+            attained += 1
+        assert attained >= 4
+        solution = optimal_bonus(inst)
+        s = solution.threshold
+        assert abs(solution.bonus_lo - edges[s]) <= 1e-12
+        assert abs(solution.bonus_hi - min(price, edges[s - 1])) <= 1e-12
+
+    def test_coincident_breakpoints_leave_no_slivers(self):
+        v, k, max_age = 2.5, 5, 14
+        params = SystemParams(
+            contact_prob=0.62, max_age=max_age, utility=UtilityFunction.step(v, k, max_age),
+            scan_cost=1.1, wifi_price=12.0,
+        )
+        inst = PublisherInstance(params=params, n_users=10, rate_cap=5.0)
+        # past the cutoff every threshold earns pi_1(s) (k v - G/p - P + B): all
+        # of them swap sign at the one bonus B0
+        b0 = 1.1 / 0.62 + 12.0 - k * v
+        for s in range(k + 1, max_age + 1):
+            assert bonus_range_for_threshold(inst, s) is None
+        lo, _ = bonus_range_for_threshold(inst, k)
+        assert lo == pytest.approx(b0, abs=1e-12)
+        never_lo, never_hi = bonus_range_for_threshold(inst, max_age + 1)
+        assert never_lo == 0.0
+        assert never_hi < lo and never_hi == pytest.approx(b0, abs=1e-12)
+        assert list(threshold_response(params, [never_hi, lo])) == [max_age + 1, k]
 
     def test_constant_response_spans_whole_interval(self):
         params = SystemParams(

@@ -13,6 +13,7 @@ from agectl import (
     always_inactive,
     enumerate_optimal_thresholds,
     expected_reward_threshold,
+    expected_reward_two_threshold,
     lambert_w,
     monotonicity_check,
     multi_optimum_condition,
@@ -24,7 +25,7 @@ from agectl import (
     threshold_response,
 )
 
-from conftest import make_rng, random_wifi_params
+from conftest import make_rng, random_3g_params, random_wifi_params
 
 
 def linear_params(max_age=12, p=0.54, **kw):
@@ -226,6 +227,14 @@ class TestTwoThresholds:
         with pytest.raises(ValueError):
             optimal_two_thresholds(linear_params())
 
+    def test_ties_prefer_smaller_3g_threshold(self):
+        params = random_3g_params(make_rng(423))
+        res = optimal_two_thresholds(params)
+        wifi_only = expected_reward_threshold(params, 2)
+        assert abs(res.reward - wifi_only) < 1e-9  # (2, 13) ties with (2, 12)
+        assert (res.s_wifi, res.s_3g) == (2, 12)
+        assert res.reward == pytest.approx(expected_reward_two_threshold(params, 2, 12), abs=1e-12)
+
 
 class TestMonotonicity:
     def test_reference_cost_grid(self):
@@ -269,6 +278,11 @@ class TestThresholdResponse:
             got = threshold_response(params, bonuses)
             for b, s in zip(bonuses, got):
                 assert s == optimal_threshold(replace(params, bonus=float(b))).s_star
+
+    def test_non_finite_bonus_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                threshold_response(linear_params(wifi_price=1.0), [0.5, bad])
 
     def test_non_increasing_in_bonus(self):
         rng = make_rng(42)
