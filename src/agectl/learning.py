@@ -4,7 +4,9 @@ knowledge of the population size or user strategies.
 
 The environment is a single callable bonus -> served requests per round, so
 the same controller runs against closed-form rates, a seeded chain simulator,
-or recorded traces.
+or recorded traces.  Each environment computes the bonus edges once and reads
+every round's threshold off them; the simulated ones replay their users
+through ``model._replay``.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import thresholds
+from . import model, thresholds
 from .model import SystemParams, UtilityFunction
 
 RoundEnv = Callable[[float], float]  # bonus in effect -> requests served that round
@@ -139,14 +141,32 @@ def convergence_report(
 
 # --- environments ---------------------------------------------------------------------
 
+def _env_response(params: SystemParams, n_users: int, round_slots: int) -> Callable[[float], int]:
+    """Check a population env's size, and return ``thresholds.threshold_response``
+    for one bonus at a time, from bonus edges computed once."""
+    if n_users < 1:
+        raise ValueError(f"need at least one user, got {n_users}")
+    if round_slots < 1:
+        raise ValueError(f"round_slots must be >= 1, got {round_slots}")
+    neg_edges = -thresholds.bonus_edges(params)
+
+    def response(bonus: float) -> int:
+        if not math.isfinite(bonus):
+            raise ValueError(f"bonus must be finite, got {bonus}")
+        return int(np.searchsorted(neg_edges, -bonus, side="left"))
+
+    return response
+
+
 def expected_rate_env(params: SystemParams, n_users: int, round_slots: int) -> RoundEnv:
     """Noise-free analytic environment: served requests equal the closed-form
     chain rate for the threshold users pick at the current bonus."""
+    response = _env_response(params, n_users, round_slots)
     q_over_p = (1.0 - params.contact_prob) / params.contact_prob
     never = params.max_age + 1
 
     def env(bonus: float) -> float:
-        s = int(thresholds.threshold_response(params, [bonus])[0])
+        s = response(bonus)
         if s == never:
             return 0.0
         return round_slots * n_users / (s + q_over_p)
@@ -162,23 +182,20 @@ def chain_sim_env(
 ) -> RoundEnv:
     """Seeded stochastic environment: users draw i.i.d. WiFi contacts each slot,
     best-respond with the threshold for the current bonus, and carry their ages
-    across rounds.  WiFi-only (the learning experiments never use 3G).
+    across rounds.  WiFi-only (the learning experiments never use 3G).  A
+    round's contacts come from one (slots, users) draw, the same numbers as
+    one ``rng.random(n_users)`` per slot.
     """
-    ages = np.ones(n_users, dtype=int)
-    p = params.contact_prob
-    max_age = params.max_age
+    response = _env_response(params, n_users, round_slots)
+    ages, policy = np.ones(n_users, dtype=int), np.zeros(n_users, dtype=int)
 
     def env(bonus: float) -> float:
         nonlocal ages
-        s = int(thresholds.threshold_response(params, [bonus])[0])
-        served = 0
-        for _ in range(round_slots):
-            active = ages >= s
-            contacts = rng.random(n_users) < p
-            updates = active & contacts
-            served += int(updates.sum())
-            ages = np.where(updates, 1, np.minimum(ages + 1, max_age))
-        return float(served)
+        actions = (np.arange(1, params.max_age + 1) >= response(bonus))[None]
+        contacts = (rng.random((round_slots, n_users)) < params.contact_prob).T
+        run = model._replay(actions, policy, contacts, ages)
+        ages = run[:, -1]
+        return float(np.count_nonzero(run[:, 1:] == 1))
 
     return env
 

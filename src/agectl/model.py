@@ -11,6 +11,8 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 
 class Action(IntEnum):
     INACTIVE = 0
@@ -175,6 +177,60 @@ def next_age(age: int, action: Action, contact: int, max_age: int) -> int:
     if action is Action.WIFI_THEN_3G or (action is Action.WIFI and contact == 1):
         return 1
     return min(age + 1, max_age)
+
+
+#: replay rows longer than this many slots run as chunks of this length
+CHUNK_SLOTS = 256
+#: cells (rows x slots) held by one block of a replay or of its sums
+BLOCK_CELLS = 1 << 16
+
+
+def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The slot loop: ages along each row of a (rows, slots) 0/1 contact matrix.
+
+    Row r starts at age ``start[r]`` and acts by the per-age action table
+    ``actions[policy[r]]``.  Column t of the (rows, slots + 1) result is the age
+    before slot t + 1, and that slot updated exactly when column t + 1 reads 1.
+    Rows longer than CHUNK_SLOTS run as chunks, each from the age the chunk
+    before it ended with; chunks whose start changed rerun until none does, and
+    every pass fixes at least one more chunk of each row.
+    """
+    rows, n = contacts.shape
+    M = actions.shape[1]
+    dtype = np.min_scalar_type(M)
+    if n > CHUNK_SLOTS:
+        k, L = -(-n // CHUNK_SLOTS), CHUNK_SLOTS   # chunk j of row r is row r * k + j
+        chunks = np.pad(contacts, ((0, 0), (0, k * L - n))).reshape(rows * k, L)
+        policy, begin = np.repeat(policy, k), np.repeat(start, k)
+        first = np.arange(rows * k) % k == 0
+        ages, todo = np.empty((rows * k, L + 1), dtype), np.arange(rows * k)
+        while todo.size:
+            ages[todo] = _replay(actions, policy[todo], chunks[todo], begin[todo])
+            carried = np.where(first, begin, np.roll(ages[:, -1], 1))
+            todo, begin = np.flatnonzero(carried != begin), carried
+        ages = ages.reshape(rows, k, L + 1)
+        return np.column_stack((ages[:, :, :L].reshape(rows, -1)[:, :n], ages[:, -1, n - (k - 1) * L]))
+    # next age by (policy, contact, age - 1): 1 after an update (action 2, or
+    # action 1 with a contact: action + contact >= 2), else one older up to M
+    nxt = np.where(actions[:, None] + np.arange(2)[:, None] >= 2, 1, np.minimum(np.arange(2, M + 2), M))
+    nxt = nxt.astype(dtype).ravel()
+    ages = np.empty((rows, n + 1), dtype)
+    step = max(1, BLOCK_CELLS // n)   # rows per block
+    for lo in range(0, rows, step):
+        # code + age is the table index of (policy, contact, age - 1), time-major
+        code = ((policy[lo:lo + step, None] * 2 + contacts[lo:lo + step]) * M - 1).T.copy()
+        block = np.empty((n + 1, code.shape[1]), dtype)
+        block[0] = start[lo:lo + step]
+        for t in range(n):
+            block[t + 1] = nxt[code[t] + block[t]]
+        ages[lo:lo + step] = block.T
+    return ages
+
+
+def _add_rows(carry: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``carry`` plus the values along the last axis, one at a time in order,
+    exactly as a loop of ``carry += v`` would add them."""
+    return np.cumsum(np.concatenate((carry[..., None], values), axis=-1), axis=-1)[..., -1]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,11 @@
 two-threshold, and location-mask policies against recorded contact strings,
 estimate per-shift contact statistics, and run multi-user closed-loop rounds.
 
+Every replay here, one policy on one trace, each policy from each rotated
+phase, or one round of a user population, runs as the rows of one call to
+``model._replay``, the package's only loop over slots.  Rewards, fees, energy
+and update counts are read off the replayed ages afterwards.
+
 Traces are strings of ones (useful slot) and zeros; an optional second bit
 string of equal length marks location-privileged slots.
 """
@@ -14,8 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import chain, learning, thresholds
-from .model import Action, Policy, SystemParams
+from . import learning, model, thresholds
+from .model import Policy, SystemParams
 
 
 class TraceFormatError(ValueError):
@@ -33,12 +38,12 @@ class ContactTrace:
     def __post_init__(self) -> None:
         if not self.slots:
             raise ValueError("trace must contain at least one slot")
-        if any(s not in (0, 1) for s in self.slots):
+        if not set(self.slots) <= {0, 1}:
             raise ValueError("slots must be 0/1")
         if self.mask is not None:
             if len(self.mask) != len(self.slots):
                 raise ValueError("mask length must match slot count")
-            if any(m not in (0, 1) for m in self.mask):
+            if not set(self.mask) <= {0, 1}:
                 raise ValueError("mask must be 0/1")
 
     def __len__(self) -> int:
@@ -56,12 +61,10 @@ class ContactTrace:
 
 
 def _parse_bits(token: str, line_no: int, what: str) -> tuple[int, ...]:
-    bits = []
-    for ch in token:
-        if ch not in "01":
-            raise TraceFormatError(line_no, f"invalid character {ch!r} in {what}")
-        bits.append(int(ch))
-    return tuple(bits)
+    invalid = token.replace("0", "").replace("1", "")
+    if invalid:
+        raise TraceFormatError(line_no, f"invalid character {invalid[0]!r} in {what}")
+    return tuple(map(int, token))
 
 
 def parse_trace_text(text: str) -> list[ContactTrace]:
@@ -120,14 +123,10 @@ def consecutive_stats(trace: ContactTrace) -> ConsecutiveStats:
 
     A conditional with no observed pairs is reported as None.
     """
-    n00 = n0x = n10 = n1x = 0
-    for prev, cur in zip(trace.slots, trace.slots[1:]):
-        if prev == 0:
-            n0x += 1
-            n00 += cur == 0
-        else:
-            n1x += 1
-            n10 += cur == 0
+    bits = np.array(trace.slots, np.uint8)
+    prev, no_contact = bits[:-1] != 0, bits[1:] == 0
+    n0x, n1x = int(np.count_nonzero(~prev)), int(np.count_nonzero(prev))
+    n00, n10 = int(np.count_nonzero(no_contact[~prev])), int(np.count_nonzero(no_contact[prev]))
     return ConsecutiveStats(
         no_contact_after_no_contact=n00 / n0x if n0x else None,
         no_contact_after_contact=n10 / n1x if n1x else None,
@@ -157,6 +156,70 @@ class SimResult:
     fees_paid: float
 
 
+def _replay_rows(params: SystemParams, bonus: float, actions: np.ndarray, policy: np.ndarray,
+                 contacts: np.ndarray, start: np.ndarray, gate: np.ndarray | None = None,
+                 totals: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Replay the rows of a (rows, slots) contact matrix with ``model._replay``.
+
+    Returns the ages, every slot's outcome code 2 * action + contact, and each
+    row's reward, energy and fee totals, shape (3, rows), added slot by slot
+    onto ``totals``.  With a ``gate``, a row uses WiFi on its gated slots only
+    (the mask policy).  The rewards repeat the float operations of
+    ``instantaneous_reward``, in its order, at ``bonus``.
+    """
+    ages = model._replay(actions, policy, contacts if gate is None else contacts & gate, start)
+    u = np.array((0.0,) + params.utility.values)   # indexed by age
+    wifi_fee = max(params.wifi_price - bonus, 0.0)
+    fee_3g = max(params.price_3g - bonus, 0.0) if params.has_3g else 0.0
+    active = u - params.scan_cost
+    rewards = np.stack([u, u, active, active - wifi_fee, active - fee_3g, active - wifi_fee])
+    energy = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0]) * params.scan_cost
+    fees = np.array([0.0, 0.0, 0.0, wifi_fee, fee_3g, wifi_fee])
+    outcome = np.empty(contacts.shape, np.uint8)
+    totals = np.zeros((3, len(contacts))) if totals is None else totals
+    before = ages[:, :-1]   # each slot's age before its transition
+    step = max(1, model.BLOCK_CELLS // len(contacts))
+    for lo in range(0, contacts.shape[1], step):   # slot blocks bound the float temporaries
+        b = slice(lo, lo + step)
+        act = actions[policy[:, None], before[:, b] - 1] if gate is None else gate[:, b]
+        o = outcome[:, b] = act * 2 + contacts[:, b]
+        totals = model._add_rows(totals, np.stack([rewards[o, before[:, b]], energy[o], fees[o]]))
+    return ages, outcome, totals
+
+
+def _replay_rotations(trace: ContactTrace, params: SystemParams, policies: Sequence[Policy | MaskPolicy],
+                      replications: int, start_age: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Replay every policy from every phase r * floor(len / replications), as
+    the rows of one ``_replay_rows`` call.  Returns its outcomes and totals,
+    and each policy's average reward over its phases."""
+    M = params.max_age
+    if not 1 <= start_age <= M:
+        raise ValueError(f"start age {start_age} outside [1, {M}]")
+    if replications < 1:
+        raise ValueError("need at least one replication")
+    masked = isinstance(policies[0], MaskPolicy)
+    if masked and trace.mask is None:
+        raise ValueError(f"trace {trace.shift_id!r} has no location mask")
+    if not masked and any(policy.max_age != M for policy in policies):
+        raise ValueError("policy and params disagree on max_age")
+    if not masked and any(policy.uses_3g() for policy in policies) and not params.has_3g:
+        raise ValueError("policy uses action 2 but 3G is unavailable")
+    n, k = len(trace), len(policies)
+    phases = np.arange(replications) * max(1, n // replications) % n
+
+    def rotations(bits: tuple[int, ...]) -> np.ndarray:
+        doubled = np.tile(np.frombuffer(bytes(bits), np.uint8), 2)
+        return np.tile(np.lib.stride_tricks.sliding_window_view(doubled, n)[phases], (k, 1))
+
+    actions = np.ones((1, M), np.uint8) if masked else np.array([p.actions for p in policies], np.uint8)
+    _, outcome, totals = _replay_rows(
+        params, params.bonus, actions, np.repeat(np.arange(k), replications), rotations(trace.slots),
+        np.full(k * replications, start_age), rotations(trace.mask) if masked else None,
+    )
+    means = model._add_rows(np.zeros(k), (totals[0] / n).reshape(k, replications)) / replications
+    return outcome, totals, means.tolist()
+
+
 def simulate_policy(
     trace: ContactTrace,
     params: SystemParams,
@@ -169,59 +232,18 @@ def simulate_policy(
     to one starting from the next slot.  Deterministic: identical inputs give
     identical results.
     """
-    M = params.max_age
-    if not 1 <= start_age <= M:
-        raise ValueError(f"start age {start_age} outside [1, {M}]")
-    masked = isinstance(policy, MaskPolicy)
-    if masked and trace.mask is None:
-        raise ValueError(f"trace {trace.shift_id!r} has no location mask")
-    if not masked and policy.max_age != M:
-        raise ValueError("policy and params disagree on max_age")
-    if not masked and policy.uses_3g() and not params.has_3g:
-        raise ValueError("policy uses action 2 but 3G is unavailable")
-
-    u = params.utility.values
-    scan = params.scan_cost
-    wifi_fee = max(params.wifi_price - params.bonus, 0.0)
-    fee_3g = max(params.price_3g - params.bonus, 0.0) if params.has_3g else 0.0
-    acts = None if masked else tuple(int(a) for a in policy.actions)
-    mask = trace.mask
-
-    age = start_age
-    total = 0.0
-    energy = 0.0
-    fees = 0.0
-    n_wifi = n_3g = 0
-    update_slots: list[int] = []
-    for t, contact in enumerate(trace.slots, start=1):
-        a = (1 if mask[t - 1] else 0) if masked else acts[age - 1]
-        r = u[age - 1]
-        if a:
-            r -= scan
-            energy += scan
-        if a == 2 and not contact:
-            r -= fee_3g
-            fees += fee_3g
-            n_3g += 1
-            update_slots.append(t)
-            age = 1
-        elif a and contact:
-            r -= wifi_fee
-            fees += wifi_fee
-            n_wifi += 1
-            update_slots.append(t)
-            age = 1
-        else:
-            age = min(age + 1, M)
-        total += r
+    outcome, totals, _ = _replay_rotations(trace, params, [policy], 1, start_age)
+    update_slots = np.flatnonzero(outcome[0] >= 3) + 1
+    n_3g = int(np.count_nonzero(outcome[0] == 4))
+    total, energy, fees = totals[:, 0].tolist()
     n = len(trace.slots)
     return SimResult(
         total_reward=total,
         slots=n,
         average_reward=total / n,
-        updates=n_wifi + n_3g,
-        update_slots=tuple(update_slots),
-        updates_wifi=n_wifi,
+        updates=len(update_slots),
+        update_slots=tuple(update_slots.tolist()),
+        updates_wifi=len(update_slots) - n_3g,
         updates_3g=n_3g,
         energy_spent=energy,
         fees_paid=fees,
@@ -238,13 +260,8 @@ def replayed_average_reward(
     """Average reward over ``replications`` replays with rotated starting phase
     r * floor(len / replications); traces are deterministic, so rotation is the
     replication mechanism."""
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    stride = max(1, len(trace) // replications)
-    total = 0.0
-    for r in range(replications):
-        total += simulate_policy(trace.rotated(r * stride), params, policy, start_age).average_reward
-    return total / replications
+    _, _, means = _replay_rotations(trace, params, [policy], replications, start_age)
+    return means[0]
 
 
 def best_trace_threshold(
@@ -255,10 +272,10 @@ def best_trace_threshold(
 ) -> tuple[int, float]:
     """Exhaustive trace-driven threshold search over s in [1, M+1]; ties go to
     the smaller threshold."""
+    policies = [Policy.from_thresholds(s, None, params.max_age) for s in range(1, params.max_age + 2)]
+    _, _, means = _replay_rotations(trace, params, policies, replications, start_age)
     best_s, best_r = None, -np.inf
-    for s in range(1, params.max_age + 2):
-        policy = Policy.from_thresholds(s, None, params.max_age)
-        r = replayed_average_reward(trace, params, policy, replications, start_age)
+    for s, r in enumerate(means, start=1):
         if r > best_r + 1e-12:
             best_s, best_r = s, r
     return best_s, best_r
@@ -271,7 +288,7 @@ def iid_trace(
 ) -> ContactTrace:
     """Bernoulli(p) contact string; the workhorse for ergodic cross-checks."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    slots = tuple(int(b) for b in (rng.random(n_slots) < p))
+    slots = tuple(map(int, rng.random(n_slots) < p))
     return ContactTrace(shift_id=shift_id, slots=slots)
 
 
@@ -301,15 +318,11 @@ def generate_corpus(
         target = float(np.clip(rng.normal(median_p, p_spread), 0.05, 0.95))
         residual = (target * total - terminal_contact_prob * n_runs) / max(total - n_runs, 1)
         residual = float(np.clip(residual, 0.02, 0.95))
-        slots, mask = [], []
-        for length in lengths:
-            for j in range(int(length)):
-                at_terminal = j == 0
-                prob = terminal_contact_prob if at_terminal else residual
-                slots.append(int(rng.random() < prob))
-                mask.append(int(at_terminal))
+        mask = np.zeros(total, int)
+        mask[np.cumsum(lengths) - lengths] = 1   # each run's first slot
+        slots = (rng.random(total) < np.where(mask, terminal_contact_prob, residual)).astype(int)
         corpus.append(
-            ContactTrace(shift_id=f"shift{i:03d}", slots=tuple(slots), mask=tuple(mask))
+            ContactTrace(shift_id=f"shift{i:03d}", slots=tuple(slots.tolist()), mask=tuple(mask.tolist()))
         )
     return corpus
 
@@ -337,6 +350,35 @@ class PopulationResult:
     age_history: np.ndarray | None = None  # (users, slots) when recorded
 
 
+class _Cohort:
+    """Users replaying their traces cyclically from their phases; ages, trace
+    positions and reward totals carry over from one round to the next."""
+
+    def __init__(self, users: Sequence[UserAssignment], params: SystemParams, round_slots: int):
+        self.response = learning._env_response(params, len(users), round_slots)
+        for ua in users:
+            if not 1 <= ua.start_age <= params.max_age:
+                raise ValueError(f"start age {ua.start_age} outside [1, {params.max_age}]")
+        traces = {id(ua.trace): ua.trace for ua in users}   # each distinct trace once
+        offset = dict(zip(traces, np.cumsum([0] + [len(t) for t in traces.values()]).tolist()))
+        self.slots = np.frombuffer(b"".join(bytes(t.slots) for t in traces.values()), np.uint8)
+        self.offset = np.array([offset[id(ua.trace)] for ua in users])
+        self.length = np.array([len(ua.trace) for ua in users])
+        self.pos = np.array([ua.phase for ua in users]) % self.length
+        self.ages = np.array([ua.start_age for ua in users])
+        self.totals = np.zeros((3, len(users)))
+        self.steps, self.params = np.arange(round_slots), params
+
+    def round(self, bonus: float) -> np.ndarray:
+        """Ages (users, slots + 1) of one round at the threshold for ``bonus``."""
+        actions = (np.arange(1, self.params.max_age + 1) >= self.response(bonus))[None]
+        cells = self.offset[:, None] + (self.pos[:, None] + self.steps) % self.length[:, None]
+        ages, _, self.totals = _replay_rows(self.params, bonus, actions, np.zeros(len(cells), int),
+                                            self.slots[cells], self.ages, totals=self.totals)
+        self.ages, self.pos = ages[:, -1], (self.pos + len(self.steps)) % self.length
+        return ages
+
+
 def simulate_population(
     users: Sequence[UserAssignment],
     params: SystemParams,
@@ -353,58 +395,27 @@ def simulate_population(
     controller, when attached, to set the next bonus.  Fully deterministic
     given traces and phases.
     """
-    n = len(users)
-    if n == 0:
-        raise ValueError("need at least one user")
-    ages = [ua.start_age for ua in users]
-    positions = [ua.phase % len(ua.trace) for ua in users]
-    updates_per_user = [0] * n
-    reward_per_user = [0.0] * n
-    u = params.utility.values
-    scan = params.scan_cost
-    M = params.max_age
+    cohort = _Cohort(users, params, round_slots)
+    updates_per_user = np.zeros(len(users), int)
     bonus = params.bonus if controller is None else controller.initial_bonus
-    response_cache: dict[float, int] = {}
-    history = np.zeros((n, rounds * round_slots), dtype=np.int32) if record_ages else None
+    history = np.zeros((len(users), rounds * round_slots), dtype=np.int32) if record_ages else None
 
     result = PopulationResult()
     for t in range(1, rounds + 1):
-        s = response_cache.get(bonus)
-        if s is None:
-            s = int(thresholds.threshold_response(params, [bonus])[0])
-            response_cache[bonus] = s
-        wifi_fee = max(params.wifi_price - bonus, 0.0)
-        served = 0
-        for i, ua in enumerate(users):
-            slots = ua.trace.slots
-            length = len(slots)
-            age, pos = ages[i], positions[i]
-            for k in range(round_slots):
-                contact = slots[pos]
-                pos = (pos + 1) % length
-                active = age >= s
-                r = u[age - 1]
-                if active:
-                    r -= scan
-                if active and contact:
-                    r -= wifi_fee
-                    updates_per_user[i] += 1
-                    served += 1
-                    age = 1
-                else:
-                    age = min(age + 1, M)
-                reward_per_user[i] += r
-                if history is not None:
-                    history[i, (t - 1) * round_slots + k] = age
-            ages[i], positions[i] = age, pos
+        after = cohort.round(bonus)[:, 1:]   # each user's age after each slot
+        served_per_user = np.count_nonzero(after == 1, axis=1)
+        updates_per_user += served_per_user
+        if history is not None:
+            history[:, (t - 1) * round_slots : t * round_slots] = after
+        served = int(served_per_user.sum())
         rate = served / round_slots
         result.rounds.append(learning.Round(index=t, bonus=bonus, served=served, rate=rate))
         if controller is not None:
             bonus = learning.learning_step(t, bonus, rate, controller)
 
     result.users = [
-        UserOutcome(updates=updates_per_user[i], total_reward=reward_per_user[i], final_age=ages[i])
-        for i in range(n)
+        UserOutcome(updates=u, total_reward=r, final_age=a)
+        for u, r, a in zip(updates_per_user.tolist(), cohort.totals[0].tolist(), cohort.ages.tolist())
     ]
     result.age_history = history
     return result
@@ -418,29 +429,8 @@ def trace_env(
     State (ages, trace positions) persists across calls, so one env instance
     follows a single continuous timeline.
     """
-    ages = [ua.start_age for ua in users]
-    positions = [ua.phase % len(ua.trace) for ua in users]
-    max_age = params.max_age
-
-    def env(bonus: float) -> float:
-        s = int(thresholds.threshold_response(params, [bonus])[0])
-        served = 0
-        for i, ua in enumerate(users):
-            slots = ua.trace.slots
-            length = len(slots)
-            age, pos = ages[i], positions[i]
-            for _ in range(round_slots):
-                contact = slots[pos]
-                pos = (pos + 1) % length
-                if age >= s and contact:
-                    served += 1
-                    age = 1
-                else:
-                    age = min(age + 1, max_age)
-            ages[i], positions[i] = age, pos
-        return float(served)
-
-    return env
+    cohort = _Cohort(users, params, round_slots)
+    return lambda bonus: float(np.count_nonzero(cohort.round(bonus)[:, 1:] == 1))
 
 
 # --- model-versus-trace comparison -------------------------------------------------------
@@ -469,10 +459,10 @@ def comparison_table(
         p_model = min(max(p_hat, 0.01), 0.99)  # model needs p inside (0, 1)
         shift_params = replace(params, contact_prob=p_model)
         s_trace, reward_trace = best_trace_threshold(trace, shift_params, replications)
-        model = thresholds.optimal_threshold(shift_params)
-        policy = Policy.from_thresholds(model.s_star, None, params.max_age)
+        predicted = thresholds.optimal_threshold(shift_params)
+        policy = Policy.from_thresholds(predicted.s_star, None, params.max_age)
         on_trace = replayed_average_reward(trace, shift_params, policy, replications)
         rows.append(
-            (trace.shift_id, p_hat, s_trace, model.s_star, reward_trace, model.reward, on_trace)
+            (trace.shift_id, p_hat, s_trace, predicted.s_star, reward_trace, predicted.reward, on_trace)
         )
     return rows

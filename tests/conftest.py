@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import settings
 
 from agectl import (
     Action,
@@ -13,6 +14,11 @@ from agectl import (
     instantaneous_reward,
     next_age,
 )
+
+# Tier-1 runs the same Hypothesis examples every time, with a deadline loose
+# enough for a shared machine.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=5000)
+settings.load_profile("tier1")
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -352,14 +352,13 @@ def test_criterion_9_trace_ergodicity():
             policy = Policy.from_thresholds(s, None, 12)
             result = simulate_policy(trace, params, policy)
             # per-slot rewards rebuilt from the update positions (ages ramp
-            # deterministically between updates), for the sample std
-            ages = np.empty(len(slots), dtype=int)
-            prev = 0
-            start_age = 1
-            for t in result.update_slots:
-                ages[prev:t] = np.minimum(np.arange(prev, t) - prev + start_age, 12)
-                prev, start_age = t, 1
-            ages[prev:] = np.minimum(np.arange(prev, len(slots)) - prev + start_age, 12)
+            # deterministically between updates), for the sample std: the age
+            # before slot i is 1 + (i - the slot index of the last reset)
+            resets = np.zeros(len(slots), dtype=int)
+            after = np.asarray(result.update_slots, dtype=int)
+            after = after[after < len(slots)]   # an update in slot t resets slot index t
+            resets[after] = after
+            ages = np.minimum(np.arange(len(slots)) - np.maximum.accumulate(resets) + 1, 12)
             rewards = u[ages - 1] - params.scan_cost * (ages >= s)
             # summation-order noise only: any real age error shifts this by >= 0.5
             assert abs(rewards.sum() - result.total_reward) < 0.01

@@ -1,5 +1,7 @@
 """CLI surface: subcommands, exit codes, header/seed recording, byte-identical
 reruns."""
+import hashlib
+
 import pytest
 
 from agectl.cli import main
@@ -116,6 +118,11 @@ class TestLearn:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_negative_population_exits_2(self, capsys):
+        code, out, err = run(capsys, "learn", "--env", "analytic", "--N", "-3", "--rounds", "203")
+        assert code == 2
+        assert "at least one user" in err
+
     def test_unknown_preset_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "learn", "--preset", "bogus")
@@ -154,3 +161,28 @@ class TestSimulateAndGen:
         content = out_path.read_text()
         assert content.startswith("# agectl sweep\n")
         assert "# p=0.5" in content
+
+
+# stdout of the replay-driven subcommands, recorded before the replay loops
+# were folded into one kernel: (byte count, sha256)
+RECORDED_STDOUT = {
+    "learn-chain": (5675, "e69afeaf71f303ac20380ec667c3d076b38def154c1503fd6cc912ba24d6e707"),
+    "learn-trace": (9118, "9794c1ef91e0804dd65f15fcb149d79a6e6369e1a3f7e53e4d5f67219e4bd68d"),
+    "simulate": (563, "c5b10ad2b85893d9803694d945a24b9289df5386366ad87a18436c73b9bb10c2"),
+}
+
+
+def test_replay_outputs_are_byte_stable(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)   # the simulate header records the trace path
+    assert run(capsys, "gen-traces", "--shifts", "5", "--seed", "3", "--output", "corpus.txt")[0] == 0
+    argvs = {
+        "learn-chain": ("learn", "--env", "chain", "--rounds", "230", "--seed", "11"),
+        "learn-trace": ("learn", "--env", "trace", "--traces", "corpus.txt"),
+        "simulate": ("simulate", "--traces", "corpus.txt", "--utility", "linear",
+                     "--M", "12", "--b", "0.2"),
+    }
+    for name, argv in argvs.items():
+        code, out, _ = run(capsys, *argv)
+        data = out.encode()
+        assert code == 0
+        assert (len(data), hashlib.sha256(data).hexdigest()) == RECORDED_STDOUT[name], name

@@ -134,6 +134,23 @@ class TestConvergence:
         assert report.entry_round is None
 
 
+class TestEnvironments:
+    @pytest.mark.parametrize("n_users", [0, -3])
+    def test_population_size_must_be_positive(self, n_users):
+        params = preset("long-rounds").params
+        with pytest.raises(ValueError, match="at least one user"):
+            expected_rate_env(params, n_users, 100)
+        with pytest.raises(ValueError, match="at least one user"):
+            chain_sim_env(params, n_users, 100, make_rng(1))
+
+    @pytest.mark.parametrize("bonus", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_bonus_rejected(self, bonus):
+        params = preset("long-rounds").params
+        for env in (expected_rate_env(params, 5, 10), chain_sim_env(params, 5, 10, make_rng(1))):
+            with pytest.raises(ValueError, match="finite"):
+                env(bonus)
+
+
 class TestPresets:
     def test_known_names(self):
         for name in ("long-rounds", "short-rounds", "short-rounds-iid"):

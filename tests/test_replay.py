@@ -1,0 +1,148 @@
+"""Properties of the one replay kernel behind every trace and population
+simulation, checked against the scalar oracle in ``conftest`` and against
+each other: chunked replays around the chunk length, population rounds,
+the trace and chain environments."""
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from agectl import (
+    Action,
+    ContactTrace,
+    LearningConfig,
+    Policy,
+    SystemParams,
+    UserAssignment,
+    UtilityFunction,
+    chain_sim_env,
+    iid_trace,
+    next_age,
+    simulate_policy,
+    simulate_population,
+    threshold_response,
+    trace_env,
+)
+from agectl.model import CHUNK_SLOTS
+
+from conftest import reference_replay
+
+L = CHUNK_SLOTS
+
+
+def params_for(max_age, p, scan_cost, bonus, utility):
+    return SystemParams(
+        contact_prob=p, max_age=max_age, utility=utility, scan_cost=scan_cost,
+        wifi_price=2.0, price_3g=5.0, bonus=bonus,
+    )
+
+
+@st.composite
+def instances(draw):
+    max_age = draw(st.integers(2, 9))
+    values = sorted(draw(st.lists(st.floats(0, 10), min_size=max_age, max_size=max_age)))
+    utility = draw(st.sampled_from([UtilityFunction.linear(max_age),
+                                    UtilityFunction.tabular(values[::-1])]))
+    return params_for(max_age, draw(st.floats(0.05, 0.95)), draw(st.floats(0, 3)),
+                      draw(st.floats(0, 2)), utility)
+
+
+@st.composite
+def policies(draw, max_age):
+    kind = draw(st.sampled_from(["threshold", "two-threshold", "per-age"]))
+    if kind == "per-age":   # any action at any age, not monotone in age
+        acts = draw(st.lists(st.sampled_from(list(Action)), min_size=max_age, max_size=max_age))
+        return Policy(tuple(acts))
+    s = draw(st.integers(1, max_age + 1))
+    s_3g = draw(st.integers(s, max_age + 1)) if kind == "two-threshold" else None
+    return Policy.from_thresholds(s, s_3g, max_age)
+
+
+def bits(n, p, seed):
+    return tuple(int(b) for b in np.random.default_rng(seed).random(n) < p)
+
+
+@given(instances(), st.data(), st.sampled_from([L - 1, L, L + 1, 3 * L + 5]),
+       st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+def test_simulate_policy_equals_reference_replay(params, data, n, p, seed):
+    policy = data.draw(policies(params.max_age))
+    trace = ContactTrace("t", bits(n, p, seed))
+    for start in range(1, params.max_age + 1):
+        result = simulate_policy(trace, params, policy, start_age=start)
+        assert result.total_reward == sum(
+            reference_replay(trace.slots, params, policy.action_at, start)
+        )
+        age, updates = start, []
+        for t, contact in enumerate(trace.slots, start=1):
+            age = next_age(age, policy.action_at(age), contact, params.max_age)
+            updates += [t] if age == 1 else []
+        assert result.update_slots == tuple(updates)
+
+
+@given(instances(), st.integers(1, 4), st.integers(1, 2 * L), st.integers(1, 9),
+       st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+def test_single_user_population_equals_simulate_policy(params, rounds, round_slots, start, p, seed):
+    params = replace(params, price_3g=None)
+    start = min(start, params.max_age)
+    trace = ContactTrace("t", bits(rounds * round_slots, p, seed))
+    result = simulate_population([UserAssignment(trace, start_age=start)], params, rounds, round_slots)
+    s = int(threshold_response(params, [params.bonus])[0])
+    replay = simulate_policy(trace, params, Policy.from_thresholds(s, None, params.max_age), start)
+    (user,) = result.users
+    assert user.total_reward == replay.total_reward
+    assert user.updates == replay.updates == sum(r.served for r in result.rounds)
+
+
+@given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_trace_env_serves_what_the_population_serves(n_users, round_slots, rounds, seed):
+    rng = np.random.default_rng(seed)
+    params = SystemParams(contact_prob=0.54, max_age=30, utility=UtilityFunction.linear(30),
+                          scan_cost=0.4, wifi_price=40.0)
+    users = [
+        UserAssignment(ContactTrace(f"u{i}", bits(int(rng.integers(1, 90)), 0.5, seed + i)),
+                       phase=int(rng.integers(0, 200)), start_age=int(rng.integers(1, 31)))
+        for i in range(n_users)
+    ]
+    controller = LearningConfig(max_bonus=40.0, target_rate=2.0, round_slots=round_slots,
+                                learning_rate=5.0, initial_bonus=float(rng.uniform(0, 40)))
+    result = simulate_population(users, params, rounds, round_slots, controller=controller)
+    env = trace_env(users, params, round_slots)
+    assert [env(r.bonus) for r in result.rounds] == [float(r.served) for r in result.rounds]
+
+
+@given(st.integers(1, 40), st.integers(1, 30), st.lists(st.floats(0, 40), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_chain_env_draws_one_number_per_user_slot(n_users, round_slots, bonuses, seed):
+    params = SystemParams(contact_prob=0.54, max_age=30, utility=UtilityFunction.linear(30),
+                          scan_cost=0.4, wifi_price=40.0)
+    env = chain_sim_env(params, n_users, round_slots, np.random.default_rng(seed))
+    rng, ages, expected = np.random.default_rng(seed), np.ones(n_users, dtype=int), []
+    for bonus in bonuses:   # one draw of rng.random(n_users) per slot
+        s, served = int(threshold_response(params, [bonus])[0]), 0
+        for _ in range(round_slots):
+            updates = (ages >= s) & (rng.random(n_users) < params.contact_prob)
+            served += int(updates.sum())
+            ages = np.where(updates, 1, np.minimum(ages + 1, params.max_age))
+        expected.append(float(served))
+    assert [env(b) for b in bonuses] == expected
+
+
+def test_long_replay_matches_reference():
+    # a 1e5-slot replay runs as hundreds of chunk rows in several blocks
+    params = params_for(12, 0.54, 0.99, 0.5, UtilityFunction.linear(12))
+    trace = iid_trace(0.54, 100_000, seed=17)
+    policy = Policy.from_thresholds(3, 9, 12)
+    result = simulate_policy(trace, params, policy, start_age=7)
+    assert result.total_reward == sum(reference_replay(trace.slots, params, policy.action_at, 7))
+
+
+def test_chunks_without_updates_settle_over_several_passes():
+    # ages above the chunk length never saturate within one chunk, so every
+    # chunk's start depends on all the chunks before it
+    M = 3 * L
+    params = SystemParams(contact_prob=0.5, max_age=M, utility=UtilityFunction.linear(M))
+    trace = ContactTrace("t", bits(5 * L + 3, 0.5, 4))
+    policy = Policy.from_thresholds(M + 1, None, M)   # never activate
+    result = simulate_policy(trace, params, policy, start_age=2)
+    assert result.updates == 0
+    assert result.total_reward == sum(reference_replay(trace.slots, params, policy.action_at, 2))

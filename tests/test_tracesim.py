@@ -285,6 +285,30 @@ class TestPopulation:
         assert np.mean(tail) <= 11.0 + 0.75
         assert result.rounds[-1].bonus >= 35.0  # full sponsorship regime
 
+    def test_zero_round_slots_rejected(self):
+        users = [UserAssignment(trace=iid_trace(0.5, 50, seed=1))]
+        with pytest.raises(ValueError, match="round_slots"):
+            simulate_population(users, linear_params(max_age=6), rounds=3, round_slots=0)
+
+    def test_trace_env_needs_users(self):
+        with pytest.raises(ValueError, match="at least one user"):
+            trace_env([], linear_params(max_age=6), round_slots=10)
+
+    @pytest.mark.parametrize("start_age", [0, 7, 9])
+    def test_start_age_outside_ages_rejected(self, start_age):
+        # at M = 6, start_age 0 used to replay as age M and 9 to raise IndexError
+        users = [UserAssignment(trace=ContactTrace("x", (1, 0, 1, 1)), start_age=start_age)]
+        params = linear_params(max_age=6)
+        with pytest.raises(ValueError, match="start age"):
+            simulate_population(users, params, rounds=2, round_slots=4)
+        with pytest.raises(ValueError, match="start age"):
+            trace_env(users, params, round_slots=4)
+
+    def test_trace_env_rejects_non_finite_bonus(self):
+        env = trace_env([UserAssignment(trace=iid_trace(0.5, 50, seed=1))], linear_params(), 10)
+        with pytest.raises(ValueError, match="finite"):
+            env(float("nan"))
+
     def test_trace_env_interface(self):
         params = linear_params(scan_cost=0.99)
         trace = iid_trace(0.54, 2000, seed=12)
