@@ -113,31 +113,56 @@ def solve_user_problem(
     optimality conditions.  Updates are damped half-steps — the aperiodicity
     transform — because deterministic reset cycles (3G bands, p near 1) make
     the undamped iteration oscillate.  The fixed point is unchanged.
+
+    Each sweep runs in preallocated buffers and keeps the documented float
+    order of :func:`bellman_values`: F1 = ((u − G) + p·(v₀ − P + B)) + (1−p)·V(x+1)
+    and F2 = ((((u − G) + v₀) − p·P) − (1−p)·P3G) + B.  The gauge step leaves
+    v₀ = V(1) at exactly 0.0 in every sweep, so the terms without V(x+1) are
+    computed once, with the same operations, before the loop.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     M = params.max_age
-    v = np.zeros(M)
+    p, q = params.contact_prob, 1.0 - params.contact_prob
+    v0 = 0.0
+    u = np.asarray(params.utility.values)
+    f1_base = u - params.scan_cost + p * (v0 - params.wifi_price + params.bonus)
+    f2 = None
+    if params.has_3g:
+        f2 = (
+            u - params.scan_cost + v0
+            - p * params.wifi_price - q * params.price_3g + params.bonus
+        )
+    w = np.zeros(M + 1)
+    v, vnext = w[:M], w[1:]   # w[M] repeats V(M), so vnext[x - 1] = V(min(x + 1, M))
+    tv, f, delta = np.empty(M), np.empty(M), np.empty(M)
     damp = 0.5
     for iteration in range(1, max_iter + 1):
-        tv = np.maximum.reduce(_action_value_arrays(v, params))
-        delta = tv - v
-        span = float(delta.max() - delta.min())
+        np.add(u, vnext, out=tv)
+        np.multiply(vnext, q, out=f)
+        np.add(f1_base, f, out=f)
+        np.maximum(tv, f, out=tv)
+        if f2 is not None:
+            np.maximum(tv, f2, out=tv)
+        np.subtract(tv, v, out=delta)
+        hi, lo = delta.max(), delta.min()
+        span = float(hi - lo)
         if span <= tol:
-            gain = 0.5 * float(delta.max() + delta.min())
+            gain = 0.5 * float(hi + lo)
             residual = float(np.max(np.abs(delta - gain)))
-            v = v - v[0]
-            value = ValueFunction(values=v, gain=gain)
+            value = ValueFunction(values=v - v[0], gain=gain)
             return SolveReport(
                 value=value,
                 policy=greedy_policy(value, params),
                 iterations=iteration,
                 residual=residual,
             )
-        v = v + damp * delta
-        v = v - v[0]
+        np.multiply(delta, damp, out=f)
+        np.add(v, f, out=v)
+        np.subtract(v, v[0], out=v)
+        w[M] = w[M - 1]
     raise ConvergenceError(max_iter, span)
 
 
@@ -146,16 +171,11 @@ def greedy_policy(
 ) -> Policy:
     """Per-age argmax over action values; ties go to the lower-numbered action."""
     fs = _action_value_arrays(np.asarray(value.values), params)
-    best = np.maximum.reduce(fs)
-    actions = []
-    for x in range(params.max_age):
-        if fs[0][x] >= best[x] - tie_tol:
-            actions.append(Action.INACTIVE)
-        elif fs[1][x] >= best[x] - tie_tol:
-            actions.append(Action.WIFI)
-        else:
-            actions.append(Action.WIFI_THEN_3G)
-    return Policy(actions=tuple(actions))
+    cut = np.maximum.reduce(fs) - tie_tol
+    actions = np.where(
+        fs[0] >= cut, Action.INACTIVE, np.where(fs[1] >= cut, Action.WIFI, Action.WIFI_THEN_3G)
+    )
+    return Policy(actions=tuple(actions.tolist()))
 
 
 def verify_threshold_structure(policy: Policy) -> tuple[int, int]:
@@ -166,10 +186,11 @@ def verify_threshold_structure(policy: Policy) -> tuple[int, int]:
     the first inversion otherwise.
     """
     acts = policy.actions
-    for age in range(1, len(acts)):
-        if acts[age] < acts[age - 1]:
-            raise StructureViolation(age, acts[age - 1], acts[age])
-    never = len(acts) + 1
-    s_wifi = next((i + 1 for i, a in enumerate(acts) if a >= Action.WIFI), never)
-    s_3g = next((i + 1 for i, a in enumerate(acts) if a is Action.WIFI_THEN_3G), never)
+    codes = np.frombuffer(bytes(acts), np.uint8)
+    inverted = np.flatnonzero(codes[1:] < codes[:-1])
+    if inverted.size:
+        age = int(inverted[0]) + 1
+        raise StructureViolation(age, acts[age - 1], acts[age])
+    s_wifi = 1 + int(np.count_nonzero(codes == Action.INACTIVE))
+    s_3g = 1 + int(np.count_nonzero(codes < Action.WIFI_THEN_3G))
     return s_wifi, s_3g

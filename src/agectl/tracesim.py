@@ -272,8 +272,17 @@ def best_trace_threshold(
 ) -> tuple[int, float]:
     """Exhaustive trace-driven threshold search over s in [1, M+1]; ties go to
     the smaller threshold."""
+    return _best_threshold(_threshold_means(trace, params, replications, start_age))
+
+
+def _threshold_means(trace: ContactTrace, params: SystemParams, replications: int,
+                     start_age: int) -> list[float]:
+    """``replayed_average_reward`` of every threshold s in [1, M+1], in order."""
     policies = [Policy.from_thresholds(s, None, params.max_age) for s in range(1, params.max_age + 2)]
-    _, _, means = _replay_rotations(trace, params, policies, replications, start_age)
+    return _replay_rotations(trace, params, policies, replications, start_age)[2]
+
+
+def _best_threshold(means: Sequence[float]) -> tuple[int, float]:
     best_s, best_r = None, -np.inf
     for s, r in enumerate(means, start=1):
         if r > best_r + 1e-12:
@@ -352,9 +361,11 @@ class PopulationResult:
 
 class _Cohort:
     """Users replaying their traces cyclically from their phases; ages, trace
-    positions and reward totals carry over from one round to the next."""
+    positions and, unless ``totals`` is off, the reward, energy and fee totals
+    carry over from one round to the next."""
 
-    def __init__(self, users: Sequence[UserAssignment], params: SystemParams, round_slots: int):
+    def __init__(self, users: Sequence[UserAssignment], params: SystemParams, round_slots: int,
+                 totals: bool = True):
         self.response = learning._env_response(params, len(users), round_slots)
         for ua in users:
             if not 1 <= ua.start_age <= params.max_age:
@@ -366,15 +377,19 @@ class _Cohort:
         self.length = np.array([len(ua.trace) for ua in users])
         self.pos = np.array([ua.phase for ua in users]) % self.length
         self.ages = np.array([ua.start_age for ua in users])
-        self.totals = np.zeros((3, len(users)))
+        self.totals = np.zeros((3, len(users))) if totals else None   # reward, energy, fees
         self.steps, self.params = np.arange(round_slots), params
 
     def round(self, bonus: float) -> np.ndarray:
         """Ages (users, slots + 1) of one round at the threshold for ``bonus``."""
         actions = (np.arange(1, self.params.max_age + 1) >= self.response(bonus))[None]
         cells = self.offset[:, None] + (self.pos[:, None] + self.steps) % self.length[:, None]
-        ages, _, self.totals = _replay_rows(self.params, bonus, actions, np.zeros(len(cells), int),
-                                            self.slots[cells], self.ages, totals=self.totals)
+        policy, contacts = np.zeros(len(cells), int), self.slots[cells]
+        if self.totals is None:
+            ages = model._replay(actions, policy, contacts, self.ages)
+        else:
+            ages, _, self.totals = _replay_rows(self.params, bonus, actions, policy, contacts,
+                                                self.ages, totals=self.totals)
         self.ages, self.pos = ages[:, -1], (self.pos + len(self.steps)) % self.length
         return ages
 
@@ -429,7 +444,7 @@ def trace_env(
     State (ages, trace positions) persists across calls, so one env instance
     follows a single continuous timeline.
     """
-    cohort = _Cohort(users, params, round_slots)
+    cohort = _Cohort(users, params, round_slots, totals=False)   # only the ages are read
     return lambda bonus: float(np.count_nonzero(cohort.round(bonus)[:, 1:] == 1))
 
 
@@ -458,10 +473,10 @@ def comparison_table(
         p_hat = estimate_p(trace)
         p_model = min(max(p_hat, 0.01), 0.99)  # model needs p inside (0, 1)
         shift_params = replace(params, contact_prob=p_model)
-        s_trace, reward_trace = best_trace_threshold(trace, shift_params, replications)
+        means = _threshold_means(trace, shift_params, replications, 1)
+        s_trace, reward_trace = _best_threshold(means)
         predicted = thresholds.optimal_threshold(shift_params)
-        policy = Policy.from_thresholds(predicted.s_star, None, params.max_age)
-        on_trace = replayed_average_reward(trace, shift_params, policy, replications)
+        on_trace = means[predicted.s_star - 1]   # the model's threshold replayed on the trace
         rows.append(
             (trace.shift_id, p_hat, s_trace, predicted.s_star, reward_trace, predicted.reward, on_trace)
         )

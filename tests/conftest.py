@@ -1,19 +1,23 @@
-"""Shared test helpers: randomized instance generators and an independent
-step-by-step replay oracle built directly on the one-slot primitives."""
+"""Shared test helpers: randomized instance generators, an independent
+step-by-step replay oracle built directly on the one-slot primitives, and a
+per-age relative value iteration oracle built on ``bellman_values``."""
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from agectl import (
     Action,
     SystemParams,
     UtilityFunction,
+    ValueFunction,
+    bellman_values,
     instantaneous_reward,
     next_age,
 )
+from agectl.solver import ACTION_TIE_TOL
 
 # Tier-1 runs the same Hypothesis examples every time, with a deadline loose
 # enough for a shared machine.
@@ -65,6 +69,35 @@ def random_3g_params(rng: np.random.Generator, **kwargs) -> SystemParams:
     return replace(params, price_3g=price_3g)
 
 
+@st.composite
+def system_params(draw, max_age: int = 40, with_3g: bool | None = None,
+                  min_price: float = 0.0) -> SystemParams:
+    """Hypothesis strategy over instances of every utility form, with p drawn
+    near 0, near 1 or in between and costs scaled to the utility so that
+    inactive, threshold and two-threshold optima all appear."""
+    M = draw(st.integers(2, max_age))
+    form = draw(st.sampled_from(("linear", "step", "tabular")))
+    if form == "linear":
+        utility = UtilityFunction.linear(M)
+    elif form == "step":
+        utility = UtilityFunction.step(draw(st.floats(0.5, 20.0)), draw(st.integers(1, M)), M)
+    else:
+        values = draw(st.lists(st.floats(0.0, 10.0), min_size=M, max_size=M))
+        utility = UtilityFunction.tabular(sorted(values, reverse=True))
+    p = draw(st.one_of(st.floats(0.001, 0.05), st.floats(0.05, 0.95), st.floats(0.95, 0.999)))
+    scale = max(utility.values[0] - utility.values[-1], 1.0)
+    scan_cost = draw(st.floats(0.0, 1.5)) * scale
+    price = draw(st.floats(min_price, 5.0))
+    if with_3g is None:
+        with_3g = draw(st.booleans())
+    price_3g = draw(st.floats(0.2, 3.0)) * max(scan_cost / p + price, 0.5) if with_3g else None
+    cap = price if price_3g is None else min(price, price_3g)
+    return SystemParams(
+        contact_prob=p, max_age=M, utility=utility, scan_cost=scan_cost, wifi_price=price,
+        price_3g=price_3g, bonus=draw(st.floats(0.0, 1.0)) * cap,
+    )
+
+
 def reference_replay(
     slots,
     params: SystemParams,
@@ -93,3 +126,43 @@ def threshold_action(s: int, s_3g: int | None = None):
         return Action.INACTIVE
 
     return action_at
+
+
+@dataclass(frozen=True)
+class RviResult:
+    values: np.ndarray      # relative values over ages 1..M, V(1) = 0
+    gain: float
+    iterations: int
+    residual: float         # sup-norm Bellman error; the last span if not converged
+    actions: tuple[Action, ...]
+    converged: bool
+
+
+def reference_rvi(params: SystemParams, tol: float, max_iter: int) -> RviResult:
+    """Relative value iteration one age at a time through the public
+    ``bellman_values``: damped half-steps, the value at age 1 pinned to zero,
+    and a stop once the span of the Bellman differences drops to ``tol``.
+    Actions within ``ACTION_TIE_TOL`` of the best go to the cheapest."""
+    M = params.max_age
+    v = np.zeros(M)
+    for iteration in range(1, max_iter + 1):
+        value = ValueFunction(values=v, gain=0.0)
+        delta = []
+        for x in range(1, M + 1):
+            fs = [f for f in bellman_values(x, value, params) if f is not None]
+            delta.append(max(fs) - float(v[x - 1]))
+        span = max(delta) - min(delta)
+        if span <= tol:
+            gain = 0.5 * (max(delta) + min(delta))
+            values = np.array([float(vx) - float(v[0]) for vx in v])
+            final = ValueFunction(values=values, gain=gain)
+            actions = []
+            for x in range(1, M + 1):
+                fs = [f for f in bellman_values(x, final, params) if f is not None]
+                best = max(fs)
+                actions.append(next(Action(a) for a, f in enumerate(fs) if f >= best - ACTION_TIE_TOL))
+            return RviResult(values, gain, iteration, max(abs(d - gain) for d in delta),
+                             tuple(actions), True)
+        stepped = [float(vx) + 0.5 * d for vx, d in zip(v, delta)]
+        v = np.array([vx - stepped[0] for vx in stepped])
+    return RviResult(v, float("nan"), max_iter, span, (), False)

@@ -163,13 +163,31 @@ class TestSimulateAndGen:
         assert "# p=0.5" in content
 
 
-# stdout of the replay-driven subcommands, recorded before the replay loops
-# were folded into one kernel: (byte count, sha256)
+# stdout as (byte count, sha256): the replay-driven subcommands recorded before
+# the replay loops were folded into one kernel, the ``solve`` rows (RVI gain,
+# iterations and residual) before the RVI sweep was rewritten allocation-free
 RECORDED_STDOUT = {
     "learn-chain": (5675, "e69afeaf71f303ac20380ec667c3d076b38def154c1503fd6cc912ba24d6e707"),
     "learn-trace": (9118, "9794c1ef91e0804dd65f15fcb149d79a6e6369e1a3f7e53e4d5f67219e4bd68d"),
     "simulate": (563, "c5b10ad2b85893d9803694d945a24b9289df5386366ad87a18436c73b9bb10c2"),
+    "solve-linear": (327, "348f48adb7f9fa23a0d6574a5739670bd8008d5bbf22cec223a3ecf987d45394"),
+    "solve-step": (309, "5d6bad6f8dea9cf6bd619a54194a99e250bc3b5b9152fd83c9847586b30d0a0b"),
+    "solve-config-3g": (510, "5cfe0927b433b91fba5fdfd6b9d58c6a927fe25ec794a3fba43bc0f42b17e2e9"),
+    "solve-linear-300-3g": (610, "64dbaf466f2a113fb5bd37a3d543ff5d89a006a79f7f1bf89b4cdf711126ec2d"),
 }
+
+#: the README's params.cfg example
+PARAMS_CFG = """\
+# params.cfg
+p = 0.54
+M = 12
+G = 0.99
+P = 0
+# "inf" means no 3G plan
+P3G = inf
+B = 0
+utility.form = linear
+"""
 
 
 def test_replay_outputs_are_byte_stable(capsys, tmp_path, monkeypatch):
@@ -180,6 +198,27 @@ def test_replay_outputs_are_byte_stable(capsys, tmp_path, monkeypatch):
         "learn-trace": ("learn", "--env", "trace", "--traces", "corpus.txt"),
         "simulate": ("simulate", "--traces", "corpus.txt", "--utility", "linear",
                      "--M", "12", "--b", "0.2"),
+    }
+    for name, argv in argvs.items():
+        code, out, _ = run(capsys, *argv)
+        data = out.encode()
+        assert code == 0
+        assert (len(data), hashlib.sha256(data).hexdigest()) == RECORDED_STDOUT[name], name
+
+
+def test_solve_outputs_are_byte_stable(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "params.cfg").write_text(PARAMS_CFG)
+    argvs = {
+        "solve-linear": ("solve", "--utility", "linear", "--M", "12", "--p", "0.54",
+                         "--G", "0.99", "--P", "0", "--B", "0"),
+        "solve-step": ("solve", "--utility", "step", "--v", "12", "--k", "3", "--M", "21",
+                       "--p", "0.5", "--G", "6"),
+        "solve-config-3g": ("solve", "--config", "params.cfg", "--P3G", "3.0",
+                            "--format", "table"),
+        # a two-threshold optimum (WiFi band, then 3G) after 2344 RVI sweeps
+        "solve-linear-300-3g": ("solve", "--utility", "linear", "--M", "300", "--p", "0.3",
+                                "--G", "100", "--P", "10", "--P3G", "400", "--B", "5"),
     }
     for name, argv in argvs.items():
         code, out, _ = run(capsys, *argv)

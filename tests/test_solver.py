@@ -1,8 +1,10 @@
-"""Relative value iteration against the closed-form analytics, plus policy
-structure verification."""
+"""Relative value iteration against the closed-form analytics and a per-age
+reference iteration, plus policy structure verification."""
 import numpy as np
 import pytest
 from dataclasses import replace
+
+from hypothesis import example, given
 
 from agectl import (
     Action,
@@ -13,15 +15,24 @@ from agectl import (
     UtilityFunction,
     ValueFunction,
     bellman_values,
+    chain_summary,
     expected_reward_threshold,
     greedy_policy,
+    optimal_threshold,
     solve_user_problem,
     threshold_reward_curve,
     verify_threshold_structure,
 )
+from agectl.solver import DEFAULT_TOL
 from agectl.thresholds import always_active, always_inactive, optimal_two_thresholds
 
-from conftest import make_rng, random_3g_params, random_wifi_params
+from conftest import (
+    make_rng,
+    random_3g_params,
+    random_wifi_params,
+    reference_rvi,
+    system_params,
+)
 
 
 def linear_params(max_age=12, p=0.54, **kw):
@@ -133,6 +144,61 @@ class TestSolve:
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             solve_user_problem(linear_params(), tol=0.0)
+
+
+#: enough sweeps for most drawn instances; the rest must fail identically
+ORACLE_MAX_ITER = 4000
+
+
+class TestAgainstReferenceIteration:
+    """The vectorized sweep repeats the per-age iteration's float operations
+    in the same order, so every output is exactly equal, not just close."""
+
+    @given(system_params())
+    @example(linear_params(max_age=2, p=0.5, scan_cost=0.3, wifi_price=1.0, bonus=0.4))
+    @example(linear_params(max_age=2, p=0.5, scan_cost=0.3, wifi_price=1.0, price_3g=1.2))
+    @example(linear_params(p=0.001, scan_cost=0.02, wifi_price=2.0, bonus=1.0))
+    @example(linear_params(p=0.999, scan_cost=5.0, wifi_price=1.0, price_3g=9.0, bonus=0.5))
+    def test_sweep_equals_reference_exactly(self, params):
+        ref = reference_rvi(params, DEFAULT_TOL, ORACLE_MAX_ITER)
+        if not ref.converged:
+            with pytest.raises(ConvergenceError) as err:
+                solve_user_problem(params, max_iter=ORACLE_MAX_ITER)
+            assert (err.value.iterations, err.value.residual) == (ref.iterations, ref.residual)
+            return
+        report = solve_user_problem(params, max_iter=ORACLE_MAX_ITER)
+        assert np.array_equal(report.value.values, ref.values)
+        assert report.value.gain == ref.gain
+        assert report.iterations == ref.iterations
+        assert report.residual == ref.residual
+        assert report.policy.actions == ref.actions
+
+    @pytest.mark.parametrize("price_3g", [None, 4.0], ids=["wifi", "3g"])
+    def test_non_convergence_equals_reference(self, price_3g):
+        params = linear_params(scan_cost=1.0, wifi_price=2.0, price_3g=price_3g)
+        ref = reference_rvi(params, 1e-12, 3)
+        assert not ref.converged
+        with pytest.raises(ConvergenceError) as err:
+            solve_user_problem(params, tol=1e-12, max_iter=3)
+        assert (err.value.iterations, err.value.residual) == (ref.iterations, ref.residual)
+
+
+class TestRouteAgreement:
+    """Closed form, matrix oracle and RVI give the same optimal gain."""
+
+    @given(system_params(max_age=60, with_3g=False))
+    def test_optimal_threshold(self, params):
+        best = optimal_threshold(params)
+        policy = Policy.from_thresholds(best.s_star, None, params.max_age)
+        assert chain_summary(policy, params).gain == pytest.approx(best.reward, abs=1e-6)
+        assert solve_user_problem(params).value.gain == pytest.approx(best.reward, abs=1e-6)
+
+    @given(system_params(max_age=60, with_3g=True))
+    def test_two_threshold_optimum(self, params):
+        best = optimal_two_thresholds(params)
+        policy = Policy.from_thresholds(best.s_wifi, best.s_3g, params.max_age)
+        assert chain_summary(policy, params).gain == pytest.approx(best.reward, abs=1e-6)
+        assert solve_user_problem(params).value.gain == pytest.approx(best.reward, abs=1e-6)
 
 
 class TestGreedy:

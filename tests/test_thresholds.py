@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from agectl import (
     SystemParams,
@@ -25,7 +26,7 @@ from agectl import (
     threshold_response,
 )
 
-from conftest import make_rng, random_3g_params, random_wifi_params
+from conftest import make_rng, random_3g_params, random_wifi_params, system_params
 
 
 def linear_params(max_age=12, p=0.54, **kw):
@@ -293,3 +294,10 @@ class TestThresholdResponse:
             grid = np.linspace(0, params.wifi_price, 50)
             response = threshold_response(params, grid)
             assert np.all(np.diff(response) <= 0)
+
+
+@given(system_params(max_age=60, with_3g=False, min_price=0.1))
+def test_response_non_increasing_in_bonus(params):
+    s = threshold_response(params, np.linspace(0.0, params.wifi_price, 41))
+    assert np.all(np.diff(s) <= 0)
+    assert 1 <= s.min() and s.max() <= params.max_age + 1
