@@ -140,9 +140,6 @@ class SystemParams:
         """Scan cost divided by (max_age - 1); the cost knob used in sweeps."""
         return self.scan_cost / (self.max_age - 1)
 
-    def with_bonus(self, bonus: float) -> "SystemParams":
-        return replace(self, bonus=bonus)
-
 
 def instantaneous_reward(params: SystemParams, age: int, action: Action, contact: int) -> float:
     """One-slot reward: utility minus activation cost minus bonus-reduced price.
@@ -185,7 +182,8 @@ CHUNK_SLOTS = 256
 BLOCK_CELLS = 1 << 16
 
 
-def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start: np.ndarray) -> np.ndarray:
+def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start: np.ndarray,
+            stored: np.ndarray | None = None) -> np.ndarray:
     """The slot loop: ages along each row of a (rows, slots) 0/1 contact matrix.
 
     Row r starts at age ``start[r]`` and acts by the per-age action table
@@ -194,6 +192,13 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
     Rows longer than CHUNK_SLOTS run as chunks, each from the age the chunk
     before it ended with; chunks whose start changed rerun until none does, and
     every pass fixes at least one more chunk of each row.
+
+    ``stored`` holds the ages an earlier pass found for the same rows from
+    other starts.  A block of rows then steps only until, in some slot, every
+    row's new age equals its stored age, and copies the stored ages from that
+    slot on.  This is exact: the next age depends only on the age, the contact
+    and the policy, so two runs of a row that meet in one slot agree in every
+    later slot.  Chunk reruns pass the ages of the pass before.
     """
     rows, n = contacts.shape
     M = actions.shape[1]
@@ -203,11 +208,12 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
         chunks = np.pad(contacts, ((0, 0), (0, k * L - n))).reshape(rows * k, L)
         policy, begin = np.repeat(policy, k), np.repeat(start, k)
         first = np.arange(rows * k) % k == 0
-        ages, todo = np.empty((rows * k, L + 1), dtype), np.arange(rows * k)
+        ages, todo, stored = np.empty((rows * k, L + 1), dtype), np.arange(rows * k), None
         while todo.size:
-            ages[todo] = _replay(actions, policy[todo], chunks[todo], begin[todo])
+            ages[todo] = _replay(actions, policy[todo], chunks[todo], begin[todo], stored)
             carried = np.where(first, begin, np.roll(ages[:, -1], 1))
             todo, begin = np.flatnonzero(carried != begin), carried
+            stored = ages[todo]
         ages = ages.reshape(rows, k, L + 1)
         return np.column_stack((ages[:, :, :L].reshape(rows, -1)[:, :n], ages[:, -1, n - (k - 1) * L]))
     # next age by (policy, contact, age - 1): 1 after an update (action 2, or
@@ -218,10 +224,15 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
     step = max(1, BLOCK_CELLS // n)   # rows per block
     for lo in range(0, rows, step):
         # code + age is the table index of (policy, contact, age - 1), time-major
-        code = ((policy[lo:lo + step, None] * 2 + contacts[lo:lo + step]) * M - 1).T.copy()
+        code = np.multiply(contacts[lo:lo + step].T, np.intp(M), order="C")
+        code += policy[lo:lo + step] * (2 * M) - 1
         block = np.empty((n + 1, code.shape[1]), dtype)
         block[0] = start[lo:lo + step]
+        old = None if stored is None else stored[lo:lo + step].T
         for t in range(n):
+            if old is not None and block[t].tobytes() == old[t].tobytes():   # the runs met
+                block[t:] = old[t:]
+                break
             block[t + 1] = nxt[code[t] + block[t]]
         ages[lo:lo + step] = block.T
     return ages
@@ -233,6 +244,10 @@ def _add_rows(carry: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate((carry[..., None], values), axis=-1), axis=-1)[..., -1]
 
 
+#: each Action by its code; members hash as their codes, so they map to themselves
+_ACTIONS = {int(a): a for a in Action}
+
+
 @dataclass(frozen=True)
 class Policy:
     """Deterministic per-age action map; index i holds the action at age i+1."""
@@ -240,7 +255,11 @@ class Policy:
     actions: tuple[Action, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "actions", tuple(Action(a) for a in self.actions))
+        try:
+            actions = tuple(map(_ACTIONS.__getitem__, self.actions))
+        except (KeyError, TypeError):   # Action() names the first invalid code
+            actions = tuple(map(Action, self.actions))
+        object.__setattr__(self, "actions", actions)
 
     @property
     def max_age(self) -> int:
@@ -264,15 +283,8 @@ class Policy:
             raise ValueError(f"WiFi threshold {wifi_threshold} outside [1, {never}]")
         if not wifi_threshold <= s3 <= never:
             raise ValueError(f"3G threshold {s3} outside [{wifi_threshold}, {never}]")
-        acts = []
-        for age in range(1, max_age + 1):
-            if age >= s3:
-                acts.append(Action.WIFI_THEN_3G)
-            elif age >= wifi_threshold:
-                acts.append(Action.WIFI)
-            else:
-                acts.append(Action.INACTIVE)
-        return cls(actions=tuple(acts))
+        return cls(actions=(Action.INACTIVE,) * (wifi_threshold - 1) + (Action.WIFI,) * (s3 - wifi_threshold)
+                   + (Action.WIFI_THEN_3G,) * (never - s3))
 
     def uses_3g(self) -> bool:
         return Action.WIFI_THEN_3G in self.actions

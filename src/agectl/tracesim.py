@@ -29,8 +29,28 @@ class TraceFormatError(ValueError):
         self.line_no = line_no
 
 
+def _bits(values: Sequence[int], what: str) -> np.ndarray:
+    """``values`` as a read-only uint8 array; ValueError unless each value is an
+    integer or a bool equal to 0 or 1."""
+    try:
+        bits = np.frombuffer(bytes(values), np.uint8)
+    except (TypeError, ValueError):   # numpy bools have no __index__; all else fails
+        bits = np.array(values)
+        bits = np.frombuffer(bits.tobytes(), np.uint8) if bits.dtype == bool and bits.ndim == 1 else None
+    if bits is None or bits.max() > 1:
+        raise ValueError(f"{what} must be 0/1")
+    return bits
+
+
 @dataclass(frozen=True)
 class ContactTrace:
+    """One shift's contact string and optional location mask, tuples of 0/1.
+
+    Building a trace also stores both as read-only uint8 arrays, ``slot_bits``
+    and ``mask_bits`` (None without a mask), which every replay reads.  They
+    are not fields: equality, hashing, the repr and pickles use the tuples.
+    """
+
     shift_id: str
     slots: tuple[int, ...]
     mask: tuple[int, ...] | None = None
@@ -38,26 +58,19 @@ class ContactTrace:
     def __post_init__(self) -> None:
         if not self.slots:
             raise ValueError("trace must contain at least one slot")
-        if not set(self.slots) <= {0, 1}:
-            raise ValueError("slots must be 0/1")
-        if self.mask is not None:
-            if len(self.mask) != len(self.slots):
-                raise ValueError("mask length must match slot count")
-            if not set(self.mask) <= {0, 1}:
-                raise ValueError("mask must be 0/1")
+        object.__setattr__(self, "slot_bits", _bits(self.slots, "slots"))
+        if self.mask is not None and len(self.mask) != len(self.slots):
+            raise ValueError("mask length must match slot count")
+        object.__setattr__(self, "mask_bits", None if self.mask is None else _bits(self.mask, "mask"))
+
+    def __getstate__(self) -> dict:
+        return {"shift_id": self.shift_id, "slots": self.slots, "mask": self.mask}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
 
     def __len__(self) -> int:
         return len(self.slots)
-
-    def rotated(self, offset: int) -> "ContactTrace":
-        """Trace with the starting phase shifted by ``offset`` slots."""
-        n = len(self.slots)
-        offset %= n
-        if offset == 0:
-            return self
-        slots = self.slots[offset:] + self.slots[:offset]
-        mask = None if self.mask is None else self.mask[offset:] + self.mask[:offset]
-        return replace(self, slots=slots, mask=mask)
 
 
 def _parse_bits(token: str, line_no: int, what: str) -> tuple[int, ...]:
@@ -99,9 +112,9 @@ def load_traces(path: str | Path) -> list[ContactTrace]:
 def dump_traces(traces: Iterable[ContactTrace]) -> str:
     out = io.StringIO()
     for t in traces:
-        line = f"{t.shift_id} {''.join(map(str, t.slots))}"
+        line = f"{t.shift_id} {(t.slot_bits + ord('0')).tobytes().decode()}"
         if t.mask is not None:
-            line += f" {''.join(map(str, t.mask))}"
+            line += f" {(t.mask_bits + ord('0')).tobytes().decode()}"
         out.write(line + "\n")
     return out.getvalue()
 
@@ -109,7 +122,7 @@ def dump_traces(traces: Iterable[ContactTrace]) -> str:
 def estimate_p(trace: ContactTrace) -> float:
     """Useful slots over total slots.  Can be 0 or 1 on degenerate shifts;
     model-side analytics require p strictly inside (0, 1)."""
-    return sum(trace.slots) / len(trace.slots)
+    return int(np.count_nonzero(trace.slot_bits)) / len(trace)
 
 
 @dataclass(frozen=True)
@@ -123,7 +136,7 @@ def consecutive_stats(trace: ContactTrace) -> ConsecutiveStats:
 
     A conditional with no observed pairs is reported as None.
     """
-    bits = np.array(trace.slots, np.uint8)
+    bits = trace.slot_bits
     prev, no_contact = bits[:-1] != 0, bits[1:] == 0
     n0x, n1x = int(np.count_nonzero(~prev)), int(np.count_nonzero(prev))
     n00, n10 = int(np.count_nonzero(no_contact[~prev])), int(np.count_nonzero(no_contact[prev]))
@@ -156,67 +169,89 @@ class SimResult:
     fees_paid: float
 
 
+def _outcome_terms(params: SystemParams, bonus: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per outcome code 2 * action + contact: the reward at each age (6, M + 1)
+    and the fee, by the float operations of ``instantaneous_reward`` in its
+    order, at ``bonus``."""
+    u = np.array((0.0,) + params.utility.values)   # indexed by age
+    wifi_fee = max(params.wifi_price - bonus, 0.0)
+    fee_3g = max(params.price_3g - bonus, 0.0) if params.has_3g else 0.0
+    active = u - params.scan_cost
+    rewards = np.stack([u, u, active, active - wifi_fee, active - fee_3g, active - wifi_fee])
+    return rewards, np.array([0.0, 0.0, 0.0, wifi_fee, fee_3g, wifi_fee])
+
+
 def _replay_rows(params: SystemParams, bonus: float, actions: np.ndarray, policy: np.ndarray,
                  contacts: np.ndarray, start: np.ndarray, gate: np.ndarray | None = None,
                  totals: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Replay the rows of a (rows, slots) contact matrix with ``model._replay``.
 
     Returns the ages, every slot's outcome code 2 * action + contact, and each
-    row's reward, energy and fee totals, shape (3, rows), added slot by slot
-    onto ``totals``.  With a ``gate``, a row uses WiFi on its gated slots only
-    (the mask policy).  The rewards repeat the float operations of
-    ``instantaneous_reward``, in its order, at ``bonus``.
+    row's reward total, added slot by slot onto ``totals``.  With a ``gate``, a
+    row uses WiFi on its gated slots only (the mask policy).
     """
     ages = model._replay(actions, policy, contacts if gate is None else contacts & gate, start)
-    u = np.array((0.0,) + params.utility.values)   # indexed by age
-    wifi_fee = max(params.wifi_price - bonus, 0.0)
-    fee_3g = max(params.price_3g - bonus, 0.0) if params.has_3g else 0.0
-    active = u - params.scan_cost
-    rewards = np.stack([u, u, active, active - wifi_fee, active - fee_3g, active - wifi_fee])
-    energy = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0]) * params.scan_cost
-    fees = np.array([0.0, 0.0, 0.0, wifi_fee, fee_3g, wifi_fee])
+    M = params.max_age
+    rewards = _outcome_terms(params, bonus)[0].ravel()   # outcome o at age x: o * (M + 1) + x
+    row = policy[:, None] * M - 1   # the action at age x is actions.flat[row + x]
     outcome = np.empty(contacts.shape, np.uint8)
-    totals = np.zeros((3, len(contacts))) if totals is None else totals
+    totals = np.zeros(len(contacts)) if totals is None else totals
     before = ages[:, :-1]   # each slot's age before its transition
     step = max(1, model.BLOCK_CELLS // len(contacts))
     for lo in range(0, contacts.shape[1], step):   # slot blocks bound the float temporaries
         b = slice(lo, lo + step)
-        act = actions[policy[:, None], before[:, b] - 1] if gate is None else gate[:, b]
+        act = actions.take(row + before[:, b]) if gate is None else gate[:, b]
         o = outcome[:, b] = act * 2 + contacts[:, b]
-        totals = model._add_rows(totals, np.stack([rewards[o, before[:, b]], energy[o], fees[o]]))
+        totals = model._add_rows(totals, rewards.take(o * np.intp(M + 1) + before[:, b]))
     return ages, outcome, totals
 
 
-def _replay_rotations(trace: ContactTrace, params: SystemParams, policies: Sequence[Policy | MaskPolicy],
+def _add_in_order(blocks: Iterable[np.ndarray]) -> float:
+    """The terms of the blocks added one at a time from +0.0, as a loop of
+    ``total += term`` would add them."""
+    total = np.zeros(())
+    for terms in blocks:
+        total = model._add_rows(total, terms)
+    return float(total)
+
+
+def _policy_actions(params: SystemParams, policy: Policy | MaskPolicy) -> np.ndarray | None:
+    """The (1, M) action table of ``policy``, None for the mask policy."""
+    if isinstance(policy, MaskPolicy):
+        return None
+    if policy.max_age != params.max_age:
+        raise ValueError("policy and params disagree on max_age")
+    if policy.uses_3g() and not params.has_3g:
+        raise ValueError("policy uses action 2 but 3G is unavailable")
+    return np.array([policy.actions], np.uint8)
+
+
+def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.ndarray | None,
                       replications: int, start_age: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Replay every policy from every phase r * floor(len / replications), as
-    the rows of one ``_replay_rows`` call.  Returns its outcomes and totals,
-    and each policy's average reward over its phases."""
+    """Replay each row of the per-age action table ``actions``, or the mask
+    policy when it is None, from every phase r * floor(len / replications), as
+    the rows of one ``_replay_rows`` call.  Returns its outcomes and reward
+    totals, and each policy's average reward over its phases."""
     M = params.max_age
     if not 1 <= start_age <= M:
         raise ValueError(f"start age {start_age} outside [1, {M}]")
     if replications < 1:
         raise ValueError("need at least one replication")
-    masked = isinstance(policies[0], MaskPolicy)
-    if masked and trace.mask is None:
+    if actions is None and trace.mask is None:
         raise ValueError(f"trace {trace.shift_id!r} has no location mask")
-    if not masked and any(policy.max_age != M for policy in policies):
-        raise ValueError("policy and params disagree on max_age")
-    if not masked and any(policy.uses_3g() for policy in policies) and not params.has_3g:
-        raise ValueError("policy uses action 2 but 3G is unavailable")
-    n, k = len(trace), len(policies)
+    n, k = len(trace), 1 if actions is None else len(actions)
     phases = np.arange(replications) * max(1, n // replications) % n
 
-    def rotations(bits: tuple[int, ...]) -> np.ndarray:
-        doubled = np.tile(np.frombuffer(bytes(bits), np.uint8), 2)
+    def rotations(bits: np.ndarray) -> np.ndarray:
+        doubled = np.tile(bits, 2)
         return np.tile(np.lib.stride_tricks.sliding_window_view(doubled, n)[phases], (k, 1))
 
-    actions = np.ones((1, M), np.uint8) if masked else np.array([p.actions for p in policies], np.uint8)
     _, outcome, totals = _replay_rows(
-        params, params.bonus, actions, np.repeat(np.arange(k), replications), rotations(trace.slots),
-        np.full(k * replications, start_age), rotations(trace.mask) if masked else None,
+        params, params.bonus, np.ones((1, M), np.uint8) if actions is None else actions,
+        np.repeat(np.arange(k), replications), rotations(trace.slot_bits),
+        np.full(k * replications, start_age), rotations(trace.mask_bits) if actions is None else None,
     )
-    means = model._add_rows(np.zeros(k), (totals[0] / n).reshape(k, replications)) / replications
+    means = model._add_rows(np.zeros(k), (totals / n).reshape(k, replications)) / replications
     return outcome, totals, means.tolist()
 
 
@@ -232,21 +267,28 @@ def simulate_policy(
     to one starting from the next slot.  Deterministic: identical inputs give
     identical results.
     """
-    outcome, totals, _ = _replay_rotations(trace, params, [policy], 1, start_age)
-    update_slots = np.flatnonzero(outcome[0] >= 3) + 1
-    n_3g = int(np.count_nonzero(outcome[0] == 4))
-    total, energy, fees = totals[:, 0].tolist()
-    n = len(trace.slots)
+    outcome, totals, _ = _replay_rotations(trace, params, _policy_actions(params, policy), 1, start_age)
+    outcome, n = outcome[0], len(trace)
+    updated = np.flatnonzero(outcome >= 3)
+    codes = outcome[updated]
+    n_3g = int(np.count_nonzero(codes == 4))
+    # energy and fees add only their nonzero terms, G on each active slot and
+    # a fee on each update: the sums start at +0.0 and cannot turn -0.0, so
+    # the +0.0 terms left out would not have changed them
+    fees, active = _outcome_terms(params, params.bonus)[1], int(np.count_nonzero(outcome >= 2))
+    B = model.BLOCK_CELLS
+    total = float(totals[0])
     return SimResult(
         total_reward=total,
         slots=n,
         average_reward=total / n,
-        updates=len(update_slots),
-        update_slots=tuple(update_slots.tolist()),
-        updates_wifi=len(update_slots) - n_3g,
+        updates=len(updated),
+        update_slots=tuple((updated + 1).tolist()),
+        updates_wifi=len(updated) - n_3g,
         updates_3g=n_3g,
-        energy_spent=energy,
-        fees_paid=fees,
+        energy_spent=_add_in_order(np.full(min(B, active - lo), float(params.scan_cost))
+                                   for lo in range(0, active, B)),
+        fees_paid=_add_in_order(fees.take(codes[lo:lo + B]) for lo in range(0, len(codes), B)),
     )
 
 
@@ -260,8 +302,7 @@ def replayed_average_reward(
     """Average reward over ``replications`` replays with rotated starting phase
     r * floor(len / replications); traces are deterministic, so rotation is the
     replication mechanism."""
-    _, _, means = _replay_rotations(trace, params, [policy], replications, start_age)
-    return means[0]
+    return _replay_rotations(trace, params, _policy_actions(params, policy), replications, start_age)[2][0]
 
 
 def best_trace_threshold(
@@ -278,8 +319,9 @@ def best_trace_threshold(
 def _threshold_means(trace: ContactTrace, params: SystemParams, replications: int,
                      start_age: int) -> list[float]:
     """``replayed_average_reward`` of every threshold s in [1, M+1], in order."""
-    policies = [Policy.from_thresholds(s, None, params.max_age) for s in range(1, params.max_age + 2)]
-    return _replay_rotations(trace, params, policies, replications, start_age)[2]
+    ages = np.arange(1, params.max_age + 1)
+    return _replay_rotations(trace, params, ages >= np.arange(1, params.max_age + 2)[:, None],
+                             replications, start_age)[2]
 
 
 def _best_threshold(means: Sequence[float]) -> tuple[int, float]:
@@ -297,7 +339,7 @@ def iid_trace(
 ) -> ContactTrace:
     """Bernoulli(p) contact string; the workhorse for ergodic cross-checks."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    slots = tuple(map(int, rng.random(n_slots) < p))
+    slots = tuple((rng.random(n_slots) < p).tobytes())   # numpy bools are the bytes 0 and 1
     return ContactTrace(shift_id=shift_id, slots=slots)
 
 
@@ -361,8 +403,8 @@ class PopulationResult:
 
 class _Cohort:
     """Users replaying their traces cyclically from their phases; ages, trace
-    positions and, unless ``totals`` is off, the reward, energy and fee totals
-    carry over from one round to the next."""
+    positions and, unless ``totals`` is off, the reward totals carry over from
+    one round to the next."""
 
     def __init__(self, users: Sequence[UserAssignment], params: SystemParams, round_slots: int,
                  totals: bool = True):
@@ -372,12 +414,12 @@ class _Cohort:
                 raise ValueError(f"start age {ua.start_age} outside [1, {params.max_age}]")
         traces = {id(ua.trace): ua.trace for ua in users}   # each distinct trace once
         offset = dict(zip(traces, np.cumsum([0] + [len(t) for t in traces.values()]).tolist()))
-        self.slots = np.frombuffer(b"".join(bytes(t.slots) for t in traces.values()), np.uint8)
+        self.slots = np.concatenate([t.slot_bits for t in traces.values()])
         self.offset = np.array([offset[id(ua.trace)] for ua in users])
         self.length = np.array([len(ua.trace) for ua in users])
         self.pos = np.array([ua.phase for ua in users]) % self.length
         self.ages = np.array([ua.start_age for ua in users])
-        self.totals = np.zeros((3, len(users))) if totals else None   # reward, energy, fees
+        self.totals = np.zeros(len(users)) if totals else None   # each user's reward
         self.steps, self.params = np.arange(round_slots), params
 
     def round(self, bonus: float) -> np.ndarray:
@@ -430,7 +472,7 @@ def simulate_population(
 
     result.users = [
         UserOutcome(updates=u, total_reward=r, final_age=a)
-        for u, r, a in zip(updates_per_user.tolist(), cohort.totals[0].tolist(), cohort.ages.tolist())
+        for u, r, a in zip(updates_per_user.tolist(), cohort.totals.tolist(), cohort.ages.tolist())
     ]
     result.age_history = history
     return result

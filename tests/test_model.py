@@ -3,6 +3,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +19,8 @@ from agectl import (
     params_from_mapping,
 )
 from agectl.cli import main
+
+from conftest import threshold_action
 
 
 def linear_params(max_age=12, p=0.54, **kw):
@@ -194,6 +197,23 @@ class TestPolicy:
     def test_threshold_order_enforced(self):
         with pytest.raises(ValueError):
             Policy.from_thresholds(5, 3, 6)
+
+    def test_from_thresholds_equals_the_per_age_rule(self):
+        for M in range(2, 21):
+            for s in range(1, M + 2):
+                for s_3g in [None, *range(s, M + 2)]:
+                    rule = threshold_action(s, s_3g)
+                    expected = tuple(rule(age) for age in range(1, M + 1))
+                    actions = Policy.from_thresholds(s, s_3g, M).actions
+                    assert actions == expected
+                    assert all(type(a) is Action for a in actions)
+
+    def test_action_codes_checked(self):
+        assert Policy((0, True, np.int64(2), Action.WIFI)).actions == (
+            Action.INACTIVE, Action.WIFI, Action.WIFI_THEN_3G, Action.WIFI)
+        for bad in (3, -1, "1", None, [1]):
+            with pytest.raises(ValueError):
+                Policy((0, bad))
 
 
 class TestConfig:

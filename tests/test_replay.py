@@ -1,10 +1,13 @@
 """Properties of the one replay kernel behind every trace and population
 simulation, checked against the scalar oracle in ``conftest`` and against
 each other: chunked replays around the chunk length, population rounds,
-the trace and chain environments."""
+the trace and chain environments, and the kernel's ages against one
+``next_age`` call per slot where chunk reruns meet their last pass early,
+late or never."""
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from agectl import (
@@ -23,9 +26,10 @@ from agectl import (
     threshold_response,
     trace_env,
 )
+from agectl import model, tracesim
 from agectl.model import CHUNK_SLOTS
 
-from conftest import reference_replay
+from conftest import reference_replay, threshold_action
 
 L = CHUNK_SLOTS
 
@@ -146,3 +150,85 @@ def test_chunks_without_updates_settle_over_several_passes():
     result = simulate_policy(trace, params, policy, start_age=2)
     assert result.updates == 0
     assert result.total_reward == sum(reference_replay(trace.slots, params, policy.action_at, 2))
+
+
+def stepped_ages(actions, policy, contacts, start):
+    """Ages along each row by one ``next_age`` call per slot: the oracle for
+    ``model._replay``'s (rows, slots + 1) result."""
+    M = actions.shape[1]
+    rows = []
+    for r, row in enumerate(contacts):
+        ages = [int(start[r])]
+        for contact in row:
+            action = Action(int(actions[policy[r], ages[-1] - 1]))
+            ages.append(next_age(ages[-1], action, int(contact), M))
+        rows.append(ages)
+    return np.array(rows)
+
+
+def assert_replay_equals_stepped(actions, policy, contacts, start):
+    ages = model._replay(actions, policy, contacts, start)
+    assert ages.shape == (len(contacts), contacts.shape[1] + 1)
+    np.testing.assert_array_equal(ages, stepped_ages(actions, policy, contacts, start))
+
+
+def threshold_table(M, pairs):
+    return np.array([Policy.from_thresholds(s, s_3g, M).actions for s, s_3g in pairs], np.uint8)
+
+
+def test_replay_ages_without_contacts_beyond_the_chunk_length(monkeypatch):
+    # with no contact a WiFi run's age only grows, so runs from different
+    # starts first meet at M > CHUNK_SLOTS: reruns do not meet their last pass
+    # within a chunk, and each chunk's start depends on all the chunks before it
+    M = 3 * L
+    actions = threshold_table(M, [(M + 1, None), (1, None), (M // 2, M), (2, 2)])
+    policy = np.repeat(np.arange(4), 4)
+    start = np.tile([1, 2, L + 7, M], 4)
+    contacts = np.zeros((len(policy), 5 * L + 3), np.uint8)
+    passes, replay = [], model._replay
+    monkeypatch.setattr(model, "_replay", lambda *args: passes.append(args) or replay(*args))
+    assert_replay_equals_stepped(actions, policy, contacts, start)
+    assert len(passes) - 1 >= 4   # the outer call, then one call per pass
+
+
+def test_replay_ages_meet_late_at_low_contact_probability():
+    # above a threshold near M a run waits about 1 / p = 100 slots for a
+    # contact, so reruns from a changed start meet the last pass late or not
+    # within the chunk at all
+    M = 12
+    actions = threshold_table(M, [(M, None), (M - 1, None), (M - 2, M)])
+    policy = np.repeat(np.arange(3), M)
+    start = np.tile(np.arange(1, M + 1), 3)
+    rng = np.random.default_rng(6)
+    contacts = np.tile(rng.random(20 * L + 9) < 0.01, (len(policy), 1)).astype(np.uint8)
+    assert_replay_equals_stepped(actions, policy, contacts, start)
+
+
+@pytest.mark.parametrize("n", [L - 1, L, L + 1, 3 * L + 5])
+def test_replay_ages_with_a_policy_per_row(n):
+    # many rows, each with its own per-age action table and start age, on
+    # different contact strings
+    M = 9
+    rng = np.random.default_rng(n)
+    actions = rng.integers(0, 3, (3 * M, M)).astype(np.uint8)
+    policy = np.arange(3 * M)
+    start = np.tile(np.arange(1, M + 1), 3)
+    contacts = (rng.random((3 * M, n)) < rng.uniform(0.02, 0.9, (3 * M, 1))).astype(np.uint8)
+    assert_replay_equals_stepped(actions, policy, contacts, start)
+
+
+def test_threshold_means_equal_reference_averages():
+    M, n, reps = 300, 3 * L + 5, 2
+    values = np.sort(np.random.default_rng(2).uniform(0, 50, M))[::-1]
+    params = SystemParams(contact_prob=0.3, max_age=M, utility=UtilityFunction.tabular(values),
+                          scan_cost=1.5, wifi_price=4.0, bonus=1.0)
+    trace = ContactTrace("t", bits(n, 0.3, 11))
+    means = tracesim._threshold_means(trace, params, reps, 5)
+    assert len(means) == M + 1
+    for s in range(1, M + 2):
+        total = 0.0
+        for r in range(reps):   # the phases r * floor(n / reps)
+            phase = r * (n // reps)
+            slots = trace.slots[phase:] + trace.slots[:phase]
+            total += sum(reference_replay(slots, params, threshold_action(s), 5)) / n
+        assert means[s - 1] == total / reps

@@ -1,6 +1,7 @@
 """Trace parsing, contact statistics, policy replay against the independent
 step oracle, trace-driven threshold search, corpus generation, and the
 population simulator."""
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,41 @@ class TestParsing:
     def test_dump_roundtrip(self):
         text = "a 10110 00100\nb 111\n"
         assert dump_traces(parse_trace_text(text)) == text
+
+    @pytest.mark.parametrize("bits", [(1.0, 0.0, 1.0, 1.0), (1, 0.0), ("1", "0"), (0, 2), (1, -1),
+                                      (np.float64(1.0),), (None,)])
+    def test_non_integer_or_non_bit_values_rejected(self, bits):
+        with pytest.raises(ValueError, match="slots must be 0/1"):
+            ContactTrace("x", bits)
+        with pytest.raises(ValueError, match="mask must be 0/1"):
+            ContactTrace("x", (0,) * len(bits), mask=bits)
+
+    @pytest.mark.parametrize("bits", [(True, False, True), (np.int64(1), np.uint8(0), 1),
+                                      (np.True_, np.False_, np.True_)])
+    def test_bool_and_numpy_integer_bits_accepted(self, bits):
+        trace = ContactTrace("b", bits, mask=bits)
+        assert trace.slot_bits.tolist() == trace.mask_bits.tolist() == [1, 0, 1]
+        assert dump_traces([trace]) == "b 101 101\n"
+        assert estimate_p(trace) == 2 / 3
+
+    def test_stored_bits_are_read_only_copies_of_the_tuples(self):
+        trace = ContactTrace("m", (1, 0, 0, 1, 1), mask=(0, 1, 0, 0, 1))
+        for bits, values in ((trace.slot_bits, trace.slots), (trace.mask_bits, trace.mask)):
+            assert bits.dtype == np.uint8 and bits.tolist() == list(values)
+            assert not bits.flags.writeable
+            with pytest.raises(ValueError):
+                bits[0] = 0
+        assert ContactTrace("s", (1, 0)).mask_bits is None
+
+    def test_stored_bits_stay_out_of_equality_repr_and_pickles(self):
+        trace = ContactTrace("m", (1, 0, 1), mask=(0, 0, 1))
+        twin = ContactTrace("m", (1, 0, 1), mask=(0, 0, 1))
+        assert trace == twin and hash(trace) == hash(twin)
+        assert repr(trace) == "ContactTrace(shift_id='m', slots=(1, 0, 1), mask=(0, 0, 1))"
+        assert "bits" not in pickle.dumps(trace).decode("latin-1")
+        loaded = pickle.loads(pickle.dumps(trace))
+        assert loaded == trace
+        assert loaded.slot_bits.tolist() == [1, 0, 1] and not loaded.mask_bits.flags.writeable
 
 
 class TestStatistics:
