@@ -3,10 +3,17 @@ gen-traces, with seeded reproducible runs and CSV plot-data output.
 
 Exit codes: 0 success (including "infeasible" analysis outcomes), 1 usage
 error, 2 input error, 3 numerical non-convergence.
+
+In-process use: ``main(argv)`` returns the exit code, and a usage error raises
+``SystemExit(1)``.  The parser is built on the first ``main`` call and reused
+for the rest of the process; ``main`` finds the ``cmd_<name>`` function of the
+chosen subcommand when it runs.  ``python -m agectl`` runs the same front end
+without the console script.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -186,24 +193,29 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     params = build_params(args)
+    footer = ""
+    if args.grid:
+        name, _, values = args.grid.partition("=")
+        name = name.strip()
+        grid = [float(x) for x in values.split(",")]
+        rep = thresholds.monotonicity_check(params, name, grid)
+        settings = {**_param_settings(params), "grid": args.grid}
+        columns, rows = (name, "s_star"), list(zip(rep.grid, rep.thresholds))
+        if not rep.ok:
+            i, a, b = rep.violation
+            footer = f"# monotonicity violated at grid index {i}: {a} -> {b}\n"
+    else:
+        settings = _param_settings(params)
+        columns, rows = ("s", "reward", "age"), []
+        for s in range(1, params.max_age + 2):
+            summary = chain.summary_for_threshold(params, s)
+            rows.append((s, summary.gain, summary.age))
+
     out = Output(args.output, args.format)
     try:
-        if args.grid:
-            name, _, values = args.grid.partition("=")
-            grid = [float(x) for x in values.split(",")]
-            rep = thresholds.monotonicity_check(params, name.strip(), grid)
-            out.header("sweep", {**_param_settings(params), "grid": args.grid})
-            out.table((name.strip(), "s_star"), list(zip(rep.grid, rep.thresholds)))
-            if not rep.ok:
-                i, a, b = rep.violation
-                out.stream.write(f"# monotonicity violated at grid index {i}: {a} -> {b}\n")
-        else:
-            out.header("sweep", _param_settings(params))
-            rows = []
-            for s in range(1, params.max_age + 2):
-                summary = chain.summary_for_threshold(params, s)
-                rows.append((s, summary.gain, summary.age))
-            out.table(("s", "reward", "age"), rows)
+        out.header("sweep", settings)
+        out.table(columns, rows)
+        out.stream.write(footer)
     finally:
         out.close()
     return 0
@@ -329,27 +341,27 @@ def cmd_gen_traces(args: argparse.Namespace) -> int:
 
 
 def make_parser() -> _Parser:
-    parser = _Parser(prog="agectl", description=__doc__)
+    # the shell help describes the commands, not the in-process notes; under
+    # python -OO there is no docstring and no description, as before
+    description = __doc__ and __doc__.partition("\n\nIn-process use:")[0]
+    parser = _Parser(prog="agectl", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve the user problem (MDP + closed form)")
     _add_param_flags(p_solve)
     _add_output_flags(p_solve)
     p_solve.add_argument("--tol", type=float, default=1e-10)
-    p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="reward/age per threshold, or a parameter sweep")
     _add_param_flags(p_sweep)
     _add_output_flags(p_sweep)
     p_sweep.add_argument("--grid", help="e.g. 'G=0.99,7.92,17.82,34.98' to sweep s* over G")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_pub = sub.add_parser("publisher", help="optimal bonus under complete information")
     _add_param_flags(p_pub)
     _add_output_flags(p_pub)
     p_pub.add_argument("--N", type=int, required=True, help="population size")
     p_pub.add_argument("--T", type=float, required=True, help="message budget per slot")
-    p_pub.set_defaults(func=cmd_publisher)
 
     p_learn = sub.add_parser("learn", help="run the online bonus controller")
     p_learn.add_argument("--preset", choices=learning.PRESET_NAMES, default="long-rounds")
@@ -361,30 +373,35 @@ def make_parser() -> _Parser:
     p_learn.add_argument("--alpha", type=float, help="override learning rate")
     p_learn.add_argument("--seed", type=int, default=0)
     p_learn.add_argument("--output")
-    p_learn.set_defaults(func=cmd_learn)
 
     p_sim = sub.add_parser("simulate", help="model-vs-trace comparison over a trace file")
     _add_param_flags(p_sim)
     _add_output_flags(p_sim)
     p_sim.add_argument("--traces", required=True)
     p_sim.add_argument("--replications", type=int, default=40)
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_gen = sub.add_parser("gen-traces", help="generate a calibrated synthetic corpus")
     p_gen.add_argument("--shifts", type=int, default=88)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--median-p", type=float, default=0.53, dest="median_p")
     p_gen.add_argument("--output")
-    p_gen.set_defaults(func=cmd_gen_traces)
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    # Parsing writes only to each call's fresh namespace, never to the parser,
+    # so one parser serves every main() call in the process.
+    return make_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
+    # looked up at call time, so a replaced or wrapped cmd_* takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ConvergenceError as exc:
         print(f"agectl: {exc}", file=sys.stderr)
         return NO_CONVERGENCE

@@ -1,9 +1,14 @@
 """CLI surface: subcommands, exit codes, header/seed recording, byte-identical
-reruns."""
+reruns, the shared parser and ``python -m agectl``."""
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from agectl import cli
 from agectl.cli import main
 
 
@@ -79,6 +84,20 @@ class TestSweep:
         rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
         thresholds = [int(r.split(",")[1]) for r in rows]
         assert thresholds == sorted(thresholds)
+
+    @pytest.mark.parametrize(
+        "grid", [("--grid", "Q=0,5"), ("--P", "0", "--grid", "B=0,5")],
+        ids=["unknown-parameter", "bonus-above-price"],
+    )
+    def test_bad_grid_leaves_existing_output_unchanged(self, capsys, tmp_path, grid):
+        out_path = tmp_path / "res.csv"
+        out_path.write_text("earlier results\n")
+        code, _, err = run(
+            capsys, "sweep", "--M", "12", "--p", "0.54", *grid, "--output", str(out_path),
+        )
+        assert code == 2
+        assert err
+        assert out_path.read_text() == "earlier results\n"
 
 
 class TestPublisher:
@@ -165,7 +184,9 @@ class TestSimulateAndGen:
 
 # stdout as (byte count, sha256): the replay-driven subcommands recorded before
 # the replay loops were folded into one kernel, the ``solve`` rows (RVI gain,
-# iterations and residual) before the RVI sweep was rewritten allocation-free
+# iterations and residual) before the RVI sweep was rewritten allocation-free,
+# and ``sweep``, ``publisher``, ``learn --env analytic`` and ``gen-traces``
+# before main() switched to one parser per process
 RECORDED_STDOUT = {
     "learn-chain": (5675, "e69afeaf71f303ac20380ec667c3d076b38def154c1503fd6cc912ba24d6e707"),
     "learn-trace": (9118, "9794c1ef91e0804dd65f15fcb149d79a6e6369e1a3f7e53e4d5f67219e4bd68d"),
@@ -174,6 +195,12 @@ RECORDED_STDOUT = {
     "solve-step": (309, "5d6bad6f8dea9cf6bd619a54194a99e250bc3b5b9152fd83c9847586b30d0a0b"),
     "solve-config-3g": (510, "5cfe0927b433b91fba5fdfd6b9d58c6a927fe25ec794a3fba43bc0f42b17e2e9"),
     "solve-linear-300-3g": (610, "64dbaf466f2a113fb5bd37a3d543ff5d89a006a79f7f1bf89b4cdf711126ec2d"),
+    "sweep-full": (447, "e74bbd3056e53db5fc015f3f05e481aa7c2736a8754094f6cbf0753ebfeac806"),
+    "sweep-grid-G": (147, "94eb021ecbb720aefcfff758815ca8e0dea0b4285057b2003c449b88b5550370"),
+    "publisher-feasible": (217, "bea8b049fe60c2b41671d7fa49ddf00ea1c4c9519c21859c2ad78689e643b074"),
+    "publisher-infeasible": (140, "9ef7c05f97f4a722f09f638ddcfdccf2fd6a92ba961f958608ab9d3c495bc99e"),
+    "learn-analytic": (14811, "7d634268ac781b8fcac824cc5b0c457885dea4d88a19d139fa50c152a8295b5d"),
+    "gen-traces": (947, "44b0ac4ab823213c4106e39b9438bb3a0e394f9d9f87581fd745223ae7725e19"),
 }
 
 #: the README's params.cfg example
@@ -225,3 +252,92 @@ def test_solve_outputs_are_byte_stable(capsys, tmp_path, monkeypatch):
         data = out.encode()
         assert code == 0
         assert (len(data), hashlib.sha256(data).hexdigest()) == RECORDED_STDOUT[name], name
+
+
+def test_remaining_subcommand_outputs_are_byte_stable(capsys):
+    argvs = {
+        "sweep-full": ("sweep", "--M", "12", "--p", "0.54", "--G", "0.99"),
+        "sweep-grid-G": ("sweep", "--M", "12", "--p", "0.54",
+                         "--grid", "G=0.99,7.92,17.82,34.98"),
+        "publisher-feasible": ("publisher", "--N", "20", "--T", "11", "--p", "0.54",
+                               "--M", "30", "--G", "0.4", "--P", "40"),
+        "publisher-infeasible": ("publisher", "--N", "500", "--T", "2", "--p", "0.9",
+                                 "--M", "10"),
+        "learn-analytic": ("learn", "--preset", "long-rounds", "--env", "analytic",
+                           "--seed", "0"),
+        "gen-traces": ("gen-traces", "--shifts", "5", "--seed", "3"),
+    }
+    for name, argv in argvs.items():
+        code, out, _ = run(capsys, *argv)
+        data = out.encode()
+        assert code == 0
+        assert (len(data), hashlib.sha256(data).hexdigest()) == RECORDED_STDOUT[name], name
+
+
+def test_shared_parser_is_built_once_and_keeps_no_state(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    builds, make_parser = [], cli.make_parser
+
+    def counted_make_parser():
+        builds.append(1)
+        return make_parser()
+
+    monkeypatch.setattr(cli, "make_parser", counted_make_parser)
+    cli._shared_parser.cache_clear()
+    try:
+        solve = ("solve", "--M", "10", "--p", "0.4", "--G", "1.5")
+        code, first, _ = run(capsys, *solve)
+        assert code == 0
+
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--no-such-flag"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: agectl")
+
+        # simulate without --p writes args.p = 0.5 on its own namespace only
+        assert run(capsys, "gen-traces", "--shifts", "2", "--seed", "1",
+                   "--output", "corpus.txt")[0] == 0
+        code, out, _ = run(capsys, "simulate", "--traces", "corpus.txt", "--M", "12",
+                           "--replications", "2")
+        assert code == 0
+        assert "# p=0.5\n" in out
+        code, _, err = run(capsys, "solve", "--M", "10")
+        assert code == 2
+        assert "contact probability required" in err
+
+        code, again, _ = run(capsys, *solve)
+        assert code == 0
+        assert again == first
+        assert len(builds) == 1
+    finally:
+        cli._shared_parser.cache_clear()   # drop the parser built through the patch
+
+
+def test_main_dispatches_to_the_current_subcommand_function(capsys, monkeypatch):
+    assert run(capsys, "sweep", "--M", "4", "--p", "0.5")[0] == 0   # parser now built
+    seen = []
+
+    def patched(args):
+        seen.append(args.M)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_sweep", patched)
+    assert main(["sweep", "--M", "12", "--p", "0.54"]) == 7
+    assert seen == [12]
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ("solve", "--M", "10", "--p", "0.4", "--G", "1.5")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "agectl", *argv],
+                          capture_output=True, env=env, timeout=120)
+    code, out, _ = run(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()

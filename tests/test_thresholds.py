@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from agectl import (
     SystemParams,
@@ -301,3 +301,28 @@ def test_response_non_increasing_in_bonus(params):
     s = threshold_response(params, np.linspace(0.0, params.wifi_price, 41))
     assert np.all(np.diff(s) <= 0)
     assert 1 <= s.min() and s.max() <= params.max_age + 1
+
+
+#: sorted cost multipliers: at 1.0 the swept cost alone reaches the always-inactive
+#: boundary G/p + P - B = ΣU
+COST_FACTORS = st.lists(st.floats(0.0, 1.5), min_size=2, max_size=8).map(sorted)
+
+
+def _utility_sum(params):
+    return float(sum(params.utility.values[: params.max_age - 1]))
+
+
+@given(system_params(with_3g=False), COST_FACTORS)
+def test_s_star_non_decreasing_in_scan_cost(params, factors):
+    total = _utility_sum(params)
+    grid = [f * params.contact_prob * total for f in factors]
+    s = [optimal_threshold(replace(params, scan_cost=g)).s_star for g in grid]
+    assert s == sorted(s), grid
+
+
+@given(system_params(with_3g=False), COST_FACTORS)
+def test_s_star_non_decreasing_in_wifi_price(params, factors):
+    total = _utility_sum(params)
+    grid = [params.bonus + f * total for f in factors]   # P >= B keeps the bonus valid
+    s = [optimal_threshold(replace(params, wifi_price=price)).s_star for price in grid]
+    assert s == sorted(s), grid
