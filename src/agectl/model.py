@@ -5,6 +5,7 @@ with max_age + 1 meaning "never activate".
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -180,6 +181,35 @@ def next_age(age: int, action: Action, contact: int, max_age: int) -> int:
 CHUNK_SLOTS = 256
 #: cells (rows x slots) held by one block of a replay or of its sums
 BLOCK_CELLS = 1 << 16
+#: cells (policies x contact patterns x ages x slots) a cached k-slot step table may hold
+TABLE_CELLS = 1 << 19
+
+
+@functools.lru_cache(maxsize=64)
+def _step_table(codes: bytes, policies: int, M: int) -> np.ndarray:
+    """The ages after each slot of a k-slot step, read-only, for the uint8
+    action table of ``policies`` rows of M ages held in ``codes``.
+
+    Row ((policy * 2**k + pattern) * M + age - 1) holds the k ages that follow
+    the age ``age`` when bit j of ``pattern`` is the contact of the step's slot
+    j + 1.  k is the largest of 8, 4, 2 and 1 whose table holds at most
+    TABLE_CELLS cells; at k = 1 it is the one-slot transition table.
+    """
+    actions = np.frombuffer(codes, np.uint8).reshape(policies, M)
+    k = next((k for k in (8, 4, 2) if policies * 2**k * M * k <= TABLE_CELLS), 1)
+    # next age by (policy, contact, age - 1): 1 after an update (action 2, or
+    # action 1 with a contact: action + contact >= 2), else one older up to M
+    nxt = np.where(actions[:, None] + np.arange(2)[:, None] >= 2, 1, np.minimum(np.arange(2, M + 2), M))
+    table = nxt.astype(np.min_scalar_type(M))[..., None]   # (policy, pattern, age - 1, slot)
+    while table.shape[-1] < k:   # j slots to 2j: the first j, then j more from the age they end at
+        patterns = table.shape[1]
+        then = table[np.arange(policies)[:, None, None, None], np.arange(patterns)[:, None, None],
+                     table[:, None, :, :, -1] - 1]   # (policy, high bits, low bits, age - 1, slot)
+        both = np.concatenate((np.broadcast_to(table[:, None], then.shape), then), axis=-1)
+        table = both.reshape(policies, patterns * patterns, M, -1)
+    table = table.reshape(-1, k)
+    table.flags.writeable = False
+    return table
 
 
 def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start: np.ndarray,
@@ -193,48 +223,75 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
     before it ended with; chunks whose start changed rerun until none does, and
     every pass fixes at least one more chunk of each row.
 
+    Each iteration steps k slots at once: a row's next k contacts, packed
+    little-endian into a pattern, pick the k ages that follow from the table
+    of ``_step_table``, in one (rows, k) gather.  Rows are padded with
+    no-contact slots to whole steps and the result is cut back to slots + 1
+    columns.  k is the largest of 8, 4, 2 and 1 whose table fits TABLE_CELLS
+    cells, so it shrinks as policies x ages grow; at k = 1 the table is the
+    one-slot transition table.  Tables that fit are cached by the content of
+    ``actions``, not by the array, in a least-recently-used cache of 64
+    entries: at most 64 x TABLE_CELLS cells of uint16 ages, 64 MiB, stay
+    alive, and a threshold policy at M = 30 takes 60 KiB.  A k = 1 table too
+    large for the budget is built per call and not kept.
+
     ``stored`` holds the ages an earlier pass found for the same rows from
-    other starts.  A block of rows then steps only until, in some slot, every
-    row's new age equals its stored age, and copies the stored ages from that
-    slot on.  This is exact: the next age depends only on the age, the contact
-    and the policy, so two runs of a row that meet in one slot agree in every
-    later slot.  Chunk reruns pass the ages of the pass before.
+    other starts.  A block of rows then steps only until, at some step
+    boundary, every row's new age equals its stored age, and copies the stored
+    ages from that slot on.  This is exact: the next age depends only on the
+    age, the contact and the policy, so two runs of a row that meet in one
+    slot agree in every later slot.  Chunk reruns pass the ages of the pass
+    before.
     """
     rows, n = contacts.shape
     M = actions.shape[1]
     dtype = np.min_scalar_type(M)
     if n > CHUNK_SLOTS:
-        k, L = -(-n // CHUNK_SLOTS), CHUNK_SLOTS   # chunk j of row r is row r * k + j
-        chunks = np.pad(contacts, ((0, 0), (0, k * L - n))).reshape(rows * k, L)
-        policy, begin = np.repeat(policy, k), np.repeat(start, k)
-        first = np.arange(rows * k) % k == 0
-        ages, todo, stored = np.empty((rows * k, L + 1), dtype), np.arange(rows * k), None
+        parts, L = -(-n // CHUNK_SLOTS), CHUNK_SLOTS   # chunk j of row r is row r * parts + j
+        chunks = np.pad(contacts, ((0, 0), (0, parts * L - n))).reshape(rows * parts, L)
+        policy, begin = np.repeat(policy, parts), np.repeat(start, parts)
+        first = np.arange(rows * parts) % parts == 0
+        ages, todo, stored = np.empty((rows * parts, L + 1), dtype), np.arange(rows * parts), None
         while todo.size:
             ages[todo] = _replay(actions, policy[todo], chunks[todo], begin[todo], stored)
             carried = np.where(first, begin, np.roll(ages[:, -1], 1))
             todo, begin = np.flatnonzero(carried != begin), carried
             stored = ages[todo]
-        ages = ages.reshape(rows, k, L + 1)
-        return np.column_stack((ages[:, :, :L].reshape(rows, -1)[:, :n], ages[:, -1, n - (k - 1) * L]))
-    # next age by (policy, contact, age - 1): 1 after an update (action 2, or
-    # action 1 with a contact: action + contact >= 2), else one older up to M
-    nxt = np.where(actions[:, None] + np.arange(2)[:, None] >= 2, 1, np.minimum(np.arange(2, M + 2), M))
-    nxt = nxt.astype(dtype).ravel()
+        ages = ages.reshape(rows, parts, L + 1)
+        return np.column_stack((ages[:, :, :L].reshape(rows, -1)[:, :n],
+                                ages[:, -1, n - (parts - 1) * L]))
+    actions = np.ascontiguousarray(actions, np.uint8)
+    build = _step_table if 2 * actions.size <= TABLE_CELLS else _step_table.__wrapped__
+    table = build(actions.tobytes(), *actions.shape)
+    k = table.shape[1]
+    steps = -(-n // k)
     ages = np.empty((rows, n + 1), dtype)
-    step = max(1, BLOCK_CELLS // n)   # rows per block
-    for lo in range(0, rows, step):
-        # code + age is the table index of (policy, contact, age - 1), time-major
-        code = np.multiply(contacts[lo:lo + step].T, np.intp(M), order="C")
-        code += policy[lo:lo + step] * (2 * M) - 1
-        block = np.empty((n + 1, code.shape[1]), dtype)
-        block[0] = start[lo:lo + step]
-        old = None if stored is None else stored[lo:lo + step].T
-        for t in range(n):
-            if old is not None and block[t].tobytes() == old[t].tobytes():   # the runs met
-                block[t:] = old[t:]
+    ages[:, 0] = start
+    per = max(1, BLOCK_CELLS // n)   # rows per block
+    for lo in range(0, rows, per):
+        out = ages[lo:lo + per]
+        bits = np.zeros((len(out), -(-n // 8) * 8), np.uint8)
+        bits[:, :n] = contacts[lo:lo + per]
+        # each byte holds the patterns of 8 // k steps, the first in the low bits
+        packed = np.packbits(bits, bitorder="little").reshape(len(out), -1, 1)
+        pattern = (packed >> np.arange(0, 8, k, dtype=np.uint8)) & ((1 << k) - 1)
+        # code + age is the table row of (policy, pattern, age - 1), step-major
+        code = np.multiply(pattern.reshape(len(out), -1)[:, :steps].T, np.intp(M), order="C")
+        code += policy[lo:lo + per] * (M << k) - 1
+        block = np.empty((steps, len(out), k), dtype)
+        age = out[:, 0].copy()
+        old = None if stored is None else stored[lo:lo + per, :n:k].T
+        met = steps
+        for s in range(steps):
+            if old is not None and age.tobytes() == old[s].tobytes():   # the runs met
+                met = s
                 break
-            block[t + 1] = nxt[code[t] + block[t]]
-        ages[lo:lo + step] = block.T
+            table.take(code[s] + age, axis=0, out=block[s], mode="clip")
+            age = block[s, :, -1]
+        done = min(met * k, n)
+        out[:, 1:done + 1] = block[:met].transpose(1, 0, 2).reshape(len(out), -1)[:, :done]
+        if met < steps:
+            out[:, done:] = stored[lo:lo + per, done:]
     return ages
 
 

@@ -86,7 +86,13 @@ def always_active(params: SystemParams) -> bool:
 
 
 def always_inactive(params: SystemParams) -> bool:
-    """Closed-form test for s* = M + 1 (never activate)."""
+    """Closed-form test that never activating (s = M + 1) is among the optima:
+    the utility summed over ages 1..M-1 is at most G/p + P - B.
+
+    At equality threshold M earns the same as never activating, and the
+    first-crossing rule picks the smaller threshold, so s* = M + 1 holds only
+    strictly past that boundary.
+    """
     total = sum(params.utility.values[: params.max_age - 1])
     return total <= params.scan_cost / params.contact_prob + params.wifi_price - params.bonus
 

@@ -2,8 +2,9 @@
 simulation, checked against the scalar oracle in ``conftest`` and against
 each other: chunked replays around the chunk length, population rounds,
 the trace and chain environments, and the kernel's ages against one
-``next_age`` call per slot where chunk reruns meet their last pass early,
-late or never."""
+``next_age`` call per slot at every step size, on rows that end inside a
+step, and where chunk reruns meet their last pass early, late, between step
+boundaries or never."""
 from dataclasses import replace
 
 import numpy as np
@@ -232,3 +233,71 @@ def test_threshold_means_equal_reference_averages():
             slots = trace.slots[phase:] + trace.slots[:phase]
             total += sum(reference_replay(slots, params, threshold_action(s), 5)) / n
         assert means[s - 1] == total / reps
+
+
+def step_size(actions):
+    """The k of the step table ``model._replay`` uses for ``actions``."""
+    table = np.ascontiguousarray(actions, np.uint8)
+    return model._step_table.__wrapped__(table.tobytes(), *table.shape).shape[1]
+
+
+@pytest.mark.parametrize("n", [1, 7, 9, L - 1, L + 1])
+def test_replay_ages_on_rows_of_partial_steps(n):
+    # eight-slot steps: rows end inside a step and past the chunk length
+    M = 9
+    rng = np.random.default_rng(100 + n)
+    actions = rng.integers(0, 3, (2, M)).astype(np.uint8)   # not monotone, with action 2
+    assert step_size(actions) == 8
+    policy = np.tile([0, 1], M)
+    start = np.repeat(np.arange(1, M + 1), 2)
+    contacts = (rng.random((2 * M, n)) < rng.uniform(0.05, 0.9, (2 * M, 1))).astype(np.uint8)
+    assert_replay_equals_stepped(actions, policy, contacts, start)
+
+
+@pytest.mark.parametrize("policies, M, k", [(1, 12, 8), (4, 300, 4), (40, 300, 2), (300, 300, 1),
+                                            (1200, 300, 1)])
+def test_replay_ages_at_every_step_size(policies, M, k):
+    # more policies x ages shrink the step: M > 255 holds ages as uint16, and
+    # the last table is too large to cache
+    rng = np.random.default_rng(policies + M)
+    actions = rng.integers(0, 3, (policies, M)).astype(np.uint8)
+    assert step_size(actions) == k
+    rows = 12
+    policy = rng.integers(0, policies, rows)
+    start = rng.integers(1, M + 1, rows)
+    contacts = rng.random((rows, 2 * L + 3)) < rng.uniform(0.01, 0.5, (rows, 1))
+    assert model._replay(actions, policy, contacts, start).dtype == np.min_scalar_type(M)
+    assert_replay_equals_stepped(actions, policy, contacts, start)
+
+
+def test_chunk_reruns_meet_between_step_boundaries(monkeypatch):
+    # always WiFi: each chunk's first contact, at its slot 3, resets every run
+    # to age 1, so a rerun from the carried age meets its last pass at column
+    # 3 of the chunk, inside the first step of any size above 1
+    M = 12
+    actions = threshold_table(M, [(1, None)])
+    assert step_size(actions) == 8
+    contacts = np.zeros((2, 3 * L), np.uint8)
+    contacts[:, 2::L] = 1
+    start = np.array([5, M])
+    passes, replay = [], model._replay
+    monkeypatch.setattr(model, "_replay", lambda *args: passes.append(args) or replay(*args))
+    assert_replay_equals_stepped(actions, np.zeros(2, int), contacts, start)
+    assert any(stored is not None for *_, stored in passes[1:])   # a rerun against stored ages
+
+
+def test_step_tables_are_cached_by_content_read_only_and_bounded():
+    M = 12
+    actions = threshold_table(M, [(4, None), (2, 7)])
+    policy, start = np.array([0, 1, 1]), np.array([1, 6, M])
+    contacts = (np.random.default_rng(3).random((3, 40)) < 0.4).astype(np.uint8)
+    assert_replay_equals_stepped(actions, policy, contacts, start)
+    table = model._step_table(actions.tobytes(), *actions.shape)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    assert model._step_table.cache_info().maxsize == 64
+    # the same array changed in place keys a new table
+    actions[0] = threshold_table(M, [(M + 1, None)])[0]
+    actions[1, ::2] = Action.WIFI_THEN_3G
+    assert_replay_equals_stepped(actions, policy, contacts, start)

@@ -104,6 +104,30 @@ class TestBoundaryConditions:
         assert always_inactive(params)
         assert optimal_threshold(params).s_star == 13
 
+    # Linear(12) sums to 11 + 10 + ... + 1 = 66 over ages 1..11, and at p = 0.5
+    # a scan cost of G = 33 makes G/p = 66 as well.  A cycle of threshold 11
+    # earns 65 on ages 1..10 plus 1 at age 11 and pays G/p = 66; threshold 12
+    # earns 66 and pays 66; never activating earns 0 at age 12.  All three
+    # thresholds earn 0, so G = 33 is the never-activate boundary itself.
+
+    def test_boundary_ties_three_thresholds_and_the_first_crossing_wins(self):
+        params = linear_params(p=0.5, scan_cost=33.0)
+        res = optimal_threshold(params)
+        assert res.all_optima == (11, 12, 13)
+        assert res.s_star == 11   # a tie goes to the smaller threshold
+        assert always_inactive(params) and res.always_inactive   # never activating ties
+
+    def test_just_below_the_boundary_only_the_first_crossing_is_optimal(self):
+        params = linear_params(p=0.5, scan_cost=33.0 - 1e-6)
+        res = optimal_threshold(params)
+        assert not always_inactive(params) and not res.always_inactive
+        assert res.all_optima == (11,)
+
+    def test_just_past_the_boundary_never_activate(self):
+        params = linear_params(p=0.5, scan_cost=33.0 + 1e-6)
+        assert always_inactive(params)
+        assert optimal_threshold(params).s_star == 13
+
 
 class TestLambertW:
     def test_special_points(self):
