@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Action, Policy, SystemParams
+from .model import BLOCK_CELLS, Action, Policy, SystemParams
 
 #: absolute tolerance used when detecting reward ties between thresholds
 TIE_TOL = 1e-9
@@ -175,8 +175,12 @@ def expected_reward_two_threshold(params: SystemParams, s_wifi: int, s_3g: int) 
 def two_threshold_reward_grid(params: SystemParams) -> np.ndarray:
     """Matrix R[s_wifi - 1, s_3g - 1] of two-threshold rewards; -inf off-domain.
 
-    Vectorized over s_3g for each s_wifi so an exhaustive grid stays fast at
-    max_age in the thousands.
+    Vectorized over blocks of s_wifi rows of at most ``BLOCK_CELLS`` cells,
+    so an exhaustive grid stays fast at max_age in the thousands while its
+    temporaries stay the size of one block.  Each row runs over the span
+    j = s_3g - s_wifi with the float operations, and their order, of one
+    per-row pass: its band is the in-order running sum of u(s_wifi + j)·q^j
+    and its head the in-order sum of u below s_wifi, starting from 0.0.
     """
     if not params.has_3g:
         raise ValueError("two-threshold grid needs a finite 3G price")
@@ -184,18 +188,29 @@ def two_threshold_reward_grid(params: SystemParams) -> np.ndarray:
     p = params.contact_prob
     q = 1.0 - p
     u = np.asarray(params.utility.values)
-    grid = np.full((M, M), -np.inf)
     wifi_cycle_cost = params.scan_cost / p + params.wifi_price - params.bonus
     esc_coeff = params.price_3g - params.wifi_price - params.scan_cost / p
 
-    head = 0.0
-    for s_wifi in range(1, M + 1):
-        spans = np.arange(M - s_wifi + 1)           # s_3g = s_wifi + spans
-        band = np.cumsum(u[s_wifi - 1 : M] * q**spans)
-        qpow = q ** (spans + 1)
-        pi1 = 1.0 / (s_wifi - 1 + (1.0 - qpow) / p)
-        grid[s_wifi - 1, s_wifi - 1 :] = pi1 * (head + band - wifi_cycle_cost - esc_coeff * qpow)
-        head += u[s_wifi - 1]
+    band_q = q ** np.arange(M)                  # q^j
+    qpow = q ** np.arange(1, M + 1)             # q^(j + 1)
+    reach = (1.0 - qpow) / p
+    escalation = esc_coeff * qpow
+    heads = np.cumsum(np.concatenate(([0.0], u[:-1])))
+    # window row i holds u from age i + 1 on, zero-padded to M entries
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((u, np.zeros(M - 1))), M)
+    # row i of `skewed` starts at grid[i, i]: M + 1 cells per row shift each
+    # row one column right, so span j of row i lands in column i + j
+    cells = np.full(M * (M + 1), -np.inf)
+    grid = cells[: M * M].reshape(M, M)
+    skewed = cells.reshape(M, M + 1)
+    rows = max(1, BLOCK_CELLS // M)
+    for r0 in range(0, M, rows):
+        s_wifi = np.arange(r0 + 1, min(r0 + rows, M) + 1)[:, None]
+        r1, width = r0 + s_wifi.size, M - r0    # width: the block's longest span + 1
+        band = np.cumsum(windows[r0:r1, :width] * band_q[:width], axis=1)
+        pi1 = 1.0 / (s_wifi - 1 + reach[:width])
+        block = pi1 * (heads[r0:r1, None] + band - wifi_cycle_cost - escalation[:width])
+        np.copyto(skewed[r0:r1, :width], block, where=np.arange(width) <= M - s_wifi)
     return grid
 
 

@@ -16,6 +16,8 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
 #: actions within this margin of the best are treated as ties (cheapest wins)
 ACTION_TIE_TOL = 1e-9
+#: RVI sweeps run between two convergence checks (see :func:`solve_user_problem`)
+SWEEP_BATCH = 16
 
 
 class ConvergenceError(RuntimeError):
@@ -119,6 +121,19 @@ def solve_user_problem(
     and F2 = ((((u − G) + v₀) − p·P) − (1−p)·P3G) + B.  The gauge step leaves
     v₀ = V(1) at exactly 0.0 in every sweep, so the terms without V(x+1) are
     computed once, with the same operations, before the loop.
+
+    Sweeps run in batches of ``SWEEP_BATCH``: sweep j of a batch reads its
+    state from row j of a buffer and writes its Bellman differences to row j
+    of another and its damped, gauged state to row j + 1, and the spans of a
+    whole batch are checked at once when it ends (or at ``max_iter``).  This
+    is exact, not an approximation of the per-sweep stop: a sweep's state
+    depends only on the state before it, never on the check, so every row up
+    to the first one whose span is within ``tol`` holds the same bits the
+    per-sweep loop held at that iteration, and the report reads that row's
+    state and differences only; the sweeps after it are discarded.  A max or
+    min reduction returns one of its inputs, so a row's span is the per-sweep
+    span up to the sign of a zero, which ``<=`` ignores; the gain, whose sign
+    bit could see it, comes from the row's own ``max`` and ``min``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -135,35 +150,51 @@ def solve_user_problem(
             u - params.scan_cost + v0
             - p * params.wifi_price - q * params.price_3g + params.bonus
         )
-    w = np.zeros(M + 1)
-    v, vnext = w[:M], w[1:]   # w[M] repeats V(M), so vnext[x - 1] = V(min(x + 1, M))
-    tv, f, delta = np.empty(M), np.empty(M), np.empty(M)
-    damp = 0.5
-    for iteration in range(1, max_iter + 1):
-        np.add(u, vnext, out=tv)
-        np.multiply(vnext, q, out=f)
-        np.add(f1_base, f, out=f)
-        np.maximum(tv, f, out=tv)
-        if f2 is not None:
-            np.maximum(tv, f2, out=tv)
-        np.subtract(tv, v, out=delta)
-        hi, lo = delta.max(), delta.min()
-        span = float(hi - lo)
-        if span <= tol:
+    # row j holds V(1..M) and then V(M) again, so w[1:][x - 1] = V(min(x + 1, M))
+    states = np.zeros((SWEEP_BATCH + 1, M + 1))
+    deltas = np.empty((SWEEP_BATCH, M))
+    sweeps = [
+        (states[j, :M], states[j, 1:], deltas[j], states[j + 1], states[j + 1, :M])
+        for j in range(SWEEP_BATCH)
+    ]
+    tv, f = np.empty(M), np.empty(M)
+    q_arr, damp = np.array(q), np.array(0.5)
+    add, multiply, subtract, maximum = np.add, np.multiply, np.subtract, np.maximum
+    done = 0
+    while True:
+        n = min(SWEEP_BATCH, max_iter - done)
+        for v, vnext, delta, w, nv in sweeps[:n]:
+            add(u, vnext, out=tv)
+            multiply(vnext, q_arr, out=f)
+            add(f1_base, f, out=f)
+            maximum(tv, f, out=tv)
+            if f2 is not None:
+                maximum(tv, f2, out=tv)
+            subtract(tv, v, out=delta)
+            multiply(delta, damp, out=f)
+            add(v, f, out=nv)
+            subtract(nv, nv[0], out=nv)
+            w[M] = w[M - 1]
+        batch = deltas[:n]
+        hits = np.flatnonzero(batch.max(axis=1) - batch.min(axis=1) <= tol)
+        if hits.size:
+            j = int(hits[0])
+            v, _, delta, _, _ = sweeps[j]
+            hi, lo = delta.max(), delta.min()
             gain = 0.5 * float(hi + lo)
             residual = float(np.max(np.abs(delta - gain)))
             value = ValueFunction(values=v - v[0], gain=gain)
             return SolveReport(
                 value=value,
                 policy=greedy_policy(value, params),
-                iterations=iteration,
+                iterations=done + j + 1,
                 residual=residual,
             )
-        np.multiply(delta, damp, out=f)
-        np.add(v, f, out=v)
-        np.subtract(v, v[0], out=v)
-        w[M] = w[M - 1]
-    raise ConvergenceError(max_iter, span)
+        done += n
+        if done == max_iter:
+            delta = deltas[n - 1]
+            raise ConvergenceError(max_iter, float(delta.max() - delta.min()))
+        states[0] = states[n]
 
 
 def greedy_policy(

@@ -235,14 +235,14 @@ def optimal_two_thresholds(
 
     wifi_only = chain.threshold_reward_curve(params)[:M]
     grid = chain.two_threshold_reward_grid(params)
-    top = max(float(grid.max()), float(wifi_only.max()))
+    column_top = grid.max(axis=0)
+    top = max(float(column_top.max()), float(wifi_only.max()))
     if top <= tie_tol:
         return TwoThresholdResult(s_wifi=never, s_3g=never, reward=0.0)
-    hits = grid >= top - tie_tol
-    columns = hits.any(axis=0)
+    columns = column_top >= top - tie_tol
     if columns.any():
         s3 = int(np.argmax(columns)) + 1
-        s_w = int(np.argmax(hits[:, s3 - 1])) + 1
+        s_w = int(np.argmax(grid[:, s3 - 1] >= top - tie_tol)) + 1
         return TwoThresholdResult(s_wifi=s_w, s_3g=s3, reward=float(grid[s_w - 1, s3 - 1]))
     s_w = int(np.argmax(wifi_only >= top - tie_tol)) + 1
     return TwoThresholdResult(s_wifi=s_w, s_3g=never, reward=float(wifi_only[s_w - 1]))

@@ -2,6 +2,7 @@
 Monte Carlo oracle."""
 import numpy as np
 import pytest
+from hypothesis import given
 
 from agectl import (
     Policy,
@@ -19,10 +20,12 @@ from agectl import (
     threshold_reward_curve,
     transition_matrix,
 )
-from agectl.chain import reward_curve_3g_only, threshold_reward_affine
+from agectl.chain import reward_curve_3g_only, threshold_reward_affine, two_threshold_reward_grid
+from agectl.model import BLOCK_CELLS
 
 from conftest import (
-    make_rng, random_3g_params, random_wifi_params, reference_replay, threshold_action,
+    make_rng, random_3g_params, random_wifi_params, reference_replay, system_params,
+    threshold_action,
 )
 
 
@@ -226,6 +229,37 @@ class TestTwoThreshold:
         assert expected_age_3g_only(1, 12) == 1.0
         assert expected_age_3g_only(5, 12) == 3.0
         assert expected_age_3g_only(13, 12) == 12.0
+
+
+class TestTwoThresholdGrid:
+    """The exhaustive grid against the scalar closed form, cell by cell."""
+
+    @staticmethod
+    def assert_matches_closed_form(params):
+        M = params.max_age
+        grid = two_threshold_reward_grid(params)
+        assert grid.shape == (M, M)
+        s_wifi, s_3g = np.indices((M, M)) + 1
+        in_domain = s_wifi <= s_3g
+        assert np.all(grid[~in_domain] == -np.inf)
+        expected = [expected_reward_two_threshold(params, int(sw), int(s3))
+                    for sw, s3 in zip(s_wifi[in_domain], s_3g[in_domain])]
+        np.testing.assert_allclose(grid[in_domain], expected, rtol=1e-12, atol=0.0)
+
+    @given(system_params(with_3g=True))
+    def test_matches_closed_form(self, params):
+        self.assert_matches_closed_form(params)
+
+    @pytest.mark.parametrize("M", [257, 300])
+    def test_matches_closed_form_across_row_blocks(self, M):
+        assert BLOCK_CELLS // M < M, "the grid must span more than one row block"
+        rng = make_rng(M)
+        values = sorted(rng.uniform(0.0, 10.0, size=M).tolist(), reverse=True)
+        params = SystemParams(
+            contact_prob=0.05, max_age=M, utility=UtilityFunction.tabular(values),
+            scan_cost=0.3, wifi_price=1.0, price_3g=12.0, bonus=0.25,
+        )
+        self.assert_matches_closed_form(params)
 
 
 class TestDegenerateSummary:

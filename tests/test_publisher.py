@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from agectl import (
     PublisherInstance,
@@ -20,7 +21,7 @@ from agectl import (
     threshold_response,
 )
 
-from conftest import make_rng, random_wifi_params
+from conftest import make_rng, random_wifi_params, system_params
 
 
 def sponsorship_instance(n_users=20, rate_cap=11.0):
@@ -262,3 +263,41 @@ class TestOptimalBonus:
     def test_rate_invariant(self):
         solution = optimal_bonus(sponsorship_instance(n_users=50))
         assert solution.bonus_lo <= solution.bonus_hi <= 40.0
+
+    @given(system_params(with_3g=False), st.integers(1, 150), st.floats(0.0, 1.5))
+    @example(sponsorship_instance().params, 20, 3.0 / 30)
+    # cap 20 / (3 + 1) = 5 is exactly the rate of threshold 3
+    @example(replace(sponsorship_instance().params, contact_prob=0.5), 20, 3.0 / 30)
+    # zero utility and costs: every bonus edge is exactly 0.0
+    @example(SystemParams(contact_prob=0.5, max_age=6,
+                          utility=UtilityFunction.tabular([0.0] * 6)), 20, 0.0)
+    @example(SystemParams(contact_prob=0.5, max_age=6,
+                          utility=UtilityFunction.tabular([0.0] * 6)), 20, 0.5)
+    def test_property_against_brute_force_grid(self, params, n_users, position):
+        """Criterion 7's oracle: the response on 1,001 bonuses in [0, P] plus
+        the solution's own interval ends; the answer is the smallest threshold
+        whose rate meets the cap, or None when no bonus meets it.  The cap is
+        the rate of a threshold at ``position`` of the way up to max_age, so
+        caps fall where the answer depends on them."""
+        p = params.contact_prob
+        rate_cap = n_users / (position * params.max_age + (1.0 - p) / p)
+        inst = PublisherInstance(params=params, n_users=n_users, rate_cap=rate_cap)
+        solution = optimal_bonus(inst)
+        bonuses = np.linspace(0.0, params.wifi_price, 1_001)
+        if solution is not None:
+            ends = [solution.bonus_lo, solution.bonus_hi]
+            assert 0.0 <= ends[0] <= ends[1] <= params.wifi_price
+            assert threshold_response(params, ends).tolist() == [solution.threshold] * 2
+            bonuses = np.concatenate((bonuses, ends))
+        response = threshold_response(params, bonuses)
+        rates = np.where(
+            response == params.max_age + 1, 0.0, n_users / (response + (1.0 - p) / p)
+        )
+        feasible = rates <= rate_cap + 1e-9
+        # a zero bonus leaves the highest threshold, so the grid's own zero
+        # decides whether any bonus in [0, P] meets the cap
+        assert (solution is None) == (not feasible.any())
+        if solution is not None:
+            assert solution.threshold == int(response[feasible].min())
+            assert solution.rate == rates[bonuses == solution.bonus_lo][0]
+            assert solution.rate <= rate_cap + 1e-9

@@ -1,5 +1,7 @@
 """Relative value iteration against the closed-form analytics and a per-age
 reference iteration, plus policy structure verification."""
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -23,7 +25,7 @@ from agectl import (
     threshold_reward_curve,
     verify_threshold_structure,
 )
-from agectl.solver import DEFAULT_TOL
+from agectl.solver import DEFAULT_MAX_ITER, DEFAULT_TOL, SWEEP_BATCH
 from agectl.thresholds import always_active, always_inactive, optimal_two_thresholds
 
 from conftest import (
@@ -181,6 +183,69 @@ class TestAgainstReferenceIteration:
         with pytest.raises(ConvergenceError) as err:
             solve_user_problem(params, tol=1e-12, max_iter=3)
         assert (err.value.iterations, err.value.residual) == (ref.iterations, ref.residual)
+
+
+def assert_same_as_reference(params, max_iter, tol=DEFAULT_TOL):
+    """The solve and the per-age reference end the same way, bit for bit."""
+    ref = reference_rvi(params, tol, max_iter)
+    if not ref.converged:
+        with pytest.raises(ConvergenceError) as err:
+            solve_user_problem(params, tol=tol, max_iter=max_iter)
+        assert (err.value.iterations, err.value.residual) == (ref.iterations, ref.residual)
+        return ref
+    report = solve_user_problem(params, tol=tol, max_iter=max_iter)
+    assert report.value.values.tobytes() == ref.values.tobytes()
+    assert math.copysign(1.0, report.value.gain) == math.copysign(1.0, ref.gain)
+    assert report.value.gain == ref.gain
+    assert report.iterations == ref.iterations
+    assert report.residual == ref.residual
+    assert report.policy.actions == ref.actions
+    return ref
+
+
+def converging_at(residue):
+    """A WiFi instance whose reference iteration stops past the first batch, at
+    a sweep count equal to ``residue`` modulo ``SWEEP_BATCH``.  Over this
+    family the count falls steadily from 58 to 43 sweeps as p grows."""
+    for p in np.linspace(0.1, 0.9, 81):
+        params = linear_params(max_age=8, p=float(p), scan_cost=1.0, wifi_price=1.0)
+        ref = reference_rvi(params, DEFAULT_TOL, 10 * SWEEP_BATCH)
+        if ref.converged and ref.iterations > SWEEP_BATCH and ref.iterations % SWEEP_BATCH == residue:
+            return params, ref.iterations
+    raise AssertionError(f"no instance stops at a sweep = {residue} mod {SWEEP_BATCH}")
+
+
+class TestSweepBatches:
+    """Sweeps run in batches of ``SWEEP_BATCH`` with one convergence check per
+    batch; where a batch starts or ends must not show in any output."""
+
+    @pytest.mark.parametrize(
+        "max_iter", [1, SWEEP_BATCH - 1, SWEEP_BATCH, SWEEP_BATCH + 1, 2 * SWEEP_BATCH + 1]
+    )
+    def test_max_iter_at_batch_boundaries(self, max_iter):
+        params = linear_params(max_age=30, p=0.3, scan_cost=1.0, wifi_price=2.0, price_3g=9.0)
+        assert not assert_same_as_reference(params, max_iter).converged
+
+    @pytest.mark.parametrize("residue", [1, 0], ids=["first-sweep", "last-sweep"])
+    def test_converges_on_batch_edge(self, residue):
+        params, iterations = converging_at(residue)
+        assert assert_same_as_reference(params, DEFAULT_MAX_ITER).iterations == iterations
+        # the same sweep as the last one allowed, and one sweep short of it
+        assert_same_as_reference(params, iterations)
+        assert not assert_same_as_reference(params, iterations - 1).converged
+
+    def test_converges_inside_final_partial_batch(self):
+        params, iterations = converging_at(SWEEP_BATCH // 2)
+        assert assert_same_as_reference(params, iterations).converged
+
+    def test_zero_utility_and_costs_give_positive_zero_gain(self):
+        params = SystemParams(
+            contact_prob=0.5, max_age=6, utility=UtilityFunction.tabular([0.0] * 6),
+        )
+        ref = assert_same_as_reference(params, DEFAULT_MAX_ITER)
+        assert ref.iterations == 1
+        report = solve_user_problem(params)
+        assert report.value.gain == 0.0 and math.copysign(1.0, report.value.gain) == 1.0
 
 
 class TestRouteAgreement:
