@@ -17,12 +17,12 @@ import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import chain, learning, publisher, thresholds, tracesim
-from .model import SystemParams, UtilityFunction, load_params
+from .model import SystemParams, params_from_mapping, read_mapping
 from .solver import ConvergenceError, solve_user_problem, verify_threshold_structure
 
 USAGE_ERROR, INPUT_ERROR, NO_CONVERGENCE = 1, 2, 3
@@ -41,53 +41,51 @@ def _fmt(value) -> str:
     return str(value)
 
 
-class Output:
-    """CSV (default) or aligned-table writer with '#' header lines recording
-    the full parameterization; identical headers reproduce identical columns."""
+def _emit(path: str | None, text: str) -> None:
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
 
-    def __init__(self, path: str | None, fmt: str):
-        self.stream = open(path, "w") if path else sys.stdout
-        self.owns = path is not None
-        self.fmt = fmt
 
-    def header(self, command: str, settings: dict) -> None:
-        self.stream.write(f"# agectl {command}\n")
-        for key in sorted(settings):
-            self.stream.write(f"# {key}={_fmt(settings[key])}\n")
+def _write(args: argparse.Namespace, command: str, settings: dict, columns: Sequence[str],
+           rows: Iterable[Sequence], fmt: str | None = None, footer: str = "") -> None:
+    """Write '#' header lines recording the full parameterization, then the
+    rows as CSV (default) or an aligned table, then ``footer``, to --output or
+    stdout in one write; identical headers reproduce identical columns."""
+    lines = [f"# agectl {command}"]
+    lines += [f"# {key}={_fmt(settings[key])}" for key in sorted(settings)]
+    table = [list(columns), *([_fmt(v) for v in row] for row in rows)]
+    if (fmt or args.format) == "table":
+        widths = [max(len(r[i]) for r in table) for i in range(len(columns))]
+        lines += ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in table]
+    else:
+        lines += [",".join(r) for r in table]
+    _emit(args.output, "\n".join(lines) + "\n" + footer)
 
-    def table(self, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-        rows = [[_fmt(v) for v in row] for row in rows]
-        if self.fmt == "table":
-            widths = [
-                max(len(col), *(len(r[i]) for r in rows)) if rows else len(col)
-                for i, col in enumerate(columns)
-            ]
-            self.stream.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
-            for r in rows:
-                self.stream.write("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n")
-        else:
-            self.stream.write(",".join(columns) + "\n")
-            for r in rows:
-                self.stream.write(",".join(r) + "\n")
 
-    def close(self) -> None:
-        if self.owns:
-            self.stream.close()
+#: the parameter flags: name, the config-file key it replaces, and its
+#: argparse keywords; --b has no key, it sets G = b*(M-1) after the merge
+_PARAM_FLAGS = (
+    ("p", "p", dict(type=float, help="useful-contact probability per slot")),
+    ("M", "M", dict(type=int, help="maximum age")),
+    ("G", "G", dict(type=float, help="activation cost per active slot")),
+    ("b", None, dict(type=float, help="scaled activation cost; sets G = b*(M-1)")),
+    ("P", "P", dict(type=float, help="WiFi price per update")),
+    ("P3G", "P3G", dict(help="3G price per update, or 'inf' for no 3G")),
+    ("B", "B", dict(type=float, help="bonus level")),
+    ("utility", "utility.form",
+     dict(choices=("linear", "step", "tabular"), help="utility form")),
+    ("v", "utility.v", dict(type=float, help="step utility height")),
+    ("k", "utility.k", dict(type=int, help="step utility cutoff age")),
+    ("values", "utility.values", dict(help="comma-separated tabular utility values")),
+)
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value parameter file; flags override it")
-    p.add_argument("--p", type=float, help="useful-contact probability per slot")
-    p.add_argument("--M", type=int, help="maximum age")
-    p.add_argument("--G", type=float, help="activation cost per active slot")
-    p.add_argument("--b", type=float, help="scaled activation cost; sets G = b*(M-1)")
-    p.add_argument("--P", type=float, help="WiFi price per update")
-    p.add_argument("--P3G", help="3G price per update, or 'inf' for no 3G")
-    p.add_argument("--B", type=float, help="bonus level")
-    p.add_argument("--utility", choices=("linear", "step", "tabular"), help="utility form")
-    p.add_argument("--v", type=float, help="step utility height")
-    p.add_argument("--k", type=int, help="step utility cutoff age")
-    p.add_argument("--values", help="comma-separated tabular utility values")
+    for name, _, kwargs in _PARAM_FLAGS:
+        p.add_argument("--" + name, **kwargs)
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -95,51 +93,24 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "table"), default="csv")
 
 
-def build_params(args: argparse.Namespace) -> SystemParams:
-    base = load_params(args.config) if args.config else None
-
-    max_age = args.M if args.M is not None else (base.max_age if base else None)
-    if max_age is None:
+def build_params(args: argparse.Namespace, base: Mapping[str, str] | None = None) -> SystemParams:
+    """Read the parameters as ``params_from_mapping`` reads a config file:
+    the --config file's keys over ``base``, each given flag over its key, and
+    --b setting G = b*(M-1) last.  ``str(float)`` round-trips exactly."""
+    mapping = dict(base or {})
+    if args.config:
+        mapping.update(read_mapping(args.config))
+    for name, key, _ in _PARAM_FLAGS:
+        value = getattr(args, name)
+        if key is not None and value is not None:
+            mapping[key] = str(value)
+    if "M" not in mapping:
         raise ValueError("maximum age required (--M or config file)")
-    if max_age < 2:
-        raise ValueError(f"M must be >= 2, got {max_age}")
-
-    form = args.utility or (base.utility.form if base else "linear")
-    overridden = any(v is not None for v in (args.M, args.v, args.k, args.values))
-    if overridden or base is None or form != base.utility.form:
-        if form == "linear":
-            utility = UtilityFunction.linear(max_age)
-        elif form == "step":
-            v = args.v if args.v is not None else (base.utility.step_value if base else None)
-            k = args.k if args.k is not None else (base.utility.step_cutoff if base else None)
-            if v is None or k is None:
-                raise ValueError("step utility needs --v and --k")
-            utility = UtilityFunction.step(v, k, max_age)
-        else:
-            if args.values is None:
-                raise ValueError("tabular utility needs --values")
-            utility = UtilityFunction.tabular([float(x) for x in args.values.split(",")])
-    else:
-        utility = base.utility
-
-    p = args.p if args.p is not None else (base.contact_prob if base else None)
-    if p is None:
-        raise ValueError("contact probability required (--p or config file)")
-
-    scan = args.G if args.G is not None else (base.scan_cost if base else 0.0)
     if args.b is not None:
-        scan = args.b * (max_age - 1)
-    price = args.P if args.P is not None else (base.wifi_price if base else 0.0)
-    if args.P3G is not None:
-        p3g = None if args.P3G.lower() in ("inf", "none") else float(args.P3G)
-    else:
-        p3g = base.price_3g if base else None
-    bonus = args.B if args.B is not None else (base.bonus if base else 0.0)
-
-    return SystemParams(
-        contact_prob=p, max_age=max_age, utility=utility,
-        scan_cost=scan, wifi_price=price, price_3g=p3g, bonus=bonus,
-    )
+        mapping["G"] = str(args.b * (int(mapping["M"]) - 1))
+    if "p" not in mapping:
+        raise ValueError("contact probability required (--p or config file)")
+    return params_from_mapping(mapping)
 
 
 def _param_settings(params: SystemParams) -> dict:
@@ -160,34 +131,28 @@ def cmd_solve(args: argparse.Namespace) -> int:
     params = build_params(args)
     report = solve_user_problem(params, tol=args.tol)
     s_wifi, s_3g = verify_threshold_structure(report.policy)
-
-    out = Output(args.output, args.format)
-    try:
-        out.header("solve", {**_param_settings(params), "tol": args.tol})
-        if params.has_3g:
-            grid = thresholds.optimal_two_thresholds(params)
-            closed_best, optima = grid.reward, (grid.s_wifi,)
-            aa = ai = ""
-        else:
-            res = thresholds.optimal_threshold(params)
-            closed_best, optima = res.reward, res.all_optima
-            aa, ai = res.always_active, res.always_inactive
-        rows = [
-            ("policy", "".join(str(int(a)) for a in report.policy.actions)),
-            ("s", s_wifi),
-            ("s_3G", s_3g),
-            ("gain", report.value.gain),
-            ("iterations", report.iterations),
-            ("residual", report.residual),
-            ("always_active", aa),
-            ("always_inactive", ai),
-            ("all_optima", " ".join(map(str, optima))),
-            ("closed_form_best", closed_best),
-            ("crosscheck_gain_minus_closed", report.value.gain - closed_best),
-        ]
-        out.table(("field", "value"), rows)
-    finally:
-        out.close()
+    if params.has_3g:
+        grid = thresholds.optimal_two_thresholds(params)
+        closed_best, optima = grid.reward, (grid.s_wifi,)
+        aa = ai = ""
+    else:
+        res = thresholds.optimal_threshold(params)
+        closed_best, optima = res.reward, res.all_optima
+        aa, ai = res.always_active, res.always_inactive
+    rows = [
+        ("policy", "".join(str(int(a)) for a in report.policy.actions)),
+        ("s", s_wifi),
+        ("s_3G", s_3g),
+        ("gain", report.value.gain),
+        ("iterations", report.iterations),
+        ("residual", report.residual),
+        ("always_active", aa),
+        ("always_inactive", ai),
+        ("all_optima", " ".join(map(str, optima))),
+        ("closed_form_best", closed_best),
+        ("crosscheck_gain_minus_closed", report.value.gain - closed_best),
+    ]
+    _write(args, "solve", {**_param_settings(params), "tol": args.tol}, ("field", "value"), rows)
     return 0
 
 
@@ -210,14 +175,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for s in range(1, params.max_age + 2):
             summary = chain.summary_for_threshold(params, s)
             rows.append((s, summary.gain, summary.age))
-
-    out = Output(args.output, args.format)
-    try:
-        out.header("sweep", settings)
-        out.table(columns, rows)
-        out.stream.write(footer)
-    finally:
-        out.close()
+    _write(args, "sweep", settings, columns, rows, footer=footer)
     return 0
 
 
@@ -226,25 +184,20 @@ def cmd_publisher(args: argparse.Namespace) -> int:
     inst = publisher.PublisherInstance(params=params, n_users=args.N, rate_cap=args.T)
     target = publisher.target_threshold(args.N, args.T, params.contact_prob, params.max_age)
     solution = publisher.optimal_bonus(inst)
-
-    out = Output(args.output, args.format)
-    try:
-        out.header("publisher", {**_param_settings(params), "N": args.N, "T": args.T})
-        rows = [("target_threshold", target)]
-        if solution is None:
-            rows.append(("feasible", False))
-        else:
-            rows += [
-                ("feasible", True),
-                ("threshold", solution.threshold),
-                ("bonus_lo", solution.bonus_lo),
-                ("bonus_hi", solution.bonus_hi),
-                ("rate", solution.rate),
-                ("age", solution.age),
-            ]
-        out.table(("field", "value"), rows)
-    finally:
-        out.close()
+    rows = [("target_threshold", target)]
+    if solution is None:
+        rows.append(("feasible", False))
+    else:
+        rows += [
+            ("feasible", True),
+            ("threshold", solution.threshold),
+            ("bonus_lo", solution.bonus_lo),
+            ("bonus_hi", solution.bonus_hi),
+            ("rate", solution.rate),
+            ("age", solution.age),
+        ]
+    settings = {**_param_settings(params), "N": args.N, "T": args.T}
+    _write(args, "publisher", settings, ("field", "value"), rows)
     return 0
 
 
@@ -285,58 +238,35 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
     first, second = learning.run_population_drop(exp, env_factory)
 
-    out = Output(args.output, "csv")
-    try:
-        out.header(
-            "learn",
-            {
-                **_param_settings(exp.params),
-                "preset": exp.name, "env": args.env, "seed": args.seed,
-                "alpha": exp.config.learning_rate, "tau": exp.config.round_slots,
-                "T": exp.config.target_rate, "B_hat": exp.config.max_bonus,
-                "N": exp.n_initial, "drop": f"{exp.n_after}@{exp.drop_round}",
-            },
-        )
-        rows = []
-        for r in first.rounds:
-            rows.append((r.index, r.bonus, r.served, r.rate))
-        for r in second.rounds:
-            rows.append((r.index + exp.drop_round, r.bonus, r.served, r.rate))
-        out.table(("round", "bonus", "requests", "rate"), rows)
-    finally:
-        out.close()
+    settings = {
+        **_param_settings(exp.params),
+        "preset": exp.name, "env": args.env, "seed": args.seed,
+        "alpha": exp.config.learning_rate, "tau": exp.config.round_slots,
+        "T": exp.config.target_rate, "B_hat": exp.config.max_bonus,
+        "N": exp.n_initial, "drop": f"{exp.n_after}@{exp.drop_round}",
+    }
+    rows = [(r.index, r.bonus, r.served, r.rate) for r in first.rounds]
+    rows += [(r.index + exp.drop_round, r.bonus, r.served, r.rate) for r in second.rounds]
+    _write(args, "learn", settings, ("round", "bonus", "requests", "rate"), rows, fmt="csv")
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.p is None and not args.config:
-        args.p = 0.5  # per-shift estimates replace it anyway
-    params = build_params(args)
+    params = build_params(args, base={"p": "0.5"})  # per-shift estimates replace p anyway
     traces = tracesim.load_traces(args.traces)
     rows = tracesim.comparison_table(traces, params, replications=args.replications)
-    out = Output(args.output, args.format)
-    try:
-        out.header(
-            "simulate",
-            {**_param_settings(params), "traces": args.traces, "replications": args.replications},
-        )
-        out.table(tracesim.COMPARISON_COLUMNS, rows)
-    finally:
-        out.close()
+    settings = {**_param_settings(params), "traces": args.traces, "replications": args.replications}
+    _write(args, "simulate", settings, tracesim.COMPARISON_COLUMNS, rows)
     return 0
 
 
 def cmd_gen_traces(args: argparse.Namespace) -> int:
     corpus = tracesim.generate_corpus(args.shifts, seed=args.seed, median_p=args.median_p)
-    text = tracesim.dump_traces(corpus)
     header = (
         f"# agectl gen-traces\n# shifts={args.shifts}\n# seed={args.seed}\n"
         f"# median_p={_fmt(args.median_p)}\n"
     )
-    if args.output:
-        Path(args.output).write_text(header + text)
-    else:
-        sys.stdout.write(header + text)
+    _emit(args.output, header + tracesim.dump_traces(corpus))
     return 0
 
 

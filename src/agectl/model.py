@@ -361,6 +361,8 @@ def params_from_mapping(mapping: Mapping[str, str]) -> SystemParams:
         return data[key]
 
     max_age = int(need("M"))
+    if max_age < 2:
+        raise ValueError(f"M must be >= 2, got {max_age}")
     form = data.get("utility.form", "linear").lower()
     if form == "linear":
         utility = UtilityFunction.linear(max_age)
@@ -386,8 +388,8 @@ def params_from_mapping(mapping: Mapping[str, str]) -> SystemParams:
     )
 
 
-def load_params(path: str | Path) -> SystemParams:
-    """Read SystemParams from a flat ``key = value`` file."""
+def read_mapping(path: str | Path) -> dict[str, str]:
+    """Read the ``key = value`` lines of a flat parameter file."""
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -397,4 +399,9 @@ def load_params(path: str | Path) -> SystemParams:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         mapping[key.strip()] = value.strip()
-    return params_from_mapping(mapping)
+    return mapping
+
+
+def load_params(path: str | Path) -> SystemParams:
+    """Read SystemParams from a flat ``key = value`` file."""
+    return params_from_mapping(read_mapping(path))

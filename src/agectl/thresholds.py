@@ -151,10 +151,10 @@ def _step_interior_root(params: SystemParams) -> float | None:
 def step_utility_threshold(
     params: SystemParams, tie_tol: float = chain.TIE_TOL
 ) -> ThresholdResult:
-    """Optimal threshold for a step utility from the five-candidate set
-    {1, k-1, floor(phi), ceil(phi), M, M+1}, phi being the Lambert-W interior
-    stationary point.  Falls back to the exhaustive sweep (flagged) when phi
-    is undefined."""
+    """Optimal threshold for a step utility from the six candidates
+    {1, k-1, floor(phi), ceil(phi), M, M+1}, each clamped to [1, M+1], phi
+    being the Lambert-W interior stationary point.  Falls back to the
+    exhaustive sweep (flagged) when phi is undefined."""
     if params.utility.form != "step":
         raise ValueError("step_utility_threshold needs a step utility")
     M = params.max_age

@@ -115,6 +115,15 @@ def reference_replay(
     return rewards
 
 
+
+def reference_total(rewards) -> float:
+    """Sum of per-slot rewards added in slot order, as the replay kernel adds
+    them; ``sum()`` of floats is compensated from Python 3.12 on."""
+    total = 0.0
+    for r in rewards:
+        total += r
+    return total
+
 def threshold_action(s: int, s_3g: int | None = None):
     """Action rule of a (two-)threshold policy as a plain function of age."""
 

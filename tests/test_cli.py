@@ -182,6 +182,64 @@ class TestSimulateAndGen:
         assert "# p=0.5" in content
 
 
+
+class TestConfigOverlay:
+    """Each flag replaces one key of the --config file; --b sets G after the merge."""
+
+    @staticmethod
+    def config(tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def test_tabular_config_with_its_own_M(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "tab.cfg", "p = 0.5\nM = 4\nG = 0.3\n"
+                          "utility.form = tabular\nutility.values = 3,2,1,0\n")
+        code, alone, _ = run(capsys, "solve", "--config", cfg)
+        assert code == 0
+        code, out, err = run(capsys, "solve", "--config", cfg, "--M", "4")
+        assert (code, err) == (0, "")
+        assert out == alone
+
+    def test_step_config_keeps_v_and_k_under_a_new_M(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "step.cfg", "p = 0.5\nM = 21\nG = 6\n"
+                          "utility.form = step\nutility.v = 12\nutility.k = 3\n")
+        code, out, _ = run(capsys, "solve", "--config", cfg, "--M", "20")
+        assert code == 0
+        code, flags, _ = run(capsys, "solve", "--utility", "step", "--v", "12", "--k", "3",
+                             "--M", "20", "--p", "0.5", "--G", "6")
+        assert code == 0
+        assert out == flags
+
+    def test_b_uses_M_from_the_config(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "params.cfg", PARAMS_CFG)
+        code, out, _ = run(capsys, "solve", "--config", cfg, "--b", "0.5")
+        assert code == 0
+        assert "# M=12\n" in out and "# G=5.5\n" in out
+
+    def test_P3G_infinity_means_no_3g(self, capsys):
+        code, out, _ = run(capsys, "solve", "--M", "12", "--p", "0.54", "--P", "1",
+                           "--P3G", "infinity")
+        assert code == 0
+        assert "# P3G=inf\n" in out
+        assert "2" not in next(l for l in out.splitlines() if l.startswith("policy,"))
+
+    def test_config_M_below_2_exits_2(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, "m1.cfg", "p = 0.5\nM = 1\n")
+        code, _, err = run(capsys, "solve", "--config", cfg)
+        assert code == 2
+        assert "M" in err
+
+    def test_simulate_defaults_p_under_a_config_without_it(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = self.config(tmp_path, "nop.cfg", "M = 12\nG = 0.99\n")
+        assert run(capsys, "gen-traces", "--shifts", "2", "--seed", "1",
+                   "--output", "corpus.txt")[0] == 0
+        code, out, _ = run(capsys, "simulate", "--config", cfg, "--traces", "corpus.txt",
+                           "--replications", "2")
+        assert code == 0
+        assert "# p=0.5\n" in out
+
 # stdout as (byte count, sha256): the replay-driven subcommands recorded before
 # the replay loops were folded into one kernel, the ``solve`` rows (RVI gain,
 # iterations and residual) before the RVI sweep was rewritten allocation-free,

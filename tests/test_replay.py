@@ -30,7 +30,7 @@ from agectl import (
 from agectl import model, tracesim
 from agectl.model import CHUNK_SLOTS
 
-from conftest import reference_replay, threshold_action
+from conftest import reference_replay, reference_total, threshold_action
 
 L = CHUNK_SLOTS
 
@@ -74,7 +74,7 @@ def test_simulate_policy_equals_reference_replay(params, data, n, p, seed):
     trace = ContactTrace("t", bits(n, p, seed))
     for start in range(1, params.max_age + 1):
         result = simulate_policy(trace, params, policy, start_age=start)
-        assert result.total_reward == sum(
+        assert result.total_reward == reference_total(
             reference_replay(trace.slots, params, policy.action_at, start)
         )
         age, updates = start, []
@@ -138,7 +138,8 @@ def test_long_replay_matches_reference():
     trace = iid_trace(0.54, 100_000, seed=17)
     policy = Policy.from_thresholds(3, 9, 12)
     result = simulate_policy(trace, params, policy, start_age=7)
-    assert result.total_reward == sum(reference_replay(trace.slots, params, policy.action_at, 7))
+    assert result.total_reward == reference_total(
+        reference_replay(trace.slots, params, policy.action_at, 7))
 
 
 def test_chunks_without_updates_settle_over_several_passes():
@@ -150,7 +151,8 @@ def test_chunks_without_updates_settle_over_several_passes():
     policy = Policy.from_thresholds(M + 1, None, M)   # never activate
     result = simulate_policy(trace, params, policy, start_age=2)
     assert result.updates == 0
-    assert result.total_reward == sum(reference_replay(trace.slots, params, policy.action_at, 2))
+    assert result.total_reward == reference_total(
+        reference_replay(trace.slots, params, policy.action_at, 2))
 
 
 def stepped_ages(actions, policy, contacts, start):
@@ -231,7 +233,7 @@ def test_threshold_means_equal_reference_averages():
         for r in range(reps):   # the phases r * floor(n / reps)
             phase = r * (n // reps)
             slots = trace.slots[phase:] + trace.slots[:phase]
-            total += sum(reference_replay(slots, params, threshold_action(s), 5)) / n
+            total += reference_total(reference_replay(slots, params, threshold_action(s), 5)) / n
         assert means[s - 1] == total / reps
 
 
