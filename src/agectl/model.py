@@ -179,7 +179,7 @@ def next_age(age: int, action: Action, contact: int, max_age: int) -> int:
 
 #: replay rows longer than this many slots run as chunks of this length
 CHUNK_SLOTS = 256
-#: cells (rows x slots) held by one block of a replay or of its sums
+#: cells (rows x slots) held by one block of a replay or of its counts
 BLOCK_CELLS = 1 << 16
 #: cells (policies x contact patterns x ages x slots) a cached k-slot step table may hold
 TABLE_CELLS = 1 << 19
@@ -293,12 +293,6 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
         if met < steps:
             out[:, done:] = stored[lo:lo + per, done:]
     return ages
-
-
-def _add_rows(carry: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``carry`` plus the values along the last axis, one at a time in order,
-    exactly as a loop of ``carry += v`` would add them."""
-    return np.cumsum(np.concatenate((carry[..., None], values), axis=-1), axis=-1)[..., -1]
 
 
 #: each Action by its code; members hash as their codes, so they map to themselves

@@ -4,8 +4,8 @@ estimate per-shift contact statistics, and run multi-user closed-loop rounds.
 
 Every replay here, one policy on one trace, each policy from each rotated
 phase, or one round of a user population, runs as the rows of one call to
-``model._replay``, the package's only loop over slots.  Rewards, fees, energy
-and update counts are read off the replayed ages afterwards.
+``model._replay``, the package's only loop over slots.  Every reward, energy
+and fee total is then the exact sum of counted terms, rounded once.
 
 Traces are strings of ones (useful slot) and zeros; an optional second bit
 string of equal length marks location-privileged slots.
@@ -13,6 +13,7 @@ string of equal length marks location-privileged slots.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -158,6 +159,9 @@ MASK_POLICY = MaskPolicy()
 
 @dataclass(frozen=True)
 class SimResult:
+    """One replay: ``total_reward``, ``energy_spent`` and ``fees_paid`` are the
+    exact sums of the slots' utility, scan-cost and fee terms, rounded once."""
+
     total_reward: float
     slots: int
     average_reward: float
@@ -169,50 +173,37 @@ class SimResult:
     fees_paid: float
 
 
-def _outcome_terms(params: SystemParams, bonus: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per outcome code 2 * action + contact: the reward at each age (6, M + 1)
-    and the fee, by the float operations of ``instantaneous_reward`` in its
-    order, at ``bonus``."""
-    u = np.array((0.0,) + params.utility.values)   # indexed by age
-    wifi_fee = max(params.wifi_price - bonus, 0.0)
+def _values(params: SystemParams, bonus: float) -> np.ndarray:
+    """What one count in each tally column adds to a reward total: the utility
+    of each age, minus the scan cost, minus the WiFi and the 3G price less
+    ``bonus`` but never below zero, as ``instantaneous_reward`` charges them."""
     fee_3g = max(params.price_3g - bonus, 0.0) if params.has_3g else 0.0
-    active = u - params.scan_cost
-    rewards = np.stack([u, u, active, active - wifi_fee, active - fee_3g, active - wifi_fee])
-    return rewards, np.array([0.0, 0.0, 0.0, wifi_fee, fee_3g, wifi_fee])
+    fee_wifi = max(params.wifi_price - bonus, 0.0)
+    return np.array((*params.utility.values, -params.scan_cost, -fee_wifi, -fee_3g))
 
 
-def _replay_rows(params: SystemParams, bonus: float, actions: np.ndarray, policy: np.ndarray,
-                 contacts: np.ndarray, start: np.ndarray, gate: np.ndarray | None = None,
-                 totals: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replay the rows of a (rows, slots) contact matrix with ``model._replay``.
+def _exact_sums(counts: np.ndarray, values: np.ndarray) -> list[float]:
+    """Each row's sum of ``counts * values``, rounded once to the nearest float.
 
-    Returns the ages, every slot's outcome code 2 * action + contact, and each
-    row's reward total, added slot by slot onto ``totals``.  With a ``gate``, a
-    row uses WiFi on its gated slots only (the mask policy).
+    Integer counts in [0, 2**52) split into 26-bit halves, values into their
+    leading 26 and trailing 27 significand bits, so all products of halves are
+    exact; one ``math.fsum`` per row adds the nonzero ones, in row blocks of
+    at most ``model.BLOCK_CELLS`` counts.  Values reaching 2**900 are first
+    scaled down by one power of two, so nothing overflows; a value the scaling
+    makes subnormal may then lose bits.
     """
-    ages = model._replay(actions, policy, contacts if gate is None else contacts & gate, start)
-    M = params.max_age
-    rewards = _outcome_terms(params, bonus)[0].ravel()   # outcome o at age x: o * (M + 1) + x
-    row = policy[:, None] * M - 1   # the action at age x is actions.flat[row + x]
-    outcome = np.empty(contacts.shape, np.uint8)
-    totals = np.zeros(len(contacts)) if totals is None else totals
-    before = ages[:, :-1]   # each slot's age before its transition
-    step = max(1, model.BLOCK_CELLS // len(contacts))
-    for lo in range(0, contacts.shape[1], step):   # slot blocks bound the float temporaries
-        b = slice(lo, lo + step)
-        act = actions.take(row + before[:, b]) if gate is None else gate[:, b]
-        o = outcome[:, b] = act * 2 + contacts[:, b]
-        totals = model._add_rows(totals, rewards.take(o * np.intp(M + 1) + before[:, b]))
-    return ages, outcome, totals
-
-
-def _add_in_order(blocks: Iterable[np.ndarray]) -> float:
-    """The terms of the blocks added one at a time from +0.0, as a loop of
-    ``total += term`` would add them."""
-    total = np.zeros(())
-    for terms in blocks:
-        total = model._add_rows(total, terms)
-    return float(total)
+    shift = max(0, math.frexp(float(np.abs(values).max(initial=0.0)))[1] - 900)
+    values = np.ldexp(values, -shift)
+    high = (values.view(np.int64) & -(1 << 27)).view(float)   # the low 27 significand bits cleared
+    parts, sums, rows = np.stack((high, values - high)), [], max(1, model.BLOCK_CELLS // len(values))
+    for lo in range(0, len(counts), rows):
+        low = counts[lo:lo + rows] & (1 << 26) - 1
+        halves = np.stack((counts[lo:lo + rows] - low, low), axis=1).astype(float)   # (rows, 2, columns)
+        terms = (halves[:, :, None] * parts).reshape(len(low), -1)
+        ends = np.cumsum(np.count_nonzero(terms, axis=1)).tolist()
+        kept = terms[terms != 0].tolist()   # each row's nonzero products, in row order
+        sums += [math.fsum(kept[a:b]) * 2.0**shift for a, b in zip([0, *ends], ends)]
+    return sums
 
 
 def _policy_actions(params: SystemParams, policy: Policy | MaskPolicy) -> np.ndarray | None:
@@ -229,9 +220,11 @@ def _policy_actions(params: SystemParams, policy: Policy | MaskPolicy) -> np.nda
 def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.ndarray | None,
                       replications: int, start_age: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Replay each row of the per-age action table ``actions``, or the mask
-    policy when it is None, from every phase r * floor(len / replications), as
-    the rows of one ``_replay_rows`` call.  Returns its outcomes and reward
-    totals, and each policy's average reward over its phases."""
+    policy when it is None, from every phase r * max(1, floor(len / replications))
+    mod len, r < replications, as the rows of one ``model._replay`` call.
+    Returns the ages and, per policy over all its phases, the reward total and
+    the tally that ``_values`` prices: the slots at each age before the slot,
+    the active slots, the WiFi updates and the 3G updates."""
     M = params.max_age
     if not 1 <= start_age <= M:
         raise ValueError(f"start age {start_age} outside [1, {M}]")
@@ -246,13 +239,23 @@ def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.nda
         doubled = np.tile(bits, 2)
         return np.tile(np.lib.stride_tricks.sliding_window_view(doubled, n)[phases], (k, 1))
 
-    _, outcome, totals = _replay_rows(
-        params, params.bonus, np.ones((1, M), np.uint8) if actions is None else actions,
-        np.repeat(np.arange(k), replications), rotations(trace.slot_bits),
-        np.full(k * replications, start_age), rotations(trace.mask_bits) if actions is None else None,
-    )
-    means = model._add_rows(np.zeros(k), (totals / n).reshape(k, replications)) / replications
-    return outcome, totals, means.tolist()
+    policy, contacts = np.repeat(np.arange(k), replications), rotations(trace.slot_bits)
+    # the mask policy: WiFi at every age, on masked slots only; a policy: every slot masked
+    table = np.ones((1, M), np.uint8) if actions is None else actions
+    mask = rotations(trace.mask_bits) if actions is None else 1
+    ages = model._replay(table, policy, contacts & mask if actions is None else contacts,
+                         np.full(len(policy), start_age))
+    code = contacts + 2 * mask   # 2 * mask bit + contact
+    counts, rows = 0, max(1, model.BLOCK_CELLS // n)
+    for lo in range(0, len(policy), rows):   # row blocks bound the intp index
+        cell = (code[lo:lo + rows] + 4 * policy[lo:lo + rows, None]) * M + ages[lo:lo + rows, :-1]
+        counts = counts + np.bincount(cell.ravel(), minlength=4 * k * M + 1)
+    counts = counts[1:].reshape(k, 2, 2, M)   # by policy, mask bit, contact, age - 1
+    act = table[:, None, None] * np.arange(2)[:, None, None]   # the action, off the mask none
+    active = counts * (act >= 1)
+    tally = np.column_stack((counts.sum((1, 2)), active.sum((1, 2, 3)), active[:, :, 1].sum((1, 2)),
+                             (counts * (act == 2))[:, :, 0].sum((1, 2))))
+    return ages, tally, _exact_sums(tally, _values(params, params.bonus))
 
 
 def simulate_policy(
@@ -267,28 +270,18 @@ def simulate_policy(
     to one starting from the next slot.  Deterministic: identical inputs give
     identical results.
     """
-    outcome, totals, _ = _replay_rotations(trace, params, _policy_actions(params, policy), 1, start_age)
-    outcome, n = outcome[0], len(trace)
-    updated = np.flatnonzero(outcome >= 3)
-    codes = outcome[updated]
-    n_3g = int(np.count_nonzero(codes == 4))
-    # energy and fees add only their nonzero terms, G on each active slot and
-    # a fee on each update: the sums start at +0.0 and cannot turn -0.0, so
-    # the +0.0 terms left out would not have changed them
-    fees, active = _outcome_terms(params, params.bonus)[1], int(np.count_nonzero(outcome >= 2))
-    B = model.BLOCK_CELLS
-    total = float(totals[0])
+    ages, tally, (total,) = _replay_rotations(trace, params, _policy_actions(params, policy), 1, start_age)
+    active, wifi, updates_3g = tally[0, -3:].tolist()
     return SimResult(
         total_reward=total,
-        slots=n,
-        average_reward=total / n,
-        updates=len(updated),
-        update_slots=tuple((updated + 1).tolist()),
-        updates_wifi=len(updated) - n_3g,
-        updates_3g=n_3g,
-        energy_spent=_add_in_order(np.full(min(B, active - lo), float(params.scan_cost))
-                                   for lo in range(0, active, B)),
-        fees_paid=_add_in_order(fees.take(codes[lo:lo + B]) for lo in range(0, len(codes), B)),
+        slots=len(trace),
+        average_reward=total / len(trace),
+        updates=wifi + updates_3g,
+        update_slots=tuple((np.flatnonzero(ages[0, 1:] == 1) + 1).tolist()),
+        updates_wifi=wifi,
+        updates_3g=updates_3g,
+        energy_spent=active * params.scan_cost,   # one rounding: active < 2**53
+        fees_paid=_exact_sums(tally[:, -2:], -_values(params, params.bonus)[-2:])[0],
     )
 
 
@@ -300,9 +293,11 @@ def replayed_average_reward(
     start_age: int = 1,
 ) -> float:
     """Average reward over ``replications`` replays with rotated starting phase
-    r * floor(len / replications); traces are deterministic, so rotation is the
-    replication mechanism."""
-    return _replay_rotations(trace, params, _policy_actions(params, policy), replications, start_age)[2][0]
+    r * max(1, floor(len / replications)) mod len, r < replications: the exact
+    total over all phases, rounded once, over len(trace) * replications slots.
+    Traces are deterministic, so rotation is the replication mechanism."""
+    total = _replay_rotations(trace, params, _policy_actions(params, policy), replications, start_age)[2][0]
+    return total / (len(trace) * replications)
 
 
 def best_trace_threshold(
@@ -320,8 +315,9 @@ def _threshold_means(trace: ContactTrace, params: SystemParams, replications: in
                      start_age: int) -> list[float]:
     """``replayed_average_reward`` of every threshold s in [1, M+1], in order."""
     ages = np.arange(1, params.max_age + 1)
-    return _replay_rotations(trace, params, ages >= np.arange(1, params.max_age + 2)[:, None],
-                             replications, start_age)[2]
+    totals = _replay_rotations(trace, params, ages >= np.arange(1, params.max_age + 2)[:, None],
+                               replications, start_age)[2]
+    return [total / (len(trace) * replications) for total in totals]
 
 
 def _best_threshold(means: Sequence[float]) -> tuple[int, float]:
@@ -403,8 +399,8 @@ class PopulationResult:
 
 class _Cohort:
     """Users replaying their traces cyclically from their phases; ages, trace
-    positions and, unless ``totals`` is off, the reward totals carry over from
-    one round to the next."""
+    positions and, unless ``totals`` is off, the counts behind each user's
+    reward total carry over from one round to the next."""
 
     def __init__(self, users: Sequence[UserAssignment], params: SystemParams, round_slots: int,
                  totals: bool = True):
@@ -419,19 +415,25 @@ class _Cohort:
         self.length = np.array([len(ua.trace) for ua in users])
         self.pos = np.array([ua.phase for ua in users]) % self.length
         self.ages = np.array([ua.start_age for ua in users])
-        self.totals = np.zeros(len(users)) if totals else None   # each user's reward
+        # each user's slots at each age, flat at user * M + age - 1, and active
+        # slots; per round each user's WiFi updates and the value of one
+        self.by_age = np.zeros(len(users) * params.max_age, np.int64) if totals else None
+        self.active, self.served, self.fees = np.zeros(len(users), np.int64), [], []
         self.steps, self.params = np.arange(round_slots), params
 
     def round(self, bonus: float) -> np.ndarray:
         """Ages (users, slots + 1) of one round at the threshold for ``bonus``."""
-        actions = (np.arange(1, self.params.max_age + 1) >= self.response(bonus))[None]
+        M, s = self.params.max_age, self.response(bonus)
         cells = self.offset[:, None] + (self.pos[:, None] + self.steps) % self.length[:, None]
         policy, contacts = np.zeros(len(cells), int), self.slots[cells]
-        if self.totals is None:
-            ages = model._replay(actions, policy, contacts, self.ages)
-        else:
-            ages, _, self.totals = _replay_rows(self.params, bonus, actions, policy, contacts,
-                                                self.ages, totals=self.totals)
+        ages = model._replay((np.arange(1, M + 1) >= s)[None], policy, contacts, self.ages)
+        if self.by_age is not None:
+            before = ages[:, :-1]
+            self.by_age += np.bincount((M * np.arange(len(cells))[:, None] + before - 1).ravel(),
+                                       minlength=self.by_age.size)
+            self.active += np.count_nonzero(before >= s, axis=1)
+            self.served.append(np.count_nonzero(ages[:, 1:] == 1, axis=1))   # all over WiFi
+            self.fees.append(_values(self.params, bonus)[-2])
         self.ages, self.pos = ages[:, -1], (self.pos + len(self.steps)) % self.length
         return ages
 
@@ -449,30 +451,33 @@ def simulate_population(
     Users best-respond with the optimal WiFi threshold for the bonus in effect
     at the start of each round, replay their traces cyclically (ages and trace
     positions persist across rounds), and the served-update count feeds the
-    controller, when attached, to set the next bonus.  Fully deterministic
-    given traces and phases.
+    controller, when attached, to set the next bonus.  A user's
+    ``total_reward`` is exact as in ``SimResult``, each fee at its round's
+    bonus.  Fully deterministic given traces and phases.
     """
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds}")
     cohort = _Cohort(users, params, round_slots)
-    updates_per_user = np.zeros(len(users), int)
     bonus = params.bonus if controller is None else controller.initial_bonus
     history = np.zeros((len(users), rounds * round_slots), dtype=np.int32) if record_ages else None
 
     result = PopulationResult()
     for t in range(1, rounds + 1):
-        after = cohort.round(bonus)[:, 1:]   # each user's age after each slot
-        served_per_user = np.count_nonzero(after == 1, axis=1)
-        updates_per_user += served_per_user
+        ages = cohort.round(bonus)
         if history is not None:
-            history[:, (t - 1) * round_slots : t * round_slots] = after
-        served = int(served_per_user.sum())
+            history[:, (t - 1) * round_slots : t * round_slots] = ages[:, 1:]
+        served = int(cohort.served[-1].sum())
         rate = served / round_slots
         result.rounds.append(learning.Round(index=t, bonus=bonus, served=served, rate=rate))
         if controller is not None:
             bonus = learning.learning_step(t, bonus, rate, controller)
 
+    counts = np.column_stack((cohort.by_age.reshape(len(users), -1), cohort.active, *cohort.served))
+    totals = _exact_sums(counts, np.append(_values(params, params.bonus)[:-2], cohort.fees))
+    updates = sum(cohort.served, np.zeros(len(users), int))
     result.users = [
         UserOutcome(updates=u, total_reward=r, final_age=a)
-        for u, r, a in zip(updates_per_user.tolist(), cohort.totals.tolist(), cohort.ages.tolist())
+        for u, r, a in zip(updates.tolist(), totals, cohort.ages.tolist())
     ]
     result.age_history = history
     return result

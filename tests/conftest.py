@@ -1,8 +1,10 @@
-"""Shared test helpers: randomized instance generators, an independent
-step-by-step replay oracle built directly on the one-slot primitives, and a
-per-age relative value iteration oracle built on ``bellman_values``."""
+"""Shared test helpers: randomized instance generators, independent
+step-by-step replay oracles built directly on the one-slot primitives (per
+slot rewards, and per slot utility, scan cost and fee for exact totals), and
+a per-age relative value iteration oracle built on ``bellman_values``."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -115,14 +117,40 @@ def reference_replay(
     return rewards
 
 
+def reference_parts(
+    slots,
+    params: SystemParams,
+    action_at,
+    start_age: int = 1,
+) -> list[tuple[float, float, float]]:
+    """Each slot's utility, scan cost and fee, replayed one slot at a time
+    through the public primitives, with ``action_at(age)`` called once per
+    slot in slot order.  Every slot's ``instantaneous_reward`` must equal
+    (utility - scan cost) - fee bit for bit, so the parts stay tied to it; a
+    replay's exact totals are ``math.fsum`` of the parts (``parts_total``)."""
+    age = start_age
+    parts = []
+    for contact in map(int, slots):
+        action = Action(action_at(age))
+        scan = params.scan_cost if action is not Action.INACTIVE else 0.0
+        if action is Action.WIFI_THEN_3G and contact == 0:
+            fee = max(params.price_3g - params.bonus, 0.0)
+        elif action is not Action.INACTIVE and contact == 1:
+            fee = max(params.wifi_price - params.bonus, 0.0)
+        else:
+            fee = 0.0
+        utility = params.utility(age)
+        assert instantaneous_reward(params, age, action, contact) == (utility - scan) - fee
+        parts.append((utility, scan, fee))
+        age = next_age(age, action, contact, params.max_age)
+    return parts
 
-def reference_total(rewards) -> float:
-    """Sum of per-slot rewards added in slot order, as the replay kernel adds
-    them; ``sum()`` of floats is compensated from Python 3.12 on."""
-    total = 0.0
-    for r in rewards:
-        total += r
-    return total
+
+def parts_total(parts) -> float:
+    """Utility minus scan cost minus fee, summed exactly over ``reference_parts``
+    and rounded once."""
+    return math.fsum(x for utility, scan, fee in parts for x in (utility, -scan, -fee))
+
 
 def threshold_action(s: int, s_3g: int | None = None):
     """Action rule of a (two-)threshold policy as a plain function of age."""

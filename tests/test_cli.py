@@ -357,7 +357,8 @@ def test_shared_parser_is_built_once_and_keeps_no_state(capsys, tmp_path, monkey
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: agectl")
 
-        # simulate without --p writes args.p = 0.5 on its own namespace only
+        # simulate without --p reads p = 0.5 from its own base mapping, and that
+        # default does not leak into a later solve on the shared parser
         assert run(capsys, "gen-traces", "--shifts", "2", "--seed", "1",
                    "--output", "corpus.txt")[0] == 0
         code, out, _ = run(capsys, "simulate", "--traces", "corpus.txt", "--M", "12",

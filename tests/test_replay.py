@@ -1,17 +1,22 @@
 """Properties of the one replay kernel behind every trace and population
-simulation, checked against the scalar oracle in ``conftest`` and against
-each other: chunked replays around the chunk length, population rounds,
+simulation, checked against the scalar oracles in ``conftest`` and against
+each other: exact totals of every policy kind, rotation means and population
+rounds against the summed parts, chunked replays around the chunk length,
 the trace and chain environments, and the kernel's ages against one
 ``next_age`` call per slot at every step size, on rows that end inside a
 step, and where chunk reruns meet their last pass early, late, between step
 boundaries or never."""
+import math
+import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from agectl import (
+    MASK_POLICY,
     Action,
     ContactTrace,
     LearningConfig,
@@ -30,7 +35,7 @@ from agectl import (
 from agectl import model, tracesim
 from agectl.model import CHUNK_SLOTS
 
-from conftest import reference_replay, reference_total, threshold_action
+from conftest import parts_total, reference_parts, threshold_action
 
 L = CHUNK_SLOTS
 
@@ -54,7 +59,9 @@ def instances(draw):
 
 @st.composite
 def policies(draw, max_age):
-    kind = draw(st.sampled_from(["threshold", "two-threshold", "per-age"]))
+    kind = draw(st.sampled_from(["threshold", "two-threshold", "per-age", "mask"]))
+    if kind == "mask":
+        return MASK_POLICY
     if kind == "per-age":   # any action at any age, not monotone in age
         acts = draw(st.lists(st.sampled_from(list(Action)), min_size=max_age, max_size=max_age))
         return Policy(tuple(acts))
@@ -67,19 +74,33 @@ def bits(n, p, seed):
     return tuple(int(b) for b in np.random.default_rng(seed).random(n) < p)
 
 
+def action_rule(policy, trace):
+    """The oracles' ``action_at``: the policy's action at each age, or for the
+    mask policy each slot's mask bit in turn, one slot per call."""
+    if policy is MASK_POLICY:
+        gates = iter(trace.mask)
+        return lambda age: Action(next(gates))
+    return policy.action_at
+
+
+def assert_totals_equal_parts(result, parts):
+    assert result.total_reward == parts_total(parts)
+    assert result.energy_spent == math.fsum(scan for _, scan, _ in parts)
+    assert result.fees_paid == math.fsum(fee for *_, fee in parts)
+
+
 @given(instances(), st.data(), st.sampled_from([L - 1, L, L + 1, 3 * L + 5]),
        st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
 def test_simulate_policy_equals_reference_replay(params, data, n, p, seed):
     policy = data.draw(policies(params.max_age))
-    trace = ContactTrace("t", bits(n, p, seed))
+    trace = ContactTrace("t", bits(n, p, seed), mask=bits(n, 0.3, seed + 1))
     for start in range(1, params.max_age + 1):
         result = simulate_policy(trace, params, policy, start_age=start)
-        assert result.total_reward == reference_total(
-            reference_replay(trace.slots, params, policy.action_at, start)
-        )
-        age, updates = start, []
+        parts = reference_parts(trace.slots, params, action_rule(policy, trace), start)
+        assert_totals_equal_parts(result, parts)
+        age, updates, action_at = start, [], action_rule(policy, trace)
         for t, contact in enumerate(trace.slots, start=1):
-            age = next_age(age, policy.action_at(age), contact, params.max_age)
+            age = next_age(age, action_at(age), contact, params.max_age)
             updates += [t] if age == 1 else []
         assert result.update_slots == tuple(updates)
 
@@ -138,8 +159,7 @@ def test_long_replay_matches_reference():
     trace = iid_trace(0.54, 100_000, seed=17)
     policy = Policy.from_thresholds(3, 9, 12)
     result = simulate_policy(trace, params, policy, start_age=7)
-    assert result.total_reward == reference_total(
-        reference_replay(trace.slots, params, policy.action_at, 7))
+    assert_totals_equal_parts(result, reference_parts(trace.slots, params, policy.action_at, 7))
 
 
 def test_chunks_without_updates_settle_over_several_passes():
@@ -151,8 +171,7 @@ def test_chunks_without_updates_settle_over_several_passes():
     policy = Policy.from_thresholds(M + 1, None, M)   # never activate
     result = simulate_policy(trace, params, policy, start_age=2)
     assert result.updates == 0
-    assert result.total_reward == reference_total(
-        reference_replay(trace.slots, params, policy.action_at, 2))
+    assert result.total_reward == parts_total(reference_parts(trace.slots, params, policy.action_at, 2))
 
 
 def stepped_ages(actions, policy, contacts, start):
@@ -229,12 +248,7 @@ def test_threshold_means_equal_reference_averages():
     means = tracesim._threshold_means(trace, params, reps, 5)
     assert len(means) == M + 1
     for s in range(1, M + 2):
-        total = 0.0
-        for r in range(reps):   # the phases r * floor(n / reps)
-            phase = r * (n // reps)
-            slots = trace.slots[phase:] + trace.slots[:phase]
-            total += reference_total(reference_replay(slots, params, threshold_action(s), 5)) / n
-        assert means[s - 1] == total / reps
+        assert means[s - 1] == phases_total(trace, params, threshold_action(s), reps, 5) / (n * reps)
 
 
 def step_size(actions):
@@ -303,3 +317,98 @@ def test_step_tables_are_cached_by_content_read_only_and_bounded():
     actions[0] = threshold_table(M, [(M + 1, None)])[0]
     actions[1, ::2] = Action.WIFI_THEN_3G
     assert_replay_equals_stepped(actions, policy, contacts, start)
+
+
+def phases_total(trace, params, action_at, reps, start):
+    """``parts_total`` over the replays from the phases r * max(1, floor(n / reps))
+    mod n, r < reps."""
+    n, parts = len(trace), []
+    for r in range(reps):
+        phase = r * max(1, n // reps) % n
+        parts += reference_parts(trace.slots[phase:] + trace.slots[:phase], params, action_at, start)
+    return parts_total(parts)
+
+
+@given(instances(), st.integers(1, 40), st.integers(1, 90), st.integers(1, 9),
+       st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+def test_threshold_means_equal_exact_phase_totals(params, n, reps, start, p, seed):
+    # reps > n repeats phases: the step max(1, floor(n / reps)) is then 1
+    start = min(start, params.max_age)
+    trace = ContactTrace("t", bits(n, p, seed))
+    means = tracesim._threshold_means(trace, params, reps, start)
+    for s in range(1, params.max_age + 2):
+        assert means[s - 1] == phases_total(trace, params, threshold_action(s), reps, start) / (n * reps)
+    policy = Policy.from_thresholds(2, None, params.max_age)
+    assert tracesim.replayed_average_reward(trace, params, policy, reps, start) == means[1]
+
+
+@given(st.integers(1, 5), st.integers(1, 30), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_population_totals_equal_parts_at_each_rounds_bonus(n_users, round_slots, rounds, seed):
+    rng = np.random.default_rng(seed)
+    M = 12
+    params = SystemParams(contact_prob=0.5, max_age=M, utility=UtilityFunction.tabular(
+        np.sort(rng.uniform(0, 10, M))[::-1]), scan_cost=float(rng.uniform(0, 2)), wifi_price=6.0)
+    users = [
+        UserAssignment(ContactTrace(f"u{i}", bits(int(rng.integers(1, 50)), 0.5, seed + i)),
+                       phase=int(rng.integers(0, 100)), start_age=int(rng.integers(1, M + 1)))
+        for i in range(n_users)
+    ]
+    controller = LearningConfig(max_bonus=6.0, target_rate=1.0, round_slots=round_slots,
+                                learning_rate=2.0, initial_bonus=float(rng.uniform(0, 6)))
+    result = simulate_population(users, params, rounds, round_slots, controller=controller)
+    for ua, user in zip(users, result.users):
+        n, age, parts = len(ua.trace), ua.start_age, []
+        for r in result.rounds:
+            at_bonus = replace(params, bonus=r.bonus)   # each round's fee at its own bonus
+            action_at = threshold_action(int(threshold_response(params, [r.bonus])[0]))
+            slots = [ua.trace.slots[(ua.phase + t) % n]
+                     for t in range((r.index - 1) * round_slots, r.index * round_slots)]
+            parts += reference_parts(slots, at_bonus, action_at, age)
+            for contact in slots:
+                age = next_age(age, action_at(age), contact, M)
+        assert user.total_reward == parts_total(parts)
+        assert user.final_age == age
+
+
+def test_huge_utility_totals_are_finite_and_exact():
+    M = 6
+    params = SystemParams(contact_prob=0.5, max_age=M, scan_cost=0.3, wifi_price=2.0, price_3g=5.0,
+                          bonus=0.5, utility=UtilityFunction.tabular([1e300, 7e299, 3e299, 1.0, 0.5, 0.0]))
+    trace = ContactTrace("t", bits(3 * L + 5, 0.4, 8), mask=bits(3 * L + 5, 0.5, 9))
+    for policy in (Policy.from_thresholds(2, 4, M), MASK_POLICY):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = simulate_policy(trace, params, policy, start_age=3)
+        assert math.isfinite(result.total_reward)
+        parts = reference_parts(trace.slots, params, action_rule(policy, trace), 3)
+        assert_totals_equal_parts(result, parts)
+
+
+def test_totals_cancelling_near_the_float_limit_stay_finite():
+    # utility and scan cost cancel in every slot, but each count times 1e308
+    # overflows unless the values are scaled down first
+    M = 6
+    params = SystemParams(contact_prob=0.5, max_age=M, scan_cost=1e308, wifi_price=2.0, price_3g=5.0,
+                          bonus=0.5, utility=UtilityFunction.tabular((1e308,) * (M - 1) + (0.0,)))
+    trace = ContactTrace("t", bits(3 * L + 5, 0.4, 8))
+    policy = Policy.from_thresholds(1, 4, M)   # always active: ages stay below M
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = simulate_policy(trace, params, policy, start_age=3)
+    parts = reference_parts(trace.slots, params, policy.action_at, 3)
+    assert result.total_reward == parts_total(parts)
+    assert result.fees_paid == math.fsum(fee for *_, fee in parts)
+    assert result.energy_spent == math.inf   # 1e308 on every one of 3L + 5 slots
+
+
+def test_exact_sums_of_counts_past_the_count_split():
+    # counts this large come only from very long replays: their 26-bit halves
+    # keep every product exact, which shows where two large products cancel;
+    # Fraction arithmetic rounds the exact sum once
+    rng = np.random.default_rng(5)
+    big = rng.integers(2**40, 2**52, 20)
+    counts = np.column_stack((big, big - rng.integers(0, 1000, 20), rng.integers(0, 2**52, 20)))
+    for values in (np.array([0.1, -0.1, 3.7e-9]), rng.uniform(-10, 10, 3)):
+        expected = [float(sum(Fraction(int(c)) * Fraction(v) for c, v in zip(row, values)))
+                    for row in counts]
+        assert tracesim._exact_sums(counts, values) == expected

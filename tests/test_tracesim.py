@@ -326,6 +326,21 @@ class TestPopulation:
         with pytest.raises(ValueError, match="round_slots"):
             simulate_population(users, linear_params(max_age=6), rounds=3, round_slots=0)
 
+    @pytest.mark.parametrize("record_ages", [False, True])
+    def test_negative_rounds_rejected(self, record_ages):
+        users = [UserAssignment(trace=iid_trace(0.5, 50, seed=1))]
+        with pytest.raises(ValueError, match="rounds must be >= 0"):
+            simulate_population(users, linear_params(max_age=6), rounds=-3, round_slots=10,
+                                record_ages=record_ages)
+
+    def test_zero_rounds_keep_the_start_state(self):
+        users = [UserAssignment(trace=iid_trace(0.5, 50, seed=1), start_age=4)]
+        result = simulate_population(users, linear_params(max_age=6), rounds=0, round_slots=10,
+                                     record_ages=True)
+        assert result.rounds == []
+        assert [(u.updates, u.total_reward, u.final_age) for u in result.users] == [(0, 0.0, 4)]
+        assert result.age_history.shape == (1, 0)
+
     def test_trace_env_needs_users(self):
         with pytest.raises(ValueError, match="at least one user"):
             trace_env([], linear_params(max_age=6), round_slots=10)
