@@ -224,6 +224,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
         if not args.traces:
             raise ValueError("--env trace needs --traces")
         corpus = tracesim.load_traces(args.traces)
+        if not corpus:
+            raise ValueError(f"no traces in {args.traces}")
 
         def env_factory(n: int) -> learning.RoundEnv:
             # half the population starts at the trace head, half mid-trace

@@ -5,8 +5,10 @@ knowledge of the population size or user strategies.
 The environment is a single callable bonus -> served requests per round, so
 the same controller runs against closed-form rates, a seeded chain simulator,
 or recorded traces.  Each environment computes the bonus edges once and reads
-every round's threshold off them; the simulated ones replay their users
-through ``model._replay``.
+every round's threshold off them; the simulated ones also build every
+threshold's action row once, and replay a round of all their users as the
+rows of one ``model._replay`` call: the chain env on one (slots, users) draw,
+the trace env on one gather of windows of its tiled traces.
 """
 from __future__ import annotations
 
@@ -153,9 +155,16 @@ def _env_response(params: SystemParams, n_users: int, round_slots: int) -> Calla
     def response(bonus: float) -> int:
         if not math.isfinite(bonus):
             raise ValueError(f"bonus must be finite, got {bonus}")
-        return int(np.searchsorted(neg_edges, -bonus, side="left"))
+        return int(neg_edges.searchsorted(-bonus, side="left"))
 
     return response
+
+
+def _threshold_actions(max_age: int) -> np.ndarray:
+    """The uint8 per-age action table of every threshold: row s - 1 is WiFi
+    from age s on, s in [1, max_age + 1]."""
+    ages = np.arange(1, max_age + 1)
+    return (ages >= np.arange(1, max_age + 2)[:, None]).astype(np.uint8)
 
 
 def expected_rate_env(params: SystemParams, n_users: int, round_slots: int) -> RoundEnv:
@@ -186,14 +195,14 @@ def chain_sim_env(
     round's contacts come from one (slots, users) draw, the same numbers as
     one ``rng.random(n_users)`` per slot.
     """
-    response = _env_response(params, n_users, round_slots)
+    response, actions = _env_response(params, n_users, round_slots), _threshold_actions(params.max_age)
     ages, policy = np.ones(n_users, dtype=int), np.zeros(n_users, dtype=int)
 
     def env(bonus: float) -> float:
         nonlocal ages
-        actions = (np.arange(1, params.max_age + 1) >= response(bonus))[None]
+        s = response(bonus)
         contacts = (rng.random((round_slots, n_users)) < params.contact_prob).T
-        run = model._replay(actions, policy, contacts, ages)
+        run = model._replay(actions[s - 1:s], policy, contacts, ages)
         ages = run[:, -1]
         return float(np.count_nonzero(run[:, 1:] == 1))
 

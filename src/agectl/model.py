@@ -212,6 +212,15 @@ def _step_table(codes: bytes, policies: int, M: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=64)
+def _last_ages(codes: bytes, policies: int, M: int) -> np.ndarray:
+    """The last column of ``_step_table``'s table for the same key, contiguous
+    and read-only: the age each k-slot step ends at, by table row."""
+    last = np.ascontiguousarray(_step_table(codes, policies, M)[:, -1])
+    last.flags.writeable = False
+    return last
+
+
 def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start: np.ndarray,
             stored: np.ndarray | None = None) -> np.ndarray:
     """The slot loop: ages along each row of a (rows, slots) 0/1 contact matrix.
@@ -223,17 +232,22 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
     before it ended with; chunks whose start changed rerun until none does, and
     every pass fixes at least one more chunk of each row.
 
-    Each iteration steps k slots at once: a row's next k contacts, packed
-    little-endian into a pattern, pick the k ages that follow from the table
-    of ``_step_table``, in one (rows, k) gather.  Rows are padded with
-    no-contact slots to whole steps and the result is cut back to slots + 1
-    columns.  k is the largest of 8, 4, 2 and 1 whose table fits TABLE_CELLS
-    cells, so it shrinks as policies x ages grow; at k = 1 the table is the
-    one-slot transition table.  Tables that fit are cached by the content of
-    ``actions``, not by the array, in a least-recently-used cache of 64
-    entries: at most 64 x TABLE_CELLS cells of uint16 ages, 64 MiB, stay
-    alive, and a threshold policy at M = 30 takes 60 KiB.  A k = 1 table too
-    large for the budget is built per call and not kept.
+    The loop steps k slots at once: a row's next k contacts, packed
+    little-endian into a pattern, and its age name a row of the table of
+    ``_step_table``, which holds the k ages that follow.  Each step carries
+    only the age a row ends the step at: one index add, and one gather from
+    the table's last column.  The step's table rows are kept, and after the
+    loop one gather of them from the full table gives all k ages of every
+    step; it is cut back to slots + 1 columns, since ``np.packbits`` pads a
+    row's last step with no-contact slots.  k is the largest of 8, 4, 2 and 1
+    whose table fits TABLE_CELLS cells, so it shrinks as policies x ages grow;
+    at k = 1 the table is the one-slot transition table and its own last
+    column.  Tables that fit, and their last columns, are cached by the
+    content of ``actions``, not by the array, in two least-recently-used
+    caches of 64 entries: each keeps at most 64 x TABLE_CELLS cells of uint16
+    ages, 64 MiB, alive, and a threshold policy at M = 30 takes 60 KiB of
+    table and 7.5 KiB of column.  A k = 1 table too large for the budget is
+    built per call and not kept.
 
     ``stored`` holds the ages an earlier pass found for the same rows from
     other starts.  A block of rows then steps only until, at some step
@@ -261,8 +275,12 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
         return np.column_stack((ages[:, :, :L].reshape(rows, -1)[:, :n],
                                 ages[:, -1, n - (parts - 1) * L]))
     actions = np.ascontiguousarray(actions, np.uint8)
-    build = _step_table if 2 * actions.size <= TABLE_CELLS else _step_table.__wrapped__
-    table = build(actions.tobytes(), *actions.shape)
+    key = (actions.tobytes(), *actions.shape)
+    if 2 * actions.size <= TABLE_CELLS:
+        table, last = _step_table(*key), _last_ages(*key)
+    else:   # k = 1: the table is its own last column
+        table = _step_table.__wrapped__(*key)
+        last = table[:, -1]
     k = table.shape[1]
     steps = -(-n // k)
     ages = np.empty((rows, n + 1), dtype)
@@ -270,26 +288,26 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
     per = max(1, BLOCK_CELLS // n)   # rows per block
     for lo in range(0, rows, per):
         out = ages[lo:lo + per]
-        bits = np.zeros((len(out), -(-n // 8) * 8), np.uint8)
-        bits[:, :n] = contacts[lo:lo + per]
         # each byte holds the patterns of 8 // k steps, the first in the low bits
-        packed = np.packbits(bits, bitorder="little").reshape(len(out), -1, 1)
-        pattern = (packed >> np.arange(0, 8, k, dtype=np.uint8)) & ((1 << k) - 1)
+        pattern = np.packbits(np.ascontiguousarray(contacts[lo:lo + per]), axis=1, bitorder="little")
+        if k < 8:
+            pattern = (pattern[..., None] >> np.arange(0, 8, k, dtype=np.uint8)) & ((1 << k) - 1)
         # code + age is the table row of (policy, pattern, age - 1), step-major
         code = np.multiply(pattern.reshape(len(out), -1)[:, :steps].T, np.intp(M), order="C")
-        code += policy[lo:lo + per] * (M << k) - 1
-        block = np.empty((steps, len(out), k), dtype)
+        if len(actions) > 1:   # one row of actions takes policy 0, at offset 0
+            code += policy[lo:lo + per] * (M << k)
+        code -= 1
         age = out[:, 0].copy()
         old = None if stored is None else stored[lo:lo + per, :n:k].T
         met = steps
-        for s in range(steps):
+        for s, row in enumerate(code):
             if old is not None and age.tobytes() == old[s].tobytes():   # the runs met
                 met = s
                 break
-            table.take(code[s] + age, axis=0, out=block[s], mode="clip")
-            age = block[s, :, -1]
+            row += age   # now the table row of step s
+            last.take(row, out=age, mode="clip")
         done = min(met * k, n)
-        out[:, 1:done + 1] = block[:met].transpose(1, 0, 2).reshape(len(out), -1)[:, :done]
+        out[:, 1:done + 1] = table.take(code[:met].T, axis=0, mode="clip").reshape(len(out), -1)[:, :done]
         if met < steps:
             out[:, done:] = stored[lo:lo + per, done:]
     return ages

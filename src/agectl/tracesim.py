@@ -314,8 +314,7 @@ def best_trace_threshold(
 def _threshold_means(trace: ContactTrace, params: SystemParams, replications: int,
                      start_age: int) -> list[float]:
     """``replayed_average_reward`` of every threshold s in [1, M+1], in order."""
-    ages = np.arange(1, params.max_age + 1)
-    totals = _replay_rotations(trace, params, ages >= np.arange(1, params.max_age + 2)[:, None],
+    totals = _replay_rotations(trace, params, learning._threshold_actions(params.max_age),
                                replications, start_age)[2]
     return [total / (len(trace) * replications) for total in totals]
 
@@ -354,8 +353,20 @@ def generate_corpus(
     minutes).  The first slot of every run is a terminal visit: it carries the
     location mask and a near-certain contact.  Remaining slots draw i.i.d.
     contacts with a residual probability chosen so the shift's expected
-    contact fraction hits a target drawn around ``median_p``.
+    contact fraction hits a target drawn around ``median_p``.  Invalid settings
+    raise ValueError before anything is drawn.
     """
+    if n_shifts < 0:
+        raise ValueError(f"number of shifts must be >= 0, got {n_shifts}")
+    if not 0.0 <= median_p <= 1.0:   # false for nan too
+        raise ValueError(f"median_p must be a probability in [0, 1], got {median_p}")
+    if not 0.0 <= p_spread < math.inf:
+        raise ValueError(f"p_spread must be finite and >= 0, got {p_spread}")
+    if not 0.0 <= terminal_contact_prob <= 1.0:
+        raise ValueError(f"terminal_contact_prob must be in [0, 1], got {terminal_contact_prob}")
+    for name, (lo, hi) in (("runs_per_shift", runs_per_shift), ("run_slots", run_slots)):
+        if not 1 <= lo <= hi:
+            raise ValueError(f"{name} must be an ordered range of positive counts, got {(lo, hi)}")
     rng = np.random.default_rng(seed)
     corpus = []
     for i in range(n_shifts):
@@ -400,7 +411,11 @@ class PopulationResult:
 class _Cohort:
     """Users replaying their traces cyclically from their phases; ages, trace
     positions and, unless ``totals`` is off, the counts behind each user's
-    reward total carry over from one round to the next."""
+    reward total carry over from one round to the next.
+
+    Each distinct trace is tiled once to at least len + round_slots slots, so
+    the round_slots slots from any position are one window of its tiles, and
+    a round reads every user's contacts in one gather of windows."""
 
     def __init__(self, users: Sequence[UserAssignment], params: SystemParams, round_slots: int,
                  totals: bool = True):
@@ -409,32 +424,33 @@ class _Cohort:
             if not 1 <= ua.start_age <= params.max_age:
                 raise ValueError(f"start age {ua.start_age} outside [1, {params.max_age}]")
         traces = {id(ua.trace): ua.trace for ua in users}   # each distinct trace once
-        offset = dict(zip(traces, np.cumsum([0] + [len(t) for t in traces.values()]).tolist()))
-        self.slots = np.concatenate([t.slot_bits for t in traces.values()])
+        tiles = [np.tile(t.slot_bits, -(-(len(t) + round_slots) // len(t))) for t in traces.values()]
+        offset = dict(zip(traces, np.cumsum([0] + [len(t) for t in tiles]).tolist()))
+        self.windows = np.lib.stride_tricks.sliding_window_view(np.concatenate(tiles), round_slots)
         self.offset = np.array([offset[id(ua.trace)] for ua in users])
         self.length = np.array([len(ua.trace) for ua in users])
         self.pos = np.array([ua.phase for ua in users]) % self.length
         self.ages = np.array([ua.start_age for ua in users])
+        self.actions, self.policy = learning._threshold_actions(params.max_age), np.zeros(len(users), int)
         # each user's slots at each age, flat at user * M + age - 1, and active
         # slots; per round each user's WiFi updates and the value of one
         self.by_age = np.zeros(len(users) * params.max_age, np.int64) if totals else None
         self.active, self.served, self.fees = np.zeros(len(users), np.int64), [], []
-        self.steps, self.params = np.arange(round_slots), params
+        self.round_slots, self.params = round_slots, params
 
     def round(self, bonus: float) -> np.ndarray:
         """Ages (users, slots + 1) of one round at the threshold for ``bonus``."""
         M, s = self.params.max_age, self.response(bonus)
-        cells = self.offset[:, None] + (self.pos[:, None] + self.steps) % self.length[:, None]
-        policy, contacts = np.zeros(len(cells), int), self.slots[cells]
-        ages = model._replay((np.arange(1, M + 1) >= s)[None], policy, contacts, self.ages)
+        contacts = self.windows[self.offset + self.pos]
+        ages = model._replay(self.actions[s - 1:s], self.policy, contacts, self.ages)
         if self.by_age is not None:
             before = ages[:, :-1]
-            self.by_age += np.bincount((M * np.arange(len(cells))[:, None] + before - 1).ravel(),
+            self.by_age += np.bincount((M * np.arange(len(ages))[:, None] + before - 1).ravel(),
                                        minlength=self.by_age.size)
             self.active += np.count_nonzero(before >= s, axis=1)
             self.served.append(np.count_nonzero(ages[:, 1:] == 1, axis=1))   # all over WiFi
             self.fees.append(_values(self.params, bonus)[-2])
-        self.ages, self.pos = ages[:, -1], (self.pos + len(self.steps)) % self.length
+        self.ages, self.pos = ages[:, -1], (self.pos + self.round_slots) % self.length
         return ages
 
 

@@ -142,6 +142,15 @@ class TestLearn:
         assert code == 2
         assert "at least one user" in err
 
+    @pytest.mark.parametrize("text", ["", "# a comment and no traces\n"])
+    def test_trace_env_without_traces_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "learn", "--env", "trace", "--traces", str(path))
+        assert code == 2
+        assert out == ""
+        assert "no traces" in err
+
     def test_unknown_preset_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "learn", "--preset", "bogus")
@@ -166,6 +175,15 @@ class TestSimulateAndGen:
         rows = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert rows[0].startswith("shift_id,p_hat,s_trace,s_model")
         assert len(rows) == 1 + 5
+
+    @pytest.mark.parametrize("argv", [["--shifts", "-1"], ["--median-p", "2"],
+                                      ["--median-p", "nan"], ["--median-p", "-0.5"]])
+    def test_invalid_corpus_settings_exit_2(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "corpus.txt"
+        code, out, err = run(capsys, "gen-traces", *argv, "--output", str(out_path))
+        assert code == 2
+        assert not out_path.exists()
+        assert err.startswith("agectl: ")
 
     def test_missing_trace_file_exits_2(self, capsys):
         code, _, err = run(capsys, "simulate", "--traces", "missing.txt", "--M", "12", "--p", "0.5")

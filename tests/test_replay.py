@@ -136,6 +136,53 @@ def test_trace_env_serves_what_the_population_serves(n_users, round_slots, round
     assert [env(r.bonus) for r in result.rounds] == [float(r.served) for r in result.rounds]
 
 
+def modulo_population(users, params, round_slots, bonuses):
+    """Served updates per round and final ages of users replaying their traces
+    slot by slot, reading slot (phase + t) mod len at round time t: the oracle
+    for the windowed contacts of a population round."""
+    served, ages = [], []
+    for ua in users:
+        n, age, mine = len(ua.trace), ua.start_age, []
+        for r, bonus in enumerate(bonuses):
+            action_at, updates = threshold_action(int(threshold_response(params, [bonus])[0])), 0
+            for t in range(r * round_slots, (r + 1) * round_slots):
+                age = next_age(age, action_at(age), ua.trace.slots[(ua.phase + t) % n], params.max_age)
+                updates += age == 1
+            mine.append(updates)
+        served.append(mine)
+        ages.append(age)
+    return [float(sum(col)) for col in zip(*served)], ages
+
+
+@pytest.mark.parametrize("geometry", ["one-slot traces", "phases past the length", "one shared trace"])
+def test_population_rounds_match_modulo_indexing(geometry):
+    rng = np.random.default_rng(len(geometry))
+    M = 12
+    params = SystemParams(contact_prob=0.5, max_age=M, utility=UtilityFunction.linear(M),
+                          scan_cost=0.3, wifi_price=6.0)
+    if geometry == "one-slot traces":   # rounds far longer than the traces
+        round_slots, traces = 1000, [ContactTrace("on", (1,)), ContactTrace("off", (0,))]
+        users = [UserAssignment(traces[i % 2], phase=i, start_age=1 + i % M) for i in range(4)]
+    elif geometry == "phases past the length":
+        round_slots = 7
+        users = [UserAssignment(ContactTrace(f"u{i}", bits(n, 0.4, i)), phase=phase,
+                                start_age=int(rng.integers(1, M + 1)))
+                 for i, (n, phase) in enumerate([(5, 5), (5, 13), (9, 9 * 40 + 2), (1, 3), (31, 1000)])]
+    else:   # many users on one trace object, from every phase and beyond
+        round_slots, trace = 23, ContactTrace("bus", bits(37, 0.5, 3))
+        users = [UserAssignment(trace, phase=3 * i, start_age=1 + i % M) for i in range(150)]
+    controller = LearningConfig(max_bonus=6.0, target_rate=0.5 * len(users), round_slots=round_slots,
+                                learning_rate=5.0, initial_bonus=3.0)
+    result = simulate_population(users, params, 5, round_slots, controller=controller)
+    bonuses = [r.bonus for r in result.rounds]
+    served, ages = modulo_population(users, params, round_slots, bonuses)
+    assert [float(r.served) for r in result.rounds] == served
+    assert [u.final_age for u in result.users] == ages
+    env = trace_env(users, params, round_slots)
+    assert [env(b) for b in bonuses] == served
+    assert len(set(served)) > 1 or geometry == "one-slot traces"   # the bonus moved the threshold
+
+
 @given(st.integers(1, 40), st.integers(1, 30), st.lists(st.floats(0, 40), min_size=1, max_size=8),
        st.integers(0, 2**32 - 1))
 def test_chain_env_draws_one_number_per_user_slot(n_users, round_slots, bonuses, seed):
@@ -313,10 +360,43 @@ def test_step_tables_are_cached_by_content_read_only_and_bounded():
     with pytest.raises(ValueError):
         table[0, 0] = 1
     assert model._step_table.cache_info().maxsize == 64
+    # the last-age column is cached next to it, by the same key and bound
+    last = model._last_ages(actions.tobytes(), *actions.shape)
+    assert last.flags.c_contiguous and not last.flags.writeable
+    with pytest.raises(ValueError):
+        last[0] = 1
+    np.testing.assert_array_equal(last, table[:, -1])
+    assert model._last_ages(bytes(bytearray(actions.tobytes())), *actions.shape) is last
+    assert model._last_ages.cache_info().maxsize == 64
     # the same array changed in place keys a new table
     actions[0] = threshold_table(M, [(M + 1, None)])[0]
     actions[1, ::2] = Action.WIFI_THEN_3G
     assert_replay_equals_stepped(actions, policy, contacts, start)
+    changed = model._last_ages(actions.tobytes(), *actions.shape)
+    assert changed is not last
+    np.testing.assert_array_equal(changed, model._step_table(actions.tobytes(), *actions.shape)[:, -1])
+
+
+@pytest.mark.parametrize("n", [1, 7, 13, 2 * L + 3])
+@pytest.mark.parametrize("policies, M, k", [(1, 12, 8), (4, 300, 4), (40, 300, 2), (300, 300, 1)])
+def test_replay_ages_on_every_contact_layout(policies, M, k, n):
+    # the callers' layouts: bool and uint8 rows, the chain env's (slots, rows)
+    # draw transposed to Fortran order, and windows of one tiled trace, both
+    # as overlapping strided rows and gathered; n = 7 and 13 end inside a step
+    rng = np.random.default_rng(policies * n)
+    actions = rng.integers(0, 3, (policies, M)).astype(np.uint8)
+    assert step_size(actions) == k
+    rows = 5
+    policy = rng.integers(0, policies, rows)
+    start = rng.integers(1, M + 1, rows)
+    draw = rng.random((n, rows)) < 0.3
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(draw[:, 0].astype(np.uint8), rows + 1), n)
+    layouts = [np.ascontiguousarray(draw.T), draw.T.astype(np.uint8), draw.T,
+               windows[:rows], windows[np.array([0, n - 1, 2, n, 1]) % len(windows)]]
+    assert layouts[2].flags.f_contiguous and (n == 1 or not layouts[2].flags.c_contiguous)
+    for contacts in layouts:
+        expected = stepped_ages(actions, policy, contacts, start)
+        np.testing.assert_array_equal(model._replay(actions, policy, contacts, start), expected)
 
 
 def phases_total(trace, params, action_at, reps, start):

@@ -281,6 +281,34 @@ class TestCorpusGenerator:
         b = generate_corpus(10, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(n_shifts=-1), "shifts"),
+        (dict(median_p=2.0), "median_p"),
+        (dict(median_p=-0.1), "median_p"),
+        (dict(median_p=float("nan")), "median_p"),
+        (dict(median_p=float("inf")), "median_p"),
+        (dict(p_spread=-0.01), "p_spread"),
+        (dict(p_spread=float("nan")), "p_spread"),
+        (dict(p_spread=float("inf")), "p_spread"),
+        (dict(runs_per_shift=(5, 4)), "runs_per_shift"),
+        (dict(runs_per_shift=(0, 4)), "runs_per_shift"),
+        (dict(run_slots=(16, 8)), "run_slots"),
+        (dict(run_slots=(0, 0)), "run_slots"),
+        (dict(terminal_contact_prob=1.5), "terminal_contact_prob"),
+        (dict(terminal_contact_prob=float("nan")), "terminal_contact_prob"),
+    ])
+    def test_invalid_settings_rejected(self, kwargs, match):
+        settings = {"n_shifts": 3, "seed": 1, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            generate_corpus(**settings)
+
+    def test_edge_settings_accepted(self):
+        assert generate_corpus(0, seed=1) == []
+        corpus = generate_corpus(4, seed=2, median_p=0.0, p_spread=0.0, runs_per_shift=(1, 1),
+                                 run_slots=(1, 1), terminal_contact_prob=1.0)
+        assert [len(t) for t in corpus] == [1] * 4
+        assert all(t.slots == t.mask == (1,) for t in corpus)
+
 
 class TestPopulation:
     def test_identical_users_stay_synchronized(self):
