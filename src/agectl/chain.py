@@ -12,9 +12,6 @@ import numpy as np
 
 from .model import BLOCK_CELLS, Action, Policy, SystemParams
 
-#: absolute tolerance used when detecting reward ties between thresholds
-TIE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ChainSummary:

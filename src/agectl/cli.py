@@ -23,7 +23,7 @@ import numpy as np
 
 from . import chain, learning, publisher, thresholds, tracesim
 from .model import SystemParams, params_from_mapping, read_mapping
-from .solver import ConvergenceError, solve_user_problem, verify_threshold_structure
+from .solver import DEFAULT_TOL, ConvergenceError, solve_user_problem, verify_threshold_structure
 
 USAGE_ERROR, INPUT_ERROR, NO_CONVERGENCE = 1, 2, 3
 
@@ -282,7 +282,7 @@ def make_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="solve the user problem (MDP + closed form)")
     _add_param_flags(p_solve)
     _add_output_flags(p_solve)
-    p_solve.add_argument("--tol", type=float, default=1e-10)
+    p_solve.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p_sweep = sub.add_parser("sweep", help="reward/age per threshold, or a parameter sweep")
     _add_param_flags(p_sweep)

@@ -15,6 +15,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 
+#: rewards, action values and bonus edges this close tie: an absolute margin in the
+#: money units shared by the utility, the costs, the prices and the bonus
+TIE_TOL = 1e-9
+#: float-noise slack in the same units: a utility that rises with age, a bonus past its
+#: cap, or a replayed mean ahead of the best, by at most this, counts as not doing so
+SLACK_TOL = 1e-12
+
+
 class Action(IntEnum):
     INACTIVE = 0
     WIFI = 1
@@ -44,7 +52,7 @@ class UtilityFunction:
         if self.step_cutoff is not None and self.step_cutoff < 1:
             raise ValueError(f"step cutoff must be >= 1, got {self.step_cutoff}")
         for a, b in zip(self.values, self.values[1:]):
-            if b > a + 1e-12:
+            if b > a + SLACK_TOL:
                 raise ValueError(f"utility must be non-increasing, got {a} -> {b}")
 
     @property
@@ -124,7 +132,7 @@ class SystemParams:
             elif self.price_3g < 0:
                 raise ValueError("3G price must be nonnegative")
         cap = self.wifi_price if self.price_3g is None else min(self.wifi_price, self.price_3g)
-        if not 0 <= self.bonus <= cap + 1e-12:
+        if not 0 <= self.bonus <= cap + SLACK_TOL:
             raise ValueError(f"bonus must lie in [0, {cap}], got {self.bonus}")
         if self.utility.max_age != self.max_age:
             raise ValueError(
@@ -186,9 +194,10 @@ TABLE_CELLS = 1 << 19
 
 
 @functools.lru_cache(maxsize=64)
-def _step_table(codes: bytes, policies: int, M: int) -> np.ndarray:
-    """The ages after each slot of a k-slot step, read-only, for the uint8
-    action table of ``policies`` rows of M ages held in ``codes``.
+def _step_table(codes: bytes, policies: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ages after each slot of a k-slot step, and that table's last column
+    made contiguous, both read-only, for the uint8 action table of
+    ``policies`` rows of M ages held in ``codes``.
 
     Row ((policy * 2**k + pattern) * M + age - 1) holds the k ages that follow
     the age ``age`` when bit j of ``pattern`` is the contact of the step's slot
@@ -209,16 +218,9 @@ def _step_table(codes: bytes, policies: int, M: int) -> np.ndarray:
         table = both.reshape(policies, patterns * patterns, M, -1)
     table = table.reshape(-1, k)
     table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=64)
-def _last_ages(codes: bytes, policies: int, M: int) -> np.ndarray:
-    """The last column of ``_step_table``'s table for the same key, contiguous
-    and read-only: the age each k-slot step ends at, by table row."""
-    last = np.ascontiguousarray(_step_table(codes, policies, M)[:, -1])
+    last = np.ascontiguousarray(table[:, -1])
     last.flags.writeable = False
-    return last
+    return table, last
 
 
 def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start: np.ndarray,
@@ -242,12 +244,12 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
     row's last step with no-contact slots.  k is the largest of 8, 4, 2 and 1
     whose table fits TABLE_CELLS cells, so it shrinks as policies x ages grow;
     at k = 1 the table is the one-slot transition table and its own last
-    column.  Tables that fit, and their last columns, are cached by the
-    content of ``actions``, not by the array, in two least-recently-used
-    caches of 64 entries: each keeps at most 64 x TABLE_CELLS cells of uint16
-    ages, 64 MiB, alive, and a threshold policy at M = 30 takes 60 KiB of
-    table and 7.5 KiB of column.  A k = 1 table too large for the budget is
-    built per call and not kept.
+    column.  Tables that fit are cached with their last columns by the
+    content of ``actions``, not by the array, in one least-recently-used
+    cache of 64 entries: it keeps at most 64 x TABLE_CELLS cells of uint16
+    ages, 64 MiB, and their columns alive, and a threshold policy at M = 30
+    takes 60 KiB of table and 7.5 KiB of column.  A k = 1 table too large for
+    the budget is built per call and not kept.
 
     ``stored`` holds the ages an earlier pass found for the same rows from
     other starts.  A block of rows then steps only until, at some step
@@ -276,11 +278,7 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
                                 ages[:, -1, n - (parts - 1) * L]))
     actions = np.ascontiguousarray(actions, np.uint8)
     key = (actions.tobytes(), *actions.shape)
-    if 2 * actions.size <= TABLE_CELLS:
-        table, last = _step_table(*key), _last_ages(*key)
-    else:   # k = 1: the table is its own last column
-        table = _step_table.__wrapped__(*key)
-        last = table[:, -1]
+    table, last = (_step_table if 2 * actions.size <= TABLE_CELLS else _step_table.__wrapped__)(*key)
     k = table.shape[1]
     steps = -(-n // k)
     ages = np.empty((rows, n + 1), dtype)

@@ -6,16 +6,16 @@ two is a core correctness check.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .model import Action, Policy, SystemParams
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
-#: actions within this margin of the best are treated as ties (cheapest wins)
-ACTION_TIE_TOL = 1e-9
 #: RVI sweeps run between two convergence checks (see :func:`solve_user_problem`)
 SWEEP_BATCH = 16
 
@@ -86,21 +86,19 @@ def bellman_values(
     return f0, f1, f2
 
 
-def _action_value_arrays(v: np.ndarray, params: SystemParams) -> list[np.ndarray]:
-    """Vectorized F(a, .) over all ages for the current relative values."""
-    p = params.contact_prob
+def _action_terms(params: SystemParams, v0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The terms of the action values over all ages that do not read V(x+1),
+    for the value v₀ = V(1), in the float order of :func:`bellman_values`:
+    u, F1's base (u − G) + p·(v₀ − P + B), and F2 = ((((u − G) + v₀) − p·P)
+    − (1−p)·P3G) + B, None without 3G.  F0 = u + V(x+1) and
+    F1 = base + (1−p)·V(x+1) complete them."""
+    p, q = params.contact_prob, 1.0 - params.contact_prob
     u = np.asarray(params.utility.values)
-    vnext = np.append(v[1:], v[-1])  # V(min(x+1, M))
-    f0 = u + vnext
-    f1 = u - params.scan_cost + p * (v[0] - params.wifi_price + params.bonus) + (1.0 - p) * vnext
-    values = [f0, f1]
+    f1_base = u - params.scan_cost + p * (v0 - params.wifi_price + params.bonus)
+    f2 = None
     if params.has_3g:
-        f2 = (
-            u - params.scan_cost + v[0]
-            - p * params.wifi_price - (1.0 - p) * params.price_3g + params.bonus
-        )
-        values.append(f2)
-    return values
+        f2 = u - params.scan_cost + v0 - p * params.wifi_price - q * params.price_3g + params.bonus
+    return u, f1_base, f2
 
 
 def solve_user_problem(
@@ -120,7 +118,7 @@ def solve_user_problem(
     order of :func:`bellman_values`: F1 = ((u − G) + p·(v₀ − P + B)) + (1−p)·V(x+1)
     and F2 = ((((u − G) + v₀) − p·P) − (1−p)·P3G) + B.  The gauge step leaves
     v₀ = V(1) at exactly 0.0 in every sweep, so the terms without V(x+1) are
-    computed once, with the same operations, before the loop.
+    computed once, by :func:`_action_terms`, before the loop.
 
     Sweeps run in batches of ``SWEEP_BATCH``: sweep j of a batch reads its
     state from row j of a buffer and writes its Bellman differences to row j
@@ -135,21 +133,13 @@ def solve_user_problem(
     span up to the sign of a zero, which ``<=`` ignores; the gain, whose sign
     bit could see it, comes from the row's own ``max`` and ``min``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     M = params.max_age
-    p, q = params.contact_prob, 1.0 - params.contact_prob
-    v0 = 0.0
-    u = np.asarray(params.utility.values)
-    f1_base = u - params.scan_cost + p * (v0 - params.wifi_price + params.bonus)
-    f2 = None
-    if params.has_3g:
-        f2 = (
-            u - params.scan_cost + v0
-            - p * params.wifi_price - q * params.price_3g + params.bonus
-        )
+    q = 1.0 - params.contact_prob
+    u, f1_base, f2 = _action_terms(params, 0.0)
     # row j holds V(1..M) and then V(M) again, so w[1:][x - 1] = V(min(x + 1, M))
     states = np.zeros((SWEEP_BATCH + 1, M + 1))
     deltas = np.empty((SWEEP_BATCH, M))
@@ -197,12 +187,14 @@ def solve_user_problem(
         states[0] = states[n]
 
 
-def greedy_policy(
-    value: ValueFunction, params: SystemParams, tie_tol: float = ACTION_TIE_TOL
-) -> Policy:
-    """Per-age argmax over action values; ties go to the lower-numbered action."""
-    fs = _action_value_arrays(np.asarray(value.values), params)
-    cut = np.maximum.reduce(fs) - tie_tol
+def greedy_policy(value: ValueFunction, params: SystemParams) -> Policy:
+    """Per-age argmax over action values; actions within ``model.TIE_TOL`` of
+    the best tie, and ties go to the lower-numbered action."""
+    v = np.asarray(value.values)
+    u, f1_base, f2 = _action_terms(params, v[0])
+    vnext = np.append(v[1:], v[-1])  # V(min(x+1, M))
+    fs = [u + vnext, f1_base + (1.0 - params.contact_prob) * vnext] + ([] if f2 is None else [f2])
+    cut = np.maximum.reduce(fs) - model.TIE_TOL
     actions = np.where(
         fs[0] >= cut, Action.INACTIVE, np.where(fs[1] >= cut, Action.WIFI, Action.WIFI_THEN_3G)
     )

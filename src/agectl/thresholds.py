@@ -9,10 +9,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import chain
+from . import chain, model
 from .model import SystemParams
 
 _INV_E = math.exp(-1.0)
+_LAMBERT_TOL, _LAMBERT_MAX_ITER = 1e-12, 100   # relative residual bound, Halley step cap
 
 
 @dataclass(frozen=True)
@@ -52,24 +53,24 @@ def _first_crossing(rewards: np.ndarray) -> int:
     return len(rewards)
 
 
-def _optima(rewards: np.ndarray, tie_tol: float) -> tuple[int, ...]:
-    best = float(np.max(rewards))
-    return tuple(int(s) for s in range(1, len(rewards) + 1) if rewards[s - 1] >= best - tie_tol)
+def _optima(rewards: np.ndarray) -> tuple[int, ...]:
+    cut = float(np.max(rewards)) - model.TIE_TOL
+    return tuple(int(s) for s in range(1, len(rewards) + 1) if rewards[s - 1] >= cut)
 
 
-def optimal_threshold(params: SystemParams, tie_tol: float = chain.TIE_TOL) -> ThresholdResult:
+def optimal_threshold(params: SystemParams) -> ThresholdResult:
     """Optimal WiFi threshold by the first-crossing rule over s in [1, M+1].
 
     Unimodality of the reward curve makes the first crossing coincide with the
-    argmax; ``all_optima`` collects every threshold within ``tie_tol`` of the
-    maximum.
+    argmax; ``all_optima`` collects every threshold within ``model.TIE_TOL``
+    of the maximum.
     """
     rewards = chain.threshold_reward_curve(params)
     s_star = _first_crossing(rewards)
     return ThresholdResult(
         s_star=s_star,
         reward=float(rewards[s_star - 1]),
-        all_optima=_optima(rewards, tie_tol),
+        all_optima=_optima(rewards),
         always_active=always_active(params),
         always_inactive=always_inactive(params),
     )
@@ -97,11 +98,11 @@ def always_inactive(params: SystemParams) -> bool:
     return total <= params.scan_cost / params.contact_prob + params.wifi_price - params.bonus
 
 
-def lambert_w(x: float, tol: float = 1e-12, max_iter: int = 100) -> float:
+def lambert_w(x: float) -> float:
     """Principal branch of the Lambert W function: w with w * e^w = x.
 
     Defined for x >= -1/e.  Halley iterations from a branch-aware start point;
-    the residual |w e^w - x| is driven below ``tol * max(1, |x|)``.
+    the residual |w e^w - x| is driven below ``_LAMBERT_TOL * max(1, |x|)``.
     """
     if x < -_INV_E - 1e-15:
         raise ValueError(f"lambert_w needs x >= -1/e, got {x}")
@@ -116,8 +117,8 @@ def lambert_w(x: float, tol: float = 1e-12, max_iter: int = 100) -> float:
     else:
         lx = math.log(x)
         w = lx - math.log(lx)
-    target = tol * max(1.0, abs(x))
-    for _ in range(max_iter):
+    target = _LAMBERT_TOL * max(1.0, abs(x))
+    for _ in range(_LAMBERT_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - x
         if abs(f) <= target:
@@ -148,9 +149,7 @@ def _step_interior_root(params: SystemParams) -> float | None:
     return -(p + w * p + lnq * (1.0 - p)) / (lnq * p)
 
 
-def step_utility_threshold(
-    params: SystemParams, tie_tol: float = chain.TIE_TOL
-) -> ThresholdResult:
+def step_utility_threshold(params: SystemParams) -> ThresholdResult:
     """Optimal threshold for a step utility from the six candidates
     {1, k-1, floor(phi), ceil(phi), M, M+1}, each clamped to [1, M+1], phi
     being the Lambert-W interior stationary point.  Falls back to the
@@ -161,7 +160,7 @@ def step_utility_threshold(
     phi = _step_interior_root(params)
     fallback = phi is None
     if fallback:
-        result = optimal_threshold(params, tie_tol)
+        result = optimal_threshold(params)
         return replace(result, fallback_sweep=True)
 
     k = params.utility.step_cutoff
@@ -170,7 +169,7 @@ def step_utility_threshold(
     )
     rewards = {s: chain.expected_reward_threshold(params, s) for s in candidates}
     best = max(rewards.values())
-    winners = tuple(s for s in candidates if rewards[s] >= best - tie_tol)
+    winners = tuple(s for s in candidates if rewards[s] >= best - model.TIE_TOL)
     s_star = winners[0]
     return ThresholdResult(
         s_star=s_star,
@@ -181,70 +180,66 @@ def step_utility_threshold(
     )
 
 
-def enumerate_optimal_thresholds(
-    params: SystemParams, tie_tol: float = chain.TIE_TOL
-) -> tuple[tuple[int, ...], bool]:
+def enumerate_optimal_thresholds(params: SystemParams) -> tuple[tuple[int, ...], bool]:
     """All maximizers of E[r; s] by full sweep, plus the degeneracy flag
     (three or more optima, which forces the optimal reward to zero and puts
     always-inactive among the optima)."""
     rewards = chain.threshold_reward_curve(params)
-    optima = _optima(rewards, tie_tol)
+    optima = _optima(rewards)
     return optima, len(optima) >= 3
 
 
-def multi_optimum_condition(params: SystemParams, tie_tol: float = chain.TIE_TOL) -> bool:
+def multi_optimum_condition(params: SystemParams) -> bool:
     """Closed-form condition for three or more optimal thresholds:
     some m < M - 1 has cumulative utility below m exactly equal to the cycle
     cost while the utility vanishes beyond m.  Kept as an independent
     cross-check of the sweep-based enumeration."""
     u = params.utility.values
     cost = params.scan_cost / params.contact_prob + params.wifi_price - params.bonus
-    head = 0.0
+    head, tie = 0.0, model.TIE_TOL
     for m in range(1, params.max_age - 1):
-        if abs(head - cost) <= tie_tol and all(x <= tie_tol for x in u[m:]):
+        if abs(head - cost) <= tie and all(x <= tie for x in u[m:]):
             return True
         head += u[m - 1]
     return False
 
 
-def optimal_two_thresholds(
-    params: SystemParams, tie_tol: float = chain.TIE_TOL
-) -> TwoThresholdResult:
+def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     """Best (s_wifi, s_3g) pair by exhaustive closed-form evaluation.
 
     When the 3G price is dominated by the WiFi cycle cost G/p + P the WiFi
     band is empty and only the 3G-only family competes with always-inactive;
     otherwise the full triangular grid plus the WiFi-only edge is searched.
-    Every pair within ``tie_tol`` of the best reward ties; ties prefer smaller
-    s_3g, then smaller s_wifi (least escalation).  Always-inactive wins unless
-    some pair earns more than ``tie_tol``.
+    Every pair within ``model.TIE_TOL`` of the best reward ties; ties prefer
+    smaller s_3g, then smaller s_wifi (least escalation).  Always-inactive wins
+    unless some pair earns more than ``model.TIE_TOL``.
     """
     if not params.has_3g:
         raise ValueError("optimal_two_thresholds needs a finite 3G price")
     M = params.max_age
     p = params.contact_prob
-    never = M + 1
+    never, tie = M + 1, model.TIE_TOL
 
     if params.price_3g <= params.scan_cost / p + params.wifi_price:
         only_3g = chain.reward_curve_3g_only(params)
         top = float(only_3g.max())
-        if top <= tie_tol:
+        if top <= tie:
             return TwoThresholdResult(s_wifi=never, s_3g=never, reward=0.0)
-        s3 = int(np.argmax(only_3g >= top - tie_tol)) + 1
+        s3 = int(np.argmax(only_3g >= top - tie)) + 1
         return TwoThresholdResult(s_wifi=s3, s_3g=s3, reward=float(only_3g[s3 - 1]))
 
     wifi_only = chain.threshold_reward_curve(params)[:M]
     grid = chain.two_threshold_reward_grid(params)
     column_top = grid.max(axis=0)
     top = max(float(column_top.max()), float(wifi_only.max()))
-    if top <= tie_tol:
+    if top <= tie:
         return TwoThresholdResult(s_wifi=never, s_3g=never, reward=0.0)
-    columns = column_top >= top - tie_tol
+    columns = column_top >= top - tie
     if columns.any():
         s3 = int(np.argmax(columns)) + 1
-        s_w = int(np.argmax(grid[:, s3 - 1] >= top - tie_tol)) + 1
+        s_w = int(np.argmax(grid[:, s3 - 1] >= top - tie)) + 1
         return TwoThresholdResult(s_wifi=s_w, s_3g=s3, reward=float(grid[s_w - 1, s3 - 1]))
-    s_w = int(np.argmax(wifi_only >= top - tie_tol)) + 1
+    s_w = int(np.argmax(wifi_only >= top - tie)) + 1
     return TwoThresholdResult(s_wifi=s_w, s_3g=never, reward=float(wifi_only[s_w - 1]))
 
 
@@ -259,13 +254,13 @@ def bonus_edges(params: SystemParams) -> np.ndarray:
     answer exactly on ``edges[s] <= B < edges[s - 1]``.
 
     Breakpoints that coincide in exact arithmetic (step and flat utilities)
-    come out split by float noise; an edge within ``chain.TIE_TOL`` below the
+    come out split by float noise; an edge within ``model.TIE_TOL`` below the
     one before it takes that edge's value, so no threshold gets a sliver of
     an interval that no real bonus can induce.
     """
     base, slope = chain.threshold_reward_affine(params)
     edges = np.minimum.accumulate(np.diff(base) / -np.diff(slope))
-    starts = np.concatenate(([True], np.diff(edges) < -chain.TIE_TOL))
+    starts = np.concatenate(([True], np.diff(edges) < -model.TIE_TOL))
     edges = edges[np.maximum.accumulate(np.where(starts, np.arange(edges.size), 0))]
     return np.concatenate(([np.inf], edges, [-np.inf]))
 

@@ -321,8 +321,8 @@ def _threshold_means(trace: ContactTrace, params: SystemParams, replications: in
 
 def _best_threshold(means: Sequence[float]) -> tuple[int, float]:
     best_s, best_r = None, -np.inf
-    for s, r in enumerate(means, start=1):
-        if r > best_r + 1e-12:
+    for s, r in enumerate(means, start=1):   # near-ties go to the smaller threshold
+        if r > best_r + model.SLACK_TOL:
             best_s, best_r = s, r
     return best_s, best_r
 

@@ -19,7 +19,7 @@ from agectl import (
     instantaneous_reward,
     next_age,
 )
-from agectl.solver import ACTION_TIE_TOL
+from agectl.model import TIE_TOL
 
 # Tier-1 runs the same Hypothesis examples every time, with a deadline loose
 # enough for a shared machine.
@@ -179,7 +179,7 @@ def reference_rvi(params: SystemParams, tol: float, max_iter: int) -> RviResult:
     """Relative value iteration one age at a time through the public
     ``bellman_values``: damped half-steps, the value at age 1 pinned to zero,
     and a stop once the span of the Bellman differences drops to ``tol``.
-    Actions within ``ACTION_TIE_TOL`` of the best go to the cheapest."""
+    Actions within ``TIE_TOL`` of the best go to the cheapest."""
     M = params.max_age
     v = np.zeros(M)
     for iteration in range(1, max_iter + 1):
@@ -197,7 +197,7 @@ def reference_rvi(params: SystemParams, tol: float, max_iter: int) -> RviResult:
             for x in range(1, M + 1):
                 fs = [f for f in bellman_values(x, final, params) if f is not None]
                 best = max(fs)
-                actions.append(next(Action(a) for a, f in enumerate(fs) if f >= best - ACTION_TIE_TOL))
+                actions.append(next(Action(a) for a, f in enumerate(fs) if f >= best - TIE_TOL))
             return RviResult(values, gain, iteration, max(abs(d - gain) for d in delta),
                              tuple(actions), True)
         stepped = [float(vx) + 0.5 * d for vx, d in zip(v, delta)]

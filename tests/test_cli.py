@@ -53,8 +53,11 @@ class TestSolve:
             ("--M", "12", "--p", "0.54", "--G", "nan"),
             ("--M", "4", "--p", "0.54", "--utility", "tabular", "--values", "3,nan,1,0"),
             ("--M", "12", "--p", "0.54", "--utility", "step", "--v", "1", "--k", "0"),
+            # inf printed the all-inactive policy with exit 0, nan ran out of sweeps (exit 3)
+            ("--M", "12", "--p", "0.54", "--G", "0.99", "--tol", "inf"),
+            ("--M", "12", "--p", "0.54", "--G", "0.99", "--tol", "nan"),
         ],
-        ids=["nan-scan-cost", "nan-utility-value", "zero-step-cutoff"],
+        ids=["nan-scan-cost", "nan-utility-value", "zero-step-cutoff", "inf-tol", "nan-tol"],
     )
     def test_invalid_value_exits_2(self, capsys, argv):
         code, _, err = run(capsys, "solve", *argv)

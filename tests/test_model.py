@@ -1,4 +1,6 @@
-"""Core model: utilities, rewards, transitions, policies, config loading."""
+"""Core model: utilities, rewards, transitions, policies, config loading, and
+the one home of the tie and slack tolerances."""
+import inspect
 import math
 import re
 from pathlib import Path
@@ -12,13 +14,25 @@ from agectl import (
     Policy,
     SystemParams,
     UtilityFunction,
+    ValueFunction,
+    bellman_values,
+    enumerate_optimal_thresholds,
+    greedy_policy,
     instantaneous_reward,
+    lambert_w,
     load_params,
+    multi_optimum_condition,
     next_age,
     normalize_utility,
+    optimal_threshold,
+    optimal_two_thresholds,
     params_from_mapping,
+    step_utility_threshold,
+    threshold_reward_curve,
 )
+from agectl import chain, model, solver, tracesim
 from agectl.cli import main
+from agectl.thresholds import bonus_edges
 
 from conftest import threshold_action
 
@@ -249,3 +263,77 @@ class TestConfig:
         cfg.write_text(example)
         assert main(["solve", "--config", str(cfg)]) == 0
         assert "s,1" in capsys.readouterr().out
+
+
+class TestToleranceHome:
+    """Every tie and slack rule reads its tolerance from ``model`` when it runs:
+    each instance below has a gap g with 0 < g < the tolerance, so it ties at
+    the default and splits once the tolerance is patched below g."""
+
+    def test_threshold_optima_tie(self, monkeypatch):
+        # 3e-9 below the never-activate boundary G = 33 of Linear(12) at p = 0.5
+        params = linear_params(p=0.5, scan_cost=33.0 - 3e-9)
+        rewards = threshold_reward_curve(params)
+        gaps = rewards.max() - rewards[10:]
+        assert 0 < gaps[gaps > 0].min() <= gaps.max() < model.TIE_TOL
+        assert optimal_threshold(params).all_optima == (11, 12, 13)
+        assert enumerate_optimal_thresholds(params) == ((11, 12, 13), True)
+        monkeypatch.setattr(model, "TIE_TOL", gaps[gaps > 0].min() / 2)
+        assert optimal_threshold(params).all_optima == (11,)
+        assert enumerate_optimal_thresholds(params) == ((11,), False)
+
+    def test_bonus_edge_merge(self, monkeypatch):
+        params = SystemParams(contact_prob=0.5, max_age=8, scan_cost=0.5, wifi_price=4.0,
+                              utility=UtilityFunction.tabular([1, 1, 2**-33, 0, 0, 0, 0, 0]))
+        base, slope = chain.threshold_reward_affine(params)
+        drops = -np.diff(np.minimum.accumulate(np.diff(base) / -np.diff(slope)))
+        gap = drops[drops < model.TIE_TOL].max()   # about 2**-32; a smaller one is float noise
+        assert 0 < gap
+        merged = bonus_edges(params)
+        assert np.unique(merged).size == 4   # inf, 4.5, 3 and -inf
+        monkeypatch.setattr(model, "TIE_TOL", gap / 2)
+        assert np.unique(bonus_edges(params)).size == 5
+
+    def test_two_threshold_pick(self, monkeypatch):
+        # 3G-only family: s_3G = 2 earns 2**-32 more than s_3G = 1
+        params = SystemParams(contact_prob=0.5, max_age=4, wifi_price=10.0, price_3g=9.0,
+                              utility=UtilityFunction.tabular([10.5, 1 + 2**-31, 0, 0]))
+        only_3g = chain.reward_curve_3g_only(params)
+        assert 0 < only_3g[1] - only_3g[0] < model.TIE_TOL
+        assert optimal_two_thresholds(params).s_3g == 1
+        monkeypatch.setattr(model, "TIE_TOL", (only_3g[1] - only_3g[0]) / 2)
+        assert optimal_two_thresholds(params).s_3g == 2
+
+    def test_greedy_action_tie(self, monkeypatch):
+        params = linear_params(p=0.5)
+        value = ValueFunction(values=np.append(0.0, np.full(11, -(2.0**-31))), gain=0.0)
+        f0, f1, _ = bellman_values(1, value, params)
+        assert 0 < f1 - f0 < model.TIE_TOL
+        assert greedy_policy(value, params).actions == (Action.INACTIVE,) * 12
+        monkeypatch.setattr(model, "TIE_TOL", (f1 - f0) / 2)
+        assert greedy_policy(value, params).actions == (Action.WIFI,) * 12
+
+    def test_trace_threshold_slack(self, monkeypatch):
+        means = [1.0, 1.0 + 2**-42, 0.5]
+        assert 0 < means[1] - means[0] < model.SLACK_TOL
+        assert tracesim._best_threshold(means) == (1, 1.0)
+        monkeypatch.setattr(model, "SLACK_TOL", 2**-43)
+        assert tracesim._best_threshold(means) == (2, means[1])
+
+    def test_utility_and_bonus_cap_slack(self, monkeypatch):
+        rise, over = [1.0, 1.0 + 2**-44, 0.0], 1.0 + 2**-44
+        assert 0 < rise[1] - rise[0] < model.SLACK_TOL and 0 < over - 1.0 < model.SLACK_TOL
+        UtilityFunction.tabular(rise)
+        linear_params(wifi_price=1.0, bonus=over)
+        monkeypatch.setattr(model, "SLACK_TOL", 2**-45)
+        with pytest.raises(ValueError, match="non-increasing"):
+            UtilityFunction.tabular(rise)
+        with pytest.raises(ValueError, match="bonus"):
+            linear_params(wifi_price=1.0, bonus=over)
+
+    def test_no_rule_takes_its_own_tolerance(self):
+        for rule in (optimal_threshold, step_utility_threshold, enumerate_optimal_thresholds,
+                     multi_optimum_condition, optimal_two_thresholds, greedy_policy):
+            assert "tie_tol" not in inspect.signature(rule).parameters
+        assert list(inspect.signature(lambert_w).parameters) == ["x"]
+        assert not hasattr(chain, "TIE_TOL") and not hasattr(solver, "ACTION_TIE_TOL")

@@ -301,7 +301,7 @@ def test_threshold_means_equal_reference_averages():
 def step_size(actions):
     """The k of the step table ``model._replay`` uses for ``actions``."""
     table = np.ascontiguousarray(actions, np.uint8)
-    return model._step_table.__wrapped__(table.tobytes(), *table.shape).shape[1]
+    return model._step_table.__wrapped__(table.tobytes(), *table.shape)[0].shape[1]
 
 
 @pytest.mark.parametrize("n", [1, 7, 9, L - 1, L + 1])
@@ -355,26 +355,25 @@ def test_step_tables_are_cached_by_content_read_only_and_bounded():
     policy, start = np.array([0, 1, 1]), np.array([1, 6, M])
     contacts = (np.random.default_rng(3).random((3, 40)) < 0.4).astype(np.uint8)
     assert_replay_equals_stepped(actions, policy, contacts, start)
-    table = model._step_table(actions.tobytes(), *actions.shape)
+    table, last = model._step_table(actions.tobytes(), *actions.shape)
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 1
     assert model._step_table.cache_info().maxsize == 64
-    # the last-age column is cached next to it, by the same key and bound
-    last = model._last_ages(actions.tobytes(), *actions.shape)
+    # the last-age column is cached with it, by the same key and bound
     assert last.flags.c_contiguous and not last.flags.writeable
     with pytest.raises(ValueError):
         last[0] = 1
     np.testing.assert_array_equal(last, table[:, -1])
-    assert model._last_ages(bytes(bytearray(actions.tobytes())), *actions.shape) is last
-    assert model._last_ages.cache_info().maxsize == 64
+    again = model._step_table(bytes(bytearray(actions.tobytes())), *actions.shape)
+    assert again[0] is table and again[1] is last
     # the same array changed in place keys a new table
     actions[0] = threshold_table(M, [(M + 1, None)])[0]
     actions[1, ::2] = Action.WIFI_THEN_3G
     assert_replay_equals_stepped(actions, policy, contacts, start)
-    changed = model._last_ages(actions.tobytes(), *actions.shape)
-    assert changed is not last
-    np.testing.assert_array_equal(changed, model._step_table(actions.tobytes(), *actions.shape)[:, -1])
+    changed, changed_last = model._step_table(actions.tobytes(), *actions.shape)
+    assert changed is not table and changed_last is not last
+    np.testing.assert_array_equal(changed_last, changed[:, -1])
 
 
 @pytest.mark.parametrize("n", [1, 7, 13, 2 * L + 3])

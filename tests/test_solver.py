@@ -144,8 +144,10 @@ class TestSolve:
         assert err.value.residual > 0
 
     def test_invalid_tolerance(self):
-        with pytest.raises(ValueError):
-            solve_user_problem(linear_params(), tol=0.0)
+        # inf stopped after one sweep with the all-inactive policy, nan never stopped
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                solve_user_problem(linear_params(scan_cost=0.99), tol=tol)
 
 
 #: enough sweeps for most drawn instances; the rest must fail identically
