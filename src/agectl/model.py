@@ -187,7 +187,7 @@ def next_age(age: int, action: Action, contact: int, max_age: int) -> int:
 
 #: replay rows longer than this many slots run as chunks of this length
 CHUNK_SLOTS = 256
-#: cells (rows x slots) held by one block of a replay or of its counts
+#: cells (rows x columns) one row block may hold; a replay's columns are its steps
 BLOCK_CELLS = 1 << 16
 #: cells (policies x contact patterns x ages x slots) a cached k-slot step table may hold
 TABLE_CELLS = 1 << 19
@@ -223,8 +223,7 @@ def _step_table(codes: bytes, policies: int, M: int) -> tuple[np.ndarray, np.nda
     return table, last
 
 
-def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start: np.ndarray,
-            stored: np.ndarray | None = None) -> np.ndarray:
+def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start: np.ndarray) -> np.ndarray:
     """The slot loop: ages along each row of a (rows, slots) 0/1 contact matrix.
 
     Row r starts at age ``start[r]`` and acts by the per-age action table
@@ -249,15 +248,9 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
     cache of 64 entries: it keeps at most 64 x TABLE_CELLS cells of uint16
     ages, 64 MiB, and their columns alive, and a threshold policy at M = 30
     takes 60 KiB of table and 7.5 KiB of column.  A k = 1 table too large for
-    the budget is built per call and not kept.
-
-    ``stored`` holds the ages an earlier pass found for the same rows from
-    other starts.  A block of rows then steps only until, at some step
-    boundary, every row's new age equals its stored age, and copies the stored
-    ages from that slot on.  This is exact: the next age depends only on the
-    age, the contact and the policy, so two runs of a row that meet in one
-    slot agree in every later slot.  Chunk reruns pass the ages of the pass
-    before.
+    the budget is built per call and not kept.  Rows run in blocks of
+    BLOCK_CELLS // steps rows (at least one), so a block's step codes, and
+    the table rows its final gather picks, number at most BLOCK_CELLS.
     """
     rows, n = contacts.shape
     M = actions.shape[1]
@@ -267,12 +260,11 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
         chunks = np.pad(contacts, ((0, 0), (0, parts * L - n))).reshape(rows * parts, L)
         policy, begin = np.repeat(policy, parts), np.repeat(start, parts)
         first = np.arange(rows * parts) % parts == 0
-        ages, todo, stored = np.empty((rows * parts, L + 1), dtype), np.arange(rows * parts), None
+        ages, todo = np.empty((rows * parts, L + 1), dtype), np.arange(rows * parts)
         while todo.size:
-            ages[todo] = _replay(actions, policy[todo], chunks[todo], begin[todo], stored)
+            ages[todo] = _replay(actions, policy[todo], chunks[todo], begin[todo])
             carried = np.where(first, begin, np.roll(ages[:, -1], 1))
             todo, begin = np.flatnonzero(carried != begin), carried
-            stored = ages[todo]
         ages = ages.reshape(rows, parts, L + 1)
         return np.column_stack((ages[:, :, :L].reshape(rows, -1)[:, :n],
                                 ages[:, -1, n - (parts - 1) * L]))
@@ -283,7 +275,7 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
     steps = -(-n // k)
     ages = np.empty((rows, n + 1), dtype)
     ages[:, 0] = start
-    per = max(1, BLOCK_CELLS // n)   # rows per block
+    per = max(1, BLOCK_CELLS // steps)   # rows per block
     for lo in range(0, rows, per):
         out = ages[lo:lo + per]
         # each byte holds the patterns of 8 // k steps, the first in the low bits
@@ -296,18 +288,10 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
             code += policy[lo:lo + per] * (M << k)
         code -= 1
         age = out[:, 0].copy()
-        old = None if stored is None else stored[lo:lo + per, :n:k].T
-        met = steps
-        for s, row in enumerate(code):
-            if old is not None and age.tobytes() == old[s].tobytes():   # the runs met
-                met = s
-                break
-            row += age   # now the table row of step s
+        for row in code:
+            row += age   # now the table row of this step
             last.take(row, out=age, mode="clip")
-        done = min(met * k, n)
-        out[:, 1:done + 1] = table.take(code[:met].T, axis=0, mode="clip").reshape(len(out), -1)[:, :done]
-        if met < steps:
-            out[:, done:] = stored[lo:lo + per, done:]
+        out[:, 1:] = table.take(code.T, axis=0, mode="clip").reshape(len(out), -1)[:, :n]
     return ages
 
 

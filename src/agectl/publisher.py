@@ -57,11 +57,15 @@ def target_threshold(n_users: int, rate_cap: float, p: float, max_age: int) -> i
     clipped into [1, max_age + 1].
 
     A rate exactly on the budget counts as feasible; the snap tolerance keeps
-    float noise from pushing the ceiling one step too high.
+    float noise from pushing the ceiling one step too high.  A budget per
+    user too small for a float (``n_users / rate_cap`` past the float range)
+    gives ``max_age + 1``.
     """
-    raw = n_users / rate_cap - (1.0 - p) / p
-    s = math.ceil(raw - 1e-9)
-    return max(1, min(max_age + 1, s))
+    try:
+        raw = n_users / rate_cap - (1.0 - p) / p
+    except OverflowError:   # an int n_users too large for a float
+        raw = math.inf
+    return max(1, math.ceil(min(raw - 1e-9, max_age + 1)))
 
 
 def _interval(edges: np.ndarray, s: int, price: float) -> tuple[float, float] | None:

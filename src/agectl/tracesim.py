@@ -232,29 +232,25 @@ def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.nda
         raise ValueError("need at least one replication")
     if actions is None and trace.mask is None:
         raise ValueError(f"trace {trace.shift_id!r} has no location mask")
-    n, k = len(trace), 1 if actions is None else len(actions)
+    bits, table = trace.slot_bits, actions
+    if actions is None:   # the mask policy: WiFi at every age, on the contacts of masked slots only
+        bits, table = bits & trace.mask_bits, np.ones((1, M), np.uint8)
+    n, k = len(trace), len(table)
     phases = np.arange(replications) * max(1, n // replications) % n
-
-    def rotations(bits: np.ndarray) -> np.ndarray:
-        doubled = np.tile(bits, 2)
-        return np.tile(np.lib.stride_tricks.sliding_window_view(doubled, n)[phases], (k, 1))
-
-    policy, contacts = np.repeat(np.arange(k), replications), rotations(trace.slot_bits)
-    # the mask policy: WiFi at every age, on masked slots only; a policy: every slot masked
-    table = np.ones((1, M), np.uint8) if actions is None else actions
-    mask = rotations(trace.mask_bits) if actions is None else 1
-    ages = model._replay(table, policy, contacts & mask if actions is None else contacts,
-                         np.full(len(policy), start_age))
-    code = contacts + 2 * mask   # 2 * mask bit + contact
+    contacts = np.tile(np.lib.stride_tricks.sliding_window_view(np.tile(bits, 2), n)[phases], (k, 1))
+    policy = np.repeat(np.arange(k), replications)
+    ages = model._replay(table, policy, contacts, np.full(len(policy), start_age))
     counts, rows = 0, max(1, model.BLOCK_CELLS // n)
     for lo in range(0, len(policy), rows):   # row blocks bound the intp index
-        cell = (code[lo:lo + rows] + 4 * policy[lo:lo + rows, None]) * M + ages[lo:lo + rows, :-1]
-        counts = counts + np.bincount(cell.ravel(), minlength=4 * k * M + 1)
-    counts = counts[1:].reshape(k, 2, 2, M)   # by policy, mask bit, contact, age - 1
-    act = table[:, None, None] * np.arange(2)[:, None, None]   # the action, off the mask none
-    active = counts * (act >= 1)
-    tally = np.column_stack((counts.sum((1, 2)), active.sum((1, 2, 3)), active[:, :, 1].sum((1, 2)),
-                             (counts * (act == 2))[:, :, 0].sum((1, 2))))
+        cell = (contacts[lo:lo + rows] + 2 * policy[lo:lo + rows, None]) * M + ages[lo:lo + rows, :-1]
+        counts = counts + np.bincount(cell.ravel(), minlength=2 * k * M + 1)
+    counts = counts[1:].reshape(k, 2, M)   # by policy, contact, age - 1
+    by_age, on = counts.sum(1), table >= 1
+    active = (by_age * on).sum(1)
+    if actions is None:   # active on the masked slots, with or without a contact
+        active[0] = replications * np.count_nonzero(trace.mask_bits)
+    tally = np.column_stack((by_age, active, (counts[:, 1] * on).sum(1),
+                             (counts[:, 0] * (table == 2)).sum(1)))
     return ages, tally, _exact_sums(tally, _values(params, params.bonus))
 
 
@@ -409,16 +405,14 @@ class PopulationResult:
 
 
 class _Cohort:
-    """Users replaying their traces cyclically from their phases; ages, trace
-    positions and, unless ``totals`` is off, the counts behind each user's
-    reward total carry over from one round to the next.
+    """Users replaying their traces cyclically from their phases; ages and
+    trace positions carry over from one round to the next.
 
     Each distinct trace is tiled once to at least len + round_slots slots, so
     the round_slots slots from any position are one window of its tiles, and
     a round reads every user's contacts in one gather of windows."""
 
-    def __init__(self, users: Sequence[UserAssignment], params: SystemParams, round_slots: int,
-                 totals: bool = True):
+    def __init__(self, users: Sequence[UserAssignment], params: SystemParams, round_slots: int):
         self.response = learning._env_response(params, len(users), round_slots)
         for ua in users:
             if not 1 <= ua.start_age <= params.max_age:
@@ -432,26 +426,16 @@ class _Cohort:
         self.pos = np.array([ua.phase for ua in users]) % self.length
         self.ages = np.array([ua.start_age for ua in users])
         self.actions, self.policy = learning._threshold_actions(params.max_age), np.zeros(len(users), int)
-        # each user's slots at each age, flat at user * M + age - 1, and active
-        # slots; per round each user's WiFi updates and the value of one
-        self.by_age = np.zeros(len(users) * params.max_age, np.int64) if totals else None
-        self.active, self.served, self.fees = np.zeros(len(users), np.int64), [], []
-        self.round_slots, self.params = round_slots, params
+        self.round_slots = round_slots
 
-    def round(self, bonus: float) -> np.ndarray:
-        """Ages (users, slots + 1) of one round at the threshold for ``bonus``."""
-        M, s = self.params.max_age, self.response(bonus)
+    def round(self, bonus: float) -> tuple[int, np.ndarray]:
+        """The threshold for ``bonus`` and the ages (users, slots + 1) of one
+        round at it."""
+        s = self.response(bonus)
         contacts = self.windows[self.offset + self.pos]
         ages = model._replay(self.actions[s - 1:s], self.policy, contacts, self.ages)
-        if self.by_age is not None:
-            before = ages[:, :-1]
-            self.by_age += np.bincount((M * np.arange(len(ages))[:, None] + before - 1).ravel(),
-                                       minlength=self.by_age.size)
-            self.active += np.count_nonzero(before >= s, axis=1)
-            self.served.append(np.count_nonzero(ages[:, 1:] == 1, axis=1))   # all over WiFi
-            self.fees.append(_values(self.params, bonus)[-2])
         self.ages, self.pos = ages[:, -1], (self.pos + self.round_slots) % self.length
-        return ages
+        return s, ages
 
 
 def simulate_population(
@@ -476,21 +460,31 @@ def simulate_population(
     cohort = _Cohort(users, params, round_slots)
     bonus = params.bonus if controller is None else controller.initial_bonus
     history = np.zeros((len(users), rounds * round_slots), dtype=np.int32) if record_ages else None
+    # each user's slots at each age, flat at user * M + age - 1, and active
+    # slots; per round each user's WiFi updates and the value of one
+    M = params.max_age
+    by_age, active = np.zeros(len(users) * M, np.int64), np.zeros(len(users), np.int64)
+    wifi, fees, base = [], [], M * np.arange(len(users))[:, None] - 1   # base + age: the flat index
 
     result = PopulationResult()
     for t in range(1, rounds + 1):
-        ages = cohort.round(bonus)
+        s, ages = cohort.round(bonus)
+        before = ages[:, :-1]
+        by_age += np.bincount((base + before).ravel(), minlength=by_age.size)
+        active += np.count_nonzero(before >= s, axis=1)
+        wifi.append(np.count_nonzero(ages[:, 1:] == 1, axis=1))   # every update is over WiFi
+        fees.append(_values(params, bonus)[-2])
         if history is not None:
             history[:, (t - 1) * round_slots : t * round_slots] = ages[:, 1:]
-        served = int(cohort.served[-1].sum())
+        served = int(wifi[-1].sum())
         rate = served / round_slots
         result.rounds.append(learning.Round(index=t, bonus=bonus, served=served, rate=rate))
         if controller is not None:
             bonus = learning.learning_step(t, bonus, rate, controller)
 
-    counts = np.column_stack((cohort.by_age.reshape(len(users), -1), cohort.active, *cohort.served))
-    totals = _exact_sums(counts, np.append(_values(params, params.bonus)[:-2], cohort.fees))
-    updates = sum(cohort.served, np.zeros(len(users), int))
+    counts = np.column_stack((by_age.reshape(len(users), -1), active, *wifi))
+    totals = _exact_sums(counts, np.append(_values(params, params.bonus)[:-2], fees))
+    updates = sum(wifi, np.zeros(len(users), int))
     result.users = [
         UserOutcome(updates=u, total_reward=r, final_age=a)
         for u, r, a in zip(updates.tolist(), totals, cohort.ages.tolist())
@@ -507,8 +501,8 @@ def trace_env(
     State (ages, trace positions) persists across calls, so one env instance
     follows a single continuous timeline.
     """
-    cohort = _Cohort(users, params, round_slots, totals=False)   # only the ages are read
-    return lambda bonus: float(np.count_nonzero(cohort.round(bonus)[:, 1:] == 1))
+    cohort = _Cohort(users, params, round_slots)
+    return lambda bonus: float(np.count_nonzero(cohort.round(bonus)[1][:, 1:] == 1))
 
 
 # --- model-versus-trace comparison -------------------------------------------------------

@@ -120,6 +120,16 @@ class TestPublisher:
         assert code == 0
         assert "feasible,False" in out
 
+    @pytest.mark.parametrize("n", ["20", "1" + "0" * 400], ids=["inf-ratio", "n-past-float"])
+    def test_budget_past_the_float_range_is_infeasible(self, capsys, n):
+        # both crashed with OverflowError (exit 1) in target_threshold
+        code, out, _ = run(
+            capsys, "publisher", "--N", n, "--T", "1e-320", "--p", "0.54",
+            "--M", "30", "--G", "0.4", "--P", "40",
+        )
+        assert code == 0
+        assert out.endswith("target_threshold,31\nfeasible,False\n")
+
 
 class TestLearn:
     def test_analytic_preset_run(self, capsys):

@@ -107,6 +107,13 @@ class TestTargetThreshold:
         assert target_threshold(10_000, 1.0, 0.5, 10) == 11
         assert target_threshold(1, 1000.0, 0.5, 10) == 1
 
+    @pytest.mark.parametrize("n,cap", [(20, 1e-320), (10**400, 1e-320), (10**400, 1.0), (2 * 10**21, 1.0)],
+                             ids=["inf-ratio", "huge-n-tiny-cap", "huge-n", "large-n"])
+    def test_budget_past_the_float_range_is_never_activate(self, n, cap):
+        # n / cap is inf, or n does not convert to a float: the budget per
+        # user is below any threshold's rate
+        assert target_threshold(n, cap, 0.54, 30) == 31
+
 
 class TestMessageRate:
     def test_formula(self):

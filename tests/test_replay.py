@@ -4,8 +4,8 @@ each other: exact totals of every policy kind, rotation means and population
 rounds against the summed parts, chunked replays around the chunk length,
 the trace and chain environments, and the kernel's ages against one
 ``next_age`` call per slot at every step size, on rows that end inside a
-step, and where chunk reruns meet their last pass early, late, between step
-boundaries or never."""
+step or span several row blocks, and on chunk rows whose starts settle in
+one rerun pass or over many."""
 import math
 import warnings
 from dataclasses import replace
@@ -201,7 +201,7 @@ def test_chain_env_draws_one_number_per_user_slot(n_users, round_slots, bonuses,
 
 
 def test_long_replay_matches_reference():
-    # a 1e5-slot replay runs as hundreds of chunk rows in several blocks
+    # a 1e5-slot replay runs as hundreds of chunk rows
     params = params_for(12, 0.54, 0.99, 0.5, UtilityFunction.linear(12))
     trace = iid_trace(0.54, 100_000, seed=17)
     policy = Policy.from_thresholds(3, 9, 12)
@@ -247,8 +247,8 @@ def threshold_table(M, pairs):
 
 def test_replay_ages_without_contacts_beyond_the_chunk_length(monkeypatch):
     # with no contact a WiFi run's age only grows, so runs from different
-    # starts first meet at M > CHUNK_SLOTS: reruns do not meet their last pass
-    # within a chunk, and each chunk's start depends on all the chunks before it
+    # starts first agree at M > CHUNK_SLOTS: each chunk's end depends on its
+    # start, and so each chunk's start on all the chunks before it
     M = 3 * L
     actions = threshold_table(M, [(M + 1, None), (1, None), (M // 2, M), (2, 2)])
     policy = np.repeat(np.arange(4), 4)
@@ -262,8 +262,8 @@ def test_replay_ages_without_contacts_beyond_the_chunk_length(monkeypatch):
 
 def test_replay_ages_meet_late_at_low_contact_probability():
     # above a threshold near M a run waits about 1 / p = 100 slots for a
-    # contact, so reruns from a changed start meet the last pass late or not
-    # within the chunk at all
+    # contact, so runs from different starts agree late in a chunk or not
+    # within it at all, and a changed start often changes the chunk's end
     M = 12
     actions = threshold_table(M, [(M, None), (M - 1, None), (M - 2, M)])
     policy = np.repeat(np.arange(3), M)
@@ -335,8 +335,8 @@ def test_replay_ages_at_every_step_size(policies, M, k):
 
 def test_chunk_reruns_meet_between_step_boundaries(monkeypatch):
     # always WiFi: each chunk's first contact, at its slot 3, resets every run
-    # to age 1, so a rerun from the carried age meets its last pass at column
-    # 3 of the chunk, inside the first step of any size above 1
+    # to age 1, so runs from any start agree from column 3 of the chunk,
+    # inside the first step of any size above 1, and every chunk ends at age M
     M = 12
     actions = threshold_table(M, [(1, None)])
     assert step_size(actions) == 8
@@ -346,7 +346,26 @@ def test_chunk_reruns_meet_between_step_boundaries(monkeypatch):
     passes, replay = [], model._replay
     monkeypatch.setattr(model, "_replay", lambda *args: passes.append(args) or replay(*args))
     assert_replay_equals_stepped(actions, np.zeros(2, int), contacts, start)
-    assert any(stored is not None for *_, stored in passes[1:])   # a rerun against stored ages
+    # the outer call, the first pass, and one rerun of the chunks after row
+    # 0's first, whose start changed from 5 to M; no start changes after it
+    assert len(passes) == 3
+
+
+@pytest.mark.parametrize("policies, M, k, cells", [(1, 12, 8, 70), (300, 300, 1, 520)])
+def test_replay_ages_across_row_blocks(monkeypatch, policies, M, k, cells):
+    # a block holds cells // steps rows: short rows and chunk rows each run in
+    # several blocks, the last of them partial
+    monkeypatch.setattr(model, "BLOCK_CELLS", cells)
+    rng = np.random.default_rng(cells)
+    actions = rng.integers(0, 3, (policies, M)).astype(np.uint8)
+    assert step_size(actions) == k
+    rows = 45
+    policy = rng.integers(0, policies, rows)
+    start = rng.integers(1, M + 1, rows)
+    for n in (13, 2 * L + 3):
+        assert 1 < cells // -(-min(n, L) // k) < rows
+        contacts = (rng.random((rows, n)) < rng.uniform(0.01, 0.6, (rows, 1))).astype(np.uint8)
+        assert_replay_equals_stepped(actions, policy, contacts, start)
 
 
 def test_step_tables_are_cached_by_content_read_only_and_bounded():
