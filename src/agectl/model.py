@@ -187,6 +187,8 @@ def next_age(age: int, action: Action, contact: int, max_age: int) -> int:
 
 #: replay rows longer than this many slots run as chunks of this length
 CHUNK_SLOTS = 256
+#: the slots before a later chunk of a long row whose replay from age M seeds its start
+LOOK_BACK = CHUNK_SLOTS // 8
 #: cells (rows x columns) one row block may hold; a replay's columns are its steps
 BLOCK_CELLS = 1 << 16
 #: cells (policies x contact patterns x ages x slots) a cached k-slot step table may hold
@@ -229,9 +231,19 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
     Row r starts at age ``start[r]`` and acts by the per-age action table
     ``actions[policy[r]]``.  Column t of the (rows, slots + 1) result is the age
     before slot t + 1, and that slot updated exactly when column t + 1 reads 1.
-    Rows longer than CHUNK_SLOTS run as chunks, each from the age the chunk
-    before it ended with; chunks whose start changed rerun until none does, and
-    every pass fixes at least one more chunk of each row.
+    Rows longer than CHUNK_SLOTS run as chunks.  A row's first chunk starts
+    at the row's start age.  Each later chunk is seeded first: the last
+    LOOK_BACK slots of the chunk before it are replayed from age M, and the
+    chunk starts at the age that replay ends at.  A run from M and the row's
+    own run agree from the first slot where both update, or both reach M, so
+    the seed is the age the chunk before ends with whenever that happens
+    within the look-back; it misses when ages grow without an update for
+    longer, such as below a threshold far above LOOK_BACK.  Then every chunk
+    is replayed from its start, and a chunk whose start differs from the age
+    the chunk before it ended with reruns from that age, until none does.
+    Every pass fixes at least one more chunk of each row, and the carried
+    starts alone make the result exact: a wrong seed costs a rerun, never a
+    wrong age.
 
     The loop steps k slots at once: a row's next k contacts, packed
     little-endian into a pattern, and its age name a row of the table of
@@ -257,14 +269,21 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
     dtype = np.min_scalar_type(M)
     if n > CHUNK_SLOTS:
         parts, L = -(-n // CHUNK_SLOTS), CHUNK_SLOTS   # chunk j of row r is row r * parts + j
-        chunks = np.pad(contacts, ((0, 0), (0, parts * L - n))).reshape(rows * parts, L)
+        chunks = np.zeros((rows, parts * L), contacts.dtype)
+        chunks[:, :n] = contacts
+        chunks = chunks.reshape(rows * parts, L)
         policy, begin = np.repeat(policy, parts), np.repeat(start, parts)
         first = np.arange(rows * parts) % parts == 0
-        ages, todo = np.empty((rows * parts, L + 1), dtype), np.arange(rows * parts)
-        while todo.size:
-            ages[todo] = _replay(actions, policy[todo], chunks[todo], begin[todo])
+        later = np.flatnonzero(~first)   # seeded by the last LOOK_BACK slots before them, from age M
+        tails = chunks[later - 1, L - LOOK_BACK:]
+        begin[later] = _replay(actions, policy[later], tails, np.full(later.size, M))[:, -1]
+        ages = _replay(actions, policy, chunks, begin)
+        while True:
             carried = np.where(first, begin, np.roll(ages[:, -1], 1))
             todo, begin = np.flatnonzero(carried != begin), carried
+            if not todo.size:
+                break
+            ages[todo] = _replay(actions, policy[todo], chunks[todo], begin[todo])
         ages = ages.reshape(rows, parts, L + 1)
         return np.column_stack((ages[:, :, :L].reshape(rows, -1)[:, :n],
                                 ages[:, -1, n - (parts - 1) * L]))

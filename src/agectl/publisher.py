@@ -43,13 +43,16 @@ def message_rate(params: SystemParams, n_users: int) -> float:
     """Expected messages per slot when every user plays s*(bonus).
 
     Always-inactive users send nothing, so s* = M + 1 yields rate zero rather
-    than the formula value.
+    than the formula value.  A population too large for a float gives inf.
     """
     s = thresholds.optimal_threshold(params).s_star
     if s == params.max_age + 1:
         return 0.0
     p = params.contact_prob
-    return n_users / (s + (1.0 - p) / p)
+    try:
+        return n_users / (s + (1.0 - p) / p)
+    except OverflowError:   # an int n_users too large for a float
+        return math.inf
 
 
 def target_threshold(n_users: int, rate_cap: float, p: float, max_age: int) -> int:

@@ -132,6 +132,11 @@ def solve_user_problem(
     min reduction returns one of its inputs, so a row's span is the per-sweep
     span up to the sign of a zero, which ``<=`` ignores; the gain, whose sign
     bit could see it, comes from the row's own ``max`` and ``min``.
+
+    Values that leave the float range, as inf or nan, never come back, and
+    their spans never fall to ``tol``: a batch that ends on a span that is not
+    finite raises :class:`ConvergenceError` at the batch's first such sweep,
+    with that span.  numpy's floating-point warnings are off for the sweeps.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -151,40 +156,45 @@ def solve_user_problem(
     q_arr, damp = np.array(q), np.array(0.5)
     add, multiply, subtract, maximum = np.add, np.multiply, np.subtract, np.maximum
     done = 0
-    while True:
-        n = min(SWEEP_BATCH, max_iter - done)
-        for v, vnext, delta, w, nv in sweeps[:n]:
-            add(u, vnext, out=tv)
-            multiply(vnext, q_arr, out=f)
-            add(f1_base, f, out=f)
-            maximum(tv, f, out=tv)
-            if f2 is not None:
-                maximum(tv, f2, out=tv)
-            subtract(tv, v, out=delta)
-            multiply(delta, damp, out=f)
-            add(v, f, out=nv)
-            subtract(nv, nv[0], out=nv)
-            w[M] = w[M - 1]
-        batch = deltas[:n]
-        hits = np.flatnonzero(batch.max(axis=1) - batch.min(axis=1) <= tol)
-        if hits.size:
-            j = int(hits[0])
-            v, _, delta, _, _ = sweeps[j]
-            hi, lo = delta.max(), delta.min()
-            gain = 0.5 * float(hi + lo)
-            residual = float(np.max(np.abs(delta - gain)))
-            value = ValueFunction(values=v - v[0], gain=gain)
-            return SolveReport(
-                value=value,
-                policy=greedy_policy(value, params),
-                iterations=done + j + 1,
-                residual=residual,
-            )
-        done += n
-        if done == max_iter:
-            delta = deltas[n - 1]
-            raise ConvergenceError(max_iter, float(delta.max() - delta.min()))
-        states[0] = states[n]
+    with np.errstate(all="ignore"):   # values past the float range stop the loop below
+        while True:
+            n = min(SWEEP_BATCH, max_iter - done)
+            for v, vnext, delta, w, nv in sweeps[:n]:
+                add(u, vnext, out=tv)
+                multiply(vnext, q_arr, out=f)
+                add(f1_base, f, out=f)
+                maximum(tv, f, out=tv)
+                if f2 is not None:
+                    maximum(tv, f2, out=tv)
+                subtract(tv, v, out=delta)
+                multiply(delta, damp, out=f)
+                add(v, f, out=nv)
+                subtract(nv, nv[0], out=nv)
+                w[M] = w[M - 1]
+            batch = deltas[:n]
+            spans = batch.max(axis=1) - batch.min(axis=1)
+            hits = np.flatnonzero(spans <= tol)
+            if hits.size:
+                break
+            if not math.isfinite(spans[n - 1]):   # values past the float range never come back
+                j = int(np.flatnonzero(~np.isfinite(spans))[0])
+                raise ConvergenceError(done + j + 1, float(spans[j]))
+            done += n
+            if done == max_iter:
+                raise ConvergenceError(max_iter, float(spans[n - 1]))
+            states[0] = states[n]
+    j = int(hits[0])
+    v, _, delta, _, _ = sweeps[j]
+    hi, lo = delta.max(), delta.min()
+    gain = 0.5 * float(hi + lo)
+    residual = float(np.max(np.abs(delta - gain)))
+    value = ValueFunction(values=v - v[0], gain=gain)
+    return SolveReport(
+        value=value,
+        policy=greedy_policy(value, params),
+        iterations=done + j + 1,
+        residual=residual,
+    )
 
 
 def greedy_policy(value: ValueFunction, params: SystemParams) -> Policy:

@@ -4,8 +4,11 @@ estimate per-shift contact statistics, and run multi-user closed-loop rounds.
 
 Every replay here, one policy on one trace, each policy from each rotated
 phase, or one round of a user population, runs as the rows of one call to
-``model._replay``, the package's only loop over slots.  Every reward, energy
-and fee total is then the exact sum of counted terms, rounded once.
+``model._replay``, the package's only loop over slots.  The counts are read
+off the replayed ages: the slots at each age, and the updates, where an age
+returns to 1; the contacts are read again only to tell 3G updates from WiFi
+ones.  Every reward, energy and fee total is then the exact sum of counted
+terms, rounded once.
 
 Traces are strings of ones (useful slot) and zeros; an optional second bit
 string of equal length marks location-privileged slots.
@@ -221,10 +224,20 @@ def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.nda
                       replications: int, start_age: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Replay each row of the per-age action table ``actions``, or the mask
     policy when it is None, from every phase r * max(1, floor(len / replications))
-    mod len, r < replications, as the rows of one ``model._replay`` call.
+    mod len, r < replications, as the rows of one ``model._replay`` call; one
+    replication replays the trace's own bits, with no copy per policy.
     Returns the ages and, per policy over all its phases, the reward total and
     the tally that ``_values`` prices: the slots at each age before the slot,
-    the active slots, the WiFi updates and the 3G updates."""
+    the active slots, the WiFi updates and the 3G updates.
+
+    The tally reads the ages: a ``np.bincount`` of age + policy * M per block
+    of max(1, ``model.BLOCK_CELLS`` // len) rows counts each policy's slots by
+    age, and its active slots follow from the ages where it acts (for the mask
+    policy, every masked slot).  An update leaves the age at 1, so a
+    policy's updates are its slots at age 1, less its rows that start at age
+    1, plus those that end there.  The contacts are read only when the table
+    has action 2: an update without a contact is a 3G update, and every other
+    update is over WiFi."""
     M = params.max_age
     if not 1 <= start_age <= M:
         raise ValueError(f"start age {start_age} outside [1, {M}]")
@@ -236,21 +249,28 @@ def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.nda
     if actions is None:   # the mask policy: WiFi at every age, on the contacts of masked slots only
         bits, table = bits & trace.mask_bits, np.ones((1, M), np.uint8)
     n, k = len(trace), len(table)
-    phases = np.arange(replications) * max(1, n // replications) % n
-    contacts = np.tile(np.lib.stride_tricks.sliding_window_view(np.tile(bits, 2), n)[phases], (k, 1))
+    if replications == 1:
+        contacts = np.broadcast_to(bits, (k, n))
+    else:
+        phases = np.arange(replications) * max(1, n // replications) % n
+        contacts = np.tile(np.lib.stride_tricks.sliding_window_view(np.tile(bits, 2), n)[phases], (k, 1))
     policy = np.repeat(np.arange(k), replications)
     ages = model._replay(table, policy, contacts, np.full(len(policy), start_age))
-    counts, rows = 0, max(1, model.BLOCK_CELLS // n)
-    for lo in range(0, len(policy), rows):   # row blocks bound the intp index
-        cell = (contacts[lo:lo + rows] + 2 * policy[lo:lo + rows, None]) * M + ages[lo:lo + rows, :-1]
-        counts = counts + np.bincount(cell.ravel(), minlength=2 * k * M + 1)
-    counts = counts[1:].reshape(k, 2, M)   # by policy, contact, age - 1
-    by_age, on = counts.sum(1), table >= 1
-    active = (by_age * on).sum(1)
+    offset = (policy * M).astype(np.min_scalar_type(k * M))[:, None]   # narrow, as the ages are
+    by_age, rows = 0, max(1, model.BLOCK_CELLS // n)
+    for lo in range(0, len(policy), rows):   # row blocks bound the bincount's intp copy
+        cells = ages[lo:lo + rows, :-1] + offset[lo:lo + rows]
+        by_age = by_age + np.bincount(cells.ravel(), minlength=k * M + 1)
+    by_age = by_age[1:].reshape(k, M)
+    ends = np.count_nonzero((ages[:, [0, -1]] == 1).reshape(k, replications, 2), axis=1)
+    updates, updates_3g = by_age[:, 0] - ends[:, 0] + ends[:, 1], np.zeros(k, np.int64)
+    if (table == 2).any():   # an update without a contact is a 3G update
+        no_contact = (ages[:, 1:] == 1) > contacts
+        updates_3g = np.array([np.count_nonzero(mine) for mine in no_contact.reshape(k, -1)])
+    active = (by_age * (table >= 1)).sum(1)
     if actions is None:   # active on the masked slots, with or without a contact
         active[0] = replications * np.count_nonzero(trace.mask_bits)
-    tally = np.column_stack((by_age, active, (counts[:, 1] * on).sum(1),
-                             (counts[:, 0] * (table == 2)).sum(1)))
+    tally = np.column_stack((by_age, active, updates - updates_3g, updates_3g))
     return ages, tally, _exact_sums(tally, _values(params, params.bonus))
 
 

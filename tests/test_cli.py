@@ -10,6 +10,7 @@ import pytest
 
 from agectl import cli
 from agectl.cli import main
+from agectl.solver import SWEEP_BATCH
 
 
 def run(capsys, *argv):
@@ -63,6 +64,16 @@ class TestSolve:
         code, _, err = run(capsys, "solve", *argv)
         assert code == 2
         assert err
+
+    def test_values_past_the_float_range_exit_3_within_one_batch(self, capsys):
+        # the spans turn nan in the first sweeps; this stopped only after every
+        # one of the 1e6 sweeps
+        values = ",".join(["1e308"] * 11 + ["0"])
+        code, _, err = run(capsys, "solve", "--M", "12", "--p", "0.54", "--utility", "tabular",
+                           "--values", values)
+        assert code == 3
+        sweeps = int(err.split("after ")[1].split()[0])
+        assert sweeps <= SWEEP_BATCH and "residual nan" in err
 
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -130,6 +130,13 @@ class TestMessageRate:
         )
         assert message_rate(params, 100) == 0.0
 
+    @pytest.mark.parametrize("n", [10**400, 2 * 10**308], ids=["huge-n", "past-float-max"])
+    def test_population_past_the_float_range_sends_inf(self, n):
+        # n does not convert to a float: the rate is inf, as the float n = inf gives
+        params = SystemParams(contact_prob=0.54, max_age=30, utility=UtilityFunction.linear(30))
+        assert optimal_threshold(params).s_star == 1
+        assert message_rate(params, n) == math.inf == message_rate(params, math.inf)
+
 
 class TestBonusRange:
     def test_reference_instance_full_bonus_induces_threshold_one(self):

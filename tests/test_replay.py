@@ -4,8 +4,9 @@ each other: exact totals of every policy kind, rotation means and population
 rounds against the summed parts, chunked replays around the chunk length,
 the trace and chain environments, and the kernel's ages against one
 ``next_age`` call per slot at every step size, on rows that end inside a
-step or span several row blocks, and on chunk rows whose starts settle in
-one rerun pass or over many."""
+step or span several row blocks, and on chunk rows whose seeded starts hold
+or miss and settle in one rerun pass or over many; and each column of the
+rotation tallies against the counted reference parts."""
 import math
 import warnings
 from dataclasses import replace
@@ -346,9 +347,55 @@ def test_chunk_reruns_meet_between_step_boundaries(monkeypatch):
     passes, replay = [], model._replay
     monkeypatch.setattr(model, "_replay", lambda *args: passes.append(args) or replay(*args))
     assert_replay_equals_stepped(actions, np.zeros(2, int), contacts, start)
-    # the outer call, the first pass, and one rerun of the chunks after row
-    # 0's first, whose start changed from 5 to M; no start changes after it
+    # the outer call, the look-back over the last LOOK_BACK slots before each
+    # of the 4 later chunks, and the first pass; no contact falls in those
+    # slots, so each look-back stays at M, the age every chunk ends at, and
+    # no chunk reruns
     assert len(passes) == 3
+    _, _, tails, tail_start = passes[1]
+    assert tails.shape == (4, model.LOOK_BACK) and not tails.any() and (tail_start == M).all()
+    assert passes[2][2].shape == (6, L)
+
+
+def chunk_rows_replayed(passes):
+    """Slots that the kernel calls after the outer one replayed, in chunks."""
+    return sum(contacts.size for _, _, contacts, _ in passes[1:]) / L
+
+
+def test_seeded_chunks_replay_few_chunk_rows(monkeypatch):
+    # a run from M and the row's own run agree from their first common update;
+    # at threshold 3 and p = 0.54 that nearly always comes within the look-back,
+    # so few seeds miss and few chunks rerun
+    M, n = 12, 200_000
+    actions = threshold_table(M, [(3, None)])
+    assert step_size(actions) == 8
+    contacts = np.frombuffer(iid_trace(0.54, n, seed=23).slot_bits, np.uint8)[None]
+    passes, replay = [], model._replay
+    monkeypatch.setattr(model, "_replay", lambda *args: passes.append(args) or replay(*args))
+    assert_replay_equals_stepped(actions, np.zeros(1, int), contacts, np.array([7]))
+    chunks = -(-n // L)
+    # the look-back, at LOOK_BACK / L = 1/8 of a chunk row per chunk, the
+    # first pass, at one, and the reruns
+    assert chunk_rows_replayed(passes) <= 1.2 * chunks
+    assert passes[1][2].shape == (chunks - 1, model.LOOK_BACK) and passes[2][2].shape == (chunks, L)
+
+
+def test_missed_seeds_rerun_to_the_stepped_ages(monkeypatch):
+    # M > LOOK_BACK and sparse contacts: below the WiFi threshold M // 2 a run
+    # ages without an update for longer than the look-back, so a seed from M
+    # often misses the age the chunk before really ends with; the reruns
+    # still reach the stepped ages
+    M = 2 * model.LOOK_BACK + 5
+    actions = threshold_table(M, [(M // 2, None), (M // 2, M - 3)])
+    policy = np.repeat([0, 1], M)
+    start = np.tile(np.arange(1, M + 1), 2)
+    contacts = np.tile(np.random.default_rng(9).random(7 * L + 3) < 0.02, (2 * M, 1))
+    passes, replay = [], model._replay
+    monkeypatch.setattr(model, "_replay", lambda *args: passes.append(args) or replay(*args))
+    assert_replay_equals_stepped(actions, policy, contacts, start)
+    # the outer call, the look-back, the first pass and at least one rerun
+    chunks = len(policy) * -(-contacts.shape[1] // L)
+    assert len(passes) >= 4 and chunk_rows_replayed(passes) > 1.2 * chunks
 
 
 @pytest.mark.parametrize("policies, M, k, cells", [(1, 12, 8, 70), (300, 300, 1, 520)])
@@ -438,6 +485,49 @@ def test_threshold_means_equal_exact_phase_totals(params, n, reps, start, p, see
         assert means[s - 1] == phases_total(trace, params, threshold_action(s), reps, start) / (n * reps)
     policy = Policy.from_thresholds(2, None, params.max_age)
     assert tracesim.replayed_average_reward(trace, params, policy, reps, start) == means[1]
+
+
+def rotated_parts(trace, params, policy, reps, start):
+    """``reference_parts`` of ``policy`` over the replays from the phases of
+    ``phases_total``, each with the mask rotated as its slots are."""
+    n, parts = len(trace), []
+    for r in range(reps):
+        phase = r * max(1, n // reps) % n
+        turned = ContactTrace("t", trace.slots[phase:] + trace.slots[:phase],
+                              mask=trace.mask[phase:] + trace.mask[:phase])
+        parts += reference_parts(turned.slots, params, action_rule(policy, turned), start)
+    return parts
+
+
+@pytest.mark.parametrize("n, M, reps", [(1, 2, 40), (7, 5, 13), (13, 9, 40), (L + 3, 12, 3), (2 * L + 5, 7, 1)])
+def test_rotation_tallies_count_the_reference_parts(n, M, reps):
+    # each age has its own linear utility, a scan cost marks an active slot,
+    # and the WiFi and 3G fees differ: so each tally column counts reference
+    # parts, for every policy of one table and for the mask policy, from
+    # every start age
+    params = SystemParams(contact_prob=0.5, max_age=M, utility=UtilityFunction.linear(M),
+                          scan_cost=0.5, wifi_price=2.0, price_3g=5.0, bonus=0.5)
+    fee_wifi, fee_3g = 1.5, 4.5
+    trace = ContactTrace("t", bits(n, 0.5, n), mask=bits(n, 0.4, n + 1))
+    band = Policy.from_thresholds(1, 2, M)   # action 2 from age 2
+    policies = [Policy.from_thresholds(s, None, M) for s in (1, M // 2 + 1, M + 1)] + [
+        band, Policy.from_thresholds(2, M, M),
+        Policy(tuple(np.random.default_rng(n).integers(0, 3, M).tolist()))]
+    table = np.array([policy.actions for policy in policies], np.uint8)
+    for start in range(1, M + 1):
+        for actions, rows in ((table, policies), (None, [MASK_POLICY])):
+            _, tally, totals = tracesim._replay_rotations(trace, params, actions, reps, start)
+            expected = []
+            for policy in rows:
+                parts = rotated_parts(trace, params, policy, reps, start)
+                utility, scan, fee = (list(column) for column in zip(*parts))
+                expected.append([utility.count(params.utility(age)) for age in range(1, M + 1)]
+                                + [len(scan) - scan.count(0.0), fee.count(fee_wifi), fee.count(fee_3g)])
+                assert totals[len(expected) - 1] == parts_total(parts)
+                if policy is band and n > 1:   # the band's slots updated with and without a contact
+                    fees = {f for u, _, f in parts if u < params.utility(1)}
+                    assert {fee_wifi, fee_3g} <= fees
+            assert tally.tolist() == expected
 
 
 @given(st.integers(1, 5), st.integers(1, 30), st.integers(1, 8), st.integers(0, 2**32 - 1))

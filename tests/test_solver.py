@@ -143,6 +143,16 @@ class TestSolve:
         assert err.value.iterations == 3
         assert err.value.residual > 0
 
+    def test_values_past_the_float_range_stop_at_the_first_span_not_finite(self):
+        # a valid utility whose differences overflow: the spans turn nan within
+        # the first batch, and a nan span never falls to tol
+        params = SystemParams(contact_prob=0.54, max_age=12,
+                              utility=UtilityFunction.tabular([1e308] * 11 + [0.0]))
+        with pytest.raises(ConvergenceError) as err:
+            solve_user_problem(params)
+        assert 1 <= err.value.iterations <= SWEEP_BATCH
+        assert not math.isfinite(err.value.residual)
+
     def test_invalid_tolerance(self):
         # inf stopped after one sweep with the all-inactive policy, nan never stopped
         for tol in (0.0, math.inf, math.nan):
