@@ -128,16 +128,12 @@ def expected_reward_3g_only(params: SystemParams, s_3g: int) -> float:
         raise ValueError(f"threshold {s_3g} outside [1, {M + 1}]")
     if s_3g == M + 1:
         return 0.0
-    p = params.contact_prob
-    u = params.utility.values
-    total = sum(u[:s_3g])
-    cost = params.scan_cost + p * params.wifi_price + (1.0 - p) * params.price_3g - params.bonus
-    return (total - cost) / s_3g
+    return float(reward_curve_3g_only(params)[s_3g - 1])
 
 
 def reward_curve_3g_only(params: SystemParams) -> np.ndarray:
     """Rewards of the 3G-only policy for every s_3g in [1, max_age]; index
-    s_3g - 1 holds threshold s_3g.  Vector form of :func:`expected_reward_3g_only`."""
+    s_3g - 1 holds threshold s_3g: (u_1 + ... + u_s - G - pP - (1-p)P3G + B) / s."""
     if not params.has_3g:
         raise ValueError("3G-only policy needs a finite 3G price")
     p = params.contact_prob

@@ -144,18 +144,18 @@ def convergence_report(
 # --- environments ---------------------------------------------------------------------
 
 def _env_response(params: SystemParams, n_users: int, round_slots: int) -> Callable[[float], int]:
-    """Check a population env's size, and return ``thresholds.threshold_response``
-    for one bonus at a time, from bonus edges computed once."""
+    """Check a population env's size, and return s*(B) for one bonus at a time
+    by the rule of ``thresholds.bonus_edges``, from edges computed once."""
     if n_users < 1:
         raise ValueError(f"need at least one user, got {n_users}")
     if round_slots < 1:
         raise ValueError(f"round_slots must be >= 1, got {round_slots}")
-    neg_edges = -thresholds.bonus_edges(params)
+    edges = thresholds.bonus_edges(params)
 
     def response(bonus: float) -> int:
         if not math.isfinite(bonus):
             raise ValueError(f"bonus must be finite, got {bonus}")
-        return int(neg_edges.searchsorted(-bonus, side="left"))
+        return int(thresholds._threshold_at(edges, bonus))
 
     return response
 

@@ -8,8 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import chain, thresholds
 from .model import SystemParams
 
@@ -71,27 +69,17 @@ def target_threshold(n_users: int, rate_cap: float, p: float, max_age: int) -> i
     return max(1, math.ceil(min(raw - 1e-9, max_age + 1)))
 
 
-def _interval(edges: np.ndarray, s: int, price: float) -> tuple[float, float] | None:
-    lo = float(max(0.0, edges[s]))
-    hi = float(min(price, np.nextafter(edges[s - 1], -np.inf)))
-    return None if hi < lo else (lo, hi)
-
-
 def bonus_range_for_threshold(
     instance: PublisherInstance, s: int
 ) -> tuple[float, float] | None:
-    """Closed interval of bonuses in [0, P] under which users pick threshold ``s``.
-
-    Users pick ``s`` exactly when edges[s] <= B < edges[s - 1] (see
-    :func:`thresholds.bonus_edges`), so the interval is [edges[s], the float
-    just below edges[s - 1]] clipped into [0, P]; both ends induce ``s``.
-    Returns None when no bonus induces ``s`` (the response jumps over it, or
-    ``s`` lies outside the attainable range).
+    """Closed interval of bonuses in [0, P] under which users pick threshold ``s``;
+    both ends induce ``s``.  Returns None when no bonus induces ``s`` (the
+    response jumps over it, or ``s`` lies outside the attainable range).
     """
-    max_age = instance.params.max_age
-    if not 1 <= s <= max_age + 1:
-        raise ValueError(f"threshold {s} outside [1, {max_age + 1}]")
-    return _interval(thresholds.bonus_edges(instance.params), s, instance.params.wifi_price)
+    params = instance.params
+    if not 1 <= s <= params.max_age + 1:
+        raise ValueError(f"threshold {s} outside [1, {params.max_age + 1}]")
+    return thresholds._bonus_interval(thresholds.bonus_edges(params), s, s, params.wifi_price)
 
 
 def optimal_bonus(instance: PublisherInstance) -> BonusSolution | None:
@@ -109,11 +97,11 @@ def optimal_bonus(instance: PublisherInstance) -> BonusSolution | None:
     target = target_threshold(instance.n_users, instance.rate_cap, p, max_age)
 
     edges = thresholds.bonus_edges(params)
-    if edges[target - 1] <= 0.0:
+    keeps_target = thresholds._bonus_interval(edges, target, max_age + 1, params.wifi_price)
+    if keeps_target is None:
         return None
-    bonus = min(params.wifi_price, np.nextafter(edges[target - 1], -np.inf))
-    s = int(np.searchsorted(-edges, -bonus, side="left"))
-    lo, hi = _interval(edges, s, params.wifi_price)
+    s = int(thresholds._threshold_at(edges, keeps_target[1]))
+    lo, hi = thresholds._bonus_interval(edges, s, s, params.wifi_price)
     if s == max_age + 1:
         rate, age = 0.0, float(max_age)
     else:

@@ -1,5 +1,5 @@
-"""Optimal-threshold search: first-crossing rule, boundary-regime tests,
-step-utility candidate set via the Lambert W function, multi-optimum
+"""Optimal-threshold search: s*(B) by the one bonus-edge rule, boundary-regime
+tests, step-utility candidate set via the Lambert W function, multi-optimum
 enumeration, and the two-threshold grid search.
 """
 from __future__ import annotations
@@ -45,28 +45,19 @@ class MonotonicityReport:
         return self.violation is None
 
 
-def _first_crossing(rewards: np.ndarray) -> int:
-    """min { s : E[r; s] >= E[r; s+1] }, the first-crossing characterization."""
-    for s in range(1, len(rewards)):
-        if rewards[s - 1] >= rewards[s]:
-            return s
-    return len(rewards)
-
-
 def _optima(rewards: np.ndarray) -> tuple[int, ...]:
-    cut = float(np.max(rewards)) - model.TIE_TOL
-    return tuple(int(s) for s in range(1, len(rewards) + 1) if rewards[s - 1] >= cut)
+    return tuple((np.flatnonzero(rewards >= rewards.max() - model.TIE_TOL) + 1).tolist())
 
 
 def optimal_threshold(params: SystemParams) -> ThresholdResult:
-    """Optimal WiFi threshold by the first-crossing rule over s in [1, M+1].
-
-    Unimodality of the reward curve makes the first crossing coincide with the
-    argmax; ``all_optima`` collects every threshold within ``model.TIE_TOL``
-    of the maximum.
+    """Optimal WiFi threshold s*(B) over s in [1, M+1] by the bonus-edge rule
+    (:func:`bonus_edges`), which places the first crossing of the reward curve;
+    unimodality makes it the argmax.  ``all_optima`` collects every threshold
+    within ``model.TIE_TOL`` of the maximum.
     """
-    rewards = chain.threshold_reward_curve(params)
-    s_star = _first_crossing(rewards)
+    base, slope = chain.threshold_reward_affine(params)
+    rewards = base + params.bonus * slope
+    s_star = int(_threshold_at(_edges(base, slope), params.bonus))
     return ThresholdResult(
         s_star=s_star,
         reward=float(rewards[s_star - 1]),
@@ -90,9 +81,9 @@ def always_inactive(params: SystemParams) -> bool:
     """Closed-form test that never activating (s = M + 1) is among the optima:
     the utility summed over ages 1..M-1 is at most G/p + P - B.
 
-    At equality threshold M earns the same as never activating, and the
-    first-crossing rule picks the smaller threshold, so s* = M + 1 holds only
-    strictly past that boundary.
+    At equality threshold M earns the same as never activating, and the bonus
+    edge rule counts a crossing that holds with equality, so it picks the
+    smaller threshold: s* = M + 1 holds only strictly past that boundary.
     """
     total = sum(params.utility.values[: params.max_age - 1])
     return total <= params.scan_cost / params.contact_prob + params.wifi_price - params.bonus
@@ -249,8 +240,9 @@ def bonus_edges(params: SystemParams) -> np.ndarray:
     On the affine curve E[r; s] = base_s + B * slope_s, the first crossing
     E[r; j] >= E[r; j+1] holds exactly when B >= c_j with
     c_j = (base_{j+1} - base_j) / (slope_j - slope_{j+1}); the slope pi_1(s)
-    strictly decreases, so the divisor is positive.  With e_j the running
-    minimum of c_1..c_j, s*(B) = min {j : B >= e_j}, so threshold s is the
+    never increases, so the divisor is +0.0 or positive, and a nan quotient
+    (equal rewards) is -inf.  With e_j the running minimum of c_1..c_j,
+    s*(B) = min {j : B >= e_j}, the count of edges above B: threshold s is the
     answer exactly on ``edges[s] <= B < edges[s - 1]``.
 
     Breakpoints that coincide in exact arithmetic (step and flat utilities)
@@ -258,11 +250,30 @@ def bonus_edges(params: SystemParams) -> np.ndarray:
     one before it takes that edge's value, so no threshold gets a sliver of
     an interval that no real bonus can induce.
     """
-    base, slope = chain.threshold_reward_affine(params)
-    edges = np.minimum.accumulate(np.diff(base) / -np.diff(slope))
-    starts = np.concatenate(([True], np.diff(edges) < -model.TIE_TOL))
-    edges = edges[np.maximum.accumulate(np.where(starts, np.arange(edges.size), 0))]
-    return np.concatenate(([np.inf], edges, [-np.inf]))
+    return _edges(*chain.threshold_reward_affine(params))
+
+
+def _edges(base: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cuts = (base[1:] - base[:-1]) / (slope[:-1] - slope[1:])
+        cuts[np.isnan(cuts)] = -np.inf
+        edges = np.minimum.accumulate(np.concatenate(([np.inf], cuts, [-np.inf])))
+        starts = np.arange(edges.size)
+        starts[1:] *= edges[1:] - edges[:-1] < -model.TIE_TOL   # 0: merges into the edge before
+    return edges[np.maximum.accumulate(starts)]
+
+
+def _threshold_at(edges: np.ndarray, bonus):
+    """s*(B) for a finite bonus, or an array of them: the count of edges above B."""
+    return edges.size - edges[::-1].searchsorted(bonus, side="right")
+
+
+def _bonus_interval(edges: np.ndarray, first: int, last: int, price: float):
+    """Bonuses in [0, price] with s*(B) in [first, last]: [edges[last], the float
+    just below edges[first - 1]] clipped into [0, price], or None when empty."""
+    lo = float(max(0.0, edges[last]))
+    hi = float(min(price, np.nextafter(edges[first - 1], -np.inf)))
+    return None if hi < lo else (lo, hi)
 
 
 def threshold_response(params: SystemParams, bonuses: np.ndarray | list[float]) -> np.ndarray:
@@ -274,7 +285,7 @@ def threshold_response(params: SystemParams, bonuses: np.ndarray | list[float]) 
     b = np.atleast_1d(np.asarray(bonuses, dtype=float))
     if not np.isfinite(b).all():
         raise ValueError("bonuses must be finite")
-    return np.searchsorted(-bonus_edges(params), -b, side="left")
+    return _threshold_at(bonus_edges(params), b)
 
 
 _SWEEPABLE = {"G": "scan_cost", "P": "wifi_price", "B": "bonus"}

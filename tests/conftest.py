@@ -1,7 +1,8 @@
-"""Shared test helpers: randomized instance generators, independent
-step-by-step replay oracles built directly on the one-slot primitives (per
-slot rewards, and per slot utility, scan cost and fee for exact totals), and
-a per-age relative value iteration oracle built on ``bellman_values``."""
+"""Shared test helpers: randomized instance generators, a first-crossing scan
+over the reward curve, independent step-by-step replay oracles built directly
+on the one-slot primitives (per slot rewards, and per slot utility, scan cost
+and fee for exact totals), and a per-age relative value iteration oracle built
+on ``bellman_values``."""
 from __future__ import annotations
 
 import math
@@ -98,6 +99,16 @@ def system_params(draw, max_age: int = 40, with_3g: bool | None = None,
         contact_prob=p, max_age=M, utility=utility, scan_cost=scan_cost, wifi_price=price,
         price_3g=price_3g, bonus=draw(st.floats(0.0, 1.0)) * cap,
     )
+
+
+def reference_first_crossing(rewards) -> int:
+    """min { s : E[r; s] >= E[r; s+1] } by a plain scan over a reward curve
+    indexed from threshold 1; the last threshold when no crossing holds.  The
+    oracle for the bonus-edge rule that answers s*(B) in the package."""
+    for s in range(1, len(rewards)):
+        if rewards[s - 1] >= rewards[s]:
+            return s
+    return len(rewards)
 
 
 def reference_replay(

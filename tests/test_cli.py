@@ -141,6 +141,17 @@ class TestPublisher:
         assert code == 0
         assert out.endswith("target_threshold,31\nfeasible,False\n")
 
+    def test_equal_slopes_at_tiny_p_answer(self, capsys):
+        # at p = 1e-300 every pi_1(s) rounds to 1e-300, so the bonus edges divide
+        # by +0.0; it raised RuntimeWarning in bonus_edges
+        code, out, _ = run(
+            capsys, "publisher", "--M", "12", "--p", "1e-300", "--G", "12", "--P", "1e308",
+            "--B", "0.01", "--utility", "step", "--v", "1", "--k", "12", "--N", "50",
+            "--T", "0.5",
+        )
+        assert code == 0
+        assert "feasible,True" in out
+
 
 class TestLearn:
     def test_analytic_preset_run(self, capsys):
@@ -301,6 +312,11 @@ RECORDED_STDOUT = {
     "publisher-infeasible": (140, "9ef7c05f97f4a722f09f638ddcfdccf2fd6a92ba961f958608ab9d3c495bc99e"),
     "learn-analytic": (14811, "7d634268ac781b8fcac824cc5b0c457885dea4d88a19d139fa50c152a8295b5d"),
     "gen-traces": (947, "44b0ac4ab823213c4106e39b9438bb3a0e394f9d9f87581fd745223ae7725e19"),
+    # pi_1(s) differences that round to 0, and rewards of -inf: the bonus edges
+    # must stay total there
+    "solve-tiny-p": (355, "a7483e57b06542a802da646b42ce470e1a156c5bb82036d215cd767699e3b474"),
+    "solve-huge-G": (311, "f36002444eb7173656253e791b78cd5a5b1c765b7ce0198755ef7b3e951f7875"),
+    "sweep-tiny-p-grid-B": (118, "72ecebd0c2a7b909b06e411e0db0157496667378128f2a953c47a65a9c7c2f2b"),
 }
 
 #: the README's params.cfg example
@@ -346,6 +362,8 @@ def test_solve_outputs_are_byte_stable(capsys, tmp_path, monkeypatch):
         # a two-threshold optimum (WiFi band, then 3G) after 2344 RVI sweeps
         "solve-linear-300-3g": ("solve", "--utility", "linear", "--M", "300", "--p", "0.3",
                                 "--G", "100", "--P", "10", "--P3G", "400", "--B", "5"),
+        "solve-tiny-p": ("solve", "--M", "12", "--p", "1e-300", "--G", "1e-9", "--P", "3"),
+        "solve-huge-G": ("solve", "--M", "12", "--p", "0.54", "--G", "1e308"),
     }
     for name, argv in argvs.items():
         code, out, _ = run(capsys, *argv)
@@ -366,6 +384,8 @@ def test_remaining_subcommand_outputs_are_byte_stable(capsys):
         "learn-analytic": ("learn", "--preset", "long-rounds", "--env", "analytic",
                            "--seed", "0"),
         "gen-traces": ("gen-traces", "--shifts", "5", "--seed", "3"),
+        "sweep-tiny-p-grid-B": ("sweep", "--M", "12", "--p", "1e-300", "--G", "1e-9",
+                                "--P", "3", "--grid", "B=0,1,2"),
     }
     for name, argv in argvs.items():
         code, out, _ = run(capsys, *argv)

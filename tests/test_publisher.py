@@ -20,6 +20,7 @@ from agectl import (
     target_threshold,
     threshold_response,
 )
+from agectl.thresholds import bonus_edges
 
 from conftest import make_rng, random_wifi_params, system_params
 
@@ -315,3 +316,26 @@ class TestOptimalBonus:
             assert solution.threshold == int(response[feasible].min())
             assert solution.rate == rates[bonuses == solution.bonus_lo][0]
             assert solution.rate <= rate_cap + 1e-9
+
+
+@given(system_params(max_age=60, with_3g=False, min_price=0.1), st.integers(1, 150),
+       st.floats(0.0, 1.5))
+def test_every_threshold_answer_reads_one_rule(params, n_users, position):
+    """``optimal_threshold``, ``threshold_response``, ``message_rate`` and
+    ``optimal_bonus`` give one s*(B) wherever float noise could split them: at
+    both ends of the optimal bonus interval, and at each bonus edge in [0, P]
+    and the float just below it.  The cap is drawn as in the brute-force
+    property above."""
+    p = params.contact_prob
+    rate_cap = n_users / (position * params.max_age + (1.0 - p) / p)
+    solution = optimal_bonus(PublisherInstance(params=params, n_users=n_users, rate_cap=rate_cap))
+    ends = [] if solution is None else [solution.bonus_lo, solution.bonus_hi]
+    edges = bonus_edges(params)
+    edges = edges[np.isfinite(edges)]
+    probes = np.concatenate((edges, np.nextafter(edges, -np.inf), ends))
+    probes = probes[(probes >= 0.0) & (probes <= params.wifi_price)]
+    response = threshold_response(params, probes)
+    for b, s in zip(probes.tolist(), response.tolist()):
+        assert optimal_threshold(replace(params, bonus=b)).s_star == s, b
+    for b in ends:
+        assert message_rate(replace(params, bonus=b), n_users) == solution.rate, b

@@ -26,7 +26,9 @@ from agectl import (
     threshold_response,
 )
 
-from conftest import make_rng, random_3g_params, random_wifi_params, system_params
+from conftest import (
+    make_rng, random_3g_params, random_wifi_params, reference_first_crossing, system_params,
+)
 
 
 def linear_params(max_age=12, p=0.54, **kw):
@@ -57,6 +59,21 @@ class TestOptimalThreshold:
             assert res.s_star == int(np.argmax(curve)) + 1
             assert res.reward == pytest.approx(float(np.max(curve)))
             assert res.s_star == min(res.all_optima)
+
+    def test_equal_slopes_match_the_first_crossing_scan(self):
+        # below p = 1e-17 every pi_1(s) rounds to one float, so a bonus edge
+        # divides a float-noise reward gap by +0.0 and must keep its sign
+        rng = make_rng(14)
+        for _ in range(200):
+            M = int(rng.integers(2, 13))
+            values = sorted(rng.uniform(0.0, 10.0, M).round(int(rng.integers(0, 4))), reverse=True)
+            params = SystemParams(
+                contact_prob=float(rng.choice([1e-300, 1e-30, 1e-20, 1e-18])), max_age=M,
+                utility=UtilityFunction.tabular(values),
+                scan_cost=float(rng.choice([0.0, 1e-30, 1e-25])),
+            )
+            curve = threshold_reward_curve(params)
+            assert optimal_threshold(params).s_star == reference_first_crossing(curve)
 
     def test_boundary_flags_imply_extreme_thresholds(self):
         rng = make_rng(12)
@@ -302,7 +319,8 @@ class TestThresholdResponse:
             bonuses = rng.uniform(0, params.wifi_price, size=8)
             got = threshold_response(params, bonuses)
             for b, s in zip(bonuses, got):
-                assert s == optimal_threshold(replace(params, bonus=float(b))).s_star
+                curve = threshold_reward_curve(replace(params, bonus=float(b)))
+                assert s == reference_first_crossing(curve)
 
     def test_non_finite_bonus_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
