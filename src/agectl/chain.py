@@ -1,6 +1,10 @@
 """Closed-form steady-state, reward, and age formulas for threshold policies,
 paired with exact Markov-chain oracles (transition matrix + linear solve).
 
+The WiFi threshold closed forms live in three vectors over s in [1, max_age + 1],
+the only home of never activating (s = max_age + 1): :func:`cycle_lengths`
+(inf there), :func:`threshold_reward_affine` and :func:`threshold_ages`.
+
 The closed forms and the matrix route are deliberately independent code paths:
 tests pit one against the other.
 """
@@ -22,30 +26,35 @@ class ChainSummary:
 
 # --- closed forms --------------------------------------------------------------------
 
+def _check_threshold(s: int, max_age: int) -> None:
+    if not 1 <= s <= max_age + 1:
+        raise ValueError(f"threshold {s} outside [1, {max_age + 1}]")
+
+
+def cycle_lengths(p: float, max_age: int) -> np.ndarray:
+    """Mean renewal cycle L(s) = s + (1-p)/p of the WiFi threshold-``s`` policy for
+    every s in [1, max_age + 1], index s-1; never activating never renews, so
+    its L is inf and the update rates 1/L and n/L are 0.0 there."""
+    lengths = np.arange(1, max_age + 2) + (1.0 - p) / p
+    lengths[max_age] = np.inf
+    return lengths
+
+
 def steady_state_threshold(s: int, p: float, max_age: int) -> np.ndarray:
     """Stationary distribution of the WiFi threshold-``s`` chain.
 
-    pi_1 = 1 / (s + (1-p)/p); geometric decay above the threshold; the
-    saturated state absorbs the tail mass.  ``s = max_age + 1`` is rejected:
-    that chain is absorbing at max_age and callers should use the degenerate
-    summary instead.
+    pi_i = q^max(i-s, 0) / L(s): flat up to the threshold, geometric decay
+    above it, and the saturated state absorbs the tail mass (its entry is
+    divided by p).  ``s = max_age + 1`` is rejected: that chain is absorbing
+    at max_age and callers should use the degenerate summary instead.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
     if not 1 <= s <= max_age:
         raise ValueError(f"threshold {s} outside [1, {max_age}] (always-inactive has no chain)")
-    q = 1.0 - p
-    pi = np.empty(max_age)
-    pi1 = 1.0 / (s + q / p)
-    for i in range(1, max_age + 1):
-        if i <= s:
-            pi[i - 1] = pi1
-        elif i < max_age:
-            pi[i - 1] = pi1 * q ** (i - s)
-        else:
-            pi[i - 1] = pi1 * q ** (max_age - s) / p
-    if max_age == s:
-        pi[max_age - 1] = pi1 / p  # single active state keeps the whole tail
+    excess = np.maximum(np.arange(1, max_age + 1) - s, 0)   # ages past the threshold
+    pi = (1.0 - p) ** excess / cycle_lengths(p, max_age)[s - 1]
+    pi[-1] /= p
     return pi
 
 
@@ -55,18 +64,8 @@ def expected_reward_threshold(params: SystemParams, s: int) -> float:
     ``s = max_age + 1`` (always inactive) earns exactly zero under the
     normalized utility.
     """
-    M = params.max_age
-    if not 1 <= s <= M + 1:
-        raise ValueError(f"threshold {s} outside [1, {M + 1}]")
-    if s == M + 1:
-        return 0.0
-    p = params.contact_prob
-    q = 1.0 - p
-    u = params.utility.values
-    head = sum(u[x - 1] for x in range(1, s))
-    tail = sum(u[i + s - 1] * q**i for i in range(0, M - s))
-    pi1 = 1.0 / (s + q / p)
-    return pi1 * (head + tail - params.scan_cost / p - params.wifi_price + params.bonus)
+    _check_threshold(s, params.max_age)
+    return float(threshold_reward_curve(params)[s - 1])
 
 
 def threshold_reward_curve(params: SystemParams) -> np.ndarray:
@@ -79,41 +78,49 @@ def threshold_reward_affine(params: SystemParams) -> tuple[np.ndarray, np.ndarra
     """Decompose the reward curve as base + bonus * slope.
 
     The bonus enters E[r; s] only through the additive ``+B`` inside the
-    bracket, so the curve is affine in the bonus with slope pi_1(s).  This
-    makes bonus sweeps (publisher search, learning envs) cheap and keeps a
-    single definition of s*(B) everywhere.
+    bracket, so the curve is affine in the bonus with slope pi_1(s) = 1/L(s)
+    (0.0 at max_age + 1).  This makes bonus sweeps (publisher search,
+    learning envs) cheap and keeps a single definition of s*(B) everywhere.
     """
     M = params.max_age
     p = params.contact_prob
     q = 1.0 - p
     u = np.asarray(params.utility.values)
-    # tails[s-1] = sum_i u[s-1+i] q^i; u vanishes at max_age, so the full
-    # correlation's trailing terms add nothing
-    tails = np.correlate(u, q ** np.arange(M), "full")[M - 1 :]
-    heads = np.concatenate(([0.0], np.cumsum(u[:-1])))
-    pi1 = 1.0 / (np.arange(1, M + 1) + q / p)
+    slope = 1.0 / cycle_lengths(p, M)
     fixed = params.scan_cost / p + params.wifi_price
-    # s = M + 1: always inactive, identically zero
-    base = np.append(pi1 * (heads + tails - fixed), 0.0)
-    slope = np.append(pi1, 0.0)
+    # utilities near the float limit overflow to inf, and at a p so small that
+    # G/p is inf and 1/L rounds to 0 the base is 0 * -inf = nan: the answers of
+    # scalar float arithmetic, given quietly until the curve is rescaled
+    with np.errstate(over="ignore", invalid="ignore"):
+        # tails[s-1] = sum_i u[s-1+i] q^i; u vanishes at max_age, so the full
+        # correlation's trailing terms add nothing
+        tails = np.correlate(u, q ** np.arange(M), "full")[M - 1 :]
+        heads = np.concatenate(([0.0], np.cumsum(u[:-1])))
+        base = slope * np.append(heads + tails - fixed, 0.0)
     return base, slope
 
 
+def threshold_ages(p: float, max_age: int) -> np.ndarray:
+    """Expected age (p^2 s(s-1) + 2sp + 2q(1 - q^(M-s))) / (2p(sp + q)) for every
+    s in [1, max_age + 1], and max_age for never activating; 1 - q^n is taken
+    as -expm1(n log1p(-p)) so that nothing cancels as p -> 0."""
+    s = np.arange(1, max_age + 1)
+    q = 1.0 - p
+    num = p * p * s * (s - 1) + 2.0 * s * p - 2.0 * q * np.expm1((max_age - s) * np.log1p(-p))
+    return np.append(num / (2.0 * p * (s * p + q)), float(max_age))
+
+
 def expected_age(s: int, p: float, max_age: int) -> float:
-    """Expected age under the WiFi threshold-``s`` policy (closed form)."""
-    if not 1 <= s <= max_age:
-        raise ValueError(f"threshold {s} outside [1, {max_age}]")
+    """Expected age under the WiFi threshold-``s`` policy (closed form), s in [1, max_age + 1]."""
+    _check_threshold(s, max_age)
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
-    q = 1.0 - p
-    num = p * p * s * s - p * p * s - 2.0 * q ** (max_age - s) * q + 2.0 * s * p + 2.0 - 2.0 * p
-    return num / (2.0 * p * (s * p + q))
+    return float(threshold_ages(p, max_age)[s - 1])
 
 
 def expected_age_3g_only(s_3g: int, max_age: int) -> float:
     """Expected age when updating over 3G at threshold ``s_3g`` (periodic chain)."""
-    if not 1 <= s_3g <= max_age + 1:
-        raise ValueError(f"threshold {s_3g} outside [1, {max_age + 1}]")
+    _check_threshold(s_3g, max_age)
     if s_3g == max_age + 1:
         return float(max_age)
     return (s_3g + 1) / 2.0
@@ -123,10 +130,8 @@ def expected_reward_3g_only(params: SystemParams, s_3g: int) -> float:
     """Average reward of the 3G-only policy: inactive below ``s_3g``, action 2 after."""
     if not params.has_3g:
         raise ValueError("3G-only policy needs a finite 3G price")
-    M = params.max_age
-    if not 1 <= s_3g <= M + 1:
-        raise ValueError(f"threshold {s_3g} outside [1, {M + 1}]")
-    if s_3g == M + 1:
+    _check_threshold(s_3g, params.max_age)
+    if s_3g == params.max_age + 1:
         return 0.0
     return float(reward_curve_3g_only(params)[s_3g - 1])
 
@@ -280,13 +285,11 @@ def chain_summary(policy: Policy, params: SystemParams) -> ChainSummary:
 
 
 def summary_for_threshold(params: SystemParams, s: int) -> ChainSummary:
-    """Closed-form summary for a WiFi threshold, incl. the degenerate s = M + 1."""
+    """Closed-form summary for a WiFi threshold s in [1, max_age + 1]; never
+    activating (s = max_age + 1) has gain 0, age max_age and no updates."""
     M = params.max_age
-    if s == M + 1:
-        return ChainSummary(gain=0.0, age=float(M), update_rate=0.0)
-    q = 1.0 - params.contact_prob
     return ChainSummary(
         gain=expected_reward_threshold(params, s),
         age=expected_age(s, params.contact_prob, M),
-        update_rate=1.0 / (s + q / params.contact_prob),
+        update_rate=float(1.0 / cycle_lengths(params.contact_prob, M)[s - 1]),
     )

@@ -171,10 +171,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             footer = f"# monotonicity violated at grid index {i}: {a} -> {b}\n"
     else:
         settings = _param_settings(params)
-        columns, rows = ("s", "reward", "age"), []
-        for s in range(1, params.max_age + 2):
-            summary = chain.summary_for_threshold(params, s)
-            rows.append((s, summary.gain, summary.age))
+        rewards = chain.threshold_reward_curve(params).tolist()
+        ages = chain.threshold_ages(params.contact_prob, params.max_age).tolist()
+        columns, rows = ("s", "reward", "age"), list(zip(range(1, params.max_age + 2), rewards, ages))
     _write(args, "sweep", settings, columns, rows, footer=footer)
     return 0
 

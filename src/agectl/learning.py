@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import model, thresholds
+from . import chain, model, thresholds
 from .model import SystemParams, UtilityFunction
 
 RoundEnv = Callable[[float], float]  # bonus in effect -> requests served that round
@@ -168,17 +168,14 @@ def _threshold_actions(max_age: int) -> np.ndarray:
 
 
 def expected_rate_env(params: SystemParams, n_users: int, round_slots: int) -> RoundEnv:
-    """Noise-free analytic environment: served requests equal the closed-form
-    chain rate for the threshold users pick at the current bonus."""
+    """Noise-free analytic environment: served requests are the round's user-slots
+    over the mean cycle (:func:`chain.cycle_lengths`) of the threshold users
+    pick at the current bonus, so always-inactive users serve none."""
     response = _env_response(params, n_users, round_slots)
-    q_over_p = (1.0 - params.contact_prob) / params.contact_prob
-    never = params.max_age + 1
+    lengths = chain.cycle_lengths(params.contact_prob, params.max_age).tolist()
 
     def env(bonus: float) -> float:
-        s = response(bonus)
-        if s == never:
-            return 0.0
-        return round_slots * n_users / (s + q_over_p)
+        return round_slots * n_users / lengths[response(bonus) - 1]
 
     return env
 

@@ -38,19 +38,22 @@ class BonusSolution:
 
 
 def message_rate(params: SystemParams, n_users: int) -> float:
-    """Expected messages per slot when every user plays s*(bonus).
-
-    Always-inactive users send nothing, so s* = M + 1 yields rate zero rather
-    than the formula value.  A population too large for a float gives inf.
-    """
+    """Expected messages per slot when every user plays s*(bonus): n_users over
+    the mean cycle of :func:`chain.cycle_lengths`, inf for always-inactive
+    users, who send nothing.  Otherwise a population too large for a float
+    gives inf."""
     s = thresholds.optimal_threshold(params).s_star
-    if s == params.max_age + 1:
-        return 0.0
-    p = params.contact_prob
+    return _population_rate(n_users, chain.cycle_lengths(params.contact_prob, params.max_age)[s - 1])
+
+
+def _population_rate(n_users: int, cycle: float) -> float:
+    """``n_users / cycle``, the messages per slot of users who update once per
+    ``cycle`` slots on average, with an int too large for a float as inf users."""
     try:
-        return n_users / (s + (1.0 - p) / p)
-    except OverflowError:   # an int n_users too large for a float
-        return math.inf
+        n = float(n_users)
+    except OverflowError:
+        n = math.inf
+    return 0.0 if n == cycle == math.inf else n / float(cycle)   # inf users who never update
 
 
 def target_threshold(n_users: int, rate_cap: float, p: float, max_age: int) -> int:
@@ -102,9 +105,6 @@ def optimal_bonus(instance: PublisherInstance) -> BonusSolution | None:
         return None
     s = int(thresholds._threshold_at(edges, keeps_target[1]))
     lo, hi = thresholds._bonus_interval(edges, s, s, params.wifi_price)
-    if s == max_age + 1:
-        rate, age = 0.0, float(max_age)
-    else:
-        rate = instance.n_users / (s + (1.0 - p) / p)
-        age = chain.expected_age(s, p, max_age)
+    rate = _population_rate(instance.n_users, chain.cycle_lengths(p, max_age)[s - 1])
+    age = chain.expected_age(s, p, max_age)
     return BonusSolution(threshold=s, bonus_lo=lo, bonus_hi=hi, rate=rate, age=age)

@@ -158,7 +158,8 @@ def step_utility_threshold(params: SystemParams) -> ThresholdResult:
     candidates = sorted(
         {min(max(c, 1), M + 1) for c in (1, k - 1, math.floor(phi), math.ceil(phi), M, M + 1)}
     )
-    rewards = {s: chain.expected_reward_threshold(params, s) for s in candidates}
+    curve = chain.threshold_reward_curve(params)
+    rewards = {s: float(curve[s - 1]) for s in candidates}
     best = max(rewards.values())
     winners = tuple(s for s in candidates if rewards[s] >= best - model.TIE_TOL)
     s_star = winners[0]

@@ -1,12 +1,14 @@
 """Shared test helpers: randomized instance generators, a first-crossing scan
-over the reward curve, independent step-by-step replay oracles built directly
-on the one-slot primitives (per slot rewards, and per slot utility, scan cost
-and fee for exact totals), and a per-age relative value iteration oracle built
-on ``bellman_values``."""
+over the reward curve, an exact rational stationary law of the threshold
+chain, independent step-by-step replay oracles built directly on the one-slot
+primitives (per slot rewards, and per slot utility, scan cost and fee for
+exact totals), and a per-age relative value iteration oracle built on
+``bellman_values``."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import settings, strategies as st
@@ -109,6 +111,34 @@ def reference_first_crossing(rewards) -> int:
         if rewards[s - 1] >= rewards[s]:
             return s
     return len(rewards)
+
+
+def reference_threshold_age(s: int, p: float, max_age: int) -> Fraction:
+    """Exact mean age of the WiFi threshold-``s`` chain, s in [1, max_age + 1]:
+    its transition matrix is built from the float ``p`` taken exactly, and the
+    stationary law solved by Gauss-Jordan elimination, all in ``Fraction``
+    arithmetic.  The oracle for the age closed form at any p; its cost grows
+    as max_age^3 with long fractions, so keep max_age <= 12."""
+    M, p = max_age, Fraction(p)
+    step = [[Fraction(0)] * M for _ in range(M)]   # step[i][j]: age i + 1 -> j + 1
+    for age in range(1, M + 1):
+        nxt = min(age + 1, M) - 1
+        if age >= s:
+            step[age - 1][0] += p
+            step[age - 1][nxt] += 1 - p
+        else:
+            step[age - 1][nxt] += 1
+    # pi (P - I) = 0 for ages 1..M-1, and the masses sum to 1
+    rows = [[step[i][j] - (i == j) for i in range(M)] + [Fraction(0)] for j in range(M - 1)]
+    rows.append([Fraction(1)] * (M + 1))
+    for col in range(M):
+        pivot = next(r for r in range(col, M) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(M):
+            if r != col and rows[r][col]:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return sum(age * rows[age - 1][M] / rows[age - 1][age - 1] for age in range(1, M + 1))
 
 
 def reference_replay(

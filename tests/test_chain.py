@@ -1,5 +1,7 @@
-"""Closed-form chain analytics against the exact matrix oracles and a seeded
-Monte Carlo oracle."""
+"""Closed-form chain analytics against the exact matrix oracles, an exact
+rational stationary law and a seeded Monte Carlo oracle."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,8 +26,8 @@ from agectl.chain import reward_curve_3g_only, threshold_reward_affine, two_thre
 from agectl.model import BLOCK_CELLS
 
 from conftest import (
-    make_rng, random_3g_params, random_wifi_params, reference_replay, system_params,
-    threshold_action,
+    make_rng, random_3g_params, random_wifi_params, reference_replay, reference_threshold_age,
+    system_params, threshold_action,
 )
 
 
@@ -128,12 +130,17 @@ class TestExpectedReward:
             got = base + params.bonus * slope
             assert np.allclose(got, threshold_reward_curve(params), atol=1e-12)
 
-    def test_curve_matches_scalar_closed_form(self):
+    def test_curve_matches_oracle_gain(self):
+        # the matrix oracle's gain at every threshold, never activating included,
+        # within an absolute 1e-10; the worst gap on these draws is 2.3e-13 at
+        # rewards up to 54
         rng = make_rng(507)
         for _ in range(40):
             params = random_wifi_params(rng, m_range=(2, 60))
-            scalar = [expected_reward_threshold(params, s) for s in range(1, params.max_age + 2)]
-            assert np.allclose(threshold_reward_curve(params), scalar, rtol=1e-12, atol=1e-12)
+            M = params.max_age
+            oracle = [chain_summary(Policy.from_thresholds(s, None, M), params).gain
+                      for s in range(1, M + 2)]
+            assert np.allclose(threshold_reward_curve(params), oracle, rtol=0.0, atol=1e-10)
 
     def test_unimodality_over_random_instances(self):
         rng = make_rng(606)
@@ -165,6 +172,14 @@ class TestExpectedAge:
     def test_strictly_increasing_in_threshold(self):
         ages = [expected_age(s, 0.5, 21) for s in range(1, 22)]
         assert all(a < b for a, b in zip(ages, ages[1:]))
+
+    @pytest.mark.parametrize("p", [0.5, 1e-3, 1e-9, 1e-20, 1e-300, 1 - 2**-53])
+    def test_matches_exact_stationary_mean_at_any_p(self, p):
+        # 1 - q^(M-s) cancels as p -> 0 unless taken through expm1/log1p
+        for M in (2, 7, 12):
+            for s in range(1, M + 2):
+                exact = reference_threshold_age(s, p, M)
+                assert abs(Fraction(expected_age(s, p, M)) - exact) <= exact * Fraction(1e-15), (s, M)
 
 
 class TestTwoThreshold:
@@ -273,6 +288,29 @@ class TestDegenerateSummary:
         assert summary.gain == 0.0
         assert summary.age == 12.0
         assert summary.update_rate == 0.0
+
+    def test_matches_oracle_at_every_threshold(self):
+        rng = make_rng(808)
+        for _ in range(20):
+            params = random_wifi_params(rng, m_range=(2, 40))
+            M = params.max_age
+            for s in range(1, M + 2):
+                summary = summary_for_threshold(params, s)
+                oracle = chain_summary(Policy.from_thresholds(s, None, M), params)
+                assert summary.gain == pytest.approx(oracle.gain, rel=0.0, abs=1e-10), s
+                assert summary.age == pytest.approx(oracle.age, rel=1e-10), s
+                assert summary.update_rate == pytest.approx(oracle.update_rate, rel=0.0, abs=1e-12), s
+
+    @pytest.mark.parametrize("s", [0, -1, 14])
+    def test_threshold_outside_range_rejected(self, s):
+        # a negative index would read the vector forms from the end
+        params = linear_params()
+        with pytest.raises(ValueError):
+            summary_for_threshold(params, s)
+        with pytest.raises(ValueError):
+            expected_reward_threshold(params, s)
+        with pytest.raises(ValueError):
+            expected_age(s, params.contact_prob, params.max_age)
 
     def test_update_rate_equals_pi1(self):
         params = linear_params()

@@ -143,7 +143,8 @@ class TestPublisher:
 
     def test_equal_slopes_at_tiny_p_answer(self, capsys):
         # at p = 1e-300 every pi_1(s) rounds to 1e-300, so the bonus edges divide
-        # by +0.0; it raised RuntimeWarning in bonus_edges
+        # by +0.0; it raised RuntimeWarning in bonus_edges.  The expected age
+        # there is M up to 1e-299, not the -1 that 1 - q^(M-s) cancelling gave
         code, out, _ = run(
             capsys, "publisher", "--M", "12", "--p", "1e-300", "--G", "12", "--P", "1e308",
             "--B", "0.01", "--utility", "step", "--v", "1", "--k", "12", "--N", "50",
@@ -151,6 +152,7 @@ class TestPublisher:
         )
         assert code == 0
         assert "feasible,True" in out
+        assert out.endswith("threshold,1\nbonus_lo,0\nbonus_hi,1e+308\nrate,5e-299\nage,12\n")
 
 
 class TestLearn:

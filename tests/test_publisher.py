@@ -131,6 +131,17 @@ class TestMessageRate:
         )
         assert message_rate(params, 100) == 0.0
 
+    @pytest.mark.parametrize("n", [100, 10**400, math.inf], ids=["small", "huge-n", "inf"])
+    def test_always_inactive_population_of_any_size_sends_nothing(self, n):
+        # n / inf is 0.0 only for an n that converts to a finite float
+        params = SystemParams(
+            contact_prob=0.5, max_age=5, utility=UtilityFunction.tabular([0] * 5),
+            scan_cost=1.0,
+        )
+        assert message_rate(params, n) == 0.0
+        solution = optimal_bonus(PublisherInstance(params=params, n_users=n, rate_cap=1.0))
+        assert (solution.threshold, solution.rate, solution.age) == (6, 0.0, 5.0)
+
     @pytest.mark.parametrize("n", [10**400, 2 * 10**308], ids=["huge-n", "past-float-max"])
     def test_population_past_the_float_range_sends_inf(self, n):
         # n does not convert to a float: the rate is inf, as the float n = inf gives
