@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -145,11 +146,15 @@ def convergence_report(
 
 def _env_response(params: SystemParams, n_users: int, round_slots: int) -> Callable[[float], int]:
     """Check a population env's size, and return s*(B) for one bonus at a time
-    by the rule of ``thresholds.bonus_edges``, from edges computed once."""
+    by the rule of ``thresholds.bonus_edges``, from edges computed once.
+    A round's user-slots must fit a float, as the served counts are floats."""
     if n_users < 1:
         raise ValueError(f"need at least one user, got {n_users}")
     if round_slots < 1:
         raise ValueError(f"round_slots must be >= 1, got {round_slots}")
+    if n_users * round_slots > sys.float_info.max:
+        raise ValueError(f"population too large: {round_slots}-slot rounds of {n_users} users"
+                         " pass the float range")
     edges = thresholds.bonus_edges(params)
 
     def response(bonus: float) -> int:

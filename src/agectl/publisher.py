@@ -63,13 +63,14 @@ def target_threshold(n_users: int, rate_cap: float, p: float, max_age: int) -> i
     A rate exactly on the budget counts as feasible; the snap tolerance keeps
     float noise from pushing the ceiling one step too high.  A budget per
     user too small for a float (``n_users / rate_cap`` past the float range)
-    gives ``max_age + 1``.
+    gives ``max_age + 1``.  A mean cycle too long for a float (``(1 - p) / p``
+    is inf) gives 1: users who send nothing keep any budget.
     """
     try:
         raw = n_users / rate_cap - (1.0 - p) / p
     except OverflowError:   # an int n_users too large for a float
         raw = math.inf
-    return max(1, math.ceil(min(raw - 1e-9, max_age + 1)))
+    return max(1, math.ceil(min(max(raw, 0.0) - 1e-9, max_age + 1)))
 
 
 def bonus_range_for_threshold(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -160,16 +161,68 @@ class MaskPolicy:
 MASK_POLICY = MaskPolicy()
 
 
+class UpdateSlots(Sequence[int]):
+    """An immutable sequence of ints stored as one read-only int64 array.
+
+    Indexing gives a Python int, a slice gives an ``UpdateSlots`` and
+    ``np.asarray`` gives the stored array itself, without a copy.  The array
+    lives in an immutable bytes object, so it cannot be made writeable again.
+    It equals only another ``UpdateSlots`` with the same contents, never a
+    tuple or an array; its hash is that of the array's bytes.
+    """
+
+    __slots__ = ("_array",)
+
+    def __init__(self, slots: Sequence[int] | np.ndarray = ()):
+        array = np.asarray(slots)
+        if array.ndim != 1 or array.size and array.dtype.kind not in "iu":
+            raise TypeError("update slots must be a flat sequence of integers")
+        self._array = np.frombuffer(array.astype(np.int64, copy=False).tobytes(), np.int64)
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return UpdateSlots(self._array[index])
+        return int(self._array[operator.index(index)])
+
+    def __iter__(self):
+        return iter(self._array.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UpdateSlots):
+            return NotImplemented
+        return bool(np.array_equal(self._array, other._array))
+
+    def __hash__(self) -> int:
+        return hash(self._array.tobytes())
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self._array, dtype=dtype, copy=copy)
+
+    def __reduce__(self):
+        return UpdateSlots, (self._array,)
+
+    def __repr__(self) -> str:
+        return f"UpdateSlots({np.array2string(self._array, separator=', ')})"
+
+
 @dataclass(frozen=True)
 class SimResult:
     """One replay: ``total_reward``, ``energy_spent`` and ``fees_paid`` are the
-    exact sums of the slots' utility, scan-cost and fee terms, rounded once."""
+    exact sums of the slots' utility, scan-cost and fee terms, rounded once.
+
+    ``update_slots`` holds the 1-based indices of the slots with an update as
+    an :class:`UpdateSlots`, a read-only int64 sequence.  It equals only
+    another ``UpdateSlots``: compare it with ``tuple(result.update_slots)``
+    or read ``np.asarray(result.update_slots)``, which does not copy."""
 
     total_reward: float
     slots: int
     average_reward: float
     updates: int
-    update_slots: tuple[int, ...]   # 1-based indices of slots with an update
+    update_slots: UpdateSlots
     updates_wifi: int
     updates_3g: int
     energy_spent: float
@@ -293,7 +346,7 @@ def simulate_policy(
         slots=len(trace),
         average_reward=total / len(trace),
         updates=wifi + updates_3g,
-        update_slots=tuple((np.flatnonzero(ages[0, 1:] == 1) + 1).tolist()),
+        update_slots=UpdateSlots(np.flatnonzero(ages[0, 1:] == 1) + 1),
         updates_wifi=wifi,
         updates_3g=updates_3g,
         energy_spent=active * params.scan_cost,   # one rounding: active < 2**53

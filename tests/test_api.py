@@ -28,7 +28,7 @@ SIGNATURES = {
     "PublisherInstance":
         "(params: 'SystemParams', n_users: 'int', rate_cap: 'float') -> None",
     "SimResult":
-        "(total_reward: 'float', slots: 'int', average_reward: 'float', updates: 'int', update_slots: 'tuple[int, ...]', updates_wifi: 'int', updates_3g: 'int', energy_spent: 'float', fees_paid: 'float') -> None",
+        "(total_reward: 'float', slots: 'int', average_reward: 'float', updates: 'int', update_slots: 'UpdateSlots', updates_wifi: 'int', updates_3g: 'int', energy_spent: 'float', fees_paid: 'float') -> None",
     "SolveReport":
         "(value: 'ValueFunction', policy: 'Policy', iterations: 'int', residual: 'float') -> None",
     "StructureViolation":

@@ -154,6 +154,21 @@ class TestPublisher:
         assert "feasible,True" in out
         assert out.endswith("threshold,1\nbonus_lo,0\nbonus_hi,1e+308\nrate,5e-299\nage,12\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ("--M", "2", "--p", "5e-324", "--G", "0", "--P", "3", "--utility", "step", "--v", "1",
+         "--k", "41", "--N", "500", "--T", "2"),
+        ("--M", "40", "--p", "5e-324", "--G", "5e-324", "--P", "1e308", "--B", "3", "--P3G", "1e15",
+         "--N", "3", "--T", "1e308"),
+    ], ids=["step", "3g"])
+    def test_cycle_past_the_float_range_keeps_any_budget(self, capsys, argv):
+        # (1 - p)/p is inf at p = 5e-324: target_threshold raised OverflowError
+        code, out, _ = run(capsys, "publisher", *argv)
+        assert code == 0
+        fields = dict(line.split(",") for line in out.splitlines() if not line.startswith("#"))
+        assert fields["target_threshold"] == "1" and fields["rate"] == "0"
+        assert 1 <= float(fields["age"]) <= int(argv[1])
+
 
 class TestLearn:
     def test_analytic_preset_run(self, capsys):
@@ -178,6 +193,15 @@ class TestLearn:
         code, out, err = run(capsys, "learn", "--env", "analytic", "--N", "-3", "--rounds", "203")
         assert code == 2
         assert "at least one user" in err
+
+    @pytest.mark.parametrize("n", ["1" + "0" * 400, "1" + "0" * 307],
+                             ids=["n-past-float", "user-slots-past-float"])
+    def test_population_past_the_float_range_exits_2(self, capsys, n):
+        # expected_rate_env's served count raised OverflowError
+        code, out, err = run(capsys, "learn", "--env", "analytic", "--N", n)
+        assert code == 2
+        assert out == ""
+        assert "population too large" in err and n in err
 
     @pytest.mark.parametrize("text", ["", "# a comment and no traces\n"])
     def test_trace_env_without_traces_exits_2(self, capsys, tmp_path, text):

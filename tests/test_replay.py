@@ -99,11 +99,17 @@ def test_simulate_policy_equals_reference_replay(params, data, n, p, seed):
         result = simulate_policy(trace, params, policy, start_age=start)
         parts = reference_parts(trace.slots, params, action_rule(policy, trace), start)
         assert_totals_equal_parts(result, parts)
-        age, updates, action_at = start, [], action_rule(policy, trace)
+        age, updates, by_3g, action_at = start, [], 0, action_rule(policy, trace)
         for t, contact in enumerate(trace.slots, start=1):
             age = next_age(age, action_at(age), contact, params.max_age)
             updates += [t] if age == 1 else []
-        assert result.update_slots == tuple(updates)
+            by_3g += age == 1 and not contact
+        slots = np.asarray(result.update_slots)
+        assert slots.dtype == np.int64 and np.array_equal(slots, updates)
+        assert tuple(result.update_slots) == tuple(updates)
+        counts = (result.updates, result.updates_wifi, result.updates_3g)
+        assert counts == (len(updates), len(updates) - by_3g, by_3g)
+        assert (result.slots, result.average_reward) == (n, result.total_reward / n)
 
 
 @given(instances(), st.integers(1, 4), st.integers(1, 2 * L), st.integers(1, 9),

@@ -1,6 +1,7 @@
 """Trace parsing, contact statistics, policy replay against the independent
 step oracle, trace-driven threshold search, corpus generation, and the
 population simulator."""
+import copy
 import pickle
 from dataclasses import replace
 
@@ -29,7 +30,7 @@ from agectl import (
     simulate_population,
     trace_env,
 )
-from agectl.tracesim import dump_traces, replayed_average_reward
+from agectl.tracesim import UpdateSlots, dump_traces, replayed_average_reward
 
 from conftest import make_rng, reference_replay, threshold_action
 
@@ -145,7 +146,7 @@ class TestSimulatePolicy:
         params = linear_params(max_age=3, p=0.5)
         result = simulate_policy(ContactTrace("x", (1, 0, 1)), params, Policy.from_thresholds(1, None, 3))
         assert result.total_reward == pytest.approx(5.0)
-        assert result.update_slots == (1, 3)
+        assert tuple(result.update_slots) == (1, 3)
         assert result.updates == 2
 
     def test_always_inactive_from_saturated_age(self):
@@ -209,7 +210,7 @@ class TestSimulatePolicy:
         trace = ContactTrace("m", (1, 1, 1, 0), mask=(0, 1, 0, 1))
         result = simulate_policy(trace, params, MASK_POLICY)
         # slots 2 and 4 active; update only at slot 2 (slot 4 has no contact)
-        assert result.update_slots == (2,)
+        assert tuple(result.update_slots) == (2,)
         assert result.energy_spent == pytest.approx(0.5)
 
     def test_mask_policy_needs_mask(self):
@@ -226,6 +227,76 @@ class TestSimulatePolicy:
         )
         se = rewards.std() / np.sqrt(len(rewards))
         assert abs(result.average_reward - expected_reward_threshold(params, 4)) < 3 * se
+
+
+class TestUpdateSlots:
+    """``SimResult.update_slots``: a read-only int64 sequence that hashes and
+    compares by content.  ``test_replay`` checks its values against stepped
+    replays of random traces and policies."""
+
+    @staticmethod
+    def replay():
+        return simulate_policy(iid_trace(0.4, 3000, seed=8), linear_params(), Policy.from_thresholds(3, None, 12))
+
+    @pytest.fixture
+    def result(self):
+        return self.replay()
+
+    def test_equality_and_hash_follow_the_contents(self, result):
+        slots = result.update_slots
+        same = UpdateSlots(list(slots))
+        assert slots == same and hash(slots) == hash(same)
+        assert slots != UpdateSlots(list(slots)[:-1])
+        assert slots != tuple(slots) and slots != list(slots)
+        again = self.replay()
+        assert again == result and hash(again) == hash(result)
+        assert replace(result, update_slots=UpdateSlots(list(slots)[1:])) != result
+
+    def test_indices_and_slices(self, result):
+        slots, values = result.update_slots, np.asarray(result.update_slots).tolist()
+        assert len(slots) == result.updates > 3
+        assert slots[-1] == values[-1] and type(slots[-1]) is int
+        assert [slots[i] for i in range(-len(slots), len(slots))] == values * 2
+        assert slots[np.int64(2)] == values[2]
+        for index in (len(slots), -len(slots) - 1):
+            with pytest.raises(IndexError):
+                slots[index]
+        for part in (slice(1, 4), slice(None, None, -2), slice(5, 2), slice(-3, None)):
+            assert isinstance(slots[part], UpdateSlots)
+            assert list(slots[part]) == values[part]
+        assert list(slots) == values and values[2] in slots
+
+    def test_empty_result_is_falsy(self):
+        params = linear_params()
+        result = simulate_policy(iid_trace(0.54, 500, seed=3), params, Policy.from_thresholds(13, None, 12))
+        assert not result.update_slots and len(result.update_slots) == 0
+        assert result.update_slots == UpdateSlots() and np.asarray(result.update_slots).dtype == np.int64
+
+    def test_array_is_shared_and_read_only(self, result):
+        array = np.asarray(result.update_slots)
+        assert array.dtype == np.int64 and np.shares_memory(array, np.asarray(result.update_slots))
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+        assert np.asarray(result.update_slots, dtype=float).flags.writeable
+
+    @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_clones_stay_equal_and_read_only(self, result, clone):
+        twin = clone(result)
+        assert twin == result and hash(twin) == hash(result)
+        with pytest.raises(ValueError, match="read-only"):
+            np.asarray(twin.update_slots)[0] = 0
+
+    def test_input_is_copied_and_checked(self):
+        source = np.array([2, 5, 9])
+        slots = UpdateSlots(source)
+        source[0] = 7
+        assert list(slots) == [2, 5, 9]
+        for bad in ([1.5], [[1, 2]], 3):
+            with pytest.raises(TypeError):
+                UpdateSlots(bad)
 
 
 class TestBestTraceThreshold:
