@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BLOCK_CELLS, Action, Policy, SystemParams
+from . import model
+from .model import Action, Policy, SystemParams
 
 
 @dataclass(frozen=True)
@@ -173,16 +174,38 @@ def expected_reward_two_threshold(params: SystemParams, s_wifi: int, s_3g: int) 
 def two_threshold_reward_grid(params: SystemParams) -> np.ndarray:
     """Matrix R[s_wifi - 1, s_3g - 1] of two-threshold rewards; -inf off-domain.
 
-    Vectorized over blocks of s_wifi rows of at most ``BLOCK_CELLS`` cells,
-    so an exhaustive grid stays fast at max_age in the thousands while its
-    temporaries stay the size of one block.  Each row runs over the span
-    j = s_3g - s_wifi with the float operations, and their order, of one
-    per-row pass: its band is the in-order running sum of u(s_wifi + j)·q^j
-    and its head the in-order sum of u below s_wifi, starting from 0.0.
+    The dense M x M assembly of the row blocks that
+    :func:`thresholds.optimal_two_thresholds` streams without holding the
+    grid, so every cell has the bits the search reads.  For tests and callers
+    that inspect the whole grid.
     """
     if not params.has_3g:
         raise ValueError("two-threshold grid needs a finite 3G price")
     M = params.max_age
+    grid = np.full((M, M), -np.inf)
+    for r0, block in _two_threshold_blocks(params):
+        grid[r0 : r0 + len(block), r0:] = block
+    return grid
+
+
+def _two_threshold_blocks(params: SystemParams, rows: int | None = None, first: int = 0,
+                          columns: int | None = None):
+    """Yield ``(r0, block)`` over the two-threshold grid's s_wifi rows from
+    ``first`` on, ``rows`` at a time (at most ``model.BLOCK_CELLS`` cells by
+    default): ``block[k, c]`` is R[r0 + k, r0 + c] for the columns r0 up to
+    ``columns`` (max_age by default), -inf where c < k.  Blocks share
+    buffers, so each is valid until the next is asked for.
+
+    The only home of the grid's float operations and their order.  Each row
+    runs over the span j = s_3g - s_wifi as one per-row pass: its band is the
+    in-order running sum of u(s_wifi + j)·q^j, its head the in-order sum of u
+    below s_wifi from 0.0, and its cell pi1 * (((head + band) - wifi cycle
+    cost) - escalation).  A column limit only cuts the spans short, so a cell
+    has the same bits in every block that holds it.
+    """
+    M = params.max_age
+    stop = M if columns is None else columns
+    rows = min(max(1, model.BLOCK_CELLS // M) if rows is None else rows, stop - first)
     p = params.contact_prob
     q = 1.0 - p
     u = np.asarray(params.utility.values)
@@ -195,21 +218,29 @@ def two_threshold_reward_grid(params: SystemParams) -> np.ndarray:
     escalation = esc_coeff * qpow
     heads = np.cumsum(np.concatenate(([0.0], u[:-1])))
     # window row i holds u from age i + 1 on, zero-padded to M entries
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((u, np.zeros(M - 1))), M)
-    # row i of `skewed` starts at grid[i, i]: M + 1 cells per row shift each
-    # row one column right, so span j of row i lands in column i + j
-    cells = np.full(M * (M + 1), -np.inf)
-    grid = cells[: M * M].reshape(M, M)
-    skewed = cells.reshape(M, M + 1)
-    rows = max(1, BLOCK_CELLS // M)
-    for r0 in range(0, M, rows):
-        s_wifi = np.arange(r0 + 1, min(r0 + rows, M) + 1)[:, None]
-        r1, width = r0 + s_wifi.size, M - r0    # width: the block's longest span + 1
-        band = np.cumsum(windows[r0:r1, :width] * band_q[:width], axis=1)
-        pi1 = 1.0 / (s_wifi - 1 + reach[:width])
-        block = pi1 * (heads[r0:r1, None] + band - wifi_cycle_cost - escalation[:width])
-        np.copyto(skewed[r0:r1, :width], block, where=np.arange(width) <= M - s_wifi)
-    return grid
+    padded = np.concatenate((u, np.zeros(M - 1)))
+    windows = np.ndarray((M, M), buffer=padded, strides=2 * padded.strides)
+    band_cells = np.empty(rows * (stop - first))
+    # block rows are `pitch` cells apart, room for each row's spans past the
+    # last column; no span reaches c < k, so those cells stay -inf
+    pitch = stop - first + rows
+    cells = np.empty(rows * (pitch + 1))
+    cells[: rows * pitch].reshape(rows, pitch)[:, :rows] = -np.inf
+    for r0 in range(first, stop, rows):
+        n, width = min(rows, stop - r0), stop - r0
+        band = band_cells[: n * width].reshape(n, width)
+        np.multiply(windows[r0 : r0 + n, :width], band_q[:width], out=band)
+        np.cumsum(band, axis=1, out=band)
+        np.add(heads[r0 : r0 + n, None], band, out=band)
+        np.subtract(band, wifi_cycle_cost, out=band)
+        np.subtract(band, escalation[:width], out=band)
+        # pitch + 1 cells per row shift each row one column right, so span j
+        # of row k lands in column k + j
+        pi1 = cells[: n * (pitch + 1)].reshape(n, pitch + 1)[:, :width]
+        np.add(np.arange(r0, r0 + n)[:, None], reach[:width], out=pi1)   # s_wifi - 1 + reach
+        np.divide(1.0, pi1, out=pi1)
+        np.multiply(pi1, band, out=pi1)
+        yield r0, cells[: n * pitch].reshape(n, pitch)[:, :width]
 
 
 # --- exact chain oracles --------------------------------------------------------------

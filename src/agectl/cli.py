@@ -339,6 +339,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"agectl: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except MemoryError as exc:   # an input too large to hold, such as a huge --N
+        print("agectl: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -61,16 +61,21 @@ def target_threshold(n_users: int, rate_cap: float, p: float, max_age: int) -> i
     clipped into [1, max_age + 1].
 
     A rate exactly on the budget counts as feasible; the snap tolerance keeps
-    float noise from pushing the ceiling one step too high.  A budget per
-    user too small for a float (``n_users / rate_cap`` past the float range)
-    gives ``max_age + 1``.  A mean cycle too long for a float (``(1 - p) / p``
-    is inf) gives 1: users who send nothing keep any budget.
+    float noise from pushing the ceiling one step too high.  The raw threshold
+    n_users / rate_cap - (1 - p) / p is formed from the inputs as exact
+    rationals, so both terms may pass the float range: a budget per user too
+    small for a float gives ``max_age + 1``, and a mean cycle too long for a
+    float gives 1 unless the budget term is larger still (users who send
+    nothing keep any budget).  ``n_users`` of inf gives ``max_age + 1`` and
+    ``rate_cap`` of inf gives 1.
     """
-    try:
-        raw = n_users / rate_cap - (1.0 - p) / p
-    except OverflowError:   # an int n_users too large for a float
-        raw = math.inf
-    return max(1, math.ceil(min(max(raw, 0.0) - 1e-9, max_age + 1)))
+    from fractions import Fraction   # here, not at import time: fractions loads decimal
+
+    if n_users == math.inf:
+        return max_age + 1
+    per_user = Fraction(0) if rate_cap == math.inf else Fraction(n_users) / Fraction(rate_cap)
+    raw = per_user - (1 - Fraction(p)) / Fraction(p)
+    return max(1, math.ceil(min(max(raw, 0) - Fraction(1e-9), max_age + 1)))
 
 
 def bonus_range_for_threshold(

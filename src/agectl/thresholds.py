@@ -14,6 +14,7 @@ from .model import SystemParams
 
 _INV_E = math.exp(-1.0)
 _LAMBERT_TOL, _LAMBERT_MAX_ITER = 1e-12, 100   # relative residual bound, Halley step cap
+_REVISIT_ROWS = 16   # rows per chunk when a two-threshold search recomputes rows
 
 
 @dataclass(frozen=True)
@@ -205,6 +206,13 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     Every pair within ``model.TIE_TOL`` of the best reward ties; ties prefer
     smaller s_3g, then smaller s_wifi (least escalation).  Always-inactive wins
     unless some pair earns more than ``model.TIE_TOL``.
+
+    The grid is streamed: one pass folds the row blocks of
+    :func:`chain.two_threshold_reward_grid` into column maxima, so memory
+    stays O(max_age) plus one block.  The winning column's first row within
+    the tie of the best is then read from the last block, or recomputed in
+    short row chunks, only up to that column, from the first block that came
+    within the tie of the column's maximum.
     """
     if not params.has_3g:
         raise ValueError("optimal_two_thresholds needs a finite 3G price")
@@ -221,17 +229,34 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
         return TwoThresholdResult(s_wifi=s3, s_3g=s3, reward=float(only_3g[s3 - 1]))
 
     wifi_only = chain.threshold_reward_curve(params)[:M]
-    grid = chain.two_threshold_reward_grid(params)
-    column_top = grid.max(axis=0)
+    column_top = np.full(M, -np.inf)
+    # rows before column_from[c] stay more than the tie below column_top[c], so
+    # below the final floor too: the first row within the tie lies at or after it
+    column_from = np.zeros(M, dtype=np.intp)
+    for r0, block in chain._two_threshold_blocks(params):
+        tops = block.max(axis=0)
+        seen = column_top[r0:]
+        np.copyto(column_from[r0:], r0, where=tops - tie > seen)
+        np.maximum(seen, tops, out=seen)
     top = max(float(column_top.max()), float(wifi_only.max()))
     if top <= tie:
         return TwoThresholdResult(s_wifi=never, s_3g=never, reward=0.0)
-    columns = column_top >= top - tie
+    floor = top - tie
+    columns = column_top >= floor
     if columns.any():
         s3 = int(np.argmax(columns)) + 1
-        s_w = int(np.argmax(grid[:, s3 - 1] >= top - tie)) + 1
-        return TwoThresholdResult(s_wifi=s_w, s_3g=s3, reward=float(grid[s_w - 1, s3 - 1]))
-    s_w = int(np.argmax(wifi_only >= top - tie)) + 1
+        start = int(column_from[s3 - 1])
+        if start < r0:
+            blocks = chain._two_threshold_blocks(params, _REVISIT_ROWS, start, s3)
+        else:
+            blocks = [(r0, block)]
+        for r0, block in blocks:
+            column = block[:, s3 - 1 - r0]
+            hits = column >= floor
+            if hits.any():
+                k = int(np.argmax(hits))
+                return TwoThresholdResult(s_wifi=r0 + k + 1, s_3g=s3, reward=float(column[k]))
+    s_w = int(np.argmax(wifi_only >= floor)) + 1
     return TwoThresholdResult(s_wifi=s_w, s_3g=never, reward=float(wifi_only[s_w - 1]))
 
 

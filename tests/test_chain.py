@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from agectl import (
     Policy,
@@ -22,7 +22,9 @@ from agectl import (
     threshold_reward_curve,
     transition_matrix,
 )
-from agectl.chain import reward_curve_3g_only, threshold_reward_affine, two_threshold_reward_grid
+from agectl.chain import (
+    _two_threshold_blocks, reward_curve_3g_only, threshold_reward_affine, two_threshold_reward_grid,
+)
 from agectl.model import BLOCK_CELLS
 
 from conftest import (
@@ -280,6 +282,22 @@ class TestTwoThresholdGrid:
             scan_cost=0.3, wifi_price=1.0, price_3g=12.0, bonus=0.25,
         )
         self.assert_matches_closed_form(params)
+
+
+    @given(system_params(with_3g=True), st.integers(1, 9), st.data())
+    def test_row_blocks_hold_the_grid_bits(self, params, rows, data):
+        # the streamed search reads cells from blocks of any height, cut at any
+        # column, and must see the bits of the dense grid
+        M = params.max_age
+        first = data.draw(st.integers(0, M - 1))
+        columns = data.draw(st.integers(first + 1, M))
+        grid = two_threshold_reward_grid(params)
+        end = first
+        for r0, block in _two_threshold_blocks(params, rows, first, columns):
+            assert r0 == end
+            end = r0 + len(block)
+            assert block.tobytes() == grid[r0:end, r0:columns].tobytes()
+        assert end == columns
 
 
 class TestDegenerateSummary:

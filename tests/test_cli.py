@@ -160,9 +160,11 @@ class TestPublisher:
          "--k", "41", "--N", "500", "--T", "2"),
         ("--M", "40", "--p", "5e-324", "--G", "5e-324", "--P", "1e308", "--B", "3", "--P3G", "1e15",
          "--N", "3", "--T", "1e308"),
-    ], ids=["step", "3g"])
+        ("--M", "12", "--p", "5e-324", "--G", "0", "--P", "3", "--N", "500", "--T", "1e-320"),
+    ], ids=["step", "3g", "budget-past-float"])
     def test_cycle_past_the_float_range_keeps_any_budget(self, capsys, argv):
-        # (1 - p)/p is inf at p = 5e-324: target_threshold raised OverflowError
+        # (1 - p)/p is inf at p = 5e-324: target_threshold raised OverflowError,
+        # and with N/T inf as well ValueError (inf - inf is nan)
         code, out, _ = run(capsys, "publisher", *argv)
         assert code == 0
         fields = dict(line.split(",") for line in out.splitlines() if not line.startswith("#"))
@@ -202,6 +204,17 @@ class TestLearn:
         assert code == 2
         assert out == ""
         assert "population too large" in err and n in err
+
+    def test_population_past_memory_exits_2(self, capsys, monkeypatch):
+        # numpy's per-user arrays for N = 1e13 raised _ArrayMemoryError (exit 1)
+        def unallocatable(*args):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(cli.learning, "chain_sim_env", unallocatable)
+        code, out, err = run(capsys, "learn", "--env", "chain", "--N", "10000000000000")
+        assert code == 2
+        assert out == ""
+        assert err == "agectl: out of memory: Unable to allocate 72.8 TiB for an array\n"
 
     @pytest.mark.parametrize("text", ["", "# a comment and no traces\n"])
     def test_trace_env_without_traces_exits_2(self, capsys, tmp_path, text):

@@ -107,6 +107,17 @@ class TestTargetThreshold:
     def test_clipped_into_range(self):
         assert target_threshold(10_000, 1.0, 0.5, 10) == 11
         assert target_threshold(1, 1000.0, 0.5, 10) == 1
+        assert target_threshold(500, math.inf, 0.5, 10) == 1   # n / inf is 0
+
+    @pytest.mark.parametrize("cap,expected", [(1e-320, 1), (5e-323, 13)],
+                             ids=["cycle-larger", "budget-larger"])
+    def test_budget_and_cycle_both_past_the_float_range(self, cap, expected):
+        # p = 5e-324 = 2**-1074, so (1 - p)/p = 2**1074 - 1.  1e-320 = 2024 * 2**-1074
+        # gives N/T = (500/2024) * 2**1074, about 0.247 * 2**1074 < 2**1074 - 1: the
+        # raw threshold is negative and clamps to 0, so 1.  5e-323 = 10 * 2**-1074
+        # gives N/T = 50 * 2**1074: the raw threshold passes M + 1 = 13.
+        assert 5e-324 == 2.0**-1074 and 1e-320 == 2024 * 2.0**-1074 and 5e-323 == 10 * 2.0**-1074
+        assert target_threshold(500, cap, 5e-324, 12) == expected
 
     @pytest.mark.parametrize("n,cap", [(20, 1e-320), (10**400, 1e-320), (10**400, 1.0), (2 * 10**21, 1.0)],
                              ids=["inf-ratio", "huge-n-tiny-cap", "huge-n", "large-n"])

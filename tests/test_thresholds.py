@@ -1,11 +1,13 @@
 """Threshold search: first-crossing rule, regime tests, Lambert W, step
 candidates, multi-optimum enumeration, two-threshold grid, monotonicity."""
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from agectl import (
     SystemParams,
@@ -25,6 +27,8 @@ from agectl import (
     threshold_reward_curve,
     threshold_response,
 )
+from agectl import model
+from agectl.chain import two_threshold_reward_grid
 
 from conftest import (
     make_rng, random_3g_params, random_wifi_params, reference_first_crossing, system_params,
@@ -276,6 +280,120 @@ class TestTwoThresholds:
         assert abs(res.reward - wifi_only) < 1e-9  # (2, 13) ties with (2, 12)
         assert (res.s_wifi, res.s_3g) == (2, 12)
         assert res.reward == pytest.approx(expected_reward_two_threshold(params, 2, 12), abs=1e-12)
+
+
+def dense_two_threshold_pick(params):
+    """The documented tie rule read off the dense grid and the WiFi-only edge:
+    never activating unless some pair earns more than ``model.TIE_TOL``, else
+    the smallest s_3g, then the smallest s_wifi, within the tie of the best."""
+    M, tie = params.max_age, model.TIE_TOL
+    grid = two_threshold_reward_grid(params)
+    wifi_only = threshold_reward_curve(params)[:M]
+    top = max(float(grid.max()), float(wifi_only.max()))
+    if top <= tie:
+        return M + 1, M + 1, 0.0
+    hits = grid >= top - tie
+    if hits.any():
+        s3 = int(np.flatnonzero(hits.any(axis=0))[0])
+        s_w = int(np.flatnonzero(hits[:, s3])[0])
+        return s_w + 1, s3 + 1, float(grid[s_w, s3])
+    s_w = int(np.flatnonzero(wifi_only >= top - tie)[0])
+    return s_w + 1, M + 1, float(wifi_only[s_w])
+
+
+def assert_same_pick(got, expected):
+    s_w, s3, reward = expected
+    assert (got.s_wifi, got.s_3g, got.reward.hex()) == (s_w, s3, reward.hex())
+
+
+def grid_branch(params):
+    """3G dearer than the WiFi cycle cost: the search runs over the grid."""
+    return params.price_3g > params.scan_cost / params.contact_prob + params.wifi_price
+
+
+@st.composite
+def tie_heavy_params(draw):
+    """Flat and step utilities with integer values and costs at dyadic p, where
+    distinct pairs often earn exactly the same reward."""
+    M = draw(st.integers(2, 24))
+    k = draw(st.integers(1, M))
+    value = float(draw(st.integers(1, 4)))
+    utility = draw(st.sampled_from((
+        UtilityFunction.tabular([value] * M),
+        UtilityFunction.tabular([value] * k + [0.0] * (M - k)),
+        UtilityFunction.step(value, k, M),
+        UtilityFunction.linear(M),
+    )))
+    price, price_3g = (float(draw(st.integers(0, n))) for n in (4, 12))
+    return SystemParams(
+        contact_prob=draw(st.sampled_from((0.5, 0.25, 0.75, 0.125))), max_age=M, utility=utility,
+        scan_cost=float(draw(st.integers(0, 3))), wifi_price=price, price_3g=price_3g,
+        bonus=float(draw(st.integers(0, int(min(price, price_3g))))),
+    )
+
+
+def explicit_params(M, form):
+    if form == "linear":
+        utility = UtilityFunction.linear(M)
+    elif form == "step":
+        utility = UtilityFunction.step(5.0, max(1, M // 3), M)
+    else:
+        utility = UtilityFunction.tabular(np.sort(make_rng(M).uniform(0.0, 10.0, size=M))[::-1])
+    scale = max(utility.values[0] - utility.values[-1], 1.0) / 10.0
+    return SystemParams(
+        contact_prob=0.05, max_age=M, utility=utility, scan_cost=0.3 * scale,
+        wifi_price=scale, price_3g=12.0 * scale, bonus=0.25 * scale,
+    )
+
+
+class TestTwoThresholdStream:
+    """The streamed search against the dense grid, field for field."""
+
+    @given(st.one_of(system_params(with_3g=True), tie_heavy_params()), st.integers(1, 80),
+           st.sampled_from((model.TIE_TOL, 1e-3, 0.1, 1.0)))
+    def test_matches_dense_pick(self, params, block_cells, tie):
+        # small blocks put a few rows in each; a wide tie makes many cells tie
+        # across blocks, so the first row within the tie often sits in a block
+        # before the one that set its column's maximum
+        assume(grid_branch(params))
+        with mock.patch.object(model, "TIE_TOL", tie):
+            expected = dense_two_threshold_pick(params)
+            with mock.patch.object(model, "BLOCK_CELLS", block_cells):
+                assert_same_pick(optimal_two_thresholds(params), expected)
+
+    @pytest.mark.parametrize("form", ["linear", "step", "tabular"])
+    @pytest.mark.parametrize("M", [2, 3, 255, 256, 257, 300, 1000])
+    def test_matches_dense_pick_at_block_edges(self, M, form):
+        params = explicit_params(M, form)
+        assert grid_branch(params)
+        got = optimal_two_thresholds(params)
+        assert_same_pick(got, dense_two_threshold_pick(params))
+        rows = model.BLOCK_CELLS // M
+        if rows < M:   # the pick's row lies in a block before the last
+            assert got.s_wifi <= rows * ((M - 1) // rows)
+
+    @pytest.mark.parametrize("block_cells", [20, 40, model.BLOCK_CELLS])
+    def test_exact_tie_across_a_block_boundary(self, block_cells):
+        # (2, 3) and (3, 3) both earn exactly 16.5, the best of the grid; with one
+        # or two rows per block, row 2 ends a block and row 3 starts the next
+        params = SystemParams(contact_prob=0.5, max_age=20, utility=UtilityFunction.linear(20),
+                              scan_cost=2.0, price_3g=5.0)
+        grid = two_threshold_reward_grid(params)
+        assert grid[1, 2] == grid[2, 2] == grid.max() == 16.5
+        with mock.patch.object(model, "BLOCK_CELLS", block_cells):
+            res = optimal_two_thresholds(params)
+        assert (res.s_wifi, res.s_3g, res.reward) == (2, 3, 16.5)
+
+    def test_memory_stays_within_a_few_blocks(self):
+        # the dense grid at M = 2000 alone is 30.5 MiB
+        params = explicit_params(2000, "tabular")
+        tracemalloc.start()
+        try:
+            optimal_two_thresholds(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * model.BLOCK_CELLS * 8   # eight blocks of float64 cells: 4 MiB
 
 
 class TestMonotonicity:
