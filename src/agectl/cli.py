@@ -245,7 +245,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "alpha": exp.config.learning_rate, "tau": exp.config.round_slots,
         "T": exp.config.target_rate, "B_hat": exp.config.max_bonus,
         "N": exp.n_initial, "drop": f"{exp.n_after}@{exp.drop_round}",
+        "rounds": exp.total_rounds,
     }
+    if args.env == "trace":
+        settings["traces"] = args.traces
     rows = [(r.index, r.bonus, r.served, r.rate) for r in first.rounds]
     rows += [(r.index + exp.drop_round, r.bonus, r.served, r.rate) for r in second.rounds]
     _write(args, "learn", settings, ("round", "bonus", "requests", "rate"), rows, fmt="csv")

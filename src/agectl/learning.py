@@ -65,14 +65,6 @@ class LearningTrajectory:
     converged: bool = False
     final_bonus: float = 0.0
 
-    @property
-    def bonuses(self) -> list[float]:
-        return [r.bonus for r in self.rounds]
-
-    @property
-    def rates(self) -> list[float]:
-        return [r.rate for r in self.rounds]
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("round,bonus,requests,rate\n")
@@ -213,9 +205,14 @@ def chain_sim_env(
 
 # --- experiment presets ---------------------------------------------------------------
 #
-# Two parameterizations ship as named presets; neither is privileged.  The
-# population drop (n_after at drop_round) restarts the 1/t clock, mirroring a
-# publisher that reruns the estimation after a detected regime change.
+# Two parameterizations ship as named presets; neither is privileged.  Every
+# preset shares p = 0.54, M = 30, linear utility, G = 0.4 and a target of 11
+# messages per slot.  A row holds only what differs: the WiFi price P, which is
+# also the projection ceiling B-hat; the slots per round; the learning rate;
+# the rounds per segment; and the users before and after the drop.  A run is
+# two segments, and the population drop ends the first.  The drop restarts the
+# 1/t clock, mirroring a publisher that reruns the estimation after a detected
+# regime change.
 
 @dataclass(frozen=True)
 class ExperimentPreset:
@@ -228,52 +225,31 @@ class ExperimentPreset:
     total_rounds: int
 
 
-def _linear_params(max_age: int, scan_cost: float, price: float, bonus: float = 0.0) -> SystemParams:
-    return SystemParams(
-        contact_prob=0.54,
-        max_age=max_age,
-        utility=UtilityFunction.linear(max_age),
-        scan_cost=scan_cost,
-        wifi_price=price,
-        bonus=bonus,
-    )
+_PRESETS = {
+    "long-rounds": dict(price=40.0, round_slots=100, learning_rate=1.0, segment_rounds=200,
+                        n_initial=50, n_after=20),
+    "short-rounds": dict(price=100.0, round_slots=10, learning_rate=10.0, segment_rounds=100,
+                         n_initial=105, n_after=90),
+    "short-rounds-iid": dict(price=100.0, round_slots=10, learning_rate=20.0, segment_rounds=100,
+                             n_initial=105, n_after=90),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> ExperimentPreset:
-    if name == "long-rounds":
-        return ExperimentPreset(
-            name=name,
-            params=_linear_params(30, 0.4, 40.0),
-            config=LearningConfig(
-                max_bonus=40.0, target_rate=11.0, round_slots=100,
-                learning_rate=1.0, max_rounds=200,
-            ),
-            n_initial=50, n_after=20, drop_round=200, total_rounds=400,
-        )
-    if name == "short-rounds":
-        return ExperimentPreset(
-            name=name,
-            params=_linear_params(30, 0.4, 100.0),
-            config=LearningConfig(
-                max_bonus=100.0, target_rate=11.0, round_slots=10,
-                learning_rate=10.0, max_rounds=100,
-            ),
-            n_initial=105, n_after=90, drop_round=100, total_rounds=200,
-        )
-    if name == "short-rounds-iid":
-        return ExperimentPreset(
-            name=name,
-            params=_linear_params(30, 0.4, 100.0),
-            config=LearningConfig(
-                max_bonus=100.0, target_rate=11.0, round_slots=10,
-                learning_rate=20.0, max_rounds=100,
-            ),
-            n_initial=105, n_after=90, drop_round=100, total_rounds=200,
-        )
-    raise ValueError(f"unknown preset {name!r}; choose long-rounds, short-rounds, short-rounds-iid")
-
-
-PRESET_NAMES = ("long-rounds", "short-rounds", "short-rounds-iid")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose {', '.join(PRESET_NAMES)}")
+    row = _PRESETS[name]
+    return ExperimentPreset(
+        name=name,
+        params=SystemParams(contact_prob=0.54, max_age=30, utility=UtilityFunction.linear(30),
+                            scan_cost=0.4, wifi_price=row["price"]),
+        config=LearningConfig(max_bonus=row["price"], target_rate=11.0,
+                              round_slots=row["round_slots"], learning_rate=row["learning_rate"],
+                              max_rounds=row["segment_rounds"]),
+        n_initial=row["n_initial"], n_after=row["n_after"],
+        drop_round=row["segment_rounds"], total_rounds=2 * row["segment_rounds"],
+    )
 
 
 def run_population_drop(

@@ -407,47 +407,43 @@ def iid_trace(
     return ContactTrace(shift_id=shift_id, slots=slots)
 
 
-def generate_corpus(
-    n_shifts: int,
-    seed: int,
-    median_p: float = 0.53,
-    p_spread: float = 0.12,
-    runs_per_shift: tuple[int, int] = (4, 10),
-    run_slots: tuple[int, int] = (8, 16),
-    terminal_contact_prob: float = 0.95,
-) -> list[ContactTrace]:
+#: the corpus calibration to measured campus-bus contact statistics: the spread
+#: of the shifts' target contact fractions around the median, the bus runs per
+#: shift and the slots per run (inclusive ranges), and a terminal visit's
+#: contact probability
+CORPUS_P_SPREAD = 0.12
+CORPUS_RUNS_PER_SHIFT = (4, 10)
+CORPUS_RUN_SLOTS = (8, 16)
+CORPUS_TERMINAL_CONTACT_PROB = 0.95
+
+
+def generate_corpus(n_shifts: int, seed: int, median_p: float = 0.53) -> list[ContactTrace]:
     """Synthetic bus-shift corpus calibrated to measured campus-bus contact statistics.
 
-    Each shift is a sequence of bus runs of 8..16 five-minute slots (40-80
-    minutes).  The first slot of every run is a terminal visit: it carries the
-    location mask and a near-certain contact.  Remaining slots draw i.i.d.
-    contacts with a residual probability chosen so the shift's expected
-    contact fraction hits a target drawn around ``median_p``.  Invalid settings
-    raise ValueError before anything is drawn.
+    Each shift is a sequence of 4..10 bus runs of 8..16 five-minute slots
+    (40-80 minutes).  The first slot of every run is a terminal visit: it
+    carries the location mask and a near-certain contact.  Remaining slots draw
+    i.i.d. contacts with a residual probability chosen so the shift's expected
+    contact fraction hits a target drawn around ``median_p``.  Only
+    ``median_p`` varies the calibration; the rest is the ``CORPUS_*``
+    constants.  Invalid settings raise ValueError before anything is drawn.
     """
     if n_shifts < 0:
         raise ValueError(f"number of shifts must be >= 0, got {n_shifts}")
     if not 0.0 <= median_p <= 1.0:   # false for nan too
         raise ValueError(f"median_p must be a probability in [0, 1], got {median_p}")
-    if not 0.0 <= p_spread < math.inf:
-        raise ValueError(f"p_spread must be finite and >= 0, got {p_spread}")
-    if not 0.0 <= terminal_contact_prob <= 1.0:
-        raise ValueError(f"terminal_contact_prob must be in [0, 1], got {terminal_contact_prob}")
-    for name, (lo, hi) in (("runs_per_shift", runs_per_shift), ("run_slots", run_slots)):
-        if not 1 <= lo <= hi:
-            raise ValueError(f"{name} must be an ordered range of positive counts, got {(lo, hi)}")
     rng = np.random.default_rng(seed)
     corpus = []
     for i in range(n_shifts):
-        n_runs = int(rng.integers(runs_per_shift[0], runs_per_shift[1] + 1))
-        lengths = rng.integers(run_slots[0], run_slots[1] + 1, size=n_runs)
+        n_runs = int(rng.integers(CORPUS_RUNS_PER_SHIFT[0], CORPUS_RUNS_PER_SHIFT[1] + 1))
+        lengths = rng.integers(CORPUS_RUN_SLOTS[0], CORPUS_RUN_SLOTS[1] + 1, size=n_runs)
         total = int(lengths.sum())
-        target = float(np.clip(rng.normal(median_p, p_spread), 0.05, 0.95))
-        residual = (target * total - terminal_contact_prob * n_runs) / max(total - n_runs, 1)
+        target = float(np.clip(rng.normal(median_p, CORPUS_P_SPREAD), 0.05, 0.95))
+        residual = (target * total - CORPUS_TERMINAL_CONTACT_PROB * n_runs) / (total - n_runs)
         residual = float(np.clip(residual, 0.02, 0.95))
         mask = np.zeros(total, int)
         mask[np.cumsum(lengths) - lengths] = 1   # each run's first slot
-        slots = (rng.random(total) < np.where(mask, terminal_contact_prob, residual)).astype(int)
+        slots = (rng.random(total) < np.where(mask, CORPUS_TERMINAL_CONTACT_PROB, residual)).astype(int)
         corpus.append(
             ContactTrace(shift_id=f"shift{i:03d}", slots=tuple(slots.tolist()), mask=tuple(mask.tolist()))
         )

@@ -84,7 +84,7 @@ SIGNATURES = {
     "expected_reward_two_threshold":
         "(params: 'SystemParams', s_wifi: 'int', s_3g: 'int') -> 'float'",
     "generate_corpus":
-        "(n_shifts: 'int', seed: 'int', median_p: 'float' = 0.53, p_spread: 'float' = 0.12, runs_per_shift: 'tuple[int, int]' = (4, 10), run_slots: 'tuple[int, int]' = (8, 16), terminal_contact_prob: 'float' = 0.95) -> 'list[ContactTrace]'",
+        "(n_shifts: 'int', seed: 'int', median_p: 'float' = 0.53) -> 'list[ContactTrace]'",
     "greedy_policy":
         "(value: 'ValueFunction', params: 'SystemParams') -> 'Policy'",
     "iid_trace":

@@ -191,6 +191,32 @@ class TestLearn:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_header_records_rounds_and_traces(self, capsys, tmp_path, monkeypatch):
+        # identical headers must reproduce identical rows: two argv that differ
+        # in one flag and print different rows must print different headers
+        monkeypatch.chdir(tmp_path)
+        for seed, name in ((3, "a.txt"), (4, "b.txt")):
+            assert run(capsys, "gen-traces", "--shifts", "3", "--seed", str(seed),
+                       "--output", name)[0] == 0
+        pairs = [
+            (("--env", "chain", "--seed", "11", "--rounds", "400"),
+             ("--env", "chain", "--seed", "11", "--rounds", "205")),
+            (("--env", "trace", "--rounds", "205", "--traces", "a.txt"),
+             ("--env", "trace", "--rounds", "205", "--traces", "b.txt")),
+        ]
+        for argv_pair in pairs:
+            headers, rows = [], []
+            for argv in argv_pair:
+                code, out, _ = run(capsys, "learn", *argv)
+                assert code == 0
+                lines = out.splitlines()
+                headers.append([l for l in lines if l.startswith("#")])
+                rows.append([l for l in lines if not l.startswith("#")])
+            assert rows[0] != rows[1]
+            assert headers[0] != headers[1]
+            assert "# rounds=205" in headers[1]
+        assert "# traces=b.txt" in headers[1]
+
     def test_negative_population_exits_2(self, capsys):
         code, out, err = run(capsys, "learn", "--env", "analytic", "--N", "-3", "--rounds", "203")
         assert code == 2
@@ -336,10 +362,11 @@ class TestConfigOverlay:
 # the replay loops were folded into one kernel, the ``solve`` rows (RVI gain,
 # iterations and residual) before the RVI sweep was rewritten allocation-free,
 # and ``sweep``, ``publisher``, ``learn --env analytic`` and ``gen-traces``
-# before main() switched to one parser per process
+# before main() switched to one parser per process; the ``learn`` digests
+# again after its header gained ``rounds`` and, for the trace env, ``traces``
 RECORDED_STDOUT = {
-    "learn-chain": (5675, "e69afeaf71f303ac20380ec667c3d076b38def154c1503fd6cc912ba24d6e707"),
-    "learn-trace": (9118, "9794c1ef91e0804dd65f15fcb149d79a6e6369e1a3f7e53e4d5f67219e4bd68d"),
+    "learn-chain": (5688, "31783b2d1b49afa69b87e365fb79368a292ae7b97f1803b99c83d7f932ef9301"),
+    "learn-trace": (9151, "0ded52769ce55561c417c06c93c9b09e0c98fb77c002471ea785f3e0a80c67d0"),
     "simulate": (563, "c5b10ad2b85893d9803694d945a24b9289df5386366ad87a18436c73b9bb10c2"),
     "solve-linear": (327, "348f48adb7f9fa23a0d6574a5739670bd8008d5bbf22cec223a3ecf987d45394"),
     "solve-step": (309, "5d6bad6f8dea9cf6bd619a54194a99e250bc3b5b9152fd83c9847586b30d0a0b"),
@@ -349,7 +376,7 @@ RECORDED_STDOUT = {
     "sweep-grid-G": (147, "94eb021ecbb720aefcfff758815ca8e0dea0b4285057b2003c449b88b5550370"),
     "publisher-feasible": (217, "bea8b049fe60c2b41671d7fa49ddf00ea1c4c9519c21859c2ad78689e643b074"),
     "publisher-infeasible": (140, "9ef7c05f97f4a722f09f638ddcfdccf2fd6a92ba961f958608ab9d3c495bc99e"),
-    "learn-analytic": (14811, "7d634268ac781b8fcac824cc5b0c457885dea4d88a19d139fa50c152a8295b5d"),
+    "learn-analytic": (14824, "a4fcfeb8cbe056d10a7f4b4ce3ed98503640865daf56ed1e6c7125e65ea76aa7"),
     "gen-traces": (947, "44b0ac4ab823213c4106e39b9438bb3a0e394f9d9f87581fd745223ae7725e19"),
     # pi_1(s) differences that round to 0, and rewards of -inf: the bonus edges
     # must stay total there

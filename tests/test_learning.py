@@ -6,6 +6,8 @@ import pytest
 from agectl import (
     LearningConfig,
     PublisherInstance,
+    SystemParams,
+    UtilityFunction,
     chain_sim_env,
     convergence_report,
     expected_rate_env,
@@ -13,7 +15,7 @@ from agectl import (
     optimal_bonus,
     run_learning,
 )
-from agectl.learning import preset, run_population_drop
+from agectl.learning import PRESET_NAMES, ExperimentPreset, preset, run_population_drop
 
 from conftest import make_rng
 
@@ -166,3 +168,32 @@ class TestPresets:
         assert exp.config.round_slots == 100
         assert exp.config.learning_rate == 1.0
         assert (exp.n_initial, exp.n_after, exp.drop_round) == (50, 20, 200)
+
+    @pytest.mark.parametrize("name, price, tau, alpha, max_rounds, n_initial, n_after, drop, total", [
+        ("long-rounds", 40.0, 100, 1.0, 200, 50, 20, 200, 400),
+        ("short-rounds", 100.0, 10, 10.0, 100, 105, 90, 100, 200),
+        ("short-rounds-iid", 100.0, 10, 20.0, 100, 105, 90, 100, 200),
+    ])
+    def test_preset_fields(self, name, price, tau, alpha, max_rounds, n_initial, n_after, drop,
+                           total):
+        # every field spelled out: the learn digests cover only long-rounds, so
+        # an edit to the preset table must not change a short-round preset unseen
+        expected = ExperimentPreset(
+            name=name,
+            params=SystemParams(
+                contact_prob=0.54, max_age=30, utility=UtilityFunction.linear(30),
+                scan_cost=0.4, wifi_price=price, price_3g=None, bonus=0.0,
+            ),
+            config=LearningConfig(
+                max_bonus=price, target_rate=11.0, round_slots=tau, learning_rate=alpha,
+                tolerance=1e-9, initial_bonus=0.0, max_rounds=max_rounds,
+            ),
+            n_initial=n_initial, n_after=n_after, drop_round=drop, total_rounds=total,
+        )
+        assert preset(name) == expected
+        assert preset(name).params.utility.values == tuple(float(29 - i) for i in range(30))
+
+    def test_preset_names_in_order(self):
+        assert PRESET_NAMES == ("long-rounds", "short-rounds", "short-rounds-iid")
+        with pytest.raises(ValueError, match="choose long-rounds, short-rounds, short-rounds-iid$"):
+            preset("nope")

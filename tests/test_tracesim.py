@@ -2,6 +2,7 @@
 step oracle, trace-driven threshold search, corpus generation, and the
 population simulator."""
 import copy
+import hashlib
 import pickle
 from dataclasses import replace
 
@@ -358,15 +359,6 @@ class TestCorpusGenerator:
         (dict(median_p=-0.1), "median_p"),
         (dict(median_p=float("nan")), "median_p"),
         (dict(median_p=float("inf")), "median_p"),
-        (dict(p_spread=-0.01), "p_spread"),
-        (dict(p_spread=float("nan")), "p_spread"),
-        (dict(p_spread=float("inf")), "p_spread"),
-        (dict(runs_per_shift=(5, 4)), "runs_per_shift"),
-        (dict(runs_per_shift=(0, 4)), "runs_per_shift"),
-        (dict(run_slots=(16, 8)), "run_slots"),
-        (dict(run_slots=(0, 0)), "run_slots"),
-        (dict(terminal_contact_prob=1.5), "terminal_contact_prob"),
-        (dict(terminal_contact_prob=float("nan")), "terminal_contact_prob"),
     ])
     def test_invalid_settings_rejected(self, kwargs, match):
         settings = {"n_shifts": 3, "seed": 1, **kwargs}
@@ -375,10 +367,20 @@ class TestCorpusGenerator:
 
     def test_edge_settings_accepted(self):
         assert generate_corpus(0, seed=1) == []
-        corpus = generate_corpus(4, seed=2, median_p=0.0, p_spread=0.0, runs_per_shift=(1, 1),
-                                 run_slots=(1, 1), terminal_contact_prob=1.0)
-        assert [len(t) for t in corpus] == [1] * 4
-        assert all(t.slots == t.mask == (1,) for t in corpus)
+        corpus = generate_corpus(4, seed=2, median_p=0.0)
+        assert len(corpus) == 4
+        assert all(4 * 8 <= len(t) <= 10 * 16 for t in corpus)
+
+    # sha256 of the dumped corpus: the sizes the bench and the acceptance tests
+    # generate, recorded before the calibration became module constants
+    @pytest.mark.parametrize("n_shifts, seed, digest", [
+        (60, 1, "c1e7bb9276652fdd0c13bc8969a5fbcb052cd4c893b7727a53e787347dd10302"),
+        (400, 1, "73f0826eef5c39a9b8e46a0d059287b2c2e29dee565e835ec3b1d5190454a4ee"),
+        (200, 7, "42f1f387a7366b0c5ee938d473acc8fc6cf097a99e5df1ace035c5ec990696ef"),
+    ])
+    def test_corpus_is_byte_stable(self, n_shifts, seed, digest):
+        text = dump_traces(generate_corpus(n_shifts, seed=seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestPopulation:
