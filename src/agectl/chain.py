@@ -3,7 +3,9 @@ paired with exact Markov-chain oracles (transition matrix + linear solve).
 
 The WiFi threshold closed forms live in three vectors over s in [1, max_age + 1],
 the only home of never activating (s = max_age + 1): :func:`cycle_lengths`
-(inf there), :func:`threshold_reward_affine` and :func:`threshold_ages`.
+(inf there), :func:`threshold_reward_affine` and :func:`threshold_ages`.  The
+two-threshold reward's only home is :func:`_two_threshold_blocks`: its scalar,
+its dense grid and the grid search in ``thresholds`` read their cells there.
 
 The closed forms and the matrix route are deliberately independent code paths:
 tests pit one against the other.
@@ -129,12 +131,9 @@ def expected_age_3g_only(s_3g: int, max_age: int) -> float:
 
 def expected_reward_3g_only(params: SystemParams, s_3g: int) -> float:
     """Average reward of the 3G-only policy: inactive below ``s_3g``, action 2 after."""
-    if not params.has_3g:
-        raise ValueError("3G-only policy needs a finite 3G price")
+    curve = np.append(reward_curve_3g_only(params), 0.0)   # s_3g = max_age + 1 earns 0
     _check_threshold(s_3g, params.max_age)
-    if s_3g == params.max_age + 1:
-        return 0.0
-    return float(reward_curve_3g_only(params)[s_3g - 1])
+    return float(curve[s_3g - 1])
 
 
 def reward_curve_3g_only(params: SystemParams) -> np.ndarray:
@@ -152,23 +151,16 @@ def expected_reward_two_threshold(params: SystemParams, s_wifi: int, s_3g: int) 
 
     Requires a finite 3G price and 1 <= s_wifi <= s_3g <= max_age; the
     ``s_3g = max_age + 1`` family is the plain WiFi threshold case and is
-    handled by :func:`expected_reward_threshold`.
+    handled by :func:`expected_reward_threshold`.  A one-row block of
+    :func:`_two_threshold_blocks` gives the cell the bits the search reads.
     """
     if not params.has_3g:
         raise ValueError("two-threshold policy needs a finite 3G price")
     M = params.max_age
     if not (1 <= s_wifi <= s_3g <= M):
         raise ValueError(f"need 1 <= s_wifi <= s_3g <= {M}, got ({s_wifi}, {s_3g})")
-    p = params.contact_prob
-    q = 1.0 - p
-    u = params.utility.values
-    span = s_3g - s_wifi
-    pi1 = 1.0 / (s_wifi - 1 + (1.0 - q ** (span + 1)) / p)
-    head = sum(u[: s_wifi - 1])
-    band = sum(u[i - 1] * q ** (i - s_wifi) for i in range(s_wifi, s_3g + 1))
-    wifi_cycle_cost = params.scan_cost / p + params.wifi_price - params.bonus
-    escalation = (params.price_3g - params.wifi_price - params.scan_cost / p) * q ** (span + 1)
-    return pi1 * (head + band - wifi_cycle_cost - escalation)
+    _, block = next(_two_threshold_blocks(params, 1, s_wifi - 1, s_3g))
+    return float(block[0, s_3g - s_wifi])
 
 
 def two_threshold_reward_grid(params: SystemParams) -> np.ndarray:
@@ -214,7 +206,8 @@ def _two_threshold_blocks(params: SystemParams, rows: int | None = None, first: 
 
     band_q = q ** np.arange(M)                  # q^j
     qpow = q ** np.arange(1, M + 1)             # q^(j + 1)
-    reach = (1.0 - qpow) / p
+    # (1 - q^(j + 1)) / p, with nothing to cancel as p -> 0
+    reach = -np.expm1(np.arange(1, M + 1) * np.log1p(-p)) / p
     escalation = esc_coeff * qpow
     heads = np.cumsum(np.concatenate(([0.0], u[:-1])))
     # window row i holds u from age i + 1 on, zero-padded to M entries

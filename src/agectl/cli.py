@@ -207,10 +207,15 @@ def cmd_learn(args: argparse.Namespace) -> int:
     if args.N is not None:
         exp = replace(exp, n_initial=args.N)
     if args.drop is not None:
-        n_after, _, at_round = args.drop.partition("@")
-        exp = replace(exp, n_after=int(n_after), drop_round=int(at_round))
+        try:
+            n_after, at_round = map(int, args.drop.split("@"))
+        except ValueError:
+            raise ValueError(f"--drop takes N@ROUND, e.g. '20@200', got {args.drop!r}") from None
+        exp = replace(exp, n_after=n_after, drop_round=at_round)
     if args.rounds is not None:
         exp = replace(exp, total_rounds=args.rounds)
+    if not 1 <= exp.drop_round < exp.total_rounds:
+        raise ValueError(f"need 1 <= --drop round ({exp.drop_round}) < --rounds ({exp.total_rounds})")
 
     rng = np.random.default_rng(args.seed)
     if args.env == "analytic":

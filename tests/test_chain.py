@@ -1,5 +1,5 @@
-"""Closed-form chain analytics against the exact matrix oracles, an exact
-rational stationary law and a seeded Monte Carlo oracle."""
+"""Closed-form chain analytics against the exact matrix oracles, the exact
+rational oracle ``reference_exact`` and a seeded Monte Carlo oracle."""
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agectl import (
+    Action,
     Policy,
     SystemParams,
     UtilityFunction,
@@ -16,6 +17,8 @@ from agectl import (
     expected_reward_3g_only,
     expected_reward_threshold,
     expected_reward_two_threshold,
+    instantaneous_reward,
+    optimal_two_thresholds,
     steady_state_exact,
     steady_state_threshold,
     summary_for_threshold,
@@ -23,13 +26,14 @@ from agectl import (
     transition_matrix,
 )
 from agectl.chain import (
-    _two_threshold_blocks, reward_curve_3g_only, threshold_reward_affine, two_threshold_reward_grid,
+    _two_threshold_blocks, cycle_lengths, reward_curve_3g_only, threshold_ages,
+    threshold_reward_affine, two_threshold_reward_grid,
 )
 from agectl.model import BLOCK_CELLS
 
 from conftest import (
-    make_rng, random_3g_params, random_wifi_params, reference_replay, reference_threshold_age,
-    system_params, threshold_action,
+    C_CLOSED, C_MATRIX, EPS, make_rng, random_3g_params, random_wifi_params, reference_exact,
+    reference_replay, reward_bound, system_params, threshold_action,
 )
 
 
@@ -179,8 +183,9 @@ class TestExpectedAge:
     def test_matches_exact_stationary_mean_at_any_p(self, p):
         # 1 - q^(M-s) cancels as p -> 0 unless taken through expm1/log1p
         for M in (2, 7, 12):
+            params = linear_params(max_age=M, p=p)
             for s in range(1, M + 2):
-                exact = reference_threshold_age(s, p, M)
+                exact = reference_exact(Policy.from_thresholds(s, None, M), params).age
                 assert abs(Fraction(expected_age(s, p, M)) - exact) <= exact * Fraction(1e-15), (s, M)
 
 
@@ -235,13 +240,10 @@ class TestTwoThreshold:
         # price_3g = G/p + P kills the (P3G - P - G/p) coefficient
         params = self.g3_params(price_3g=1.0 / 0.5 + 2.0)
         for sw, s3 in ((1, 1), (2, 5), (4, 9)):
-            q = 0.5
-            pi1 = 1.0 / (sw - 1 + (1 - q ** (s3 - sw + 1)) / 0.5)
-            u = params.utility.values
-            head = sum(u[: sw - 1])
-            band = sum(u[i - 1] * q ** (i - sw) for i in range(sw, s3 + 1))
-            expect = pi1 * (head + band - (1.0 / 0.5 + 2.0))
-            assert expected_reward_two_threshold(params, sw, s3) == pytest.approx(expect)
+            policy = Policy.from_thresholds(sw, s3, 10)
+            exact = reference_exact(policy, params)
+            error = abs(Fraction(expected_reward_two_threshold(params, sw, s3)) - exact.gain)
+            assert error <= reward_bound(C_CLOSED, exact, params), (sw, s3)
 
     def test_s3g_beyond_max_age_rejected(self):
         with pytest.raises(ValueError):
@@ -253,27 +255,46 @@ class TestTwoThreshold:
         assert expected_age_3g_only(13, 12) == 12.0
 
 
+def grid_pairs(params):
+    """Every (s_wifi, s_3g) pair up to M = 12.  Above that a seeded sample,
+    plus the first and last row of every row block, each at its diagonal and
+    at the last column, and the search's pick."""
+    M = params.max_age
+    if M <= 12:
+        return [(sw, s3) for s3 in range(1, M + 1) for sw in range(1, s3 + 1)]
+    rows = max(1, BLOCK_CELLS // M)
+    edges = {r for r0 in range(1, M + 1, rows) for r in (r0, min(r0 + rows, M + 1) - 1)}
+    pairs = {(sw, s3) for sw in edges for s3 in (sw, M)}
+    pick = optimal_two_thresholds(params)
+    if pick.s_3g <= M:
+        pairs.add((pick.s_wifi, pick.s_3g))
+    rng = make_rng(M)
+    for s3 in rng.integers(1, M + 1, size=8).tolist():
+        pairs.add((int(rng.integers(1, s3 + 1)), s3))
+    return sorted(pairs)
+
+
 class TestTwoThresholdGrid:
-    """The exhaustive grid against the scalar closed form, cell by cell."""
+    """The grid, assembled from its row blocks, against the exact oracle."""
 
     @staticmethod
-    def assert_matches_closed_form(params):
+    def assert_matches_exact(params):
         M = params.max_age
         grid = two_threshold_reward_grid(params)
         assert grid.shape == (M, M)
-        s_wifi, s_3g = np.indices((M, M)) + 1
-        in_domain = s_wifi <= s_3g
-        assert np.all(grid[~in_domain] == -np.inf)
-        expected = [expected_reward_two_threshold(params, int(sw), int(s3))
-                    for sw, s3 in zip(s_wifi[in_domain], s_3g[in_domain])]
-        np.testing.assert_allclose(grid[in_domain], expected, rtol=1e-12, atol=0.0)
+        assert np.all(grid[np.tril_indices(M, -1)] == -np.inf)
+        for sw, s3 in grid_pairs(params):
+            policy = Policy.from_thresholds(sw, s3, M)
+            exact = reference_exact(policy, params)
+            error = abs(Fraction(grid[sw - 1, s3 - 1]) - exact.gain)
+            assert error <= reward_bound(C_CLOSED, exact, params), (sw, s3)
 
     @given(system_params(with_3g=True))
-    def test_matches_closed_form(self, params):
-        self.assert_matches_closed_form(params)
+    def test_matches_exact_oracle(self, params):
+        self.assert_matches_exact(params)
 
     @pytest.mark.parametrize("M", [257, 300])
-    def test_matches_closed_form_across_row_blocks(self, M):
+    def test_matches_exact_oracle_across_row_blocks(self, M):
         assert BLOCK_CELLS // M < M, "the grid must span more than one row block"
         rng = make_rng(M)
         values = sorted(rng.uniform(0.0, 10.0, size=M).tolist(), reverse=True)
@@ -281,8 +302,15 @@ class TestTwoThresholdGrid:
             contact_prob=0.05, max_age=M, utility=UtilityFunction.tabular(values),
             scan_cost=0.3, wifi_price=1.0, price_3g=12.0, bonus=0.25,
         )
-        self.assert_matches_closed_form(params)
+        self.assert_matches_exact(params)
 
+    @pytest.mark.parametrize("p", [1e-3, 1e-6, 1e-9, 1e-12, 1e-20])
+    def test_exact_at_tiny_p(self, p):
+        # (1 - q^(j + 1)) / p cancelled as p -> 0: 2.2e-5 relative at 1e-12, a
+        # division by zero at 1e-20
+        params = linear_params(max_age=10, p=p, scan_cost=0.3 * p, wifi_price=0.2,
+                               price_3g=5.0, bonus=0.1)
+        self.assert_matches_exact(params)
 
     @given(system_params(with_3g=True), st.integers(1, 9), st.data())
     def test_row_blocks_hold_the_grid_bits(self, params, rows, data):
@@ -336,3 +364,84 @@ class TestDegenerateSummary:
         assert summary.update_rate == pytest.approx(0.20610687022900762)
         oracle = chain_summary(Policy.from_thresholds(4, None, 12), params)
         assert summary.update_rate == pytest.approx(oracle.update_rate, abs=1e-12)
+
+
+P_RANGES = ((0.001, 0.05), (0.05, 0.95), (0.95, 0.999))
+
+
+class TestExactOracle:
+    """``reference_exact`` checked against the transition law, then each float
+    route held to its rounding bound against it at M <= 60."""
+
+    def test_law_balances_the_transition_law(self):
+        # any policy, threshold-shaped or not, 3G below an inactive M included
+        rng = make_rng(1001)
+        for _ in range(150):
+            params = random_3g_params(rng, m_range=(2, 12), p_range=P_RANGES[1])
+            M, p = params.max_age, Fraction(params.contact_prob)
+            policy = Policy(tuple(rng.integers(0, 3, size=M).tolist()))
+            exact = reference_exact(policy, params)
+            pi = exact.pi
+            inflow = [Fraction(0)] * M
+            for x, (mass, a) in enumerate(zip(pi, policy.actions), start=1):
+                reset = {Action.INACTIVE: 0, Action.WIFI: p, Action.WIFI_THEN_3G: 1}[a]
+                inflow[0] += mass * reset
+                inflow[min(x + 1, M) - 1] += mass * (1 - reset)
+            assert inflow == list(pi) and sum(pi) == 1
+            assert exact.age == sum(x * m for x, m in enumerate(pi, start=1))
+            wifi = [m for m, a in zip(pi, policy.actions) if a is not Action.INACTIVE]
+            assert exact.wifi_rate == p * sum(wifi)
+            escalating = [m for m, a in zip(pi, policy.actions) if a is Action.WIFI_THEN_3G]
+            assert exact.rate_3g == (1 - p) * sum(escalating)
+            slot = [float(p) * instantaneous_reward(params, x, a, 1)
+                    + float(1 - p) * instantaneous_reward(params, x, a, 0)
+                    for x, a in enumerate(policy.actions, start=1)]
+            assert float(exact.gain) == pytest.approx(float(np.dot(pi, slot)), rel=1e-12, abs=1e-12)
+
+    def test_threshold_forms(self):
+        # reward curve, age and update rate at every threshold, never included
+        rng = make_rng(1002)
+        for i in range(12):
+            params = random_wifi_params(rng, m_range=(2, 60), p_range=P_RANGES[i % 3])
+            M, p = params.max_age, params.contact_prob
+            curve, ages = threshold_reward_curve(params), threshold_ages(p, M)
+            rates = 1.0 / cycle_lengths(p, M)
+            relative = C_CLOSED * M * EPS
+            for s in range(1, M + 2):
+                policy = Policy.from_thresholds(s, None, M)
+                exact = reference_exact(policy, params)
+                bound = reward_bound(C_CLOSED, exact, params)
+                assert abs(Fraction(curve[s - 1]) - exact.gain) <= bound, (i, s)
+                assert abs(Fraction(ages[s - 1]) - exact.age) <= relative * exact.age, (i, s)
+                assert abs(Fraction(rates[s - 1]) - exact.wifi_rate) <= relative * exact.wifi_rate
+
+    def test_3g_only_forms(self):
+        rng = make_rng(1003)
+        for i in range(12):
+            params = random_3g_params(rng, m_range=(2, 60), p_range=P_RANGES[i % 3])
+            M = params.max_age
+            curve = reward_curve_3g_only(params)
+            for s in range(1, M + 1):
+                policy = Policy.from_thresholds(s, s, M)
+                exact = reference_exact(policy, params)
+                bound = reward_bound(C_CLOSED, exact, params)
+                assert abs(Fraction(curve[s - 1]) - exact.gain) <= bound, (i, s)
+                assert Fraction(expected_age_3g_only(s, M)) == exact.age
+
+    def test_matrix_route(self):
+        # chain_summary solves pi P = pi by LU, whose rounding grows with the
+        # chain's conditioning; hence its looser c
+        rng = make_rng(1004)
+        for i in range(12):
+            params = random_3g_params(rng, m_range=(2, 60), p_range=P_RANGES[i % 3])
+            M = params.max_age
+            relative = C_MATRIX * M * EPS
+            for s3 in rng.integers(1, M + 2, size=8).tolist():
+                policy = Policy.from_thresholds(int(rng.integers(1, s3 + 1)), s3, M)
+                exact = reference_exact(policy, params)
+                summary = chain_summary(policy, params)
+                bound = reward_bound(C_MATRIX, exact, params)
+                assert abs(Fraction(summary.gain) - exact.gain) <= bound, (i, policy)
+                assert abs(Fraction(summary.age) - exact.age) <= relative * exact.age
+                rate = exact.wifi_rate + exact.rate_3g
+                assert abs(Fraction(summary.update_rate) - rate) <= relative * rate

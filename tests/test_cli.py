@@ -75,6 +75,15 @@ class TestSolve:
         sweeps = int(err.split("after ")[1].split()[0])
         assert sweeps <= SWEEP_BATCH and "residual nan" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_two_threshold_grid_at_tiny_p(self, capsys):
+        # 1 - q^(j + 1) cancelled to 0 at p = 1e-20: a division by zero and
+        # closed_form_best,inf
+        code, out, _ = run(capsys, "solve", "--M", "10", "--p", "1e-20", "--P3G", "5",
+                           "--P", "0.2", "--B", "0.1", "--G", "3e-21")
+        assert code == 0
+        assert "\nclosed_form_best,6.36666666667\n" in out
+
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "solve", "--no-such-flag")
@@ -221,6 +230,21 @@ class TestLearn:
         code, out, err = run(capsys, "learn", "--env", "analytic", "--N", "-3", "--rounds", "203")
         assert code == 2
         assert "at least one user" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--rounds", "200"), "need 1 <= --drop round (200) < --rounds (200)"),
+        (("--drop", "20@0"), "need 1 <= --drop round (0) < --rounds (400)"),
+        (("--drop", "20@300", "--rounds", "250"), "need 1 <= --drop round (300) < --rounds (250)"),
+        (("--drop", "20"), "--drop takes N@ROUND, e.g. '20@200', got '20'"),
+        (("--drop", "x@5"), "--drop takes N@ROUND, e.g. '20@200', got 'x@5'"),
+        (("--drop", "20@5@9"), "--drop takes N@ROUND, e.g. '20@200', got '20@5@9'"),
+    ], ids=["rounds-at-drop", "drop-at-0", "drop-past-rounds", "no-round", "bad-count", "two-rounds"])
+    def test_drop_and_rounds_errors_name_the_flags(self, capsys, argv, message):
+        # these said "max_rounds must be >= 1" or printed an int() parse error
+        code, out, err = run(capsys, "learn", "--env", "analytic", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"agectl: {message}\n"
 
     @pytest.mark.parametrize("n", ["1" + "0" * 400, "1" + "0" * 307],
                              ids=["n-past-float", "user-slots-past-float"])

@@ -1,6 +1,8 @@
-"""Relative value iteration against the closed-form analytics and a per-age
-reference iteration, plus policy structure verification."""
+"""Relative value iteration against the closed-form analytics, the exact
+rational oracle and a per-age reference iteration, plus policy structure
+verification."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,10 +31,13 @@ from agectl.solver import DEFAULT_MAX_ITER, DEFAULT_TOL, SWEEP_BATCH
 from agectl.thresholds import always_active, always_inactive, optimal_two_thresholds
 
 from conftest import (
+    C_MATRIX,
     make_rng,
     random_3g_params,
     random_wifi_params,
+    reference_exact,
     reference_rvi,
+    reward_bound,
     system_params,
 )
 
@@ -260,22 +265,36 @@ class TestSweepBatches:
         assert report.value.gain == 0.0 and math.copysign(1.0, report.value.gain) == 1.0
 
 
+def assert_gain_exact(report, params):
+    """RVI's gain is the midpoint of Bellman differences whose span is within
+    the tolerance, so it lies within tol / 2 of its policy's exact gain, up to
+    the rounding of its float sweeps."""
+    exact = reference_exact(report.policy, params)
+    bound = DEFAULT_TOL / 2 + reward_bound(C_MATRIX, exact, params)
+    assert abs(Fraction(report.value.gain) - exact.gain) <= bound
+
+
 class TestRouteAgreement:
-    """Closed form, matrix oracle and RVI give the same optimal gain."""
+    """Closed form, matrix oracle and RVI give the same optimal gain, and RVI's
+    is its policy's exact gain."""
 
     @given(system_params(max_age=60, with_3g=False))
     def test_optimal_threshold(self, params):
         best = optimal_threshold(params)
         policy = Policy.from_thresholds(best.s_star, None, params.max_age)
         assert chain_summary(policy, params).gain == pytest.approx(best.reward, abs=1e-6)
-        assert solve_user_problem(params).value.gain == pytest.approx(best.reward, abs=1e-6)
+        report = solve_user_problem(params)
+        assert report.value.gain == pytest.approx(best.reward, abs=1e-6)
+        assert_gain_exact(report, params)
 
     @given(system_params(max_age=60, with_3g=True))
     def test_two_threshold_optimum(self, params):
         best = optimal_two_thresholds(params)
         policy = Policy.from_thresholds(best.s_wifi, best.s_3g, params.max_age)
         assert chain_summary(policy, params).gain == pytest.approx(best.reward, abs=1e-6)
-        assert solve_user_problem(params).value.gain == pytest.approx(best.reward, abs=1e-6)
+        report = solve_user_problem(params)
+        assert report.value.gain == pytest.approx(best.reward, abs=1e-6)
+        assert_gain_exact(report, params)
 
 
 class TestGreedy:

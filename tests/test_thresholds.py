@@ -279,7 +279,7 @@ class TestTwoThresholds:
         wifi_only = expected_reward_threshold(params, 2)
         assert abs(res.reward - wifi_only) < 1e-9  # (2, 13) ties with (2, 12)
         assert (res.s_wifi, res.s_3g) == (2, 12)
-        assert res.reward == pytest.approx(expected_reward_two_threshold(params, 2, 12), abs=1e-12)
+        assert res.reward == expected_reward_two_threshold(params, 2, 12)
 
 
 def dense_two_threshold_pick(params):
@@ -394,6 +394,22 @@ class TestTwoThresholdStream:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * model.BLOCK_CELLS * 8   # eight blocks of float64 cells: 4 MiB
+
+    @given(system_params(with_3g=True), st.data())
+    def test_scalar_has_the_bits_of_the_search_and_the_grid(self, params, data):
+        # one home for the two-threshold reward means one value per pair; the
+        # 3G-only branch reads its own O(M) curve instead, so only the grid
+        # branch's picks are read from the blocks
+        assume(grid_branch(params))
+        M = params.max_age
+        res = optimal_two_thresholds(params)
+        if res.s_3g <= M:
+            assert res.reward == expected_reward_two_threshold(params, res.s_wifi, res.s_3g)
+        grid = two_threshold_reward_grid(params)
+        for _ in range(10):
+            s3 = data.draw(st.integers(1, M))
+            s_w = data.draw(st.integers(1, s3))
+            assert grid[s_w - 1, s3 - 1] == expected_reward_two_threshold(params, s_w, s3)
 
 
 class TestMonotonicity:
