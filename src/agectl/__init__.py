@@ -34,6 +34,7 @@ from .solver import (
     ValueFunction,
     bellman_values,
     greedy_policy,
+    relative_value_iteration,
     solve_user_problem,
     verify_threshold_structure,
 )

@@ -5,7 +5,8 @@ The WiFi threshold closed forms live in three vectors over s in [1, max_age + 1]
 the only home of never activating (s = max_age + 1): :func:`cycle_lengths`
 (inf there), :func:`threshold_reward_affine` and :func:`threshold_ages`.  The
 two-threshold reward's only home is :func:`_two_threshold_blocks`: its scalar,
-its dense grid and the grid search in ``thresholds`` read their cells there.
+its dense grid and both branches of the search in ``thresholds`` read their
+cells there.
 
 The closed forms and the matrix route are deliberately independent code paths:
 tests pit one against the other.
@@ -191,9 +192,11 @@ def _two_threshold_blocks(params: SystemParams, rows: int | None = None, first: 
     The only home of the grid's float operations and their order.  Each row
     runs over the span j = s_3g - s_wifi as one per-row pass: its band is the
     in-order running sum of u(s_wifi + j)·q^j, its head the in-order sum of u
-    below s_wifi from 0.0, and its cell pi1 * (((head + band) - wifi cycle
-    cost) - escalation).  A column limit only cuts the spans short, so a cell
-    has the same bits in every block that holds it.
+    below s_wifi from 0.0, and its cell pi1 * (((head + band) - (P - B)) -
+    ((P3G - P)·q^(j+1) + G·reach)), where reach = (1 - q^(j+1))/p is the
+    expected number of active slots in a cycle.  A column limit only cuts
+    the spans short, so a cell has the same bits in every block that holds
+    it.
     """
     M = params.max_age
     stop = M if columns is None else columns
@@ -201,14 +204,16 @@ def _two_threshold_blocks(params: SystemParams, rows: int | None = None, first: 
     p = params.contact_prob
     q = 1.0 - p
     u = np.asarray(params.utility.values)
-    wifi_cycle_cost = params.scan_cost / p + params.wifi_price - params.bonus
-    esc_coeff = params.price_3g - params.wifi_price - params.scan_cost / p
+    fees = params.wifi_price - params.bonus
+    esc_coeff = params.price_3g - params.wifi_price
 
     band_q = q ** np.arange(M)                  # q^j
     qpow = q ** np.arange(1, M + 1)             # q^(j + 1)
     # (1 - q^(j + 1)) / p, with nothing to cancel as p -> 0
     reach = -np.expm1(np.arange(1, M + 1) * np.log1p(-p)) / p
-    escalation = esc_coeff * qpow
+    # scanning costs G per active slot, G·reach per cycle: G/p never appears,
+    # so nothing cancels as p -> 0
+    escalation = esc_coeff * qpow + params.scan_cost * reach
     heads = np.cumsum(np.concatenate(([0.0], u[:-1])))
     # window row i holds u from age i + 1 on, zero-padded to M entries
     padded = np.concatenate((u, np.zeros(M - 1)))
@@ -225,7 +230,7 @@ def _two_threshold_blocks(params: SystemParams, rows: int | None = None, first: 
         np.multiply(windows[r0 : r0 + n, :width], band_q[:width], out=band)
         np.cumsum(band, axis=1, out=band)
         np.add(heads[r0 : r0 + n, None], band, out=band)
-        np.subtract(band, wifi_cycle_cost, out=band)
+        np.subtract(band, fees, out=band)
         np.subtract(band, escalation[:width], out=band)
         # pitch + 1 cells per row shift each row one column right, so span j
         # of row k lands in column k + j

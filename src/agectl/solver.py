@@ -1,8 +1,25 @@
-"""Average-reward MDP solver: relative value iteration on the optimality
-conditions, greedy policy extraction, and threshold-structure verification.
+"""Average-reward MDP solver: Howard's policy iteration and relative value
+iteration on the optimality conditions, greedy policy extraction, and
+threshold-structure verification.
 
-This route is independent of the closed-form chain analytics; agreement of the
-two is a core correctness check.
+Both routes are independent of the closed-form chain analytics, and of each
+other past the per-age action terms; agreement of the routes is a core
+correctness check.
+
+* :func:`solve_user_problem`, the solver of record, runs policy iteration
+  (Puterman, *Markov Decision Processes*, 1994, section 8.6).  Each policy is
+  evaluated exactly by an O(M) back-substitution and improved age by age.
+  Its ``iterations`` counts improvement steps, the last of which changes no
+  action, and its ``residual`` is the sup-norm Bellman error of the final
+  policy's relative values.
+* :func:`relative_value_iteration` runs damped value sweeps until the span of
+  their Bellman differences is within ``tol``.  Its ``iterations`` counts
+  sweeps, and its ``residual`` is the sup-norm error of the last sweep's
+  differences about their midpoint, the gain.
+
+Both report the policy that :func:`greedy_policy` reads off the final values,
+and raise :class:`ConvergenceError` when ``max_iter`` iterations give no
+certificate within ``tol``.
 """
 from __future__ import annotations
 
@@ -16,12 +33,13 @@ from .model import Action, Policy, SystemParams
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
-#: RVI sweeps run between two convergence checks (see :func:`solve_user_problem`)
+#: RVI sweeps run between two convergence checks (see :func:`relative_value_iteration`)
 SWEEP_BATCH = 16
 
 
 class ConvergenceError(RuntimeError):
-    """Relative value iteration ran out of iterations; carries the last residual."""
+    """A solver found no answer within its tolerance, after ``iterations``
+    improvement steps or sweeps; carries the last residual."""
 
     def __init__(self, iterations: int, residual: float):
         super().__init__(
@@ -101,7 +119,133 @@ def _action_terms(params: SystemParams, v0: float) -> tuple[np.ndarray, np.ndarr
     return u, f1_base, f2
 
 
+def _check_limits(tol: float, max_iter: int) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
 def solve_user_problem(
+    params: SystemParams,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> SolveReport:
+    """Howard's policy iteration from the all-WiFi policy, which is unichain.
+
+    Each step evaluates the current policy exactly (:func:`_evaluate`) and
+    improves it: an age switches to its best action only when that beats its
+    current action by more than ``min(model.TIE_TOL, tol / 2)``.  So a tie
+    keeps the current action, and the iteration cannot cycle among tied
+    policies; and a policy that no age leaves has a Bellman error within that
+    margin, up to rounding.  The margin is narrowed from ``model.TIE_TOL`` to
+    ``tol / 2`` so that the certificate can hold: at p = 1e-300, G = 1e-9 and
+    P = 3, activating costs G + p·P, ``TIE_TOL`` up to rounding, more than
+    waiting at every age.  A ``TIE_TOL`` margin switches only the ages where
+    rounding puts that above the margin, and stops at a stable policy with a
+    Bellman error of 1e-9.  ``iterations`` counts the improvement steps, the
+    last of which changes nothing.
+
+    The report holds the stable policy's values.  ``residual`` is their
+    sup-norm Bellman error, and the policy is the one :func:`greedy_policy`
+    reads off them (the cheapest action within ``model.TIE_TOL`` of the
+    best), put in threshold form by :func:`_threshold_form` should it not
+    be.  A residual that is not within ``tol``, nan and inf included, raises
+    :class:`ConvergenceError`, and so do ``max_iter`` steps that each change
+    the policy.  The action terms are read once, through
+    :func:`_action_terms`, and numpy's floating-point warnings are off.
+    """
+    _check_limits(tol, max_iter)
+    p = params.contact_prob
+    terms = [t for t in _action_terms(params, 0.0) if t is not None]
+    ages = np.arange(params.max_age)
+    codes = np.full(params.max_age, int(Action.WIFI))
+    margin = min(model.TIE_TOL, tol / 2)
+    with np.errstate(all="ignore"):   # values past the float range fail the residual test
+        for step in range(1, max_iter + 1):
+            values, gain = _evaluate(codes, terms, p)
+            fs = np.stack(_action_values(terms, 1.0 - p, values))
+            top = fs.max(axis=0)
+            residual = float(np.max(np.abs(top - values - gain)))
+            switch = top > fs[codes, ages] + margin
+            if not switch.any():
+                break
+            codes = np.where(switch, fs.argmax(axis=0), codes)
+        else:
+            raise ConvergenceError(max_iter, residual)
+    if not residual <= tol:
+        raise ConvergenceError(step, residual)
+    return SolveReport(
+        value=ValueFunction(values=values, gain=gain),
+        policy=_threshold_form(_tie_rule(fs)),
+        iterations=step,
+        residual=residual,
+    )
+
+
+def _evaluate(codes: np.ndarray, terms: list[np.ndarray], p: float) -> tuple[np.ndarray, float]:
+    """Relative values h over ages 1..M, with h(1) = 0, and the gain g of the
+    policy with per-age action codes ``codes``, exact up to rounding, in O(M).
+
+    ``terms[a]`` holds the one-slot rewards r(x) of action a, the terms of
+    :func:`_action_terms` at V(1) = 0.  Every age x moves to 1 or to
+    min(x + 1, M), so h(x) = r(x) - g + b(x) h(x + 1) below M, with b(x) = 1,
+    1 - p and 0 for actions 0, 1 and 2, and d h(M) = r(M) - g at M, with d =
+    0, p and 1.  The one unknown is t = h(M): then g = r(M) - d t, and
+    h(x) = (r(x) - r(M)) + d t + b(x) h(x + 1) is affine in t, A(x) + B(x) t,
+    with A(M) = 0 and B(M) = 1.  Back-substituting to age 1, h(1) = 0 gives
+    t = -A(1) / B(1).  A second pass gives h from t and g, down to the h(1)
+    that the recurrence yields.  That is 0 up to the rounding of both
+    passes, and one Newton step dt = -h(1) / B(1), which adds B(x) dt to
+    each h(x) and takes d dt from g, removes most of it, so the Bellman
+    error at age 1 stays at the level of the other ages'.  A policy
+    inactive at M (d = 0) makes M absorbing with u(M) = 0, so its gain is 0.
+    Taking h(M), not g, as the unknown keeps 1/p out of the recurrence: with
+    g as the unknown, a WiFi action at M gives h(M) = (r(M) - g) / p, which
+    scales the rounding of g by 1/p, 1e300 at p = 1e-300.
+
+    B(1) = d (1 + b(1) + b(1) b(2) + ...) + b(1) ... b(M - 1) is 0 only when
+    M absorbs and age 1 never reaches it, a policy with two recurrent classes
+    that the unichain equations do not value: h and g are then nan.
+    """
+    r = np.choose(codes, terms)
+    stay = np.array((1.0, 1.0 - p, 0.0))[codes[-2::-1]].tolist()   # b(x), x = M - 1 down to 1
+    d = (0.0, p, 1.0)[codes[-1]]
+    A, B = 0.0, 1.0
+    slopes = [B]   # B(x), x = M down to 1
+    for c, b in zip((r[-2::-1] - r[-1]).tolist(), stay):
+        A = c + b * A
+        B = d + b * B
+        slopes.append(B)
+    if not B:
+        return np.full(len(r), math.nan), math.nan
+    t = -A / B
+    gain = float(r[-1]) - d * t
+    v = t
+    h = [v]   # h(x), x = M down to 1
+    for c, b in zip((r[-2::-1] - gain).tolist(), stay):
+        v = c + b * v
+        h.append(v)
+    dt = -v / B
+    values = np.array(h[::-1]) + np.array(slopes[::-1]) * dt
+    values[0] = 0.0
+    return values, gain - d * dt
+
+
+def _threshold_form(codes: np.ndarray) -> Policy:
+    """The policy with per-age action codes ``codes``, in the paper's
+    threshold form: the action at the lowest age whose action exceeds the
+    next age's is set to inactive, again until no age's does.  That fixed
+    point, computed at once, makes every age up to the last such inversion
+    inactive; a policy without one is returned as it is."""
+    inverted = np.flatnonzero(codes[1:] < codes[:-1])
+    if inverted.size:
+        codes = codes.copy()
+        codes[: inverted[-1] + 1] = Action.INACTIVE
+    return Policy(actions=tuple(codes.tolist()))
+
+
+def relative_value_iteration(
     params: SystemParams,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -138,10 +282,7 @@ def solve_user_problem(
     finite raises :class:`ConvergenceError` at the batch's first such sweep,
     with that span.  numpy's floating-point warnings are off for the sweeps.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_limits(tol, max_iter)
     M = params.max_age
     q = 1.0 - params.contact_prob
     u, f1_base, f2 = _action_terms(params, 0.0)
@@ -201,14 +342,25 @@ def greedy_policy(value: ValueFunction, params: SystemParams) -> Policy:
     """Per-age argmax over action values; actions within ``model.TIE_TOL`` of
     the best tie, and ties go to the lower-numbered action."""
     v = np.asarray(value.values)
-    u, f1_base, f2 = _action_terms(params, v[0])
+    terms = [t for t in _action_terms(params, v[0]) if t is not None]
+    codes = _tie_rule(_action_values(terms, 1.0 - params.contact_prob, v))
+    return Policy(actions=tuple(codes.tolist()))
+
+
+def _action_values(terms: list[np.ndarray], q: float, v: np.ndarray) -> list[np.ndarray]:
+    """F0 = u + V(x+1), F1 = base + (1−p)·V(x+1) and F2, without 3G only the
+    first two, over all ages, from the terms of :func:`_action_terms`."""
     vnext = np.append(v[1:], v[-1])  # V(min(x+1, M))
-    fs = [u + vnext, f1_base + (1.0 - params.contact_prob) * vnext] + ([] if f2 is None else [f2])
+    return [terms[0] + vnext, terms[1] + q * vnext, *terms[2:]]
+
+
+def _tie_rule(fs) -> np.ndarray:
+    """The action codes :func:`greedy_policy` picks from the action values
+    ``fs``: the lowest action within ``model.TIE_TOL`` of the best."""
     cut = np.maximum.reduce(fs) - model.TIE_TOL
-    actions = np.where(
+    return np.where(
         fs[0] >= cut, Action.INACTIVE, np.where(fs[1] >= cut, Action.WIFI, Action.WIFI_THEN_3G)
     )
-    return Policy(actions=tuple(actions.tolist()))
 
 
 def verify_threshold_structure(policy: Policy) -> tuple[int, int]:

@@ -201,8 +201,10 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     """Best (s_wifi, s_3g) pair by exhaustive closed-form evaluation.
 
     When the 3G price is dominated by the WiFi cycle cost G/p + P the WiFi
-    band is empty and only the 3G-only family competes with always-inactive;
-    otherwise the full triangular grid plus the WiFi-only edge is searched.
+    band is empty and only the 3G-only family competes with always-inactive:
+    the O(M) 3G-only curve picks the pair, and its reward is read from the
+    pair's grid cell, like the grid search's picks.  Otherwise the full
+    triangular grid plus the WiFi-only edge is searched.
     Every pair within ``model.TIE_TOL`` of the best reward ties; ties prefer
     smaller s_3g, then smaller s_wifi (least escalation).  Always-inactive wins
     unless some pair earns more than ``model.TIE_TOL``.
@@ -226,7 +228,8 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
         if top <= tie:
             return TwoThresholdResult(s_wifi=never, s_3g=never, reward=0.0)
         s3 = int(np.argmax(only_3g >= top - tie)) + 1
-        return TwoThresholdResult(s_wifi=s3, s_3g=s3, reward=float(only_3g[s3 - 1]))
+        return TwoThresholdResult(s_wifi=s3, s_3g=s3,
+                                  reward=chain.expected_reward_two_threshold(params, s3, s3))
 
     wifi_only = chain.threshold_reward_curve(params)[:M]
     column_top = np.full(M, -np.inf)

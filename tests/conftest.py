@@ -108,6 +108,27 @@ def system_params(draw, max_age: int = 40, with_3g: bool | None = None,
     )
 
 
+@st.composite
+def tie_heavy_params(draw):
+    """Flat and step utilities with integer values and costs at dyadic p, where
+    distinct pairs often earn exactly the same reward."""
+    M = draw(st.integers(2, 24))
+    k = draw(st.integers(1, M))
+    value = float(draw(st.integers(1, 4)))
+    utility = draw(st.sampled_from((
+        UtilityFunction.tabular([value] * M),
+        UtilityFunction.tabular([value] * k + [0.0] * (M - k)),
+        UtilityFunction.step(value, k, M),
+        UtilityFunction.linear(M),
+    )))
+    price, price_3g = (float(draw(st.integers(0, n))) for n in (4, 12))
+    return SystemParams(
+        contact_prob=draw(st.sampled_from((0.5, 0.25, 0.75, 0.125))), max_age=M, utility=utility,
+        scan_cost=float(draw(st.integers(0, 3))), wifi_price=price, price_3g=price_3g,
+        bonus=float(draw(st.integers(0, int(min(price, price_3g))))),
+    )
+
+
 def reference_first_crossing(rewards) -> int:
     """min { s : E[r; s] >= E[r; s+1] } by a plain scan over a reward curve
     indexed from threshold 1; the last threshold when no crossing holds.  The

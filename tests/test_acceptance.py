@@ -87,7 +87,7 @@ def test_criterion_1_closed_forms_vs_chain_oracle():
 
 
 def test_criterion_2_solver_matches_analytics():
-    """200 WiFi + 50 3G instances: RVI gain vs closed-form optimum, structure."""
+    """200 WiFi + 50 3G instances: solver gain vs closed-form optimum, structure."""
     rng = make_rng(920)
     worst = 0.0
     for _ in range(200):
@@ -119,7 +119,7 @@ def test_criterion_3_reference_thresholds():
     b=3.18 (G=34.98): sum U(1..11) = 66 > G/p = 64.78, so the user does
     activate.  Threshold 11 earns (66 - G/p) / (11 + q/p) = 0.103125 per slot,
     q = 1 - p; s*=11 and the always-inactive test is false.  The closed form,
-    the matrix oracle and RVI must all give that gain.
+    the matrix oracle and the solver must all give that gain.
 
     b=3.25 (G=35.75): G/p = 66.20 > 66, strictly past the boundary
     G = p * 66 = 35.64 (where thresholds 11, 12, 13 tie at zero reward), so
@@ -137,13 +137,13 @@ def test_criterion_3_reference_thresholds():
     mid = optimal_threshold(mid_params)
     hand = (total - g_mid / p) / (11 + q / p)
     oracle_gain = chain_summary(Policy.from_thresholds(11, None, M), mid_params).gain
-    rvi_gain = solve_user_problem(mid_params).value.gain
+    solver_gain = solve_user_problem(mid_params).value.gain
     mid_ok = (
         mid.s_star == 11
         and not mid.always_inactive
         and abs(mid.reward - hand) <= 1e-12
         and abs(oracle_gain - hand) <= 1e-12
-        and abs(rvi_gain - hand) <= 1e-6
+        and abs(solver_gain - hand) <= 1e-6
     )
 
     g_high = 35.75
@@ -159,7 +159,7 @@ def test_criterion_3_reference_thresholds():
         f"b=0.09: s*={low.s_star} active={low.always_active} | "
         f"b=3.18: s*={mid.s_star} inactive={mid.always_inactive} "
         f"(sum U = {total:g} > G/p = {g_mid / p:.4f}; reward {mid.reward:.12f}, "
-        f"hand {hand:.12f}, oracle {oracle_gain:.12f}, RVI {rvi_gain:.13f}) | "
+        f"hand {hand:.12f}, oracle {oracle_gain:.12f}, solver {solver_gain:.13f}) | "
         f"b=3.25: s*={high.s_star} inactive={high.always_inactive} "
         f"(sum U = {total:g} <= G/p = {g_high / p:.4f}; boundary G = p*sum U = {p * total:.2f})"
     )

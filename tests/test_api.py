@@ -121,6 +121,8 @@ SIGNATURES = {
         "(text: 'str') -> 'list[ContactTrace]'",
     "preset":
         "(name: 'str') -> 'ExperimentPreset'",
+    "relative_value_iteration":
+        "(params: 'SystemParams', tol: 'float' = 1e-10, max_iter: 'int' = 1000000) -> 'SolveReport'",
     "run_learning":
         "(env: 'RoundEnv', config: 'LearningConfig') -> 'LearningTrajectory'",
     "run_population_drop":

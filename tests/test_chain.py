@@ -312,6 +312,20 @@ class TestTwoThresholdGrid:
                                price_3g=5.0, bonus=0.1)
         self.assert_matches_exact(params)
 
+    @pytest.mark.parametrize("p", [1e-3, 1e-6, 1e-9, 1e-12, 1e-20])
+    def test_relative_error_does_not_grow_with_scan_cost_over_p(self, p):
+        # the cells subtracted G/p twice and added it back times q^(j + 1):
+        # 7.9e-6 relative at p = 1e-12 with G = 1, inside a bound that grows
+        # with G/p; G times the expected active slots keeps them relatively
+        # exact, here within 3 eps
+        params = linear_params(max_age=10, p=p, scan_cost=1.0, wifi_price=0.2,
+                               price_3g=5.0, bonus=0.1)
+        grid = two_threshold_reward_grid(params)
+        for sw, s3 in grid_pairs(params):
+            exact = reference_exact(Policy.from_thresholds(sw, s3, 10), params)
+            error = abs(Fraction(grid[sw - 1, s3 - 1]) - exact.gain)
+            assert error <= C_CLOSED * 10 * EPS * abs(exact.gain), (sw, s3)
+
     @given(system_params(with_3g=True), st.integers(1, 9), st.data())
     def test_row_blocks_hold_the_grid_bits(self, params, rows, data):
         # the streamed search reads cells from blocks of any height, cut at any

@@ -10,7 +10,7 @@ import pytest
 
 from agectl import cli
 from agectl.cli import main
-from agectl.solver import SWEEP_BATCH
+from agectl.solver import SWEEP_BATCH, relative_value_iteration
 
 
 def run(capsys, *argv):
@@ -65,15 +65,36 @@ class TestSolve:
         assert code == 2
         assert err
 
-    def test_values_past_the_float_range_exit_3_within_one_batch(self, capsys):
-        # the spans turn nan in the first sweeps; this stopped only after every
-        # one of the 1e6 sweeps
+    def test_values_past_the_float_range_exit_3_within_one_batch(self, capsys, monkeypatch):
+        # RVI's spans turn nan in the first sweeps; this stopped only after
+        # every one of the 1e6 sweeps
+        monkeypatch.setattr(cli, "solve_user_problem", relative_value_iteration)
         values = ",".join(["1e308"] * 11 + ["0"])
         code, _, err = run(capsys, "solve", "--M", "12", "--p", "0.54", "--utility", "tabular",
                            "--values", values)
         assert code == 3
         sweeps = int(err.split("after ")[1].split()[0])
         assert sweeps <= SWEEP_BATCH and "residual nan" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p3g", [(), ("--P3G", "4")], ids=["wifi", "3g"])
+    def test_values_past_the_float_range_exit_3(self, capsys, p3g):
+        # with 3G this exited 0 with gain,inf and warned in the solver
+        values = ",".join(["1e308"] * 11 + ["0"])
+        code, out, err = run(capsys, "solve", "--M", "12", "--p", "0.54", "--utility", "tabular",
+                             "--values", values, *p3g)
+        assert (code, out) == (3, "")
+        assert err == "agectl: no convergence after 1 iterations (residual nan)\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_long_step_cycle_answers(self, capsys):
+        # closed form s* = 587; RVI's ~3 s*^2 sweeps ran out of 1e6 and exited 3
+        code, out, _ = run(capsys, "solve", "--utility", "step", "--v", "5", "--k", "600",
+                           "--M", "1200", "--p", "0.54", "--G", "0.05")
+        assert code == 0
+        fields = dict(line.split(",") for line in out.splitlines() if not line.startswith("#"))
+        assert fields["s"] == "587"
+        assert fields["closed_form_best"] == fields["gain"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_two_threshold_grid_at_tiny_p(self, capsys):
@@ -383,19 +404,20 @@ class TestConfigOverlay:
         assert "# p=0.5\n" in out
 
 # stdout as (byte count, sha256): the replay-driven subcommands recorded before
-# the replay loops were folded into one kernel, the ``solve`` rows (RVI gain,
-# iterations and residual) before the RVI sweep was rewritten allocation-free,
-# and ``sweep``, ``publisher``, ``learn --env analytic`` and ``gen-traces``
-# before main() switched to one parser per process; the ``learn`` digests
-# again after its header gained ``rounds`` and, for the trace env, ``traces``
+# the replay loops were folded into one kernel, and ``sweep``, ``publisher``,
+# ``learn --env analytic`` and ``gen-traces`` before main() switched to one
+# parser per process; the ``learn`` digests again after its header gained
+# ``rounds`` and, for the trace env, ``traces``; the ``solve`` rows again when
+# policy iteration replaced RVI as the solver, which changed their gain,
+# iterations, residual and crosscheck lines only
 RECORDED_STDOUT = {
     "learn-chain": (5688, "31783b2d1b49afa69b87e365fb79368a292ae7b97f1803b99c83d7f932ef9301"),
     "learn-trace": (9151, "0ded52769ce55561c417c06c93c9b09e0c98fb77c002471ea785f3e0a80c67d0"),
     "simulate": (563, "c5b10ad2b85893d9803694d945a24b9289df5386366ad87a18436c73b9bb10c2"),
-    "solve-linear": (327, "348f48adb7f9fa23a0d6574a5739670bd8008d5bbf22cec223a3ecf987d45394"),
-    "solve-step": (309, "5d6bad6f8dea9cf6bd619a54194a99e250bc3b5b9152fd83c9847586b30d0a0b"),
-    "solve-config-3g": (510, "5cfe0927b433b91fba5fdfd6b9d58c6a927fe25ec794a3fba43bc0f42b17e2e9"),
-    "solve-linear-300-3g": (610, "64dbaf466f2a113fb5bd37a3d543ff5d89a006a79f7f1bf89b4cdf711126ec2d"),
+    "solve-linear": (325, "35bdda6ce51f52225b9caab92ab4507399a78949ae7527fb3cfce99bf2194c6b"),
+    "solve-step": (276, "887cef911a3b5d0d582c52347acfa26c06017281bac16b2b36449c433931e022"),
+    "solve-config-3g": (509, "6886140e91e073667395d37767df33f6eadbd0ed6d7458671730c84b0a9846ab"),
+    "solve-linear-300-3g": (607, "2a609c3bab6d2bc3e921afc69793c765280a8236af6197ed0e4aa593c7c854a6"),
     "sweep-full": (447, "e74bbd3056e53db5fc015f3f05e481aa7c2736a8754094f6cbf0753ebfeac806"),
     "sweep-grid-G": (147, "94eb021ecbb720aefcfff758815ca8e0dea0b4285057b2003c449b88b5550370"),
     "publisher-feasible": (217, "bea8b049fe60c2b41671d7fa49ddf00ea1c4c9519c21859c2ad78689e643b074"),
@@ -404,8 +426,8 @@ RECORDED_STDOUT = {
     "gen-traces": (947, "44b0ac4ab823213c4106e39b9438bb3a0e394f9d9f87581fd745223ae7725e19"),
     # pi_1(s) differences that round to 0, and rewards of -inf: the bonus edges
     # must stay total there
-    "solve-tiny-p": (355, "a7483e57b06542a802da646b42ce470e1a156c5bb82036d215cd767699e3b474"),
-    "solve-huge-G": (311, "f36002444eb7173656253e791b78cd5a5b1c765b7ce0198755ef7b3e951f7875"),
+    "solve-tiny-p": (311, "f809052301a72e3d530b11aad1561690e07296107129847a91e5928857939b8b"),
+    "solve-huge-G": (279, "7ad7d0acc41780392449669077e1443aa9986f33cd1b92ea0b2c6fe9df481228"),
     "sweep-tiny-p-grid-B": (118, "72ecebd0c2a7b909b06e411e0db0157496667378128f2a953c47a65a9c7c2f2b"),
 }
 
@@ -449,7 +471,8 @@ def test_solve_outputs_are_byte_stable(capsys, tmp_path, monkeypatch):
                        "--p", "0.5", "--G", "6"),
         "solve-config-3g": ("solve", "--config", "params.cfg", "--P3G", "3.0",
                             "--format", "table"),
-        # a two-threshold optimum (WiFi band, then 3G) after 2344 RVI sweeps
+        # a two-threshold optimum (WiFi band, then 3G): 7 policy iteration
+        # steps, where RVI took 2344 sweeps
         "solve-linear-300-3g": ("solve", "--utility", "linear", "--M", "300", "--p", "0.3",
                                 "--G", "100", "--P", "10", "--P3G", "400", "--B", "5"),
         "solve-tiny-p": ("solve", "--M", "12", "--p", "1e-300", "--G", "1e-9", "--P", "3"),

@@ -1,5 +1,6 @@
-"""Relative value iteration against the closed-form analytics, the exact
-rational oracle and a per-age reference iteration, plus policy structure
+"""The two solvers, policy iteration (the solver of record) and relative
+value iteration, against the closed-form analytics, the exact rational
+oracle, each other and a per-age reference iteration, plus policy structure
 verification."""
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from hypothesis import example, given
+from hypothesis import example, given, strategies as st
 
 from agectl import (
     Action,
@@ -23,10 +24,13 @@ from agectl import (
     expected_reward_threshold,
     greedy_policy,
     optimal_threshold,
+    relative_value_iteration,
     solve_user_problem,
+    step_utility_threshold,
     threshold_reward_curve,
     verify_threshold_structure,
 )
+from agectl import model, solver
 from agectl.solver import DEFAULT_MAX_ITER, DEFAULT_TOL, SWEEP_BATCH
 from agectl.thresholds import always_active, always_inactive, optimal_two_thresholds
 
@@ -39,6 +43,7 @@ from conftest import (
     reference_rvi,
     reward_bound,
     system_params,
+    tie_heavy_params,
 )
 
 
@@ -144,7 +149,7 @@ class TestSolve:
 
     def test_non_convergence_reported(self):
         with pytest.raises(ConvergenceError) as err:
-            solve_user_problem(linear_params(scan_cost=1.0), tol=1e-12, max_iter=3)
+            relative_value_iteration(linear_params(scan_cost=1.0), tol=1e-12, max_iter=3)
         assert err.value.iterations == 3
         assert err.value.residual > 0
 
@@ -154,15 +159,18 @@ class TestSolve:
         params = SystemParams(contact_prob=0.54, max_age=12,
                               utility=UtilityFunction.tabular([1e308] * 11 + [0.0]))
         with pytest.raises(ConvergenceError) as err:
-            solve_user_problem(params)
+            relative_value_iteration(params)
         assert 1 <= err.value.iterations <= SWEEP_BATCH
         assert not math.isfinite(err.value.residual)
 
     def test_invalid_tolerance(self):
         # inf stopped after one sweep with the all-inactive policy, nan never stopped
-        for tol in (0.0, math.inf, math.nan):
+        for solve in (solve_user_problem, relative_value_iteration):
+            for tol in (0.0, math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    solve(linear_params(scan_cost=0.99), tol=tol)
             with pytest.raises(ValueError):
-                solve_user_problem(linear_params(scan_cost=0.99), tol=tol)
+                solve(linear_params(scan_cost=0.99), max_iter=0)
 
 
 #: enough sweeps for most drawn instances; the rest must fail identically
@@ -182,10 +190,10 @@ class TestAgainstReferenceIteration:
         ref = reference_rvi(params, DEFAULT_TOL, ORACLE_MAX_ITER)
         if not ref.converged:
             with pytest.raises(ConvergenceError) as err:
-                solve_user_problem(params, max_iter=ORACLE_MAX_ITER)
+                relative_value_iteration(params, max_iter=ORACLE_MAX_ITER)
             assert (err.value.iterations, err.value.residual) == (ref.iterations, ref.residual)
             return
-        report = solve_user_problem(params, max_iter=ORACLE_MAX_ITER)
+        report = relative_value_iteration(params, max_iter=ORACLE_MAX_ITER)
         assert np.array_equal(report.value.values, ref.values)
         assert report.value.gain == ref.gain
         assert report.iterations == ref.iterations
@@ -198,7 +206,7 @@ class TestAgainstReferenceIteration:
         ref = reference_rvi(params, 1e-12, 3)
         assert not ref.converged
         with pytest.raises(ConvergenceError) as err:
-            solve_user_problem(params, tol=1e-12, max_iter=3)
+            relative_value_iteration(params, tol=1e-12, max_iter=3)
         assert (err.value.iterations, err.value.residual) == (ref.iterations, ref.residual)
 
 
@@ -207,10 +215,10 @@ def assert_same_as_reference(params, max_iter, tol=DEFAULT_TOL):
     ref = reference_rvi(params, tol, max_iter)
     if not ref.converged:
         with pytest.raises(ConvergenceError) as err:
-            solve_user_problem(params, tol=tol, max_iter=max_iter)
+            relative_value_iteration(params, tol=tol, max_iter=max_iter)
         assert (err.value.iterations, err.value.residual) == (ref.iterations, ref.residual)
         return ref
-    report = solve_user_problem(params, tol=tol, max_iter=max_iter)
+    report = relative_value_iteration(params, tol=tol, max_iter=max_iter)
     assert report.value.values.tobytes() == ref.values.tobytes()
     assert math.copysign(1.0, report.value.gain) == math.copysign(1.0, ref.gain)
     assert report.value.gain == ref.gain
@@ -261,40 +269,149 @@ class TestSweepBatches:
         )
         ref = assert_same_as_reference(params, DEFAULT_MAX_ITER)
         assert ref.iterations == 1
-        report = solve_user_problem(params)
-        assert report.value.gain == 0.0 and math.copysign(1.0, report.value.gain) == 1.0
+        for solve in (relative_value_iteration, solve_user_problem):
+            gain = solve(params).value.gain
+            assert gain == 0.0 and math.copysign(1.0, gain) == 1.0
 
 
 def assert_gain_exact(report, params):
     """RVI's gain is the midpoint of Bellman differences whose span is within
     the tolerance, so it lies within tol / 2 of its policy's exact gain, up to
-    the rounding of its float sweeps."""
+    the rounding of its float sweeps; policy iteration's is its stable
+    policy's gain, evaluated exactly up to rounding, and that policy earns the
+    reported one's gain within the same bound."""
     exact = reference_exact(report.policy, params)
     bound = DEFAULT_TOL / 2 + reward_bound(C_MATRIX, exact, params)
     assert abs(Fraction(report.value.gain) - exact.gain) <= bound
 
 
 class TestRouteAgreement:
-    """Closed form, matrix oracle and RVI give the same optimal gain, and RVI's
-    is its policy's exact gain."""
+    """Closed form, matrix oracle, policy iteration and RVI give the same
+    optimal gain, and each solver's is its policy's exact gain."""
 
     @given(system_params(max_age=60, with_3g=False))
     def test_optimal_threshold(self, params):
         best = optimal_threshold(params)
         policy = Policy.from_thresholds(best.s_star, None, params.max_age)
         assert chain_summary(policy, params).gain == pytest.approx(best.reward, abs=1e-6)
-        report = solve_user_problem(params)
-        assert report.value.gain == pytest.approx(best.reward, abs=1e-6)
-        assert_gain_exact(report, params)
+        for solve in (solve_user_problem, relative_value_iteration):
+            report = solve(params)
+            assert report.value.gain == pytest.approx(best.reward, abs=1e-6)
+            assert_gain_exact(report, params)
 
     @given(system_params(max_age=60, with_3g=True))
     def test_two_threshold_optimum(self, params):
         best = optimal_two_thresholds(params)
         policy = Policy.from_thresholds(best.s_wifi, best.s_3g, params.max_age)
         assert chain_summary(policy, params).gain == pytest.approx(best.reward, abs=1e-6)
-        report = solve_user_problem(params)
-        assert report.value.gain == pytest.approx(best.reward, abs=1e-6)
-        assert_gain_exact(report, params)
+        for solve in (solve_user_problem, relative_value_iteration):
+            report = solve(params)
+            assert report.value.gain == pytest.approx(best.reward, abs=1e-6)
+            assert_gain_exact(report, params)
+
+
+def action_string(policy):
+    return "".join(str(int(a)) for a in policy.actions)
+
+
+class TestPolicyIteration:
+    """Policy iteration, the solver of record, against RVI, the exact oracle
+    and the step utility's candidate set, and its evaluation on its own."""
+
+    @given(system_params())
+    @example(linear_params(max_age=2, p=0.5, scan_cost=0.3, wifi_price=1.0, bonus=0.4))
+    @example(linear_params(max_age=2, p=0.5, scan_cost=0.3, wifi_price=1.0, price_3g=1.2))
+    @example(linear_params(p=0.001, scan_cost=0.02, wifi_price=2.0, bonus=1.0))
+    @example(linear_params(p=0.999, scan_cost=5.0, wifi_price=1.0, price_3g=9.0, bonus=0.5))
+    def test_policy_equals_rvi(self, params):
+        report, rvi = solve_user_problem(params), relative_value_iteration(params)
+        assert action_string(report.policy) == action_string(rvi.policy)
+        assert abs(report.value.gain - rvi.value.gain) <= DEFAULT_TOL
+        assert report.residual <= DEFAULT_TOL
+
+    @given(st.one_of(tie_heavy_params(),
+                     tie_heavy_params().map(lambda params: replace(params, price_3g=None))))
+    def test_tie_heavy_policy_equals_rvi(self, params):
+        # integer rewards at dyadic p: actions often tie exactly, and a tie
+        # must keep the current action, or the iteration cycles
+        report, rvi = solve_user_problem(params), relative_value_iteration(params)
+        assert action_string(report.policy) == action_string(rvi.policy)
+
+    @given(st.integers(1, 600), st.floats(0.5, 20.0), st.floats(0.05, 0.95), st.floats(0.0, 1.2))
+    @example(600, 5.0, 0.54, 0.05 / (0.54 * 600 * 5.0))
+    def test_long_step_cycles_match_the_candidate_set(self, K, v, p, share):
+        # Step(v, K) at M = 2K: RVI needs about 3 s*^2 sweeps here, and ran
+        # out of 1e6 at K = 600 (s* = 587)
+        params = SystemParams(contact_prob=p, max_age=2 * K, utility=UtilityFunction.step(v, K, 2 * K),
+                              scan_cost=share * p * K * v)
+        report, best = solve_user_problem(params), step_utility_threshold(params)
+        assert report.value.gain == pytest.approx(best.reward, abs=1e-9)
+        # ties go to the cheapest action, so s may be a larger threshold
+        # within the tie than the candidate set holds
+        s, _ = verify_threshold_structure(report.policy)
+        curve = threshold_reward_curve(params)
+        assert curve[s - 1] >= curve.max() - model.TIE_TOL
+        assert best.s_star in np.flatnonzero(curve >= curve.max() - model.TIE_TOL) + 1
+
+    def test_step_counts(self):
+        # all-WiFi is optimal at G = 0.99: one improvement step, which changes nothing
+        assert solve_user_problem(linear_params(scan_cost=0.99)).iterations == 1
+        # with zero utility and costs every action ties at every age, and a
+        # tie keeps the current action: all-WiFi is stable at once, and the
+        # report still takes the cheapest action within the tie
+        flat = SystemParams(contact_prob=0.5, max_age=6, utility=UtilityFunction.tabular([0.0] * 6))
+        report = solve_user_problem(flat)
+        assert report.iterations == 1 and action_string(report.policy) == "000000"
+        params = linear_params(scan_cost=6.0)
+        assert solve_user_problem(params).iterations >= 2
+        with pytest.raises(ConvergenceError) as err:
+            solve_user_problem(params, max_iter=1)
+        assert err.value.iterations == 1
+        assert err.value.residual > DEFAULT_TOL
+
+    def test_reads_the_action_terms_once(self, monkeypatch):
+        calls, terms = [], solver._action_terms
+        monkeypatch.setattr(solver, "_action_terms",
+                            lambda params, v0: calls.append(v0) or terms(params, v0))
+        report = solve_user_problem(linear_params(scan_cost=6.0, price_3g=20.0))
+        assert report.iterations >= 2
+        assert calls == [0.0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("price_3g", [None, 4.0], ids=["wifi", "3g"])
+    def test_values_past_the_float_range_fail_the_certificate(self, price_3g):
+        # all-WiFi's sums overflow, so its values are nan, no action beats a nan
+        # and the first step is stable with a nan certificate; with 3G, RVI
+        # exited 0 here with a gain of inf
+        params = SystemParams(contact_prob=0.54, max_age=12, price_3g=price_3g,
+                              utility=UtilityFunction.tabular([1e308] * 11 + [0.0]))
+        with pytest.raises(ConvergenceError) as err:
+            solve_user_problem(params)
+        assert err.value.iterations == 1 and math.isnan(err.value.residual)
+
+    @given(system_params(max_age=30), st.data())
+    def test_evaluation_is_the_exact_gain_of_any_policy(self, params, data):
+        M = params.max_age
+        codes = np.array(data.draw(st.lists(st.integers(0, 2 if params.has_3g else 1),
+                                            min_size=M, max_size=M)))
+        terms = [t for t in solver._action_terms(params, 0.0) if t is not None]
+        values, gain = solver._evaluate(codes, terms, params.contact_prob)
+        if codes[-1] == Action.INACTIVE and Action.WIFI_THEN_3G in codes[:-1]:
+            # M absorbs, and age 1 never reaches it: two recurrent classes
+            assert math.isnan(gain) and np.isnan(values).all()
+            return
+        exact = reference_exact(Policy(actions=tuple(codes.tolist())), params)
+        assert abs(Fraction(gain) - exact.gain) <= reward_bound(C_MATRIX, exact, params)
+        assert values[0] == 0.0
+
+    @pytest.mark.parametrize("codes, expected", [
+        ("0112", "0112"), ("0101", "0001"), ("1021", "0001"), ("0121", "0001"), ("2100", "0000"),
+    ])
+    def test_threshold_form(self, codes, expected):
+        # the fixed point of setting the lowest inverted age inactive
+        policy = solver._threshold_form(np.array([int(c) for c in codes]))
+        assert action_string(policy) == expected
+        verify_threshold_structure(policy)
 
 
 class TestGreedy:

@@ -3,6 +3,7 @@ candidates, multi-optimum enumeration, two-threshold grid, monotonicity."""
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from agectl import (
+    Policy,
     SystemParams,
     UtilityFunction,
     always_active,
@@ -31,7 +33,8 @@ from agectl import model
 from agectl.chain import two_threshold_reward_grid
 
 from conftest import (
-    make_rng, random_3g_params, random_wifi_params, reference_first_crossing, system_params,
+    C_CLOSED, make_rng, random_3g_params, random_wifi_params, reference_exact,
+    reference_first_crossing, reward_bound, system_params, tie_heavy_params,
 )
 
 
@@ -311,27 +314,6 @@ def grid_branch(params):
     return params.price_3g > params.scan_cost / params.contact_prob + params.wifi_price
 
 
-@st.composite
-def tie_heavy_params(draw):
-    """Flat and step utilities with integer values and costs at dyadic p, where
-    distinct pairs often earn exactly the same reward."""
-    M = draw(st.integers(2, 24))
-    k = draw(st.integers(1, M))
-    value = float(draw(st.integers(1, 4)))
-    utility = draw(st.sampled_from((
-        UtilityFunction.tabular([value] * M),
-        UtilityFunction.tabular([value] * k + [0.0] * (M - k)),
-        UtilityFunction.step(value, k, M),
-        UtilityFunction.linear(M),
-    )))
-    price, price_3g = (float(draw(st.integers(0, n))) for n in (4, 12))
-    return SystemParams(
-        contact_prob=draw(st.sampled_from((0.5, 0.25, 0.75, 0.125))), max_age=M, utility=utility,
-        scan_cost=float(draw(st.integers(0, 3))), wifi_price=price, price_3g=price_3g,
-        bonus=float(draw(st.integers(0, int(min(price, price_3g))))),
-    )
-
-
 def explicit_params(M, form):
     if form == "linear":
         utility = UtilityFunction.linear(M)
@@ -397,10 +379,8 @@ class TestTwoThresholdStream:
 
     @given(system_params(with_3g=True), st.data())
     def test_scalar_has_the_bits_of_the_search_and_the_grid(self, params, data):
-        # one home for the two-threshold reward means one value per pair; the
-        # 3G-only branch reads its own O(M) curve instead, so only the grid
-        # branch's picks are read from the blocks
-        assume(grid_branch(params))
+        # one home for the two-threshold reward means one value per pair, in
+        # both branches of the search
         M = params.max_age
         res = optimal_two_thresholds(params)
         if res.s_3g <= M:
@@ -410,6 +390,19 @@ class TestTwoThresholdStream:
             s3 = data.draw(st.integers(1, M))
             s_w = data.draw(st.integers(1, s3))
             assert grid[s_w - 1, s3 - 1] == expected_reward_two_threshold(params, s_w, s3)
+
+    def test_3g_only_pick_reads_its_reward_from_the_blocks(self):
+        # 3G no dearer than the WiFi cycle: the O(M) 3G-only curve picks the
+        # pair, and gave it 0.4166666666666667; the block's cell, like every
+        # cell, is the exact 5/12 within its rounding bound
+        params = linear_params(max_age=4, p=0.75, scan_cost=3.0, wifi_price=2.0, price_3g=1.0)
+        assert not grid_branch(params)
+        res = optimal_two_thresholds(params)
+        assert (res.s_wifi, res.s_3g, res.reward) == (3, 3, 0.41666666666666663)
+        assert res.reward == expected_reward_two_threshold(params, 3, 3)
+        exact = reference_exact(Policy.from_thresholds(3, 3, 4), params)
+        assert exact.gain == Fraction(5, 12)
+        assert abs(Fraction(res.reward) - exact.gain) <= reward_bound(C_CLOSED, exact, params)
 
 
 class TestMonotonicity:
