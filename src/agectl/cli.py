@@ -162,7 +162,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.grid:
         name, _, values = args.grid.partition("=")
         name = name.strip()
-        grid = [float(x) for x in values.split(",")]
+        try:
+            grid = [float(x) for x in values.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--grid takes NAME=V1,V2,…, e.g. 'G=0.99,7.92', got {args.grid!r}"
+            ) from None
         rep = thresholds.monotonicity_check(params, name, grid)
         settings = {**_param_settings(params), "grid": args.grid}
         columns, rows = (name, "s_star"), list(zip(rep.grid, rep.thresholds))

@@ -3,8 +3,9 @@ iteration on the optimality conditions, greedy policy extraction, and
 threshold-structure verification.
 
 Both routes are independent of the closed-form chain analytics, and of each
-other past the per-age action terms; agreement of the routes is a core
-correctness check.
+other past the vector Bellman operator of :func:`_action_terms` and
+:func:`_action_values`, which :func:`greedy_policy` reads too; agreement of
+the routes is a core correctness check.
 
 * :func:`solve_user_problem`, the solver of record, runs policy iteration
   (Puterman, *Markov Decision Processes*, 1994, section 8.6).  Each policy is
@@ -12,10 +13,11 @@ correctness check.
   Its ``iterations`` counts improvement steps, the last of which changes no
   action, and its ``residual`` is the sup-norm Bellman error of the final
   policy's relative values.
-* :func:`relative_value_iteration` runs damped value sweeps until the span of
-  their Bellman differences is within ``tol``.  Its ``iterations`` counts
-  sweeps, and its ``residual`` is the sup-norm error of the last sweep's
-  differences about their midpoint, the gain.
+* :func:`relative_value_iteration` runs one damped value sweep per
+  iteration until the span of its Bellman differences is within ``tol``.  Its
+  ``iterations`` counts sweeps, and its ``residual`` is the sup-norm error of
+  the last sweep's differences about their midpoint, the gain.  It is kept
+  as a cross-check of policy iteration; no subcommand calls it.
 
 Both report the policy that :func:`greedy_policy` reads off the final values,
 and raise :class:`ConvergenceError` when ``max_iter`` iterations give no
@@ -33,8 +35,6 @@ from .model import Action, Policy, SystemParams
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
-#: RVI sweeps run between two convergence checks (see :func:`relative_value_iteration`)
-SWEEP_BATCH = 16
 
 
 class ConvergenceError(RuntimeError):
@@ -104,19 +104,18 @@ def bellman_values(
     return f0, f1, f2
 
 
-def _action_terms(params: SystemParams, v0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _action_terms(params: SystemParams, v0: float) -> list[np.ndarray]:
     """The terms of the action values over all ages that do not read V(x+1),
     for the value v₀ = V(1), in the float order of :func:`bellman_values`:
-    u, F1's base (u − G) + p·(v₀ − P + B), and F2 = ((((u − G) + v₀) − p·P)
-    − (1−p)·P3G) + B, None without 3G.  F0 = u + V(x+1) and
-    F1 = base + (1−p)·V(x+1) complete them."""
+    u, F1's base (u − G) + p·(v₀ − P + B), and with 3G
+    F2 = ((((u − G) + v₀) − p·P) − (1−p)·P3G) + B.  F0 = u + V(x+1) and
+    F1 = base + (1−p)·V(x+1) complete them (:func:`_action_values`)."""
     p, q = params.contact_prob, 1.0 - params.contact_prob
     u = np.asarray(params.utility.values)
-    f1_base = u - params.scan_cost + p * (v0 - params.wifi_price + params.bonus)
-    f2 = None
+    terms = [u, u - params.scan_cost + p * (v0 - params.wifi_price + params.bonus)]
     if params.has_3g:
-        f2 = u - params.scan_cost + v0 - p * params.wifi_price - q * params.price_3g + params.bonus
-    return u, f1_base, f2
+        terms.append(u - params.scan_cost + v0 - p * params.wifi_price - q * params.price_3g + params.bonus)
+    return terms
 
 
 def _check_limits(tol: float, max_iter: int) -> None:
@@ -157,7 +156,7 @@ def solve_user_problem(
     """
     _check_limits(tol, max_iter)
     p = params.contact_prob
-    terms = [t for t in _action_terms(params, 0.0) if t is not None]
+    terms = _action_terms(params, 0.0)
     ages = np.arange(params.max_age)
     codes = np.full(params.max_age, int(Action.WIFI))
     margin = min(model.TIE_TOL, tol / 2)
@@ -252,89 +251,43 @@ def relative_value_iteration(
 ) -> SolveReport:
     """Relative value iteration with the value at age 1 pinned to zero.
 
-    Stops when the span seminorm of successive Bellman differences drops to
-    ``tol``; the reported residual is then the sup-norm error of the
-    optimality conditions.  Updates are damped half-steps — the aperiodicity
-    transform — because deterministic reset cycles (3G bands, p near 1) make
-    the undamped iteration oscillate.  The fixed point is unchanged.
-
-    Each sweep runs in preallocated buffers and keeps the documented float
-    order of :func:`bellman_values`: F1 = ((u − G) + p·(v₀ − P + B)) + (1−p)·V(x+1)
-    and F2 = ((((u − G) + v₀) − p·P) − (1−p)·P3G) + B.  The gauge step leaves
-    v₀ = V(1) at exactly 0.0 in every sweep, so the terms without V(x+1) are
-    computed once, by :func:`_action_terms`, before the loop.
-
-    Sweeps run in batches of ``SWEEP_BATCH``: sweep j of a batch reads its
-    state from row j of a buffer and writes its Bellman differences to row j
-    of another and its damped, gauged state to row j + 1, and the spans of a
-    whole batch are checked at once when it ends (or at ``max_iter``).  This
-    is exact, not an approximation of the per-sweep stop: a sweep's state
-    depends only on the state before it, never on the check, so every row up
-    to the first one whose span is within ``tol`` holds the same bits the
-    per-sweep loop held at that iteration, and the report reads that row's
-    state and differences only; the sweeps after it are discarded.  A max or
-    min reduction returns one of its inputs, so a row's span is the per-sweep
-    span up to the sign of a zero, which ``<=`` ignores; the gain, whose sign
-    bit could see it, comes from the row's own ``max`` and ``min``.
+    Each sweep takes the Bellman differences of the state through
+    :func:`_action_values` and stops when their span drops to ``tol``; the
+    gain is then their midpoint and the residual their sup-norm distance
+    from it.  Otherwise the state takes a damped half-step, the aperiodicity
+    transform, because deterministic reset cycles (3G bands, p near 1) make
+    the undamped iteration oscillate; the fixed point is unchanged.  The
+    gauge step keeps V(1) at exactly 0.0, so the action terms are read once.
 
     Values that leave the float range, as inf or nan, never come back, and
-    their spans never fall to ``tol``: a batch that ends on a span that is not
-    finite raises :class:`ConvergenceError` at the batch's first such sweep,
-    with that span.  numpy's floating-point warnings are off for the sweeps.
+    their spans never fall to ``tol``: the first span that is not finite
+    raises :class:`ConvergenceError` with that span.  numpy's floating-point
+    warnings are off for the sweeps.
     """
     _check_limits(tol, max_iter)
-    M = params.max_age
     q = 1.0 - params.contact_prob
-    u, f1_base, f2 = _action_terms(params, 0.0)
-    # row j holds V(1..M) and then V(M) again, so w[1:][x - 1] = V(min(x + 1, M))
-    states = np.zeros((SWEEP_BATCH + 1, M + 1))
-    deltas = np.empty((SWEEP_BATCH, M))
-    sweeps = [
-        (states[j, :M], states[j, 1:], deltas[j], states[j + 1], states[j + 1, :M])
-        for j in range(SWEEP_BATCH)
-    ]
-    tv, f = np.empty(M), np.empty(M)
-    q_arr, damp = np.array(q), np.array(0.5)
-    add, multiply, subtract, maximum = np.add, np.multiply, np.subtract, np.maximum
-    done = 0
+    terms = _action_terms(params, 0.0)
+    v = np.zeros(params.max_age)
     with np.errstate(all="ignore"):   # values past the float range stop the loop below
-        while True:
-            n = min(SWEEP_BATCH, max_iter - done)
-            for v, vnext, delta, w, nv in sweeps[:n]:
-                add(u, vnext, out=tv)
-                multiply(vnext, q_arr, out=f)
-                add(f1_base, f, out=f)
-                maximum(tv, f, out=tv)
-                if f2 is not None:
-                    maximum(tv, f2, out=tv)
-                subtract(tv, v, out=delta)
-                multiply(delta, damp, out=f)
-                add(v, f, out=nv)
-                subtract(nv, nv[0], out=nv)
-                w[M] = w[M - 1]
-            batch = deltas[:n]
-            spans = batch.max(axis=1) - batch.min(axis=1)
-            hits = np.flatnonzero(spans <= tol)
-            if hits.size:
+        for sweep in range(1, max_iter + 1):
+            delta = np.maximum.reduce(_action_values(terms, q, v)) - v
+            hi, lo = float(delta.max()), float(delta.min())
+            span = hi - lo
+            if span <= tol:
                 break
-            if not math.isfinite(spans[n - 1]):   # values past the float range never come back
-                j = int(np.flatnonzero(~np.isfinite(spans))[0])
-                raise ConvergenceError(done + j + 1, float(spans[j]))
-            done += n
-            if done == max_iter:
-                raise ConvergenceError(max_iter, float(spans[n - 1]))
-            states[0] = states[n]
-    j = int(hits[0])
-    v, _, delta, _, _ = sweeps[j]
-    hi, lo = delta.max(), delta.min()
-    gain = 0.5 * float(hi + lo)
-    residual = float(np.max(np.abs(delta - gain)))
-    value = ValueFunction(values=v - v[0], gain=gain)
+            if not math.isfinite(span):
+                raise ConvergenceError(sweep, span)
+            v = v + 0.5 * delta
+            v = v - v[0]
+        else:
+            raise ConvergenceError(max_iter, span)
+    gain = 0.5 * hi + 0.5 * lo   # 0.5 * (hi + lo) overflows when both are near the float limit
+    value = ValueFunction(values=v, gain=gain)
     return SolveReport(
         value=value,
         policy=greedy_policy(value, params),
-        iterations=done + j + 1,
-        residual=residual,
+        iterations=sweep,
+        residual=float(np.max(np.abs(delta - gain))),
     )
 
 
@@ -342,7 +295,7 @@ def greedy_policy(value: ValueFunction, params: SystemParams) -> Policy:
     """Per-age argmax over action values; actions within ``model.TIE_TOL`` of
     the best tie, and ties go to the lower-numbered action."""
     v = np.asarray(value.values)
-    terms = [t for t in _action_terms(params, v[0]) if t is not None]
+    terms = _action_terms(params, v[0])
     codes = _tie_rule(_action_values(terms, 1.0 - params.contact_prob, v))
     return Policy(actions=tuple(codes.tolist()))
 

@@ -31,7 +31,7 @@ from agectl import (
     verify_threshold_structure,
 )
 from agectl import model, solver
-from agectl.solver import DEFAULT_MAX_ITER, DEFAULT_TOL, SWEEP_BATCH
+from agectl.solver import DEFAULT_MAX_ITER, DEFAULT_TOL
 from agectl.thresholds import always_active, always_inactive, optimal_two_thresholds
 
 from conftest import (
@@ -154,14 +154,24 @@ class TestSolve:
         assert err.value.residual > 0
 
     def test_values_past_the_float_range_stop_at_the_first_span_not_finite(self):
-        # a valid utility whose differences overflow: the spans turn nan within
-        # the first batch, and a nan span never falls to tol
+        # a valid utility whose differences overflow: the span turns nan at
+        # sweep 13, and a nan span never falls to tol
         params = SystemParams(contact_prob=0.54, max_age=12,
                               utility=UtilityFunction.tabular([1e308] * 11 + [0.0]))
         with pytest.raises(ConvergenceError) as err:
             relative_value_iteration(params)
-        assert 1 <= err.value.iterations <= SWEEP_BATCH
-        assert not math.isfinite(err.value.residual)
+        assert err.value.iterations == 13
+        assert math.isnan(err.value.residual)
+
+    def test_gain_near_the_float_limit_does_not_overflow(self):
+        # every difference is 1e308 at the stop: 0.5 * (hi + lo) overflowed
+        # to a gain of inf
+        params = SystemParams(contact_prob=0.54, max_age=12, price_3g=4.0,
+                              utility=UtilityFunction.tabular([1e308] * 11 + [0.0]))
+        report = relative_value_iteration(params)
+        assert (report.value.gain, report.residual) == (1e308, 0.0)
+        assert action_string(report.policy) == "000000000022"
+        assert_gain_exact(report, params)
 
     def test_invalid_tolerance(self):
         # inf stopped after one sweep with the all-inactive policy, nan never stopped
@@ -228,40 +238,22 @@ def assert_same_as_reference(params, max_iter, tol=DEFAULT_TOL):
     return ref
 
 
-def converging_at(residue):
-    """A WiFi instance whose reference iteration stops past the first batch, at
-    a sweep count equal to ``residue`` modulo ``SWEEP_BATCH``.  Over this
-    family the count falls steadily from 58 to 43 sweeps as p grows."""
-    for p in np.linspace(0.1, 0.9, 81):
-        params = linear_params(max_age=8, p=float(p), scan_cost=1.0, wifi_price=1.0)
-        ref = reference_rvi(params, DEFAULT_TOL, 10 * SWEEP_BATCH)
-        if ref.converged and ref.iterations > SWEEP_BATCH and ref.iterations % SWEEP_BATCH == residue:
-            return params, ref.iterations
-    raise AssertionError(f"no instance stops at a sweep = {residue} mod {SWEEP_BATCH}")
+class TestStopRule:
+    """Where RVI stops, on the tolerance or on ``max_iter``, and the sign of
+    its gain, through :func:`assert_same_as_reference`."""
 
-
-class TestSweepBatches:
-    """Sweeps run in batches of ``SWEEP_BATCH`` with one convergence check per
-    batch; where a batch starts or ends must not show in any output."""
-
-    @pytest.mark.parametrize(
-        "max_iter", [1, SWEEP_BATCH - 1, SWEEP_BATCH, SWEEP_BATCH + 1, 2 * SWEEP_BATCH + 1]
-    )
-    def test_max_iter_at_batch_boundaries(self, max_iter):
+    @pytest.mark.parametrize("max_iter", [1, 2, 17])
+    def test_max_iter_on_a_non_converging_instance(self, max_iter):
         params = linear_params(max_age=30, p=0.3, scan_cost=1.0, wifi_price=2.0, price_3g=9.0)
         assert not assert_same_as_reference(params, max_iter).converged
 
-    @pytest.mark.parametrize("residue", [1, 0], ids=["first-sweep", "last-sweep"])
-    def test_converges_on_batch_edge(self, residue):
-        params, iterations = converging_at(residue)
-        assert assert_same_as_reference(params, DEFAULT_MAX_ITER).iterations == iterations
+    def test_converges_at_its_sweep_count(self):
+        params = linear_params(max_age=8, p=0.5, scan_cost=1.0, wifi_price=1.0)
+        iterations = assert_same_as_reference(params, DEFAULT_MAX_ITER).iterations
+        assert iterations > 2
         # the same sweep as the last one allowed, and one sweep short of it
-        assert_same_as_reference(params, iterations)
-        assert not assert_same_as_reference(params, iterations - 1).converged
-
-    def test_converges_inside_final_partial_batch(self):
-        params, iterations = converging_at(SWEEP_BATCH // 2)
         assert assert_same_as_reference(params, iterations).converged
+        assert not assert_same_as_reference(params, iterations - 1).converged
 
     def test_zero_utility_and_costs_give_positive_zero_gain(self):
         params = SystemParams(
@@ -394,7 +386,7 @@ class TestPolicyIteration:
         M = params.max_age
         codes = np.array(data.draw(st.lists(st.integers(0, 2 if params.has_3g else 1),
                                             min_size=M, max_size=M)))
-        terms = [t for t in solver._action_terms(params, 0.0) if t is not None]
+        terms = solver._action_terms(params, 0.0)
         values, gain = solver._evaluate(codes, terms, params.contact_prob)
         if codes[-1] == Action.INACTIVE and Action.WIFI_THEN_3G in codes[:-1]:
             # M absorbs, and age 1 never reaches it: two recurrent classes
