@@ -247,14 +247,6 @@ class TestStopRule:
         params = linear_params(max_age=30, p=0.3, scan_cost=1.0, wifi_price=2.0, price_3g=9.0)
         assert not assert_same_as_reference(params, max_iter).converged
 
-    def test_converges_at_its_sweep_count(self):
-        params = linear_params(max_age=8, p=0.5, scan_cost=1.0, wifi_price=1.0)
-        iterations = assert_same_as_reference(params, DEFAULT_MAX_ITER).iterations
-        assert iterations > 2
-        # the same sweep as the last one allowed, and one sweep short of it
-        assert assert_same_as_reference(params, iterations).converged
-        assert not assert_same_as_reference(params, iterations - 1).converged
-
     def test_zero_utility_and_costs_give_positive_zero_gain(self):
         params = SystemParams(
             contact_prob=0.5, max_age=6, utility=UtilityFunction.tabular([0.0] * 6),
@@ -264,6 +256,40 @@ class TestStopRule:
         for solve in (relative_value_iteration, solve_user_problem):
             gain = solve(params).value.gain
             assert gain == 0.0 and math.copysign(1.0, gain) == 1.0
+
+
+BLOCK = 16
+
+
+def converging_at(residue):
+    """A WiFi instance whose reference iteration stops past the first
+    ``BLOCK`` sweeps, at a sweep count equal to ``residue`` modulo ``BLOCK``.
+    Over this family the count falls steadily from 58 to 43 sweeps as p grows."""
+    for p in np.linspace(0.1, 0.9, 81):
+        params = linear_params(max_age=8, p=float(p), scan_cost=1.0, wifi_price=1.0)
+        ref = reference_rvi(params, DEFAULT_TOL, 10 * BLOCK)
+        if ref.converged and ref.iterations > BLOCK and ref.iterations % BLOCK == residue:
+            return params, ref.iterations
+    raise AssertionError(f"no instance stops at a sweep = {residue} mod {BLOCK}")
+
+
+class TestSweepBatches:
+    """RVI stops on the sweep whose span first falls to tol, wherever that
+    sweep sits in a block of ``BLOCK`` sweeps: a loop that checked the span
+    once per block would stop late on every residue but one."""
+
+    @pytest.mark.parametrize("residue", [1, 0], ids=["first-sweep", "last-sweep"])
+    def test_converges_on_batch_edge(self, residue):
+        params, iterations = converging_at(residue)
+        assert assert_same_as_reference(params, DEFAULT_MAX_ITER).iterations == iterations
+        # the same sweep as the last one allowed, and one sweep short of it
+        assert_same_as_reference(params, iterations)
+        assert not assert_same_as_reference(params, iterations - 1).converged
+
+    def test_converges_inside_final_partial_batch(self):
+        params, iterations = converging_at(BLOCK // 2)
+        assert assert_same_as_reference(params, iterations).converged
+        assert not assert_same_as_reference(params, iterations - 1).converged
 
 
 def assert_gain_exact(report, params):
