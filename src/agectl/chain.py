@@ -160,7 +160,7 @@ def expected_reward_two_threshold(params: SystemParams, s_wifi: int, s_3g: int) 
     M = params.max_age
     if not (1 <= s_wifi <= s_3g <= M):
         raise ValueError(f"need 1 <= s_wifi <= s_3g <= {M}, got ({s_wifi}, {s_3g})")
-    _, block = next(_two_threshold_blocks(params, 1, s_wifi - 1, s_3g))
+    _, block = next(_two_threshold_blocks(params, 1, s_wifi - 1))
     return float(block[0, s_3g - s_wifi])
 
 
@@ -181,26 +181,23 @@ def two_threshold_reward_grid(params: SystemParams) -> np.ndarray:
     return grid
 
 
-def _two_threshold_blocks(params: SystemParams, rows: int | None = None, first: int = 0,
-                          columns: int | None = None):
+def _two_threshold_blocks(params: SystemParams, rows: int | None = None, first: int = 0):
     """Yield ``(r0, block)`` over the two-threshold grid's s_wifi rows from
     ``first`` on, ``rows`` at a time (at most ``model.BLOCK_CELLS`` cells by
     default): ``block[k, c]`` is R[r0 + k, r0 + c] for the columns r0 up to
-    ``columns`` (max_age by default), -inf where c < k.  Blocks share
-    buffers, so each is valid until the next is asked for.
+    max_age, -inf where c < k.  Blocks share buffers, so each is valid until
+    the next is asked for.
 
     The only home of the grid's float operations and their order.  Each row
     runs over the span j = s_3g - s_wifi as one per-row pass: its band is the
     in-order running sum of u(s_wifi + j)·q^j, its head the in-order sum of u
     below s_wifi from 0.0, and its cell pi1 * (((head + band) - (P - B)) -
     ((P3G - P)·q^(j+1) + G·reach)), where reach = (1 - q^(j+1))/p is the
-    expected number of active slots in a cycle.  A column limit only cuts
-    the spans short, so a cell has the same bits in every block that holds
-    it.
+    expected number of active slots in a cycle.  No cell depends on the rows
+    around it, so a cell has the same bits in every block that holds it.
     """
     M = params.max_age
-    stop = M if columns is None else columns
-    rows = min(max(1, model.BLOCK_CELLS // M) if rows is None else rows, stop - first)
+    rows = min(max(1, model.BLOCK_CELLS // M) if rows is None else rows, M - first)
     p = params.contact_prob
     q = 1.0 - p
     u = np.asarray(params.utility.values)
@@ -218,14 +215,14 @@ def _two_threshold_blocks(params: SystemParams, rows: int | None = None, first: 
     # window row i holds u from age i + 1 on, zero-padded to M entries
     padded = np.concatenate((u, np.zeros(M - 1)))
     windows = np.ndarray((M, M), buffer=padded, strides=2 * padded.strides)
-    band_cells = np.empty(rows * (stop - first))
+    band_cells = np.empty(rows * (M - first))
     # block rows are `pitch` cells apart, room for each row's spans past the
     # last column; no span reaches c < k, so those cells stay -inf
-    pitch = stop - first + rows
+    pitch = M - first + rows
     cells = np.empty(rows * (pitch + 1))
     cells[: rows * pitch].reshape(rows, pitch)[:, :rows] = -np.inf
-    for r0 in range(first, stop, rows):
-        n, width = min(rows, stop - r0), stop - r0
+    for r0 in range(first, M, rows):
+        n, width = min(rows, M - r0), M - r0
         band = band_cells[: n * width].reshape(n, width)
         np.multiply(windows[r0 : r0 + n, :width], band_q[:width], out=band)
         np.cumsum(band, axis=1, out=band)

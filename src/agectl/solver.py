@@ -156,11 +156,11 @@ def solve_user_problem(
     """
     _check_limits(tol, max_iter)
     p = params.contact_prob
-    terms = _action_terms(params, 0.0)
     ages = np.arange(params.max_age)
     codes = np.full(params.max_age, int(Action.WIFI))
     margin = min(model.TIE_TOL, tol / 2)
     with np.errstate(all="ignore"):   # values past the float range fail the residual test
+        terms = _action_terms(params, 0.0)
         for step in range(1, max_iter + 1):
             values, gain = _evaluate(codes, terms, p)
             fs = np.stack(_action_values(terms, 1.0 - p, values))
@@ -266,9 +266,9 @@ def relative_value_iteration(
     """
     _check_limits(tol, max_iter)
     q = 1.0 - params.contact_prob
-    terms = _action_terms(params, 0.0)
     v = np.zeros(params.max_age)
     with np.errstate(all="ignore"):   # values past the float range stop the loop below
+        terms = _action_terms(params, 0.0)
         for sweep in range(1, max_iter + 1):
             delta = np.maximum.reduce(_action_values(terms, q, v)) - v
             hi, lo = float(delta.max()), float(delta.min())
@@ -293,10 +293,12 @@ def relative_value_iteration(
 
 def greedy_policy(value: ValueFunction, params: SystemParams) -> Policy:
     """Per-age argmax over action values; actions within ``model.TIE_TOL`` of
-    the best tie, and ties go to the lower-numbered action."""
+    the best tie, and ties go to the lower-numbered action.  numpy's
+    floating-point warnings are off, as in the solvers."""
     v = np.asarray(value.values)
-    terms = _action_terms(params, v[0])
-    codes = _tie_rule(_action_values(terms, 1.0 - params.contact_prob, v))
+    with np.errstate(all="ignore"):
+        terms = _action_terms(params, v[0])
+        codes = _tie_rule(_action_values(terms, 1.0 - params.contact_prob, v))
     return Policy(actions=tuple(codes.tolist()))
 
 

@@ -14,7 +14,6 @@ from .model import SystemParams
 
 _INV_E = math.exp(-1.0)
 _LAMBERT_TOL, _LAMBERT_MAX_ITER = 1e-12, 100   # relative residual bound, Halley step cap
-_REVISIT_ROWS = 16   # rows per chunk when a two-threshold search recomputes rows
 
 
 @dataclass(frozen=True)
@@ -206,15 +205,16 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     pair's grid cell, like the grid search's picks.  Otherwise the full
     triangular grid plus the WiFi-only edge is searched.
     Every pair within ``model.TIE_TOL`` of the best reward ties; ties prefer
-    smaller s_3g, then smaller s_wifi (least escalation).  Always-inactive wins
-    unless some pair earns more than ``model.TIE_TOL``.
+    the larger s_wifi, then the smaller s_3g in that row: the latest start of
+    activity, as in the solver, and then the earliest escalation to 3G.
+    Never activating is the last row, and wins unless some pair earns more
+    than ``model.TIE_TOL``; WiFi-only (s_3g = M + 1) is the last column of
+    its row.
 
     The grid is streamed: one pass folds the row blocks of
-    :func:`chain.two_threshold_reward_grid` into column maxima, so memory
-    stays O(max_age) plus one block.  The winning column's first row within
-    the tie of the best is then read from the last block, or recomputed in
-    short row chunks, only up to that column, from the first block that came
-    within the tie of the column's maximum.
+    :func:`chain.two_threshold_reward_grid` into row maxima, so memory stays
+    O(max_age) plus one block.  The winning row is read again from the last
+    block, or from a one-row block.
     """
     if not params.has_3g:
         raise ValueError("optimal_two_thresholds needs a finite 3G price")
@@ -227,40 +227,26 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
         top = float(only_3g.max())
         if top <= tie:
             return TwoThresholdResult(s_wifi=never, s_3g=never, reward=0.0)
-        s3 = int(np.argmax(only_3g >= top - tie)) + 1
+        s3 = M - int(np.argmax(only_3g[::-1] >= top - tie))
         return TwoThresholdResult(s_wifi=s3, s_3g=s3,
                                   reward=chain.expected_reward_two_threshold(params, s3, s3))
 
     wifi_only = chain.threshold_reward_curve(params)[:M]
-    column_top = np.full(M, -np.inf)
-    # rows before column_from[c] stay more than the tie below column_top[c], so
-    # below the final floor too: the first row within the tie lies at or after it
-    column_from = np.zeros(M, dtype=np.intp)
+    row_top = np.empty(M)
     for r0, block in chain._two_threshold_blocks(params):
-        tops = block.max(axis=0)
-        seen = column_top[r0:]
-        np.copyto(column_from[r0:], r0, where=tops - tie > seen)
-        np.maximum(seen, tops, out=seen)
-    top = max(float(column_top.max()), float(wifi_only.max()))
+        row_top[r0 : r0 + len(block)] = block.max(axis=1)
+    top = max(float(row_top.max()), float(wifi_only.max()))
     if top <= tie:
         return TwoThresholdResult(s_wifi=never, s_3g=never, reward=0.0)
     floor = top - tie
-    columns = column_top >= floor
-    if columns.any():
-        s3 = int(np.argmax(columns)) + 1
-        start = int(column_from[s3 - 1])
-        if start < r0:
-            blocks = chain._two_threshold_blocks(params, _REVISIT_ROWS, start, s3)
-        else:
-            blocks = [(r0, block)]
-        for r0, block in blocks:
-            column = block[:, s3 - 1 - r0]
-            hits = column >= floor
-            if hits.any():
-                k = int(np.argmax(hits))
-                return TwoThresholdResult(s_wifi=r0 + k + 1, s_3g=s3, reward=float(column[k]))
-    s_w = int(np.argmax(wifi_only >= floor)) + 1
-    return TwoThresholdResult(s_wifi=s_w, s_3g=never, reward=float(wifi_only[s_w - 1]))
+    r = M - 1 - int(np.argmax(((row_top >= floor) | (wifi_only >= floor))[::-1]))
+    if not row_top[r] >= floor:   # only WiFi-only reaches the floor in row r
+        return TwoThresholdResult(s_wifi=r + 1, s_3g=never, reward=float(wifi_only[r]))
+    if r < r0:
+        r0, block = next(chain._two_threshold_blocks(params, 1, r))
+    row = block[r - r0]
+    c = int(np.argmax(row >= floor))
+    return TwoThresholdResult(s_wifi=r + 1, s_3g=r0 + c + 1, reward=float(row[c]))
 
 
 def bonus_edges(params: SystemParams) -> np.ndarray:

@@ -99,11 +99,28 @@ class TestSolve:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_two_threshold_grid_at_tiny_p(self, capsys):
         # 1 - q^(j + 1) cancelled to 0 at p = 1e-20: a division by zero and
-        # closed_form_best,inf
+        # closed_form_best,inf.  (1, 3) and (3, 3) both earn 6.366666666666667:
+        # the search picked (1, 3) next to the solver's s = 3
         code, out, _ = run(capsys, "solve", "--M", "10", "--p", "1e-20", "--P3G", "5",
                            "--P", "0.2", "--B", "0.1", "--G", "3e-21")
         assert code == 0
-        assert "\nclosed_form_best,6.36666666667\n" in out
+        lines = out.splitlines()
+        assert "closed_form_best,6.36666666667" in lines
+        assert {"s,3", "s_3G,3", "all_optima,3"} <= set(lines)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv, code, policy, err", [
+        # the 3G term overflowed outside the solver's errstate
+        (("--p", "1e-300", "--G", "1e308", "--P", "0", "--P3G", "1e308"), 0, ["policy,00"], ""),
+        # the WiFi term did the same.  Never activating is right; exit 3 is
+        # policy iteration's all-WiFi start, whose values overflow to nan
+        (("--p", "0.9999999999999999", "--G", "1e308", "--P", "1e308", "--P3G", "inf"), 3, [],
+         "agectl: no convergence after 1 iterations (residual nan)\n"),
+    ], ids=["3g-term", "wifi-term"])
+    def test_action_terms_past_the_float_range_do_not_warn(self, capsys, argv, code, policy, err):
+        got, out, got_err = run(capsys, "solve", "--M", "2", *argv)
+        assert (got, got_err) == (code, err)
+        assert [line for line in out.splitlines() if line.startswith("policy,")] == policy
 
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -295,14 +295,14 @@ class TestToleranceHome:
         assert np.unique(bonus_edges(params)).size == 5
 
     def test_two_threshold_pick(self, monkeypatch):
-        # 3G-only family: s_3G = 2 earns 2**-32 more than s_3G = 1
+        # 3G-only family: s_3G = 1 earns 2**-32 more than s_3G = 2
         params = SystemParams(contact_prob=0.5, max_age=4, wifi_price=10.0, price_3g=9.0,
-                              utility=UtilityFunction.tabular([10.5, 1 + 2**-31, 0, 0]))
+                              utility=UtilityFunction.tabular([10.5, 1 - 2**-31, 0, 0]))
         only_3g = chain.reward_curve_3g_only(params)
-        assert 0 < only_3g[1] - only_3g[0] < model.TIE_TOL
-        assert optimal_two_thresholds(params).s_3g == 1
-        monkeypatch.setattr(model, "TIE_TOL", (only_3g[1] - only_3g[0]) / 2)
+        assert 0 < only_3g[0] - only_3g[1] < model.TIE_TOL
         assert optimal_two_thresholds(params).s_3g == 2
+        monkeypatch.setattr(model, "TIE_TOL", (only_3g[0] - only_3g[1]) / 2)
+        assert optimal_two_thresholds(params).s_3g == 1
 
     def test_greedy_action_tie(self, monkeypatch):
         params = linear_params(p=0.5)

@@ -28,6 +28,7 @@ from agectl import (
     step_utility_threshold,
     threshold_reward_curve,
     threshold_response,
+    verify_threshold_structure,
 )
 from agectl import model
 from agectl.chain import two_threshold_reward_grid
@@ -284,24 +285,29 @@ class TestTwoThresholds:
         assert (res.s_wifi, res.s_3g) == (2, 12)
         assert res.reward == expected_reward_two_threshold(params, 2, 12)
 
+    @given(tie_heavy_params())
+    def test_ties_go_to_the_solvers_wifi_threshold(self, params):
+        # the search ties toward the later WiFi threshold, as policy iteration
+        # does; toward the earlier one it differed on exact ties such as
+        # (2, 3) and (3, 3) of test_exact_tie_across_a_block_boundary
+        res = optimal_two_thresholds(params)
+        assert res.s_wifi == verify_threshold_structure(solve_user_problem(params).policy)[0]
+
 
 def dense_two_threshold_pick(params):
-    """The documented tie rule read off the dense grid and the WiFi-only edge:
-    never activating unless some pair earns more than ``model.TIE_TOL``, else
-    the smallest s_3g, then the smallest s_wifi, within the tie of the best."""
+    """The documented tie rule read off the dense grid with the WiFi-only edge
+    as its last column, s_3g = M + 1: never activating unless some pair earns
+    more than ``model.TIE_TOL``, else the largest s_wifi, then the smallest
+    s_3g in that row, within the tie of the best."""
     M, tie = params.max_age, model.TIE_TOL
-    grid = two_threshold_reward_grid(params)
-    wifi_only = threshold_reward_curve(params)[:M]
-    top = max(float(grid.max()), float(wifi_only.max()))
+    grid = np.column_stack((two_threshold_reward_grid(params), threshold_reward_curve(params)[:M]))
+    top = float(grid.max())
     if top <= tie:
         return M + 1, M + 1, 0.0
     hits = grid >= top - tie
-    if hits.any():
-        s3 = int(np.flatnonzero(hits.any(axis=0))[0])
-        s_w = int(np.flatnonzero(hits[:, s3])[0])
-        return s_w + 1, s3 + 1, float(grid[s_w, s3])
-    s_w = int(np.flatnonzero(wifi_only >= top - tie)[0])
-    return s_w + 1, M + 1, float(wifi_only[s_w])
+    s_w = int(np.flatnonzero(hits.any(axis=1))[-1])
+    s3 = int(np.flatnonzero(hits[s_w])[0])
+    return s_w + 1, s3 + 1, float(grid[s_w, s3])
 
 
 def assert_same_pick(got, expected):
@@ -335,13 +341,22 @@ class TestTwoThresholdStream:
            st.sampled_from((model.TIE_TOL, 1e-3, 0.1, 1.0)))
     def test_matches_dense_pick(self, params, block_cells, tie):
         # small blocks put a few rows in each; a wide tie makes many cells tie
-        # across blocks, so the first row within the tie often sits in a block
-        # before the one that set its column's maximum
+        # across blocks, so the last row within the tie often sits in a block
+        # before the last, which the search reads again
         assume(grid_branch(params))
         with mock.patch.object(model, "TIE_TOL", tie):
             expected = dense_two_threshold_pick(params)
             with mock.patch.object(model, "BLOCK_CELLS", block_cells):
                 assert_same_pick(optimal_two_thresholds(params), expected)
+
+    @given(st.one_of(system_params(with_3g=True), tie_heavy_params()),
+           st.sampled_from((model.TIE_TOL, 1e-3, 0.1, 1.0)))
+    def test_3g_only_shortcut_matches_dense_pick(self, params, tie):
+        # 3G no dearer than the WiFi cycle: the O(M) 3G-only curve stands in
+        # for the grid and must pick the grid's pair
+        assume(not grid_branch(params))
+        with mock.patch.object(model, "TIE_TOL", tie):
+            assert_same_pick(optimal_two_thresholds(params), dense_two_threshold_pick(params))
 
     @pytest.mark.parametrize("form", ["linear", "step", "tabular"])
     @pytest.mark.parametrize("M", [2, 3, 255, 256, 257, 300, 1000])
@@ -357,14 +372,16 @@ class TestTwoThresholdStream:
     @pytest.mark.parametrize("block_cells", [20, 40, model.BLOCK_CELLS])
     def test_exact_tie_across_a_block_boundary(self, block_cells):
         # (2, 3) and (3, 3) both earn exactly 16.5, the best of the grid; with one
-        # or two rows per block, row 2 ends a block and row 3 starts the next
+        # or two rows per block, row 2 ends a block and row 3 starts the next.
+        # The later row wins, as in policy iteration
         params = SystemParams(contact_prob=0.5, max_age=20, utility=UtilityFunction.linear(20),
                               scan_cost=2.0, price_3g=5.0)
         grid = two_threshold_reward_grid(params)
         assert grid[1, 2] == grid[2, 2] == grid.max() == 16.5
         with mock.patch.object(model, "BLOCK_CELLS", block_cells):
             res = optimal_two_thresholds(params)
-        assert (res.s_wifi, res.s_3g, res.reward) == (2, 3, 16.5)
+        assert (res.s_wifi, res.s_3g, res.reward) == (3, 3, 16.5)
+        assert verify_threshold_structure(solve_user_problem(params).policy)[0] == 3
 
     def test_memory_stays_within_a_few_blocks(self):
         # the dense grid at M = 2000 alone is 30.5 MiB
