@@ -4,9 +4,10 @@ paired with exact Markov-chain oracles (transition matrix + linear solve).
 The WiFi threshold closed forms live in three vectors over s in [1, max_age + 1],
 the only home of never activating (s = max_age + 1): :func:`cycle_lengths`
 (inf there), :func:`threshold_reward_affine` and :func:`threshold_ages`.  The
-two-threshold reward's only home is :func:`_two_threshold_blocks`: its scalar,
-its dense grid and both branches of the search in ``thresholds`` read their
-cells there.
+two-threshold reward's only home is the panel maker :class:`_Panels`: its
+scalar, its dense grid (walked by :func:`_two_threshold_blocks`), the 3G-only
+curve, which is the grid's span-0 column, and both branches of the search in
+``thresholds`` read their cells there.
 
 The closed forms and the matrix route are deliberately independent code paths:
 tests pit one against the other.
@@ -139,12 +140,13 @@ def expected_reward_3g_only(params: SystemParams, s_3g: int) -> float:
 
 def reward_curve_3g_only(params: SystemParams) -> np.ndarray:
     """Rewards of the 3G-only policy for every s_3g in [1, max_age]; index
-    s_3g - 1 holds threshold s_3g: (u_1 + ... + u_s - G - pP - (1-p)P3G + B) / s."""
+    s_3g - 1 holds threshold s_3g.  The policy is the two-threshold pair
+    (s_3g, s_3g), so the curve is the span-0 column of the two-threshold grid:
+    one one-span panel over every row of :class:`_Panels`."""
     if not params.has_3g:
         raise ValueError("3G-only policy needs a finite 3G price")
-    p = params.contact_prob
-    cost = params.scan_cost + p * params.wifi_price + (1.0 - p) * params.price_3g - params.bonus
-    return (np.cumsum(params.utility.values) - cost) / np.arange(1, params.max_age + 1)
+    M, panels, rows = params.max_age, _Panels(params), model.BLOCK_CELLS
+    return np.concatenate([panels(r0, min(r0 + rows, M), 0, 1)[0] for r0 in range(0, M, rows)])
 
 
 def expected_reward_two_threshold(params: SystemParams, s_wifi: int, s_3g: int) -> float:
@@ -152,90 +154,139 @@ def expected_reward_two_threshold(params: SystemParams, s_wifi: int, s_3g: int) 
 
     Requires a finite 3G price and 1 <= s_wifi <= s_3g <= max_age; the
     ``s_3g = max_age + 1`` family is the plain WiFi threshold case and is
-    handled by :func:`expected_reward_threshold`.  A one-row block of
-    :func:`_two_threshold_blocks` gives the cell the bits the search reads.
+    handled by :func:`expected_reward_threshold`.  One-row panels of
+    :class:`_Panels` give the cell the bits the search reads.
     """
     if not params.has_3g:
         raise ValueError("two-threshold policy needs a finite 3G price")
     M = params.max_age
     if not (1 <= s_wifi <= s_3g <= M):
         raise ValueError(f"need 1 <= s_wifi <= s_3g <= {M}, got ({s_wifi}, {s_3g})")
-    _, block = next(_two_threshold_blocks(params, 1, s_wifi - 1))
-    return float(block[0, s_3g - s_wifi])
+    panels, r, end = _Panels(params), s_wifi - 1, s_3g - s_wifi + 1
+    for j0 in range(0, end, model.BLOCK_CELLS):
+        cells = panels(r, r + 1, j0, min(model.BLOCK_CELLS, end - j0))
+    return float(cells[-1, 0])
 
 
 def two_threshold_reward_grid(params: SystemParams) -> np.ndarray:
     """Matrix R[s_wifi - 1, s_3g - 1] of two-threshold rewards; -inf off-domain.
 
-    The dense M x M assembly of the row blocks that
-    :func:`thresholds.optimal_two_thresholds` streams without holding the
-    grid, so every cell has the bits the search reads.  For tests and callers
-    that inspect the whole grid.
+    The dense M x M assembly of the panels of :class:`_Panels`, which
+    :func:`thresholds.optimal_two_thresholds` reads only a panel past each
+    row's peak, so every cell has the bits the search reads.  For tests and
+    callers that inspect the whole grid.
     """
     if not params.has_3g:
         raise ValueError("two-threshold grid needs a finite 3G price")
     M = params.max_age
     grid = np.full((M, M), -np.inf)
-    for r0, block in _two_threshold_blocks(params):
-        grid[r0 : r0 + len(block), r0:] = block
+    for r0, j0, panel in _two_threshold_blocks(params):
+        for r, cells in enumerate(panel.T, start=r0):
+            grid[r, r + j0 : r + j0 + len(cells)] = cells[: M - r - j0]
     return grid
 
 
-def _two_threshold_blocks(params: SystemParams, rows: int | None = None, first: int = 0):
-    """Yield ``(r0, block)`` over the two-threshold grid's s_wifi rows from
-    ``first`` on, ``rows`` at a time (at most ``model.BLOCK_CELLS`` cells by
-    default): ``block[k, c]`` is R[r0 + k, r0 + c] for the columns r0 up to
-    max_age, -inf where c < k.  Blocks share buffers, so each is valid until
-    the next is asked for.
+class _Panels:
+    """The only home of the two-threshold grid's float operations and their
+    order.  ``panels(lo, hi, j0, width)`` returns the panel ``cells[t, k] =
+    R[lo + k, lo + k + j0 + t]`` over the s_wifi rows lo..hi-1 and the
+    ``width`` spans j = s_3g - s_wifi from j0 on, one column per row; cells
+    past max_age are -inf.  No row may start past max_age - j0, and width is
+    at most the first row's spans left.  A panel holds at most
+    ``model.BLOCK_CELLS`` cells.  Panels live in one buffer of three times
+    that, sized by the cap, not by max_age: a panel from span 0 stays valid
+    until the next panel from span 0, any other until the next other one.
 
-    The only home of the grid's float operations and their order.  Each row
-    runs over the span j = s_3g - s_wifi as one per-row pass: its band is the
-    in-order running sum of u(s_wifi + j)·q^j, its head the in-order sum of u
-    below s_wifi from 0.0, and its cell pi1 * (((head + band) - (P - B)) -
-    ((P3G - P)·q^(j+1) + G·reach)), where reach = (1 - q^(j+1))/p is the
-    expected number of active slots in a cycle.  No cell depends on the rows
-    around it, so a cell has the same bits in every block that holds it.
+    Each row runs over its spans as one in-order pass: its band is the running
+    sum of u(s_wifi + j)·q^j, its head the in-order sum of u below s_wifi
+    from 0.0, and its cell pi1 * (((head + band) - (P - B)) - ((P3G - P)·q^(j+1)
+    + G·reach)), where reach = (1 - q^(j+1))/p is the expected number of
+    active slots in a cycle.  A panel from span j0 > 0 carries each row's band
+    in from the row's last panel, which must have ended at span j0 - 1: the
+    sum so far is added to the panel's first product before the running sum,
+    the very addition a one-pass sum makes there.  So a cell has the same bits
+    in every panel that holds it, whatever the panels' shapes.
+    """
+
+    def __init__(self, params: SystemParams):
+        M = params.max_age
+        p = params.contact_prob
+        q = 1.0 - p
+        u = np.asarray(params.utility.values)
+        self.max_age = M
+        self.fees = params.wifi_price - params.bonus
+        self.band_q = q ** np.arange(M)                  # q^j
+        # (1 - q^(j + 1)) / p, with nothing to cancel as p -> 0
+        self.reach = -np.expm1(np.arange(1, M + 1) * np.log1p(-p)) / p
+        # scanning costs G per active slot, G·reach per cycle: G/p never
+        # appears, so nothing cancels as p -> 0.  Costs near the float limit
+        # overflow to inf, as scalar float arithmetic gives them, quietly
+        with np.errstate(over="ignore"):
+            self.escalation = (params.price_3g - params.wifi_price) * q ** np.arange(1, M + 1) \
+                + params.scan_cost * self.reach
+        self.heads = np.cumsum(np.concatenate(([0.0], u[:-1])))
+        self.first_age = np.arange(M, dtype=float)       # s_wifi - 1
+        # windows[r, j] is u at age r + j + 1, zero past max_age
+        padded = np.concatenate((u, np.zeros(M - 1)))
+        self.windows = np.ndarray((M, M), buffer=padded, strides=2 * padded.strides)
+        self.past = np.arange(2 * M) >= M                # past[r + j]: s_3g past max_age
+        self.carry = np.empty(M)                         # each row's band so far
+        self.buffer = np.empty(3 * model.BLOCK_CELLS)
+
+    def __call__(self, lo: int, hi: int, j0: int, width: int) -> np.ndarray:
+        n = hi - lo
+        band = self._buffer(0, n, width)
+        spans = slice(j0, j0 + width)
+        # windows is symmetric, so its span rows hold the panel's columns
+        np.multiply(self.windows[spans, lo:hi], self.band_q[spans, None], out=band)
+        if j0:
+            band[0] += self.carry[lo:hi]
+        np.cumsum(band, axis=0, out=band)
+        self.carry[lo:hi] = band[-1]
+        cells = self._buffer(1 if j0 == 0 else 2, n, width)
+        np.add(self.heads[lo:hi], band, out=cells)
+        np.subtract(cells, self.fees, out=cells)
+        np.subtract(cells, self.escalation[spans, None], out=cells)
+        pi1 = band
+        np.add(self.first_age[lo:hi], self.reach[spans, None], out=pi1)   # s_wifi - 1 + reach
+        np.divide(1.0, pi1, out=pi1)
+        np.multiply(pi1, cells, out=cells)
+        # rows from k0 on end inside the panel: cell (t, k) is past max_age
+        # where lo + j0 + k + t >= max_age
+        k0 = max(0, self.max_age - lo - j0 - width + 1)
+        if k0 < n:
+            past = np.ndarray((width, n - k0), bool, self.past, lo + j0 + k0, (1, 1))
+            np.copyto(cells[:, k0:], -np.inf, where=past)
+        return cells
+
+    def _buffer(self, i: int, n: int, width: int) -> np.ndarray:
+        """Part ``i`` of the one panel buffer: the band, the cells of panels
+        from span 0, and those of later panels."""
+        start = i * (len(self.buffer) // 3)
+        return self.buffer[start : start + n * width].reshape(width, n)
+
+
+def _two_threshold_blocks(params: SystemParams, rows: int | None = None, first: int = 0,
+                          spans: int | None = None):
+    """Yield ``(r0, j0, panel)`` over every cell of the two-threshold grid's
+    s_wifi rows from ``first`` on: row blocks of ``rows`` rows, each walked
+    from span 0 in panels of ``spans`` spans.  ``panel`` is the
+    :class:`_Panels` panel from row r0 and span j0, whose rows stop at the
+    last one with a span left.
+
+    By default a row block holds as many whole rows as ``model.BLOCK_CELLS``
+    allows, at least one, and a row takes one panel unless it alone is
+    longer.  ``spans`` is cut so that no panel holds more than
+    ``model.BLOCK_CELLS`` cells.
     """
     M = params.max_age
-    rows = min(max(1, model.BLOCK_CELLS // M) if rows is None else rows, M - first)
-    p = params.contact_prob
-    q = 1.0 - p
-    u = np.asarray(params.utility.values)
-    fees = params.wifi_price - params.bonus
-    esc_coeff = params.price_3g - params.wifi_price
-
-    band_q = q ** np.arange(M)                  # q^j
-    qpow = q ** np.arange(1, M + 1)             # q^(j + 1)
-    # (1 - q^(j + 1)) / p, with nothing to cancel as p -> 0
-    reach = -np.expm1(np.arange(1, M + 1) * np.log1p(-p)) / p
-    # scanning costs G per active slot, G·reach per cycle: G/p never appears,
-    # so nothing cancels as p -> 0
-    escalation = esc_coeff * qpow + params.scan_cost * reach
-    heads = np.cumsum(np.concatenate(([0.0], u[:-1])))
-    # window row i holds u from age i + 1 on, zero-padded to M entries
-    padded = np.concatenate((u, np.zeros(M - 1)))
-    windows = np.ndarray((M, M), buffer=padded, strides=2 * padded.strides)
-    band_cells = np.empty(rows * (M - first))
-    # block rows are `pitch` cells apart, room for each row's spans past the
-    # last column; no span reaches c < k, so those cells stay -inf
-    pitch = M - first + rows
-    cells = np.empty(rows * (pitch + 1))
-    cells[: rows * pitch].reshape(rows, pitch)[:, :rows] = -np.inf
+    rows = min(max(1, model.BLOCK_CELLS // (M - first)) if rows is None else rows,
+               M - first, model.BLOCK_CELLS)
+    spans = min(spans or model.BLOCK_CELLS, model.BLOCK_CELLS // rows)
+    panels = _Panels(params)
     for r0 in range(first, M, rows):
-        n, width = min(rows, M - r0), M - r0
-        band = band_cells[: n * width].reshape(n, width)
-        np.multiply(windows[r0 : r0 + n, :width], band_q[:width], out=band)
-        np.cumsum(band, axis=1, out=band)
-        np.add(heads[r0 : r0 + n, None], band, out=band)
-        np.subtract(band, fees, out=band)
-        np.subtract(band, escalation[:width], out=band)
-        # pitch + 1 cells per row shift each row one column right, so span j
-        # of row k lands in column k + j
-        pi1 = cells[: n * (pitch + 1)].reshape(n, pitch + 1)[:, :width]
-        np.add(np.arange(r0, r0 + n)[:, None], reach[:width], out=pi1)   # s_wifi - 1 + reach
-        np.divide(1.0, pi1, out=pi1)
-        np.multiply(pi1, band, out=pi1)
-        yield r0, cells[: n * pitch].reshape(n, pitch)[:, :width]
+        for j0 in range(0, M - r0, spans):
+            yield r0, j0, panels(r0, min(r0 + rows, M - j0), j0, min(spans, M - r0 - j0))
 
 
 # --- exact chain oracles --------------------------------------------------------------

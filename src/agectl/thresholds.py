@@ -14,6 +14,9 @@ from .model import SystemParams
 
 _INV_E = math.exp(-1.0)
 _LAMBERT_TOL, _LAMBERT_MAX_ITER = 1e-12, 100   # relative residual bound, Halley step cap
+#: spans per panel of the two-threshold search; up to max_age 64 one panel
+#: over the whole square costs less than the few narrow ones
+_PANEL_SPANS, _ONE_PANEL_MAX_AGE = 16, 64
 
 
 @dataclass(frozen=True)
@@ -197,13 +200,13 @@ def multi_optimum_condition(params: SystemParams) -> bool:
 
 
 def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
-    """Best (s_wifi, s_3g) pair by exhaustive closed-form evaluation.
+    """Best (s_wifi, s_3g) pair by closed-form evaluation.
 
     When the 3G price is dominated by the WiFi cycle cost G/p + P the WiFi
     band is empty and only the 3G-only family competes with always-inactive:
-    the O(M) 3G-only curve picks the pair, and its reward is read from the
-    pair's grid cell, like the grid search's picks.  Otherwise the full
-    triangular grid plus the WiFi-only edge is searched.
+    :func:`chain.reward_curve_3g_only`, the grid's span-0 column, picks the
+    pair and gives its reward.  Otherwise the triangular grid plus the
+    WiFi-only edge is searched.
     Every pair within ``model.TIE_TOL`` of the best reward ties; ties prefer
     the larger s_wifi, then the smaller s_3g in that row: the latest start of
     activity, as in the solver, and then the earliest escalation to 3G.
@@ -211,10 +214,16 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     than ``model.TIE_TOL``; WiFi-only (s_3g = M + 1) is the last column of
     its row.
 
-    The grid is streamed: one pass folds the row blocks of
-    :func:`chain.two_threshold_reward_grid` into row maxima, so memory stays
-    O(max_age) plus one block.  The winning row is read again from the last
-    block, or from a one-row block.
+    The grid is read in :class:`chain._Panels` panels of ``_PANEL_SPANS``
+    spans over the rows still rising (one panel over the whole square up to
+    max_age ``_ONE_PANEL_MAX_AGE``), folded into row maxima; memory stays
+    O(max_age) plus the fixed panel buffer.  A row retires at its first panel
+    that brings no new strict maximum.  That is exact in real arithmetic:
+    with s_wifi fixed the reward is a ratio over the span whose marginal,
+    u(s_3g + 1) + p·(P3G - P - G/p), never increases, so once the ratio stops
+    rising it never rises again.  The winning row's first cell at or above
+    the floor lies at or before its peak; it is read from the last row
+    block's first panel, which is still held, or from the row read again.
     """
     if not params.has_3g:
         raise ValueError("optimal_two_thresholds needs a finite 3G price")
@@ -228,13 +237,29 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
         if top <= tie:
             return TwoThresholdResult(s_wifi=never, s_3g=never, reward=0.0)
         s3 = M - int(np.argmax(only_3g[::-1] >= top - tie))
-        return TwoThresholdResult(s_wifi=s3, s_3g=s3,
-                                  reward=chain.expected_reward_two_threshold(params, s3, s3))
+        return TwoThresholdResult(s_wifi=s3, s_3g=s3, reward=float(only_3g[s3 - 1]))
 
     wifi_only = chain.threshold_reward_curve(params)[:M]
-    row_top = np.empty(M)
-    for r0, block in chain._two_threshold_blocks(params):
-        row_top[r0 : r0 + len(block)] = block.max(axis=1)
+    panels = chain._Panels(params)
+    width = min(M if M <= _ONE_PANEL_MAX_AGE else _PANEL_SPANS, model.BLOCK_CELLS)
+    rows = model.BLOCK_CELLS // width
+    row_top = np.full(M, -np.inf)
+    for r0 in range(0, M, rows):
+        lo, hi, j0 = r0, min(r0 + rows, M), 0
+        while lo < hi:
+            panel = panels(lo, hi, j0, min(width, M - lo - j0))
+            if j0 == 0:
+                first = panel
+            peak, tops = panel.max(axis=0), row_top[lo:hi]
+            rising = np.flatnonzero(peak > tops)
+            np.maximum(tops, peak, out=tops)
+            j0 += len(panel)
+            if not rising.size:
+                break
+            # on to the rows whose maximum this panel raised, and that have
+            # spans left; rows retired between them are read on, which only
+            # brings their maxima closer to the dense grid's
+            lo, hi = lo + int(rising[0]), min(lo + int(rising[-1]) + 1, M - j0)
     top = max(float(row_top.max()), float(wifi_only.max()))
     if top <= tie:
         return TwoThresholdResult(s_wifi=never, s_3g=never, reward=0.0)
@@ -242,11 +267,17 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     r = M - 1 - int(np.argmax(((row_top >= floor) | (wifi_only >= floor))[::-1]))
     if not row_top[r] >= floor:   # only WiFi-only reaches the floor in row r
         return TwoThresholdResult(s_wifi=r + 1, s_3g=never, reward=float(wifi_only[r]))
-    if r < r0:
-        r0, block = next(chain._two_threshold_blocks(params, 1, r))
-    row = block[r - r0]
-    c = int(np.argmax(row >= floor))
-    return TwoThresholdResult(s_wifi=r + 1, s_3g=r0 + c + 1, reward=float(row[c]))
+    # the row's first cell at or above the floor lies at or before its peak,
+    # most often in the last row block's first panel, which is still held
+    if r0 <= r < r0 + first.shape[1] and np.any(first[:, r - r0] >= floor):
+        c, cells = 0, first[:, r - r0]
+    else:   # read the row again from span 0
+        c, cells = -width, first[:0, 0]
+        while not np.any(cells >= floor):
+            c += width
+            cells = panels(r, r + 1, c, min(width, M - r - c))[:, 0]
+    hit = int(np.argmax(cells >= floor))
+    return TwoThresholdResult(s_wifi=r + 1, s_3g=r + c + hit + 1, reward=float(cells[hit]))
 
 
 def bonus_edges(params: SystemParams) -> np.ndarray:

@@ -26,14 +26,14 @@ from agectl import (
     transition_matrix,
 )
 from agectl.chain import (
-    _two_threshold_blocks, cycle_lengths, reward_curve_3g_only, threshold_ages,
+    _Panels, _two_threshold_blocks, cycle_lengths, reward_curve_3g_only, threshold_ages,
     threshold_reward_affine, two_threshold_reward_grid,
 )
-from agectl.model import BLOCK_CELLS
+from agectl.model import BLOCK_CELLS, TIE_TOL
 
 from conftest import (
     C_CLOSED, C_MATRIX, EPS, make_rng, random_3g_params, random_wifi_params, reference_exact,
-    reference_replay, reward_bound, system_params, threshold_action,
+    reference_replay, reward_bound, system_params, threshold_action, tie_heavy_params,
 )
 
 
@@ -326,19 +326,48 @@ class TestTwoThresholdGrid:
             error = abs(Fraction(grid[sw - 1, s3 - 1]) - exact.gain)
             assert error <= C_CLOSED * 10 * EPS * abs(exact.gain), (sw, s3)
 
-    @given(system_params(with_3g=True), st.integers(1, 9), st.data())
-    def test_row_blocks_hold_the_grid_bits(self, params, rows, data):
-        # the streamed search reads cells from blocks of any height, from any
-        # row on, and must see the bits of the dense grid
+    @given(system_params(with_3g=True), st.integers(1, 9), st.integers(1, 12), st.data())
+    def test_row_blocks_hold_the_grid_bits(self, params, rows, spans, data):
+        # any rows x spans panel from any first row on holds the dense grid's
+        # bytes, -inf past max_age: walked block by block from span 0, and
+        # narrowed to fewer rows from one panel to the next, as the search
+        # reads them, which carries each row's running sum across panels
         M = params.max_age
         first = data.draw(st.integers(0, M - 1))
+        grid = np.column_stack((two_threshold_reward_grid(params), np.full((M, M), -np.inf)))
+
+        def dense(lo, j0, panel):   # R[lo + k, lo + k + j0 + t] at [t, k]
+            k = lo + np.arange(panel.shape[1])
+            return grid[k, k + j0 + np.arange(len(panel))[:, None]]
+
+        covered = np.zeros((M, 2 * M), int)
+        for r0, j0, panel in _two_threshold_blocks(params, rows, first, spans):
+            assert panel.tobytes() == dense(r0, j0, panel).tobytes()
+            k = r0 + np.arange(panel.shape[1])
+            covered[k, k + j0 + np.arange(len(panel))[:, None]] += 1
+        assert np.array_equal(covered[first:, :M], np.triu(np.ones((M, M), int))[first:])
+
+        panels, lo, hi, j0 = _Panels(params), first, M, 0
+        while lo < hi:
+            panel = panels(lo, hi, j0, min(spans, M - lo - j0))
+            assert panel.tobytes() == dense(lo, j0, panel).tobytes()
+            j0 += len(panel)
+            lo = data.draw(st.integers(lo, hi - 1))
+            hi = min(data.draw(st.integers(lo + 1, hi)), M - j0)
+
+    @given(st.one_of(system_params(with_3g=True), tie_heavy_params()))
+    def test_rows_are_quasi_concave(self, params):
+        # the search retires a row at its first panel that brings no new
+        # strict maximum; no cell after the row's first one that fails to rise
+        # may top the cells before it by more than TIE_TOL
         grid = two_threshold_reward_grid(params)
-        end = first
-        for r0, block in _two_threshold_blocks(params, rows, first):
-            assert r0 == end
-            end = r0 + len(block)
-            assert block.tobytes() == grid[r0:end, r0:].tobytes()
-        assert end == M
+        for r, row in enumerate(grid):
+            row = row[r:]
+            best = np.maximum.accumulate(row)
+            stalls = np.flatnonzero(row[1:] <= best[:-1])
+            if stalls.size:
+                k = stalls[0] + 1
+                assert row[k:].max() <= best[k - 1] + TIE_TOL, (r, k)
 
 
 class TestDegenerateSummary:

@@ -30,7 +30,7 @@ from agectl import (
     threshold_response,
     verify_threshold_structure,
 )
-from agectl import model
+from agectl import chain, model
 from agectl.chain import two_threshold_reward_grid
 
 from conftest import (
@@ -382,6 +382,33 @@ class TestTwoThresholdStream:
             res = optimal_two_thresholds(params)
         assert (res.s_wifi, res.s_3g, res.reward) == (3, 3, 16.5)
         assert verify_threshold_structure(solve_user_problem(params).policy)[0] == 3
+
+    @pytest.mark.parametrize("params", [
+        explicit_params(300, "tabular"),
+        # rows' maxima come by span 52 and repeat exactly up to span 116
+        SystemParams(contact_prob=0.5, max_age=120, utility=UtilityFunction.step(1.0, 30, 120),
+                     scan_cost=0.0, wifi_price=0.0, price_3g=2.0),
+    ], ids=["tabular", "flat-maxima"])
+    def test_reads_rows_one_panel_past_their_peaks(self, params):
+        # a row retires at its first panel that brings no new strict
+        # maximum, so no panel starts more than a panel past the spans that
+        # hold the rows' first maxima; a tie with the maximum retires the row
+        M = params.max_age
+        grid = two_threshold_reward_grid(params)
+        peaks = [int(np.argmax(grid[r, r:])) for r in range(M)]
+        expected = dense_two_threshold_pick(params)
+        read = []
+        call = chain._Panels.__call__
+
+        def spy(panels, lo, hi, j0, width):
+            read.append((hi - lo, j0, width))
+            return call(panels, lo, hi, j0, width)
+
+        with mock.patch.object(chain._Panels, "__call__", spy):
+            assert_same_pick(optimal_two_thresholds(params), expected)
+        width = read[0][2]
+        assert width < max(peaks)
+        assert max(j0 for rows, j0, _ in read if rows > 1) <= (max(peaks) // width + 1) * width
 
     def test_memory_stays_within_a_few_blocks(self):
         # the dense grid at M = 2000 alone is 30.5 MiB
