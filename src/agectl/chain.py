@@ -5,15 +5,15 @@ The WiFi threshold closed forms live in three vectors over s in [1, max_age + 1]
 the only home of never activating (s = max_age + 1): :func:`cycle_lengths`
 (inf there), :func:`threshold_reward_affine` and :func:`threshold_ages`.  The
 two-threshold reward's only home is the panel maker :class:`_Panels`: its
-scalar, its dense grid (walked by :func:`_two_threshold_blocks`), the 3G-only
-curve, which is the grid's span-0 column, and both branches of the search in
-``thresholds`` read their cells there.
+scalar, its dense grid, the 3G-only curve, which is the grid's span-0 column,
+and both branches of the search in ``thresholds`` read their cells there.
 
 The closed forms and the matrix route are deliberately independent code paths:
 tests pit one against the other.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +146,10 @@ def reward_curve_3g_only(params: SystemParams) -> np.ndarray:
     if not params.has_3g:
         raise ValueError("3G-only policy needs a finite 3G price")
     M, panels, rows = params.max_age, _Panels(params), model.BLOCK_CELLS
-    return np.concatenate([panels(r0, min(r0 + rows, M), 0, 1)[0] for r0 in range(0, M, rows)])
+    curve = np.empty(M)
+    for r0 in range(0, M, rows):   # each panel overwrites the one before
+        curve[r0 : r0 + rows] = panels(r0, min(r0 + rows, M), 0, 1)[0]
+    return curve
 
 
 def expected_reward_two_threshold(params: SystemParams, s_wifi: int, s_3g: int) -> float:
@@ -174,15 +177,22 @@ def two_threshold_reward_grid(params: SystemParams) -> np.ndarray:
     The dense M x M assembly of the panels of :class:`_Panels`, which
     :func:`thresholds.optimal_two_thresholds` reads only a panel past each
     row's peak, so every cell has the bits the search reads.  For tests and
-    callers that inspect the whole grid.
+    callers that inspect the whole grid.  Row blocks hold as many whole rows
+    as ``model.BLOCK_CELLS`` allows, at least one, each walked from span 0 in
+    panels of at most ``model.BLOCK_CELLS`` cells: one panel a block unless a
+    row alone is longer.
     """
     if not params.has_3g:
         raise ValueError("two-threshold grid needs a finite 3G price")
     M = params.max_age
+    panels, rows = _Panels(params), max(1, model.BLOCK_CELLS // M)
+    spans = model.BLOCK_CELLS // rows
     grid = np.full((M, M), -np.inf)
-    for r0, j0, panel in _two_threshold_blocks(params):
-        for r, cells in enumerate(panel.T, start=r0):
-            grid[r, r + j0 : r + j0 + len(cells)] = cells[: M - r - j0]
+    for r0 in range(0, M, rows):
+        for j0 in range(0, M - r0, spans):
+            panel = panels(r0, min(r0 + rows, M - j0), j0, min(spans, M - r0 - j0))
+            for r, cells in enumerate(panel.T, start=r0):
+                grid[r, r + j0 : r + j0 + len(cells)] = cells[: M - r - j0]
     return grid
 
 
@@ -193,9 +203,9 @@ class _Panels:
     ``width`` spans j = s_3g - s_wifi from j0 on, one column per row; cells
     past max_age are -inf.  No row may start past max_age - j0, and width is
     at most the first row's spans left.  A panel holds at most
-    ``model.BLOCK_CELLS`` cells.  Panels live in one buffer of three times
-    that, sized by the cap, not by max_age: a panel from span 0 stays valid
-    until the next panel from span 0, any other until the next other one.
+    ``model.BLOCK_CELLS`` cells.  Panels live in one buffer of twice that,
+    sized by the cap, not by max_age, so a panel stays valid only until the
+    next one.
 
     Each row runs over its spans as one in-order pass: its band is the running
     sum of u(s_wifi + j)·q^j, its head the in-order sum of u below s_wifi
@@ -214,6 +224,7 @@ class _Panels:
         q = 1.0 - p
         u = np.asarray(params.utility.values)
         self.max_age = M
+        self.utility = u                                 # u at ages 1..max_age
         self.fees = params.wifi_price - params.bonus
         self.band_q = q ** np.arange(M)                  # q^j
         # (1 - q^(j + 1)) / p, with nothing to cancel as p -> 0
@@ -231,7 +242,7 @@ class _Panels:
         self.windows = np.ndarray((M, M), buffer=padded, strides=2 * padded.strides)
         self.past = np.arange(2 * M) >= M                # past[r + j]: s_3g past max_age
         self.carry = np.empty(M)                         # each row's band so far
-        self.buffer = np.empty(3 * model.BLOCK_CELLS)
+        self.buffer = np.empty(2 * model.BLOCK_CELLS)   # the band, then the cells
 
     def __call__(self, lo: int, hi: int, j0: int, width: int) -> np.ndarray:
         n = hi - lo
@@ -243,7 +254,7 @@ class _Panels:
             band[0] += self.carry[lo:hi]
         np.cumsum(band, axis=0, out=band)
         self.carry[lo:hi] = band[-1]
-        cells = self._buffer(1 if j0 == 0 else 2, n, width)
+        cells = self._buffer(1, n, width)
         np.add(self.heads[lo:hi], band, out=cells)
         np.subtract(cells, self.fees, out=cells)
         np.subtract(cells, self.escalation[spans, None], out=cells)
@@ -259,34 +270,15 @@ class _Panels:
             np.copyto(cells[:, k0:], -np.inf, where=past)
         return cells
 
+    @functools.cached_property
+    def rises(self) -> bool:
+        """Whether the utility rises anywhere, by the float noise the model
+        allows: then a row need not be quasi-concave in its span."""
+        return bool(np.any(self.utility[1:] > self.utility[:-1]))
+
     def _buffer(self, i: int, n: int, width: int) -> np.ndarray:
-        """Part ``i`` of the one panel buffer: the band, the cells of panels
-        from span 0, and those of later panels."""
-        start = i * (len(self.buffer) // 3)
+        start = i * (len(self.buffer) // 2)
         return self.buffer[start : start + n * width].reshape(width, n)
-
-
-def _two_threshold_blocks(params: SystemParams, rows: int | None = None, first: int = 0,
-                          spans: int | None = None):
-    """Yield ``(r0, j0, panel)`` over every cell of the two-threshold grid's
-    s_wifi rows from ``first`` on: row blocks of ``rows`` rows, each walked
-    from span 0 in panels of ``spans`` spans.  ``panel`` is the
-    :class:`_Panels` panel from row r0 and span j0, whose rows stop at the
-    last one with a span left.
-
-    By default a row block holds as many whole rows as ``model.BLOCK_CELLS``
-    allows, at least one, and a row takes one panel unless it alone is
-    longer.  ``spans`` is cut so that no panel holds more than
-    ``model.BLOCK_CELLS`` cells.
-    """
-    M = params.max_age
-    rows = min(max(1, model.BLOCK_CELLS // (M - first)) if rows is None else rows,
-               M - first, model.BLOCK_CELLS)
-    spans = min(spans or model.BLOCK_CELLS, model.BLOCK_CELLS // rows)
-    panels = _Panels(params)
-    for r0 in range(first, M, rows):
-        for j0 in range(0, M - r0, spans):
-            yield r0, j0, panels(r0, min(r0 + rows, M - j0), j0, min(spans, M - r0 - j0))
 
 
 # --- exact chain oracles --------------------------------------------------------------

@@ -218,12 +218,16 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     spans over the rows still rising (one panel over the whole square up to
     max_age ``_ONE_PANEL_MAX_AGE``), folded into row maxima; memory stays
     O(max_age) plus the fixed panel buffer.  A row retires at its first panel
-    that brings no new strict maximum.  That is exact in real arithmetic:
-    with s_wifi fixed the reward is a ratio over the span whose marginal,
-    u(s_3g + 1) + p·(P3G - P - G/p), never increases, so once the ratio stops
-    rising it never rises again.  The winning row's first cell at or above
-    the floor lies at or before its peak; it is read from the last row
-    block's first panel, which is still held, or from the row read again.
+    that brings no new strict maximum.  That is exact in real arithmetic for
+    a utility that never rises: with s_wifi fixed the reward is a ratio over
+    the span whose marginal, u(s_3g + 1) + p·(P3G - P - G/p), then never
+    increases, so once the ratio stops rising it never rises again.  A
+    utility may rise by up to ``model.SLACK_TOL`` an age, and over a row of
+    max_age ages that lets the ratio climb back by up to about
+    max_age·SLACK_TOL/2 (1.4e-9 at max_age 3000 in the tests, past
+    ``model.TIE_TOL``); such a utility retires no row, and every cell is
+    read.  The winning row's first cell at or above the floor lies at or
+    before its peak.
     """
     if not params.has_3g:
         raise ValueError("optimal_two_thresholds needs a finite 3G price")
@@ -247,11 +251,11 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     for r0 in range(0, M, rows):
         lo, hi, j0 = r0, min(r0 + rows, M), 0
         while lo < hi:
-            panel = panels(lo, hi, j0, min(width, M - lo - j0))
-            if j0 == 0:
-                first = panel
+            panel, at = panels(lo, hi, j0, min(width, M - lo - j0)), (lo, j0)
             peak, tops = panel.max(axis=0), row_top[lo:hi]
             rising = np.flatnonzero(peak > tops)
+            if len(rising) < hi - lo and panels.rises:   # such a utility retires no row
+                rising = np.arange(hi - lo)
             np.maximum(tops, peak, out=tops)
             j0 += len(panel)
             if not rising.size:
@@ -268,14 +272,17 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     if not row_top[r] >= floor:   # only WiFi-only reaches the floor in row r
         return TwoThresholdResult(s_wifi=r + 1, s_3g=never, reward=float(wifi_only[r]))
     # the row's first cell at or above the floor lies at or before its peak,
-    # most often in the last row block's first panel, which is still held
-    if r0 <= r < r0 + first.shape[1] and np.any(first[:, r - r0] >= floor):
-        c, cells = 0, first[:, r - r0]
-    else:   # read the row again from span 0
-        c, cells = -width, first[:0, 0]
-        while not np.any(cells >= floor):
-            c += width
-            cells = panels(r, r + 1, c, min(width, M - r - c))[:, 0]
+    # in the last panel read when that one starts at span 0 (always so up to
+    # max_age _ONE_PANEL_MAX_AGE); else the row is read again from span 0, in
+    # panels as long as the cap allows
+    lo, j0 = at
+    if j0 == 0 and lo <= r < lo + panel.shape[1] and np.any(panel[:, r - lo] >= floor):
+        c, cells = 0, panel[:, r - lo]
+    else:
+        c, cells = -model.BLOCK_CELLS, panel[:0, 0]
+    while not np.any(cells >= floor):
+        c += model.BLOCK_CELLS
+        cells = panels(r, r + 1, c, min(model.BLOCK_CELLS, M - r - c))[:, 0]
     hit = int(np.argmax(cells >= floor))
     return TwoThresholdResult(s_wifi=r + 1, s_3g=r + c + hit + 1, reward=float(cells[hit]))
 

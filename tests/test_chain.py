@@ -1,6 +1,7 @@
 """Closed-form chain analytics against the exact matrix oracles, the exact
 rational oracle ``reference_exact`` and a seeded Monte Carlo oracle."""
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from agectl import (
     transition_matrix,
 )
 from agectl.chain import (
-    _Panels, _two_threshold_blocks, cycle_lengths, reward_curve_3g_only, threshold_ages,
+    _Panels, cycle_lengths, reward_curve_3g_only, threshold_ages,
     threshold_reward_affine, two_threshold_reward_grid,
 )
+from agectl import model
 from agectl.model import BLOCK_CELLS, TIE_TOL
 
 from conftest import (
@@ -329,33 +331,45 @@ class TestTwoThresholdGrid:
     @given(system_params(with_3g=True), st.integers(1, 9), st.integers(1, 12), st.data())
     def test_row_blocks_hold_the_grid_bits(self, params, rows, spans, data):
         # any rows x spans panel from any first row on holds the dense grid's
-        # bytes, -inf past max_age: walked block by block from span 0, and
-        # narrowed to fewer rows from one panel to the next, as the search
-        # reads them, which carries each row's running sum across panels
+        # bytes, -inf past max_age: walked block by block from span 0, the
+        # panels cover each cell of those rows once; narrowed to fewer rows
+        # from one panel to the next, as the search reads them, they carry
+        # each row's running sum across panels
         M = params.max_age
         first = data.draw(st.integers(0, M - 1))
         grid = np.column_stack((two_threshold_reward_grid(params), np.full((M, M), -np.inf)))
+        panels = _Panels(params)
 
-        def dense(lo, j0, panel):   # R[lo + k, lo + k + j0 + t] at [t, k]
+        def read(lo, hi, j0):   # the panel, checked against R[lo + k, lo + k + j0 + t] at [t, k]
+            panel = panels(lo, hi, j0, min(spans, M - lo - j0))
             k = lo + np.arange(panel.shape[1])
-            return grid[k, k + j0 + np.arange(len(panel))[:, None]]
+            cells = k + j0 + np.arange(len(panel))[:, None]
+            assert panel.tobytes() == grid[k, cells].tobytes()
+            return k, cells, len(panel)
 
         covered = np.zeros((M, 2 * M), int)
-        for r0, j0, panel in _two_threshold_blocks(params, rows, first, spans):
-            assert panel.tobytes() == dense(r0, j0, panel).tobytes()
-            k = r0 + np.arange(panel.shape[1])
-            covered[k, k + j0 + np.arange(len(panel))[:, None]] += 1
+        for r0 in range(first, M, rows):
+            for j0 in range(0, M - r0, spans):
+                k, cells, _ = read(r0, min(r0 + rows, M - j0), j0)
+                covered[k, cells] += 1
         assert np.array_equal(covered[first:, :M], np.triu(np.ones((M, M), int))[first:])
 
-        panels, lo, hi, j0 = _Panels(params), first, M, 0
+        lo, hi, j0 = first, M, 0
         while lo < hi:
-            panel = panels(lo, hi, j0, min(spans, M - lo - j0))
-            assert panel.tobytes() == dense(lo, j0, panel).tobytes()
-            j0 += len(panel)
+            j0 += read(lo, hi, j0)[2]
             lo = data.draw(st.integers(lo, hi - 1))
             hi = min(data.draw(st.integers(lo + 1, hi)), M - j0)
 
-    @given(st.one_of(system_params(with_3g=True), tie_heavy_params()))
+    @given(system_params(with_3g=True), st.integers(1, 80))
+    def test_3g_only_curve_is_the_grids_diagonal(self, params, block_cells):
+        # one one-span panel per BLOCK_CELLS rows, each written out before
+        # the next reuses the panel buffer
+        with mock.patch.object(model, "BLOCK_CELLS", block_cells):
+            curve = reward_curve_3g_only(params)
+        assert curve.tobytes() == np.diag(two_threshold_reward_grid(params)).tobytes()
+
+    @given(st.one_of(system_params(with_3g=True), system_params(max_age=300, with_3g=True),
+                     tie_heavy_params()))
     def test_rows_are_quasi_concave(self, params):
         # the search retires a row at its first panel that brings no new
         # strict maximum; no cell after the row's first one that fails to rise

@@ -334,6 +334,17 @@ def explicit_params(M, form):
     )
 
 
+def rising_params(M):
+    """A row-0 peak at span 0, then a utility that rises by just under
+    ``model.SLACK_TOL`` an age, back to 0 at max_age: free WiFi, p = 1e-6
+    and P3G = 1, so row 0's marginal u(j + 1) + p climbs back past its first
+    cell."""
+    d = 0.99 * model.SLACK_TOL
+    values = [1.0 + 1e-10 - (M - 2) * d] + [-(M - 1 - age) * d for age in range(1, M)]
+    return SystemParams(contact_prob=1e-6, max_age=M, utility=UtilityFunction.tabular(values),
+                        scan_cost=0.0, wifi_price=0.0, price_3g=1.0)
+
+
 class TestTwoThresholdStream:
     """The streamed search against the dense grid, field for field."""
 
@@ -409,6 +420,30 @@ class TestTwoThresholdStream:
         width = read[0][2]
         assert width < max(peaks)
         assert max(j0 for rows, j0, _ in read if rows > 1) <= (max(peaks) // width + 1) * width
+
+    def test_a_rising_utility_climbs_back_past_the_tie(self):
+        # the utility may rise by SLACK_TOL an age; over 3000 ages row 0
+        # stalls after span 0 and then tops that cell by more than TIE_TOL
+        M = 3000
+        row = chain._Panels(rising_params(M))(0, 1, 0, M)[:, 0]
+        assert row[1] < row[0]
+        assert row.max() > row[0] + model.TIE_TOL
+
+    def test_a_rising_utility_retires_no_row(self):
+        params = rising_params(300)
+        M = params.max_age
+        expected = dense_two_threshold_pick(params)
+        covered = np.zeros((M, 2 * M), bool)
+        call = chain._Panels.__call__
+
+        def spy(panels, lo, hi, j0, width):
+            k = np.arange(lo, hi)
+            covered[k, k + j0 + np.arange(width)[:, None]] = True
+            return call(panels, lo, hi, j0, width)
+
+        with mock.patch.object(chain._Panels, "__call__", spy):
+            assert_same_pick(optimal_two_thresholds(params), expected)
+        assert covered[np.triu_indices(M)].all()
 
     def test_memory_stays_within_a_few_blocks(self):
         # the dense grid at M = 2000 alone is 30.5 MiB
