@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -235,6 +236,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
         corpus = tracesim.load_traces(args.traces)
         if not corpus:
             raise ValueError(f"no traces in {args.traces}")
+        for n, flag in ((exp.n_initial, "--N"), (exp.n_after, "--drop")):
+            _check_round_memory(n, exp.config.round_slots, flag)
 
         def env_factory(n: int) -> learning.RoundEnv:
             # half the population starts at the trace head, half mid-trace
@@ -263,6 +266,22 @@ def cmd_learn(args: argparse.Namespace) -> int:
     rows += [(r.index + exp.drop_round, r.bonus, r.served, r.rate) for r in second.rounds]
     _write(args, "learn", settings, ("round", "bonus", "requests", "rate"), rows, fmt="csv")
     return 0
+
+
+def _check_round_memory(n_users: int, round_slots: int, flag: str) -> None:
+    """MemoryError naming ``flag`` when one round of ``n_users`` users on
+    traces cannot fit in this machine's memory.  A round holds each user's
+    contacts and ages, at least 2 * round_slots + 1 bytes, so the check runs
+    before any user is built.  Without a physical memory size to read it
+    checks nothing."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    need = n_users * (2 * round_slots + 1)
+    if need > memory:
+        raise MemoryError(f"{flag} {n_users}: a {round_slots}-slot round of that many users needs at least"
+                          f" {need} bytes, more than the {memory} of this machine")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

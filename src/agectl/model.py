@@ -144,11 +144,6 @@ class SystemParams:
     def has_3g(self) -> bool:
         return self.price_3g is not None
 
-    @property
-    def scaled_scan_cost(self) -> float:
-        """Scan cost divided by (max_age - 1); the cost knob used in sweeps."""
-        return self.scan_cost / (self.max_age - 1)
-
 
 def instantaneous_reward(params: SystemParams, age: int, action: Action, contact: int) -> float:
     """One-slot reward: utility minus activation cost minus bonus-reduced price.
@@ -195,6 +190,12 @@ BLOCK_CELLS = 1 << 16
 TABLE_CELLS = 1 << 19
 
 
+def _step_size(policies: int, M: int) -> int:
+    """The k of the k-slot step table of ``policies`` rows of M actions: the
+    largest of 8, 4, 2 and 1 whose table holds at most TABLE_CELLS cells."""
+    return next((k for k in (8, 4, 2) if policies * 2**k * M * k <= TABLE_CELLS), 1)
+
+
 @functools.lru_cache(maxsize=64)
 def _step_table(codes: bytes, policies: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     """The ages after each slot of a k-slot step, and that table's last column
@@ -207,7 +208,7 @@ def _step_table(codes: bytes, policies: int, M: int) -> tuple[np.ndarray, np.nda
     TABLE_CELLS cells; at k = 1 it is the one-slot transition table.
     """
     actions = np.frombuffer(codes, np.uint8).reshape(policies, M)
-    k = next((k for k in (8, 4, 2) if policies * 2**k * M * k <= TABLE_CELLS), 1)
+    k = _step_size(policies, M)
     # next age by (policy, contact, age - 1): 1 after an update (action 2, or
     # action 1 with a contact: action + contact >= 2), else one older up to M
     nxt = np.where(actions[:, None] + np.arange(2)[:, None] >= 2, 1, np.minimum(np.arange(2, M + 2), M))
@@ -263,6 +264,10 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
     the budget is built per call and not kept.  Rows run in blocks of
     BLOCK_CELLS // steps rows (at least one), so a block's step codes, and
     the table rows its final gather picks, number at most BLOCK_CELLS.
+
+    The step codes name the replay's table rows; ``_count_ages`` names them
+    again from the ages returned here and counts a long replay's slots at
+    each age by those rows, not slot by slot.
     """
     rows, n = contacts.shape
     M = actions.shape[1]
@@ -287,9 +292,7 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
         ages = ages.reshape(rows, parts, L + 1)
         return np.column_stack((ages[:, :, :L].reshape(rows, -1)[:, :n],
                                 ages[:, -1, n - (parts - 1) * L]))
-    actions = np.ascontiguousarray(actions, np.uint8)
-    key = (actions.tobytes(), *actions.shape)
-    table, last = (_step_table if 2 * actions.size <= TABLE_CELLS else _step_table.__wrapped__)(*key)
+    table, last = _tables(actions)
     k = table.shape[1]
     steps = -(-n // k)
     ages = np.empty((rows, n + 1), dtype)
@@ -297,21 +300,78 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
     per = max(1, BLOCK_CELLS // steps)   # rows per block
     for lo in range(0, rows, per):
         out = ages[lo:lo + per]
-        # each byte holds the patterns of 8 // k steps, the first in the low bits
-        pattern = np.packbits(np.ascontiguousarray(contacts[lo:lo + per]), axis=1, bitorder="little")
-        if k < 8:
-            pattern = (pattern[..., None] >> np.arange(0, 8, k, dtype=np.uint8)) & ((1 << k) - 1)
-        # code + age is the table row of (policy, pattern, age - 1), step-major
-        code = np.multiply(pattern.reshape(len(out), -1)[:, :steps].T, np.intp(M), order="C")
-        if len(actions) > 1:   # one row of actions takes policy 0, at offset 0
-            code += policy[lo:lo + per] * (M << k)
-        code -= 1
+        code = _step_codes(contacts[lo:lo + per], policy[lo:lo + per], len(actions), M, k)
         age = out[:, 0].copy()
         for row in code:
             row += age   # now the table row of this step
             last.take(row, out=age, mode="clip")
         out[:, 1:] = table.take(code.T, axis=0, mode="clip").reshape(len(out), -1)[:, :n]
     return ages
+
+
+def _tables(actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_step_table`` of the action table ``actions``: cached by its content
+    when its one-slot table fits TABLE_CELLS cells, else built per call."""
+    actions = np.ascontiguousarray(actions, np.uint8)
+    key = (actions.tobytes(), *actions.shape)
+    return (_step_table if 2 * actions.size <= TABLE_CELLS else _step_table.__wrapped__)(*key)
+
+
+def _step_codes(contacts: np.ndarray, policy: np.ndarray, policies: int, M: int, k: int) -> np.ndarray:
+    """The (steps, rows) intp codes of the k-slot steps of each row of
+    ``contacts``: code + age is the step table row of (policy, pattern, age - 1),
+    where ``age`` is the age the step starts at."""
+    # each byte holds the patterns of 8 // k steps, the first in the low bits
+    pattern = np.packbits(np.ascontiguousarray(contacts), axis=1, bitorder="little")
+    if k < 8:
+        pattern = (pattern[..., None] >> np.arange(0, 8, k, dtype=np.uint8)) & ((1 << k) - 1)
+    steps = -(-contacts.shape[1] // k)
+    code = np.multiply(pattern.reshape(len(contacts), -1)[:, :steps].T, np.intp(M), order="C")
+    if policies > 1:   # one row of actions takes policy 0, at offset 0
+        code += policy * (M << k)
+    code -= 1
+    return code
+
+
+def _count_ages(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, ages: np.ndarray) -> np.ndarray:
+    """Each policy's slots by the age before the slot, a (len(actions), M)
+    int64 array, over the rows of the ``ages`` that
+    ``_replay(actions, policy, contacts, start)`` returned.
+
+    When the replay's k-slot steps outnumber the rows of its step table, all
+    but the last step of each row are counted by the table row they name,
+    code + age as in ``_replay``, from their contacts and the ages they start
+    at: a step at a table row covers its start age, then the first k - 1 ages
+    of the row.  Every other slot, all of them for a smaller replay, is
+    counted by its own age: a ``np.bincount`` of age + policy * M per block
+    of rows whose cells number at most BLOCK_CELLS, which bounds its intp
+    copy.  The counts are integers, so both give the same counts.
+    """
+    rows, n = contacts.shape
+    policies, M = actions.shape
+    k = _step_size(policies, M)
+    steps = -(-n // k)
+    by_rows = rows * steps > policies * 2**k * M
+    done = (steps - 1) * k if by_rows else 0   # the slots counted by table row
+    counts = np.zeros(policies * M + 1, np.int64)   # slots at age a of policy p at p * M + a
+    offset = (policy * M).astype(np.min_scalar_type(policies * M))[:, None]   # narrow, as the ages are
+    per = max(1, BLOCK_CELLS // (n - done))
+    for lo in range(0, rows, per):
+        counts += np.bincount((ages[lo:lo + per, done:-1] + offset[lo:lo + per]).ravel(), minlength=counts.size)
+    if by_rows:
+        table = _tables(actions)[0]
+        used = np.zeros(len(table), np.int64)   # steps by table row
+        per = max(1, BLOCK_CELLS // steps)
+        for lo in range(0, rows, per):
+            code = _step_codes(contacts[lo:lo + per], policy[lo:lo + per], policies, M, k)[:-1]
+            code += ages[lo:lo + per, :done:k].T   # the age each step starts at
+            used += np.bincount(code.ravel(), minlength=len(table))
+        used = used.reshape(policies, -1, M)   # (policy, pattern, start age - 1)
+        later = table.reshape(policies, -1, M, k)[..., :-1] + (M * np.arange(policies))[:, None, None, None]
+        # each count is a whole number below 2**53, so the float sums are exact
+        counts += np.bincount(later.ravel(), np.repeat(used.ravel(), k - 1), counts.size).astype(np.int64)
+        counts[1:] += used.sum(1).ravel()
+    return counts[1:].reshape(policies, M)
 
 
 #: each Action by its code; members hash as their codes, so they map to themselves

@@ -7,8 +7,11 @@ phase, or one round of a user population, runs as the rows of one call to
 ``model._replay``, the package's only loop over slots.  The counts are read
 off the replayed ages: the slots at each age, and the updates, where an age
 returns to 1; the contacts are read again only to tell 3G updates from WiFi
-ones.  Every reward, energy and fee total is then the exact sum of counted
-terms, rounded once.
+ones.  A replay whose k-slot steps outnumber the rows of its step table,
+such as one long trace, counts its slots at each age by the table rows its
+steps use (``model._count_ages``); any other counts every slot's age.  Every
+reward, energy and fee total is then the exact sum of counted terms, rounded
+once.
 
 Traces are strings of ones (useful slot) and zeros; an optional second bit
 string of equal length marks location-privileged slots.
@@ -279,18 +282,22 @@ def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.nda
     policy when it is None, from every phase r * max(1, floor(len / replications))
     mod len, r < replications, as the rows of one ``model._replay`` call; one
     replication replays the trace's own bits, with no copy per policy.
-    Returns the ages and, per policy over all its phases, the reward total and
+    Returns the mask of the replayed ages at 1, (rows, len + 1) with column t
+    the age after slot t, so its columns past 0 mark the slots that end in an
+    update; and, per policy over all its phases, the reward total and
     the tally that ``_values`` prices: the slots at each age before the slot,
     the active slots, the WiFi updates and the 3G updates.
 
-    The tally reads the ages: a ``np.bincount`` of age + policy * M per block
-    of max(1, ``model.BLOCK_CELLS`` // len) rows counts each policy's slots by
-    age, and its active slots follow from the ages where it acts (for the mask
-    policy, every masked slot).  An update leaves the age at 1, so a
+    ``model._count_ages`` counts each policy's slots by age: by step table
+    row when the replay's steps outnumber the table's rows, as on one long
+    trace, and else by each slot's age, as on the short rows of a comparison
+    table.  The active slots follow from the ages where a policy acts (for
+    the mask policy, every masked slot).  An update leaves the age at 1, so a
     policy's updates are its slots at age 1, less its rows that start at age
     1, plus those that end there.  The contacts are read only when the table
     has action 2: an update without a contact is a 3G update, and every other
-    update is over WiFi."""
+    update is over WiFi.  The mask of ages at 1 is formed once, for these counts
+    and for ``simulate_policy``'s update slots."""
     M = params.max_age
     if not 1 <= start_age <= M:
         raise ValueError(f"start age {start_age} outside [1, {M}]")
@@ -309,22 +316,16 @@ def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.nda
         contacts = np.tile(np.lib.stride_tricks.sliding_window_view(np.tile(bits, 2), n)[phases], (k, 1))
     policy = np.repeat(np.arange(k), replications)
     ages = model._replay(table, policy, contacts, np.full(len(policy), start_age))
-    offset = (policy * M).astype(np.min_scalar_type(k * M))[:, None]   # narrow, as the ages are
-    by_age, rows = 0, max(1, model.BLOCK_CELLS // n)
-    for lo in range(0, len(policy), rows):   # row blocks bound the bincount's intp copy
-        cells = ages[lo:lo + rows, :-1] + offset[lo:lo + rows]
-        by_age = by_age + np.bincount(cells.ravel(), minlength=k * M + 1)
-    by_age = by_age[1:].reshape(k, M)
-    ends = np.count_nonzero((ages[:, [0, -1]] == 1).reshape(k, replications, 2), axis=1)
-    updates, updates_3g = by_age[:, 0] - ends[:, 0] + ends[:, 1], np.zeros(k, np.int64)
+    by_age, at_1 = model._count_ages(table, policy, contacts, ages), ages == 1
+    ends = at_1[:, -1].reshape(k, replications).sum(1) - replications * (start_age == 1)
+    updates, updates_3g = by_age[:, 0] + ends, np.zeros(k, np.int64)
     if (table == 2).any():   # an update without a contact is a 3G update
-        no_contact = (ages[:, 1:] == 1) > contacts
-        updates_3g = np.array([np.count_nonzero(mine) for mine in no_contact.reshape(k, -1)])
+        updates_3g = np.array([np.count_nonzero(mine) for mine in (at_1[:, 1:] > contacts).reshape(k, -1)])
     active = (by_age * (table >= 1)).sum(1)
     if actions is None:   # active on the masked slots, with or without a contact
         active[0] = replications * np.count_nonzero(trace.mask_bits)
     tally = np.column_stack((by_age, active, updates - updates_3g, updates_3g))
-    return ages, tally, _exact_sums(tally, _values(params, params.bonus))
+    return at_1, tally, _exact_sums(tally, _values(params, params.bonus))
 
 
 def simulate_policy(
@@ -339,14 +340,14 @@ def simulate_policy(
     to one starting from the next slot.  Deterministic: identical inputs give
     identical results.
     """
-    ages, tally, (total,) = _replay_rotations(trace, params, _policy_actions(params, policy), 1, start_age)
+    at_1, tally, (total,) = _replay_rotations(trace, params, _policy_actions(params, policy), 1, start_age)
     active, wifi, updates_3g = tally[0, -3:].tolist()
     return SimResult(
         total_reward=total,
         slots=len(trace),
         average_reward=total / len(trace),
         updates=wifi + updates_3g,
-        update_slots=UpdateSlots(np.flatnonzero(ages[0, 1:] == 1) + 1),
+        update_slots=UpdateSlots(np.flatnonzero(at_1[0])[int(start_age == 1):]),   # column 0 is the start
         updates_wifi=wifi,
         updates_3g=updates_3g,
         energy_spent=active * params.scan_cost,   # one rounding: active < 2**53

@@ -311,6 +311,21 @@ class TestLearn:
         assert out == ""
         assert err == "agectl: out of memory: Unable to allocate 72.8 TiB for an array\n"
 
+    @pytest.mark.parametrize("flags", [("--N", "10000000000000"), ("--drop", "10000000000000@200")])
+    def test_trace_population_past_memory_exits_2_before_any_user(self, capsys, monkeypatch, tmp_path, flags):
+        # cmd_learn built N UserAssignments, one Python object each, before any check
+        def no_user(*args, **kwargs):
+            raise AssertionError("a UserAssignment was built")
+
+        monkeypatch.setattr(cli.tracesim, "UserAssignment", no_user)
+        path = tmp_path / "c.txt"
+        path.write_text("s0 0110\n")
+        code, out, err = run(capsys, "learn", "--env", "trace", "--traces", str(path), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"agectl: out of memory: {flags[0]} 10000000000000: a 100-slot round")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("text", ["", "# a comment and no traces\n"])
     def test_trace_env_without_traces_exits_2(self, capsys, tmp_path, text):
         path = tmp_path / "empty.txt"

@@ -109,9 +109,6 @@ class TestSystemParams:
         assert params.utility.values == (4, 2, 0)
         assert params.utility.offset == 1
 
-    def test_scaled_scan_cost(self):
-        assert linear_params(scan_cost=0.99).scaled_scan_cost == pytest.approx(0.09)
-
     @pytest.mark.parametrize(
         "field,value",
         [("scan_cost", math.nan), ("scan_cost", math.inf), ("wifi_price", math.nan),

@@ -6,7 +6,8 @@ the trace and chain environments, and the kernel's ages against one
 ``next_age`` call per slot at every step size, on rows that end inside a
 step or span several row blocks, and on chunk rows whose seeded starts hold
 or miss and settle in one rerun pass or over many; and each column of the
-rotation tallies against the counted reference parts."""
+rotation tallies against the counted reference parts, with replays counted
+by step-table row against the same replays counted slot by slot."""
 import math
 import warnings
 from dataclasses import replace
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from agectl import (
     MASK_POLICY,
@@ -534,6 +535,64 @@ def test_rotation_tallies_count_the_reference_parts(n, M, reps):
                     fees = {f for u, _, f in parts if u < params.utility(1)}
                     assert {fee_wifi, fee_3g} <= fees
             assert tally.tolist() == expected
+
+
+def slot_tally(ages, policy, policies, M):
+    """Each policy's slots by the age before the slot, one row's ages at a
+    time: the oracle for ``model._count_ages``."""
+    counts = np.zeros((policies, M), np.int64)
+    for mine, row in zip(policy, ages[:, :-1]):
+        counts[mine] += np.bincount(row, minlength=M + 1)[1:]
+    return counts
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([2, 5, 12, 260]), st.sampled_from(["monotone", "per-age", "mask", "late"]),
+       st.sampled_from(["1", "k - 1", "k", "k + 1", "L - 1", "L + 1", "3L + 5"]), st.data())
+def test_row_tallies_equal_slot_tallies_and_reference_parts(M, kind, length, data):
+    # a replay counts its slots by step table row once its steps outnumber
+    # the table's rows, and enough phases take every draw there; at M = 260
+    # the ages are uint16 and the steps 4 slots long
+    params = SystemParams(contact_prob=0.5, max_age=M, utility=UtilityFunction.linear(M),
+                          scan_cost=0.5, wifi_price=2.0, price_3g=5.0, bonus=0.5)
+    fee_wifi, fee_3g, p = 1.5, 4.5, 0.5
+    if kind == "mask":
+        policies = [MASK_POLICY]
+    elif kind == "monotone":   # action 2 from s_3g when s_3g <= M
+        pairs = data.draw(st.lists(st.tuples(st.integers(1, M + 1), st.integers(0, M)), min_size=1, max_size=2))
+        policies = [Policy.from_thresholds(s, min(s + gap, M + 1), M) for s, gap in pairs]
+    elif kind == "per-age":
+        policies = data.draw(st.lists(st.lists(st.sampled_from(list(Action)), min_size=M, max_size=M)
+                                      .map(lambda acts: Policy(tuple(acts))), min_size=1, max_size=2))
+    else:   # a threshold near M at low p: a run waits long for a contact, so chunk seeds miss and rerun
+        policies, p = [Policy.from_thresholds(data.draw(st.integers(max(1, M - 1), M)), None, M)], 0.02
+    table = np.array([(1,) * M if policy is MASK_POLICY else policy.actions for policy in policies], np.uint8)
+    k = step_size(table)
+    n = max(1, {"1": 1, "k - 1": k - 1, "k": k, "k + 1": k + 1,
+                "L - 1": L - 1, "L + 1": L + 1, "3L + 5": 3 * L + 5}[length])
+    steps = -(-n // k)
+    reps = 2**k * M // steps + 1   # the steps of every row outnumber the table's rows
+    start, seed = data.draw(st.integers(1, M)), data.draw(st.integers(0, 2**32 - 1))
+    trace = ContactTrace("t", bits(n, p, seed), mask=bits(n, 0.4, seed + 1))
+
+    # the kernel level: the row count of a replay's ages against their slot count
+    contacts = np.asarray(trace.slots, np.uint8) & (np.asarray(trace.mask, np.uint8) if kind == "mask" else 1)
+    phases = np.arange(reps) * max(1, n // reps) % n
+    contacts = np.tile([np.roll(contacts, -phase) for phase in phases], (len(table), 1))
+    policy = np.repeat(np.arange(len(table)), reps)
+    assert len(policy) * steps > len(table) * 2**k * M
+    ages = model._replay(table, policy, contacts, np.full(len(policy), start))
+    np.testing.assert_array_equal(model._count_ages(table, policy, contacts, ages),
+                                  slot_tally(ages, policy, len(table), M))
+
+    # the rotations: each tally column counts reference parts, and each total is their sum
+    _, tally, totals = tracesim._replay_rotations(trace, params, None if kind == "mask" else table, reps, start)
+    for i, policy in enumerate(policies):
+        parts = rotated_parts(trace, params, policy, reps, start)
+        utility, scan, fee = (list(column) for column in zip(*parts))
+        assert tally[i].tolist() == [utility.count(params.utility(age)) for age in range(1, M + 1)] + [
+            len(scan) - scan.count(0.0), fee.count(fee_wifi), fee.count(fee_3g)]
+        assert totals[i] == parts_total(parts)
 
 
 @given(st.integers(1, 5), st.integers(1, 30), st.integers(1, 8), st.integers(0, 2**32 - 1))
