@@ -13,7 +13,6 @@ tests pit one against the other.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,7 +223,6 @@ class _Panels:
         q = 1.0 - p
         u = np.asarray(params.utility.values)
         self.max_age = M
-        self.utility = u                                 # u at ages 1..max_age
         self.fees = params.wifi_price - params.bonus
         self.band_q = q ** np.arange(M)                  # q^j
         # (1 - q^(j + 1)) / p, with nothing to cancel as p -> 0
@@ -269,12 +267,6 @@ class _Panels:
             past = np.ndarray((width, n - k0), bool, self.past, lo + j0 + k0, (1, 1))
             np.copyto(cells[:, k0:], -np.inf, where=past)
         return cells
-
-    @functools.cached_property
-    def rises(self) -> bool:
-        """Whether the utility rises anywhere, by the float noise the model
-        allows: then a row need not be quasi-concave in its span."""
-        return bool(np.any(self.utility[1:] > self.utility[:-1]))
 
     def _buffer(self, i: int, n: int, width: int) -> np.ndarray:
         start = i * (len(self.buffer) // 2)

@@ -18,8 +18,8 @@ import numpy as np
 #: rewards, action values and bonus edges this close tie: an absolute margin in the
 #: money units shared by the utility, the costs, the prices and the bonus
 TIE_TOL = 1e-9
-#: float-noise slack in the same units: a utility that rises with age, a bonus past its
-#: cap, or a replayed mean ahead of the best, by at most this, counts as not doing so
+#: float-noise slack in the same units: a bonus past its cap, or a replayed mean ahead
+#: of the best, by at most this, counts as not doing so
 SLACK_TOL = 1e-12
 
 
@@ -31,7 +31,8 @@ class Action(IntEnum):
 
 @dataclass(frozen=True)
 class UtilityFunction:
-    """Non-increasing map from message age (1-based) to utility.
+    """Non-increasing map from message age (1-based) to utility: every value
+    at most the one before; no tolerance.
 
     ``offset`` records the constant removed so that the utility at the maximum
     age is zero; shifting by a constant never changes which policy is optimal,
@@ -51,9 +52,10 @@ class UtilityFunction:
             raise ValueError(f"utility values must be finite, got {self.values}")
         if self.step_cutoff is not None and self.step_cutoff < 1:
             raise ValueError(f"step cutoff must be >= 1, got {self.step_cutoff}")
-        for a, b in zip(self.values, self.values[1:]):
-            if b > a + SLACK_TOL:
-                raise ValueError(f"utility must be non-increasing, got {a} -> {b}")
+        for age, (a, b) in enumerate(zip(self.values, self.values[1:]), start=1):
+            if b > a:
+                raise ValueError(
+                    f"utility must be non-increasing: u({age + 1}) = {b!r} > u({age}) = {a!r}")
 
     @property
     def max_age(self) -> int:

@@ -219,15 +219,11 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     max_age ``_ONE_PANEL_MAX_AGE``), folded into row maxima; memory stays
     O(max_age) plus the fixed panel buffer.  A row retires at its first panel
     that brings no new strict maximum.  That is exact in real arithmetic for
-    a utility that never rises: with s_wifi fixed the reward is a ratio over
-    the span whose marginal, u(s_3g + 1) + p·(P3G - P - G/p), then never
-    increases, so once the ratio stops rising it never rises again.  A
-    utility may rise by up to ``model.SLACK_TOL`` an age, and over a row of
-    max_age ages that lets the ratio climb back by up to about
-    max_age·SLACK_TOL/2 (1.4e-9 at max_age 3000 in the tests, past
-    ``model.TIE_TOL``); such a utility retires no row, and every cell is
-    read.  The winning row's first cell at or above the floor lies at or
-    before its peak.
+    every valid input, since :class:`model.UtilityFunction` admits no rise:
+    with s_wifi fixed the reward is a ratio over the span whose marginal,
+    u(s_3g + 1) + p·(P3G - P - G/p), then never increases, so once the ratio
+    stops rising it never rises again.  The winning row's first cell at or
+    above the floor lies at or before its peak.
     """
     if not params.has_3g:
         raise ValueError("optimal_two_thresholds needs a finite 3G price")
@@ -254,8 +250,6 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
             panel, at = panels(lo, hi, j0, min(width, M - lo - j0)), (lo, j0)
             peak, tops = panel.max(axis=0), row_top[lo:hi]
             rising = np.flatnonzero(peak > tops)
-            if len(rising) < hi - lo and panels.rises:   # such a utility retires no row
-                rising = np.arange(hi - lo)
             np.maximum(tops, peak, out=tops)
             j0 += len(panel)
             if not rising.size:

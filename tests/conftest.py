@@ -109,6 +109,37 @@ def system_params(draw, max_age: int = 40, with_3g: bool | None = None,
 
 
 @st.composite
+def ulp_step_params(draw, max_age: int = 300) -> SystemParams:
+    """Exactly non-increasing tabular utilities built from runs: flat runs,
+    chains of one-ulp steps down (``np.nextafter``) and single drops, the
+    last value held to max_age - 1, then 0 or below, so that normalizing
+    keeps every step.  Rows of the two-threshold grid then stall and tie by
+    single ulps.  3G is dearer than the WiFi cycle, so the grid is
+    searched."""
+    M = draw(st.integers(2, max_age))
+    v = draw(st.floats(0.5, 10.0))
+    values = []
+    for kind, n in draw(st.lists(st.tuples(st.sampled_from(("flat", "ulp", "drop")),
+                                           st.integers(1, M)), min_size=1, max_size=6)):
+        for _ in range(n):
+            values.append(v)
+            if kind == "ulp":
+                v = float(np.nextafter(v, -np.inf))
+        if kind == "drop":
+            v *= draw(st.floats(0.0, 1.0))
+    values = (values + [v] * M)[:M - 1]
+    values.append(min(values[-1], 0.0))
+    p = draw(st.sampled_from((1e-6, 0.125, 0.5, 0.875)))
+    scale = max(values[0] - values[-1], 1.0)
+    scan_cost, price = (draw(st.sampled_from((0.0, 0.1, 1.0))) * scale for _ in range(2))
+    price_3g = draw(st.floats(1.0, 3.0, exclude_min=True)) * max(scan_cost / p + price, 0.5)
+    return SystemParams(
+        contact_prob=p, max_age=M, utility=UtilityFunction.tabular(values), scan_cost=scan_cost,
+        wifi_price=price, price_3g=price_3g, bonus=draw(st.floats(0.0, 1.0)) * min(price, price_3g),
+    )
+
+
+@st.composite
 def tie_heavy_params(draw):
     """Flat and step utilities with integer values and costs at dyadic p, where
     distinct pairs often earn exactly the same reward."""

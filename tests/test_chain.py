@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from agectl import (
     Action,
@@ -36,6 +36,7 @@ from agectl.model import BLOCK_CELLS, TIE_TOL
 from conftest import (
     C_CLOSED, C_MATRIX, EPS, make_rng, random_3g_params, random_wifi_params, reference_exact,
     reference_replay, reward_bound, system_params, threshold_action, tie_heavy_params,
+    ulp_step_params,
 )
 
 
@@ -368,8 +369,9 @@ class TestTwoThresholdGrid:
             curve = reward_curve_3g_only(params)
         assert curve.tobytes() == np.diag(two_threshold_reward_grid(params)).tobytes()
 
+    @settings(max_examples=134)   # the quarter on one-ulp utilities comes on top
     @given(st.one_of(system_params(with_3g=True), system_params(max_age=300, with_3g=True),
-                     tie_heavy_params()))
+                     tie_heavy_params(), ulp_step_params()))
     def test_rows_are_quasi_concave(self, params):
         # the search retires a row at its first panel that brings no new
         # strict maximum; no cell after the row's first one that fails to rise

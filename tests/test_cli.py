@@ -65,6 +65,15 @@ class TestSolve:
         assert code == 2
         assert err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_rise_under_the_slack_exits_2_naming_both_ages(self, capsys):
+        # u(2) tops u(1) by 2**-44, under SLACK_TOL: a utility takes no slack
+        code, out, err = run(capsys, "solve", "--M", "3", "--p", "0.5", "--utility", "tabular",
+                             "--values", "1,1.0000000000000568,0")
+        assert (code, out) == (2, "")
+        assert err == ("agectl: utility must be non-increasing: "
+                       "u(2) = 1.0000000000000568 > u(1) = 1.0\n")
+
     def test_values_past_the_float_range_exit_3_at_the_first_span_not_finite(
             self, capsys, monkeypatch):
         # RVI's span turns nan at sweep 13; this stopped only after every one

@@ -317,14 +317,17 @@ class TestToleranceHome:
         monkeypatch.setattr(model, "SLACK_TOL", 2**-43)
         assert tracesim._best_threshold(means) == (2, means[1])
 
-    def test_utility_and_bonus_cap_slack(self, monkeypatch):
-        rise, over = [1.0, 1.0 + 2**-44, 0.0], 1.0 + 2**-44
-        assert 0 < rise[1] - rise[0] < model.SLACK_TOL and 0 < over - 1.0 < model.SLACK_TOL
-        UtilityFunction.tabular(rise)
+    def test_utility_rise_rejected_at_any_slack_and_bonus_cap_slack(self, monkeypatch):
+        # a utility takes no slack: a rise of one ulp is rejected whatever
+        # SLACK_TOL is, while a bonus past its cap by less than it passes
+        rise, over = [1.0, float(np.nextafter(1.0, 2.0)), 0.0], 1.0 + 2**-44
+        assert 0 < over - 1.0 < model.SLACK_TOL
         linear_params(wifi_price=1.0, bonus=over)
+        for slack in (model.SLACK_TOL, 1.0):
+            monkeypatch.setattr(model, "SLACK_TOL", slack)
+            with pytest.raises(ValueError, match=r"non-increasing: u\(2\) = 1\.0000000000000002 > "):
+                UtilityFunction.tabular(rise)
         monkeypatch.setattr(model, "SLACK_TOL", 2**-45)
-        with pytest.raises(ValueError, match="non-increasing"):
-            UtilityFunction.tabular(rise)
         with pytest.raises(ValueError, match="bonus"):
             linear_params(wifi_price=1.0, bonus=over)
 
