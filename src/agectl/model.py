@@ -48,8 +48,9 @@ class UtilityFunction:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("utility needs at least one age")
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError(f"utility values must be finite, got {self.values}")
+        for age, v in enumerate(self.values, start=1):
+            if not math.isfinite(v):
+                raise ValueError(f"utility must be finite: u({age}) = {v!r}")
         if self.step_cutoff is not None and self.step_cutoff < 1:
             raise ValueError(f"step cutoff must be >= 1, got {self.step_cutoff}")
         for age, (a, b) in enumerate(zip(self.values, self.values[1:]), start=1):
@@ -430,36 +431,40 @@ class Policy:
 def params_from_mapping(mapping: Mapping[str, str]) -> SystemParams:
     data = {k.strip(): str(v).strip() for k, v in mapping.items()}
 
-    def need(key: str) -> str:
-        if key not in data:
+    def need(key: str, parse, default: str | None = None):
+        raw = data.get(key, default)
+        if raw is None:
             raise ValueError(f"missing required parameter '{key}'")
-        return data[key]
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"parameter '{key}': {exc}") from None
 
-    max_age = int(need("M"))
+    max_age = need("M", int)
     if max_age < 2:
         raise ValueError(f"M must be >= 2, got {max_age}")
     form = data.get("utility.form", "linear").lower()
     if form == "linear":
         utility = UtilityFunction.linear(max_age)
     elif form == "step":
-        utility = UtilityFunction.step(float(need("utility.v")), int(need("utility.k")), max_age)
+        utility = UtilityFunction.step(need("utility.v", float), need("utility.k", int), max_age)
     elif form == "tabular":
-        values = [float(v) for v in need("utility.values").split(",")]
+        values = need("utility.values", lambda raw: [float(v) for v in raw.split(",")])
         utility = UtilityFunction.tabular(values)
     else:
         raise ValueError(f"unknown utility form '{form}'")
 
     p3g_raw = data.get("P3G", "inf").lower()
-    price_3g = None if p3g_raw in ("inf", "infinity", "none") else float(p3g_raw)
+    price_3g = None if p3g_raw in ("inf", "infinity", "none") else need("P3G", float)
 
     return SystemParams(
-        contact_prob=float(need("p")),
+        contact_prob=need("p", float),
         max_age=max_age,
         utility=utility,
-        scan_cost=float(data.get("G", "0")),
-        wifi_price=float(data.get("P", "0")),
+        scan_cost=need("G", float, "0"),
+        wifi_price=need("P", float, "0"),
         price_3g=price_3g,
-        bonus=float(data.get("B", "0")),
+        bonus=need("B", float, "0"),
     )
 
 

@@ -14,9 +14,9 @@ from .model import SystemParams
 
 _INV_E = math.exp(-1.0)
 _LAMBERT_TOL, _LAMBERT_MAX_ITER = 1e-12, 100   # relative residual bound, Halley step cap
-#: spans per panel of the two-threshold search; up to max_age 64 one panel
-#: over the whole square costs less than the few narrow ones
-_PANEL_SPANS, _ONE_PANEL_MAX_AGE = 16, 64
+#: spans per panel of the two-threshold search, at every max_age: a row stops
+#: in the panel that holds its peak, so a wider panel reads more cells past it
+_PANEL_SPANS = 16
 
 
 @dataclass(frozen=True)
@@ -215,15 +215,15 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     its row.
 
     The grid is read in :class:`chain._Panels` panels of ``_PANEL_SPANS``
-    spans over the rows still rising (one panel over the whole square up to
-    max_age ``_ONE_PANEL_MAX_AGE``), folded into row maxima; memory stays
-    O(max_age) plus the fixed panel buffer.  A row retires at its first panel
-    that brings no new strict maximum.  That is exact in real arithmetic for
-    every valid input, since :class:`model.UtilityFunction` admits no rise:
-    with s_wifi fixed the reward is a ratio over the span whose marginal,
-    u(s_3g + 1) + p·(P3G - P - G/p), then never increases, so once the ratio
-    stops rising it never rises again.  The winning row's first cell at or
-    above the floor lies at or before its peak.
+    spans over the rows still rising, folded into row maxima; memory stays
+    O(max_age) plus the fixed panel buffer.  A row reads on only while each
+    of its cells rose above the one before, so it retires in the panel that
+    holds its peak.  That is exact in real arithmetic for every valid input,
+    since :class:`model.UtilityFunction` admits no rise: with s_wifi fixed
+    the reward is a ratio over the span whose marginal, u(s_3g + 1) +
+    p·(P3G - P - G/p), then never increases, so the row is quasi-concave in
+    s_3g: once a cell fails to rise, no later cell rises.  The winning row is
+    read again from span 0 for its first cell at or above the floor.
     """
     if not params.has_3g:
         raise ValueError("optimal_two_thresholds needs a finite 3G price")
@@ -241,22 +241,21 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
 
     wifi_only = chain.threshold_reward_curve(params)[:M]
     panels = chain._Panels(params)
-    width = min(M if M <= _ONE_PANEL_MAX_AGE else _PANEL_SPANS, model.BLOCK_CELLS)
+    width = min(_PANEL_SPANS, model.BLOCK_CELLS)
     rows = model.BLOCK_CELLS // width
     row_top = np.full(M, -np.inf)
     for r0 in range(0, M, rows):
         lo, hi, j0 = r0, min(r0 + rows, M), 0
         while lo < hi:
-            panel, at = panels(lo, hi, j0, min(width, M - lo - j0)), (lo, j0)
-            peak, tops = panel.max(axis=0), row_top[lo:hi]
-            rising = np.flatnonzero(peak > tops)
-            np.maximum(tops, peak, out=tops)
+            panel, tops = panels(lo, hi, j0, min(width, M - lo - j0)), row_top[lo:hi]
+            rising = np.flatnonzero((panel[0] > tops) & (panel[1:] > panel[:-1]).all(axis=0))
+            np.maximum(tops, panel.max(axis=0), out=tops)
             j0 += len(panel)
             if not rising.size:
                 break
-            # on to the rows whose maximum this panel raised, and that have
-            # spans left; rows retired between them are read on, which only
-            # brings their maxima closer to the dense grid's
+            # on to the rows whose every cell rose above the one before, and
+            # that have spans left; rows retired between them are read on,
+            # which only brings their maxima closer to the dense grid's
             lo, hi = lo + int(rising[0]), min(lo + int(rising[-1]) + 1, M - j0)
     top = max(float(row_top.max()), float(wifi_only.max()))
     if top <= tie:
@@ -265,18 +264,12 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     r = M - 1 - int(np.argmax(((row_top >= floor) | (wifi_only >= floor))[::-1]))
     if not row_top[r] >= floor:   # only WiFi-only reaches the floor in row r
         return TwoThresholdResult(s_wifi=r + 1, s_3g=never, reward=float(wifi_only[r]))
-    # the row's first cell at or above the floor lies at or before its peak,
-    # in the last panel read when that one starts at span 0 (always so up to
-    # max_age _ONE_PANEL_MAX_AGE); else the row is read again from span 0, in
-    # panels as long as the cap allows
-    lo, j0 = at
-    if j0 == 0 and lo <= r < lo + panel.shape[1] and np.any(panel[:, r - lo] >= floor):
-        c, cells = 0, panel[:, r - lo]
-    else:
-        c, cells = -model.BLOCK_CELLS, panel[:0, 0]
-    while not np.any(cells >= floor):
-        c += model.BLOCK_CELLS
+    # the row's first cell at or above the floor lies at or before its peak:
+    # read the row again from span 0, in panels as long as the cap allows
+    for c in range(0, M - r, model.BLOCK_CELLS):
         cells = panels(r, r + 1, c, min(model.BLOCK_CELLS, M - r - c))[:, 0]
+        if np.any(cells >= floor):
+            break
     hit = int(np.argmax(cells >= floor))
     return TwoThresholdResult(s_wifi=r + 1, s_3g=r + c + hit + 1, reward=float(cells[hit]))
 

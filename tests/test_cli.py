@@ -74,6 +74,14 @@ class TestSolve:
         assert err == ("agectl: utility must be non-increasing: "
                        "u(2) = 1.0000000000000568 > u(1) = 1.0\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_non_finite_value_exits_2_naming_its_age(self, capsys):
+        # the message held the whole tuple of values: 2,544 bytes at M = 500
+        values = ",".join(["nan"] + ["1"] * 499)
+        code, out, err = run(capsys, "solve", "--M", "500", "--p", "0.5", "--utility", "tabular",
+                             "--values", values)
+        assert (code, out, err) == (2, "", "agectl: utility must be finite: u(1) = nan\n")
+
     def test_values_past_the_float_range_exit_3_at_the_first_span_not_finite(
             self, capsys, monkeypatch):
         # RVI's span turns nan at sweep 13; this stopped only after every one
@@ -440,6 +448,22 @@ class TestConfigOverlay:
         code, _, err = run(capsys, "solve", "--config", cfg)
         assert code == 2
         assert "M" in err
+
+    @pytest.mark.parametrize("flags, text, key", [
+        (("--M", "3", "--P3G", "abc"), None, "P3G"),
+        (("--M", "3", "--utility", "tabular", "--values", "1,x,0"), None, "utility.values"),
+        ((), "M = 3\nP3G = abc\n", "P3G"),
+        ((), "M = 3\nutility.form = tabular\nutility.values = 1,x,0\n", "utility.values"),
+        ((), "M = 12.5\n", "M"),
+        ((), "M = 3\nutility.form = step\nutility.v = 1\nutility.k = x\n", "utility.k"),
+    ], ids=["flag-P3G", "flag-values", "config-P3G", "config-values", "config-M", "config-k"])
+    def test_an_unparsable_value_names_its_key(self, capsys, tmp_path, flags, text, key):
+        # these printed only "could not convert string to float: 'abc'" or
+        # "invalid literal for int() with base 10: '12.5'"
+        config = () if text is None else ("--config", self.config(tmp_path, "bad.cfg", text))
+        code, out, err = run(capsys, "solve", "--p", "0.5", *flags, *config)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"agectl: parameter '{key}': ") and err.count("\n") == 1
 
     def test_simulate_defaults_p_under_a_config_without_it(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
