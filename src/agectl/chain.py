@@ -174,12 +174,12 @@ def two_threshold_reward_grid(params: SystemParams) -> np.ndarray:
     """Matrix R[s_wifi - 1, s_3g - 1] of two-threshold rewards; -inf off-domain.
 
     The dense M x M assembly of the panels of :class:`_Panels`, which
-    :func:`thresholds.optimal_two_thresholds` reads only up to the panel
-    that holds each row's peak, so every cell has the bits the search
-    reads.  For tests and callers that inspect the whole grid.  Row blocks
-    hold as many whole rows as ``model.BLOCK_CELLS`` allows, at least one,
-    each walked from span 0 in panels of at most ``model.BLOCK_CELLS``
-    cells: one panel a block unless a row alone is longer.
+    :func:`thresholds.optimal_two_thresholds` reads only a panel past each
+    row's peak, so every cell has the bits the search reads.  For tests and
+    callers that inspect the whole grid.  Row blocks hold as many whole rows
+    as ``model.BLOCK_CELLS`` allows, at least one, each walked from span 0 in
+    panels of at most ``model.BLOCK_CELLS`` cells: one panel a block unless a
+    row alone is longer.
     """
     if not params.has_3g:
         raise ValueError("two-threshold grid needs a finite 3G price")

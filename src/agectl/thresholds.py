@@ -14,8 +14,8 @@ from .model import SystemParams
 
 _INV_E = math.exp(-1.0)
 _LAMBERT_TOL, _LAMBERT_MAX_ITER = 1e-12, 100   # relative residual bound, Halley step cap
-#: spans per panel of the two-threshold search, at every max_age: a row stops
-#: in the panel that holds its peak, so a wider panel reads more cells past it
+#: spans per panel of the two-threshold search, at every max_age: a row reads
+#: up to a panel past its peak, so a wider panel reads more cells past it
 _PANEL_SPANS = 16
 
 
@@ -216,14 +216,13 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
 
     The grid is read in :class:`chain._Panels` panels of ``_PANEL_SPANS``
     spans over the rows still rising, folded into row maxima; memory stays
-    O(max_age) plus the fixed panel buffer.  A row reads on only while each
-    of its cells rose above the one before, so it retires in the panel that
-    holds its peak.  That is exact in real arithmetic for every valid input,
-    since :class:`model.UtilityFunction` admits no rise: with s_wifi fixed
-    the reward is a ratio over the span whose marginal, u(s_3g + 1) +
-    p·(P3G - P - G/p), then never increases, so the row is quasi-concave in
-    s_3g: once a cell fails to rise, no later cell rises.  The winning row is
-    read again from span 0 for its first cell at or above the floor.
+    O(max_age) plus the fixed panel buffer.  A row retires at its first panel
+    that brings no new strict maximum.  That is exact in real arithmetic for
+    every valid input, since :class:`model.UtilityFunction` admits no rise:
+    with s_wifi fixed the reward is a ratio over the span whose marginal,
+    u(s_3g + 1) + p·(P3G - P - G/p), then never increases, so once the ratio
+    stops rising it never rises again.  The winning row is read again from
+    span 0 for its first cell at or above the floor.
     """
     if not params.has_3g:
         raise ValueError("optimal_two_thresholds needs a finite 3G price")
@@ -247,15 +246,16 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     for r0 in range(0, M, rows):
         lo, hi, j0 = r0, min(r0 + rows, M), 0
         while lo < hi:
-            panel, tops = panels(lo, hi, j0, min(width, M - lo - j0)), row_top[lo:hi]
-            rising = np.flatnonzero((panel[0] > tops) & (panel[1:] > panel[:-1]).all(axis=0))
-            np.maximum(tops, panel.max(axis=0), out=tops)
+            panel = panels(lo, hi, j0, min(width, M - lo - j0))
+            peak, tops = panel.max(axis=0), row_top[lo:hi]
+            rising = np.flatnonzero(peak > tops)
+            np.maximum(tops, peak, out=tops)
             j0 += len(panel)
             if not rising.size:
                 break
-            # on to the rows whose every cell rose above the one before, and
-            # that have spans left; rows retired between them are read on,
-            # which only brings their maxima closer to the dense grid's
+            # on to the rows whose maximum this panel raised, and that have
+            # spans left; rows retired between them are read on, which only
+            # brings their maxima closer to the dense grid's
             lo, hi = lo + int(rising[0]), min(lo + int(rising[-1]) + 1, M - j0)
     top = max(float(row_top.max()), float(wifi_only.max()))
     if top <= tie:

@@ -3,8 +3,7 @@ the tests named with it must catch the break.
 
 Run from anywhere, with the test dependencies installed::
 
-    python tests/mutants.py            # every entry
-    python tests/mutants.py carry tie  # the named entries only
+    python tests/mutants.py
 
 For each entry the runner copies ``src/``, ``tests/``, ``README.md`` and
 ``pyproject.toml`` to a temporary directory, replaces the entry's source
@@ -46,10 +45,9 @@ class Mutant:
 
 
 MUTANTS = (
-    Mutant("retire-on-row-maximum", THRESHOLDS,
-           "rising = np.flatnonzero((panel[0] > tops) & (panel[1:] > panel[:-1]).all(axis=0))",
-           "rising = np.flatnonzero(panel.max(axis=0) > tops)",
-           (STREAM + "test_stops_rows_in_the_panel_holding_their_peaks",)),
+    Mutant("read-on-through-ties", THRESHOLDS,
+           "rising = np.flatnonzero(peak > tops)", "rising = np.flatnonzero(peak >= tops)",
+           (STREAM + "test_reads_rows_one_panel_past_their_peaks",)),
     Mutant("retire-after-first-panel", THRESHOLDS,
            "            if not rising.size:\n                break",
            "            break",
@@ -69,7 +67,7 @@ MUTANTS = (
     Mutant("comment-only", THRESHOLDS,
            "# only WiFi-only reaches the floor in row r",
            "# no grid cell reaches the floor in row r",
-           (STREAM + "test_stops_rows_in_the_panel_holding_their_peaks",
+           (STREAM + "test_reads_rows_one_panel_past_their_peaks",
             STREAM + "test_matches_dense_pick_at_block_edges",
             STREAM + "test_exact_tie_across_a_block_boundary"),
            survives=True),
@@ -108,14 +106,9 @@ def run(mutant: Mutant) -> int:
         return proc.returncode
 
 
-def main(names: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}")
-        return 2
+def main() -> int:
     status = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         start = time.perf_counter()
         code = run(mutant)
         seconds = time.perf_counter() - start
@@ -131,4 +124,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -424,31 +424,6 @@ class TestTwoThresholdStream:
         assert width < max(peaks)
         assert max(j0 for rows, j0, _ in read if rows > 1) <= (max(peaks) // width + 1) * width
 
-    @pytest.mark.parametrize("params", [
-        explicit_params(300, "tabular"),
-        SystemParams(contact_prob=0.5, max_age=120, utility=UtilityFunction.step(1.0, 30, 120),
-                     scan_cost=0.0, wifi_price=0.0, price_3g=2.0),
-    ], ids=["tabular", "flat-maxima"])
-    def test_stops_rows_in_the_panel_holding_their_peaks(self, params):
-        # a row reads on only while each cell rose above the one before, so
-        # no panel over more than one row starts past the panel that holds
-        # the rows' first maxima
-        M = params.max_age
-        grid = two_threshold_reward_grid(params)
-        peaks = [int(np.argmax(grid[r, r:])) for r in range(M)]
-        expected = dense_two_threshold_pick(params)
-        read = []
-        call = chain._Panels.__call__
-
-        def spy(panels, lo, hi, j0, width):
-            read.append((hi - lo, j0, width))
-            return call(panels, lo, hi, j0, width)
-
-        with mock.patch.object(chain._Panels, "__call__", spy):
-            assert_same_pick(optimal_two_thresholds(params), expected)
-        width = read[0][2]
-        assert max(j0 for rows, j0, _ in read if rows > 1) <= (max(peaks) // width) * width
-
     def test_a_slowly_falling_utility_never_climbs_back_past_the_tie(self):
         # a utility that rises by just under SLACK_TOL an age is rejected
         # where it is built; falling as slowly over 3000 ages, row 0 stalls
