@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import chain, learning, publisher, thresholds, tracesim
-from .model import SystemParams, params_from_mapping, read_mapping
+from .model import SystemParams, params_from_mapping, parse_param, read_mapping
 from .solver import DEFAULT_TOL, ConvergenceError, solve_user_problem, verify_threshold_structure
 
 USAGE_ERROR, INPUT_ERROR, NO_CONVERGENCE = 1, 2, 3
@@ -108,7 +108,7 @@ def build_params(args: argparse.Namespace, base: Mapping[str, str] | None = None
     if "M" not in mapping:
         raise ValueError("maximum age required (--M or config file)")
     if args.b is not None:
-        mapping["G"] = str(args.b * (int(mapping["M"]) - 1))
+        mapping["G"] = str(args.b * (parse_param("M", mapping["M"], int) - 1))
     if "p" not in mapping:
         raise ValueError("contact probability required (--p or config file)")
     return params_from_mapping(mapping)

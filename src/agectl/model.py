@@ -428,6 +428,15 @@ class Policy:
 # Keys: p, M, G, P, P3G, B, utility.form, utility.v, utility.k, utility.values.
 # "P3G = inf" marks 3G as unavailable.  Lines starting with '#' are comments.
 
+def parse_param(key: str, raw: str, parse):
+    """``parse(raw)``; a value that does not parse raises a ValueError that
+    names ``key``."""
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ValueError(f"parameter '{key}': {exc}") from None
+
+
 def params_from_mapping(mapping: Mapping[str, str]) -> SystemParams:
     data = {k.strip(): str(v).strip() for k, v in mapping.items()}
 
@@ -435,10 +444,7 @@ def params_from_mapping(mapping: Mapping[str, str]) -> SystemParams:
         raw = data.get(key, default)
         if raw is None:
             raise ValueError(f"missing required parameter '{key}'")
-        try:
-            return parse(raw)
-        except ValueError as exc:
-            raise ValueError(f"parameter '{key}': {exc}") from None
+        return parse_param(key, raw, parse)
 
     max_age = need("M", int)
     if max_age < 2:

@@ -3,9 +3,11 @@ iteration on the optimality conditions, greedy policy extraction, and
 threshold-structure verification.
 
 Both routes are independent of the closed-form chain analytics, and of each
-other past the vector Bellman operator of :func:`_action_terms` and
-:func:`_action_values`, which :func:`greedy_policy` reads too; agreement of
-the routes is a core correctness check.
+other past the action terms of :func:`_action_terms`, which
+:func:`greedy_policy` reads too; agreement of the routes is a core
+correctness check.  RVI and :func:`greedy_policy` complete the terms to
+action values through :func:`_action_values`, and policy iteration writes
+the same sums in place.
 
 * :func:`solve_user_problem`, the solver of record, runs policy iteration
   (Puterman, *Markov Decision Processes*, 1994, section 8.6).  Each policy is
@@ -26,6 +28,7 @@ certificate within ``tol``.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,10 +107,11 @@ def bellman_values(
     return f0, f1, f2
 
 
-def _action_terms(params: SystemParams, v0: float) -> list[np.ndarray]:
+def _action_terms(params: SystemParams, v0: float) -> np.ndarray:
     """The terms of the action values over all ages that do not read V(x+1),
-    for the value v₀ = V(1), in the float order of :func:`bellman_values`:
-    u, F1's base (u − G) + p·(v₀ − P + B), and with 3G
+    for the value v₀ = V(1), in the float order of :func:`bellman_values`, as
+    one (actions, M) array: row 0 is u, row 1 F1's base
+    (u − G) + p·(v₀ − P + B), and with 3G row 2 is
     F2 = ((((u − G) + v₀) − p·P) − (1−p)·P3G) + B.  F0 = u + V(x+1) and
     F1 = base + (1−p)·V(x+1) complete them (:func:`_action_values`)."""
     p, q = params.contact_prob, 1.0 - params.contact_prob
@@ -115,7 +119,7 @@ def _action_terms(params: SystemParams, v0: float) -> list[np.ndarray]:
     terms = [u, u - params.scan_cost + p * (v0 - params.wifi_price + params.bonus)]
     if params.has_3g:
         terms.append(u - params.scan_cost + v0 - p * params.wifi_price - q * params.price_3g + params.bonus)
-    return terms
+    return np.array(terms)
 
 
 def _check_limits(tol: float, max_iter: int) -> None:
@@ -146,33 +150,41 @@ def solve_user_problem(
     last of which changes nothing.
 
     The report holds the stable policy's values.  ``residual`` is their
-    sup-norm Bellman error, and the policy is the one :func:`greedy_policy`
+    sup-norm Bellman error, computed once, from the last step's action
+    values, after the loop; and the policy is the one :func:`greedy_policy`
     reads off them (the cheapest action within ``model.TIE_TOL`` of the
     best), put in threshold form by :func:`_threshold_form` should it not
     be.  A residual that is not within ``tol``, nan and inf included, raises
     :class:`ConvergenceError`, and so do ``max_iter`` steps that each change
     the policy.  The action terms are read once, through
-    :func:`_action_terms`, and numpy's floating-point warnings are off.
+    :func:`_action_terms`, and one block of action values serves the whole
+    solve: the 3G row is the terms' own, and each step writes F0 and F1 in
+    place from a buffer of V(x+1), in the float order of
+    :func:`_action_values`.  numpy's floating-point warnings are off.
     """
     _check_limits(tol, max_iter)
-    p = params.contact_prob
+    p, q = params.contact_prob, 1.0 - params.contact_prob
     ages = np.arange(params.max_age)
     codes = np.full(params.max_age, int(Action.WIFI))
     margin = min(model.TIE_TOL, tol / 2)
     with np.errstate(all="ignore"):   # values past the float range fail the residual test
         terms = _action_terms(params, 0.0)
+        fs = terms.copy()
+        vnext = np.empty(params.max_age)   # V(min(x+1, M))
         for step in range(1, max_iter + 1):
             values, gain = _evaluate(codes, terms, p)
-            fs = np.stack(_action_values(terms, 1.0 - p, values))
-            top = fs.max(axis=0)
-            residual = float(np.max(np.abs(top - values - gain)))
+            vnext[:-1] = values[1:]
+            vnext[-1] = values[-1]
+            np.add(terms[0], vnext, out=fs[0])
+            np.multiply(q, vnext, out=fs[1])
+            np.add(terms[1], fs[1], out=fs[1])
+            top = np.maximum.reduce(fs)
             switch = top > fs[codes, ages] + margin
             if not switch.any():
                 break
             codes = np.where(switch, fs.argmax(axis=0), codes)
-        else:
-            raise ConvergenceError(max_iter, residual)
-    if not residual <= tol:
+        residual = float(np.max(np.abs(top - values - gain)))
+    if switch.any() or not residual <= tol:
         raise ConvergenceError(step, residual)
     return SolveReport(
         value=ValueFunction(values=values, gain=gain),
@@ -182,12 +194,13 @@ def solve_user_problem(
     )
 
 
-def _evaluate(codes: np.ndarray, terms: list[np.ndarray], p: float) -> tuple[np.ndarray, float]:
+def _evaluate(codes: np.ndarray, terms: np.ndarray, p: float) -> tuple[np.ndarray, float]:
     """Relative values h over ages 1..M, with h(1) = 0, and the gain g of the
     policy with per-age action codes ``codes``, exact up to rounding, in O(M).
 
     ``terms[a]`` holds the one-slot rewards r(x) of action a, the terms of
-    :func:`_action_terms` at V(1) = 0.  Every age x moves to 1 or to
+    :func:`_action_terms` at V(1) = 0, and r is gathered from them in one
+    index.  Every age x moves to 1 or to
     min(x + 1, M), so h(x) = r(x) - g + b(x) h(x + 1) below M, with b(x) = 1,
     1 - p and 0 for actions 0, 1 and 2, and d h(M) = r(M) - g at M, with d =
     0, p and 1.  The one unknown is t = h(M): then g = r(M) - d t, and
@@ -206,27 +219,30 @@ def _evaluate(codes: np.ndarray, terms: list[np.ndarray], p: float) -> tuple[np.
     B(1) = d (1 + b(1) + b(1) b(2) + ...) + b(1) ... b(M - 1) is 0 only when
     M absorbs and age 1 never reaches it, a policy with two recurrent classes
     that the unichain equations do not value: h and g are then nan.
+
+    Both passes append to ``array('d')`` buffers, which numpy reads in place
+    for the final sum, so no list is converted.
     """
-    r = np.choose(codes, terms)
+    r = terms[codes, np.arange(len(codes))]
     stay = np.array((1.0, 1.0 - p, 0.0))[codes[-2::-1]].tolist()   # b(x), x = M - 1 down to 1
     d = (0.0, p, 1.0)[codes[-1]]
     A, B = 0.0, 1.0
-    slopes = [B]   # B(x), x = M down to 1
+    slopes = array("d", [B])   # B(x), x = M down to 1
     for c, b in zip((r[-2::-1] - r[-1]).tolist(), stay):
         A = c + b * A
         B = d + b * B
         slopes.append(B)
     if not B:
-        return np.full(len(r), math.nan), math.nan
+        return np.full(len(codes), math.nan), math.nan
     t = -A / B
     gain = float(r[-1]) - d * t
     v = t
-    h = [v]   # h(x), x = M down to 1
+    h = array("d", [v])   # h(x), x = M down to 1
     for c, b in zip((r[-2::-1] - gain).tolist(), stay):
         v = c + b * v
         h.append(v)
     dt = -v / B
-    values = np.array(h[::-1]) + np.array(slopes[::-1]) * dt
+    values = np.frombuffer(h)[::-1] + np.frombuffer(slopes)[::-1] * dt
     values[0] = 0.0
     return values, gain - d * dt
 
@@ -302,7 +318,7 @@ def greedy_policy(value: ValueFunction, params: SystemParams) -> Policy:
     return Policy(actions=tuple(codes.tolist()))
 
 
-def _action_values(terms: list[np.ndarray], q: float, v: np.ndarray) -> list[np.ndarray]:
+def _action_values(terms: np.ndarray, q: float, v: np.ndarray) -> list[np.ndarray]:
     """F0 = u + V(x+1), F1 = base + (1−p)·V(x+1) and F2, without 3G only the
     first two, over all ages, from the terms of :func:`_action_terms`."""
     vnext = np.append(v[1:], v[-1])  # V(min(x+1, M))

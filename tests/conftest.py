@@ -4,8 +4,8 @@ mean age and update rates of any policy, by flow balance over the transition
 law in ``Fraction`` arithmetic) with the rounding bound ``reward_bound`` that
 float routes are held to against it, independent step-by-step replay oracles
 built directly on the one-slot primitives (per slot rewards, and per slot
-utility, scan cost and fee for exact totals), and a per-age relative value
-iteration oracle built on ``bellman_values``."""
+utility, scan cost and fee for exact totals), and per-age relative value
+iteration and policy iteration oracles built on ``bellman_values``."""
 from __future__ import annotations
 
 import math
@@ -25,6 +25,7 @@ from agectl import (
     instantaneous_reward,
     next_age,
 )
+from agectl import solver
 from agectl.model import TIE_TOL
 
 # Tier-1 runs the same Hypothesis examples every time, with a deadline loose
@@ -326,7 +327,7 @@ def threshold_action(s: int, s_3g: int | None = None):
 
 
 @dataclass(frozen=True)
-class RviResult:
+class ReferenceSolve:
     values: np.ndarray      # relative values over ages 1..M, V(1) = 0
     gain: float
     iterations: int
@@ -335,7 +336,7 @@ class RviResult:
     converged: bool
 
 
-def reference_rvi(params: SystemParams, tol: float, max_iter: int) -> RviResult:
+def reference_rvi(params: SystemParams, tol: float, max_iter: int) -> ReferenceSolve:
     """Relative value iteration one age at a time through the public
     ``bellman_values``: damped half-steps, the value at age 1 pinned to zero,
     and a stop once the span of the Bellman differences drops to ``tol``.
@@ -358,8 +359,60 @@ def reference_rvi(params: SystemParams, tol: float, max_iter: int) -> RviResult:
                 fs = [f for f in bellman_values(x, final, params) if f is not None]
                 best = max(fs)
                 actions.append(next(Action(a) for a, f in enumerate(fs) if f >= best - TIE_TOL))
-            return RviResult(values, gain, iteration, max(abs(d - gain) for d in delta),
+            return ReferenceSolve(values, gain, iteration, max(abs(d - gain) for d in delta),
                              tuple(actions), True)
         stepped = [float(vx) + 0.5 * d for vx, d in zip(v, delta)]
         v = np.array([vx - stepped[0] for vx in stepped])
-    return RviResult(v, float("nan"), max_iter, span, (), False)
+    return ReferenceSolve(v, float("nan"), max_iter, span, (), False)
+
+
+def _top(fs: list[float]) -> float:
+    """The largest of ``fs``, or nan when any is nan, as ``np.maximum`` gives."""
+    return math.nan if any(math.isnan(f) for f in fs) else max(fs)
+
+
+def _threshold_form(actions: list[int]) -> tuple[Action, ...]:
+    """The paper's construction: set the action at the lowest age whose action
+    exceeds the next age's to inactive, and repeat until no age's does."""
+    actions = list(actions)
+    while True:
+        inverted = [x for x in range(len(actions) - 1) if actions[x] > actions[x + 1]]
+        if not inverted:
+            return tuple(Action(a) for a in actions)
+        actions[inverted[0]] = int(Action.INACTIVE)
+
+
+def reference_policy_iteration(params: SystemParams, tol: float, max_iter: int) -> ReferenceSolve:
+    """Howard's policy iteration from all-WiFi, one age at a time: each
+    policy is valued by ``solver._evaluate``, and each age switches to its
+    first best action through the public ``bellman_values`` only when that
+    beats its current action by more than ``min(TIE_TOL, tol / 2)``, so a tie
+    keeps the current action.  A step that switches no age stops; the
+    residual is that step's sup-norm Bellman error, and the policy takes the
+    cheapest action within ``TIE_TOL`` of the best, in threshold form.  Not
+    converged when the stop's residual exceeds ``tol`` or ``max_iter`` steps
+    each switch some age; the residual is then the last step's."""
+    M = params.max_age
+    margin = min(TIE_TOL, tol / 2)
+    codes = [int(Action.WIFI)] * M
+    with np.errstate(all="ignore"):
+        terms = solver._action_terms(params, 0.0)
+        for step in range(1, max_iter + 1):
+            values, gain = solver._evaluate(np.array(codes), terms, params.contact_prob)
+            value = ValueFunction(values=values, gain=gain)
+            table = [[f for f in bellman_values(x, value, params) if f is not None]
+                     for x in range(1, M + 1)]
+            tops = [_top(fs) for fs in table]
+            residual = _top([abs(top - float(v) - gain) for top, v in zip(tops, values)])
+            switched = False
+            for x, (fs, top) in enumerate(zip(table, tops)):
+                if top > fs[codes[x]] + margin:
+                    codes[x] = fs.index(top)
+                    switched = True
+            if not switched:
+                break
+    if switched or not residual <= tol:
+        return ReferenceSolve(values, gain, step, residual, (), False)
+    cheapest = [next(a for a, f in enumerate(fs) if f >= top - TIE_TOL)
+                for fs, top in zip(table, tops)]
+    return ReferenceSolve(values, gain, step, residual, _threshold_form(cheapest), True)

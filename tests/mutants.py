@@ -31,7 +31,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
 THRESHOLDS = "src/agectl/thresholds.py"
+SOLVER = "src/agectl/solver.py"
 STREAM = "tests/test_thresholds.py::TestTwoThresholdStream::"
+PI = "tests/test_solver.py::TestPolicyIteration::"
+RVI = "tests/test_solver.py::TestAgainstReferenceIteration::"
 
 
 @dataclass(frozen=True)
@@ -64,12 +67,42 @@ MUTANTS = (
            ("tests/test_model.py::TestToleranceHome"
             "::test_utility_rise_rejected_at_any_slack_and_bonus_cap_slack",
             "tests/test_cli.py::TestSolve::test_a_rise_under_the_slack_exits_2_naming_both_ages")),
+    Mutant("no-keep-on-tie", SOLVER,
+           "switch = top > fs[codes, ages] + margin", "switch = top > fs[codes, ages]",
+           (PI + "test_steps_equal_reference_exactly",)),
+    Mutant("all-3g-start", SOLVER,
+           "codes = np.full(params.max_age, int(Action.WIFI))",
+           "codes = np.full(params.max_age, int(Action.WIFI_THEN_3G))",
+           (PI + "test_steps_equal_reference_exactly", PI + "test_step_counts")),
+    # b(x) read one age off, in each back-substitution pass; the first pass's
+    # rewards only set the Newton step's start, so a shift there is
+    # invisible up to rounding
+    Mutant("slope-pass-off-by-one", SOLVER,
+           "for c, b in zip((r[-2::-1] - r[-1]).tolist(), stay):",
+           "for c, b in zip((r[-2::-1] - r[-1]).tolist(), stay[1:] + stay[-1:]):",
+           (PI + "test_evaluation_is_the_exact_gain_of_any_policy",)),
+    Mutant("value-pass-off-by-one", SOLVER,
+           "for c, b in zip((r[-2::-1] - gain).tolist(), stay):",
+           "for c, b in zip((r[-2::-1] - gain).tolist(), stay[1:] + stay[-1:]):",
+           (PI + "test_evaluation_is_the_exact_gain_of_any_policy",)),
+    Mutant("rvi-damping", SOLVER,
+           "v = v + 0.5 * delta", "v = v + 0.25 * delta",
+           (RVI + "test_sweep_equals_reference_exactly",
+            RVI + "test_non_convergence_equals_reference")),
+    Mutant("rvi-no-gauge", SOLVER,
+           "            v = v - v[0]\n", "",
+           (RVI + "test_sweep_equals_reference_exactly",
+            RVI + "test_non_convergence_equals_reference")),
     Mutant("comment-only", THRESHOLDS,
            "# only WiFi-only reaches the floor in row r",
            "# no grid cell reaches the floor in row r",
            (STREAM + "test_reads_rows_one_panel_past_their_peaks",
             STREAM + "test_matches_dense_pick_at_block_edges",
-            STREAM + "test_exact_tie_across_a_block_boundary"),
+            STREAM + "test_exact_tie_across_a_block_boundary",
+            PI + "test_steps_equal_reference_exactly", PI + "test_step_counts",
+            PI + "test_evaluation_is_the_exact_gain_of_any_policy",
+            RVI + "test_sweep_equals_reference_exactly",
+            RVI + "test_non_convergence_equals_reference"),
            survives=True),
 )
 

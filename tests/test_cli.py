@@ -456,10 +456,13 @@ class TestConfigOverlay:
         ((), "M = 3\nutility.form = tabular\nutility.values = 1,x,0\n", "utility.values"),
         ((), "M = 12.5\n", "M"),
         ((), "M = 3\nutility.form = step\nutility.v = 1\nutility.k = x\n", "utility.k"),
-    ], ids=["flag-P3G", "flag-values", "config-P3G", "config-values", "config-M", "config-k"])
+        (("--b", "0.5"), "M = 12.5\n", "M"),
+    ], ids=["flag-P3G", "flag-values", "config-P3G", "config-values", "config-M", "config-k",
+            "config-M-under-b"])
     def test_an_unparsable_value_names_its_key(self, capsys, tmp_path, flags, text, key):
         # these printed only "could not convert string to float: 'abc'" or
-        # "invalid literal for int() with base 10: '12.5'"
+        # "invalid literal for int() with base 10: '12.5'"; under --b, M is
+        # read before the rest of the mapping
         config = () if text is None else ("--config", self.config(tmp_path, "bad.cfg", text))
         code, out, err = run(capsys, "solve", "--p", "0.5", *flags, *config)
         assert (code, out) == (2, "")

@@ -40,6 +40,7 @@ from conftest import (
     random_3g_params,
     random_wifi_params,
     reference_exact,
+    reference_policy_iteration,
     reference_rvi,
     reward_bound,
     system_params,
@@ -328,6 +329,11 @@ class TestRouteAgreement:
             assert_gain_exact(report, params)
 
 
+def same_float(a, b):
+    """Equal with the same sign, or both nan."""
+    return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
 def action_string(policy):
     return "".join(str(int(a)) for a in policy.actions)
 
@@ -370,6 +376,31 @@ class TestPolicyIteration:
         curve = threshold_reward_curve(params)
         assert curve[s - 1] >= curve.max() - model.TIE_TOL
         assert best.s_star in np.flatnonzero(curve >= curve.max() - model.TIE_TOL) + 1
+
+    @given(st.one_of(system_params(), tie_heavy_params()))
+    @example(linear_params(max_age=2, p=0.5, scan_cost=0.3, wifi_price=1.0, bonus=0.4))
+    @example(linear_params(max_age=2, p=0.5, scan_cost=0.3, wifi_price=1.0, price_3g=1.2))
+    @example(linear_params(p=0.001, scan_cost=0.02, wifi_price=2.0, bonus=1.0))
+    @example(linear_params(p=0.999, scan_cost=5.0, wifi_price=1.0, price_3g=9.0, bonus=0.5))
+    @example(SystemParams(contact_prob=0.25, max_age=6, utility=UtilityFunction.step(2.0, 3, 6),
+                          scan_cost=1.0, wifi_price=2.0, price_3g=4.0, bonus=1.0))
+    def test_steps_equal_reference_exactly(self, params):
+        # every step, the stop and the max_iter limit: the values, gain,
+        # count, residual and policy of the vector steps are the per-age ones
+        for max_iter in (DEFAULT_MAX_ITER, 1, 2, 3):
+            ref = reference_policy_iteration(params, DEFAULT_TOL, max_iter)
+            if not ref.converged:
+                with pytest.raises(ConvergenceError) as err:
+                    solve_user_problem(params, max_iter=max_iter)
+                assert err.value.iterations == ref.iterations
+                assert same_float(err.value.residual, ref.residual)
+                continue
+            report = solve_user_problem(params, max_iter=max_iter)
+            assert report.value.values.tobytes() == ref.values.tobytes()
+            assert same_float(report.value.gain, ref.gain)
+            assert report.iterations == ref.iterations
+            assert report.residual == ref.residual
+            assert report.policy.actions == ref.actions
 
     def test_step_counts(self):
         # all-WiFi is optimal at G = 0.99: one improvement step, which changes nothing

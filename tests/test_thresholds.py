@@ -349,7 +349,7 @@ class TestTwoThresholdStream:
     @settings(max_examples=150)   # the third on one-ulp utilities comes on top
     @given(st.one_of(st.tuples(system_params(with_3g=True), st.integers(1, 80)),
                      st.tuples(tie_heavy_params(), st.integers(1, 80)),
-                     # panels of 16 spans or more, as the search reads max_age > 64
+                     # panels of 16 spans or more, as the search reads at every M
                      st.tuples(ulp_step_params(), st.integers(16, 80))),
            st.sampled_from((model.TIE_TOL, 1e-3, 0.1, 1.0)))
     def test_matches_dense_pick(self, case, tie):
