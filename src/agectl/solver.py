@@ -28,7 +28,6 @@ certificate within ``tol``.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,8 +199,8 @@ def _evaluate(codes: np.ndarray, terms: np.ndarray, p: float) -> tuple[np.ndarra
 
     ``terms[a]`` holds the one-slot rewards r(x) of action a, the terms of
     :func:`_action_terms` at V(1) = 0, and r is gathered from them in one
-    index.  Every age x moves to 1 or to
-    min(x + 1, M), so h(x) = r(x) - g + b(x) h(x + 1) below M, with b(x) = 1,
+    index.  Every age x moves to 1 or to min(x + 1, M), so
+    h(x) = r(x) - g + b(x) h(x + 1) below M, with b(x) = 1,
     1 - p and 0 for actions 0, 1 and 2, and d h(M) = r(M) - g at M, with d =
     0, p and 1.  The one unknown is t = h(M): then g = r(M) - d t, and
     h(x) = (r(x) - r(M)) + d t + b(x) h(x + 1) is affine in t, A(x) + B(x) t,
@@ -220,14 +219,14 @@ def _evaluate(codes: np.ndarray, terms: np.ndarray, p: float) -> tuple[np.ndarra
     M absorbs and age 1 never reaches it, a policy with two recurrent classes
     that the unichain equations do not value: h and g are then nan.
 
-    Both passes append to ``array('d')`` buffers, which numpy reads in place
-    for the final sum, so no list is converted.
+    Each pass's list is converted once, in the order it was built, and read
+    backwards as a view.
     """
     r = terms[codes, np.arange(len(codes))]
     stay = np.array((1.0, 1.0 - p, 0.0))[codes[-2::-1]].tolist()   # b(x), x = M - 1 down to 1
     d = (0.0, p, 1.0)[codes[-1]]
     A, B = 0.0, 1.0
-    slopes = array("d", [B])   # B(x), x = M down to 1
+    slopes = [B]   # B(x), x = M down to 1
     for c, b in zip((r[-2::-1] - r[-1]).tolist(), stay):
         A = c + b * A
         B = d + b * B
@@ -237,12 +236,12 @@ def _evaluate(codes: np.ndarray, terms: np.ndarray, p: float) -> tuple[np.ndarra
     t = -A / B
     gain = float(r[-1]) - d * t
     v = t
-    h = array("d", [v])   # h(x), x = M down to 1
+    h = [v]   # h(x), x = M down to 1
     for c, b in zip((r[-2::-1] - gain).tolist(), stay):
         v = c + b * v
         h.append(v)
     dt = -v / B
-    values = np.frombuffer(h)[::-1] + np.frombuffer(slopes)[::-1] * dt
+    values = np.array(h)[::-1] + np.array(slopes)[::-1] * dt
     values[0] = 0.0
     return values, gain - d * dt
 

@@ -360,7 +360,7 @@ def reference_rvi(params: SystemParams, tol: float, max_iter: int) -> ReferenceS
                 best = max(fs)
                 actions.append(next(Action(a) for a, f in enumerate(fs) if f >= best - TIE_TOL))
             return ReferenceSolve(values, gain, iteration, max(abs(d - gain) for d in delta),
-                             tuple(actions), True)
+                                  tuple(actions), True)
         stepped = [float(vx) + 0.5 * d for vx, d in zip(v, delta)]
         v = np.array([vx - stepped[0] for vx in stepped])
     return ReferenceSolve(v, float("nan"), max_iter, span, (), False)
