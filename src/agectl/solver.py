@@ -159,7 +159,9 @@ def solve_user_problem(
     :func:`_action_terms`, and one block of action values serves the whole
     solve: the 3G row is the terms' own, and each step writes F0 and F1 in
     place from a buffer of V(x+1), in the float order of
-    :func:`_action_values`.  numpy's floating-point warnings are off.
+    :func:`_action_values`.  Each evaluation resumes the last one's first
+    pass below the highest age whose action changed, unless the action at M
+    did.  numpy's floating-point warnings are off.
     """
     _check_limits(tol, max_iter)
     p, q = params.contact_prob, 1.0 - params.contact_prob
@@ -170,8 +172,9 @@ def solve_user_problem(
         terms = _action_terms(params, 0.0)
         fs = terms.copy()
         vnext = np.empty(params.max_age)   # V(min(x+1, M))
+        memo = {}
         for step in range(1, max_iter + 1):
-            values, gain = _evaluate(codes, terms, p)
+            values, gain = _evaluate(codes, terms, p, memo)
             vnext[:-1] = values[1:]
             vnext[-1] = values[-1]
             np.add(terms[0], vnext, out=fs[0])
@@ -193,7 +196,9 @@ def solve_user_problem(
     )
 
 
-def _evaluate(codes: np.ndarray, terms: np.ndarray, p: float) -> tuple[np.ndarray, float]:
+def _evaluate(
+    codes: np.ndarray, terms: np.ndarray, p: float, memo: dict | None = None
+) -> tuple[np.ndarray, float]:
     """Relative values h over ages 1..M, with h(1) = 0, and the gain g of the
     policy with per-age action codes ``codes``, exact up to rounding, in O(M).
 
@@ -221,18 +226,34 @@ def _evaluate(codes: np.ndarray, terms: np.ndarray, p: float) -> tuple[np.ndarra
 
     Each pass's list is converted once, in the order it was built, and read
     backwards as a view.
+
+    A(x) and B(x) read only the actions at x and above and at M.  So
+    ``memo``, filled by the last call, keeps its codes and first pass, and a
+    call whose codes agree with them at M and above some age k resumes that
+    pass below k, with the same floats as a pass from M.
     """
-    r = terms[codes, np.arange(len(codes))]
+    M = len(codes)
+    r = terms[codes, np.arange(M)]
     stay = np.array((1.0, 1.0 - p, 0.0))[codes[-2::-1]].tolist()   # b(x), x = M - 1 down to 1
     d = (0.0, p, 1.0)[codes[-1]]
-    A, B = 0.0, 1.0
-    slopes = [B]   # B(x), x = M down to 1
-    for c, b in zip((r[-2::-1] - r[-1]).tolist(), stay):
+    offsets, slopes, start = [0.0], [1.0], 0   # A(x) and B(x), x = M down
+    if memo:
+        changed = np.flatnonzero(memo["codes"] != codes)
+        last = int(changed[-1]) if changed.size else -1
+        if last < M - 1:
+            start = M - 2 - last
+            offsets, slopes = memo["A"], memo["B"]
+            del offsets[start + 1:], slopes[start + 1:]
+    A, B = offsets[-1], slopes[-1]
+    for c, b in zip((r[-2 - start::-1] - r[-1]).tolist(), stay[start:]):
         A = c + b * A
         B = d + b * B
+        offsets.append(A)
         slopes.append(B)
+    if memo is not None:
+        memo.update(codes=codes, A=offsets, B=slopes)
     if not B:
-        return np.full(len(codes), math.nan), math.nan
+        return np.full(M, math.nan), math.nan
     t = -A / B
     gain = float(r[-1]) - d * t
     v = t

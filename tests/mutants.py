@@ -78,13 +78,17 @@ MUTANTS = (
     # rewards only set the Newton step's start, so a shift there is
     # invisible up to rounding
     Mutant("slope-pass-off-by-one", SOLVER,
-           "for c, b in zip((r[-2::-1] - r[-1]).tolist(), stay):",
-           "for c, b in zip((r[-2::-1] - r[-1]).tolist(), stay[1:] + stay[-1:]):",
+           "for c, b in zip((r[-2 - start::-1] - r[-1]).tolist(), stay[start:]):",
+           "for c, b in zip((r[-2 - start::-1] - r[-1]).tolist(), (stay[1:] + stay[-1:])[start:]):",
            (PI + "test_evaluation_is_the_exact_gain_of_any_policy",)),
     Mutant("value-pass-off-by-one", SOLVER,
            "for c, b in zip((r[-2::-1] - gain).tolist(), stay):",
            "for c, b in zip((r[-2::-1] - gain).tolist(), stay[1:] + stay[-1:]):",
            (PI + "test_evaluation_is_the_exact_gain_of_any_policy",)),
+    # the first pass resumed one age too low, past the highest changed action
+    Mutant("resume-off-by-one", SOLVER,
+           "start = M - 2 - last", "start = M - 1 - last",
+           (PI + "test_steps_equal_reference_exactly",)),
     Mutant("rvi-damping", SOLVER,
            "v = v + 0.5 * delta", "v = v + 0.25 * delta",
            (RVI + "test_sweep_equals_reference_exactly",
