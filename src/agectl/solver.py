@@ -238,8 +238,7 @@ def _evaluate(
     d = (0.0, p, 1.0)[codes[-1]]
     offsets, slopes, start = [0.0], [1.0], 0   # A(x) and B(x), x = M down
     if memo:
-        changed = np.flatnonzero(memo["codes"] != codes)
-        last = int(changed[-1]) if changed.size else -1
+        last = int(np.flatnonzero(memo["codes"] != codes)[-1])   # index of the highest changed age
         if last < M - 1:
             start = M - 2 - last
             offsets, slopes = memo["A"], memo["B"]
