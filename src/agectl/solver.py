@@ -5,9 +5,8 @@ threshold-structure verification.
 Both routes are independent of the closed-form chain analytics, and of each
 other past the action terms of :func:`_action_terms`, which
 :func:`greedy_policy` reads too; agreement of the routes is a core
-correctness check.  RVI and :func:`greedy_policy` complete the terms to
-action values through :func:`_action_values`, and policy iteration writes
-the same sums in place.
+correctness check.  All three complete the terms to action values
+through :func:`_action_values`.
 
 * :func:`solve_user_problem`, the solver of record, runs policy iteration
   (Puterman, *Markov Decision Processes*, 1994, section 8.6).  Each policy is
@@ -158,35 +157,34 @@ def solve_user_problem(
     the policy.  The action terms are read once, through
     :func:`_action_terms`, and one block of action values serves the whole
     solve: the 3G row is the terms' own, and each step writes F0 and F1 in
-    place from a buffer of V(x+1), in the float order of
-    :func:`_action_values`.  Each evaluation resumes the last one's first
-    pass below the highest age whose action changed, unless the action at M
-    did.  numpy's floating-point warnings are off.
+    place through :func:`_action_values`.  Each evaluation resumes the last
+    one's first pass below the highest age whose action changed, unless the
+    action at M did.  numpy's floating-point warnings are off.
     """
     _check_limits(tol, max_iter)
-    p, q = params.contact_prob, 1.0 - params.contact_prob
-    ages = np.arange(params.max_age)
-    codes = np.full(params.max_age, int(Action.WIFI))
+    M, p, q = params.max_age, params.contact_prob, 1.0 - params.contact_prob
+    ages = np.arange(M)
+    codes = np.full(M, int(Action.WIFI))
     margin = min(model.TIE_TOL, tol / 2)
     with np.errstate(all="ignore"):   # values past the float range fail the residual test
         terms = _action_terms(params, 0.0)
         fs = terms.copy()
-        vnext = np.empty(params.max_age)   # V(min(x+1, M))
-        memo = {}
+        first_pass = ([0.0], [1.0])   # A(x) and B(x) of _evaluate, x = M down
         for step in range(1, max_iter + 1):
-            values, gain = _evaluate(codes, terms, p, memo)
-            vnext[:-1] = values[1:]
-            vnext[-1] = values[-1]
-            np.add(terms[0], vnext, out=fs[0])
-            np.multiply(q, vnext, out=fs[1])
-            np.add(terms[1], fs[1], out=fs[1])
-            top = np.maximum.reduce(fs)
+            values, gain = _evaluate(codes, terms, p, first_pass)
+            top = np.maximum.reduce(_action_values(terms, q, values, fs))
             switch = top > fs[codes, ages] + margin
-            if not switch.any():
+            changed = np.flatnonzero(switch)
+            if not changed.size:
                 break
             codes = np.where(switch, fs.argmax(axis=0), codes)
+            # A(x) and B(x) read the actions at x and above and at M; A(M) and
+            # B(M) read none
+            keep = max(M - 1 - int(changed[-1]), 1)
+            for first in first_pass:
+                del first[keep:]
         residual = float(np.max(np.abs(top - values - gain)))
-    if switch.any() or not residual <= tol:
+    if changed.size or not residual <= tol:
         raise ConvergenceError(step, residual)
     return SolveReport(
         value=ValueFunction(values=values, gain=gain),
@@ -197,7 +195,10 @@ def solve_user_problem(
 
 
 def _evaluate(
-    codes: np.ndarray, terms: np.ndarray, p: float, memo: dict | None = None
+    codes: np.ndarray,
+    terms: np.ndarray,
+    p: float,
+    first_pass: tuple[list[float], list[float]] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Relative values h over ages 1..M, with h(1) = 0, and the gain g of the
     policy with per-age action codes ``codes``, exact up to rounding, in O(M).
@@ -227,30 +228,24 @@ def _evaluate(
     Each pass's list is converted once, in the order it was built, and read
     backwards as a view.
 
-    A(x) and B(x) read only the actions at x and above and at M.  So
-    ``memo``, filled by the last call, keeps its codes and first pass, and a
-    call whose codes agree with them at M and above some age k resumes that
-    pass below k, with the same floats as a pass from M.
+    A(x) and B(x) read only the actions at x and above and at M.  So a
+    caller may pass ``first_pass``, the lists of A(x) and B(x) from x = M
+    down to some age, both valid for ``codes``; the pass resumes below their
+    last entries, with the same floats as a pass from M, and extends them
+    to age 1.  Without it the pass starts from A(M) = 0 and B(M) = 1.
     """
     M = len(codes)
     r = terms[codes, np.arange(M)]
     stay = np.array((1.0, 1.0 - p, 0.0))[codes[-2::-1]].tolist()   # b(x), x = M - 1 down to 1
     d = (0.0, p, 1.0)[codes[-1]]
-    offsets, slopes, start = [0.0], [1.0], 0   # A(x) and B(x), x = M down
-    if memo:
-        last = int(np.flatnonzero(memo["codes"] != codes)[-1])   # index of the highest changed age
-        if last < M - 1:
-            start = M - 2 - last
-            offsets, slopes = memo["A"], memo["B"]
-            del offsets[start + 1:], slopes[start + 1:]
+    offsets, slopes = first_pass or ([0.0], [1.0])
+    start = len(offsets) - 1
     A, B = offsets[-1], slopes[-1]
     for c, b in zip((r[-2 - start::-1] - r[-1]).tolist(), stay[start:]):
         A = c + b * A
         B = d + b * B
         offsets.append(A)
         slopes.append(B)
-    if memo is not None:
-        memo.update(codes=codes, A=offsets, B=slopes)
     if not B:
         return np.full(M, math.nan), math.nan
     t = -A / B
@@ -304,8 +299,9 @@ def relative_value_iteration(
     v = np.zeros(params.max_age)
     with np.errstate(all="ignore"):   # values past the float range stop the loop below
         terms = _action_terms(params, 0.0)
+        fs = terms.copy()
         for sweep in range(1, max_iter + 1):
-            delta = np.maximum.reduce(_action_values(terms, q, v)) - v
+            delta = np.maximum.reduce(_action_values(terms, q, v, fs)) - v
             hi, lo = float(delta.max()), float(delta.min())
             span = hi - lo
             if span <= tol:
@@ -333,15 +329,22 @@ def greedy_policy(value: ValueFunction, params: SystemParams) -> Policy:
     v = np.asarray(value.values)
     with np.errstate(all="ignore"):
         terms = _action_terms(params, v[0])
-        codes = _tie_rule(_action_values(terms, 1.0 - params.contact_prob, v))
+        codes = _tie_rule(_action_values(terms, 1.0 - params.contact_prob, v, terms.copy()))
     return Policy(actions=tuple(codes.tolist()))
 
 
-def _action_values(terms: np.ndarray, q: float, v: np.ndarray) -> list[np.ndarray]:
-    """F0 = u + V(x+1), F1 = base + (1−p)·V(x+1) and F2, without 3G only the
-    first two, over all ages, from the terms of :func:`_action_terms`."""
-    vnext = np.append(v[1:], v[-1])  # V(min(x+1, M))
-    return [terms[0] + vnext, terms[1] + q * vnext, *terms[2:]]
+def _action_values(terms: np.ndarray, q: float, v: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """The action values F0 = u + V(x+1), F1 = base + (1−p)·V(x+1) and F2,
+    without 3G only the first two, over all ages, from the terms of
+    :func:`_action_terms`, written in place into ``fs``, a block shaped as
+    the terms whose 3G row already holds theirs; returns ``fs``."""
+    vnext = fs[0]   # holds V(min(x+1, M)) until F0 is written over it
+    vnext[:-1] = v[1:]
+    vnext[-1] = v[-1]
+    np.multiply(q, vnext, out=fs[1])
+    np.add(terms[1], fs[1], out=fs[1])
+    np.add(terms[0], vnext, out=fs[0])
+    return fs
 
 
 def _tie_rule(fs) -> np.ndarray:

@@ -71,8 +71,8 @@ MUTANTS = (
            "switch = top > fs[codes, ages] + margin", "switch = top > fs[codes, ages]",
            (PI + "test_steps_equal_reference_exactly",)),
     Mutant("all-3g-start", SOLVER,
-           "codes = np.full(params.max_age, int(Action.WIFI))",
-           "codes = np.full(params.max_age, int(Action.WIFI_THEN_3G))",
+           "codes = np.full(M, int(Action.WIFI))",
+           "codes = np.full(M, int(Action.WIFI_THEN_3G))",
            (PI + "test_steps_equal_reference_exactly", PI + "test_step_counts")),
     # b(x) read one age off, in each back-substitution pass; the first pass's
     # rewards only set the Newton step's start, so a shift there is
@@ -87,8 +87,18 @@ MUTANTS = (
            (PI + "test_evaluation_is_the_exact_gain_of_any_policy",)),
     # the first pass resumed one age too low, past the highest changed action
     Mutant("resume-off-by-one", SOLVER,
-           "start = M - 2 - last", "start = M - 1 - last",
+           "keep = max(M - 1 - int(changed[-1]), 1)", "keep = max(M - int(changed[-1]), 1)",
            (PI + "test_steps_equal_reference_exactly",)),
+    # F0 written over the V(x+1) row before F1 reads it
+    Mutant("action-values-order", SOLVER,
+           "    np.multiply(q, vnext, out=fs[1])\n"
+           "    np.add(terms[1], fs[1], out=fs[1])\n"
+           "    np.add(terms[0], vnext, out=fs[0])\n",
+           "    np.add(terms[0], vnext, out=fs[0])\n"
+           "    np.multiply(q, vnext, out=fs[1])\n"
+           "    np.add(terms[1], fs[1], out=fs[1])\n",
+           (PI + "test_steps_equal_reference_exactly",
+            RVI + "test_sweep_equals_reference_exactly")),
     Mutant("rvi-damping", SOLVER,
            "v = v + 0.5 * delta", "v = v + 0.25 * delta",
            (RVI + "test_sweep_equals_reference_exactly",
