@@ -97,8 +97,8 @@ MUTANTS = (
            "    np.add(terms[0], vnext, out=fs[0])\n"
            "    np.multiply(q, vnext, out=fs[1])\n"
            "    np.add(terms[1], fs[1], out=fs[1])\n",
-           (PI + "test_steps_equal_reference_exactly",
-            RVI + "test_sweep_equals_reference_exactly")),
+           (RVI + "test_sweep_equals_reference_exactly",
+            PI + "test_steps_equal_reference_exactly")),
     Mutant("rvi-damping", SOLVER,
            "v = v + 0.5 * delta", "v = v + 0.25 * delta",
            (RVI + "test_sweep_equals_reference_exactly",
