@@ -141,14 +141,11 @@ def reward_curve_3g_only(params: SystemParams) -> np.ndarray:
     """Rewards of the 3G-only policy for every s_3g in [1, max_age]; index
     s_3g - 1 holds threshold s_3g.  The policy is the two-threshold pair
     (s_3g, s_3g), so the curve is the span-0 column of the two-threshold grid:
-    one one-span panel over every row of :class:`_Panels`."""
+    one one-span panel of :class:`_Panels` over every row, copied out of the
+    panel buffer."""
     if not params.has_3g:
         raise ValueError("3G-only policy needs a finite 3G price")
-    M, panels, rows = params.max_age, _Panels(params), model.BLOCK_CELLS
-    curve = np.empty(M)
-    for r0 in range(0, M, rows):   # each panel overwrites the one before
-        curve[r0 : r0 + rows] = panels(r0, min(r0 + rows, M), 0, 1)[0]
-    return curve
+    return _Panels(params)(0, params.max_age, 0, 1)[0].copy()
 
 
 def expected_reward_two_threshold(params: SystemParams, s_wifi: int, s_3g: int) -> float:
@@ -156,18 +153,16 @@ def expected_reward_two_threshold(params: SystemParams, s_wifi: int, s_3g: int) 
 
     Requires a finite 3G price and 1 <= s_wifi <= s_3g <= max_age; the
     ``s_3g = max_age + 1`` family is the plain WiFi threshold case and is
-    handled by :func:`expected_reward_threshold`.  One-row panels of
-    :class:`_Panels` give the cell the bits the search reads.
+    handled by :func:`expected_reward_threshold`.  One one-row panel of
+    :class:`_Panels`, from span 0 to the cell's, gives the cell the bits the
+    search reads.
     """
     if not params.has_3g:
         raise ValueError("two-threshold policy needs a finite 3G price")
     M = params.max_age
     if not (1 <= s_wifi <= s_3g <= M):
         raise ValueError(f"need 1 <= s_wifi <= s_3g <= {M}, got ({s_wifi}, {s_3g})")
-    panels, r, end = _Panels(params), s_wifi - 1, s_3g - s_wifi + 1
-    for j0 in range(0, end, model.BLOCK_CELLS):
-        cells = panels(r, r + 1, j0, min(model.BLOCK_CELLS, end - j0))
-    return float(cells[-1, 0])
+    return float(_Panels(params)(s_wifi - 1, s_wifi, 0, s_3g - s_wifi + 1)[-1, 0])
 
 
 def two_threshold_reward_grid(params: SystemParams) -> np.ndarray:
@@ -177,21 +172,17 @@ def two_threshold_reward_grid(params: SystemParams) -> np.ndarray:
     :func:`thresholds.optimal_two_thresholds` reads only a panel past each
     row's peak, so every cell has the bits the search reads.  For tests and
     callers that inspect the whole grid.  Row blocks hold as many whole rows
-    as ``model.BLOCK_CELLS`` allows, at least one, each walked from span 0 in
-    panels of at most ``model.BLOCK_CELLS`` cells: one panel a block unless a
-    row alone is longer.
+    as ``model.BLOCK_CELLS`` allows, at least one, each one panel from span 0.
     """
     if not params.has_3g:
         raise ValueError("two-threshold grid needs a finite 3G price")
     M = params.max_age
     panels, rows = _Panels(params), max(1, model.BLOCK_CELLS // M)
-    spans = model.BLOCK_CELLS // rows
     grid = np.full((M, M), -np.inf)
     for r0 in range(0, M, rows):
-        for j0 in range(0, M - r0, spans):
-            panel = panels(r0, min(r0 + rows, M - j0), j0, min(spans, M - r0 - j0))
-            for r, cells in enumerate(panel.T, start=r0):
-                grid[r, r + j0 : r + j0 + len(cells)] = cells[: M - r - j0]
+        panel = panels(r0, min(r0 + rows, M), 0, M - r0)
+        for r, cells in enumerate(panel.T, start=r0):
+            grid[r, r:] = cells[: M - r]
     return grid
 
 
@@ -202,9 +193,9 @@ class _Panels:
     ``width`` spans j = s_3g - s_wifi from j0 on, one column per row; cells
     past max_age are -inf.  No row may start past max_age - j0, and width is
     at most the first row's spans left.  A panel holds at most
-    ``model.BLOCK_CELLS`` cells.  Panels live in one buffer of twice that,
-    sized by the cap, not by max_age, so a panel stays valid only until the
-    next one.
+    max(``model.BLOCK_CELLS``, max_age) cells, so any one row or column fits
+    in one panel.  Panels live in one buffer of twice that, so a panel stays
+    valid only until the next one.
 
     Each row runs over its spans as one in-order pass: its band is the running
     sum of u(s_wifi + j)·q^j, its head the in-order sum of u below s_wifi
@@ -240,7 +231,7 @@ class _Panels:
         self.windows = np.ndarray((M, M), buffer=padded, strides=2 * padded.strides)
         self.past = np.arange(2 * M) >= M                # past[r + j]: s_3g past max_age
         self.carry = np.empty(M)                         # each row's band so far
-        self.buffer = np.empty(2 * model.BLOCK_CELLS)   # the band, then the cells
+        self.buffer = np.empty(2 * max(model.BLOCK_CELLS, M))   # the band, then the cells
 
     def __call__(self, lo: int, hi: int, j0: int, width: int) -> np.ndarray:
         n = hi - lo

@@ -187,7 +187,10 @@ def next_age(age: int, action: Action, contact: int, max_age: int) -> int:
 CHUNK_SLOTS = 256
 #: the slots before a later chunk of a long row whose replay from age M seeds its start
 LOOK_BACK = CHUNK_SLOTS // 8
-#: cells (rows x columns) one row block may hold; a replay's columns are its steps
+#: cells (rows x columns) one block may hold, read only where a temporary
+#: outgrows its input: the row blocks of ``_replay`` and ``_count_ages`` (a
+#: replay's columns are its steps), the two-threshold search's panel shape, the
+#: dense grid's row blocks and the size of ``chain._Panels``' buffer
 BLOCK_CELLS = 1 << 16
 #: cells (policies x contact patterns x ages x slots) a cached k-slot step table may hold
 TABLE_CELLS = 1 << 19

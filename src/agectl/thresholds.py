@@ -216,13 +216,14 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
 
     The grid is read in :class:`chain._Panels` panels of ``_PANEL_SPANS``
     spans over the rows still rising, folded into row maxima; memory stays
-    O(max_age) plus the fixed panel buffer.  A row retires at its first panel
-    that brings no new strict maximum.  That is exact in real arithmetic for
-    every valid input, since :class:`model.UtilityFunction` admits no rise:
-    with s_wifi fixed the reward is a ratio over the span whose marginal,
-    u(s_3g + 1) + p·(P3G - P - G/p), then never increases, so once the ratio
-    stops rising it never rises again.  The winning row is read again from
-    span 0 for its first cell at or above the floor.
+    O(max_age), the row maxima and the panel buffer.  A row retires at its
+    first panel that brings no new strict maximum.  That is exact in real
+    arithmetic for every valid input, since :class:`model.UtilityFunction`
+    admits no rise: with s_wifi fixed the reward is a ratio over the span
+    whose marginal, u(s_3g + 1) + p·(P3G - P - G/p), then never increases, so
+    once the ratio stops rising it never rises again.  The winning row is
+    read again from span 0, in one panel, for its first cell at or above the
+    floor.
     """
     if not params.has_3g:
         raise ValueError("optimal_two_thresholds needs a finite 3G price")
@@ -265,13 +266,10 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     if not row_top[r] >= floor:   # only WiFi-only reaches the floor in row r
         return TwoThresholdResult(s_wifi=r + 1, s_3g=never, reward=float(wifi_only[r]))
     # the row's first cell at or above the floor lies at or before its peak:
-    # read the row again from span 0, in panels as long as the cap allows
-    for c in range(0, M - r, model.BLOCK_CELLS):
-        cells = panels(r, r + 1, c, min(model.BLOCK_CELLS, M - r - c))[:, 0]
-        if np.any(cells >= floor):
-            break
+    # read the whole row again from span 0, in one panel
+    cells = panels(r, r + 1, 0, M - r)[:, 0]
     hit = int(np.argmax(cells >= floor))
-    return TwoThresholdResult(s_wifi=r + 1, s_3g=r + c + hit + 1, reward=float(cells[hit]))
+    return TwoThresholdResult(s_wifi=r + 1, s_3g=r + hit + 1, reward=float(cells[hit]))
 
 
 def bonus_edges(params: SystemParams) -> np.ndarray:

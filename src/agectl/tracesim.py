@@ -244,25 +244,23 @@ def _values(params: SystemParams, bonus: float) -> np.ndarray:
 def _exact_sums(counts: np.ndarray, values: np.ndarray) -> list[float]:
     """Each row's sum of ``counts * values``, rounded once to the nearest float.
 
-    Integer counts in [0, 2**52) split into 26-bit halves, values into their
-    leading 26 and trailing 27 significand bits, so all products of halves are
-    exact; one ``math.fsum`` per row adds the nonzero ones, in row blocks of
-    at most ``model.BLOCK_CELLS`` counts.  Values reaching 2**900 are first
-    scaled down by one power of two, so nothing overflows; a value the scaling
-    makes subnormal may then lose bits.
+    Every float is an integer over a power of two, so over the largest of the
+    values' denominators each value is an integer, and each row's sum is one
+    exact Python int.  One int true division rounds it once, to nearest even,
+    as ``math.fsum`` does; a sum past the float range is +-inf.
     """
-    shift = max(0, math.frexp(float(np.abs(values).max(initial=0.0)))[1] - 900)
-    values = np.ldexp(values, -shift)
-    high = (values.view(np.int64) & -(1 << 27)).view(float)   # the low 27 significand bits cleared
-    parts, sums, rows = np.stack((high, values - high)), [], max(1, model.BLOCK_CELLS // len(values))
-    for lo in range(0, len(counts), rows):
-        low = counts[lo:lo + rows] & (1 << 26) - 1
-        halves = np.stack((counts[lo:lo + rows] - low, low), axis=1).astype(float)   # (rows, 2, columns)
-        terms = (halves[:, :, None] * parts).reshape(len(low), -1)
-        ends = np.cumsum(np.count_nonzero(terms, axis=1)).tolist()
-        kept = terms[terms != 0].tolist()   # each row's nonzero products, in row order
-        sums += [math.fsum(kept[a:b]) * 2.0**shift for a, b in zip([0, *ends], ends)]
-    return sums
+    ratios = [value.as_integer_ratio() for value in values.tolist()]
+    scale = max(den for _, den in ratios)
+    nums = np.array([num * (scale // den) for num, den in ratios], object)
+    return [_rounded(total, scale) for total in (counts.astype(object) @ nums).tolist()]
+
+
+def _rounded(num: int, den: int) -> float:
+    """num / den rounded once, +-inf past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _policy_actions(params: SystemParams, policy: Policy | MaskPolicy) -> np.ndarray | None:

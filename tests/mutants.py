@@ -32,6 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
 THRESHOLDS = "src/agectl/thresholds.py"
 SOLVER = "src/agectl/solver.py"
+CHAIN = "src/agectl/chain.py"
+TRACESIM = "src/agectl/tracesim.py"
 STREAM = "tests/test_thresholds.py::TestTwoThresholdStream::"
 PI = "tests/test_solver.py::TestPolicyIteration::"
 RVI = "tests/test_solver.py::TestAgainstReferenceIteration::"
@@ -55,7 +57,7 @@ MUTANTS = (
            "            if not rising.size:\n                break",
            "            break",
            (STREAM + "test_matches_dense_pick_at_block_edges",)),
-    Mutant("carry", "src/agectl/chain.py",
+    Mutant("carry", CHAIN,
            "band[0] += self.carry[lo:hi]", "pass",
            (STREAM + "test_matches_dense_pick_at_block_edges",)),
     Mutant("tie", THRESHOLDS,
@@ -107,18 +109,38 @@ MUTANTS = (
            "            v = v - v[0]\n", "",
            (RVI + "test_sweep_equals_reference_exactly",
             RVI + "test_non_convergence_equals_reference")),
-    Mutant("comment-only", THRESHOLDS,
-           "# only WiFi-only reaches the floor in row r",
-           "# no grid cell reaches the floor in row r",
-           (STREAM + "test_reads_rows_one_panel_past_their_peaks",
-            STREAM + "test_matches_dense_pick_at_block_edges",
-            STREAM + "test_exact_tie_across_a_block_boundary",
-            PI + "test_steps_equal_reference_exactly", PI + "test_step_counts",
-            PI + "test_evaluation_is_the_exact_gain_of_any_policy",
-            RVI + "test_sweep_equals_reference_exactly",
-            RVI + "test_non_convergence_equals_reference"),
-           survives=True),
+    # the closed forms: the WiFi cycle cost G·p, not G/p
+    Mutant("scan-cost-times-p", CHAIN,
+           "fixed = params.scan_cost / p + params.wifi_price",
+           "fixed = params.scan_cost * p + params.wifi_price",
+           ("tests/test_chain.py::TestExpectedReward::test_matches_oracle_gain",
+            "tests/test_solver.py::TestRouteAgreement::test_optimal_threshold",
+            "tests/test_tracesim.py::TestSimulatePolicy::test_ergodic_agreement_smoke")),
+    # the matrix oracle: WiFi renews with probability 1 - p, not p
+    Mutant("matrix-contact-swapped", CHAIN,
+           "            mat[age - 1, 0] += p\n            mat[age - 1, nxt - 1] += 1.0 - p\n",
+           "            mat[age - 1, 0] += 1.0 - p\n            mat[age - 1, nxt - 1] += p\n",
+           ("tests/test_chain.py::TestExactOracle::test_matrix_route",
+            "tests/test_acceptance.py::test_criterion_1_closed_forms_vs_chain_oracle",
+            "tests/test_solver.py::TestRouteAgreement::test_two_threshold_optimum")),
+    # the replay tally: 3G updates priced as WiFi ones and the reverse
+    Mutant("tally-updates-swapped", TRACESIM,
+           "tally = np.column_stack((by_age, active, updates - updates_3g, updates_3g))",
+           "tally = np.column_stack((by_age, active, updates_3g, updates - updates_3g))",
+           ("tests/test_tracesim.py::TestSimulatePolicy::test_agrees_with_reference_oracle",
+            "tests/test_replay.py::test_rotation_tallies_count_the_reference_parts")),
+    # the exact sums over the smallest denominator: finer values truncate to 0
+    Mutant("sums-smallest-denominator", TRACESIM,
+           "scale = max(den for _, den in ratios)", "scale = min(den for _, den in ratios)",
+           ("tests/test_replay.py::test_exact_sums_of_counts_past_the_count_split",
+            "tests/test_acceptance.py::test_criterion_9_trace_ergodicity")),
 )
+# a control: every entry's tests pass on an unbroken copy
+MUTANTS += (Mutant("comment-only", THRESHOLDS,
+                   "# only WiFi-only reaches the floor in row r",
+                   "# no grid cell reaches the floor in row r",
+                   tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests)),
+                   survives=True),)
 
 
 def _copy_tree(dest: Path) -> None:

@@ -363,10 +363,11 @@ class TestTwoThresholdGrid:
 
     @given(system_params(with_3g=True), st.integers(1, 80))
     def test_3g_only_curve_is_the_grids_diagonal(self, params, block_cells):
-        # one one-span panel per BLOCK_CELLS rows, each written out before
-        # the next reuses the panel buffer
+        # one one-span panel over every row, whatever the cap: the buffer
+        # holds a whole column, and the curve is copied out of it
         with mock.patch.object(model, "BLOCK_CELLS", block_cells):
             curve = reward_curve_3g_only(params)
+        assert curve.flags.owndata
         assert curve.tobytes() == np.diag(two_threshold_reward_grid(params)).tobytes()
 
     @settings(max_examples=134)   # the quarter on one-ulp utilities comes on top

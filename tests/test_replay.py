@@ -654,14 +654,48 @@ def test_totals_cancelling_near_the_float_limit_stay_finite():
     assert result.energy_spent == math.inf   # 1e308 on every one of 3L + 5 slots
 
 
+def test_subnormal_scan_costs_under_huge_prices_keep_their_bits():
+    # each slot earns 2**1000 and pays 2**1000 for its update, less a scan
+    # cost of the smallest subnormal: the exact total of four slots is
+    # -4 * 5e-324, however large the terms that cancel
+    M = 2
+    params = SystemParams(contact_prob=0.5, max_age=M, scan_cost=5e-324, wifi_price=2.0**1000,
+                          utility=UtilityFunction.tabular((2.0**1000, 0.0)))
+    trace = ContactTrace("t", (1, 1, 1, 1))
+    policy = Policy.from_thresholds(1, None, M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = simulate_policy(trace, params, policy)
+    parts = reference_parts(trace.slots, params, policy.action_at)
+    assert result.total_reward == parts_total(parts) == -2e-323
+    assert_totals_equal_parts(result, parts)   # energy_spent 2e-323 among them
+
+
+def rounded(total: Fraction) -> float:
+    """``total`` rounded once to the nearest float: +-inf at or past the
+    largest float plus half its ulp."""
+    if abs(total) >= 2**1024 - 2**970:
+        return math.inf if total > 0 else -math.inf
+    return float(total)
+
+
 def test_exact_sums_of_counts_past_the_count_split():
-    # counts this large come only from very long replays: their 26-bit halves
-    # keep every product exact, which shows where two large products cancel;
-    # Fraction arithmetic rounds the exact sum once
+    # counts this large come only from very long replays: their products
+    # with the values run far past 53 bits, and two large products cancel.
+    # Huge values that cancel must leave the subnormal ones their bits, and
+    # sums past the float range round to +-inf.  Fraction arithmetic rounds
+    # the exact sum once
     rng = np.random.default_rng(5)
     big = rng.integers(2**40, 2**52, 20)
     counts = np.column_stack((big, big - rng.integers(0, 1000, 20), rng.integers(0, 2**52, 20)))
-    for values in (np.array([0.1, -0.1, 3.7e-9]), rng.uniform(-10, 10, 3)):
-        expected = [float(sum(Fraction(int(c)) * Fraction(v) for c, v in zip(row, values)))
-                    for row in counts]
-        assert tracesim._exact_sums(counts, values) == expected
+    top = np.finfo(float).max
+    cases = [(counts, np.array([0.1, -0.1, 3.7e-9])), (counts, rng.uniform(-10, 10, 3)),
+             (np.array([[1, 1, 1], [3, 2, 0], [1, 1, 7]]), np.array([2.0**1000, -2.0**1000, 5e-324])),
+             (np.array([[2, 0, 0], [0, 3, 0], [1, 0, 1], [5, 5, 3]]), np.array([top, -top, 2.0**969]))]
+    sums = []
+    for counts, values in cases:
+        sums.append(tracesim._exact_sums(counts, values))
+        assert sums[-1] == [rounded(sum(Fraction(int(c)) * Fraction(v) for c, v in zip(row, values)))
+                            for row in counts]
+    assert sums[2] == [5e-324, 1.0715086071862673e+301, 3.5e-323]
+    assert sums[3][:3] == [math.inf, -math.inf, top]
