@@ -4,11 +4,13 @@ knowledge of the population size or user strategies.
 
 The environment is a single callable bonus -> served requests per round, so
 the same controller runs against closed-form rates, a seeded chain simulator,
-or recorded traces.  Each environment computes the bonus edges once and reads
-every round's threshold off them; the simulated ones also build every
-threshold's action row once, and replay a round of all their users as the
-rows of one ``model._replay`` call: the chain env on one (slots, users) draw,
-the trace env on one gather of windows of its tiled traces.
+or recorded traces.  Each environment lists the bonus edges once and reads
+every round's threshold off them by bisection; the simulated ones also build
+every threshold's action row once, and replay a round of all their users as
+the rows of one ``model._replay_ends`` call, which reads off the ages the
+users end at and the round's updates and builds no age matrix: the chain env
+on one (slots, users) draw, the trace env on one gather of windows of its
+tiled traces.
 """
 from __future__ import annotations
 
@@ -138,7 +140,8 @@ def convergence_report(
 
 def _env_response(params: SystemParams, n_users: int, round_slots: int) -> Callable[[float], int]:
     """Check a population env's size, and return s*(B) for one bonus at a time
-    by the rule of ``thresholds.bonus_edges``, from edges computed once.
+    by the rule of ``thresholds.bonus_edges``, from edges computed once and
+    listed in ascending order, with no numpy call per bonus.
     A round's user-slots must fit a float, as the served counts are floats."""
     if n_users < 1:
         raise ValueError(f"need at least one user, got {n_users}")
@@ -147,12 +150,12 @@ def _env_response(params: SystemParams, n_users: int, round_slots: int) -> Calla
     if n_users * round_slots > sys.float_info.max:
         raise ValueError(f"population too large: {round_slots}-slot rounds of {n_users} users"
                          " pass the float range")
-    edges = thresholds.bonus_edges(params)
+    ascending = thresholds.bonus_edges(params)[::-1].tolist()
 
     def response(bonus: float) -> int:
         if not math.isfinite(bonus):
             raise ValueError(f"bonus must be finite, got {bonus}")
-        return int(thresholds._threshold_at(edges, bonus))
+        return thresholds._threshold_at_scalar(ascending, bonus)
 
     return response
 
@@ -196,9 +199,8 @@ def chain_sim_env(
         nonlocal ages
         s = response(bonus)
         contacts = (rng.random((round_slots, n_users)) < params.contact_prob).T
-        run = model._replay(actions[s - 1:s], policy, contacts, ages)
-        ages = run[:, -1]
-        return float(np.count_nonzero(run[:, 1:] == 1))
+        ages, served = model._replay_ends(actions[s - 1:s], policy, contacts, ages)
+        return float(served)
 
     return env
 

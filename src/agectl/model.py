@@ -203,15 +203,18 @@ def _step_size(policies: int, M: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _step_table(codes: bytes, policies: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ages after each slot of a k-slot step, and that table's last column
-    made contiguous, both read-only, for the uint8 action table of
-    ``policies`` rows of M ages held in ``codes``.
+def _step_table(codes: bytes, policies: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ages after each slot of a k-slot step, that table's last column as
+    intp, the width of the step loop, and each row's count of ages at 1, all
+    read-only, for the uint8 action table of ``policies`` rows of M ages held
+    in ``codes``.
 
     Row ((policy * 2**k + pattern) * M + age - 1) holds the k ages that follow
     the age ``age`` when bit j of ``pattern`` is the contact of the step's slot
     j + 1.  k is the largest of 8, 4, 2 and 1 whose table holds at most
-    TABLE_CELLS cells; at k = 1 it is the one-slot transition table.
+    TABLE_CELLS cells; at k = 1 it is the one-slot transition table.  An age
+    is 1 only after an update, so a row's count of 1s is the updates of a
+    step at that row.
     """
     actions = np.frombuffer(codes, np.uint8).reshape(policies, M)
     k = _step_size(policies, M)
@@ -226,10 +229,10 @@ def _step_table(codes: bytes, policies: int, M: int) -> tuple[np.ndarray, np.nda
         both = np.concatenate((np.broadcast_to(table[:, None], then.shape), then), axis=-1)
         table = both.reshape(policies, patterns * patterns, M, -1)
     table = table.reshape(-1, k)
-    table.flags.writeable = False
-    last = np.ascontiguousarray(table[:, -1])
-    last.flags.writeable = False
-    return table, last
+    cached = table, table[:, -1].astype(np.intp), np.count_nonzero(table == 1, axis=1).astype(np.uint8)
+    for array in cached:
+        array.flags.writeable = False
+    return cached
 
 
 def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -254,21 +257,25 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
 
     The loop steps k slots at once: a row's next k contacts, packed
     little-endian into a pattern, and its age name a row of the table of
-    ``_step_table``, which holds the k ages that follow.  Each step carries
-    only the age a row ends the step at: one index add, and one gather from
-    the table's last column.  The step's table rows are kept, and after the
-    loop one gather of them from the full table gives all k ages of every
-    step; it is cut back to slots + 1 columns, since ``np.packbits`` pads a
-    row's last step with no-contact slots.  k is the largest of 8, 4, 2 and 1
-    whose table fits TABLE_CELLS cells, so it shrinks as policies x ages grow;
-    at k = 1 the table is the one-slot transition table and its own last
-    column.  Tables that fit are cached with their last columns by the
-    content of ``actions``, not by the array, in one least-recently-used
-    cache of 64 entries: it keeps at most 64 x TABLE_CELLS cells of uint16
-    ages, 64 MiB, and their columns alive, and a threshold policy at M = 30
-    takes 60 KiB of table and 7.5 KiB of column.  A k = 1 table too large for
-    the budget is built per call and not kept.  Rows run in blocks of
-    BLOCK_CELLS // steps rows (at least one), so a block's step codes, and
+    ``_step_table``, which holds the k ages that follow.  ``_walk`` carries
+    only the age a row ends each step at, in intp, the width of the step
+    codes: one index add, and one gather from the table's intp last column.
+    It leaves each step's table row in its code, and after the loop one
+    gather of them from the full table gives all k ages of every step; it is
+    cut back to slots + 1 columns, since ``np.packbits`` pads a row's last
+    step with no-contact slots.  The ages returned keep the table's dtype,
+    the narrowest that holds M.  k is the largest of 8, 4, 2 and 1 whose
+    table fits TABLE_CELLS cells, so it shrinks as policies x ages grow; at
+    k = 1 the table is the one-slot transition table.  Tables that fit are
+    cached, with their intp last columns and their rows' counts of 1s, by
+    the content of ``actions``, not by the array, in one least-recently-used
+    cache of 64 entries.  An entry holds at most TABLE_CELLS cells of uint16
+    ages, 1 MiB, and TABLE_CELLS / k rows of 9 bytes (an 8-byte column entry
+    and a 1-byte count), so at most 5.5 MiB at k = 1 and 1.6 MiB at k = 8,
+    and the cache at most 352 MiB; a threshold policy at M = 30 takes 60 KiB
+    of table, 60 KiB of column and 7.5 KiB of counts.  A k = 1 table too
+    large for the budget is built per call and not kept.  Rows run in blocks
+    of BLOCK_CELLS // steps rows (at least one), so a block's step codes, and
     the table rows its final gather picks, number at most BLOCK_CELLS.
 
     The step codes name the replay's table rows; ``_count_ages`` names them
@@ -298,24 +305,58 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
         ages = ages.reshape(rows, parts, L + 1)
         return np.column_stack((ages[:, :, :L].reshape(rows, -1)[:, :n],
                                 ages[:, -1, n - (parts - 1) * L]))
-    table, last = _tables(actions)
+    table, last, _ = _tables(actions)
     k = table.shape[1]
     steps = -(-n // k)
     ages = np.empty((rows, n + 1), dtype)
     ages[:, 0] = start
     per = max(1, BLOCK_CELLS // steps)   # rows per block
     for lo in range(0, rows, per):
-        out = ages[lo:lo + per]
-        code = _step_codes(contacts[lo:lo + per], policy[lo:lo + per], len(actions), M, k)
-        age = out[:, 0].copy()
-        for row in code:
-            row += age   # now the table row of this step
-            last.take(row, out=age, mode="clip")
-        out[:, 1:] = table.take(code.T, axis=0, mode="clip").reshape(len(out), -1)[:, :n]
+        block = slice(lo, lo + per)
+        code = _walk(last, contacts[block], policy[block], len(actions), M, k, start[block])
+        ages[block, 1:] = table.take(code.T, axis=0, mode="clip").reshape(code.shape[1], -1)[:, :n]
     return ages
 
 
-def _tables(actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _replay_ends(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray,
+                 start: np.ndarray) -> tuple[np.ndarray, int]:
+    """The last column of ``_replay(actions, policy, contacts, start)``, the
+    ages the rows end at, and the count of its 1s past column 0, the rows'
+    updates, without the (rows, slots + 1) age matrix.
+
+    One ``_walk`` leaves each step's table row in its code.  A row ends at
+    column r - 1 of its last step's row, where r is that step's slots, since
+    ``np.packbits`` pads the rest; the full steps' updates are their rows'
+    cached counts of 1s, and the last step's are the 1s among its r columns.
+    Rows longer than CHUNK_SLOTS go through ``_replay``, whose chunks are
+    seeded there, and their ages are counted.
+    """
+    n = contacts.shape[1]
+    if n > CHUNK_SLOTS:
+        ages = _replay(actions, policy, contacts, start)
+        return ages[:, -1], int(np.count_nonzero(ages[:, 1:] == 1))
+    table, last, ones = _tables(actions)
+    k = table.shape[1]
+    code = _walk(last, contacts, policy, *actions.shape, k, start)
+    tail = table.take(code[-1], axis=0, mode="clip")[:, :n - (len(code) - 1) * k]   # the last step's slots
+    return tail[:, -1], int(ones.take(code[:-1], mode="clip").sum()) + int(np.count_nonzero(tail == 1))
+
+
+def _walk(last: np.ndarray, contacts: np.ndarray, policy: np.ndarray, policies: int, M: int, k: int,
+          start: np.ndarray) -> np.ndarray:
+    """The step loop over the k-slot steps of each row of ``contacts`` from
+    the ages ``start``: the (steps, rows) table rows the steps take, each
+    step's ``_step_codes`` code plus the age it starts at.  Each row's age is
+    carried in intp, read off the table's intp last column ``last``."""
+    code = _step_codes(contacts, policy, policies, M, k)
+    age = np.array(start, np.intp)
+    for row in code:
+        row += age   # now the table row of this step
+        last.take(row, out=age, mode="clip")
+    return code
+
+
+def _tables(actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_step_table`` of the action table ``actions``: cached by its content
     when its one-slot table fits TABLE_CELLS cells, else built per call."""
     actions = np.ascontiguousarray(actions, np.uint8)
@@ -332,7 +373,8 @@ def _step_codes(contacts: np.ndarray, policy: np.ndarray, policies: int, M: int,
     if k < 8:
         pattern = (pattern[..., None] >> np.arange(0, 8, k, dtype=np.uint8)) & ((1 << k) - 1)
     steps = -(-contacts.shape[1] // k)
-    code = np.multiply(pattern.reshape(len(contacts), -1)[:, :steps].T, np.intp(M), order="C")
+    code = pattern.reshape(len(contacts), -1)[:, :steps].T.astype(np.intp, order="C")   # widened once
+    code *= M
     if policies > 1:   # one row of actions takes policy 0, at offset 0
         code += policy * (M << k)
     code -= 1

@@ -4,6 +4,7 @@ enumeration, and the two-threshold grid search.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -304,6 +305,13 @@ def _edges(base: np.ndarray, slope: np.ndarray) -> np.ndarray:
 def _threshold_at(edges: np.ndarray, bonus):
     """s*(B) for a finite bonus, or an array of them: the count of edges above B."""
     return edges.size - edges[::-1].searchsorted(bonus, side="right")
+
+
+def _threshold_at_scalar(ascending: list[float], bonus: float) -> int:
+    """``_threshold_at`` for one finite bonus, with the edges as a list in
+    ascending order: the count of edges above B, by the same comparisons of
+    the same doubles as ``searchsorted(side="right")``."""
+    return len(ascending) - bisect.bisect_right(ascending, bonus)
 
 
 def _bonus_interval(edges: np.ndarray, first: int, last: int, price: float):

@@ -476,9 +476,10 @@ class _Cohort:
     """Users replaying their traces cyclically from their phases; ages and
     trace positions carry over from one round to the next.
 
-    Each distinct trace is tiled once to at least len + round_slots slots, so
-    the round_slots slots from any position are one window of its tiles, and
-    a round reads every user's contacts in one gather of windows."""
+    Each distinct trace is tiled once to at least len + round_slots slots, by
+    one gather over the distinct traces' concatenated bits, so the
+    round_slots slots from any position are one window of its tile, and a
+    round reads every user's contacts in one gather of windows."""
 
     def __init__(self, users: Sequence[UserAssignment], params: SystemParams, round_slots: int):
         self.response = learning._env_response(params, len(users), round_slots)
@@ -486,9 +487,14 @@ class _Cohort:
             if not 1 <= ua.start_age <= params.max_age:
                 raise ValueError(f"start age {ua.start_age} outside [1, {params.max_age}]")
         traces = {id(ua.trace): ua.trace for ua in users}   # each distinct trace once
-        tiles = [np.tile(t.slot_bits, -(-(len(t) + round_slots) // len(t))) for t in traces.values()]
-        offset = dict(zip(traces, np.cumsum([0] + [len(t) for t in tiles]).tolist()))
-        self.windows = np.lib.stride_tricks.sliding_window_view(np.concatenate(tiles), round_slots)
+        lengths = np.array([len(t) for t in traces.values()])
+        sizes = -(-(lengths + round_slots) // lengths) * lengths   # whole copies of each trace
+        tile_at, trace_at = np.cumsum(sizes) - sizes, np.cumsum(lengths) - lengths   # where each starts
+        owner = np.repeat(np.arange(len(lengths)), sizes)
+        index = (np.arange(len(owner)) - tile_at[owner]) % lengths[owner] + trace_at[owner]
+        tiles = np.concatenate([t.slot_bits for t in traces.values()])[index]
+        self.windows = np.lib.stride_tricks.sliding_window_view(tiles, round_slots)
+        offset = dict(zip(traces, tile_at.tolist()))
         self.offset = np.array([offset[id(ua.trace)] for ua in users])
         self.length = np.array([len(ua.trace) for ua in users])
         self.pos = np.array([ua.phase for ua in users]) % self.length
@@ -496,14 +502,27 @@ class _Cohort:
         self.actions, self.policy = learning._threshold_actions(params.max_age), np.zeros(len(users), int)
         self.round_slots = round_slots
 
+    def _next(self, bonus: float) -> tuple[int, np.ndarray, np.ndarray]:
+        """The threshold for ``bonus``, its action row and the users' contacts
+        (users, slots) in the next round, whose slots it moves past."""
+        s = self.response(bonus)
+        contacts = self.windows[self.offset + self.pos]
+        self.pos = (self.pos + self.round_slots) % self.length
+        return s, self.actions[s - 1:s], contacts
+
     def round(self, bonus: float) -> tuple[int, np.ndarray]:
         """The threshold for ``bonus`` and the ages (users, slots + 1) of one
         round at it."""
-        s = self.response(bonus)
-        contacts = self.windows[self.offset + self.pos]
-        ages = model._replay(self.actions[s - 1:s], self.policy, contacts, self.ages)
-        self.ages, self.pos = ages[:, -1], (self.pos + self.round_slots) % self.length
+        s, actions, contacts = self._next(bonus)
+        ages = model._replay(actions, self.policy, contacts, self.ages)
+        self.ages = ages[:, -1]
         return s, ages
+
+    def served(self, bonus: float) -> int:
+        """The updates of one round at the threshold for ``bonus``."""
+        _, actions, contacts = self._next(bonus)
+        self.ages, served = model._replay_ends(actions, self.policy, contacts, self.ages)
+        return served
 
 
 def simulate_population(
@@ -567,10 +586,12 @@ def trace_env(
     """Adapt a user population on traces to the learning env interface.
 
     State (ages, trace positions) persists across calls, so one env instance
-    follows a single continuous timeline.
+    follows a single continuous timeline.  A round reads its updates and the
+    ages the users end at off ``model._replay_ends``, and builds no
+    (users, slots + 1) age matrix.
     """
     cohort = _Cohort(users, params, round_slots)
-    return lambda bonus: float(np.count_nonzero(cohort.round(bonus)[1][:, 1:] == 1))
+    return lambda bonus: float(cohort.served(bonus))
 
 
 # --- model-versus-trace comparison -------------------------------------------------------

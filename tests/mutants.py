@@ -34,6 +34,8 @@ THRESHOLDS = "src/agectl/thresholds.py"
 SOLVER = "src/agectl/solver.py"
 CHAIN = "src/agectl/chain.py"
 TRACESIM = "src/agectl/tracesim.py"
+LEARNING = "src/agectl/learning.py"
+MODEL = "src/agectl/model.py"
 STREAM = "tests/test_thresholds.py::TestTwoThresholdStream::"
 PI = "tests/test_solver.py::TestPolicyIteration::"
 RVI = "tests/test_solver.py::TestAgainstReferenceIteration::"
@@ -64,7 +66,7 @@ MUTANTS = (
            "r = M - 1 - int(np.argmax(((row_top >= floor) | (wifi_only >= floor))[::-1]))",
            "r = int(np.argmax((row_top >= floor) | (wifi_only >= floor)))",
            (STREAM + "test_exact_tie_across_a_block_boundary",)),
-    Mutant("utility-slack", "src/agectl/model.py",
+    Mutant("utility-slack", MODEL,
            "            if b > a:", "            if b > a + SLACK_TOL:",
            ("tests/test_model.py::TestToleranceHome"
             "::test_utility_rise_rejected_at_any_slack_and_bonus_cap_slack",
@@ -134,6 +136,27 @@ MUTANTS = (
            "scale = max(den for _, den in ratios)", "scale = min(den for _, den in ratios)",
            ("tests/test_replay.py::test_exact_sums_of_counts_past_the_count_split",
             "tests/test_acceptance.py::test_criterion_9_trace_ergodicity")),
+    # the controller: no projection into [0, B-hat], and a step that never shrinks
+    Mutant("learning-no-projection", LEARNING,
+           "return min(config.max_bonus, max(0.0, bonus + step))", "return bonus + step",
+           ("tests/test_learning.py::TestLearningStep::test_upper_clamp",
+            "tests/test_learning.py::TestLearningStep::test_lower_clamp",
+            "tests/test_learning.py::TestRunLearning::test_projection_invariant")),
+    Mutant("learning-step-without-1/t", LEARNING,
+           "step = config.learning_rate * (config.target_rate - rate) / round_index",
+           "step = config.learning_rate * (config.target_rate - rate)",
+           ("tests/test_learning.py::TestLearningStep::test_step_arithmetic",
+            "tests/test_learning.py::TestLearningStep::test_corrections_shrink_like_one_over_t")),
+    # the envs' s*(B): a bonus on an edge counted as above it
+    Mutant("response-bisect-left", THRESHOLDS,
+           "bisect.bisect_right(ascending, bonus)", "bisect.bisect_left(ascending, bonus)",
+           ("tests/test_learning.py::TestEnvironments::test_env_response_is_threshold_response_at_every_edge",)),
+    # the round reader: end ages read past the last step's slots, in its padding
+    Mutant("round-end-full-step", MODEL,
+           "[:, :n - (len(code) - 1) * k]   # the last step's slots", "",
+           ("tests/test_replay.py::test_chain_env_draws_one_number_per_user_slot",
+            "tests/test_replay.py::test_trace_env_serves_what_the_population_serves",
+            "tests/test_replay.py::test_round_reader_reads_the_end_ages_and_updates_of_the_replay")),
 )
 # a control: every entry's tests pass on an unbroken copy
 MUTANTS += (Mutant("comment-only", THRESHOLDS,

@@ -14,7 +14,9 @@ from agectl import (
     learning_step,
     optimal_bonus,
     run_learning,
+    threshold_response,
 )
+from agectl import learning, thresholds
 from agectl.learning import PRESET_NAMES, ExperimentPreset, preset, run_population_drop
 
 from conftest import make_rng
@@ -151,6 +153,28 @@ class TestEnvironments:
         for env in (expected_rate_env(params, 5, 10), chain_sim_env(params, 5, 10, make_rng(1))):
             with pytest.raises(ValueError, match="finite"):
                 env(bonus)
+
+    @pytest.mark.parametrize("params", [*(preset(name).params for name in PRESET_NAMES),
+                                        # a flat step: its edges at 35.74 merge within TIE_TOL
+                                        SystemParams(contact_prob=0.54, max_age=30,
+                                                     utility=UtilityFunction.step(1.0, 5, 30),
+                                                     scan_cost=0.4, wifi_price=40.0)],
+                             ids=[*PRESET_NAMES, "flat-step"])
+    def test_env_response_is_threshold_response_at_every_edge(self, params):
+        # the envs' scalar s*(B) on each finite edge in [0, P], the float on
+        # either side of it, +-0.0 and P
+        edges = thresholds.bonus_edges(params)
+        price = params.wifi_price
+        inside = edges[np.isfinite(edges) & (edges >= 0) & (edges <= price)]
+        assert inside.size
+        bonuses = [0.0, -0.0, price, *(float(b) for edge in inside
+                                       for b in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)))]
+        response = learning._env_response(params, 1, 1)
+        got = [response(b) for b in bonuses]
+        assert all(type(s) is int for s in got)
+        assert got == threshold_response(params, bonuses).tolist()
+        if params.utility.form == "step":
+            assert len(set(inside.tolist())) < inside.size
 
 
 class TestPresets:

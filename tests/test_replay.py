@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agectl import (
     MASK_POLICY,
@@ -193,6 +193,11 @@ def test_population_rounds_match_modulo_indexing(geometry):
 
 @given(st.integers(1, 40), st.integers(1, 30), st.lists(st.floats(0, 40), min_size=1, max_size=8),
        st.integers(0, 2**32 - 1))
+# a 13-slot round ends 3 slots into its padded last 8-slot step; rounds past
+# CHUNK_SLOTS run as chunks
+@example(40, 13, [0.0, 20.0, 0.0, 35.0, 0.0, 10.0], 5)
+@example(9, L + 1, [0.0, 35.0, 10.0], 6)
+@example(9, 300, [20.0, 0.0, 39.5], 7)
 def test_chain_env_draws_one_number_per_user_slot(n_users, round_slots, bonuses, seed):
     params = SystemParams(contact_prob=0.54, max_age=30, utility=UtilityFunction.linear(30),
                           scan_cost=0.4, wifi_price=40.0)
@@ -428,25 +433,32 @@ def test_step_tables_are_cached_by_content_read_only_and_bounded():
     policy, start = np.array([0, 1, 1]), np.array([1, 6, M])
     contacts = (np.random.default_rng(3).random((3, 40)) < 0.4).astype(np.uint8)
     assert_replay_equals_stepped(actions, policy, contacts, start)
-    table, last = model._step_table(actions.tobytes(), *actions.shape)
-    assert not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0, 0] = 1
+    cached = model._step_table(actions.tobytes(), *actions.shape)
+    table, last, ones = cached
     assert model._step_table.cache_info().maxsize == 64
-    # the last-age column is cached with it, by the same key and bound
-    assert last.flags.c_contiguous and not last.flags.writeable
-    with pytest.raises(ValueError):
-        last[0] = 1
-    np.testing.assert_array_equal(last, table[:, -1])
+    # the last-age column, in intp, and each row's count of ages at 1 are
+    # cached with the table, by the same key and bound, and all are read-only
+    for array in cached:
+        assert array.flags.c_contiguous and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert last.dtype == np.intp and len(ones) == len(table)
+    assert_cached_from_table(cached)
     again = model._step_table(bytes(bytearray(actions.tobytes())), *actions.shape)
-    assert again[0] is table and again[1] is last
+    assert all(a is b for a, b in zip(again, cached))
     # the same array changed in place keys a new table
     actions[0] = threshold_table(M, [(M + 1, None)])[0]
     actions[1, ::2] = Action.WIFI_THEN_3G
     assert_replay_equals_stepped(actions, policy, contacts, start)
-    changed, changed_last = model._step_table(actions.tobytes(), *actions.shape)
-    assert changed is not table and changed_last is not last
-    np.testing.assert_array_equal(changed_last, changed[:, -1])
+    changed = model._step_table(actions.tobytes(), *actions.shape)
+    assert not any(a is b for a, b in zip(changed, cached))
+    assert_cached_from_table(changed)
+
+
+def assert_cached_from_table(cached):
+    table, last, ones = cached
+    np.testing.assert_array_equal(last, table[:, -1])
+    np.testing.assert_array_equal(ones, (table == 1).sum(1))
 
 
 @pytest.mark.parametrize("n", [1, 7, 13, 2 * L + 3])
@@ -469,6 +481,24 @@ def test_replay_ages_on_every_contact_layout(policies, M, k, n):
     for contacts in layouts:
         expected = stepped_ages(actions, policy, contacts, start)
         np.testing.assert_array_equal(model._replay(actions, policy, contacts, start), expected)
+
+
+@pytest.mark.parametrize("n", [1, 7, 13, L, L + 1, 2 * L + 3])
+@pytest.mark.parametrize("policies, M, k", [(1, 12, 8), (4, 300, 4), (40, 300, 2), (300, 300, 1)])
+def test_round_reader_reads_the_end_ages_and_updates_of_the_replay(policies, M, k, n):
+    # action 2 updates on the no-contact slots that pad a row's last step, so
+    # reading the padded step's last column or its 1s would show here
+    rng = np.random.default_rng(policies * M + n)
+    actions = rng.integers(0, 3, (policies, M)).astype(np.uint8)
+    assert step_size(actions) == k
+    rows = 9
+    policy = rng.integers(0, policies, rows)
+    start = rng.integers(1, M + 1, rows)
+    contacts = rng.random((rows, n)) < rng.uniform(0.01, 0.5, (rows, 1))
+    expected = stepped_ages(actions, policy, contacts, start)
+    ends, updates = model._replay_ends(actions, policy, contacts, start)
+    np.testing.assert_array_equal(ends, expected[:, -1])
+    assert type(updates) is int and updates == np.count_nonzero(expected[:, 1:] == 1)
 
 
 def phases_total(trace, params, action_at, reps, start):
