@@ -188,11 +188,12 @@ CHUNK_SLOTS = 256
 #: the slots before a later chunk of a long row whose replay from age M seeds its start
 LOOK_BACK = CHUNK_SLOTS // 8
 #: cells (rows x columns) one block may hold, read only where a temporary
-#: outgrows its input: the row blocks of ``_replay`` and ``_count_ages`` (a
-#: replay's columns are its steps), the two-threshold search's panel shape, the
-#: dense grid's row blocks and the size of ``chain._Panels``' buffer
+#: outgrows its input: the two-threshold search's panel shape, the dense
+#: grid's row blocks and the size of ``chain._Panels``' buffer
 BLOCK_CELLS = 1 << 16
-#: cells (policies x contact patterns x ages x slots) a cached k-slot step table may hold
+#: cells (policies x contact patterns x ages x slots) a cached k-slot step
+#: table may hold; its age histograms are kept only within as many cells
+#: (table rows x ages)
 TABLE_CELLS = 1 << 19
 
 
@@ -202,19 +203,72 @@ def _step_size(policies: int, M: int) -> int:
     return next((k for k in (8, 4, 2) if policies * 2**k * M * k <= TABLE_CELLS), 1)
 
 
-@functools.lru_cache(maxsize=64)
-def _step_table(codes: bytes, policies: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ages after each slot of a k-slot step, that table's last column as
-    intp, the width of the step loop, and each row's count of ages at 1, all
-    read-only, for the uint8 action table of ``policies`` rows of M ages held
-    in ``codes``.
+class _Steps:
+    """A k-slot step table and one summary of each of its rows, all read-only.
 
-    Row ((policy * 2**k + pattern) * M + age - 1) holds the k ages that follow
-    the age ``age`` when bit j of ``pattern`` is the contact of the step's slot
-    j + 1.  k is the largest of 8, 4, 2 and 1 whose table holds at most
-    TABLE_CELLS cells; at k = 1 it is the one-slot transition table.  An age
-    is 1 only after an update, so a row's count of 1s is the updates of a
-    step at that row.
+    Row ((policy * 2**k + pattern) * M + age - 1) of each is the step that
+    starts at ``age`` under the action row ``policy`` when bit j of
+    ``pattern`` is the contact of the step's slot j + 1.  An age is 1 only
+    after an update, so a row's 1s are the updates of a step at that row,
+    and those after a slot whose pattern bit is 0 are its 3G updates.  A
+    step covers its start age, then the first k - 1 ages of its row.  The
+    summaries a round reads, ``last`` and ``ones``, are built with the
+    table; the others on their first read, and then kept with it.
+    """
+
+    def __init__(self, table: np.ndarray, policies: int, M: int):
+        self.policies, self.M = policies, M
+        self.table = _read_only(table)   # (rows, k): the age after each slot, narrowest dtype that holds M
+        self.last = _read_only(table[:, -1].astype(np.intp))   # the age the step ends at
+        self.ones = _read_only(np.count_nonzero(table == 1, axis=1).astype(np.uint8))   # its updates
+
+    @functools.cached_property
+    def at_1(self) -> np.ndarray:
+        """uint8: bit j set when slot j + 1 ends at age 1."""
+        return _read_only(np.packbits(self.table == 1, axis=1, bitorder="little")[:, 0])
+
+    @functools.cached_property
+    def ones_3g(self) -> np.ndarray:
+        """uint8: the 1s after a slot without a contact, the step's 3G updates."""
+        pattern = (np.arange(len(self.table)) // self.M).astype(np.uint8)   # the contacts in the low k bits
+        popcount = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1, dtype=np.uint8)
+        return _read_only(popcount.take(self.at_1 & ~pattern))
+
+    @functools.cached_property
+    def cells(self) -> np.ndarray:
+        """(rows, k): each slot's tally cell, policy * M + the age before the
+        slot - 1, in the narrowest dtype that holds policies * M."""
+        table, M = self.table, self.M
+        rows = np.arange(len(table))
+        cells = np.empty(table.shape, np.min_scalar_type(self.policies * M - 1))
+        cells[:, 0], cells[:, 1:] = rows % M, table[:, :-1] - 1
+        cells += (rows // (M << table.shape[1]) * M).astype(cells.dtype)[:, None]
+        return _read_only(cells)
+
+    @functools.cached_property
+    def hist(self) -> np.ndarray | None:
+        """(rows, M) uint8: the step's slots by the age before the slot; None
+        when the table's rows x M is more than TABLE_CELLS."""
+        rows, M = len(self.table), self.M
+        if rows * M > TABLE_CELLS:
+            return None
+        hist, before = np.zeros((rows, M), np.uint8), self.cells % M   # the age before each slot, less 1
+        first = np.arange(rows) * M
+        for ages in before.T:   # one slot of every row at a time, so no cell twice
+            hist.reshape(-1)[first + ages] += 1
+        return _read_only(hist)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=64)
+def _step_table(codes: bytes, policies: int, M: int) -> _Steps:
+    """The ``_Steps`` of the uint8 action table of ``policies`` rows of M ages
+    held in ``codes``: k is the largest of 8, 4, 2 and 1 whose table holds
+    at most TABLE_CELLS cells; at k = 1 it is the one-slot transition table.
     """
     actions = np.frombuffer(codes, np.uint8).reshape(policies, M)
     k = _step_size(policies, M)
@@ -228,135 +282,10 @@ def _step_table(codes: bytes, policies: int, M: int) -> tuple[np.ndarray, np.nda
                      table[:, None, :, :, -1] - 1]   # (policy, high bits, low bits, age - 1, slot)
         both = np.concatenate((np.broadcast_to(table[:, None], then.shape), then), axis=-1)
         table = both.reshape(policies, patterns * patterns, M, -1)
-    table = table.reshape(-1, k)
-    cached = table, table[:, -1].astype(np.intp), np.count_nonzero(table == 1, axis=1).astype(np.uint8)
-    for array in cached:
-        array.flags.writeable = False
-    return cached
+    return _Steps(table.reshape(-1, k), policies, M)
 
 
-def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """The slot loop: ages along each row of a (rows, slots) 0/1 contact matrix.
-
-    Row r starts at age ``start[r]`` and acts by the per-age action table
-    ``actions[policy[r]]``.  Column t of the (rows, slots + 1) result is the age
-    before slot t + 1, and that slot updated exactly when column t + 1 reads 1.
-    Rows longer than CHUNK_SLOTS run as chunks.  A row's first chunk starts
-    at the row's start age.  Each later chunk is seeded first: the last
-    LOOK_BACK slots of the chunk before it are replayed from age M, and the
-    chunk starts at the age that replay ends at.  A run from M and the row's
-    own run agree from the first slot where both update, or both reach M, so
-    the seed is the age the chunk before ends with whenever that happens
-    within the look-back; it misses when ages grow without an update for
-    longer, such as below a threshold far above LOOK_BACK.  Then every chunk
-    is replayed from its start, and a chunk whose start differs from the age
-    the chunk before it ended with reruns from that age, until none does.
-    Every pass fixes at least one more chunk of each row, and the carried
-    starts alone make the result exact: a wrong seed costs a rerun, never a
-    wrong age.
-
-    The loop steps k slots at once: a row's next k contacts, packed
-    little-endian into a pattern, and its age name a row of the table of
-    ``_step_table``, which holds the k ages that follow.  ``_walk`` carries
-    only the age a row ends each step at, in intp, the width of the step
-    codes: one index add, and one gather from the table's intp last column.
-    It leaves each step's table row in its code, and after the loop one
-    gather of them from the full table gives all k ages of every step; it is
-    cut back to slots + 1 columns, since ``np.packbits`` pads a row's last
-    step with no-contact slots.  The ages returned keep the table's dtype,
-    the narrowest that holds M.  k is the largest of 8, 4, 2 and 1 whose
-    table fits TABLE_CELLS cells, so it shrinks as policies x ages grow; at
-    k = 1 the table is the one-slot transition table.  Tables that fit are
-    cached, with their intp last columns and their rows' counts of 1s, by
-    the content of ``actions``, not by the array, in one least-recently-used
-    cache of 64 entries.  An entry holds at most TABLE_CELLS cells of uint16
-    ages, 1 MiB, and TABLE_CELLS / k rows of 9 bytes (an 8-byte column entry
-    and a 1-byte count), so at most 5.5 MiB at k = 1 and 1.6 MiB at k = 8,
-    and the cache at most 352 MiB; a threshold policy at M = 30 takes 60 KiB
-    of table, 60 KiB of column and 7.5 KiB of counts.  A k = 1 table too
-    large for the budget is built per call and not kept.  Rows run in blocks
-    of BLOCK_CELLS // steps rows (at least one), so a block's step codes, and
-    the table rows its final gather picks, number at most BLOCK_CELLS.
-
-    The step codes name the replay's table rows; ``_count_ages`` names them
-    again from the ages returned here and counts a long replay's slots at
-    each age by those rows, not slot by slot.
-    """
-    rows, n = contacts.shape
-    M = actions.shape[1]
-    dtype = np.min_scalar_type(M)
-    if n > CHUNK_SLOTS:
-        parts, L = -(-n // CHUNK_SLOTS), CHUNK_SLOTS   # chunk j of row r is row r * parts + j
-        chunks = np.zeros((rows, parts * L), contacts.dtype)
-        chunks[:, :n] = contacts
-        chunks = chunks.reshape(rows * parts, L)
-        policy, begin = np.repeat(policy, parts), np.repeat(start, parts)
-        first = np.arange(rows * parts) % parts == 0
-        later = np.flatnonzero(~first)   # seeded by the last LOOK_BACK slots before them, from age M
-        tails = chunks[later - 1, L - LOOK_BACK:]
-        begin[later] = _replay(actions, policy[later], tails, np.full(later.size, M))[:, -1]
-        ages = _replay(actions, policy, chunks, begin)
-        while True:
-            carried = np.where(first, begin, np.roll(ages[:, -1], 1))
-            todo, begin = np.flatnonzero(carried != begin), carried
-            if not todo.size:
-                break
-            ages[todo] = _replay(actions, policy[todo], chunks[todo], begin[todo])
-        ages = ages.reshape(rows, parts, L + 1)
-        return np.column_stack((ages[:, :, :L].reshape(rows, -1)[:, :n],
-                                ages[:, -1, n - (parts - 1) * L]))
-    table, last, _ = _tables(actions)
-    k = table.shape[1]
-    steps = -(-n // k)
-    ages = np.empty((rows, n + 1), dtype)
-    ages[:, 0] = start
-    per = max(1, BLOCK_CELLS // steps)   # rows per block
-    for lo in range(0, rows, per):
-        block = slice(lo, lo + per)
-        code = _walk(last, contacts[block], policy[block], len(actions), M, k, start[block])
-        ages[block, 1:] = table.take(code.T, axis=0, mode="clip").reshape(code.shape[1], -1)[:, :n]
-    return ages
-
-
-def _replay_ends(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray,
-                 start: np.ndarray) -> tuple[np.ndarray, int]:
-    """The last column of ``_replay(actions, policy, contacts, start)``, the
-    ages the rows end at, and the count of its 1s past column 0, the rows'
-    updates, without the (rows, slots + 1) age matrix.
-
-    One ``_walk`` leaves each step's table row in its code.  A row ends at
-    column r - 1 of its last step's row, where r is that step's slots, since
-    ``np.packbits`` pads the rest; the full steps' updates are their rows'
-    cached counts of 1s, and the last step's are the 1s among its r columns.
-    Rows longer than CHUNK_SLOTS go through ``_replay``, whose chunks are
-    seeded there, and their ages are counted.
-    """
-    n = contacts.shape[1]
-    if n > CHUNK_SLOTS:
-        ages = _replay(actions, policy, contacts, start)
-        return ages[:, -1], int(np.count_nonzero(ages[:, 1:] == 1))
-    table, last, ones = _tables(actions)
-    k = table.shape[1]
-    code = _walk(last, contacts, policy, *actions.shape, k, start)
-    tail = table.take(code[-1], axis=0, mode="clip")[:, :n - (len(code) - 1) * k]   # the last step's slots
-    return tail[:, -1], int(ones.take(code[:-1], mode="clip").sum()) + int(np.count_nonzero(tail == 1))
-
-
-def _walk(last: np.ndarray, contacts: np.ndarray, policy: np.ndarray, policies: int, M: int, k: int,
-          start: np.ndarray) -> np.ndarray:
-    """The step loop over the k-slot steps of each row of ``contacts`` from
-    the ages ``start``: the (steps, rows) table rows the steps take, each
-    step's ``_step_codes`` code plus the age it starts at.  Each row's age is
-    carried in intp, read off the table's intp last column ``last``."""
-    code = _step_codes(contacts, policy, policies, M, k)
-    age = np.array(start, np.intp)
-    for row in code:
-        row += age   # now the table row of this step
-        last.take(row, out=age, mode="clip")
-    return code
-
-
-def _tables(actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tables(actions: np.ndarray) -> _Steps:
     """``_step_table`` of the action table ``actions``: cached by its content
     when its one-slot table fits TABLE_CELLS cells, else built per call."""
     actions = np.ascontiguousarray(actions, np.uint8)
@@ -364,62 +293,213 @@ def _tables(actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (_step_table if 2 * actions.size <= TABLE_CELLS else _step_table.__wrapped__)(*key)
 
 
-def _step_codes(contacts: np.ndarray, policy: np.ndarray, policies: int, M: int, k: int) -> np.ndarray:
-    """The (steps, rows) intp codes of the k-slot steps of each row of
-    ``contacts``: code + age is the step table row of (policy, pattern, age - 1),
-    where ``age`` is the age the step starts at."""
+def _patterns(contacts: np.ndarray, k: int, steps: int) -> np.ndarray:
+    """The (rows, steps) uint8 patterns of the k-slot steps of each row of
+    ``contacts``: a step's contacts packed little-endian, with the slots past
+    the row's end as no contact."""
     # each byte holds the patterns of 8 // k steps, the first in the low bits
     pattern = np.packbits(np.ascontiguousarray(contacts), axis=1, bitorder="little")
     if k < 8:
         pattern = (pattern[..., None] >> np.arange(0, 8, k, dtype=np.uint8)) & ((1 << k) - 1)
-    steps = -(-contacts.shape[1] // k)
-    code = pattern.reshape(len(contacts), -1)[:, :steps].T.astype(np.intp, order="C")   # widened once
-    code *= M
-    if policies > 1:   # one row of actions takes policy 0, at offset 0
-        code += policy * (M << k)
-    code -= 1
-    return code
+        pattern = pattern.reshape(len(contacts), -1)
+    if pattern.shape[1] < steps:
+        pattern = np.concatenate((pattern, np.zeros((len(contacts), steps - pattern.shape[1]), np.uint8)), axis=1)
+    return pattern[:, :steps]
 
 
-def _count_ages(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, ages: np.ndarray) -> np.ndarray:
-    """Each policy's slots by the age before the slot, a (len(actions), M)
-    int64 array, over the rows of the ``ages`` that
-    ``_replay(actions, policy, contacts, start)`` returned.
+def _walk(last: np.ndarray, code: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The step loop: adds to each of the (steps, rows) ``code``, in place,
+    the age its row starts that step at, so that each becomes its step's
+    table row; returns the ages the rows end their last steps at.  Each
+    row's age is carried in intp, read off the table's intp last column
+    ``last``."""
+    age = np.array(start, np.intp)
+    for row in code:
+        row += age   # now the table row of this step
+        last.take(row, out=age, mode="clip")
+    return age
 
-    When the replay's k-slot steps outnumber the rows of its step table, all
-    but the last step of each row are counted by the table row they name,
-    code + age as in ``_replay``, from their contacts and the ages they start
-    at: a step at a table row covers its start age, then the first k - 1 ages
-    of the row.  Every other slot, all of them for a smaller replay, is
-    counted by its own age: a ``np.bincount`` of age + policy * M per block
-    of rows whose cells number at most BLOCK_CELLS, which bounds its intp
-    copy.  The counts are integers, so both give the same counts.
+
+def _steps(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray,
+           start: np.ndarray) -> tuple[_Steps, np.ndarray, np.ndarray]:
+    """The slot loop, in k-slot steps: the ``_Steps`` of ``actions``, the
+    (steps, rows) table rows of every row's steps, and the (rows, r) ages
+    after each slot of each row's last step, in the table's dtype, whose last
+    column is the age the row ends at.
+
+    Row r starts at age ``start[r]``, acts by the per-age action table
+    ``actions[policy[r]]`` and reads row r mod len(contacts) of the (rows,
+    slots) 0/1 ``contacts``: so rows that differ only in their policy share
+    one packing of their contacts, and each policy adds its block of the
+    table to the shared codes.  A row's next k contacts, packed
+    little-endian into a pattern, and its age name its step's table row,
+    which holds the k ages that follow; ``np.packbits`` pads a row's last
+    step with no-contact slots, so a row of n slots ends at column r - 1 of
+    its last step's row, where r = n - (steps - 1) * k, the slots of that step.
+
+    Rows longer than CHUNK_SLOTS run as chunks of CHUNK_SLOTS slots, a whole
+    number of steps, with the last chunk padded as the last step is.  A
+    row's first chunk starts at the row's start age.  Each later chunk is
+    seeded first: the codes of the last LOOK_BACK slots of the chunk before
+    it are walked from age M, and the chunk starts at the age that walk ends
+    at.  A run from M and the row's own run agree from the first slot where
+    both update, or both reach M, so the seed is the age the chunk before
+    ends with whenever that happens within the look-back; it misses when
+    ages grow without an update for longer, such as below a threshold far
+    above LOOK_BACK.  Then every chunk is walked from its start, and a chunk
+    whose start differs from the age the chunk before it ended with is
+    walked again from that age, from its own fresh codes, until none does.
+    Every pass fixes at least one more chunk of each row, and only the
+    chunks a pass walks have their codes rewritten; the carried starts
+    alone make the result exact: a wrong seed costs a rerun, never a wrong
+    age.  The chunks' codes are then laid out as their rows' steps.
     """
-    rows, n = contacts.shape
-    policies, M = actions.shape
-    k = _step_size(policies, M)
-    steps = -(-n // k)
-    by_rows = rows * steps > policies * 2**k * M
-    done = (steps - 1) * k if by_rows else 0   # the slots counted by table row
-    counts = np.zeros(policies * M + 1, np.int64)   # slots at age a of policy p at p * M + a
-    offset = (policy * M).astype(np.min_scalar_type(policies * M))[:, None]   # narrow, as the ages are
-    per = max(1, BLOCK_CELLS // (n - done))
-    for lo in range(0, rows, per):
-        counts += np.bincount((ages[lo:lo + per, done:-1] + offset[lo:lo + per]).ravel(), minlength=counts.size)
-    if by_rows:
-        table = _tables(actions)[0]
-        used = np.zeros(len(table), np.int64)   # steps by table row
-        per = max(1, BLOCK_CELLS // steps)
-        for lo in range(0, rows, per):
-            code = _step_codes(contacts[lo:lo + per], policy[lo:lo + per], policies, M, k)[:-1]
-            code += ages[lo:lo + per, :done:k].T   # the age each step starts at
-            used += np.bincount(code.ravel(), minlength=len(table))
-        used = used.reshape(policies, -1, M)   # (policy, pattern, start age - 1)
-        later = table.reshape(policies, -1, M, k)[..., :-1] + (M * np.arange(policies))[:, None, None, None]
+    steps = _tables(actions)
+    M = actions.shape[1]
+    k = steps.table.shape[1]
+    n = contacts.shape[1]
+    parts = -(-n // CHUNK_SLOTS)   # chunk j of row r is column r * parts + j
+    span = -(-min(n, CHUNK_SLOTS) // k)   # steps per chunk
+    code = _patterns(contacts, k, parts * span).reshape(-1, span).T.astype(np.intp, order="C")   # widened once
+    code *= M   # a step's table row is code + its policy's block - 1 + the age it starts at
+    if len(actions) == 1 and len(policy) == len(contacts):   # one policy, at block 0
+        code -= 1
+    else:
+        shift = np.repeat(policy * (M << k) - 1, parts)
+        if len(shift) == code.shape[1]:
+            code += shift
+        else:   # rows that share their contacts: their codes differ by their policies' blocks
+            code = (code[:, None] + shift.reshape(-1, code.shape[1])).reshape(span, -1)
+    if parts == 1:
+        _walk(steps.last, code, start)
+    else:
+        begin = np.repeat(np.asarray(start, np.intp), parts)
+        first = np.arange(code.shape[1]) % parts == 0
+        later = np.flatnonzero(~first)   # seeded by the last LOOK_BACK slots before them, from age M
+        tails = code[span - LOOK_BACK // k:].take(later - 1, axis=1)
+        begin[later] = _walk(steps.last, tails, np.full(later.size, M))
+        end = _walk(steps.last, code, begin)
+        while True:
+            carried = np.where(first, begin, np.roll(end, 1))
+            todo = np.flatnonzero(carried != begin)
+            if not todo.size:
+                break
+            # a walked code less the age its step started at is its fresh code
+            again = code[:, todo]
+            again[1:] -= steps.last.take(again[:-1], mode="clip")
+            again[0] -= begin[todo]
+            begin = carried
+            end[todo] = _walk(steps.last, again, begin[todo])
+            code[:, todo] = again
+        code = code.reshape(span, -1, parts).transpose(2, 0, 1).reshape(parts * span, -1)[:-(-n // k)]
+    r = n - (len(code) - 1) * k   # the slots of each row's last step
+    return steps, code, steps.table.take(code[-1], axis=0, mode="clip")[:, :r]   # the last step's slots
+
+
+def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The ages along each row of a (rows, slots) 0/1 contact matrix, for the
+    callers that need every age: the (rows, slots + 1) ages of ``_steps``'
+    rows, where column t is the age before slot t + 1, and that slot updated
+    exactly when column t + 1 reads 1.
+
+    One gather of the steps' table rows gives all k ages of every step; it
+    is cut back to slots + 1 columns, since ``np.packbits`` pads a row's
+    last step with no-contact slots.  The ages keep the table's dtype, the
+    narrowest that holds M.
+
+    k is the largest of 8, 4, 2 and 1 whose table fits TABLE_CELLS cells,
+    so it shrinks as policies x ages grow; at k = 1 the table is the
+    one-slot transition table.  Tables that fit are cached with their rows'
+    summaries (``_Steps``) by the content of ``actions``, not by the array,
+    in one least-recently-used cache of 64 entries.  An entry holds at most
+    TABLE_CELLS cells of uint16 ages, 1 MiB; TABLE_CELLS / k rows of 11
+    bytes of summaries (an 8-byte last-column entry and three 1-byte
+    summaries); TABLE_CELLS tally cells of at most 4 bytes, 2 MiB; and a
+    uint8 histogram of at most TABLE_CELLS cells, 512 KiB, kept only when
+    it fits.  So an entry takes at most 8.5 MiB at k = 1 (where the rows
+    are too many for a histogram) and 2.2 MiB at k = 8, and the cache at
+    most 544 MiB; the 13 threshold policies of M = 12 take 312 KiB of
+    table, 429 KiB of summaries, 312 KiB of cells and 468 KiB of histogram.
+    A k = 1 table too large for the budget is built per call and not kept.
+    """
+    steps, code, _ = _steps(actions, policy, contacts, start)
+    n = contacts.shape[1]
+    ages = np.empty((len(policy), n + 1), steps.table.dtype)
+    ages[:, 0] = start
+    ages[:, 1:] = steps.table.take(code.T, axis=0, mode="clip").reshape(len(policy), -1)[:, :n]
+    return ages
+
+
+def _replay_ends(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray,
+                 start: np.ndarray) -> tuple[np.ndarray, int]:
+    """The last column of ``_replay(actions, policy, contacts, start)``, the
+    ages the rows end at, and the count of its 1s past column 0, the rows'
+    updates, without the (rows, slots + 1) age matrix: the full steps'
+    updates are their rows' cached counts of 1s, and the last step's are
+    the 1s among its r columns, since ``np.packbits`` pads the rest.
+    """
+    steps, code, tail = _steps(actions, policy, contacts, start)
+    return tail[:, -1], int(steps.ones.take(code[:-1], mode="clip").sum()) + int(np.count_nonzero(tail == 1))
+
+
+def _count_ages(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
+    """Each policy's slots by the age before the slot, a (policies, M) int64
+    array, over the rows of n slots whose (steps, rows) table rows ``code``
+    ``_steps`` returned, counted from those table rows alone.  The rows come
+    in one equal block per policy, in order, as rotations lay them out.
+
+    Each slot of a step counts one at its tally cell (``_Steps.cells``): the
+    cell of the step's start age, then those of the first k - 1 ages of its
+    row, all in the row's policy.  A row's last step covers only its first
+    r = n - (steps - 1) * k slots, so it counts only its first r cells.  The
+    other steps are counted by table row when they outnumber the table's
+    rows, as on one long trace: one ``np.bincount`` of their rows, then each
+    row's count at each of its cells.  Otherwise each adds its row's cached
+    histogram, summed over each replay row's steps and then over each
+    policy's block of rows; a table too large for histograms has each
+    step's cells counted one by one.  The counts are integers, and every
+    float sum is a whole number below 2**53, so the routes give the same
+    counts.
+    """
+    cells, k, policies = steps.cells, steps.table.shape[1], steps.policies
+    r = n - (len(code) - 1) * k   # the slots of each row's last step
+    counts = np.bincount(cells.take(code[-1], axis=0, mode="clip")[:, :r].ravel(), minlength=policies * steps.M)
+    full = code[:-1]
+    if full.size > len(cells):   # by table row
+        used = np.bincount(full.ravel(), minlength=len(cells))
         # each count is a whole number below 2**53, so the float sums are exact
-        counts += np.bincount(later.ravel(), np.repeat(used.ravel(), k - 1), counts.size).astype(np.int64)
-        counts[1:] += used.sum(1).ravel()
-    return counts[1:].reshape(policies, M)
+        counts += np.bincount(cells.ravel(), np.repeat(used, k), counts.size).astype(np.int64)
+    elif steps.hist is None:
+        counts += np.bincount(cells.take(full.ravel(), axis=0, mode="clip").ravel(), minlength=counts.size)
+    elif full.size:
+        mine = steps.hist.take(full, axis=0, mode="clip").sum(0, dtype=np.min_scalar_type(n))   # by replay row
+        blocks = np.arange(0, len(mine), len(mine) // policies)
+        counts += np.add.reduceat(mine, blocks, axis=0, dtype=np.int64).ravel()
+    return counts.reshape(policies, steps.M)
+
+
+def _count_3g(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
+    """Each row's 3G updates, an int64 array, over the rows of n slots whose
+    (steps, rows) table rows ``code`` ``_steps`` returned: the full steps'
+    cached counts, and the 1s among the first r slots of each row's last
+    step whose pattern bit is 0, r = n - (steps - 1) * k."""
+    k = steps.table.shape[1]
+    r = n - (len(code) - 1) * k
+    counts = steps.ones_3g.take(code if r == k else code[:-1], mode="clip").sum(0, dtype=np.int64)
+    if r < k:
+        pattern = (code[-1] // steps.M).astype(np.uint8)   # the step's contacts in its low k bits
+        bits = steps.at_1.take(code[-1], mode="clip") & ~pattern & ((1 << r) - 1)
+        counts += np.count_nonzero(np.unpackbits(bits[:, None], axis=1), axis=1)
+    return counts
+
+
+def _updated(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
+    """A (rows, n) bool array: True where a slot of a row ends at age 1, that
+    is, updates, over the rows of n slots whose (steps, rows) table rows
+    ``code`` ``_steps`` returned, read off the steps' cached bitmasks."""
+    rows, k = code.shape[1], steps.table.shape[1]
+    bits = np.unpackbits(steps.at_1.take(code.T, mode="clip"), axis=1, bitorder="little")
+    return bits.reshape(rows, -1, 8)[:, :, :k].reshape(rows, -1)[:, :n].view(bool)
 
 
 #: each Action by its code; members hash as their codes, so they map to themselves

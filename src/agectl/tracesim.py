@@ -3,15 +3,16 @@ two-threshold, and location-mask policies against recorded contact strings,
 estimate per-shift contact statistics, and run multi-user closed-loop rounds.
 
 Every replay here, one policy on one trace, each policy from each rotated
-phase, or one round of a user population, runs as the rows of one call to
-``model._replay``, the package's only loop over slots.  The counts are read
-off the replayed ages: the slots at each age, and the updates, where an age
-returns to 1; the contacts are read again only to tell 3G updates from WiFi
-ones.  A replay whose k-slot steps outnumber the rows of its step table,
-such as one long trace, counts its slots at each age by the table rows its
-steps use (``model._count_ages``); any other counts every slot's age.  Every
-reward, energy and fee total is then the exact sum of counted terms, rounded
-once.
+phase, or one round of a user population, runs as the rows of one
+``model._steps`` walk, the package's only loop over slots, which names the
+step table row of each k-slot step of each row.  A trace replay tallies off
+those rows alone, through the summaries cached with the table: the slots at
+each age (``model._count_ages``), the updates, where an age returns to 1,
+the 3G updates, the 1s after a slot without a contact, and the slots of the
+updates, from each row's bitmask of ages at 1; it builds no age matrix.
+Only a population round that records or counts its ages gathers them all,
+through ``model._replay``.  Every reward, energy and fee total is then the
+exact sum of counted terms, rounded once.
 
 Traces are strings of ones (useful slot) and zeros; an optional second bit
 string of equal length marks location-privileged slots.
@@ -182,6 +183,15 @@ class UpdateSlots(Sequence[int]):
             raise TypeError("update slots must be a flat sequence of integers")
         self._array = np.frombuffer(array.astype(np.int64, copy=False).tobytes(), np.int64)
 
+    @classmethod
+    def _adopt(cls, array: np.ndarray) -> "UpdateSlots":
+        """The slots of a fresh flat int64 array that no one else holds, with no
+        copy: the array is read through a read-only buffer, so it cannot be
+        made writeable again."""
+        slots = cls.__new__(cls)
+        slots._array = np.frombuffer(memoryview(array.astype(np.int64, copy=False)).toreadonly(), np.int64)
+        return slots
+
     def __len__(self) -> int:
         return len(self._array)
 
@@ -274,28 +284,28 @@ def _policy_actions(params: SystemParams, policy: Policy | MaskPolicy) -> np.nda
     return np.array([policy.actions], np.uint8)
 
 
-def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.ndarray | None,
-                      replications: int, start_age: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.ndarray | None, replications: int,
+                      start_age: int) -> tuple[tuple[model._Steps, np.ndarray], np.ndarray, list[float]]:
     """Replay each row of the per-age action table ``actions``, or the mask
     policy when it is None, from every phase r * max(1, floor(len / replications))
-    mod len, r < replications, as the rows of one ``model._replay`` call; one
-    replication replays the trace's own bits, with no copy per policy.
-    Returns the mask of the replayed ages at 1, (rows, len + 1) with column t
-    the age after slot t, so its columns past 0 mark the slots that end in an
-    update; and, per policy over all its phases, the reward total and
-    the tally that ``_values`` prices: the slots at each age before the slot,
+    mod len, r < replications, as the rows of one ``model._steps`` walk.
+    The phases' contacts are packed once, and each policy's rows read them
+    with its own block of the step table; one replication replays the
+    trace's own bits, with no copy.  Returns the walk's step table and
+    (steps, rows) table rows, row p * replications + r for policy p from
+    phase r; and, per policy over all its phases, the reward total and the
+    tally that ``_values`` prices: the slots at each age before the slot,
     the active slots, the WiFi updates and the 3G updates.
 
-    ``model._count_ages`` counts each policy's slots by age: by step table
-    row when the replay's steps outnumber the table's rows, as on one long
-    trace, and else by each slot's age, as on the short rows of a comparison
-    table.  The active slots follow from the ages where a policy acts (for
-    the mask policy, every masked slot).  An update leaves the age at 1, so a
-    policy's updates are its slots at age 1, less its rows that start at age
-    1, plus those that end there.  The contacts are read only when the table
-    has action 2: an update without a contact is a 3G update, and every other
-    update is over WiFi.  The mask of ages at 1 is formed once, for these counts
-    and for ``simulate_policy``'s update slots."""
+    Every count is read off the table rows the steps take, through the
+    summaries cached with the table (``model._Steps``), with no age matrix:
+    ``model._count_ages`` counts each policy's slots by age, and the active
+    slots follow from the ages where a policy acts (for the mask policy,
+    every masked slot).  An update leaves the age at 1, so a policy's
+    updates are its slots at age 1, less its rows that start at age 1, plus
+    those that end there.  3G updates are counted only when the table has
+    action 2: an update after a slot without a contact is a 3G update, and
+    every other update is over WiFi."""
     M = params.max_age
     if not 1 <= start_age <= M:
         raise ValueError(f"start age {start_age} outside [1, {M}]")
@@ -307,23 +317,22 @@ def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.nda
     if actions is None:   # the mask policy: WiFi at every age, on the contacts of masked slots only
         bits, table = bits & trace.mask_bits, np.ones((1, M), np.uint8)
     n, k = len(trace), len(table)
-    if replications == 1:
-        contacts = np.broadcast_to(bits, (k, n))
-    else:
+    contacts = bits[None]
+    if replications > 1:
         phases = np.arange(replications) * max(1, n // replications) % n
-        contacts = np.tile(np.lib.stride_tricks.sliding_window_view(np.tile(bits, 2), n)[phases], (k, 1))
+        contacts = np.concatenate((bits, bits))[phases[:, None] + np.arange(n)]
     policy = np.repeat(np.arange(k), replications)
-    ages = model._replay(table, policy, contacts, np.full(len(policy), start_age))
-    by_age, at_1 = model._count_ages(table, policy, contacts, ages), ages == 1
-    ends = at_1[:, -1].reshape(k, replications).sum(1) - replications * (start_age == 1)
+    steps, code, tail = model._steps(table, policy, contacts, np.full(len(policy), start_age))
+    by_age = model._count_ages(steps, code, n)
+    ends = (tail[:, -1] == 1).reshape(k, replications).sum(1) - replications * (start_age == 1)
     updates, updates_3g = by_age[:, 0] + ends, np.zeros(k, np.int64)
-    if (table == 2).any():   # an update without a contact is a 3G update
-        updates_3g = np.array([np.count_nonzero(mine) for mine in (at_1[:, 1:] > contacts).reshape(k, -1)])
+    if (table == 2).any():   # an update after a slot without a contact is a 3G update
+        updates_3g = model._count_3g(steps, code, n).reshape(k, replications).sum(1)
     active = (by_age * (table >= 1)).sum(1)
     if actions is None:   # active on the masked slots, with or without a contact
         active[0] = replications * np.count_nonzero(trace.mask_bits)
     tally = np.column_stack((by_age, active, updates - updates_3g, updates_3g))
-    return at_1, tally, _exact_sums(tally, _values(params, params.bonus))
+    return (steps, code), tally, _exact_sums(tally, _values(params, params.bonus))
 
 
 def simulate_policy(
@@ -338,14 +347,17 @@ def simulate_policy(
     to one starting from the next slot.  Deterministic: identical inputs give
     identical results.
     """
-    at_1, tally, (total,) = _replay_rotations(trace, params, _policy_actions(params, policy), 1, start_age)
+    (steps, code), tally, (total,) = _replay_rotations(
+        trace, params, _policy_actions(params, policy), 1, start_age)
     active, wifi, updates_3g = tally[0, -3:].tolist()
+    slots = np.flatnonzero(model._updated(steps, code, len(trace))[0])
+    slots += 1   # the 1-based slot
     return SimResult(
         total_reward=total,
         slots=len(trace),
         average_reward=total / len(trace),
         updates=wifi + updates_3g,
-        update_slots=UpdateSlots(np.flatnonzero(at_1[0])[int(start_age == 1):]),   # column 0 is the start
+        update_slots=UpdateSlots._adopt(slots),
         updates_wifi=wifi,
         updates_3g=updates_3g,
         energy_spent=active * params.scan_cost,   # one rounding: active < 2**53

@@ -39,6 +39,7 @@ MODEL = "src/agectl/model.py"
 STREAM = "tests/test_thresholds.py::TestTwoThresholdStream::"
 PI = "tests/test_solver.py::TestPolicyIteration::"
 RVI = "tests/test_solver.py::TestAgainstReferenceIteration::"
+COUNTS = "tests/test_replay.py::test_counts_from_codes_equal_slot_tallies"
 
 
 @dataclass(frozen=True)
@@ -153,10 +154,31 @@ MUTANTS = (
            ("tests/test_learning.py::TestEnvironments::test_env_response_is_threshold_response_at_every_edge",)),
     # the round reader: end ages read past the last step's slots, in its padding
     Mutant("round-end-full-step", MODEL,
-           "[:, :n - (len(code) - 1) * k]   # the last step's slots", "",
+           "[:, :r]   # the last step's slots", "",
            ("tests/test_replay.py::test_chain_env_draws_one_number_per_user_slot",
             "tests/test_replay.py::test_trace_env_serves_what_the_population_serves",
             "tests/test_replay.py::test_round_reader_reads_the_end_ages_and_updates_of_the_replay")),
+    # the step summaries: a row's histogram over the k ages after its slots
+    Mutant("histogram-after-slots", MODEL,
+           "self.cells % M   # the age before", "(self.table - 1)   # the age after",
+           (COUNTS + "[12-per-age-13-by histogram]",
+            "tests/test_replay.py::test_rotation_tallies_count_the_reference_parts")),
+    # the bitmask of ages at 1 packed big-endian: update slots reversed in each step
+    Mutant("at-1-big-endian", MODEL,
+           'np.packbits(self.table == 1, axis=1, bitorder="little")',
+           'np.packbits(self.table == 1, axis=1, bitorder="big")',
+           ("tests/test_replay.py::test_step_tables_are_cached_by_content_read_only_and_bounded",
+            "tests/test_tracesim.py::TestSimulatePolicy::test_hand_stepped_example")),
+    # 3G updates counted at the slots with a contact
+    Mutant("3g-at-contacts", MODEL,
+           "popcount.take(self.at_1 & ~pattern)", "popcount.take(self.at_1 & pattern)",
+           ("tests/test_replay.py::test_rotation_tallies_count_the_reference_parts",
+            "tests/test_replay.py::test_simulate_policy_equals_reference_replay")),
+    # each policy's codes offset by 1, not by its block of the step table
+    Mutant("policy-offset-by-one", MODEL,
+           "np.repeat(policy * (M << k) - 1, parts)", "np.repeat(policy - 1, parts)",
+           ("tests/test_replay.py::test_threshold_means_equal_reference_averages",
+            "tests/test_replay.py::test_rotation_tallies_count_the_reference_parts")),
 )
 # a control: every entry's tests pass on an unbroken copy
 MUTANTS += (Mutant("comment-only", THRESHOLDS,

@@ -8,6 +8,7 @@ step or span several row blocks, and on chunk rows whose seeded starts hold
 or miss and settle in one rerun pass or over many; and each column of the
 rotation tallies against the counted reference parts, with replays counted
 by step-table row against the same replays counted slot by slot."""
+import copy
 import math
 import warnings
 from dataclasses import replace
@@ -222,6 +223,30 @@ def test_long_replay_matches_reference():
     assert_totals_equal_parts(result, reference_parts(trace.slots, params, policy.action_at, 7))
 
 
+@pytest.mark.parametrize("n", [13, 3 * L + 5])
+def test_trace_replays_build_no_age_matrix(monkeypatch, n):
+    # simulate_policy, replayed_average_reward and comparison_table read
+    # every count off the step codes, on short and on chunked traces: with
+    # model._replay, the one builder of the age matrix, gone they answer the same
+    M = 12
+    params = params_for(M, 0.5, 0.5, 0.5, UtilityFunction.linear(M))
+    trace = ContactTrace("t", bits(n, 0.5, n), mask=bits(n, 0.3, n + 1))
+    policies = [Policy.from_thresholds(3, None, M), Policy.from_thresholds(3, 9, M), MASK_POLICY]
+
+    def answers():
+        return ([simulate_policy(trace, params, policy, start_age=4) for policy in policies],
+                tracesim.replayed_average_reward(trace, params, policies[0], 40, 2),
+                tracesim.comparison_table([trace], params, 40))
+
+    expected = answers()
+
+    def no_age_matrix(*args):
+        raise AssertionError("model._replay called")
+
+    monkeypatch.setattr(model, "_replay", no_age_matrix)
+    assert answers() == expected
+
+
 def test_chunks_without_updates_settle_over_several_passes():
     # ages above the chunk length never saturate within one chunk, so every
     # chunk's start depends on all the chunks before it
@@ -258,6 +283,17 @@ def threshold_table(M, pairs):
     return np.array([Policy.from_thresholds(s, s_3g, M).actions for s, s_3g in pairs], np.uint8)
 
 
+def spy_walks(monkeypatch):
+    """The (fresh codes, start ages) of every ``model._walk`` call, in order:
+    each call is one pass over some steps of some rows or chunks."""
+    passes, walk = [], model._walk
+    def spy(last, code, start):
+        passes.append((code.copy(), np.array(start)))
+        return walk(last, code, start)
+    monkeypatch.setattr(model, "_walk", spy)
+    return passes
+
+
 def test_replay_ages_without_contacts_beyond_the_chunk_length(monkeypatch):
     # with no contact a WiFi run's age only grows, so runs from different
     # starts first agree at M > CHUNK_SLOTS: each chunk's end depends on its
@@ -267,10 +303,9 @@ def test_replay_ages_without_contacts_beyond_the_chunk_length(monkeypatch):
     policy = np.repeat(np.arange(4), 4)
     start = np.tile([1, 2, L + 7, M], 4)
     contacts = np.zeros((len(policy), 5 * L + 3), np.uint8)
-    passes, replay = [], model._replay
-    monkeypatch.setattr(model, "_replay", lambda *args: passes.append(args) or replay(*args))
+    passes = spy_walks(monkeypatch)
     assert_replay_equals_stepped(actions, policy, contacts, start)
-    assert len(passes) - 1 >= 4   # the outer call, then one call per pass
+    assert len(passes) >= 4   # the look-back, then one walk per pass
 
 
 def test_replay_ages_meet_late_at_low_contact_probability():
@@ -314,7 +349,7 @@ def test_threshold_means_equal_reference_averages():
 def step_size(actions):
     """The k of the step table ``model._replay`` uses for ``actions``."""
     table = np.ascontiguousarray(actions, np.uint8)
-    return model._step_table.__wrapped__(table.tobytes(), *table.shape)[0].shape[1]
+    return model._step_table.__wrapped__(table.tobytes(), *table.shape).table.shape[1]
 
 
 @pytest.mark.parametrize("n", [1, 7, 9, L - 1, L + 1])
@@ -356,22 +391,21 @@ def test_chunk_reruns_meet_between_step_boundaries(monkeypatch):
     contacts = np.zeros((2, 3 * L), np.uint8)
     contacts[:, 2::L] = 1
     start = np.array([5, M])
-    passes, replay = [], model._replay
-    monkeypatch.setattr(model, "_replay", lambda *args: passes.append(args) or replay(*args))
+    passes = spy_walks(monkeypatch)
     assert_replay_equals_stepped(actions, np.zeros(2, int), contacts, start)
-    # the outer call, the look-back over the last LOOK_BACK slots before each
-    # of the 4 later chunks, and the first pass; no contact falls in those
-    # slots, so each look-back stays at M, the age every chunk ends at, and
-    # no chunk reruns
-    assert len(passes) == 3
-    _, _, tails, tail_start = passes[1]
-    assert tails.shape == (4, model.LOOK_BACK) and not tails.any() and (tail_start == M).all()
-    assert passes[2][2].shape == (6, L)
+    # the look-back over the last LOOK_BACK slots before each of the 4 later
+    # chunks, and the first pass; no contact falls in those slots, so each
+    # look-back stays at M, the age every chunk ends at, and no chunk reruns
+    assert len(passes) == 2
+    tails, tail_start = passes[0]
+    assert tails.shape == (model.LOOK_BACK // 8, 4) and (tail_start == M).all()
+    assert not ((tails + 1) // M).any()   # code + 1 = pattern * M at policy 0: no contact
+    assert passes[1][0].shape == (L // 8, 6)
 
 
-def chunk_rows_replayed(passes):
-    """Slots that the kernel calls after the outer one replayed, in chunks."""
-    return sum(contacts.size for _, _, contacts, _ in passes[1:]) / L
+def chunk_rows_replayed(passes, k):
+    """Slots that the walks of k-slot steps replayed, in chunks."""
+    return sum(code.size for code, _ in passes) * k / L
 
 
 def test_seeded_chunks_replay_few_chunk_rows(monkeypatch):
@@ -382,14 +416,13 @@ def test_seeded_chunks_replay_few_chunk_rows(monkeypatch):
     actions = threshold_table(M, [(3, None)])
     assert step_size(actions) == 8
     contacts = np.frombuffer(iid_trace(0.54, n, seed=23).slot_bits, np.uint8)[None]
-    passes, replay = [], model._replay
-    monkeypatch.setattr(model, "_replay", lambda *args: passes.append(args) or replay(*args))
+    passes = spy_walks(monkeypatch)
     assert_replay_equals_stepped(actions, np.zeros(1, int), contacts, np.array([7]))
     chunks = -(-n // L)
     # the look-back, at LOOK_BACK / L = 1/8 of a chunk row per chunk, the
     # first pass, at one, and the reruns
-    assert chunk_rows_replayed(passes) <= 1.2 * chunks
-    assert passes[1][2].shape == (chunks - 1, model.LOOK_BACK) and passes[2][2].shape == (chunks, L)
+    assert chunk_rows_replayed(passes, 8) <= 1.2 * chunks
+    assert passes[0][0].shape == (model.LOOK_BACK // 8, chunks - 1) and passes[1][0].shape == (L // 8, chunks)
 
 
 def test_missed_seeds_rerun_to_the_stepped_ages(monkeypatch):
@@ -402,12 +435,11 @@ def test_missed_seeds_rerun_to_the_stepped_ages(monkeypatch):
     policy = np.repeat([0, 1], M)
     start = np.tile(np.arange(1, M + 1), 2)
     contacts = np.tile(np.random.default_rng(9).random(7 * L + 3) < 0.02, (2 * M, 1))
-    passes, replay = [], model._replay
-    monkeypatch.setattr(model, "_replay", lambda *args: passes.append(args) or replay(*args))
+    passes = spy_walks(monkeypatch)
     assert_replay_equals_stepped(actions, policy, contacts, start)
-    # the outer call, the look-back, the first pass and at least one rerun
+    # the look-back, the first pass and at least one rerun
     chunks = len(policy) * -(-contacts.shape[1] // L)
-    assert len(passes) >= 4 and chunk_rows_replayed(passes) > 1.2 * chunks
+    assert len(passes) >= 3 and chunk_rows_replayed(passes, step_size(actions)) > 1.2 * chunks
 
 
 @pytest.mark.parametrize("policies, M, k, cells", [(1, 12, 8, 70), (300, 300, 1, 520)])
@@ -434,31 +466,56 @@ def test_step_tables_are_cached_by_content_read_only_and_bounded():
     contacts = (np.random.default_rng(3).random((3, 40)) < 0.4).astype(np.uint8)
     assert_replay_equals_stepped(actions, policy, contacts, start)
     cached = model._step_table(actions.tobytes(), *actions.shape)
-    table, last, ones = cached
     assert model._step_table.cache_info().maxsize == 64
-    # the last-age column, in intp, and each row's count of ages at 1 are
-    # cached with the table, by the same key and bound, and all are read-only
-    for array in cached:
-        assert array.flags.c_contiguous and not array.flags.writeable
+    # each row's summaries are cached with the table, by the same key and
+    # bound, and all are read-only; those a round does not read are built
+    # on their first read
+    fresh = model._step_table.__wrapped__(actions.tobytes(), *actions.shape)
+    assert set(vars(fresh)) == {"policies", "M", "table", "last", "ones"}
+    assert_cached_from_table(cached, *actions.shape)
+    for name in SUMMARIES:
+        array = getattr(cached, name)
+        assert array.flags.c_contiguous and not array.flags.writeable and getattr(cached, name) is array
         with pytest.raises(ValueError):
             array[0] = 1
-    assert last.dtype == np.intp and len(ones) == len(table)
-    assert_cached_from_table(cached)
+    assert cached.last.dtype == np.intp and cached.hist.shape == (len(cached.table), M)
     again = model._step_table(bytes(bytearray(actions.tobytes())), *actions.shape)
-    assert all(a is b for a, b in zip(again, cached))
+    assert again is cached
     # the same array changed in place keys a new table
     actions[0] = threshold_table(M, [(M + 1, None)])[0]
     actions[1, ::2] = Action.WIFI_THEN_3G
     assert_replay_equals_stepped(actions, policy, contacts, start)
     changed = model._step_table(actions.tobytes(), *actions.shape)
-    assert not any(a is b for a, b in zip(changed, cached))
-    assert_cached_from_table(changed)
+    assert changed is not cached and not np.array_equal(changed.table, cached.table)
+    assert_cached_from_table(changed, *actions.shape)
+    # a histogram of more than TABLE_CELLS cells is not kept; at M = 260 the
+    # ages are uint16 and the steps 4 slots long
+    wide = threshold_table(260, [(250, 255)])
+    steps = model._step_table.__wrapped__(wide.tobytes(), *wide.shape)
+    assert steps.table.shape[1] == 4 and len(steps.table) * 260 > model.TABLE_CELLS and steps.hist is None
+    assert_cached_from_table(steps, *wide.shape)
 
 
-def assert_cached_from_table(cached):
-    table, last, ones = cached
-    np.testing.assert_array_equal(last, table[:, -1])
-    np.testing.assert_array_equal(ones, (table == 1).sum(1))
+SUMMARIES = ("table", "last", "ones", "ones_3g", "at_1", "cells", "hist")
+
+
+def assert_cached_from_table(steps, policies, M):
+    """Each summary against its row of the table, one row at a time: row
+    ((policy * 2**k + pattern) * M + age - 1) starts at ``age``, bit j of
+    ``pattern`` is the contact of slot j + 1, and an age of 1 is an update."""
+    table = steps.table
+    k = table.shape[1]
+    assert len(table) == policies * 2**k * M
+    for row, ages in enumerate(table.tolist()):
+        policy, pattern, age = row // (M << k), row // M % 2**k, row % M + 1
+        before = [age] + ages[:-1]
+        updates = [j for j in range(k) if ages[j] == 1]
+        assert steps.last[row] == ages[-1] and steps.ones[row] == len(updates)
+        assert steps.ones_3g[row] == sum(not pattern >> j & 1 for j in updates)
+        assert steps.at_1[row] == sum(1 << j for j in updates)
+        assert steps.cells[row].tolist() == [policy * M + a - 1 for a in before]
+        if steps.hist is not None:
+            assert steps.hist[row].tolist() == [before.count(a) for a in range(1, M + 1)]
 
 
 @pytest.mark.parametrize("n", [1, 7, 13, 2 * L + 3])
@@ -580,7 +637,7 @@ def slot_tally(ages, policy, policies, M):
 @given(st.sampled_from([2, 5, 12, 260]), st.sampled_from(["monotone", "per-age", "mask", "late"]),
        st.sampled_from(["1", "k - 1", "k", "k + 1", "L - 1", "L + 1", "3L + 5"]), st.data())
 def test_row_tallies_equal_slot_tallies_and_reference_parts(M, kind, length, data):
-    # a replay counts its slots by step table row once its steps outnumber
+    # a replay counts its full steps by step table row once they outnumber
     # the table's rows, and enough phases take every draw there; at M = 260
     # the ages are uint16 and the steps 4 slots long
     params = SystemParams(contact_prob=0.5, max_age=M, utility=UtilityFunction.linear(M),
@@ -601,19 +658,19 @@ def test_row_tallies_equal_slot_tallies_and_reference_parts(M, kind, length, dat
     n = max(1, {"1": 1, "k - 1": k - 1, "k": k, "k + 1": k + 1,
                 "L - 1": L - 1, "L + 1": L + 1, "3L + 5": 3 * L + 5}[length])
     steps = -(-n // k)
-    reps = 2**k * M // steps + 1   # the steps of every row outnumber the table's rows
+    reps = 2**k * M // max(1, steps - 1) + 1   # the full steps of every row outnumber the table's rows
     start, seed = data.draw(st.integers(1, M)), data.draw(st.integers(0, 2**32 - 1))
     trace = ContactTrace("t", bits(n, p, seed), mask=bits(n, 0.4, seed + 1))
 
-    # the kernel level: the row count of a replay's ages against their slot count
+    # the kernel level: the count of a replay's table rows against the slot count of its ages
     contacts = np.asarray(trace.slots, np.uint8) & (np.asarray(trace.mask, np.uint8) if kind == "mask" else 1)
     phases = np.arange(reps) * max(1, n // reps) % n
     contacts = np.tile([np.roll(contacts, -phase) for phase in phases], (len(table), 1))
-    policy = np.repeat(np.arange(len(table)), reps)
-    assert len(policy) * steps > len(table) * 2**k * M
-    ages = model._replay(table, policy, contacts, np.full(len(policy), start))
-    np.testing.assert_array_equal(model._count_ages(table, policy, contacts, ages),
-                                  slot_tally(ages, policy, len(table), M))
+    policy, begin = np.repeat(np.arange(len(table)), reps), np.full(len(table) * reps, start)
+    assert len(policy) * (steps - 1) > len(table) * 2**k * M or steps == 1
+    walked, code, _ = model._steps(table, policy, contacts, begin)
+    np.testing.assert_array_equal(model._count_ages(walked, code, n),
+                                  slot_tally(model._replay(table, policy, contacts, begin), policy, len(table), M))
 
     # the rotations: each tally column counts reference parts, and each total is their sum
     _, tally, totals = tracesim._replay_rotations(trace, params, None if kind == "mask" else table, reps, start)
@@ -623,6 +680,51 @@ def test_row_tallies_equal_slot_tallies_and_reference_parts(M, kind, length, dat
         assert tally[i].tolist() == [utility.count(params.utility(age)) for age in range(1, M + 1)] + [
             len(scan) - scan.count(0.0), fee.count(fee_wifi), fee.count(fee_3g)]
         assert totals[i] == parts_total(parts)
+
+
+def histograms(steps, M):
+    """The (rows, M) histogram of the ages before the slots of each row of a
+    step table: its start age, then the first k - 1 ages of the row."""
+    table = steps.table
+    before = np.column_stack((np.arange(len(table)) % M + 1, table[:, :-1]))
+    return np.array([np.bincount(row, minlength=M + 1)[1:] for row in before], np.uint8)
+
+
+@pytest.mark.parametrize("route", ["by table row", "by histogram", "by cell"])
+@pytest.mark.parametrize("M, kind, n", [
+    (12, "per-age", 13),         # a last step of 5 slots in 8
+    (12, "per-age", 16),         # whole steps only
+    (12, "per-age", 3 * L + 5),  # chunks
+    (260, "per-age", 2 * L + 3),   # uint16 ages and 4-slot steps
+    (260, "late", L + 1),        # chunk seeds that miss and rerun
+    (260, "late", 3 * L + 5)])
+def test_counts_from_codes_equal_slot_tallies(monkeypatch, M, kind, n, route):
+    # each route of model._count_ages against the slot count of the ages
+    # model._replay returns: full steps by table row when they outnumber the
+    # table's rows, else by their rows' histograms, or cell by cell when the
+    # table has none; each row's last step from its first r cells
+    rng = np.random.default_rng(M + n)
+    if kind == "late":   # a threshold near M at low p: a run waits long for a contact
+        table, p = threshold_table(M, [(M - 1, None)]), 0.02
+    else:
+        table, p = rng.integers(0, 3, (2, M)).astype(np.uint8), 0.5
+    policies, k = len(table), step_size(table)
+    steps = -(-n // k)
+    reps = 2**k * M // (steps - 1) + 1 if route == "by table row" else 3
+    contacts = (rng.random((reps, n)) < p).astype(np.uint8)
+    policy, start = np.repeat(np.arange(policies), reps), rng.integers(1, M + 1, policies * reps)
+    passes = spy_walks(monkeypatch)
+    walked, code, _ = model._steps(table, policy, contacts, start)
+    if kind == "late":   # the look-back, the first pass and at least one rerun
+        assert len(passes) >= 3
+    if route != "by table row":
+        assert code[:-1].size <= len(walked.table)
+        if route == "by cell" or walked.hist is None:
+            walked = copy.copy(walked)
+            walked.hist = None if route == "by cell" else histograms(walked, M)
+    assert (code[:-1].size > len(walked.table)) == (route == "by table row")
+    np.testing.assert_array_equal(model._count_ages(walked, code, n),
+                                  slot_tally(model._replay(table, policy, contacts, start), policy, policies, M))
 
 
 @given(st.integers(1, 5), st.integers(1, 30), st.integers(1, 8), st.integers(0, 2**32 - 1))

@@ -77,7 +77,8 @@ def conftest_privates() -> set[str]:
 
 ORACLE = ("chain.transition_matrix", "chain.expected_reward_vector", "chain.steady_state_exact",
           "chain.chain_summary")
-REPLAY = ("model._replay", "model._replay_ends", "tracesim._replay_rotations", "tracesim.simulate_policy")
+REPLAY = ("model._steps", "model._replay", "model._replay_ends", "tracesim._replay_rotations",
+          "tracesim.simulate_policy")
 
 #: (seam, the names it uses, the patterns they must match)
 SEAMS = (
