@@ -89,7 +89,7 @@ def threshold_reward_affine(params: SystemParams) -> tuple[np.ndarray, np.ndarra
     M = params.max_age
     p = params.contact_prob
     q = 1.0 - p
-    u = np.asarray(params.utility.values)
+    u = params.utility.value_array
     slope = 1.0 / cycle_lengths(p, M)
     fixed = params.scan_cost / p + params.wifi_price
     # utilities near the float limit overflow to inf, and at a p so small that
@@ -212,7 +212,7 @@ class _Panels:
         M = params.max_age
         p = params.contact_prob
         q = 1.0 - p
-        u = np.asarray(params.utility.values)
+        u = params.utility.value_array
         self.max_age = M
         self.fees = params.wifi_price - params.bonus
         self.band_q = q ** np.arange(M)                  # q^j

@@ -7,10 +7,17 @@ the same controller runs against closed-form rates, a seeded chain simulator,
 or recorded traces.  Each environment lists the bonus edges once and reads
 every round's threshold off them by bisection; the simulated ones also build
 every threshold's action row once, and replay a round of all their users as
-the rows of one ``model._replay_ends`` call, which reads off the ages the
-users end at and the round's updates and builds no age matrix: the chain env
-on one (slots, users) draw, the trace env on one gather of windows of its
-tiled traces.
+the rows of one walk of the replay kernel, which reads off the ages the
+users end at and the round's updates and builds no age matrix.  The chain
+env packs one (slots, users) draw into step patterns (``model._steps``);
+the trace env gathers its users' step patterns, k slots apart, from the
+patterns its population built once per position of its tiled traces
+(``tracesim._Cohort``).
+
+``run_learning`` and the population loop of ``tracesim.simulate_population``
+read their settings once and take every round's correction through
+``_projected_step``, the step that ``learning_step`` takes after its checks,
+so each loop's bonuses are the public step's, bit for bit.
 """
 from __future__ import annotations
 
@@ -84,8 +91,16 @@ def learning_step(round_index: int, bonus: float, rate: float, config: LearningC
         raise ValueError("round index starts at 1")
     if not 0.0 <= bonus <= config.max_bonus:
         raise ValueError(f"bonus {bonus} outside [0, {config.max_bonus}]")
-    step = config.learning_rate * (config.target_rate - rate) / round_index
-    return min(config.max_bonus, max(0.0, bonus + step))
+    return _projected_step(round_index, bonus, rate, config.learning_rate, config.target_rate,
+                           config.max_bonus)
+
+
+def _projected_step(t: int, bonus: float, rate: float, alpha: float, target: float,
+                    max_bonus: float) -> float:
+    """``learning_step`` without its checks, on the settings it reads: the
+    controller loops check their settings once and call this every round."""
+    step = alpha * (target - rate) / t
+    return min(max_bonus, max(0.0, bonus + step))
 
 
 def run_learning(env: RoundEnv, config: LearningConfig) -> LearningTrajectory:
@@ -94,16 +109,18 @@ def run_learning(env: RoundEnv, config: LearningConfig) -> LearningTrajectory:
     the trajectory keeps every round either way.
     """
     traj = LearningTrajectory()
-    bonus = config.initial_bonus
+    alpha, target, cap = config.learning_rate, config.target_rate, config.max_bonus
+    tau, tolerance, bonus = config.round_slots, config.tolerance, config.initial_bonus
+    rounds = traj.rounds
     for t in range(1, config.max_rounds + 1):
         served = float(env(bonus))
-        rate = served / config.round_slots
-        traj.rounds.append(Round(index=t, bonus=bonus, served=served, rate=rate))
-        if abs(config.target_rate - rate) <= config.tolerance:
+        rate = served / tau
+        rounds.append(Round(t, bonus, served, rate))
+        if abs(target - rate) <= tolerance:
             traj.converged = True
             break
-        bonus = learning_step(t, bonus, rate, config)
-    traj.final_bonus = traj.rounds[-1].bonus
+        bonus = _projected_step(t, bonus, rate, alpha, target, cap)
+    traj.final_bonus = rounds[-1].bonus
     return traj
 
 
@@ -172,10 +189,11 @@ def expected_rate_env(params: SystemParams, n_users: int, round_slots: int) -> R
     over the mean cycle (:func:`chain.cycle_lengths`) of the threshold users
     pick at the current bonus, so always-inactive users serve none."""
     response = _env_response(params, n_users, round_slots)
-    lengths = chain.cycle_lengths(params.contact_prob, params.max_age).tolist()
+    served = [round_slots * n_users / length
+              for length in chain.cycle_lengths(params.contact_prob, params.max_age).tolist()]
 
     def env(bonus: float) -> float:
-        return round_slots * n_users / lengths[response(bonus) - 1]
+        return served[response(bonus) - 1]
 
     return env
 
@@ -190,7 +208,10 @@ def chain_sim_env(
     best-respond with the threshold for the current bonus, and carry their ages
     across rounds.  WiFi-only (the learning experiments never use 3G).  A
     round's contacts come from one (slots, users) draw, the same numbers as
-    one ``rng.random(n_users)`` per slot.
+    one ``rng.random(n_users)`` per slot.  A threshold policy updates only on
+    a contact, and ``model._patterns`` pads a round's last step with
+    no-contact slots, so the round's updates are its steps' cached counts of
+    1s, all of them.
     """
     response, actions = _env_response(params, n_users, round_slots), _threshold_actions(params.max_age)
     ages, policy = np.ones(n_users, dtype=int), np.zeros(n_users, dtype=int)
@@ -199,8 +220,9 @@ def chain_sim_env(
         nonlocal ages
         s = response(bonus)
         contacts = (rng.random((round_slots, n_users)) < params.contact_prob).T
-        ages, served = model._replay_ends(actions[s - 1:s], policy, contacts, ages)
-        return float(served)
+        steps, code, tail = model._steps(actions[s - 1:s], policy, contacts, ages)
+        ages = tail[:, -1]
+        return float(steps.ones.take(code, mode="clip").sum())
 
     return env
 

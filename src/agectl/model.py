@@ -37,6 +37,10 @@ class UtilityFunction:
     ``offset`` records the constant removed so that the utility at the maximum
     age is zero; shifting by a constant never changes which policy is optimal,
     so everything downstream works on the normalized values.
+
+    Building a utility also stores its values as a read-only float64 array,
+    ``value_array``, which every route reads.  It is not a field: equality,
+    hashing, the repr and pickles use the tuple.
     """
 
     values: tuple[float, ...]
@@ -57,6 +61,13 @@ class UtilityFunction:
             if b > a:
                 raise ValueError(
                     f"utility must be non-increasing: u({age + 1}) = {b!r} > u({age}) = {a!r}")
+        object.__setattr__(self, "value_array", _read_only(np.array(self.values, np.float64)))
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
 
     @property
     def max_age(self) -> int:
@@ -320,22 +331,41 @@ def _walk(last: np.ndarray, code: np.ndarray, start: np.ndarray) -> np.ndarray:
     return age
 
 
+def _step_count(n: int, k: int) -> int:
+    """The k-slot steps a row of n slots is laid out in: whole chunks of
+    CHUNK_SLOTS slots, a whole number of steps, for rows longer than that."""
+    return -(-n // CHUNK_SLOTS) * -(-min(n, CHUNK_SLOTS) // k)
+
+
 def _steps(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray,
            start: np.ndarray) -> tuple[_Steps, np.ndarray, np.ndarray]:
-    """The slot loop, in k-slot steps: the ``_Steps`` of ``actions``, the
-    (steps, rows) table rows of every row's steps, and the (rows, r) ages
+    """The slot loop, in k-slot steps: the ``_Steps`` of ``actions`` and what
+    ``_walk_patterns`` returns for the patterns of the (rows, slots) 0/1
+    ``contacts``, packed by ``_patterns``: a row's last step is padded with
+    no-contact slots, and so are the steps past its end."""
+    steps = _tables(actions)
+    n = contacts.shape[1]
+    k = steps.table.shape[1]
+    return (steps, *_walk_patterns(steps, policy, _patterns(contacts, k, _step_count(n, k)), n, start))
+
+
+def _walk_patterns(steps: _Steps, policy: np.ndarray, pattern: np.ndarray, n: int,
+                   start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The walk of the (rows, ``_step_count(n, k)``) uint8 k-slot contact
+    patterns ``pattern`` of rows of n slots over the step table ``steps``:
+    the (steps, rows) table rows of every row's steps, and the (rows, r) ages
     after each slot of each row's last step, in the table's dtype, whose last
     column is the age the row ends at.
 
-    Row r starts at age ``start[r]``, acts by the per-age action table
-    ``actions[policy[r]]`` and reads row r mod len(contacts) of the (rows,
-    slots) 0/1 ``contacts``: so rows that differ only in their policy share
-    one packing of their contacts, and each policy adds its block of the
-    table to the shared codes.  A row's next k contacts, packed
-    little-endian into a pattern, and its age name its step's table row,
-    which holds the k ages that follow; ``np.packbits`` pads a row's last
-    step with no-contact slots, so a row of n slots ends at column r - 1 of
-    its last step's row, where r = n - (steps - 1) * k, the slots of that step.
+    Row r starts at age ``start[r]``, acts by the per-age action row
+    ``policy[r]`` of the table and reads row r mod len(pattern): so rows that
+    differ only in their policy share one packing of their contacts, and
+    each policy adds its block of the table to the shared codes.  A row's
+    next k contacts, packed little-endian into a pattern, and its age name
+    its step's table row, which holds the k ages that follow.  A row of n
+    slots ends at column r - 1 of its last step's row, where
+    r = n - (steps - 1) * k, the slots of that step; the pattern bits past
+    them, and the steps past the row's end, do not change the ages it reads.
 
     Rows longer than CHUNK_SLOTS run as chunks of CHUNK_SLOTS slots, a whole
     number of steps, with the last chunk padded as the last step is.  A
@@ -354,15 +384,12 @@ def _steps(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray,
     alone make the result exact: a wrong seed costs a rerun, never a wrong
     age.  The chunks' codes are then laid out as their rows' steps.
     """
-    steps = _tables(actions)
-    M = actions.shape[1]
-    k = steps.table.shape[1]
-    n = contacts.shape[1]
+    M, k = steps.M, steps.table.shape[1]
     parts = -(-n // CHUNK_SLOTS)   # chunk j of row r is column r * parts + j
-    span = -(-min(n, CHUNK_SLOTS) // k)   # steps per chunk
-    code = _patterns(contacts, k, parts * span).reshape(-1, span).T.astype(np.intp, order="C")   # widened once
+    span = pattern.shape[1] // parts   # steps per chunk
+    code = pattern.reshape(-1, span).T.astype(np.intp, order="C")   # widened once
     code *= M   # a step's table row is code + its policy's block - 1 + the age it starts at
-    if len(actions) == 1 and len(policy) == len(contacts):   # one policy, at block 0
+    if steps.policies == 1 and len(policy) == len(pattern):   # one policy, at block 0
         code -= 1
     else:
         shift = np.repeat(policy * (M << k) - 1, parts)
@@ -393,19 +420,24 @@ def _steps(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray,
             code[:, todo] = again
         code = code.reshape(span, -1, parts).transpose(2, 0, 1).reshape(parts * span, -1)[:-(-n // k)]
     r = n - (len(code) - 1) * k   # the slots of each row's last step
-    return steps, code, steps.table.take(code[-1], axis=0, mode="clip")[:, :r]   # the last step's slots
+    return code, steps.table.take(code[-1], axis=0, mode="clip")[:, :r]   # the last step's slots
+
+
+def _after(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
+    """The (rows, n) ages after each slot of the rows of n slots whose
+    (steps, rows) table rows ``code`` the walk returned: one gather of the
+    steps' table rows gives all k ages of every step, cut back to n columns,
+    since a row's last step may be padded.  The ages keep the table's dtype,
+    the narrowest that holds M."""
+    return steps.table.take(code.T, axis=0, mode="clip").reshape(code.shape[1], -1)[:, :n]
 
 
 def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """The ages along each row of a (rows, slots) 0/1 contact matrix, for the
-    callers that need every age: the (rows, slots + 1) ages of ``_steps``'
-    rows, where column t is the age before slot t + 1, and that slot updated
-    exactly when column t + 1 reads 1.
-
-    One gather of the steps' table rows gives all k ages of every step; it
-    is cut back to slots + 1 columns, since ``np.packbits`` pads a row's
-    last step with no-contact slots.  The ages keep the table's dtype, the
-    narrowest that holds M.
+    """The ages along each row of a (rows, slots) 0/1 contact matrix: the
+    (rows, slots + 1) ages of ``_steps``' rows, where column t is the age
+    before slot t + 1, and that slot updated exactly when column t + 1 reads
+    1; its start column, then ``_after``'s ages after each slot.  No replay
+    in the package needs every age; the tests check the kernel through it.
 
     k is the largest of 8, 4, 2 and 1 whose table fits TABLE_CELLS cells,
     so it shrinks as policies x ages grow; at k = 1 the table is the
@@ -426,7 +458,7 @@ def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start
     n = contacts.shape[1]
     ages = np.empty((len(policy), n + 1), steps.table.dtype)
     ages[:, 0] = start
-    ages[:, 1:] = steps.table.take(code.T, axis=0, mode="clip").reshape(len(policy), -1)[:, :n]
+    ages[:, 1:] = _after(steps, code, n)
     return ages
 
 
@@ -436,7 +468,10 @@ def _replay_ends(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray,
     ages the rows end at, and the count of its 1s past column 0, the rows'
     updates, without the (rows, slots + 1) age matrix: the full steps'
     updates are their rows' cached counts of 1s, and the last step's are
-    the 1s among its r columns, since ``np.packbits`` pads the rest.
+    the 1s among its r columns, since ``np.packbits`` pads the rest.  Under
+    action 2 the padding's no-contact slots update too; the learning envs'
+    threshold rows update only on a contact, so they read all their steps'
+    counts instead.
     """
     steps, code, tail = _steps(actions, policy, contacts, start)
     return tail[:, -1], int(steps.ones.take(code[:-1], mode="clip").sum()) + int(np.count_nonzero(tail == 1))

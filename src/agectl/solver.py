@@ -113,7 +113,7 @@ def _action_terms(params: SystemParams, v0: float) -> np.ndarray:
     F2 = ((((u − G) + v₀) − p·P) − (1−p)·P3G) + B.  F0 = u + V(x+1) and
     F1 = base + (1−p)·V(x+1) complete them (:func:`_action_values`)."""
     p, q = params.contact_prob, 1.0 - params.contact_prob
-    u = np.asarray(params.utility.values)
+    u = params.utility.value_array
     terms = [u, u - params.scan_cost + p * (v0 - params.wifi_price + params.bonus)]
     if params.has_3g:
         terms.append(u - params.scan_cost + v0 - p * params.wifi_price - q * params.price_3g + params.bonus)
@@ -188,7 +188,7 @@ def solve_user_problem(
         raise ConvergenceError(step, residual)
     return SolveReport(
         value=ValueFunction(values=values, gain=gain),
-        policy=_threshold_form(_tie_rule(fs)),
+        policy=_threshold_form(_tie_rule(fs, top)),
         iterations=step,
         residual=residual,
     )
@@ -329,7 +329,8 @@ def greedy_policy(value: ValueFunction, params: SystemParams) -> Policy:
     v = np.asarray(value.values)
     with np.errstate(all="ignore"):
         terms = _action_terms(params, v[0])
-        codes = _tie_rule(_action_values(terms, 1.0 - params.contact_prob, v, terms.copy()))
+        fs = _action_values(terms, 1.0 - params.contact_prob, v, terms.copy())
+        codes = _tie_rule(fs, np.maximum.reduce(fs))
     return Policy(actions=tuple(codes.tolist()))
 
 
@@ -347,10 +348,11 @@ def _action_values(terms: np.ndarray, q: float, v: np.ndarray, fs: np.ndarray) -
     return fs
 
 
-def _tie_rule(fs) -> np.ndarray:
+def _tie_rule(fs: np.ndarray, top: np.ndarray) -> np.ndarray:
     """The action codes :func:`greedy_policy` picks from the action values
-    ``fs``: the lowest action within ``model.TIE_TOL`` of the best."""
-    cut = np.maximum.reduce(fs) - model.TIE_TOL
+    ``fs`` whose per-age maximum is ``top``: the lowest action within
+    ``model.TIE_TOL`` of the best."""
+    cut = top - model.TIE_TOL
     return np.where(
         fs[0] >= cut, Action.INACTIVE, np.where(fs[1] >= cut, Action.WIFI, Action.WIFI_THEN_3G)
     )

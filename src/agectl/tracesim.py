@@ -3,16 +3,20 @@ two-threshold, and location-mask policies against recorded contact strings,
 estimate per-shift contact statistics, and run multi-user closed-loop rounds.
 
 Every replay here, one policy on one trace, each policy from each rotated
-phase, or one round of a user population, runs as the rows of one
-``model._steps`` walk, the package's only loop over slots, which names the
-step table row of each k-slot step of each row.  A trace replay tallies off
-those rows alone, through the summaries cached with the table: the slots at
-each age (``model._count_ages``), the updates, where an age returns to 1,
-the 3G updates, the 1s after a slot without a contact, and the slots of the
-updates, from each row's bitmask of ages at 1; it builds no age matrix.
-Only a population round that records or counts its ages gathers them all,
-through ``model._replay``.  Every reward, energy and fee total is then the
-exact sum of counted terms, rounded once.
+phase, or one round of a user population, runs as the rows of one walk of
+k-slot contact patterns (``model._walk_patterns``), the package's only loop
+over slots, which names the step table row of each k-slot step of each row.
+A trace replay packs its rotations' patterns once (``model._steps``); a
+population builds the pattern at each position of its tiled traces once,
+and each round gathers its users' patterns (``_Cohort``).  A trace replay
+tallies off the table rows alone, through the summaries cached with the
+table: the slots at each age (``model._count_ages``), the updates, where an
+age returns to 1, the 3G updates, the 1s after a slot without a contact,
+and the slots of the updates, from each row's bitmask of ages at 1; it
+builds no age matrix.  A population round reads its updates off the same
+summaries, and tallies its users' slots by age from the ages its table
+rows expand to (``model._after``).  Every reward, energy and fee total is
+then the exact sum of counted terms, rounded once.
 
 Traces are strings of ones (useful slot) and zeros; an optional second bit
 string of equal length marks location-privileged slots.
@@ -248,7 +252,7 @@ def _values(params: SystemParams, bonus: float) -> np.ndarray:
     ``bonus`` but never below zero, as ``instantaneous_reward`` charges them."""
     fee_3g = max(params.price_3g - bonus, 0.0) if params.has_3g else 0.0
     fee_wifi = max(params.wifi_price - bonus, 0.0)
-    return np.array((*params.utility.values, -params.scan_cost, -fee_wifi, -fee_3g))
+    return np.concatenate((params.utility.value_array, (-params.scan_cost, -fee_wifi, -fee_3g)))
 
 
 def _exact_sums(counts: np.ndarray, values: np.ndarray) -> list[float]:
@@ -489,52 +493,63 @@ class _Cohort:
     trace positions carry over from one round to the next.
 
     Each distinct trace is tiled once to at least len + round_slots slots, by
-    one gather over the distinct traces' concatenated bits, so the
-    round_slots slots from any position are one window of its tile, and a
-    round reads every user's contacts in one gather of windows."""
+    one gather over the distinct traces' concatenated bits, and the k-slot
+    contact pattern that starts at each tile position is built once, one
+    byte each, packed little-endian as ``model._patterns`` packs a row, for
+    the k of a one-policy step table.  The steps of a round from any
+    position are the patterns k slots apart.  So a round is one gather of
+    every user's step patterns, with its last step masked to the round's r
+    slots, walked by ``model._walk_patterns`` at the round's threshold."""
 
     def __init__(self, users: Sequence[UserAssignment], params: SystemParams, round_slots: int):
         self.response = learning._env_response(params, len(users), round_slots)
+        M = params.max_age
+        traces, which, phases, ages = {}, [], [], []   # each distinct trace once, and each user's
         for ua in users:
-            if not 1 <= ua.start_age <= params.max_age:
-                raise ValueError(f"start age {ua.start_age} outside [1, {params.max_age}]")
-        traces = {id(ua.trace): ua.trace for ua in users}   # each distinct trace once
-        lengths = np.array([len(t) for t in traces.values()])
+            if not 1 <= ua.start_age <= M:
+                raise ValueError(f"start age {ua.start_age} outside [1, {M}]")
+            which.append(traces.setdefault(id(ua.trace), (len(traces), ua.trace))[0])
+            phases.append(ua.phase)
+            ages.append(ua.start_age)
+        lengths = np.array([len(t) for _, t in traces.values()])
         sizes = -(-(lengths + round_slots) // lengths) * lengths   # whole copies of each trace
         tile_at, trace_at = np.cumsum(sizes) - sizes, np.cumsum(lengths) - lengths   # where each starts
         owner = np.repeat(np.arange(len(lengths)), sizes)
         index = (np.arange(len(owner)) - tile_at[owner]) % lengths[owner] + trace_at[owner]
-        tiles = np.concatenate([t.slot_bits for t in traces.values()])[index]
-        self.windows = np.lib.stride_tricks.sliding_window_view(tiles, round_slots)
-        offset = dict(zip(traces, tile_at.tolist()))
-        self.offset = np.array([offset[id(ua.trace)] for ua in users])
-        self.length = np.array([len(ua.trace) for ua in users])
-        self.pos = np.array([ua.phase for ua in users]) % self.length
-        self.ages = np.array([ua.start_age for ua in users])
-        self.actions, self.policy = learning._threshold_actions(params.max_age), np.zeros(len(users), int)
+        tiles = np.concatenate([t.slot_bits for _, t in traces.values()])[index]
+        k = model._step_size(1, M)
+        self.patterns = tiles.copy()   # bit j: the contact of slot j + 1; none past the last tile
+        for j in range(1, k):
+            self.patterns[:-j] |= tiles[j:] << j
+        which = np.array(which)
+        # each user's step patterns, k slots apart from its position in its tile
+        self.stride = tile_at[which, None] + k * np.arange(model._step_count(round_slots, k))
+        self.length = lengths[which]
+        self.pos = np.array(phases) % self.length
+        self.ages = np.array(ages)
+        self.last = -(-round_slots // k) - 1   # the step the round ends in, after its first r slots
+        self.mask = (1 << round_slots - self.last * k) - 1
+        self.actions, self.policy = learning._threshold_actions(M), np.zeros(len(users), int)
         self.round_slots = round_slots
 
-    def _next(self, bonus: float) -> tuple[int, np.ndarray, np.ndarray]:
-        """The threshold for ``bonus``, its action row and the users' contacts
-        (users, slots) in the next round, whose slots it moves past."""
+    def round(self, bonus: float) -> tuple[int, model._Steps, np.ndarray]:
+        """The threshold for ``bonus``, its step table and the (steps, users)
+        table rows of one round at it, whose slots it moves past."""
         s = self.response(bonus)
-        contacts = self.windows[self.offset + self.pos]
+        pattern = self.patterns.take(self.pos[:, None] + self.stride, mode="clip")
+        pattern[:, self.last] &= self.mask
         self.pos = (self.pos + self.round_slots) % self.length
-        return s, self.actions[s - 1:s], contacts
-
-    def round(self, bonus: float) -> tuple[int, np.ndarray]:
-        """The threshold for ``bonus`` and the ages (users, slots + 1) of one
-        round at it."""
-        s, actions, contacts = self._next(bonus)
-        ages = model._replay(actions, self.policy, contacts, self.ages)
-        self.ages = ages[:, -1]
-        return s, ages
+        steps = model._tables(self.actions[s - 1:s])
+        code, tail = model._walk_patterns(steps, self.policy, pattern, self.round_slots, self.ages)
+        self.ages = tail[:, -1]
+        return s, steps, code
 
     def served(self, bonus: float) -> int:
-        """The updates of one round at the threshold for ``bonus``."""
-        _, actions, contacts = self._next(bonus)
-        self.ages, served = model._replay_ends(actions, self.policy, contacts, self.ages)
-        return served
+        """The updates of one round at the threshold for ``bonus``: its steps'
+        cached counts of 1s.  A threshold policy updates only on a contact,
+        so the slots masked off the round's last step add none."""
+        _, steps, code = self.round(bonus)
+        return int(steps.ones.take(code, mode="clip").sum())
 
 
 def simulate_population(
@@ -553,40 +568,65 @@ def simulate_population(
     controller, when attached, to set the next bonus.  A user's
     ``total_reward`` is exact as in ``SimResult``, each fee at its round's
     bonus.  Fully deterministic given traces and phases.
+
+    The rounds are ``trace_env``'s: one ``_Cohort`` walk each, whose WiFi
+    updates by user are its steps' cached counts of 1s.  Its slots by user
+    and age are tallied from the ages after each slot, the walk's table rows
+    expanded (``model._after``); no step table's histogram is built.  Over
+    any stretch of a user's timeline the ages before its slots are those
+    after them, plus the age it starts at, less the one it ends at.  So the
+    age tally is corrected once, at the end, and the active slots, those at
+    an age of at least the threshold before the slot, once per run of rounds
+    at one threshold.
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
     cohort = _Cohort(users, params, round_slots)
+    if controller is not None:
+        alpha, target, cap = controller.learning_rate, controller.target_rate, controller.max_bonus
     bonus = params.bonus if controller is None else controller.initial_bonus
     history = np.zeros((len(users), rounds * round_slots), dtype=np.int32) if record_ages else None
-    # each user's slots at each age, flat at user * M + age - 1, and active
-    # slots; per round each user's WiFi updates and the value of one
-    M = params.max_age
-    by_age, active = np.zeros(len(users) * M, np.int64), np.zeros(len(users), np.int64)
-    wifi, fees, base = [], [], M * np.arange(len(users))[:, None] - 1   # base + age: the flat index
+    M, first = params.max_age, cohort.ages
+    base = M * np.arange(len(users)) - 1   # base + age: a user's flat tally cell at that age
+    # each user's slots by the age after the slot: in all rounds, and in the
+    # run of rounds since the threshold last changed
+    by_age, run = np.zeros(len(users) * M, np.int64), np.zeros(len(users) * M, np.int64)
+    active, wifi, fees = np.zeros(len(users), np.int64), np.empty((rounds, len(users)), np.int64), []
+    run_s = run_start = None
+
+    def close_run(end: np.ndarray) -> None:
+        active[:] += run.reshape(-1, M)[:, run_s - 1:].sum(1) + (run_start >= run_s) - (end >= run_s)
+        by_age[:] += run
+        run[:] = 0
 
     result = PopulationResult()
     for t in range(1, rounds + 1):
-        s, ages = cohort.round(bonus)
-        before = ages[:, :-1]
-        by_age += np.bincount((base + before).ravel(), minlength=by_age.size)
-        active += np.count_nonzero(before >= s, axis=1)
-        wifi.append(np.count_nonzero(ages[:, 1:] == 1, axis=1))   # every update is over WiFi
-        fees.append(_values(params, bonus)[-2])
+        start = cohort.ages
+        s, steps, code = cohort.round(bonus)
+        if s != run_s:
+            if run_s is not None:
+                close_run(start)
+            run_s, run_start = s, start
+        after = model._after(steps, code, round_slots)
+        run += np.bincount((base[:, None] + after).ravel(), minlength=run.size)
         if history is not None:
-            history[:, (t - 1) * round_slots : t * round_slots] = ages[:, 1:]
-        served = int(wifi[-1].sum())
+            history[:, (t - 1) * round_slots : t * round_slots] = after
+        served = int(steps.ones.take(code, mode="clip").sum(0, out=wifi[t - 1]).sum())
+        fees.append(-max(params.wifi_price - bonus, 0.0))   # every update is over WiFi
         rate = served / round_slots
         result.rounds.append(learning.Round(index=t, bonus=bonus, served=served, rate=rate))
         if controller is not None:
-            bonus = learning.learning_step(t, bonus, rate, controller)
+            bonus = learning._projected_step(t, bonus, rate, alpha, target, cap)
+    if rounds:
+        close_run(cohort.ages)
+    by_age[base + first] += 1   # the tally by the age before each slot
+    by_age[base + cohort.ages] -= 1
 
-    counts = np.column_stack((by_age.reshape(len(users), -1), active, *wifi))
-    totals = _exact_sums(counts, np.append(_values(params, params.bonus)[:-2], fees))
-    updates = sum(wifi, np.zeros(len(users), int))
+    counts = np.column_stack((by_age.reshape(-1, M), active, wifi.T))
+    totals = _exact_sums(counts, np.concatenate((params.utility.value_array, [-params.scan_cost], fees)))
     result.users = [
         UserOutcome(updates=u, total_reward=r, final_age=a)
-        for u, r, a in zip(updates.tolist(), totals, cohort.ages.tolist())
+        for u, r, a in zip(wifi.sum(0).tolist(), totals, cohort.ages.tolist())
     ]
     result.age_history = history
     return result
@@ -598,9 +638,9 @@ def trace_env(
     """Adapt a user population on traces to the learning env interface.
 
     State (ages, trace positions) persists across calls, so one env instance
-    follows a single continuous timeline.  A round reads its updates and the
-    ages the users end at off ``model._replay_ends``, and builds no
-    (users, slots + 1) age matrix.
+    follows a single continuous timeline.  A round is one ``_Cohort`` walk
+    of gathered step patterns, and reads its updates off the steps' cached
+    counts; it builds no (users, slots + 1) age matrix.
     """
     cohort = _Cohort(users, params, round_slots)
     return lambda bonus: float(cohort.served(bonus))

@@ -40,6 +40,7 @@ STREAM = "tests/test_thresholds.py::TestTwoThresholdStream::"
 PI = "tests/test_solver.py::TestPolicyIteration::"
 RVI = "tests/test_solver.py::TestAgainstReferenceIteration::"
 COUNTS = "tests/test_replay.py::test_counts_from_codes_equal_slot_tallies"
+MODULO = "tests/test_replay.py::test_population_rounds_match_modulo_indexing"
 
 
 @dataclass(frozen=True)
@@ -139,15 +140,19 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_9_trace_ergodicity")),
     # the controller: no projection into [0, B-hat], and a step that never shrinks
     Mutant("learning-no-projection", LEARNING,
-           "return min(config.max_bonus, max(0.0, bonus + step))", "return bonus + step",
+           "return min(max_bonus, max(0.0, bonus + step))", "return bonus + step",
            ("tests/test_learning.py::TestLearningStep::test_upper_clamp",
             "tests/test_learning.py::TestLearningStep::test_lower_clamp",
             "tests/test_learning.py::TestRunLearning::test_projection_invariant")),
     Mutant("learning-step-without-1/t", LEARNING,
-           "step = config.learning_rate * (config.target_rate - rate) / round_index",
-           "step = config.learning_rate * (config.target_rate - rate)",
+           "step = alpha * (target - rate) / t", "step = alpha * (target - rate)",
            ("tests/test_learning.py::TestLearningStep::test_step_arithmetic",
             "tests/test_learning.py::TestLearningStep::test_corrections_shrink_like_one_over_t")),
+    # the controller loops' private step on a 1/(t + 1) clock
+    Mutant("learning-step-1/(t+1)", LEARNING,
+           "step = alpha * (target - rate) / t", "step = alpha * (target - rate) / (t + 1)",
+           ("tests/test_learning.py::TestLearningStep::test_step_arithmetic",
+            "tests/test_learning.py::TestConvergence::test_deterministic_env_reaches_optimal_interval")),
     # the envs' s*(B): a bonus on an edge counted as above it
     Mutant("response-bisect-left", THRESHOLDS,
            "bisect.bisect_right(ascending, bonus)", "bisect.bisect_left(ascending, bonus)",
@@ -158,6 +163,17 @@ MUTANTS = (
            ("tests/test_replay.py::test_chain_env_draws_one_number_per_user_slot",
             "tests/test_replay.py::test_trace_env_serves_what_the_population_serves",
             "tests/test_replay.py::test_round_reader_reads_the_end_ages_and_updates_of_the_replay")),
+    # a trace round's last step read past its r slots: updates on the slots after the round
+    Mutant("round-pattern-unmasked", TRACESIM,
+           "pattern[:, self.last] &= self.mask", "pass",
+           (MODULO + "[phases past the length]",
+            "tests/test_replay.py::test_population_totals_equal_parts_at_each_rounds_bonus")),
+    # a trace round's step patterns read one slot late
+    Mutant("round-pattern-one-late", TRACESIM,
+           "self.patterns.take(self.pos[:, None] + self.stride",
+           "self.patterns.take(self.pos[:, None] + 1 + self.stride",
+           (MODULO + "[one shared trace]",
+            "tests/test_replay.py::test_recorded_ages_match_modulo_indexing")),
     # the step summaries: a row's histogram over the k ages after its slots
     Mutant("histogram-after-slots", MODEL,
            "self.cells % M   # the age before", "(self.table - 1)   # the age after",

@@ -1,12 +1,16 @@
 """Bonus controller: projected step arithmetic, stopping, convergence into the
-publisher's optimal interval, and trajectory export."""
+publisher's optimal interval, trajectory export, and the controller loops'
+bonuses against the public step."""
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from agectl import (
+    ContactTrace,
     LearningConfig,
     PublisherInstance,
     SystemParams,
+    UserAssignment,
     UtilityFunction,
     chain_sim_env,
     convergence_report,
@@ -14,6 +18,7 @@ from agectl import (
     learning_step,
     optimal_bonus,
     run_learning,
+    simulate_population,
     threshold_response,
 )
 from agectl import learning, thresholds
@@ -89,6 +94,68 @@ class TestRunLearning:
         lines = traj.to_csv().strip().splitlines()
         assert lines[0] == "round,bonus,requests,rate"
         assert lines[1].startswith("1,0,500,5")
+
+
+def stepped_bonuses(rounds, cfg):
+    """The bonus of each round by a loop over the public ``learning_step``
+    on the rounds' rates, from the configured initial bonus."""
+    bonuses = [cfg.initial_bonus]
+    for r in rounds[:-1]:
+        bonuses.append(learning_step(r.index, bonuses[-1], r.rate, cfg))
+    return bonuses
+
+
+def bits_of(values):
+    return [float(v).hex() for v in values]
+
+
+# the served counts: hypothesis picks an index into this list each round, so
+# large and small learning rates meet rates far on both sides of the target
+SERVED = (0.0, 3.0, 550.0, 1099.0, 1101.0, 1650.0, 4000.0)
+
+
+class TestControllerLoops:
+    @given(st.sampled_from([1e-6, 0.01, 1.0, 7.5, 1e3, 1e9]), st.floats(0, 40),
+           st.lists(st.integers(0, len(SERVED) - 1), min_size=1, max_size=30))
+    # clamped at max_bonus, then at 0, then at max_bonus again
+    @example(1e3, 20.0, [0, 6, 0, 5, 1])
+    @example(1e-6, 0.0, [6, 6, 0])
+    def test_run_learning_bonuses_are_learning_steps(self, alpha, initial, picks):
+        cfg = config(learning_rate=alpha, initial_bonus=initial, max_rounds=len(picks))
+        feed = iter(SERVED[i] for i in picks)
+        traj = run_learning(lambda bonus: next(feed), cfg)
+        bonuses = [r.bonus for r in traj.rounds]
+        assert bits_of(bonuses) == bits_of(stepped_bonuses(traj.rounds, cfg))
+        assert [r.served for r in traj.rounds] == [SERVED[i] for i in picks[:len(traj.rounds)]]
+        assert [r.rate for r in traj.rounds] == [r.served / cfg.round_slots for r in traj.rounds]
+        assert all(0.0 <= b <= cfg.max_bonus for b in bonuses)
+
+    @pytest.mark.parametrize("alpha, initial, picks, clamps", [
+        (1e3, 20.0, [0, 6, 0, 5, 1], {0.0, 40.0}),
+        (1e9, 0.0, [6, 0, 6], {0.0, 40.0}),
+        (1e-6, 0.0, [6, 6, 0], {0.0}),
+    ])
+    def test_clamped_bonuses_are_learning_steps(self, alpha, initial, picks, clamps):
+        # the property's examples do reach the clamps they are there for
+        cfg = config(learning_rate=alpha, initial_bonus=initial, max_rounds=len(picks))
+        feed = iter(SERVED[i] for i in picks)
+        traj = run_learning(lambda bonus: next(feed), cfg)
+        bonuses = [r.bonus for r in traj.rounds]
+        assert clamps <= set(bonuses[1:])
+        assert bits_of(bonuses) == bits_of(stepped_bonuses(traj.rounds, cfg))
+
+    @given(st.sampled_from([1e-6, 0.5, 5.0, 1e4]), st.floats(0, 6), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    def test_population_bonuses_are_learning_steps(self, alpha, initial, rounds, seed):
+        rng = make_rng(seed)
+        params = SystemParams(contact_prob=0.5, max_age=12, utility=UtilityFunction.linear(12),
+                              scan_cost=0.3, wifi_price=6.0)
+        users = [UserAssignment(ContactTrace(f"u{i}", tuple(int(b) for b in rng.random(30) < 0.5)),
+                                phase=int(rng.integers(0, 30))) for i in range(4)]
+        cfg = LearningConfig(max_bonus=6.0, target_rate=0.6, round_slots=9, learning_rate=alpha,
+                             initial_bonus=initial)
+        result = simulate_population(users, params, rounds, 9, controller=cfg)
+        assert bits_of(r.bonus for r in result.rounds) == bits_of(stepped_bonuses(result.rounds, cfg))
 
 
 class TestConvergence:

@@ -1,7 +1,9 @@
 """Core model: utilities, rewards, transitions, policies, config loading, and
 the one home of the tie and slack tolerances."""
+import copy
 import inspect
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -72,6 +74,30 @@ class TestUtility:
             u(0)
         with pytest.raises(ValueError):
             u(6)
+
+    @pytest.mark.parametrize("utility", [UtilityFunction.linear(4), UtilityFunction.step(2.5, 2, 4),
+                                         UtilityFunction.tabular([7, 3.25, 3.25, -1e300]),
+                                         UtilityFunction((3, 2, 0), offset=0.5)],
+                             ids=["linear", "step", "tabular", "int values"])
+    def test_stored_values_are_a_read_only_array_outside_equality_repr_and_pickles(self, utility):
+        array = utility.value_array
+        assert array.dtype == np.float64 and array.tolist() == [float(v) for v in utility.values]
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+        fields = (utility.values, utility.form, utility.offset, utility.step_value, utility.step_cutoff)
+        twin = UtilityFunction(*fields)
+        assert twin == utility and hash(twin) == hash(utility) == hash(fields)
+        assert twin.value_array is not array
+        assert repr(utility) == (f"UtilityFunction(values={utility.values!r}, form={utility.form!r}, "
+                                 f"offset={utility.offset!r}, step_value={utility.step_value!r}, "
+                                 f"step_cutoff={utility.step_cutoff!r})")
+        assert "value_array" not in pickle.dumps(utility).decode("latin-1")
+        for clone in (pickle.loads(pickle.dumps(utility)), copy.deepcopy(utility), copy.copy(utility)):
+            assert clone == utility and clone.value_array.tolist() == array.tolist()
+            assert not clone.value_array.flags.writeable
+        shifted = normalize_utility(utility)   # a normalized copy holds its own values
+        assert shifted.value_array.tolist() == list(shifted.values)
 
     @given(st.integers(min_value=2, max_value=30), st.floats(0.1, 50))
     def test_constant_shift_absorbed_into_offset(self, max_age, shift):

@@ -2,10 +2,11 @@
 simulation, checked against the scalar oracles in ``conftest`` and against
 each other: exact totals of every policy kind, rotation means and population
 rounds against the summed parts, chunked replays around the chunk length,
-the trace and chain environments, and the kernel's ages against one
-``next_age`` call per slot at every step size, on rows that end inside a
-step or span several row blocks, and on chunk rows whose seeded starts hold
-or miss and settle in one rerun pass or over many; and each column of the
+the trace and chain environments, a population's recorded ages against
+modulo indexing, and the kernel's ages against one ``next_age`` call per
+slot at every step size, on rows that end inside a step or run as several
+chunks, and on chunk rows whose seeded starts hold or miss and settle in
+one rerun pass or over many; and each column of the
 rotation tallies against the counted reference parts, with replays counted
 by step-table row against the same replays counted slot by slot."""
 import copy
@@ -192,6 +193,51 @@ def test_population_rounds_match_modulo_indexing(geometry):
     assert len(set(served)) > 1 or geometry == "one-slot traces"   # the bonus moved the threshold
 
 
+def modulo_ages(users, params, round_slots, bonuses):
+    """Each user's age after every slot of its rounds, replaying slot
+    (phase + t) mod len at round time t at each round's threshold, one
+    ``next_age`` call per slot: the oracle for a population's recorded ages."""
+    history = []
+    for ua in users:
+        n, age, mine = len(ua.trace), ua.start_age, []
+        for r, bonus in enumerate(bonuses):
+            action_at = threshold_action(int(threshold_response(params, [bonus])[0]))
+            for t in range(r * round_slots, (r + 1) * round_slots):
+                age = next_age(age, action_at(age), ua.trace.slots[(ua.phase + t) % n], params.max_age)
+                mine.append(age)
+        history.append(mine)
+    return np.array(history, int).reshape(len(users), len(bonuses) * round_slots)
+
+
+@given(st.integers(1, 5), st.integers(1, L + 9), st.integers(0, 5), st.integers(0, 2**32 - 1))
+# rounds that end inside a step, and rounds past CHUNK_SLOTS, which run as chunks
+@example(5, 13, 5, 3)
+@example(3, L + 9, 3, 4)
+@example(2, 4, 0, 5)
+def test_recorded_ages_match_modulo_indexing(n_users, round_slots, rounds, seed):
+    rng = np.random.default_rng(seed)
+    M = 12
+    params = SystemParams(contact_prob=0.5, max_age=M, utility=UtilityFunction.linear(M),
+                          scan_cost=0.3, wifi_price=6.0)
+    users = [
+        UserAssignment(ContactTrace(f"u{i}", bits(int(rng.integers(1, 60)), 0.5, seed + i)),
+                       phase=int(rng.integers(0, 100)), start_age=int(rng.integers(1, M + 1)))
+        for i in range(n_users)
+    ]
+    controller = LearningConfig(max_bonus=6.0, target_rate=0.5 * n_users, round_slots=round_slots,
+                                learning_rate=5.0, initial_bonus=float(rng.uniform(0, 6)))
+    recorded = simulate_population(users, params, rounds, round_slots, controller=controller,
+                                   record_ages=True)
+    plain = simulate_population(users, params, rounds, round_slots, controller=controller)
+    assert plain.age_history is None
+    assert recorded.users == plain.users and recorded.rounds == plain.rounds
+    expected = modulo_ages(users, params, round_slots, [r.bonus for r in recorded.rounds])
+    assert recorded.age_history.dtype == np.int32
+    np.testing.assert_array_equal(recorded.age_history, expected)
+    assert [u.final_age for u in recorded.users] == [row[-1] if rounds else ua.start_age
+                                                     for row, ua in zip(expected.tolist(), users)]
+
+
 @given(st.integers(1, 40), st.integers(1, 30), st.lists(st.floats(0, 40), min_size=1, max_size=8),
        st.integers(0, 2**32 - 1))
 # a 13-slot round ends 3 slots into its padded last 8-slot step; rounds past
@@ -369,16 +415,18 @@ def test_replay_ages_on_rows_of_partial_steps(n):
                                             (1200, 300, 1)])
 def test_replay_ages_at_every_step_size(policies, M, k):
     # more policies x ages shrink the step: M > 255 holds ages as uint16, and
-    # the last table is too large to cache
+    # the last table is too large to cache; short rows end inside a step, and
+    # long ones run as several chunks, on uint8 and on bool contacts
     rng = np.random.default_rng(policies + M)
     actions = rng.integers(0, 3, (policies, M)).astype(np.uint8)
     assert step_size(actions) == k
-    rows = 12
+    rows = 45
     policy = rng.integers(0, policies, rows)
     start = rng.integers(1, M + 1, rows)
-    contacts = rng.random((rows, 2 * L + 3)) < rng.uniform(0.01, 0.5, (rows, 1))
-    assert model._replay(actions, policy, contacts, start).dtype == np.min_scalar_type(M)
-    assert_replay_equals_stepped(actions, policy, contacts, start)
+    for n, dtype in ((13, np.uint8), (2 * L + 3, bool)):
+        contacts = (rng.random((rows, n)) < rng.uniform(0.01, 0.5, (rows, 1))).astype(dtype)
+        assert model._replay(actions, policy, contacts, start).dtype == np.min_scalar_type(M)
+        assert_replay_equals_stepped(actions, policy, contacts, start)
 
 
 def test_chunk_reruns_meet_between_step_boundaries(monkeypatch):
@@ -440,23 +488,6 @@ def test_missed_seeds_rerun_to_the_stepped_ages(monkeypatch):
     # the look-back, the first pass and at least one rerun
     chunks = len(policy) * -(-contacts.shape[1] // L)
     assert len(passes) >= 3 and chunk_rows_replayed(passes, step_size(actions)) > 1.2 * chunks
-
-
-@pytest.mark.parametrize("policies, M, k, cells", [(1, 12, 8, 70), (300, 300, 1, 520)])
-def test_replay_ages_across_row_blocks(monkeypatch, policies, M, k, cells):
-    # a block holds cells // steps rows: short rows and chunk rows each run in
-    # several blocks, the last of them partial
-    monkeypatch.setattr(model, "BLOCK_CELLS", cells)
-    rng = np.random.default_rng(cells)
-    actions = rng.integers(0, 3, (policies, M)).astype(np.uint8)
-    assert step_size(actions) == k
-    rows = 45
-    policy = rng.integers(0, policies, rows)
-    start = rng.integers(1, M + 1, rows)
-    for n in (13, 2 * L + 3):
-        assert 1 < cells // -(-min(n, L) // k) < rows
-        contacts = (rng.random((rows, n)) < rng.uniform(0.01, 0.6, (rows, 1))).astype(np.uint8)
-        assert_replay_equals_stepped(actions, policy, contacts, start)
 
 
 def test_step_tables_are_cached_by_content_read_only_and_bounded():
