@@ -490,6 +490,24 @@ def test_missed_seeds_rerun_to_the_stepped_ages(monkeypatch):
     assert len(passes) >= 3 and chunk_rows_replayed(passes, step_size(actions)) > 1.2 * chunks
 
 
+@pytest.mark.parametrize("policies, M, k, cells", [(1, 12, 8, 70), (300, 300, 1, 520)])
+def test_replay_ages_across_row_blocks(monkeypatch, policies, M, k, cells):
+    # BLOCK_CELLS shapes the chain and threshold blocks, not the replay: at a
+    # block size that would hold only cells // steps of these rows, short
+    # rows and chunk rows still replay to the stepped ages
+    monkeypatch.setattr(model, "BLOCK_CELLS", cells)
+    rng = np.random.default_rng(cells)
+    actions = rng.integers(0, 3, (policies, M)).astype(np.uint8)
+    assert step_size(actions) == k
+    rows = 45
+    policy = rng.integers(0, policies, rows)
+    start = rng.integers(1, M + 1, rows)
+    for n in (13, 2 * L + 3):
+        assert 1 < cells // -(-min(n, L) // k) < rows
+        contacts = (rng.random((rows, n)) < rng.uniform(0.01, 0.6, (rows, 1))).astype(np.uint8)
+        assert_replay_equals_stepped(actions, policy, contacts, start)
+
+
 def test_step_tables_are_cached_by_content_read_only_and_bounded():
     M = 12
     actions = threshold_table(M, [(4, None), (2, 7)])
