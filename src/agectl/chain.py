@@ -17,8 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
 from .model import Action, Policy, SystemParams
+
+#: cells (rows x columns) one block may hold, read only where a temporary
+#: outgrows its input: the two-threshold search's panel shape, the dense
+#: grid's row blocks and the size of ``_Panels``' buffer
+BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -172,12 +176,12 @@ def two_threshold_reward_grid(params: SystemParams) -> np.ndarray:
     :func:`thresholds.optimal_two_thresholds` reads only a panel past each
     row's peak, so every cell has the bits the search reads.  For tests and
     callers that inspect the whole grid.  Row blocks hold as many whole rows
-    as ``model.BLOCK_CELLS`` allows, at least one, each one panel from span 0.
+    as ``BLOCK_CELLS`` allows, at least one, each one panel from span 0.
     """
     if not params.has_3g:
         raise ValueError("two-threshold grid needs a finite 3G price")
     M = params.max_age
-    panels, rows = _Panels(params), max(1, model.BLOCK_CELLS // M)
+    panels, rows = _Panels(params), max(1, BLOCK_CELLS // M)
     grid = np.full((M, M), -np.inf)
     for r0 in range(0, M, rows):
         panel = panels(r0, min(r0 + rows, M), 0, M - r0)
@@ -193,7 +197,7 @@ class _Panels:
     ``width`` spans j = s_3g - s_wifi from j0 on, one column per row; cells
     past max_age are -inf.  No row may start past max_age - j0, and width is
     at most the first row's spans left.  A panel holds at most
-    max(``model.BLOCK_CELLS``, max_age) cells, so any one row or column fits
+    max(``BLOCK_CELLS``, max_age) cells, so any one row or column fits
     in one panel.  Panels live in one buffer of twice that, so a panel stays
     valid only until the next one.
 
@@ -231,7 +235,7 @@ class _Panels:
         self.windows = np.ndarray((M, M), buffer=padded, strides=2 * padded.strides)
         self.past = np.arange(2 * M) >= M                # past[r + j]: s_3g past max_age
         self.carry = np.empty(M)                         # each row's band so far
-        self.buffer = np.empty(2 * max(model.BLOCK_CELLS, M))   # the band, then the cells
+        self.buffer = np.empty(2 * max(BLOCK_CELLS, M))   # the band, then the cells
 
     def __call__(self, lo: int, hi: int, j0: int, width: int) -> np.ndarray:
         n = hi - lo

@@ -274,7 +274,7 @@ def _check_round_memory(n_users: int, round_slots: int, flag: str) -> None:
     round_slots bytes of contacts, its step codes, 8 bytes for each step of
     at most 8 slots and so at least round_slots bytes, and its carried age,
     at least 1 byte: at least 2 * round_slots + 1 bytes, so the check runs
-    before any user is built.  (A round past ``model.CHUNK_SLOTS`` holds an
+    before any user is built.  (A round past ``replay.CHUNK_SLOTS`` holds an
     age matrix of round_slots + 1 bytes in place of the codes.)  Without a
     physical memory size to read it checks nothing."""
     try:

@@ -9,7 +9,7 @@ every round's threshold off them by bisection; the simulated ones also build
 every threshold's action row once, and replay a round of all their users as
 the rows of one walk of the replay kernel, which reads off the ages the
 users end at and the round's updates and builds no age matrix.  The chain
-env packs one (slots, users) draw into step patterns (``model._steps``);
+env packs one (slots, users) draw into step patterns (``replay._steps``);
 the trace env gathers its users' step patterns, k slots apart, from the
 patterns its population built once per position of its tiled traces
 (``tracesim._Cohort``).
@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import chain, model, thresholds
+from . import chain, model, replay, thresholds
 from .model import SystemParams, UtilityFunction
 
 RoundEnv = Callable[[float], float]  # bonus in effect -> requests served that round
@@ -209,7 +209,7 @@ def chain_sim_env(
     across rounds.  WiFi-only (the learning experiments never use 3G).  A
     round's contacts come from one (slots, users) draw, the same numbers as
     one ``rng.random(n_users)`` per slot.  A threshold policy updates only on
-    a contact, and ``model._patterns`` pads a round's last step with
+    a contact, and ``replay._patterns`` pads a round's last step with
     no-contact slots, so the round's updates are its steps' cached counts of
     1s, all of them.
     """
@@ -220,7 +220,7 @@ def chain_sim_env(
         nonlocal ages
         s = response(bonus)
         contacts = (rng.random((round_slots, n_users)) < params.contact_prob).T
-        steps, code, tail = model._steps(actions[s - 1:s], policy, contacts, ages)
+        steps, code, tail = replay._steps(actions[s - 1:s], policy, contacts, ages)
         ages = tail[:, -1]
         return float(steps.ones.take(code, mode="clip").sum())
 

@@ -5,7 +5,6 @@ with max_age + 1 meaning "never activate".
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -194,347 +193,9 @@ def next_age(age: int, action: Action, contact: int, max_age: int) -> int:
     return min(age + 1, max_age)
 
 
-#: replay rows longer than this many slots run as chunks of this length
-CHUNK_SLOTS = 256
-#: the slots before a later chunk of a long row whose replay from age M seeds its start
-LOOK_BACK = CHUNK_SLOTS // 8
-#: cells (rows x columns) one block may hold, read only where a temporary
-#: outgrows its input: the two-threshold search's panel shape, the dense
-#: grid's row blocks and the size of ``chain._Panels``' buffer
-BLOCK_CELLS = 1 << 16
-#: cells (policies x contact patterns x ages x slots) a cached k-slot step
-#: table may hold; its age histograms are kept only within as many cells
-#: (table rows x ages)
-TABLE_CELLS = 1 << 19
-
-
-def _step_size(policies: int, M: int) -> int:
-    """The k of the k-slot step table of ``policies`` rows of M actions: the
-    largest of 8, 4, 2 and 1 whose table holds at most TABLE_CELLS cells."""
-    return next((k for k in (8, 4, 2) if policies * 2**k * M * k <= TABLE_CELLS), 1)
-
-
-class _Steps:
-    """A k-slot step table and one summary of each of its rows, all read-only.
-
-    Row ((policy * 2**k + pattern) * M + age - 1) of each is the step that
-    starts at ``age`` under the action row ``policy`` when bit j of
-    ``pattern`` is the contact of the step's slot j + 1.  An age is 1 only
-    after an update, so a row's 1s are the updates of a step at that row,
-    and those after a slot whose pattern bit is 0 are its 3G updates.  A
-    step covers its start age, then the first k - 1 ages of its row.  The
-    summaries a round reads, ``last`` and ``ones``, are built with the
-    table; the others on their first read, and then kept with it.
-    """
-
-    def __init__(self, table: np.ndarray, policies: int, M: int):
-        self.policies, self.M = policies, M
-        self.table = _read_only(table)   # (rows, k): the age after each slot, narrowest dtype that holds M
-        self.last = _read_only(table[:, -1].astype(np.intp))   # the age the step ends at
-        self.ones = _read_only(np.count_nonzero(table == 1, axis=1).astype(np.uint8))   # its updates
-
-    @functools.cached_property
-    def at_1(self) -> np.ndarray:
-        """uint8: bit j set when slot j + 1 ends at age 1."""
-        return _read_only(np.packbits(self.table == 1, axis=1, bitorder="little")[:, 0])
-
-    @functools.cached_property
-    def ones_3g(self) -> np.ndarray:
-        """uint8: the 1s after a slot without a contact, the step's 3G updates."""
-        pattern = (np.arange(len(self.table)) // self.M).astype(np.uint8)   # the contacts in the low k bits
-        popcount = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1, dtype=np.uint8)
-        return _read_only(popcount.take(self.at_1 & ~pattern))
-
-    @functools.cached_property
-    def cells(self) -> np.ndarray:
-        """(rows, k): each slot's tally cell, policy * M + the age before the
-        slot - 1, in the narrowest dtype that holds policies * M."""
-        table, M = self.table, self.M
-        rows = np.arange(len(table))
-        cells = np.empty(table.shape, np.min_scalar_type(self.policies * M - 1))
-        cells[:, 0], cells[:, 1:] = rows % M, table[:, :-1] - 1
-        cells += (rows // (M << table.shape[1]) * M).astype(cells.dtype)[:, None]
-        return _read_only(cells)
-
-    @functools.cached_property
-    def hist(self) -> np.ndarray | None:
-        """(rows, M) uint8: the step's slots by the age before the slot; None
-        when the table's rows x M is more than TABLE_CELLS."""
-        rows, M = len(self.table), self.M
-        if rows * M > TABLE_CELLS:
-            return None
-        hist, before = np.zeros((rows, M), np.uint8), self.cells % M   # the age before each slot, less 1
-        first = np.arange(rows) * M
-        for ages in before.T:   # one slot of every row at a time, so no cell twice
-            hist.reshape(-1)[first + ages] += 1
-        return _read_only(hist)
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-@functools.lru_cache(maxsize=64)
-def _step_table(codes: bytes, policies: int, M: int) -> _Steps:
-    """The ``_Steps`` of the uint8 action table of ``policies`` rows of M ages
-    held in ``codes``: k is the largest of 8, 4, 2 and 1 whose table holds
-    at most TABLE_CELLS cells; at k = 1 it is the one-slot transition table.
-    """
-    actions = np.frombuffer(codes, np.uint8).reshape(policies, M)
-    k = _step_size(policies, M)
-    # next age by (policy, contact, age - 1): 1 after an update (action 2, or
-    # action 1 with a contact: action + contact >= 2), else one older up to M
-    nxt = np.where(actions[:, None] + np.arange(2)[:, None] >= 2, 1, np.minimum(np.arange(2, M + 2), M))
-    table = nxt.astype(np.min_scalar_type(M))[..., None]   # (policy, pattern, age - 1, slot)
-    while table.shape[-1] < k:   # j slots to 2j: the first j, then j more from the age they end at
-        patterns = table.shape[1]
-        then = table[np.arange(policies)[:, None, None, None], np.arange(patterns)[:, None, None],
-                     table[:, None, :, :, -1] - 1]   # (policy, high bits, low bits, age - 1, slot)
-        both = np.concatenate((np.broadcast_to(table[:, None], then.shape), then), axis=-1)
-        table = both.reshape(policies, patterns * patterns, M, -1)
-    return _Steps(table.reshape(-1, k), policies, M)
-
-
-def _tables(actions: np.ndarray) -> _Steps:
-    """``_step_table`` of the action table ``actions``: cached by its content
-    when its one-slot table fits TABLE_CELLS cells, else built per call."""
-    actions = np.ascontiguousarray(actions, np.uint8)
-    key = (actions.tobytes(), *actions.shape)
-    return (_step_table if 2 * actions.size <= TABLE_CELLS else _step_table.__wrapped__)(*key)
-
-
-def _patterns(contacts: np.ndarray, k: int, steps: int) -> np.ndarray:
-    """The (rows, steps) uint8 patterns of the k-slot steps of each row of
-    ``contacts``: a step's contacts packed little-endian, with the slots past
-    the row's end as no contact."""
-    # each byte holds the patterns of 8 // k steps, the first in the low bits
-    pattern = np.packbits(np.ascontiguousarray(contacts), axis=1, bitorder="little")
-    if k < 8:
-        pattern = (pattern[..., None] >> np.arange(0, 8, k, dtype=np.uint8)) & ((1 << k) - 1)
-        pattern = pattern.reshape(len(contacts), -1)
-    if pattern.shape[1] < steps:
-        pattern = np.concatenate((pattern, np.zeros((len(contacts), steps - pattern.shape[1]), np.uint8)), axis=1)
-    return pattern[:, :steps]
-
-
-def _walk(last: np.ndarray, code: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """The step loop: adds to each of the (steps, rows) ``code``, in place,
-    the age its row starts that step at, so that each becomes its step's
-    table row; returns the ages the rows end their last steps at.  Each
-    row's age is carried in intp, read off the table's intp last column
-    ``last``."""
-    age = np.array(start, np.intp)
-    for row in code:
-        row += age   # now the table row of this step
-        last.take(row, out=age, mode="clip")
-    return age
-
-
-def _step_count(n: int, k: int) -> int:
-    """The k-slot steps a row of n slots is laid out in: whole chunks of
-    CHUNK_SLOTS slots, a whole number of steps, for rows longer than that."""
-    return -(-n // CHUNK_SLOTS) * -(-min(n, CHUNK_SLOTS) // k)
-
-
-def _steps(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray,
-           start: np.ndarray) -> tuple[_Steps, np.ndarray, np.ndarray]:
-    """The slot loop, in k-slot steps: the ``_Steps`` of ``actions`` and what
-    ``_walk_patterns`` returns for the patterns of the (rows, slots) 0/1
-    ``contacts``, packed by ``_patterns``: a row's last step is padded with
-    no-contact slots, and so are the steps past its end."""
-    steps = _tables(actions)
-    n = contacts.shape[1]
-    k = steps.table.shape[1]
-    return (steps, *_walk_patterns(steps, policy, _patterns(contacts, k, _step_count(n, k)), n, start))
-
-
-def _walk_patterns(steps: _Steps, policy: np.ndarray, pattern: np.ndarray, n: int,
-                   start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The walk of the (rows, ``_step_count(n, k)``) uint8 k-slot contact
-    patterns ``pattern`` of rows of n slots over the step table ``steps``:
-    the (steps, rows) table rows of every row's steps, and the (rows, r) ages
-    after each slot of each row's last step, in the table's dtype, whose last
-    column is the age the row ends at.
-
-    Row r starts at age ``start[r]``, acts by the per-age action row
-    ``policy[r]`` of the table and reads row r mod len(pattern): so rows that
-    differ only in their policy share one packing of their contacts, and
-    each policy adds its block of the table to the shared codes.  A row's
-    next k contacts, packed little-endian into a pattern, and its age name
-    its step's table row, which holds the k ages that follow.  A row of n
-    slots ends at column r - 1 of its last step's row, where
-    r = n - (steps - 1) * k, the slots of that step; the pattern bits past
-    them, and the steps past the row's end, do not change the ages it reads.
-
-    Rows longer than CHUNK_SLOTS run as chunks of CHUNK_SLOTS slots, a whole
-    number of steps, with the last chunk padded as the last step is.  A
-    row's first chunk starts at the row's start age.  Each later chunk is
-    seeded first: the codes of the last LOOK_BACK slots of the chunk before
-    it are walked from age M, and the chunk starts at the age that walk ends
-    at.  A run from M and the row's own run agree from the first slot where
-    both update, or both reach M, so the seed is the age the chunk before
-    ends with whenever that happens within the look-back; it misses when
-    ages grow without an update for longer, such as below a threshold far
-    above LOOK_BACK.  Then every chunk is walked from its start, and a chunk
-    whose start differs from the age the chunk before it ended with is
-    walked again from that age, from its own fresh codes, until none does.
-    Every pass fixes at least one more chunk of each row, and only the
-    chunks a pass walks have their codes rewritten; the carried starts
-    alone make the result exact: a wrong seed costs a rerun, never a wrong
-    age.  The chunks' codes are then laid out as their rows' steps.
-    """
-    M, k = steps.M, steps.table.shape[1]
-    parts = -(-n // CHUNK_SLOTS)   # chunk j of row r is column r * parts + j
-    span = pattern.shape[1] // parts   # steps per chunk
-    code = pattern.reshape(-1, span).T.astype(np.intp, order="C")   # widened once
-    code *= M   # a step's table row is code + its policy's block - 1 + the age it starts at
-    if steps.policies == 1 and len(policy) == len(pattern):   # one policy, at block 0
-        code -= 1
-    else:
-        shift = np.repeat(policy * (M << k) - 1, parts)
-        if len(shift) == code.shape[1]:
-            code += shift
-        else:   # rows that share their contacts: their codes differ by their policies' blocks
-            code = (code[:, None] + shift.reshape(-1, code.shape[1])).reshape(span, -1)
-    if parts == 1:
-        _walk(steps.last, code, start)
-    else:
-        begin = np.repeat(np.asarray(start, np.intp), parts)
-        first = np.arange(code.shape[1]) % parts == 0
-        later = np.flatnonzero(~first)   # seeded by the last LOOK_BACK slots before them, from age M
-        tails = code[span - LOOK_BACK // k:].take(later - 1, axis=1)
-        begin[later] = _walk(steps.last, tails, np.full(later.size, M))
-        end = _walk(steps.last, code, begin)
-        while True:
-            carried = np.where(first, begin, np.roll(end, 1))
-            todo = np.flatnonzero(carried != begin)
-            if not todo.size:
-                break
-            # a walked code less the age its step started at is its fresh code
-            again = code[:, todo]
-            again[1:] -= steps.last.take(again[:-1], mode="clip")
-            again[0] -= begin[todo]
-            begin = carried
-            end[todo] = _walk(steps.last, again, begin[todo])
-            code[:, todo] = again
-        code = code.reshape(span, -1, parts).transpose(2, 0, 1).reshape(parts * span, -1)[:-(-n // k)]
-    r = n - (len(code) - 1) * k   # the slots of each row's last step
-    return code, steps.table.take(code[-1], axis=0, mode="clip")[:, :r]   # the last step's slots
-
-
-def _after(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
-    """The (rows, n) ages after each slot of the rows of n slots whose
-    (steps, rows) table rows ``code`` the walk returned: one gather of the
-    steps' table rows gives all k ages of every step, cut back to n columns,
-    since a row's last step may be padded.  The ages keep the table's dtype,
-    the narrowest that holds M."""
-    return steps.table.take(code.T, axis=0, mode="clip").reshape(code.shape[1], -1)[:, :n]
-
-
-def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """The ages along each row of a (rows, slots) 0/1 contact matrix: the
-    (rows, slots + 1) ages of ``_steps``' rows, where column t is the age
-    before slot t + 1, and that slot updated exactly when column t + 1 reads
-    1; its start column, then ``_after``'s ages after each slot.  No replay
-    in the package needs every age; the tests check the kernel through it.
-
-    k is the largest of 8, 4, 2 and 1 whose table fits TABLE_CELLS cells,
-    so it shrinks as policies x ages grow; at k = 1 the table is the
-    one-slot transition table.  Tables that fit are cached with their rows'
-    summaries (``_Steps``) by the content of ``actions``, not by the array,
-    in one least-recently-used cache of 64 entries.  An entry holds at most
-    TABLE_CELLS cells of uint16 ages, 1 MiB; TABLE_CELLS / k rows of 11
-    bytes of summaries (an 8-byte last-column entry and three 1-byte
-    summaries); TABLE_CELLS tally cells of at most 4 bytes, 2 MiB; and a
-    uint8 histogram of at most TABLE_CELLS cells, 512 KiB, kept only when
-    it fits.  So an entry takes at most 8.5 MiB at k = 1 (where the rows
-    are too many for a histogram) and 2.2 MiB at k = 8, and the cache at
-    most 544 MiB; the 13 threshold policies of M = 12 take 312 KiB of
-    table, 429 KiB of summaries, 312 KiB of cells and 468 KiB of histogram.
-    A k = 1 table too large for the budget is built per call and not kept.
-    """
-    steps, code, _ = _steps(actions, policy, contacts, start)
-    n = contacts.shape[1]
-    ages = np.empty((len(policy), n + 1), steps.table.dtype)
-    ages[:, 0] = start
-    ages[:, 1:] = _after(steps, code, n)
-    return ages
-
-
-def _replay_ends(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray,
-                 start: np.ndarray) -> tuple[np.ndarray, int]:
-    """The last column of ``_replay(actions, policy, contacts, start)``, the
-    ages the rows end at, and the count of its 1s past column 0, the rows'
-    updates, without the (rows, slots + 1) age matrix: the full steps'
-    updates are their rows' cached counts of 1s, and the last step's are
-    the 1s among its r columns, since ``np.packbits`` pads the rest.  Under
-    action 2 the padding's no-contact slots update too; the learning envs'
-    threshold rows update only on a contact, so they read all their steps'
-    counts instead.
-    """
-    steps, code, tail = _steps(actions, policy, contacts, start)
-    return tail[:, -1], int(steps.ones.take(code[:-1], mode="clip").sum()) + int(np.count_nonzero(tail == 1))
-
-
-def _count_ages(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
-    """Each policy's slots by the age before the slot, a (policies, M) int64
-    array, over the rows of n slots whose (steps, rows) table rows ``code``
-    ``_steps`` returned, counted from those table rows alone.  The rows come
-    in one equal block per policy, in order, as rotations lay them out.
-
-    Each slot of a step counts one at its tally cell (``_Steps.cells``): the
-    cell of the step's start age, then those of the first k - 1 ages of its
-    row, all in the row's policy.  A row's last step covers only its first
-    r = n - (steps - 1) * k slots, so it counts only its first r cells.  The
-    other steps are counted by table row when they outnumber the table's
-    rows, as on one long trace: one ``np.bincount`` of their rows, then each
-    row's count at each of its cells.  Otherwise each adds its row's cached
-    histogram, summed over each replay row's steps and then over each
-    policy's block of rows; a table too large for histograms has each
-    step's cells counted one by one.  The counts are integers, and every
-    float sum is a whole number below 2**53, so the routes give the same
-    counts.
-    """
-    cells, k, policies = steps.cells, steps.table.shape[1], steps.policies
-    r = n - (len(code) - 1) * k   # the slots of each row's last step
-    counts = np.bincount(cells.take(code[-1], axis=0, mode="clip")[:, :r].ravel(), minlength=policies * steps.M)
-    full = code[:-1]
-    if full.size > len(cells):   # by table row
-        used = np.bincount(full.ravel(), minlength=len(cells))
-        # each count is a whole number below 2**53, so the float sums are exact
-        counts += np.bincount(cells.ravel(), np.repeat(used, k), counts.size).astype(np.int64)
-    elif steps.hist is None:
-        counts += np.bincount(cells.take(full.ravel(), axis=0, mode="clip").ravel(), minlength=counts.size)
-    elif full.size:
-        mine = steps.hist.take(full, axis=0, mode="clip").sum(0, dtype=np.min_scalar_type(n))   # by replay row
-        blocks = np.arange(0, len(mine), len(mine) // policies)
-        counts += np.add.reduceat(mine, blocks, axis=0, dtype=np.int64).ravel()
-    return counts.reshape(policies, steps.M)
-
-
-def _count_3g(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
-    """Each row's 3G updates, an int64 array, over the rows of n slots whose
-    (steps, rows) table rows ``code`` ``_steps`` returned: the full steps'
-    cached counts, and the 1s among the first r slots of each row's last
-    step whose pattern bit is 0, r = n - (steps - 1) * k."""
-    k = steps.table.shape[1]
-    r = n - (len(code) - 1) * k
-    counts = steps.ones_3g.take(code if r == k else code[:-1], mode="clip").sum(0, dtype=np.int64)
-    if r < k:
-        pattern = (code[-1] // steps.M).astype(np.uint8)   # the step's contacts in its low k bits
-        bits = steps.at_1.take(code[-1], mode="clip") & ~pattern & ((1 << r) - 1)
-        counts += np.count_nonzero(np.unpackbits(bits[:, None], axis=1), axis=1)
-    return counts
-
-
-def _updated(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
-    """A (rows, n) bool array: True where a slot of a row ends at age 1, that
-    is, updates, over the rows of n slots whose (steps, rows) table rows
-    ``code`` ``_steps`` returned, read off the steps' cached bitmasks."""
-    rows, k = code.shape[1], steps.table.shape[1]
-    bits = np.unpackbits(steps.at_1.take(code.T, mode="clip"), axis=1, bitorder="little")
-    return bits.reshape(rows, -1, 8)[:, :, :k].reshape(rows, -1)[:, :n].view(bool)
 
 
 #: each Action by its code; members hash as their codes, so they map to themselves

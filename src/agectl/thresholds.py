@@ -242,8 +242,8 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
 
     wifi_only = chain.threshold_reward_curve(params)[:M]
     panels = chain._Panels(params)
-    width = min(_PANEL_SPANS, model.BLOCK_CELLS)
-    rows = model.BLOCK_CELLS // width
+    width = min(_PANEL_SPANS, chain.BLOCK_CELLS)
+    rows = chain.BLOCK_CELLS // width
     row_top = np.full(M, -np.inf)
     for r0 in range(0, M, rows):
         lo, hi, j0 = r0, min(r0 + rows, M), 0

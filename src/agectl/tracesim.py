@@ -4,18 +4,18 @@ estimate per-shift contact statistics, and run multi-user closed-loop rounds.
 
 Every replay here, one policy on one trace, each policy from each rotated
 phase, or one round of a user population, runs as the rows of one walk of
-k-slot contact patterns (``model._walk_patterns``), the package's only loop
+k-slot contact patterns (``replay._walk_patterns``), the package's only loop
 over slots, which names the step table row of each k-slot step of each row.
-A trace replay packs its rotations' patterns once (``model._steps``); a
+A trace replay packs its rotations' patterns once (``replay._steps``); a
 population builds the pattern at each position of its tiled traces once,
 and each round gathers its users' patterns (``_Cohort``).  A trace replay
 tallies off the table rows alone, through the summaries cached with the
-table: the slots at each age (``model._count_ages``), the updates, where an
+table: the slots at each age (``replay._count_ages``), the updates, where an
 age returns to 1, the 3G updates, the 1s after a slot without a contact,
 and the slots of the updates, from each row's bitmask of ages at 1; it
 builds no age matrix.  A population round reads its updates off the same
 summaries, and tallies its users' slots by age from the ages its table
-rows expand to (``model._after``).  Every reward, energy and fee total is
+rows expand to (``replay._after``).  Every reward, energy and fee total is
 then the exact sum of counted terms, rounded once.
 
 Traces are strings of ones (useful slot) and zeros; an optional second bit
@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import learning, model, thresholds
+from . import learning, model, replay, thresholds
 from .model import Policy, SystemParams
 
 
@@ -289,10 +289,10 @@ def _policy_actions(params: SystemParams, policy: Policy | MaskPolicy) -> np.nda
 
 
 def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.ndarray | None, replications: int,
-                      start_age: int) -> tuple[tuple[model._Steps, np.ndarray], np.ndarray, list[float]]:
+                      start_age: int) -> tuple[tuple[replay._Steps, np.ndarray], np.ndarray, list[float]]:
     """Replay each row of the per-age action table ``actions``, or the mask
     policy when it is None, from every phase r * max(1, floor(len / replications))
-    mod len, r < replications, as the rows of one ``model._steps`` walk.
+    mod len, r < replications, as the rows of one ``replay._steps`` walk.
     The phases' contacts are packed once, and each policy's rows read them
     with its own block of the step table; one replication replays the
     trace's own bits, with no copy.  Returns the walk's step table and
@@ -302,8 +302,8 @@ def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.nda
     the active slots, the WiFi updates and the 3G updates.
 
     Every count is read off the table rows the steps take, through the
-    summaries cached with the table (``model._Steps``), with no age matrix:
-    ``model._count_ages`` counts each policy's slots by age, and the active
+    summaries cached with the table (``replay._Steps``), with no age matrix:
+    ``replay._count_ages`` counts each policy's slots by age, and the active
     slots follow from the ages where a policy acts (for the mask policy,
     every masked slot).  An update leaves the age at 1, so a policy's
     updates are its slots at age 1, less its rows that start at age 1, plus
@@ -326,12 +326,12 @@ def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.nda
         phases = np.arange(replications) * max(1, n // replications) % n
         contacts = np.concatenate((bits, bits))[phases[:, None] + np.arange(n)]
     policy = np.repeat(np.arange(k), replications)
-    steps, code, tail = model._steps(table, policy, contacts, np.full(len(policy), start_age))
-    by_age = model._count_ages(steps, code, n)
+    steps, code, tail = replay._steps(table, policy, contacts, np.full(len(policy), start_age))
+    by_age = replay._count_ages(steps, code, n)
     ends = (tail[:, -1] == 1).reshape(k, replications).sum(1) - replications * (start_age == 1)
     updates, updates_3g = by_age[:, 0] + ends, np.zeros(k, np.int64)
     if (table == 2).any():   # an update after a slot without a contact is a 3G update
-        updates_3g = model._count_3g(steps, code, n).reshape(k, replications).sum(1)
+        updates_3g = replay._count_3g(steps, code, n).reshape(k, replications).sum(1)
     active = (by_age * (table >= 1)).sum(1)
     if actions is None:   # active on the masked slots, with or without a contact
         active[0] = replications * np.count_nonzero(trace.mask_bits)
@@ -354,7 +354,7 @@ def simulate_policy(
     (steps, code), tally, (total,) = _replay_rotations(
         trace, params, _policy_actions(params, policy), 1, start_age)
     active, wifi, updates_3g = tally[0, -3:].tolist()
-    slots = np.flatnonzero(model._updated(steps, code, len(trace))[0])
+    slots = np.flatnonzero(replay._updated(steps, code, len(trace))[0])
     slots += 1   # the 1-based slot
     return SimResult(
         total_reward=total,
@@ -495,11 +495,11 @@ class _Cohort:
     Each distinct trace is tiled once to at least len + round_slots slots, by
     one gather over the distinct traces' concatenated bits, and the k-slot
     contact pattern that starts at each tile position is built once, one
-    byte each, packed little-endian as ``model._patterns`` packs a row, for
+    byte each, packed little-endian as ``replay._patterns`` packs a row, for
     the k of a one-policy step table.  The steps of a round from any
     position are the patterns k slots apart.  So a round is one gather of
     every user's step patterns, with its last step masked to the round's r
-    slots, walked by ``model._walk_patterns`` at the round's threshold."""
+    slots, walked by ``replay._walk_patterns`` at the round's threshold."""
 
     def __init__(self, users: Sequence[UserAssignment], params: SystemParams, round_slots: int):
         self.response = learning._env_response(params, len(users), round_slots)
@@ -517,13 +517,13 @@ class _Cohort:
         owner = np.repeat(np.arange(len(lengths)), sizes)
         index = (np.arange(len(owner)) - tile_at[owner]) % lengths[owner] + trace_at[owner]
         tiles = np.concatenate([t.slot_bits for _, t in traces.values()])[index]
-        k = model._step_size(1, M)
+        k = replay._step_size(1, M)
         self.patterns = tiles.copy()   # bit j: the contact of slot j + 1; none past the last tile
         for j in range(1, k):
             self.patterns[:-j] |= tiles[j:] << j
         which = np.array(which)
         # each user's step patterns, k slots apart from its position in its tile
-        self.stride = tile_at[which, None] + k * np.arange(model._step_count(round_slots, k))
+        self.stride = tile_at[which, None] + k * np.arange(replay._step_count(round_slots, k))
         self.length = lengths[which]
         self.pos = np.array(phases) % self.length
         self.ages = np.array(ages)
@@ -532,15 +532,15 @@ class _Cohort:
         self.actions, self.policy = learning._threshold_actions(M), np.zeros(len(users), int)
         self.round_slots = round_slots
 
-    def round(self, bonus: float) -> tuple[int, model._Steps, np.ndarray]:
+    def round(self, bonus: float) -> tuple[int, replay._Steps, np.ndarray]:
         """The threshold for ``bonus``, its step table and the (steps, users)
         table rows of one round at it, whose slots it moves past."""
         s = self.response(bonus)
         pattern = self.patterns.take(self.pos[:, None] + self.stride, mode="clip")
         pattern[:, self.last] &= self.mask
         self.pos = (self.pos + self.round_slots) % self.length
-        steps = model._tables(self.actions[s - 1:s])
-        code, tail = model._walk_patterns(steps, self.policy, pattern, self.round_slots, self.ages)
+        steps = replay._tables(self.actions[s - 1:s])
+        code, tail = replay._walk_patterns(steps, self.policy, pattern, self.round_slots, self.ages)
         self.ages = tail[:, -1]
         return s, steps, code
 
@@ -572,7 +572,7 @@ def simulate_population(
     The rounds are ``trace_env``'s: one ``_Cohort`` walk each, whose WiFi
     updates by user are its steps' cached counts of 1s.  Its slots by user
     and age are tallied from the ages after each slot, the walk's table rows
-    expanded (``model._after``); no step table's histogram is built.  Over
+    expanded (``replay._after``); no step table's histogram is built.  Over
     any stretch of a user's timeline the ages before its slots are those
     after them, plus the age it starts at, less the one it ends at.  So the
     age tally is corrected once, at the end, and the active slots, those at
@@ -607,7 +607,7 @@ def simulate_population(
             if run_s is not None:
                 close_run(start)
             run_s, run_start = s, start
-        after = model._after(steps, code, round_slots)
+        after = replay._after(steps, code, round_slots)
         run += np.bincount((base[:, None] + after).ravel(), minlength=run.size)
         if history is not None:
             history[:, (t - 1) * round_slots : t * round_slots] = after

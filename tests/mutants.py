@@ -15,7 +15,8 @@ which shows that the named tests pass on an unbroken copy.  The runner exits
 1 when a mutant that should die lives or a control dies, and 2 when an
 entry cannot run (a fragment not found once, or tests that error or are not
 collected).  pytest does not collect this file: its name has no ``test_``
-prefix.
+prefix; ``test_mutants.py`` checks each entry's fragment and tests in the
+tier-1 suite.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ CHAIN = "src/agectl/chain.py"
 TRACESIM = "src/agectl/tracesim.py"
 LEARNING = "src/agectl/learning.py"
 MODEL = "src/agectl/model.py"
+REPLAY = "src/agectl/replay.py"
 STREAM = "tests/test_thresholds.py::TestTwoThresholdStream::"
 PI = "tests/test_solver.py::TestPolicyIteration::"
 RVI = "tests/test_solver.py::TestAgainstReferenceIteration::"
@@ -157,8 +159,8 @@ MUTANTS = (
     Mutant("response-bisect-left", THRESHOLDS,
            "bisect.bisect_right(ascending, bonus)", "bisect.bisect_left(ascending, bonus)",
            ("tests/test_learning.py::TestEnvironments::test_env_response_is_threshold_response_at_every_edge",)),
-    # the round reader: end ages read past the last step's slots, in its padding
-    Mutant("round-end-full-step", MODEL,
+    # the walk's end ages read past the last step's slots, in its padding
+    Mutant("round-end-full-step", REPLAY,
            "[:, :r]   # the last step's slots", "",
            ("tests/test_replay.py::test_chain_env_draws_one_number_per_user_slot",
             "tests/test_replay.py::test_trace_env_serves_what_the_population_serves",
@@ -175,26 +177,36 @@ MUTANTS = (
            (MODULO + "[one shared trace]",
             "tests/test_replay.py::test_recorded_ages_match_modulo_indexing")),
     # the step summaries: a row's histogram over the k ages after its slots
-    Mutant("histogram-after-slots", MODEL,
+    Mutant("histogram-after-slots", REPLAY,
            "self.cells % M   # the age before", "(self.table - 1)   # the age after",
            (COUNTS + "[12-per-age-13-by histogram]",
             "tests/test_replay.py::test_rotation_tallies_count_the_reference_parts")),
     # the bitmask of ages at 1 packed big-endian: update slots reversed in each step
-    Mutant("at-1-big-endian", MODEL,
+    Mutant("at-1-big-endian", REPLAY,
            'np.packbits(self.table == 1, axis=1, bitorder="little")',
            'np.packbits(self.table == 1, axis=1, bitorder="big")',
            ("tests/test_replay.py::test_step_tables_are_cached_by_content_read_only_and_bounded",
             "tests/test_tracesim.py::TestSimulatePolicy::test_hand_stepped_example")),
     # 3G updates counted at the slots with a contact
-    Mutant("3g-at-contacts", MODEL,
+    Mutant("3g-at-contacts", REPLAY,
            "popcount.take(self.at_1 & ~pattern)", "popcount.take(self.at_1 & pattern)",
            ("tests/test_replay.py::test_rotation_tallies_count_the_reference_parts",
             "tests/test_replay.py::test_simulate_policy_equals_reference_replay")),
     # each policy's codes offset by 1, not by its block of the step table
-    Mutant("policy-offset-by-one", MODEL,
+    Mutant("policy-offset-by-one", REPLAY,
            "np.repeat(policy * (M << k) - 1, parts)", "np.repeat(policy - 1, parts)",
            ("tests/test_replay.py::test_threshold_means_equal_reference_averages",
             "tests/test_replay.py::test_rotation_tallies_count_the_reference_parts")),
+    # a row's contacts packed big-endian: each step's slots read in reverse
+    Mutant("patterns-big-endian", REPLAY,
+           'np.packbits(np.ascontiguousarray(contacts), axis=1, bitorder="little")',
+           'np.packbits(np.ascontiguousarray(contacts), axis=1, bitorder="big")',
+           ("tests/test_replay.py::test_replay_ages_on_every_contact_layout",
+            "tests/test_tracesim.py::TestSimulatePolicy::test_hand_stepped_example")),
+    # a step's pattern not cut to its k bits: the later steps of its byte leak in
+    Mutant("patterns-unmasked", REPLAY,
+           " & ((1 << k) - 1)", "",
+           ("tests/test_replay.py::test_replay_ages_on_every_contact_layout",)),
 )
 # a control: every entry's tests pass on an unbroken copy
 MUTANTS += (Mutant("comment-only", THRESHOLDS,

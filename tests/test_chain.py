@@ -27,11 +27,11 @@ from agectl import (
     transition_matrix,
 )
 from agectl.chain import (
-    _Panels, cycle_lengths, reward_curve_3g_only, threshold_ages,
+    BLOCK_CELLS, _Panels, cycle_lengths, reward_curve_3g_only, threshold_ages,
     threshold_reward_affine, two_threshold_reward_grid,
 )
-from agectl import model
-from agectl.model import BLOCK_CELLS, TIE_TOL
+from agectl import chain
+from agectl.model import TIE_TOL
 
 from conftest import (
     C_CLOSED, C_MATRIX, EPS, make_rng, random_3g_params, random_wifi_params, reference_exact,
@@ -365,7 +365,7 @@ class TestTwoThresholdGrid:
     def test_3g_only_curve_is_the_grids_diagonal(self, params, block_cells):
         # one one-span panel over every row, whatever the cap: the buffer
         # holds a whole column, and the curve is copied out of it
-        with mock.patch.object(model, "BLOCK_CELLS", block_cells):
+        with mock.patch.object(chain, "BLOCK_CELLS", block_cells):
             curve = reward_curve_3g_only(params)
         assert curve.flags.owndata
         assert curve.tobytes() == np.diag(two_threshold_reward_grid(params)).tobytes()

@@ -36,8 +36,8 @@ from agectl import (
     threshold_response,
     trace_env,
 )
-from agectl import model, tracesim
-from agectl.model import CHUNK_SLOTS
+from agectl import chain, replay, tracesim
+from agectl.replay import CHUNK_SLOTS
 
 from conftest import parts_total, reference_parts, threshold_action
 
@@ -273,7 +273,7 @@ def test_long_replay_matches_reference():
 def test_trace_replays_build_no_age_matrix(monkeypatch, n):
     # simulate_policy, replayed_average_reward and comparison_table read
     # every count off the step codes, on short and on chunked traces: with
-    # model._replay, the one builder of the age matrix, gone they answer the same
+    # replay._replay, which alone builds the age matrix, gone they answer the same
     M = 12
     params = params_for(M, 0.5, 0.5, 0.5, UtilityFunction.linear(M))
     trace = ContactTrace("t", bits(n, 0.5, n), mask=bits(n, 0.3, n + 1))
@@ -287,9 +287,9 @@ def test_trace_replays_build_no_age_matrix(monkeypatch, n):
     expected = answers()
 
     def no_age_matrix(*args):
-        raise AssertionError("model._replay called")
+        raise AssertionError("replay._replay called")
 
-    monkeypatch.setattr(model, "_replay", no_age_matrix)
+    monkeypatch.setattr(replay, "_replay", no_age_matrix)
     assert answers() == expected
 
 
@@ -307,7 +307,7 @@ def test_chunks_without_updates_settle_over_several_passes():
 
 def stepped_ages(actions, policy, contacts, start):
     """Ages along each row by one ``next_age`` call per slot: the oracle for
-    ``model._replay``'s (rows, slots + 1) result."""
+    ``replay._replay``'s (rows, slots + 1) result."""
     M = actions.shape[1]
     rows = []
     for r, row in enumerate(contacts):
@@ -320,7 +320,7 @@ def stepped_ages(actions, policy, contacts, start):
 
 
 def assert_replay_equals_stepped(actions, policy, contacts, start):
-    ages = model._replay(actions, policy, contacts, start)
+    ages = replay._replay(actions, policy, contacts, start)
     assert ages.shape == (len(contacts), contacts.shape[1] + 1)
     np.testing.assert_array_equal(ages, stepped_ages(actions, policy, contacts, start))
 
@@ -330,13 +330,13 @@ def threshold_table(M, pairs):
 
 
 def spy_walks(monkeypatch):
-    """The (fresh codes, start ages) of every ``model._walk`` call, in order:
+    """The (fresh codes, start ages) of every ``replay._walk`` call, in order:
     each call is one pass over some steps of some rows or chunks."""
-    passes, walk = [], model._walk
+    passes, walk = [], replay._walk
     def spy(last, code, start):
         passes.append((code.copy(), np.array(start)))
         return walk(last, code, start)
-    monkeypatch.setattr(model, "_walk", spy)
+    monkeypatch.setattr(replay, "_walk", spy)
     return passes
 
 
@@ -393,9 +393,9 @@ def test_threshold_means_equal_reference_averages():
 
 
 def step_size(actions):
-    """The k of the step table ``model._replay`` uses for ``actions``."""
+    """The k of the step table ``replay._replay`` uses for ``actions``."""
     table = np.ascontiguousarray(actions, np.uint8)
-    return model._step_table.__wrapped__(table.tobytes(), *table.shape).table.shape[1]
+    return replay._step_table.__wrapped__(table.tobytes(), *table.shape).table.shape[1]
 
 
 @pytest.mark.parametrize("n", [1, 7, 9, L - 1, L + 1])
@@ -425,7 +425,7 @@ def test_replay_ages_at_every_step_size(policies, M, k):
     start = rng.integers(1, M + 1, rows)
     for n, dtype in ((13, np.uint8), (2 * L + 3, bool)):
         contacts = (rng.random((rows, n)) < rng.uniform(0.01, 0.5, (rows, 1))).astype(dtype)
-        assert model._replay(actions, policy, contacts, start).dtype == np.min_scalar_type(M)
+        assert replay._replay(actions, policy, contacts, start).dtype == np.min_scalar_type(M)
         assert_replay_equals_stepped(actions, policy, contacts, start)
 
 
@@ -446,7 +446,7 @@ def test_chunk_reruns_meet_between_step_boundaries(monkeypatch):
     # look-back stays at M, the age every chunk ends at, and no chunk reruns
     assert len(passes) == 2
     tails, tail_start = passes[0]
-    assert tails.shape == (model.LOOK_BACK // 8, 4) and (tail_start == M).all()
+    assert tails.shape == (replay.LOOK_BACK // 8, 4) and (tail_start == M).all()
     assert not ((tails + 1) // M).any()   # code + 1 = pattern * M at policy 0: no contact
     assert passes[1][0].shape == (L // 8, 6)
 
@@ -470,7 +470,7 @@ def test_seeded_chunks_replay_few_chunk_rows(monkeypatch):
     # the look-back, at LOOK_BACK / L = 1/8 of a chunk row per chunk, the
     # first pass, at one, and the reruns
     assert chunk_rows_replayed(passes, 8) <= 1.2 * chunks
-    assert passes[0][0].shape == (model.LOOK_BACK // 8, chunks - 1) and passes[1][0].shape == (L // 8, chunks)
+    assert passes[0][0].shape == (replay.LOOK_BACK // 8, chunks - 1) and passes[1][0].shape == (L // 8, chunks)
 
 
 def test_missed_seeds_rerun_to_the_stepped_ages(monkeypatch):
@@ -478,7 +478,7 @@ def test_missed_seeds_rerun_to_the_stepped_ages(monkeypatch):
     # ages without an update for longer than the look-back, so a seed from M
     # often misses the age the chunk before really ends with; the reruns
     # still reach the stepped ages
-    M = 2 * model.LOOK_BACK + 5
+    M = 2 * replay.LOOK_BACK + 5
     actions = threshold_table(M, [(M // 2, None), (M // 2, M - 3)])
     policy = np.repeat([0, 1], M)
     start = np.tile(np.arange(1, M + 1), 2)
@@ -494,8 +494,9 @@ def test_missed_seeds_rerun_to_the_stepped_ages(monkeypatch):
 def test_replay_ages_across_row_blocks(monkeypatch, policies, M, k, cells):
     # BLOCK_CELLS shapes the chain and threshold blocks, not the replay: at a
     # block size that would hold only cells // steps of these rows, short
-    # rows and chunk rows still replay to the stepped ages
-    monkeypatch.setattr(model, "BLOCK_CELLS", cells)
+    # rows and chunk rows still replay to the stepped ages.  The structural
+    # check is the import rule in test_routes: replay imports only model
+    monkeypatch.setattr(chain, "BLOCK_CELLS", cells)
     rng = np.random.default_rng(cells)
     actions = rng.integers(0, 3, (policies, M)).astype(np.uint8)
     assert step_size(actions) == k
@@ -514,12 +515,12 @@ def test_step_tables_are_cached_by_content_read_only_and_bounded():
     policy, start = np.array([0, 1, 1]), np.array([1, 6, M])
     contacts = (np.random.default_rng(3).random((3, 40)) < 0.4).astype(np.uint8)
     assert_replay_equals_stepped(actions, policy, contacts, start)
-    cached = model._step_table(actions.tobytes(), *actions.shape)
-    assert model._step_table.cache_info().maxsize == 64
+    cached = replay._step_table(actions.tobytes(), *actions.shape)
+    assert replay._step_table.cache_info().maxsize == 64
     # each row's summaries are cached with the table, by the same key and
     # bound, and all are read-only; those a round does not read are built
     # on their first read
-    fresh = model._step_table.__wrapped__(actions.tobytes(), *actions.shape)
+    fresh = replay._step_table.__wrapped__(actions.tobytes(), *actions.shape)
     assert set(vars(fresh)) == {"policies", "M", "table", "last", "ones"}
     assert_cached_from_table(cached, *actions.shape)
     for name in SUMMARIES:
@@ -528,20 +529,20 @@ def test_step_tables_are_cached_by_content_read_only_and_bounded():
         with pytest.raises(ValueError):
             array[0] = 1
     assert cached.last.dtype == np.intp and cached.hist.shape == (len(cached.table), M)
-    again = model._step_table(bytes(bytearray(actions.tobytes())), *actions.shape)
+    again = replay._step_table(bytes(bytearray(actions.tobytes())), *actions.shape)
     assert again is cached
     # the same array changed in place keys a new table
     actions[0] = threshold_table(M, [(M + 1, None)])[0]
     actions[1, ::2] = Action.WIFI_THEN_3G
     assert_replay_equals_stepped(actions, policy, contacts, start)
-    changed = model._step_table(actions.tobytes(), *actions.shape)
+    changed = replay._step_table(actions.tobytes(), *actions.shape)
     assert changed is not cached and not np.array_equal(changed.table, cached.table)
     assert_cached_from_table(changed, *actions.shape)
     # a histogram of more than TABLE_CELLS cells is not kept; at M = 260 the
     # ages are uint16 and the steps 4 slots long
     wide = threshold_table(260, [(250, 255)])
-    steps = model._step_table.__wrapped__(wide.tobytes(), *wide.shape)
-    assert steps.table.shape[1] == 4 and len(steps.table) * 260 > model.TABLE_CELLS and steps.hist is None
+    steps = replay._step_table.__wrapped__(wide.tobytes(), *wide.shape)
+    assert steps.table.shape[1] == 4 and len(steps.table) * 260 > replay.TABLE_CELLS and steps.hist is None
     assert_cached_from_table(steps, *wide.shape)
 
 
@@ -586,14 +587,15 @@ def test_replay_ages_on_every_contact_layout(policies, M, k, n):
     assert layouts[2].flags.f_contiguous and (n == 1 or not layouts[2].flags.c_contiguous)
     for contacts in layouts:
         expected = stepped_ages(actions, policy, contacts, start)
-        np.testing.assert_array_equal(model._replay(actions, policy, contacts, start), expected)
+        np.testing.assert_array_equal(replay._replay(actions, policy, contacts, start), expected)
 
 
 @pytest.mark.parametrize("n", [1, 7, 13, L, L + 1, 2 * L + 3])
 @pytest.mark.parametrize("policies, M, k", [(1, 12, 8), (4, 300, 4), (40, 300, 2), (300, 300, 1)])
 def test_round_reader_reads_the_end_ages_and_updates_of_the_replay(policies, M, k, n):
-    # action 2 updates on the no-contact slots that pad a row's last step, so
-    # reading the padded step's last column or its 1s would show here
+    # the end ages both envs read off the walk, tail[:, -1]: action 2 updates
+    # on the no-contact slots that pad a row's last step, so reading the
+    # padded step's last column would show here
     rng = np.random.default_rng(policies * M + n)
     actions = rng.integers(0, 3, (policies, M)).astype(np.uint8)
     assert step_size(actions) == k
@@ -602,9 +604,8 @@ def test_round_reader_reads_the_end_ages_and_updates_of_the_replay(policies, M, 
     start = rng.integers(1, M + 1, rows)
     contacts = rng.random((rows, n)) < rng.uniform(0.01, 0.5, (rows, 1))
     expected = stepped_ages(actions, policy, contacts, start)
-    ends, updates = model._replay_ends(actions, policy, contacts, start)
-    np.testing.assert_array_equal(ends, expected[:, -1])
-    assert type(updates) is int and updates == np.count_nonzero(expected[:, 1:] == 1)
+    _, _, tail = replay._steps(actions, policy, contacts, start)
+    np.testing.assert_array_equal(tail[:, -1], expected[:, -1])
 
 
 def phases_total(trace, params, action_at, reps, start):
@@ -675,7 +676,7 @@ def test_rotation_tallies_count_the_reference_parts(n, M, reps):
 
 def slot_tally(ages, policy, policies, M):
     """Each policy's slots by the age before the slot, one row's ages at a
-    time: the oracle for ``model._count_ages``."""
+    time: the oracle for ``replay._count_ages``."""
     counts = np.zeros((policies, M), np.int64)
     for mine, row in zip(policy, ages[:, :-1]):
         counts[mine] += np.bincount(row, minlength=M + 1)[1:]
@@ -717,9 +718,9 @@ def test_row_tallies_equal_slot_tallies_and_reference_parts(M, kind, length, dat
     contacts = np.tile([np.roll(contacts, -phase) for phase in phases], (len(table), 1))
     policy, begin = np.repeat(np.arange(len(table)), reps), np.full(len(table) * reps, start)
     assert len(policy) * (steps - 1) > len(table) * 2**k * M or steps == 1
-    walked, code, _ = model._steps(table, policy, contacts, begin)
-    np.testing.assert_array_equal(model._count_ages(walked, code, n),
-                                  slot_tally(model._replay(table, policy, contacts, begin), policy, len(table), M))
+    walked, code, _ = replay._steps(table, policy, contacts, begin)
+    np.testing.assert_array_equal(replay._count_ages(walked, code, n),
+                                  slot_tally(replay._replay(table, policy, contacts, begin), policy, len(table), M))
 
     # the rotations: each tally column counts reference parts, and each total is their sum
     _, tally, totals = tracesim._replay_rotations(trace, params, None if kind == "mask" else table, reps, start)
@@ -748,8 +749,8 @@ def histograms(steps, M):
     (260, "late", L + 1),        # chunk seeds that miss and rerun
     (260, "late", 3 * L + 5)])
 def test_counts_from_codes_equal_slot_tallies(monkeypatch, M, kind, n, route):
-    # each route of model._count_ages against the slot count of the ages
-    # model._replay returns: full steps by table row when they outnumber the
+    # each route of replay._count_ages against the slot count of the ages
+    # replay._replay returns: full steps by table row when they outnumber the
     # table's rows, else by their rows' histograms, or cell by cell when the
     # table has none; each row's last step from its first r cells
     rng = np.random.default_rng(M + n)
@@ -763,7 +764,7 @@ def test_counts_from_codes_equal_slot_tallies(monkeypatch, M, kind, n, route):
     contacts = (rng.random((reps, n)) < p).astype(np.uint8)
     policy, start = np.repeat(np.arange(policies), reps), rng.integers(1, M + 1, policies * reps)
     passes = spy_walks(monkeypatch)
-    walked, code, _ = model._steps(table, policy, contacts, start)
+    walked, code, _ = replay._steps(table, policy, contacts, start)
     if kind == "late":   # the look-back, the first pass and at least one rerun
         assert len(passes) >= 3
     if route != "by table row":
@@ -772,8 +773,8 @@ def test_counts_from_codes_equal_slot_tallies(monkeypatch, M, kind, n, route):
             walked = copy.copy(walked)
             walked.hist = None if route == "by cell" else histograms(walked, M)
     assert (code[:-1].size > len(walked.table)) == (route == "by table row")
-    np.testing.assert_array_equal(model._count_ages(walked, code, n),
-                                  slot_tally(model._replay(table, policy, contacts, start), policy, policies, M))
+    np.testing.assert_array_equal(replay._count_ages(walked, code, n),
+                                  slot_tally(replay._replay(table, policy, contacts, start), policy, policies, M))
 
 
 @given(st.integers(1, 5), st.integers(1, 30), st.integers(1, 8), st.integers(0, 2**32 - 1))

@@ -1,7 +1,8 @@
 """The seams between the routes that the tests pit against each other, read
 from the source with ``ast`` alone: the solver, the matrix oracle and the
-replay reach nothing of the routes they are checked against, and the
-scalar references in ``conftest`` use only the private names declared here.
+replay reach nothing of the routes they are checked against, the replay
+kernel and those routes do not import each other, and the scalar
+references in ``conftest`` use only the private names declared here.
 
 A name is ``module.name``.  What a function reaches is what its body reads
 of its own module's top-level functions and classes and of the package
@@ -75,10 +76,14 @@ def conftest_privates() -> set[str]:
             if name.rpartition(".")[2].startswith("_")}
 
 
+def imports(*modules: str) -> set[str]:
+    """The package modules that ``modules`` import from."""
+    return {name.partition(".")[0] for module in modules for name in BINDINGS[module].values()}
+
+
 ORACLE = ("chain.transition_matrix", "chain.expected_reward_vector", "chain.steady_state_exact",
           "chain.chain_summary")
-REPLAY = ("model._steps", "model._replay", "model._replay_ends", "tracesim._replay_rotations",
-          "tracesim.simulate_policy")
+REPLAY = ("tracesim._replay_rotations", "tracesim.simulate_policy")
 
 #: (seam, the names it uses, the patterns they must match)
 SEAMS = (
@@ -90,7 +95,12 @@ SEAMS = (
      (*ORACLE, "chain.ChainSummary", "model.*")),
     # replayed totals and averages are checked against the closed forms and the searches
     ("the replay calls nothing in chain or thresholds", lambda: reached(REPLAY),
-     ("model.*", "tracesim.*")),
+     ("model.*", "replay.*", "tracesim.*")),
+    # the replay kernel is checked against the closed forms, the matrix oracle
+    # and the searches: it imports none of them, and none of them imports it
+    ("replay imports only model", lambda: imports("replay"), ("model",)),
+    ("chain, thresholds, solver and publisher do not import replay",
+     lambda: imports("chain", "thresholds", "solver", "publisher"), ("model", "chain", "thresholds")),
     # the references rebuild everything else from public primitives
     ("conftest's references use only the declared private names", conftest_privates,
      ("solver._evaluate", "solver._action_terms")),

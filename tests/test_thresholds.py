@@ -360,7 +360,7 @@ class TestTwoThresholdStream:
         assume(grid_branch(params))
         with mock.patch.object(model, "TIE_TOL", tie):
             expected = dense_two_threshold_pick(params)
-            with mock.patch.object(model, "BLOCK_CELLS", block_cells):
+            with mock.patch.object(chain, "BLOCK_CELLS", block_cells):
                 assert_same_pick(optimal_two_thresholds(params), expected)
 
     @given(st.one_of(system_params(with_3g=True), tie_heavy_params()),
@@ -379,11 +379,11 @@ class TestTwoThresholdStream:
         assert grid_branch(params)
         got = optimal_two_thresholds(params)
         assert_same_pick(got, dense_two_threshold_pick(params))
-        rows = model.BLOCK_CELLS // M
+        rows = chain.BLOCK_CELLS // M
         if rows < M:   # the pick's row lies in a block before the last
             assert got.s_wifi <= rows * ((M - 1) // rows)
 
-    @pytest.mark.parametrize("block_cells", [20, 40, model.BLOCK_CELLS])
+    @pytest.mark.parametrize("block_cells", [20, 40, chain.BLOCK_CELLS])
     def test_exact_tie_across_a_block_boundary(self, block_cells):
         # (2, 3) and (3, 3) both earn exactly 16.5, the best of the grid; with one
         # or two rows per block, row 2 ends a block and row 3 starts the next.
@@ -392,7 +392,7 @@ class TestTwoThresholdStream:
                               scan_cost=2.0, price_3g=5.0)
         grid = two_threshold_reward_grid(params)
         assert grid[1, 2] == grid[2, 2] == grid.max() == 16.5
-        with mock.patch.object(model, "BLOCK_CELLS", block_cells):
+        with mock.patch.object(chain, "BLOCK_CELLS", block_cells):
             res = optimal_two_thresholds(params)
         assert (res.s_wifi, res.s_3g, res.reward) == (3, 3, 16.5)
         assert verify_threshold_structure(solve_user_problem(params).policy)[0] == 3
@@ -444,7 +444,7 @@ class TestTwoThresholdStream:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * model.BLOCK_CELLS * 8   # eight blocks of float64 cells: 4 MiB
+        assert peak <= 8 * chain.BLOCK_CELLS * 8   # eight blocks of float64 cells: 4 MiB
 
     @given(system_params(with_3g=True), st.data())
     def test_scalar_has_the_bits_of_the_search_and_the_grid(self, params, data):
