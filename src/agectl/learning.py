@@ -5,14 +5,17 @@ knowledge of the population size or user strategies.
 The environment is a single callable bonus -> served requests per round, so
 the same controller runs against closed-form rates, a seeded chain simulator,
 or recorded traces.  Each environment lists the bonus edges once and reads
-every round's threshold off them by bisection; the simulated ones also build
-every threshold's action row once, and replay a round of all their users as
-the rows of one walk of the replay kernel, which reads off the ages the
-users end at and the round's updates and builds no age matrix.  The chain
-env packs one (slots, users) draw into step patterns (``replay._steps``);
-the trace env gathers its users' step patterns, k slots apart, from the
-patterns its population built once per position of its tiled traces
-(``tracesim._Cohort``).
+every round's threshold off them by bisection; the simulated ones also look
+each threshold's step table up once, on its first round
+(``_ThresholdTables``), and replay a round of all their users as the rows
+of one walk of the replay kernel (``replay._walk_codes``), which reads off
+the ages the users end at and the round's updates and builds no age
+matrix.  A round costs its draw or its gather, and its walk: the chain env
+packs one (slots, users) draw and widens it straight into the walk's codes
+by one lookup (``replay._round_codes``); the trace env gathers its users'
+codes, k slots apart, from the codes its population built once per
+position of its tiled traces (``tracesim._Cohort``).  A ``Round`` record
+is written in one update of its fields.
 
 ``run_learning`` and the population loop of ``tracesim.simulate_population``
 read their settings once and take every round's correction through
@@ -66,6 +69,11 @@ class Round:
     bonus: float
     served: float
     rate: float
+
+    def __init__(self, index: int, bonus: float, served: float, rate: float) -> None:
+        # every field in one write, where the frozen dataclass's own __init__
+        # makes one object.__setattr__ call per field
+        self.__dict__.update(index=index, bonus=bonus, served=served, rate=rate)
 
 
 @dataclass
@@ -184,6 +192,22 @@ def _threshold_actions(max_age: int) -> np.ndarray:
     return (ages >= np.arange(1, max_age + 2)[:, None]).astype(np.uint8)
 
 
+class _ThresholdTables(dict):
+    """Threshold s -> the step table (``replay._Steps``) of its action row
+    alone, looked up on its first use and then held, so that a population
+    env looks each threshold's table up once.  Every one of them is a
+    one-policy table of the same k."""
+
+    def __init__(self, max_age: int):
+        super().__init__()
+        self.actions = _threshold_actions(max_age)
+        self.k = replay._step_size(1, max_age)
+
+    def __missing__(self, s: int) -> replay._Steps:
+        steps = self[s] = replay._tables(self.actions[s - 1:s])
+        return steps
+
+
 def expected_rate_env(params: SystemParams, n_users: int, round_slots: int) -> RoundEnv:
     """Noise-free analytic environment: served requests are the round's user-slots
     over the mean cycle (:func:`chain.cycle_lengths`) of the threshold users
@@ -208,20 +232,31 @@ def chain_sim_env(
     best-respond with the threshold for the current bonus, and carry their ages
     across rounds.  WiFi-only (the learning experiments never use 3G).  A
     round's contacts come from one (slots, users) draw, the same numbers as
-    one ``rng.random(n_users)`` per slot.  A threshold policy updates only on
-    a contact, and ``replay._patterns`` pads a round's last step with
-    no-contact slots, so the round's updates are its steps' cached counts of
-    1s, all of them.
+    one ``rng.random(n_users)`` per slot, made into a buffer held across
+    rounds whose slots past the round's end never see a contact.  Each
+    user's 8 slots of a byte are compared side by side, so one flat
+    ``np.packbits`` packs the round, and one lookup widens it straight into
+    the walk's codes (``replay._round_codes``).  They are walked over the
+    threshold's step table, which the env looks up once per threshold
+    (``_ThresholdTables``).  A threshold policy updates only on a contact,
+    so the round's updates are its steps' cached counts of 1s, all of them.
     """
-    response, actions = _env_response(params, n_users, round_slots), _threshold_actions(params.max_age)
-    ages, policy = np.ones(n_users, dtype=int), np.zeros(n_users, dtype=int)
+    response, tables = _env_response(params, n_users, round_slots), _ThresholdTables(params.max_age)
+    codes, p = replay._pattern_codes(params.max_age, tables.k), params.contact_prob
+    slots = -(-round_slots // 8) * 8   # whole bytes
+    uniform = np.full((slots, n_users), np.inf)   # the round's draw, then slots without a contact
+    draw, by_byte = uniform[:round_slots], uniform.reshape(-1, 8, n_users)
+    contacts = np.empty((slots // 8, n_users, 8), bool)   # a byte's 8 slots of each user side by side
+    by_user = contacts.transpose(0, 2, 1)
+    ages = np.ones(n_users, dtype=int)
 
     def env(bonus: float) -> float:
         nonlocal ages
-        s = response(bonus)
-        contacts = (rng.random((round_slots, n_users)) < params.contact_prob).T
-        steps, code, tail = replay._steps(actions[s - 1:s], policy, contacts, ages)
-        ages = tail[:, -1]
+        steps = tables[response(bonus)]
+        rng.random(out=draw)
+        np.less(by_byte, p, out=by_user)
+        packed = np.packbits(contacts, axis=None, bitorder="little").reshape(-1, n_users)
+        code, ages = replay._walk_codes(steps, replay._round_codes(codes, packed, round_slots), round_slots, ages)
         return float(steps.ones.take(code, mode="clip").sum())
 
     return env

@@ -174,21 +174,56 @@ def _steps(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray,
 
 def _walk_patterns(steps: _Steps, policy: np.ndarray, pattern: np.ndarray, n: int,
                    start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The walk of the (rows, ``_step_count(n, k)``) uint8 k-slot contact
-    patterns ``pattern`` of rows of n slots over the step table ``steps``:
-    the (steps, rows) table rows of every row's steps, and the (rows, r) ages
-    after each slot of each row's last step, in the table's dtype, whose last
-    column is the age the row ends at.
+    """``_walk_codes`` of the (rows, ``_step_count(n, k)``) uint8 k-slot
+    contact patterns ``pattern`` of rows of n slots over the step table
+    ``steps``, widened into codes once.
 
     Row r starts at age ``start[r]``, acts by the per-age action row
     ``policy[r]`` of the table and reads row r mod len(pattern): so rows that
     differ only in their policy share one packing of their contacts, and
-    each policy adds its block of the table to the shared codes.  A row's
-    next k contacts, packed little-endian into a pattern, and its age name
-    its step's table row, which holds the k ages that follow.  A row of n
-    slots ends at column r - 1 of its last step's row, where
-    r = n - (steps - 1) * k, the slots of that step; the pattern bits past
-    them, and the steps past the row's end, do not change the ages it reads.
+    each policy adds its block of the table to the shared codes.
+    """
+    M, k = steps.M, steps.table.shape[1]
+    parts = -(-n // CHUNK_SLOTS)   # chunk j of row r is column r * parts + j
+    span = pattern.shape[1] // parts   # steps per chunk
+    code = pattern.reshape(-1, span).T.astype(np.intp, order="C")   # widened once
+    code *= M   # a step's table row is code + its policy's block - 1 + the age it starts at
+    if steps.policies == 1 and len(policy) == len(pattern):   # one policy, at block 0
+        code -= 1
+    else:
+        shift = np.repeat(policy * (M << k) - 1, parts)
+        if len(shift) == code.shape[1]:
+            code += shift
+        else:   # rows that share their contacts: their codes differ by their policies' blocks
+            code = (code[:, None] + shift.reshape(-1, code.shape[1])).reshape(span, -1)
+    return _walk_codes(steps, code, n, start)
+
+
+def _laid_out(a: np.ndarray, n: int) -> np.ndarray:
+    """The (``_step_count(n, k)``, rows) array ``a`` of each row's steps, in
+    order, laid out as ``_walk_codes`` walks rows of n slots: rows longer
+    than CHUNK_SLOTS as (steps per chunk, rows * parts), where column
+    r * parts + j is chunk j of row r; shorter rows as they are."""
+    parts = -(-n // CHUNK_SLOTS)
+    if parts == 1:
+        return a
+    return a.reshape(parts, -1, a.shape[1]).transpose(1, 2, 0).reshape(-1, a.shape[1] * parts)
+
+
+def _walk_codes(steps: _Steps, code: np.ndarray, n: int, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The walk of rows of n slots over the step table ``steps`` from their
+    fresh codes ``code``, in ``_laid_out``'s layout, which it walks in
+    place: the (steps, rows) table rows of every row's steps, and the ages
+    the rows end at, in the table's dtype.
+
+    A step's fresh code is its k contacts, packed little-endian into a
+    pattern, times M, plus its policy's block of the table, less 1; the age
+    it starts at added to it names its table row, which holds the k ages
+    that follow.  Row r starts at age ``start[r]``.  A row of n slots ends
+    after slot r of its last step, r = n - (steps - 1) * k, the slots of
+    that step: its end age is column r - 1 of that step's row.  The
+    pattern bits past them, and the steps past the row's end, do not change
+    the ages it reads.
 
     Rows longer than CHUNK_SLOTS run as chunks of CHUNK_SLOTS slots, a whole
     number of steps, with the last chunk padded as the last step is.  A
@@ -207,27 +242,17 @@ def _walk_patterns(steps: _Steps, policy: np.ndarray, pattern: np.ndarray, n: in
     alone make the result exact: a wrong seed costs a rerun, never a wrong
     age.  The chunks' codes are then laid out as their rows' steps.
     """
-    M, k = steps.M, steps.table.shape[1]
-    parts = -(-n // CHUNK_SLOTS)   # chunk j of row r is column r * parts + j
-    span = pattern.shape[1] // parts   # steps per chunk
-    code = pattern.reshape(-1, span).T.astype(np.intp, order="C")   # widened once
-    code *= M   # a step's table row is code + its policy's block - 1 + the age it starts at
-    if steps.policies == 1 and len(policy) == len(pattern):   # one policy, at block 0
-        code -= 1
-    else:
-        shift = np.repeat(policy * (M << k) - 1, parts)
-        if len(shift) == code.shape[1]:
-            code += shift
-        else:   # rows that share their contacts: their codes differ by their policies' blocks
-            code = (code[:, None] + shift.reshape(-1, code.shape[1])).reshape(span, -1)
+    k = steps.table.shape[1]
+    parts = -(-n // CHUNK_SLOTS)
     if parts == 1:
         _walk(steps.last, code, start)
     else:
+        span = len(code)
         begin = np.repeat(np.asarray(start, np.intp), parts)
         first = np.arange(code.shape[1]) % parts == 0
         later = np.flatnonzero(~first)   # seeded by the last LOOK_BACK slots before them, from age M
         tails = code[span - LOOK_BACK // k:].take(later - 1, axis=1)
-        begin[later] = _walk(steps.last, tails, np.full(later.size, M))
+        begin[later] = _walk(steps.last, tails, np.full(later.size, steps.M))
         end = _walk(steps.last, code, begin)
         while True:
             carried = np.where(first, begin, np.roll(end, 1))
@@ -243,7 +268,33 @@ def _walk_patterns(steps: _Steps, policy: np.ndarray, pattern: np.ndarray, n: in
             code[:, todo] = again
         code = code.reshape(span, -1, parts).transpose(2, 0, 1).reshape(parts * span, -1)[:-(-n // k)]
     r = n - (len(code) - 1) * k   # the slots of each row's last step
-    return code, steps.table.take(code[-1], axis=0, mode="clip")[:, :r]   # the last step's slots
+    return code, steps.table.take(code[-1], axis=0, mode="clip")[:, r - 1]   # the age after its r-th slot
+
+
+def _pattern_codes(M: int, k: int) -> np.ndarray:
+    """(256, 8 // k) intp: the fresh code (``_walk_codes``) at policy block
+    0 of the j-th k-slot pattern packed in each byte, as ``_patterns``
+    packs them, the first in the low bits."""
+    byte = np.arange(256)[:, None]
+    return (byte >> np.arange(0, 8, k)) % (1 << k) * M - 1
+
+
+def _round_codes(codes: np.ndarray, packed: np.ndarray, n: int) -> np.ndarray:
+    """The fresh codes at policy block 0 of a round of n slots, in
+    ``_laid_out``'s layout, from its contacts ``packed``: (bytes, rows)
+    uint8, each byte 8 slots of a row packed little-endian, the slots past
+    the round's end 0.  Each byte is widened into the codes of its steps by
+    one lookup in ``codes`` (``_pattern_codes``), and a round past
+    CHUNK_SLOTS has its last chunk padded with no-contact steps.  On a round
+    of a few bytes a row the lookup is faster than widening and scaling the
+    patterns, as ``_walk_patterns`` does, but on a long replay several times
+    slower, so only rounds take it."""
+    rows = packed.shape[1]
+    steps = _step_count(n, 8 // codes.shape[1])
+    code = codes.take(packed, axis=0).transpose(0, 2, 1).reshape(-1, rows)
+    if len(code) < steps:
+        code = np.concatenate((code, np.full((steps - len(code), rows), codes[0, 0])))
+    return _laid_out(code[:steps], n)
 
 
 def _after(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:

@@ -4,11 +4,11 @@ estimate per-shift contact statistics, and run multi-user closed-loop rounds.
 
 Every replay here, one policy on one trace, each policy from each rotated
 phase, or one round of a user population, runs as the rows of one walk of
-k-slot contact patterns (``replay._walk_patterns``), the package's only loop
-over slots, which names the step table row of each k-slot step of each row.
+k-slot step codes (``replay._walk_codes``), the package's only loop over
+slots, which names the step table row of each k-slot step of each row.
 A trace replay packs its rotations' patterns once (``replay._steps``); a
-population builds the pattern at each position of its tiled traces once,
-and each round gathers its users' patterns (``_Cohort``).  A trace replay
+population builds the codes at each position of its tiled traces once,
+and each round gathers its users' codes (``_Cohort``).  A trace replay
 tallies off the table rows alone, through the summaries cached with the
 table: the slots at each age (``replay._count_ages``), the updates, where an
 age returns to 1, the 3G updates, the 1s after a slot without a contact,
@@ -326,9 +326,9 @@ def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.nda
         phases = np.arange(replications) * max(1, n // replications) % n
         contacts = np.concatenate((bits, bits))[phases[:, None] + np.arange(n)]
     policy = np.repeat(np.arange(k), replications)
-    steps, code, tail = replay._steps(table, policy, contacts, np.full(len(policy), start_age))
+    steps, code, end = replay._steps(table, policy, contacts, np.full(len(policy), start_age))
     by_age = replay._count_ages(steps, code, n)
-    ends = (tail[:, -1] == 1).reshape(k, replications).sum(1) - replications * (start_age == 1)
+    ends = (end == 1).reshape(k, replications).sum(1) - replications * (start_age == 1)
     updates, updates_3g = by_age[:, 0] + ends, np.zeros(k, np.int64)
     if (table == 2).any():   # an update after a slot without a contact is a 3G update
         updates_3g = replay._count_3g(steps, code, n).reshape(k, replications).sum(1)
@@ -492,56 +492,72 @@ class _Cohort:
     """Users replaying their traces cyclically from their phases; ages and
     trace positions carry over from one round to the next.
 
-    Each distinct trace is tiled once to at least len + round_slots slots, by
-    one gather over the distinct traces' concatenated bits, and the k-slot
-    contact pattern that starts at each tile position is built once, one
-    byte each, packed little-endian as ``replay._patterns`` packs a row, for
-    the k of a one-policy step table.  The steps of a round from any
-    position are the patterns k slots apart.  So a round is one gather of
-    every user's step patterns, with its last step masked to the round's r
-    slots, walked by ``replay._walk_patterns`` at the round's threshold."""
+    The users' fields are read, and their traces told apart by identity,
+    by ``map`` into dicts and arrays, with no Python loop over users.  Each
+    distinct trace is tiled once, cyclically, to len + round_slots - 1
+    slots, the furthest a round from any phase reads.  The fresh
+    code (``replay._walk_codes``) of the k-slot contact pattern that starts
+    at each tile position, packed little-endian as ``replay._patterns``
+    packs a row, for the k of a one-policy step table, is built once, and so
+    is a second set for a round's last step, with its slots past the round's
+    r masked off.  The steps of a round from any position are the codes k
+    slots apart, the last one from the second set, so a round is one gather
+    of every user's codes, already in the walk's layout, by a (steps, users)
+    index built once.  It is walked by ``replay._walk_codes`` over the
+    threshold's step table, which the cohort looks up once per threshold."""
 
     def __init__(self, users: Sequence[UserAssignment], params: SystemParams, round_slots: int):
         self.response = learning._env_response(params, len(users), round_slots)
         M = params.max_age
-        traces, which, phases, ages = {}, [], [], []   # each distinct trace once, and each user's
-        for ua in users:
-            if not 1 <= ua.start_age <= M:
-                raise ValueError(f"start age {ua.start_age} outside [1, {M}]")
-            which.append(traces.setdefault(id(ua.trace), (len(traces), ua.trace))[0])
-            phases.append(ua.phase)
-            ages.append(ua.start_age)
-        lengths = np.array([len(t) for _, t in traces.values()])
-        sizes = -(-(lengths + round_slots) // lengths) * lengths   # whole copies of each trace
-        tile_at, trace_at = np.cumsum(sizes) - sizes, np.cumsum(lengths) - lengths   # where each starts
-        owner = np.repeat(np.arange(len(lengths)), sizes)
-        index = (np.arange(len(owner)) - tile_at[owner]) % lengths[owner] + trace_at[owner]
-        tiles = np.concatenate([t.slot_bits for _, t in traces.values()])[index]
-        k = replay._step_size(1, M)
-        self.patterns = tiles.copy()   # bit j: the contact of slot j + 1; none past the last tile
-        for j in range(1, k):
-            self.patterns[:-j] |= tiles[j:] << j
-        which = np.array(which)
-        # each user's step patterns, k slots apart from its position in its tile
-        self.stride = tile_at[which, None] + k * np.arange(replay._step_count(round_slots, k))
-        self.length = lengths[which]
-        self.pos = np.array(phases) % self.length
-        self.ages = np.array(ages)
-        self.last = -(-round_slots // k) - 1   # the step the round ends in, after its first r slots
-        self.mask = (1 << round_slots - self.last * k) - 1
-        self.actions, self.policy = learning._threshold_actions(M), np.zeros(len(users), int)
+        traces, phases, starts = zip(*map(operator.attrgetter("trace", "phase", "start_age"), users))
+        ages = np.array(starts)
+        outside = (ages < 1) | (ages > M)
+        if outside.any():
+            raise ValueError(f"start age {starts[outside.argmax()]} outside [1, {M}]")
+        # each distinct trace once, in order of first use, and the one each
+        # user replays; by dicts, as np.unique's first call pages in numpy's
+        # sorting code, half a megabyte of resident memory
+        distinct = dict(zip(map(id, traces), traces))
+        order = dict(zip(distinct, range(len(distinct))))
+        which = np.fromiter(map(order.__getitem__, map(id, traces)), np.intp, len(traces))
+        bits = [t.slot_bits for t in distinct.values()]
+        lengths = np.array(list(map(len, bits)))
+        sizes = lengths + round_slots - 1   # the furthest a round from any phase reads
+        tiles = np.concatenate([part for b, size in zip(bits, sizes.tolist())
+                                for part in [b] * (size // len(b)) + [b[:size % len(b)]]])
+        tile_at = np.cumsum(sizes) - sizes   # where each tile starts
+        self.tables = learning._ThresholdTables(M)
+        k = self.tables.k
+        patterns, width = tiles.copy(), 1   # bit j: the contact of slot j + 1; none past the last tile
+        while width < k:   # patterns of width slots to 2 * width
+            patterns[:-width] |= patterns[width:] << width
+            width *= 2
+        last = -(-round_slots // k) - 1   # the step the round ends in, after its first r slots
+        mask = (1 << round_slots - last * k) - 1
+        self.codes = np.concatenate((patterns, patterns & mask)).astype(np.intp)
+        self.codes *= M
+        self.codes -= 1
+        # each user's codes k slots apart from its position in its tile, the
+        # last step's from the masked set; the steps that pad a long round's
+        # last chunk read it again
+        step = k * np.minimum(np.arange(replay._step_count(round_slots, k)), last)
+        step[last:] += len(patterns)
+        self.index = replay._laid_out(tile_at[which] + step[:, None], round_slots)
+        parts = self.index.shape[1] // len(which)   # a long round's chunks, each a column
+        self.length = np.repeat(lengths[which], parts)
+        self.pos = np.repeat(np.array(phases), parts) % self.length
+        self.ages = ages
         self.round_slots = round_slots
 
     def round(self, bonus: float) -> tuple[int, replay._Steps, np.ndarray]:
         """The threshold for ``bonus``, its step table and the (steps, users)
         table rows of one round at it, whose slots it moves past."""
         s = self.response(bonus)
-        pattern = self.patterns.take(self.pos[:, None] + self.stride, mode="clip")
-        pattern[:, self.last] &= self.mask
-        self.pos = (self.pos + self.round_slots) % self.length
-        steps = replay._tables(self.actions[s - 1:s])
-        code, tail = replay._walk_patterns(steps, self.policy, pattern, self.round_slots, self.ages)
-        self.ages = tail[:, -1]
+        steps = self.tables[s]
+        code = self.codes.take(self.pos + self.index)
+        self.pos += self.round_slots
+        self.pos %= self.length
+        code, self.ages = replay._walk_codes(steps, code, self.round_slots, self.ages)
         return s, steps, code
 
     def served(self, bonus: float) -> int:
@@ -639,7 +655,7 @@ def trace_env(
 
     State (ages, trace positions) persists across calls, so one env instance
     follows a single continuous timeline.  A round is one ``_Cohort`` walk
-    of gathered step patterns, and reads its updates off the steps' cached
+    of gathered step codes, and reads its updates off the steps' cached
     counts; it builds no (users, slots + 1) age matrix.
     """
     cohort = _Cohort(users, params, round_slots)

@@ -161,21 +161,30 @@ MUTANTS = (
            ("tests/test_learning.py::TestEnvironments::test_env_response_is_threshold_response_at_every_edge",)),
     # the walk's end ages read past the last step's slots, in its padding
     Mutant("round-end-full-step", REPLAY,
-           "[:, :r]   # the last step's slots", "",
+           "[:, r - 1]   # the age after its r-th slot", "[:, -1]",
            ("tests/test_replay.py::test_chain_env_draws_one_number_per_user_slot",
-            "tests/test_replay.py::test_trace_env_serves_what_the_population_serves",
-            "tests/test_replay.py::test_round_reader_reads_the_end_ages_and_updates_of_the_replay")),
-    # a trace round's last step read past its r slots: updates on the slots after the round
+            "tests/test_replay.py::test_round_reader_reads_the_end_ages_and_updates_of_the_replay",
+            "tests/test_replay.py::test_chain_rounds_are_the_replay_of_their_draws[30-7]",
+            "tests/test_replay.py::test_trace_rounds_are_the_replay_of_their_windows[300-7]")),
+    # a trace round's last-step codes not masked to its r slots: updates on the slots after the round
     Mutant("round-pattern-unmasked", TRACESIM,
-           "pattern[:, self.last] &= self.mask", "pass",
+           "np.concatenate((patterns, patterns & mask))", "np.concatenate((patterns, patterns))",
            (MODULO + "[phases past the length]",
-            "tests/test_replay.py::test_population_totals_equal_parts_at_each_rounds_bonus")),
-    # a trace round's step patterns read one slot late
+            "tests/test_replay.py::test_population_totals_equal_parts_at_each_rounds_bonus",
+            "tests/test_replay.py::test_trace_rounds_are_the_replay_of_their_windows[30-7]")),
+    # a trace round's codes gathered one slot late
     Mutant("round-pattern-one-late", TRACESIM,
-           "self.patterns.take(self.pos[:, None] + self.stride",
-           "self.patterns.take(self.pos[:, None] + 1 + self.stride",
+           "self.codes.take(self.pos + self.index)", "self.codes.take(self.pos + 1 + self.index)",
            (MODULO + "[one shared trace]",
-            "tests/test_replay.py::test_recorded_ages_match_modulo_indexing")),
+            "tests/test_replay.py::test_recorded_ages_match_modulo_indexing",
+            "tests/test_replay.py::test_trace_rounds_are_the_replay_of_their_windows[30-1]")),
+    # an env that keeps the first threshold's step table after the threshold changes
+    Mutant("round-table-stale", LEARNING,
+           "steps = self[s] = replay._tables(self.actions[s - 1:s])",
+           "steps = self.setdefault(0, replay._tables(self.actions[s - 1:s]))",
+           ("tests/test_replay.py::test_chain_rounds_are_the_replay_of_their_draws[300-8]",
+            "tests/test_replay.py::test_trace_rounds_are_the_replay_of_their_windows[30-8]",
+            MODULO + "[one shared trace]")),
     # the step summaries: a row's histogram over the k ages after its slots
     Mutant("histogram-after-slots", REPLAY,
            "self.cells % M   # the age before", "(self.table - 1)   # the age after",

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from agectl import cli
+from agectl import cli, learning, replay, tracesim
 from agectl.cli import main
 from agectl.solver import relative_value_iteration
 
@@ -327,6 +327,29 @@ class TestLearn:
         assert code == 2
         assert out == ""
         assert err == "agectl: out of memory: Unable to allocate 72.8 TiB for an array\n"
+
+    @pytest.mark.parametrize("n_users, round_slots", [(1, 1), (3, 7), (5, 100), (2, 257), (4, 1000)])
+    def test_round_memory_check_bounds_a_trace_rounds_arrays(self, monkeypatch, n_users, round_slots):
+        # the bytes the check asks for stay below what one round of a small
+        # cohort holds per user, by nbytes: the gather index, the gathered
+        # codes the walk takes and the end ages it returns
+        held, walk = [], replay._walk_codes
+
+        def spy(steps, code, n, start):
+            walked, end = walk(steps, code, n, start)
+            held.append(cohort.index.nbytes + code.nbytes + end.nbytes)
+            return walked, end
+
+        monkeypatch.setattr(replay, "_walk_codes", spy)
+        traces = [tracesim.iid_trace(0.5, n, seed=n) for n in (3, 40, 300)]
+        users = [tracesim.UserAssignment(traces[i % 3], phase=5 * i) for i in range(n_users)]
+        cohort = tracesim._Cohort(users, learning.preset("long-rounds").params, round_slots)
+        cohort.round(20.0)
+        monkeypatch.setattr(cli.os, "sysconf", lambda name: 1)   # a one-byte machine
+        with pytest.raises(MemoryError, match=r"needs at least \d+ bytes") as caught:
+            cli._check_round_memory(n_users, round_slots, "--N")
+        need = int(str(caught.value).split("needs at least ")[1].split()[0])
+        assert 0 < need <= held[0]
 
     @pytest.mark.parametrize("flags", [("--N", "10000000000000"), ("--drop", "10000000000000@200")])
     def test_trace_population_past_memory_exits_2_before_any_user(self, capsys, monkeypatch, tmp_path, flags):

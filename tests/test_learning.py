@@ -1,6 +1,10 @@
 """Bonus controller: projected step arithmetic, stopping, convergence into the
 publisher's optimal interval, trajectory export, and the controller loops'
-bonuses against the public step."""
+bonuses against the public step, and the round record."""
+import dataclasses
+import inspect
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -22,7 +26,7 @@ from agectl import (
     threshold_response,
 )
 from agectl import learning, thresholds
-from agectl.learning import PRESET_NAMES, ExperimentPreset, preset, run_population_drop
+from agectl.learning import PRESET_NAMES, ExperimentPreset, Round, preset, run_population_drop
 
 from conftest import make_rng
 
@@ -88,6 +92,27 @@ class TestRunLearning:
         traj = run_learning(lambda b: 0.0, config(max_rounds=10))
         assert not traj.converged
         assert len(traj.rounds) == 10
+
+    def test_round_is_the_frozen_dataclass_of_its_four_fields(self):
+        # Round writes its fields in one update of its __dict__; it must stay
+        # what the dataclass decorator alone would make of the same fields
+        @dataclasses.dataclass(frozen=True)
+        class Plain:
+            index: int
+            bonus: float
+            served: float
+            rate: float
+
+        r, plain = Round(3, 1.5, 20.0, 0.2), Plain(3, 1.5, 20.0, 0.2)
+        assert [f.name for f in dataclasses.fields(Round)] == ["index", "bonus", "served", "rate"]
+        assert list(inspect.signature(Round).parameters) == list(inspect.signature(Plain).parameters)
+        assert vars(r) == vars(plain) and repr(r) == "Round(index=3, bonus=1.5, served=20.0, rate=0.2)"
+        assert r == Round(index=3, bonus=1.5, served=20.0, rate=0.2) and hash(r) == hash(plain)
+        assert r != Round(3, 1.5, 20.0, 0.3) and r != plain
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.bonus = 2.0
+        assert dataclasses.replace(r, served=21.0) == Round(3, 1.5, 21.0, 0.2)
+        assert pickle.loads(pickle.dumps(r)) == r and dataclasses.astuple(r) == (3, 1.5, 20.0, 0.2)
 
     def test_csv_export(self):
         traj = run_learning(lambda b: 500.0, config(max_rounds=3))

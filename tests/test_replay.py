@@ -2,8 +2,10 @@
 simulation, checked against the scalar oracles in ``conftest`` and against
 each other: exact totals of every policy kind, rotation means and population
 rounds against the summed parts, chunked replays around the chunk length,
-the trace and chain environments, a population's recorded ages against
-modulo indexing, and the kernel's ages against one ``next_age`` call per
+the trace and chain environments, their rounds and a population's at a
+threshold that changes every round against the replay of the same
+contacts, a population's recorded ages against modulo indexing, and the
+kernel's ages against one ``next_age`` call per
 slot at every step size, on rows that end inside a step or run as several
 chunks, and on chunk rows whose seeded starts hold or miss and settle in
 one rerun pass or over many; and each column of the
@@ -36,7 +38,7 @@ from agectl import (
     threshold_response,
     trace_env,
 )
-from agectl import chain, replay, tracesim
+from agectl import chain, learning, replay, tracesim
 from agectl.replay import CHUNK_SLOTS
 
 from conftest import parts_total, reference_parts, threshold_action
@@ -258,6 +260,128 @@ def test_chain_env_draws_one_number_per_user_slot(n_users, round_slots, bonuses,
             ages = np.where(updates, 1, np.minimum(ages + 1, params.max_age))
         expected.append(float(served))
     assert [env(b) for b in bonuses] == expected
+
+
+def round_params(M):
+    return SystemParams(contact_prob=0.54, max_age=M, utility=UtilityFunction.linear(M), scan_cost=0.4,
+                        wifi_price=40.0)
+
+
+K = replay._step_size(1, 30)   # the step of a threshold's table, one policy of 30 ages
+#: a new threshold every round, and some again: 8, 6, 1, 6, 8, 3, 7, 1 at
+#: M = 30, where a threshold's steps are K = 8 slots long, and at M = 300,
+#: where they are 4
+ROUND_BONUSES = [0.0, 20.0, 39.5, 20.0, 0.0, 35.0, 10.0, 39.5]
+ROUND_CASES = [(M, n) for M in (30, 300) for n in (1, K - 1, K, K + 1, 2 * K + 3, L + 1)]
+
+
+def round_users():
+    """Users on traces shorter and longer than the rounds, two of them on one
+    trace object, from phases within and past their traces' lengths."""
+    traces = [ContactTrace(f"r{n}", bits(n, 0.5, n)) for n in (1, 5, 23, 300)]
+    return [UserAssignment(traces[0], phase=0, start_age=30), UserAssignment(traces[1], phase=3, start_age=1),
+            UserAssignment(traces[2], phase=40, start_age=7), UserAssignment(traces[3], phase=312, start_age=12),
+            UserAssignment(traces[2], phase=5, start_age=2)]
+
+
+def spy_round_ends(monkeypatch):
+    """The end ages of every ``replay._walk_codes`` call, in order."""
+    ends, walk = [], replay._walk_codes
+    def spy(*args):
+        code, end = walk(*args)
+        ends.append(end.tolist())
+        return code, end
+    monkeypatch.setattr(replay, "_walk_codes", spy)
+    return ends
+
+
+def replayed_rounds(params, contacts, start):
+    """The served updates, end ages and ages after each slot of the rounds at
+    ROUND_BONUSES on each round's (users, slots) ``contacts``, by
+    ``replay._replay`` at the round's threshold, which changes every round."""
+    actions = learning._threshold_actions(params.max_age)
+    thresholds = threshold_response(params, ROUND_BONUSES).tolist()
+    assert thresholds == [8, 6, 1, 6, 8, 3, 7, 1]
+    served, ends, after, ages = [], [], [], np.asarray(start)
+    for s, round_contacts in zip(thresholds, contacts):
+        replayed = replay._replay(actions[s - 1:s], np.zeros(len(ages), int), round_contacts, ages)
+        served.append(float(np.count_nonzero(replayed[:, 1:] == 1)))
+        ages = replayed[:, -1]
+        ends.append(ages.tolist())
+        after.append(replayed[:, 1:])
+    return served, ends, np.concatenate(after, axis=1)
+
+
+def trace_contacts(users, round_slots):
+    """Each round's (users, slots) contacts: slot (phase + t) mod len at round time t."""
+    return [np.array([[ua.trace.slots[(ua.phase + t) % len(ua.trace)]
+                       for t in range(r * round_slots, (r + 1) * round_slots)] for ua in users], np.uint8)
+            for r in range(len(ROUND_BONUSES))]
+
+
+def stepping_through_round_bonuses(monkeypatch, round_slots):
+    """A controller whose population loop steps from each bonus of
+    ROUND_BONUSES to the next, cyclically."""
+    monkeypatch.setattr(tracesim.learning, "_projected_step", lambda t, *args: ROUND_BONUSES[t % len(ROUND_BONUSES)])
+    return LearningConfig(max_bonus=40.0, target_rate=1.0, round_slots=round_slots, initial_bonus=ROUND_BONUSES[0])
+
+
+@pytest.mark.parametrize("M, round_slots", ROUND_CASES)
+def test_chain_rounds_are_the_replay_of_their_draws(monkeypatch, M, round_slots):
+    # the env's draws, drawn again from the same seed, replay to the same
+    # updates and end ages, bit for bit
+    params, n_users, seed = round_params(M), 6, round_slots
+    ends = spy_round_ends(monkeypatch)
+    env = chain_sim_env(params, n_users, round_slots, np.random.default_rng(seed))
+    served = [env(bonus) for bonus in ROUND_BONUSES]
+    got = ends[:]
+    rng = np.random.default_rng(seed)
+    draws = [(rng.random((round_slots, n_users)) < params.contact_prob).T for _ in ROUND_BONUSES]
+    expected, expected_ends, _ = replayed_rounds(params, draws, np.ones(n_users, int))
+    assert served == expected and got == expected_ends
+
+
+@pytest.mark.parametrize("M, round_slots", ROUND_CASES)
+def test_trace_rounds_are_the_replay_of_their_windows(monkeypatch, M, round_slots):
+    # the trace env and a population on the same users against the replay
+    # of each round's contacts
+    params, users = round_params(M), round_users()
+    expected, expected_ends, after = replayed_rounds(params, trace_contacts(users, round_slots),
+                                                     [ua.start_age for ua in users])
+    ends = spy_round_ends(monkeypatch)
+    env = trace_env(users, params, round_slots)
+    assert [env(bonus) for bonus in ROUND_BONUSES] == expected and ends == expected_ends
+    ends.clear()
+    controller = stepping_through_round_bonuses(monkeypatch, round_slots)
+    result = simulate_population(users, params, len(ROUND_BONUSES), round_slots, controller=controller,
+                                 record_ages=True)
+    assert [r.bonus for r in result.rounds] == ROUND_BONUSES
+    assert [r.served for r in result.rounds] == expected and ends == expected_ends
+    assert [u.final_age for u in result.users] == expected_ends[-1]
+    np.testing.assert_array_equal(result.age_history, after)
+
+
+def test_each_env_looks_up_each_thresholds_table_once(monkeypatch):
+    # a round looks its threshold's step table up in its env, which asks
+    # replay._tables once per threshold, however often it comes back
+    looked_up, tables = [], replay._tables
+    def spy(actions):
+        (row,) = actions
+        looked_up.append(int(row.argmax()) + 1 if row.any() else len(row) + 1)
+        return tables(actions)
+    monkeypatch.setattr(replay, "_tables", spy)
+    params, users = round_params(30), round_users()
+    distinct = list(dict.fromkeys(threshold_response(params, ROUND_BONUSES).tolist()))
+    envs = [chain_sim_env(params, 4, 13, np.random.default_rng(1)), trace_env(users, params, 13)]
+    for env in envs:
+        looked_up.clear()
+        for bonus in ROUND_BONUSES * 3:
+            env(bonus)
+        assert looked_up == distinct
+    looked_up.clear()
+    controller = stepping_through_round_bonuses(monkeypatch, 13)
+    simulate_population(users, params, 3 * len(ROUND_BONUSES), 13, controller=controller)
+    assert looked_up == distinct
 
 
 def test_long_replay_matches_reference():
@@ -593,9 +717,9 @@ def test_replay_ages_on_every_contact_layout(policies, M, k, n):
 @pytest.mark.parametrize("n", [1, 7, 13, L, L + 1, 2 * L + 3])
 @pytest.mark.parametrize("policies, M, k", [(1, 12, 8), (4, 300, 4), (40, 300, 2), (300, 300, 1)])
 def test_round_reader_reads_the_end_ages_and_updates_of_the_replay(policies, M, k, n):
-    # the end ages both envs read off the walk, tail[:, -1]: action 2 updates
-    # on the no-contact slots that pad a row's last step, so reading the
-    # padded step's last column would show here
+    # the end ages the walk reads, column r - 1 of each row's last step:
+    # action 2 updates on the no-contact slots that pad a row's last step,
+    # so reading the padded step's last column would show here
     rng = np.random.default_rng(policies * M + n)
     actions = rng.integers(0, 3, (policies, M)).astype(np.uint8)
     assert step_size(actions) == k
@@ -604,8 +728,8 @@ def test_round_reader_reads_the_end_ages_and_updates_of_the_replay(policies, M, 
     start = rng.integers(1, M + 1, rows)
     contacts = rng.random((rows, n)) < rng.uniform(0.01, 0.5, (rows, 1))
     expected = stepped_ages(actions, policy, contacts, start)
-    _, _, tail = replay._steps(actions, policy, contacts, start)
-    np.testing.assert_array_equal(tail[:, -1], expected[:, -1])
+    _, _, end = replay._steps(actions, policy, contacts, start)
+    np.testing.assert_array_equal(end, expected[:, -1])
 
 
 def phases_total(trace, params, action_at, reps, start):
