@@ -270,14 +270,13 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 def _check_round_memory(n_users: int, round_slots: int, flag: str) -> None:
     """MemoryError naming ``flag`` when one round of ``n_users`` users on
-    traces cannot fit in this machine's memory.  Besides the codes its
-    population builds once at each position of its tiled traces, 16 bytes a
-    position, a trace round holds for each user its (steps, users) gather
-    index into those codes and the codes it gathers, 8 bytes for each step
-    of at most 8 slots and so each at least round_slots bytes, and its
-    carried age, at least 1 byte: at least 2 * round_slots + 1 bytes, so the
-    check runs before any user is built.  Without a physical memory size to
-    read it checks nothing."""
+    traces cannot fit in this machine's memory.  A trace round holds for
+    each user its gather index into its population's step codes and the
+    codes it gathers (``replay._tile_codes``), 8 bytes for each step of at
+    most 8 slots and so each at least round_slots bytes, and its carried
+    age, at least 1 byte: at least 2 * round_slots + 1 bytes, so the check
+    runs before any user is built.  Without a physical memory size to read
+    it checks nothing."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):

@@ -8,14 +8,11 @@ or recorded traces.  Each environment lists the bonus edges once and reads
 every round's threshold off them by bisection; the simulated ones also look
 each threshold's step table up once, on its first round
 (``_ThresholdTables``), and replay a round of all their users as the rows
-of one walk of the replay kernel (``replay._walk_codes``), which reads off
-the ages the users end at and the round's updates and builds no age
-matrix.  A round costs its draw or its gather, and its walk: the chain env
-packs one (slots, users) draw and widens it straight into the walk's codes
-by one lookup (``replay._round_codes``); the trace env gathers its users'
-codes, k slots apart, from the codes its population built once per
-position of its tiled traces (``tracesim._Cohort``).  A ``Round`` record
-is written in one update of its fields.
+of one walk of the replay kernel (``replay``), which builds no age matrix.
+The chain env widens its packed draw into the walk's codes
+(``replay._round_codes``); the trace env gathers them from the codes its
+population built once (``tracesim._Cohort``).  A ``Round`` record is
+written in one update of its fields.
 
 ``run_learning`` and the population loop of ``tracesim.simulate_population``
 read their settings once and take every round's correction through
@@ -195,13 +192,11 @@ def _threshold_actions(max_age: int) -> np.ndarray:
 class _ThresholdTables(dict):
     """Threshold s -> the step table (``replay._Steps``) of its action row
     alone, looked up on its first use and then held, so that a population
-    env looks each threshold's table up once.  Every one of them is a
-    one-policy table of the same k."""
+    env looks each threshold's table up once."""
 
     def __init__(self, max_age: int):
         super().__init__()
         self.actions = _threshold_actions(max_age)
-        self.k = replay._step_size(1, max_age)
 
     def __missing__(self, s: int) -> replay._Steps:
         steps = self[s] = replay._tables(self.actions[s - 1:s])
@@ -235,14 +230,12 @@ def chain_sim_env(
     one ``rng.random(n_users)`` per slot, made into a buffer held across
     rounds whose slots past the round's end never see a contact.  Each
     user's 8 slots of a byte are compared side by side, so one flat
-    ``np.packbits`` packs the round, and one lookup widens it straight into
-    the walk's codes (``replay._round_codes``).  They are walked over the
-    threshold's step table, which the env looks up once per threshold
-    (``_ThresholdTables``).  A threshold policy updates only on a contact,
-    so the round's updates are its steps' cached counts of 1s, all of them.
+    ``np.packbits`` packs the round for ``replay._round_codes``.  A
+    threshold policy updates only on a contact, so the round's updates are
+    its steps' cached counts of 1s, all of them.
     """
     response, tables = _env_response(params, n_users, round_slots), _ThresholdTables(params.max_age)
-    codes, p = replay._pattern_codes(params.max_age, tables.k), params.contact_prob
+    codes, p = replay._pattern_codes(params.max_age), params.contact_prob
     slots = -(-round_slots // 8) * 8   # whole bytes
     uniform = np.full((slots, n_users), np.inf)   # the round's draw, then slots without a contact
     draw, by_byte = uniform[:round_slots], uniform.reshape(-1, 8, n_users)

@@ -1,7 +1,8 @@
 """The replay kernel: the one walk of k-slot contact patterns behind every
-trace replay and population round, the step tables it walks over and the
-counts read off the table rows it returns.  It imports only ``model``, and
-none of the routes that the replay is checked against imports it.
+trace replay and population round, the step tables it walks over, the step
+codes it walks, which only this module builds, and the counts read off the
+table rows it returns.  It imports only ``model``, and none of the routes
+that the replay is checked against imports it.
 """
 from __future__ import annotations
 
@@ -186,17 +187,22 @@ def _walk_patterns(steps: _Steps, policy: np.ndarray, pattern: np.ndarray, n: in
     M, k = steps.M, steps.table.shape[1]
     parts = -(-n // CHUNK_SLOTS)   # chunk j of row r is column r * parts + j
     span = pattern.shape[1] // parts   # steps per chunk
-    code = pattern.reshape(-1, span).T.astype(np.intp, order="C")   # widened once
-    code *= M   # a step's table row is code + its policy's block - 1 + the age it starts at
-    if steps.policies == 1 and len(policy) == len(pattern):   # one policy, at block 0
-        code -= 1
-    else:
-        shift = np.repeat(policy * (M << k) - 1, parts)
-        if len(shift) == code.shape[1]:
-            code += shift
-        else:   # rows that share their contacts: their codes differ by their policies' blocks
-            code = (code[:, None] + shift.reshape(-1, code.shape[1])).reshape(span, -1)
+    if len(pattern) < len(policy):   # rows that share their contacts
+        pattern = np.tile(pattern, (len(policy) // len(pattern), 1))
+    code = _fresh_codes(pattern.reshape(-1, span).T, M, np.repeat(policy * (M << k), parts))
     return _walk_codes(steps, code, n, start)
+
+
+def _fresh_codes(pattern: np.ndarray, M: int, block: np.ndarray | int = 0) -> np.ndarray:
+    """The fresh codes of the k-slot contact patterns ``pattern`` in the
+    policy blocks ``block`` of a step table of M ages, broadcast along its
+    last axis: pattern * M - 1 + block, so that the age a step starts at,
+    added to its code, names its table row (``_Steps``).  A new C-order intp
+    array, the layout ``_walk`` steps through."""
+    code = pattern.astype(np.intp, order="C")   # widened once
+    code *= M
+    code += block - 1
+    return code
 
 
 def _laid_out(a: np.ndarray, n: int) -> np.ndarray:
@@ -216,14 +222,12 @@ def _walk_codes(steps: _Steps, code: np.ndarray, n: int, start: np.ndarray) -> t
     place: the (steps, rows) table rows of every row's steps, and the ages
     the rows end at, in the table's dtype.
 
-    A step's fresh code is its k contacts, packed little-endian into a
-    pattern, times M, plus its policy's block of the table, less 1; the age
-    it starts at added to it names its table row, which holds the k ages
-    that follow.  Row r starts at age ``start[r]``.  A row of n slots ends
-    after slot r of its last step, r = n - (steps - 1) * k, the slots of
-    that step: its end age is column r - 1 of that step's row.  The
-    pattern bits past them, and the steps past the row's end, do not change
-    the ages it reads.
+    A step's fresh code (``_fresh_codes``) plus the age it starts at names
+    its table row, which holds the k ages that follow.  Row r starts at age
+    ``start[r]``.  A row of n slots ends after slot r of its last step,
+    r = n - (steps - 1) * k, the slots of that step: its end age is column
+    r - 1 of that step's row.  The pattern bits past them, and the steps
+    past the row's end, do not change the ages it reads.
 
     Rows longer than CHUNK_SLOTS run as chunks of CHUNK_SLOTS slots, a whole
     number of steps, with the last chunk padded as the last step is.  A
@@ -271,12 +275,38 @@ def _walk_codes(steps: _Steps, code: np.ndarray, n: int, start: np.ndarray) -> t
     return code, steps.table.take(code[-1], axis=0, mode="clip")[:, r - 1]   # the age after its r-th slot
 
 
-def _pattern_codes(M: int, k: int) -> np.ndarray:
-    """(256, 8 // k) intp: the fresh code (``_walk_codes``) at policy block
+def _pattern_codes(M: int) -> np.ndarray:
+    """(256, 8 // k) intp: the fresh code (``_fresh_codes``) at policy block
     0 of the j-th k-slot pattern packed in each byte, as ``_patterns``
-    packs them, the first in the low bits."""
+    packs them, the first in the low bits, for the k of a one-policy table
+    of M ages."""
+    k = _step_size(1, M)
     byte = np.arange(256)[:, None]
-    return (byte >> np.arange(0, 8, k)) % (1 << k) * M - 1
+    return _fresh_codes((byte >> np.arange(0, 8, k)) % (1 << k), M)
+
+
+def _tile_codes(tiles: np.ndarray, start: np.ndarray, n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fresh codes at policy block 0, for the k of a one-policy table of
+    M ages, of the k-slot contact pattern that starts at each position of the
+    0/1 uint8 ``tiles``, packed little-endian as ``_patterns`` packs a row,
+    with no contact past the last tile; then a second set for a round's last
+    step, its slots past the round's r = n - (steps - 1) * k masked off.
+    Also the (steps, rows * parts) index into those codes, in
+    ``_laid_out``'s layout, of the steps of a round of n slots from position
+    0 of the tile that starts at ``start[i]``, for each row i: codes k slots
+    apart, the last step's from the second set; the steps that pad a long
+    round's last chunk read it again.  A round from position j of each row
+    is then the codes at j + that index."""
+    k = _step_size(1, M)
+    patterns, width = tiles.copy(), 1   # bit j: the contact of slot j + 1
+    while width < k:   # patterns of width slots to 2 * width
+        patterns[:-width] |= patterns[width:] << width
+        width *= 2
+    last = -(-n // k) - 1   # the step the round ends in, after its first r slots
+    mask = (1 << n - last * k) - 1
+    step = k * np.minimum(np.arange(_step_count(n, k)), last)
+    step[last:] += len(patterns)
+    return _fresh_codes(np.concatenate((patterns, patterns & mask)), M), _laid_out(start + step[:, None], n)
 
 
 def _round_codes(codes: np.ndarray, packed: np.ndarray, n: int) -> np.ndarray:
@@ -332,24 +362,21 @@ def _count_ages(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
     row, all in the row's policy.  A row's last step covers only its first
     r = n - (steps - 1) * k slots, so it counts only its first r cells.  The
     other steps are counted by table row when they outnumber the table's
-    rows, as on one long trace: one ``np.bincount`` of their rows, then each
-    row's count at each of its cells.  Otherwise each adds its row's cached
-    histogram, summed over each replay row's steps and then over each
-    policy's block of rows; a table too large for histograms has each
-    step's cells counted one by one.  The counts are integers, and every
-    float sum is a whole number below 2**53, so the routes give the same
-    counts.
+    rows, as on one long trace, or when the table is too large for
+    histograms: one ``np.bincount`` of their rows, then each row's count at
+    each of its cells.  Otherwise each adds its row's cached histogram,
+    summed over each replay row's steps and then over each policy's block
+    of rows.  The counts are integers, and every float sum is a whole
+    number below 2**53, so both routes give the same counts.
     """
     cells, k, policies = steps.cells, steps.table.shape[1], steps.policies
     r = n - (len(code) - 1) * k   # the slots of each row's last step
     counts = np.bincount(cells.take(code[-1], axis=0, mode="clip")[:, :r].ravel(), minlength=policies * steps.M)
     full = code[:-1]
-    if full.size > len(cells):   # by table row
+    if full.size > len(cells) or steps.hist is None:   # by table row
         used = np.bincount(full.ravel(), minlength=len(cells))
         # each count is a whole number below 2**53, so the float sums are exact
         counts += np.bincount(cells.ravel(), np.repeat(used, k), counts.size).astype(np.int64)
-    elif steps.hist is None:
-        counts += np.bincount(cells.take(full.ravel(), axis=0, mode="clip").ravel(), minlength=counts.size)
     elif full.size:
         mine = steps.hist.take(full, axis=0, mode="clip").sum(0, dtype=np.min_scalar_type(n))   # by replay row
         blocks = np.arange(0, len(mine), len(mine) // policies)

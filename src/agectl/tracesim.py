@@ -4,17 +4,11 @@ estimate per-shift contact statistics, and run multi-user closed-loop rounds.
 
 Every replay here, one policy on one trace, each policy from each rotated
 phase, or one round of a user population, runs as the rows of one walk of
-k-slot step codes (``replay._walk_codes``), the package's only loop over
-slots, which names the step table row of each k-slot step of each row.
-A trace replay packs its rotations' patterns once (``replay._steps``); a
-population builds the codes at each position of its tiled traces once,
-and each round gathers its users' codes (``_Cohort``).  A trace replay
-tallies off the table rows alone, through the summaries cached with the
-table: the slots at each age (``replay._count_ages``), the updates, where an
-age returns to 1, the 3G updates, the 1s after a slot without a contact,
-and the slots of the updates, from each row's bitmask of ages at 1; it
-builds no age matrix.  A population round reads its updates off the same
-summaries, and tallies its users' slots by age from the ages its table
+the replay kernel (``replay``), which builds the step codes, walks them and
+reads its counts off the table rows the walk returns.  A trace replay takes
+its slots by age, updates, 3G updates and update slots from those readers
+and builds no age matrix; a population round reads its updates off the
+step summaries and tallies its users' slots by age from the ages its table
 rows expand to (``replay._after``).  Every reward, energy and fee total is
 then the exact sum of counted terms, rounded once.
 
@@ -495,15 +489,10 @@ class _Cohort:
     The users' fields are read, and their traces told apart by identity,
     by ``map`` into dicts and arrays, with no Python loop over users.  Each
     distinct trace is tiled once, cyclically, to len + round_slots - 1
-    slots, the furthest a round from any phase reads.  The fresh
-    code (``replay._walk_codes``) of the k-slot contact pattern that starts
-    at each tile position, packed little-endian as ``replay._patterns``
-    packs a row, for the k of a one-policy step table, is built once, and so
-    is a second set for a round's last step, with its slots past the round's
-    r masked off.  The steps of a round from any position are the codes k
-    slots apart, the last one from the second set, so a round is one gather
-    of every user's codes, already in the walk's layout, by a (steps, users)
-    index built once.  It is walked by ``replay._walk_codes`` over the
+    slots, the furthest a round from any phase reads.  The step codes at
+    every tile position, and each user's (steps, users) gather index into
+    them, are built once (``replay._tile_codes``), so a round is one gather
+    of every user's codes, walked by ``replay._walk_codes`` over the
     threshold's step table, which the cohort looks up once per threshold."""
 
     def __init__(self, users: Sequence[UserAssignment], params: SystemParams, round_slots: int):
@@ -527,22 +516,7 @@ class _Cohort:
                                 for part in [b] * (size // len(b)) + [b[:size % len(b)]]])
         tile_at = np.cumsum(sizes) - sizes   # where each tile starts
         self.tables = learning._ThresholdTables(M)
-        k = self.tables.k
-        patterns, width = tiles.copy(), 1   # bit j: the contact of slot j + 1; none past the last tile
-        while width < k:   # patterns of width slots to 2 * width
-            patterns[:-width] |= patterns[width:] << width
-            width *= 2
-        last = -(-round_slots // k) - 1   # the step the round ends in, after its first r slots
-        mask = (1 << round_slots - last * k) - 1
-        self.codes = np.concatenate((patterns, patterns & mask)).astype(np.intp)
-        self.codes *= M
-        self.codes -= 1
-        # each user's codes k slots apart from its position in its tile, the
-        # last step's from the masked set; the steps that pad a long round's
-        # last chunk read it again
-        step = k * np.minimum(np.arange(replay._step_count(round_slots, k)), last)
-        step[last:] += len(patterns)
-        self.index = replay._laid_out(tile_at[which] + step[:, None], round_slots)
+        self.codes, self.index = replay._tile_codes(tiles, tile_at[which], round_slots, M)
         parts = self.index.shape[1] // len(which)   # a long round's chunks, each a column
         self.length = np.repeat(lengths[which], parts)
         self.pos = np.repeat(np.array(phases), parts) % self.length

@@ -5,8 +5,9 @@ Run from anywhere, with the test dependencies installed::
 
     python tests/mutants.py
 
-For each entry the runner copies ``src/``, ``tests/``, ``README.md`` and
-``pyproject.toml`` to a temporary directory, replaces the entry's source
+For each entry the runner copies ``src/``, ``tests/``, ``bench/`` (whose
+oracles some tests import), ``README.md`` and ``pyproject.toml`` to a
+temporary directory, replaces the entry's source
 fragment, which must occur exactly once in its file, and runs only the
 entry's tests there under ``-W error::RuntimeWarning``.  The mutant is killed
 when they fail and alive when they pass.  An entry marked ``survives`` is a
@@ -30,13 +31,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "README.md", "pyproject.toml")
+COPIED = ("src", "tests", "bench", "README.md", "pyproject.toml")
 THRESHOLDS = "src/agectl/thresholds.py"
 SOLVER = "src/agectl/solver.py"
 CHAIN = "src/agectl/chain.py"
 TRACESIM = "src/agectl/tracesim.py"
 LEARNING = "src/agectl/learning.py"
 MODEL = "src/agectl/model.py"
+CLI = "src/agectl/cli.py"
+PUBLISHER = "src/agectl/publisher.py"
 REPLAY = "src/agectl/replay.py"
 STREAM = "tests/test_thresholds.py::TestTwoThresholdStream::"
 PI = "tests/test_solver.py::TestPolicyIteration::"
@@ -122,6 +125,11 @@ MUTANTS = (
            ("tests/test_chain.py::TestExpectedReward::test_matches_oracle_gain",
             "tests/test_solver.py::TestRouteAgreement::test_optimal_threshold",
             "tests/test_tracesim.py::TestSimulatePolicy::test_ergodic_agreement_smoke")),
+    # the closed forms' reach (1 - q^(j + 1)) / p, which cancels as p -> 0
+    Mutant("reach-without-expm1", CHAIN,
+           "-np.expm1(np.arange(1, M + 1) * np.log1p(-p)) / p", "(1.0 - q ** np.arange(1, M + 1)) / p",
+           ("tests/test_chain.py::TestTwoThresholdGrid::test_exact_at_tiny_p[1e-12]",
+            "tests/test_cli.py::TestSolve::test_two_threshold_grid_at_tiny_p")),
     # the matrix oracle: WiFi renews with probability 1 - p, not p
     Mutant("matrix-contact-swapped", CHAIN,
            "            mat[age - 1, 0] += p\n            mat[age - 1, nxt - 1] += 1.0 - p\n",
@@ -134,7 +142,18 @@ MUTANTS = (
            "tally = np.column_stack((by_age, active, updates - updates_3g, updates_3g))",
            "tally = np.column_stack((by_age, active, updates_3g, updates - updates_3g))",
            ("tests/test_tracesim.py::TestSimulatePolicy::test_agrees_with_reference_oracle",
-            "tests/test_replay.py::test_rotation_tallies_count_the_reference_parts")),
+            "tests/test_replay.py::test_rotation_tallies_count_the_reference_parts",
+            "tests/test_tracesim.py::TestSimulatePolicy::test_two_threshold_ergodic_agreement")),
+    # the WiFi fee charged on every active slot, with a contact or without
+    Mutant("wifi-fee-without-contact", TRACESIM,
+           "active, updates - updates_3g,", "active, active - updates_3g,",
+           ("tests/test_tracesim.py::TestSimulatePolicy::test_two_threshold_ergodic_agreement",
+            "tests/test_tracesim.py::TestSimulatePolicy::test_agrees_with_reference_oracle")),
+    # each update recorded at the slot after its own
+    Mutant("update-slots-one-late", TRACESIM,
+           "slots += 1   # the 1-based slot", "slots += 2   # the 1-based slot",
+           ("tests/test_tracesim.py::TestSimulatePolicy::test_hand_stepped_example",
+            "tests/test_acceptance.py::test_criterion_9_trace_ergodicity")),
     # the exact sums over the smallest denominator: finer values truncate to 0
     Mutant("sums-smallest-denominator", TRACESIM,
            "scale = max(den for _, den in ratios)", "scale = min(den for _, den in ratios)",
@@ -155,6 +174,16 @@ MUTANTS = (
            "step = alpha * (target - rate) / t", "step = alpha * (target - rate) / (t + 1)",
            ("tests/test_learning.py::TestLearningStep::test_step_arithmetic",
             "tests/test_learning.py::TestConvergence::test_deterministic_env_reaches_optimal_interval")),
+    # --b read as G = b * M, not b * (M - 1)
+    Mutant("b-times-M", CLI,
+           'str(args.b * (parse_param("M", mapping["M"], int) - 1))', 'str(args.b * parse_param("M", mapping["M"], int))',
+           ("tests/test_cli.py::TestConfigOverlay::test_b_uses_M_from_the_config",
+            "tests/test_cli.py::test_replay_outputs_are_byte_stable")),
+    # the publisher's target with no snap: float noise above an integer raises it one step
+    Mutant("target-threshold-no-snap", PUBLISHER,
+           "max(raw, 0) - Fraction(1e-9)", "max(raw, 0)",
+           ("tests/test_publisher.py::TestTargetThreshold"
+            "::test_a_rate_on_the_budget_up_to_its_rounding_is_feasible",)),
     # the envs' s*(B): a bonus on an edge counted as above it
     Mutant("response-bisect-left", THRESHOLDS,
            "bisect.bisect_right(ascending, bonus)", "bisect.bisect_left(ascending, bonus)",
@@ -167,7 +196,7 @@ MUTANTS = (
             "tests/test_replay.py::test_chain_rounds_are_the_replay_of_their_draws[30-7]",
             "tests/test_replay.py::test_trace_rounds_are_the_replay_of_their_windows[300-7]")),
     # a trace round's last-step codes not masked to its r slots: updates on the slots after the round
-    Mutant("round-pattern-unmasked", TRACESIM,
+    Mutant("round-pattern-unmasked", REPLAY,
            "np.concatenate((patterns, patterns & mask))", "np.concatenate((patterns, patterns))",
            (MODULO + "[phases past the length]",
             "tests/test_replay.py::test_population_totals_equal_parts_at_each_rounds_bonus",
@@ -203,7 +232,7 @@ MUTANTS = (
             "tests/test_replay.py::test_simulate_policy_equals_reference_replay")),
     # each policy's codes offset by 1, not by its block of the step table
     Mutant("policy-offset-by-one", REPLAY,
-           "np.repeat(policy * (M << k) - 1, parts)", "np.repeat(policy - 1, parts)",
+           "np.repeat(policy * (M << k), parts)", "np.repeat(policy, parts)",
            ("tests/test_replay.py::test_threshold_means_equal_reference_averages",
             "tests/test_replay.py::test_rotation_tallies_count_the_reference_parts")),
     # a row's contacts packed big-endian: each step's slots read in reverse

@@ -2,6 +2,7 @@
 reruns, the shared parser and ``python -m agectl``."""
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -512,6 +513,10 @@ RECORDED_STDOUT = {
     "learn-chain": (5688, "31783b2d1b49afa69b87e365fb79368a292ae7b97f1803b99c83d7f932ef9301"),
     "learn-trace": (9151, "0ded52769ce55561c417c06c93c9b09e0c98fb77c002471ea785f3e0a80c67d0"),
     "simulate": (563, "c5b10ad2b85893d9803694d945a24b9289df5386366ad87a18436c73b9bb10c2"),
+    # 301 thresholds at M = 300 replayed on shifts of 5-60 slots: one-slot
+    # steps, a table of 180,600 rows and no histogram, with fewer full steps
+    # than rows; recorded before the replay counted such tables by table row
+    "simulate-M300": (551, "bec09f47cf09aeea8de00be74567f10f22652fbddcb5ed458a78fe5c5750c23a"),
     "solve-linear": (325, "35bdda6ce51f52225b9caab92ab4507399a78949ae7527fb3cfce99bf2194c6b"),
     "solve-step": (276, "887cef911a3b5d0d582c52347acfa26c06017281bac16b2b36449c433931e022"),
     "solve-config-3g": (509, "6886140e91e073667395d37767df33f6eadbd0ed6d7458671730c84b0a9846ab"),
@@ -546,11 +551,17 @@ utility.form = linear
 def test_replay_outputs_are_byte_stable(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)   # the simulate header records the trace path
     assert run(capsys, "gen-traces", "--shifts", "5", "--seed", "3", "--output", "corpus.txt")[0] == 0
+    r = random.Random(5)
+    (tmp_path / "short.txt").write_text("".join(
+        f"short{i} " + "".join("1" if r.random() < 0.3 else "0" for _ in range(n)) + "\n"
+        for i, n in enumerate((5, 12, 23, 37, 48, 60))))
     argvs = {
         "learn-chain": ("learn", "--env", "chain", "--rounds", "230", "--seed", "11"),
         "learn-trace": ("learn", "--env", "trace", "--traces", "corpus.txt"),
         "simulate": ("simulate", "--traces", "corpus.txt", "--utility", "linear",
                      "--M", "12", "--b", "0.2"),
+        "simulate-M300": ("simulate", "--traces", "short.txt", "--utility", "linear",
+                          "--M", "300", "--b", "0.2", "--replications", "10"),
     }
     for name, argv in argvs.items():
         code, out, _ = run(capsys, *argv)

@@ -104,6 +104,13 @@ class TestTargetThreshold:
             expected = feasible[0] if feasible else max_age + 1
             assert got == expected
 
+    def test_a_rate_on_the_budget_up_to_its_rounding_is_feasible(self):
+        # the float 0.3 is 0.3 - 1.1e-17, so 3 / 0.3 - (1 - p) / p is 9 plus
+        # 3.7e-16 as exact rationals; at s = 9 the rate 3 / 10 rounds to the
+        # cap itself, so s = 9 keeps to the budget
+        assert 3 / (9 + 1) == 0.3
+        assert target_threshold(3, 0.3, 0.5, 20) == 9
+
     def test_clipped_into_range(self):
         assert target_threshold(10_000, 1.0, 0.5, 10) == 11
         assert target_threshold(1, 1000.0, 0.5, 10) == 1

@@ -864,7 +864,7 @@ def histograms(steps, M):
     return np.array([np.bincount(row, minlength=M + 1)[1:] for row in before], np.uint8)
 
 
-@pytest.mark.parametrize("route", ["by table row", "by histogram", "by cell"])
+@pytest.mark.parametrize("route", ["by table row", "by histogram", "no histogram"])
 @pytest.mark.parametrize("M, kind, n", [
     (12, "per-age", 13),         # a last step of 5 slots in 8
     (12, "per-age", 16),         # whole steps only
@@ -875,8 +875,8 @@ def histograms(steps, M):
 def test_counts_from_codes_equal_slot_tallies(monkeypatch, M, kind, n, route):
     # each route of replay._count_ages against the slot count of the ages
     # replay._replay returns: full steps by table row when they outnumber the
-    # table's rows, else by their rows' histograms, or cell by cell when the
-    # table has none; each row's last step from its first r cells
+    # table's rows or the table has no histograms, else by their rows'
+    # histograms; each row's last step from its first r cells
     rng = np.random.default_rng(M + n)
     if kind == "late":   # a threshold near M at low p: a run waits long for a contact
         table, p = threshold_table(M, [(M - 1, None)]), 0.02
@@ -893,9 +893,9 @@ def test_counts_from_codes_equal_slot_tallies(monkeypatch, M, kind, n, route):
         assert len(passes) >= 3
     if route != "by table row":
         assert code[:-1].size <= len(walked.table)
-        if route == "by cell" or walked.hist is None:
+        if route == "no histogram" or walked.hist is None:   # fewer steps than rows, by table row
             walked = copy.copy(walked)
-            walked.hist = None if route == "by cell" else histograms(walked, M)
+            walked.hist = None if route == "no histogram" else histograms(walked, M)
     assert (code[:-1].size > len(walked.table)) == (route == "by table row")
     np.testing.assert_array_equal(replay._count_ages(walked, code, n),
                                   slot_tally(replay._replay(table, policy, contacts, start), policy, policies, M))

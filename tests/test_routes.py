@@ -1,8 +1,9 @@
 """The seams between the routes that the tests pit against each other, read
 from the source with ``ast`` alone: the solver, the matrix oracle and the
 replay reach nothing of the routes they are checked against, the replay
-kernel and those routes do not import each other, and the scalar
-references in ``conftest`` use only the private names declared here.
+kernel and those routes do not import each other, and the rest of the
+package and the scalar references in ``conftest`` use only the private
+names declared here.
 
 A name is ``module.name``.  What a function reaches is what its body reads
 of its own module's top-level functions and classes and of the package
@@ -84,6 +85,19 @@ def imports(*modules: str) -> set[str]:
 ORACLE = ("chain.transition_matrix", "chain.expected_reward_vector", "chain.steady_state_exact",
           "chain.chain_summary")
 REPLAY = ("tracesim._replay_rotations", "tracesim.simulate_policy")
+#: the replay kernel's private names that the rest of the package uses: the
+#: step tables, the code builders, the walk and the readers of its table rows;
+#: how a step's code is built, and from which k, stays inside ``replay``
+REPLAY_PRIVATES = ("replay._Steps", "replay._tables", "replay._pattern_codes", "replay._round_codes",
+                   "replay._tile_codes", "replay._walk_codes", "replay._steps", "replay._count_ages",
+                   "replay._count_3g", "replay._updated", "replay._after")
+
+
+def replay_privates() -> set[str]:
+    """The private ``replay`` names that the other modules read."""
+    return {name for module, tree in TREES.items() if module != "replay"
+            for name in names_read(module, tree, BINDINGS[module])
+            if name.startswith("replay._")}
 
 #: (seam, the names it uses, the patterns they must match)
 SEAMS = (
@@ -101,6 +115,7 @@ SEAMS = (
     ("replay imports only model", lambda: imports("replay"), ("model",)),
     ("chain, thresholds, solver and publisher do not import replay",
      lambda: imports("chain", "thresholds", "solver", "publisher"), ("model", "chain", "thresholds")),
+    ("the package uses only the declared private replay names", replay_privates, REPLAY_PRIVATES),
     # the references rebuild everything else from public primitives
     ("conftest's references use only the declared private names", conftest_privates,
      ("solver._evaluate", "solver._action_terms")),

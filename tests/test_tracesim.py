@@ -3,8 +3,11 @@ step oracle, trace-driven threshold search, corpus generation, and the
 population simulator."""
 import copy
 import hashlib
+import importlib.util
+import math
 import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from agectl import (
     MASK_POLICY,
+    Action,
     ContactTrace,
     LearningConfig,
     Policy,
@@ -20,20 +24,29 @@ from agectl import (
     UserAssignment,
     UtilityFunction,
     best_trace_threshold,
+    chain_summary,
     comparison_table,
     consecutive_stats,
     estimate_p,
     expected_reward_threshold,
+    expected_reward_two_threshold,
     generate_corpus,
     iid_trace,
     parse_trace_text,
     simulate_policy,
     simulate_population,
+    steady_state_exact,
     trace_env,
 )
 from agectl.tracesim import UpdateSlots, dump_traces, replayed_average_reward
 
 from conftest import make_rng, reference_replay, threshold_action
+
+# the benchmark's renewal-reward band for replays of i.i.d. traces
+_spec = importlib.util.spec_from_file_location(
+    "oracles", Path(__file__).resolve().parent.parent / "bench" / "oracles.py")
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 
 def linear_params(max_age=12, p=0.54, **kw):
@@ -228,6 +241,28 @@ class TestSimulatePolicy:
         )
         se = rewards.std() / np.sqrt(len(rewards))
         assert abs(result.average_reward - expected_reward_threshold(params, 4)) < 3 * se
+
+    def test_two_threshold_ergodic_agreement(self):
+        # a WiFi band, then 3G at a dearer fee than WiFi's, on one long i.i.d. trace
+        params = linear_params(scan_cost=0.99, wifi_price=2.0, price_3g=5.0, bonus=1.0)
+        s_wifi, s_3g = 4, 6
+        policy = Policy.from_thresholds(s_wifi, s_3g, 12)
+        result = simulate_policy(iid_trace(0.54, 10**6, seed=4300), params, policy)
+        n, p = result.slots, params.contact_prob
+        for gain in (expected_reward_two_threshold(params, s_wifi, s_3g), chain_summary(policy, params).gain):
+            assert oracles.replay_band_failures(params, s_wifi, s_3g, gain, result) == []
+        # the matrix oracle's 3G rate: a slot at an age with action 2 and no contact
+        pi = steady_state_exact(policy, params)
+        rate_3g = sum(pi[age - 1] * (1.0 - p) for age in range(1, 13)
+                      if policy.action_at(age) is Action.WIFI_THEN_3G)
+        # its renewal CLT band: one 3G update in the last cycle of the law, none
+        # in the others, plus at most one update in the open stretch at the end
+        lengths, _, probs = oracles.cycle_law(params, s_wifi, s_3g)
+        ones_3g = np.zeros(len(probs))
+        ones_3g[-1] = 1.0
+        sigma = math.sqrt(probs @ (ones_3g - rate_3g * lengths) ** 2 / (probs @ lengths))
+        band = oracles.REPLAY_Z * sigma / math.sqrt(n) + 1.0 / n
+        assert abs(result.updates_3g / n - rate_3g) <= band
 
 
 class TestUpdateSlots:
