@@ -175,9 +175,10 @@ def _steps(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray,
 
 def _walk_patterns(steps: _Steps, policy: np.ndarray, pattern: np.ndarray, n: int,
                    start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_walk_codes`` of the (rows, ``_step_count(n, k)``) uint8 k-slot
-    contact patterns ``pattern`` of rows of n slots over the step table
-    ``steps``, widened into codes once.
+    """What ``_walk_codes`` returns for the (rows, ``_step_count(n, k)``)
+    uint8 k-slot contact patterns ``pattern`` of rows of n slots over the
+    step table ``steps``, widened into codes once; rows longer than
+    CHUNK_SLOTS are walked as chunks (``_walk_chunks``).
 
     Row r starts at age ``start[r]``, acts by the per-age action row
     ``policy[r]`` of the table and reads row r mod len(pattern): so rows that
@@ -186,11 +187,10 @@ def _walk_patterns(steps: _Steps, policy: np.ndarray, pattern: np.ndarray, n: in
     """
     M, k = steps.M, steps.table.shape[1]
     parts = -(-n // CHUNK_SLOTS)   # chunk j of row r is column r * parts + j
-    span = pattern.shape[1] // parts   # steps per chunk
     if len(pattern) < len(policy):   # rows that share their contacts
         pattern = np.tile(pattern, (len(policy) // len(pattern), 1))
-    code = _fresh_codes(pattern.reshape(-1, span).T, M, np.repeat(policy * (M << k), parts))
-    return _walk_codes(steps, code, n, start)
+    code = _fresh_codes(pattern.reshape(len(pattern) * parts, -1).T, M, np.repeat(policy * (M << k), parts))
+    return (_walk_codes if parts == 1 else _walk_chunks)(steps, code, n, start)
 
 
 def _fresh_codes(pattern: np.ndarray, M: int, block: np.ndarray | int = 0) -> np.ndarray:
@@ -205,33 +205,37 @@ def _fresh_codes(pattern: np.ndarray, M: int, block: np.ndarray | int = 0) -> np
     return code
 
 
-def _laid_out(a: np.ndarray, n: int) -> np.ndarray:
-    """The (``_step_count(n, k)``, rows) array ``a`` of each row's steps, in
-    order, laid out as ``_walk_codes`` walks rows of n slots: rows longer
-    than CHUNK_SLOTS as (steps per chunk, rows * parts), where column
-    r * parts + j is chunk j of row r; shorter rows as they are."""
-    parts = -(-n // CHUNK_SLOTS)
-    if parts == 1:
-        return a
-    return a.reshape(parts, -1, a.shape[1]).transpose(1, 2, 0).reshape(-1, a.shape[1] * parts)
-
-
 def _walk_codes(steps: _Steps, code: np.ndarray, n: int, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The walk of rows of n slots over the step table ``steps`` from their
-    fresh codes ``code``, in ``_laid_out``'s layout, which it walks in
-    place: the (steps, rows) table rows of every row's steps, and the ages
-    the rows end at, in the table's dtype.
+    (steps, rows) fresh codes ``code``, which it walks in place: the table
+    rows of every row's steps, and the ages the rows end at
+    (``_end_ages``).
 
     A step's fresh code (``_fresh_codes``) plus the age it starts at names
     its table row, which holds the k ages that follow.  Row r starts at age
-    ``start[r]``.  A row of n slots ends after slot r of its last step,
-    r = n - (steps - 1) * k, the slots of that step: its end age is column
-    r - 1 of that step's row.  The pattern bits past them, and the steps
-    past the row's end, do not change the ages it reads.
+    ``start[r]``.
+    """
+    _walk(steps.last, code, start)
+    return code, _end_ages(steps, code, n)
 
-    Rows longer than CHUNK_SLOTS run as chunks of CHUNK_SLOTS slots, a whole
-    number of steps, with the last chunk padded as the last step is.  A
-    row's first chunk starts at the row's start age.  Each later chunk is
+
+def _end_ages(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
+    """The ages that rows of n slots end at, in the table's dtype, from
+    their (steps, rows) table rows ``code``.  A row ends after slot r of its
+    last step, r = n - (steps - 1) * k, the slots of that step: its end age
+    is column r - 1 of that step's row.  The pattern bits past them do not
+    change the ages it reads."""
+    r = n - (len(code) - 1) * steps.table.shape[1]   # the slots of each row's last step
+    return steps.table.take(code[-1], axis=0, mode="clip")[:, r - 1]   # the age after its r-th slot
+
+
+def _walk_chunks(steps: _Steps, code: np.ndarray, n: int, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_walk_codes`` for rows of n > CHUNK_SLOTS slots, from their fresh
+    codes laid out as chunks of CHUNK_SLOTS slots, a whole number of steps:
+    (steps per chunk, rows * parts), where column r * parts + j is chunk j
+    of row r, and the last chunk is padded as the last step is.
+
+    A row's first chunk starts at the row's start age.  Each later chunk is
     seeded first: the codes of the last LOOK_BACK slots of the chunk before
     it are walked from age M, and the chunk starts at the age that walk ends
     at.  A run from M and the row's own run agree from the first slot where
@@ -244,35 +248,31 @@ def _walk_codes(steps: _Steps, code: np.ndarray, n: int, start: np.ndarray) -> t
     Every pass fixes at least one more chunk of each row, and only the
     chunks a pass walks have their codes rewritten; the carried starts
     alone make the result exact: a wrong seed costs a rerun, never a wrong
-    age.  The chunks' codes are then laid out as their rows' steps.
+    age.  The chunks' codes are then laid out as their rows' steps, less the
+    steps past each row's end.
     """
-    k = steps.table.shape[1]
+    k, span = steps.table.shape[1], len(code)
     parts = -(-n // CHUNK_SLOTS)
-    if parts == 1:
-        _walk(steps.last, code, start)
-    else:
-        span = len(code)
-        begin = np.repeat(np.asarray(start, np.intp), parts)
-        first = np.arange(code.shape[1]) % parts == 0
-        later = np.flatnonzero(~first)   # seeded by the last LOOK_BACK slots before them, from age M
-        tails = code[span - LOOK_BACK // k:].take(later - 1, axis=1)
-        begin[later] = _walk(steps.last, tails, np.full(later.size, steps.M))
-        end = _walk(steps.last, code, begin)
-        while True:
-            carried = np.where(first, begin, np.roll(end, 1))
-            todo = np.flatnonzero(carried != begin)
-            if not todo.size:
-                break
-            # a walked code less the age its step started at is its fresh code
-            again = code[:, todo]
-            again[1:] -= steps.last.take(again[:-1], mode="clip")
-            again[0] -= begin[todo]
-            begin = carried
-            end[todo] = _walk(steps.last, again, begin[todo])
-            code[:, todo] = again
-        code = code.reshape(span, -1, parts).transpose(2, 0, 1).reshape(parts * span, -1)[:-(-n // k)]
-    r = n - (len(code) - 1) * k   # the slots of each row's last step
-    return code, steps.table.take(code[-1], axis=0, mode="clip")[:, r - 1]   # the age after its r-th slot
+    begin = np.repeat(np.asarray(start, np.intp), parts)
+    first = np.arange(code.shape[1]) % parts == 0
+    later = np.flatnonzero(~first)   # seeded by the last LOOK_BACK slots before them, from age M
+    tails = code[span - LOOK_BACK // k:].take(later - 1, axis=1)
+    begin[later] = _walk(steps.last, tails, np.full(later.size, steps.M))
+    end = _walk(steps.last, code, begin)
+    while True:
+        carried = np.where(first, begin, np.roll(end, 1))
+        todo = np.flatnonzero(carried != begin)
+        if not todo.size:
+            break
+        # a walked code less the age its step started at is its fresh code
+        again = code[:, todo]
+        again[1:] -= steps.last.take(again[:-1], mode="clip")
+        again[0] -= begin[todo]
+        begin = carried
+        end[todo] = _walk(steps.last, again, begin[todo])
+        code[:, todo] = again
+    code = code.reshape(span, -1, parts).transpose(2, 0, 1).reshape(parts * span, -1)[:-(-n // k)]
+    return code, _end_ages(steps, code, n)
 
 
 def _pattern_codes(M: int) -> np.ndarray:
@@ -291,12 +291,11 @@ def _tile_codes(tiles: np.ndarray, start: np.ndarray, n: int, M: int) -> tuple[n
     0/1 uint8 ``tiles``, packed little-endian as ``_patterns`` packs a row,
     with no contact past the last tile; then a second set for a round's last
     step, its slots past the round's r = n - (steps - 1) * k masked off.
-    Also the (steps, rows * parts) index into those codes, in
-    ``_laid_out``'s layout, of the steps of a round of n slots from position
-    0 of the tile that starts at ``start[i]``, for each row i: codes k slots
-    apart, the last step's from the second set; the steps that pad a long
-    round's last chunk read it again.  A round from position j of each row
-    is then the codes at j + that index."""
+    Also the (steps, rows) index into those codes of the steps of a round of
+    n slots from position 0 of the tile that starts at ``start[i]``, for
+    each row i: codes k slots apart, the last step's from the second set.
+    A round from position j of each row is then the codes at j + that
+    index."""
     k = _step_size(1, M)
     patterns, width = tiles.copy(), 1   # bit j: the contact of slot j + 1
     while width < k:   # patterns of width slots to 2 * width
@@ -304,27 +303,22 @@ def _tile_codes(tiles: np.ndarray, start: np.ndarray, n: int, M: int) -> tuple[n
         width *= 2
     last = -(-n // k) - 1   # the step the round ends in, after its first r slots
     mask = (1 << n - last * k) - 1
-    step = k * np.minimum(np.arange(_step_count(n, k)), last)
-    step[last:] += len(patterns)
-    return _fresh_codes(np.concatenate((patterns, patterns & mask)), M), _laid_out(start + step[:, None], n)
+    step = k * np.arange(last + 1)
+    step[last] += len(patterns)
+    return _fresh_codes(np.concatenate((patterns, patterns & mask)), M), start + step[:, None]
 
 
 def _round_codes(codes: np.ndarray, packed: np.ndarray, n: int) -> np.ndarray:
-    """The fresh codes at policy block 0 of a round of n slots, in
-    ``_laid_out``'s layout, from its contacts ``packed``: (bytes, rows)
-    uint8, each byte 8 slots of a row packed little-endian, the slots past
-    the round's end 0.  Each byte is widened into the codes of its steps by
-    one lookup in ``codes`` (``_pattern_codes``), and a round past
-    CHUNK_SLOTS has its last chunk padded with no-contact steps.  On a round
-    of a few bytes a row the lookup is faster than widening and scaling the
-    patterns, as ``_walk_patterns`` does, but on a long replay several times
-    slower, so only rounds take it."""
-    rows = packed.shape[1]
-    steps = _step_count(n, 8 // codes.shape[1])
-    code = codes.take(packed, axis=0).transpose(0, 2, 1).reshape(-1, rows)
-    if len(code) < steps:
-        code = np.concatenate((code, np.full((steps - len(code), rows), codes[0, 0])))
-    return _laid_out(code[:steps], n)
+    """The (steps, rows) fresh codes at policy block 0 of a round of n slots
+    from its contacts ``packed``: (bytes, rows) uint8, each byte 8 slots of
+    a row packed little-endian, the slots past the round's end 0.  Each byte
+    is widened into the codes of its steps by one lookup in ``codes``
+    (``_pattern_codes``).  On a round of a few bytes a row the lookup is
+    faster than widening and scaling the patterns, as ``_walk_patterns``
+    does, but on a long replay several times slower, so only rounds take
+    it."""
+    steps = -(-n // (8 // codes.shape[1]))
+    return codes.take(packed, axis=0).transpose(0, 2, 1).reshape(-1, packed.shape[1])[:steps]
 
 
 def _after(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
@@ -363,8 +357,8 @@ def _count_ages(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
     r = n - (steps - 1) * k slots, so it counts only its first r cells.  The
     other steps are counted by table row when they outnumber the table's
     rows, as on one long trace, or when the table is too large for
-    histograms: one ``np.bincount`` of their rows, then each row's count at
-    each of its cells.  Otherwise each adds its row's cached histogram,
+    histograms: one ``np.bincount`` of their rows, then each used row's
+    count at each of its cells.  Otherwise each adds its row's cached histogram,
     summed over each replay row's steps and then over each policy's block
     of rows.  The counts are integers, and every float sum is a whole
     number below 2**53, so both routes give the same counts.
@@ -374,9 +368,10 @@ def _count_ages(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
     counts = np.bincount(cells.take(code[-1], axis=0, mode="clip")[:, :r].ravel(), minlength=policies * steps.M)
     full = code[:-1]
     if full.size > len(cells) or steps.hist is None:   # by table row
-        used = np.bincount(full.ravel(), minlength=len(cells))
+        used = np.bincount(full.ravel())
+        rows = np.flatnonzero(used)   # only the rows the steps use
         # each count is a whole number below 2**53, so the float sums are exact
-        counts += np.bincount(cells.ravel(), np.repeat(used, k), counts.size).astype(np.int64)
+        counts += np.bincount(cells[rows].ravel(), np.repeat(used[rows], k), counts.size).astype(np.int64)
     elif full.size:
         mine = steps.hist.take(full, axis=0, mode="clip").sum(0, dtype=np.min_scalar_type(n))   # by replay row
         blocks = np.arange(0, len(mine), len(mine) // policies)

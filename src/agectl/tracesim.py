@@ -99,8 +99,6 @@ def parse_trace_text(text: str) -> list[ContactTrace]:
             raise TraceFormatError(line_no, f"expected 2 or 3 fields, got {len(parts)}")
         shift_id = parts[0]
         slots = _parse_bits(parts[1], line_no, "slot string")
-        if not slots:
-            raise TraceFormatError(line_no, "empty slot string")
         mask = None
         if len(parts) == 3:
             mask = _parse_bits(parts[2], line_no, "mask")
@@ -517,9 +515,8 @@ class _Cohort:
         tile_at = np.cumsum(sizes) - sizes   # where each tile starts
         self.tables = learning._ThresholdTables(M)
         self.codes, self.index = replay._tile_codes(tiles, tile_at[which], round_slots, M)
-        parts = self.index.shape[1] // len(which)   # a long round's chunks, each a column
-        self.length = np.repeat(lengths[which], parts)
-        self.pos = np.repeat(np.array(phases), parts) % self.length
+        self.length = lengths[which]
+        self.pos = np.array(phases) % self.length
         self.ages = ages
         self.round_slots = round_slots
 

@@ -187,8 +187,9 @@ MUTANTS = (
     # the envs' s*(B): a bonus on an edge counted as above it
     Mutant("response-bisect-left", THRESHOLDS,
            "bisect.bisect_right(ascending, bonus)", "bisect.bisect_left(ascending, bonus)",
-           ("tests/test_learning.py::TestEnvironments::test_env_response_is_threshold_response_at_every_edge",)),
-    # the walk's end ages read past the last step's slots, in its padding
+           ("tests/test_learning.py::TestEnvironments::test_env_response_is_threshold_response_at_every_edge",
+            "tests/test_thresholds.py::test_routes_agree_at_every_bonus_edge")),
+    # the end ages read past the last step's slots, in its padding
     Mutant("round-end-full-step", REPLAY,
            "[:, r - 1]   # the age after its r-th slot", "[:, -1]",
            ("tests/test_replay.py::test_chain_env_draws_one_number_per_user_slot",
@@ -235,6 +236,16 @@ MUTANTS = (
            "np.repeat(policy * (M << k), parts)", "np.repeat(policy, parts)",
            ("tests/test_replay.py::test_threshold_means_equal_reference_averages",
             "tests/test_replay.py::test_rotation_tallies_count_the_reference_parts")),
+    # replay rows longer than CHUNK_SLOTS walked whole over codes laid out as chunks
+    Mutant("long-rows-walked-whole", REPLAY,
+           "(_walk_codes if parts == 1 else _walk_chunks)", "_walk_codes",
+           ("tests/test_replay.py::test_long_replay_matches_reference",
+            "tests/test_replay.py::test_chunks_without_updates_settle_over_several_passes")),
+    # a replay's ages counted by table row without the first row its steps use
+    Mutant("count-ages-drops-a-used-row", REPLAY,
+           "rows = np.flatnonzero(used)", "rows = np.flatnonzero(used)[1:]",
+           (COUNTS + "[12-per-age-13-by table row]",
+            COUNTS + "[260-late-257-no histogram]")),
     # a row's contacts packed big-endian: each step's slots read in reverse
     Mutant("patterns-big-endian", REPLAY,
            'np.packbits(np.ascontiguousarray(contacts), axis=1, bitorder="little")',

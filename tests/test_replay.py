@@ -2,9 +2,9 @@
 simulation, checked against the scalar oracles in ``conftest`` and against
 each other: exact totals of every policy kind, rotation means and population
 rounds against the summed parts, chunked replays around the chunk length,
-the trace and chain environments, their rounds and a population's at a
-threshold that changes every round against the replay of the same
-contacts, a population's recorded ages against modulo indexing, and the
+the trace and chain environments, their rounds, which walk whole at any
+length, and a population's at a threshold that changes every round
+against the replay of the same contacts, a population's recorded ages against modulo indexing, and the
 kernel's ages against one ``next_age`` call per
 slot at every step size, on rows that end inside a step or run as several
 chunks, and on chunk rows whose seeded starts hold or miss and settle in
@@ -212,7 +212,7 @@ def modulo_ages(users, params, round_slots, bonuses):
 
 
 @given(st.integers(1, 5), st.integers(1, L + 9), st.integers(0, 5), st.integers(0, 2**32 - 1))
-# rounds that end inside a step, and rounds past CHUNK_SLOTS, which run as chunks
+# rounds that end inside a step, and rounds past CHUNK_SLOTS, which walk whole
 @example(5, 13, 5, 3)
 @example(3, L + 9, 3, 4)
 @example(2, 4, 0, 5)
@@ -243,10 +243,11 @@ def test_recorded_ages_match_modulo_indexing(n_users, round_slots, rounds, seed)
 @given(st.integers(1, 40), st.integers(1, 30), st.lists(st.floats(0, 40), min_size=1, max_size=8),
        st.integers(0, 2**32 - 1))
 # a 13-slot round ends 3 slots into its padded last 8-slot step; rounds past
-# CHUNK_SLOTS run as chunks
+# CHUNK_SLOTS walk whole, as a replay row of that length would not
 @example(40, 13, [0.0, 20.0, 0.0, 35.0, 0.0, 10.0], 5)
 @example(9, L + 1, [0.0, 35.0, 10.0], 6)
 @example(9, 300, [20.0, 0.0, 39.5], 7)
+@example(9, 3 * L + 5, [35.0, 0.0, 20.0], 8)
 def test_chain_env_draws_one_number_per_user_slot(n_users, round_slots, bonuses, seed):
     params = SystemParams(contact_prob=0.54, max_age=30, utility=UtilityFunction.linear(30),
                           scan_cost=0.4, wifi_price=40.0)
@@ -270,9 +271,10 @@ def round_params(M):
 K = replay._step_size(1, 30)   # the step of a threshold's table, one policy of 30 ages
 #: a new threshold every round, and some again: 8, 6, 1, 6, 8, 3, 7, 1 at
 #: M = 30, where a threshold's steps are K = 8 slots long, and at M = 300,
-#: where they are 4
+#: where they are 4; rounds past CHUNK_SLOTS, which a replay row of that
+#: length would run as chunks, walk whole
 ROUND_BONUSES = [0.0, 20.0, 39.5, 20.0, 0.0, 35.0, 10.0, 39.5]
-ROUND_CASES = [(M, n) for M in (30, 300) for n in (1, K - 1, K, K + 1, 2 * K + 3, L + 1)]
+ROUND_CASES = [(M, n) for M in (30, 300) for n in (1, K - 1, K, K + 1, 2 * K + 3, L + 1, 3 * L + 5)]
 
 
 def round_users():

@@ -59,6 +59,12 @@ def names_read(module: str, node: ast.AST, bound: dict[str, str]) -> set[str]:
     return read
 
 
+def reads(name: str) -> set[str]:
+    """The package names that the top-level function or class ``name`` reads."""
+    module = name.partition(".")[0]
+    return names_read(module, DEFS[name], BINDINGS[module])
+
+
 def reached(starts: tuple[str, ...]) -> set[str]:
     seen, todo = set(), list(starts)
     while todo:
@@ -66,8 +72,7 @@ def reached(starts: tuple[str, ...]) -> set[str]:
         if name not in seen:
             seen.add(name)
             if name in DEFS:
-                module = name.partition(".")[0]
-                todo += names_read(module, DEFS[name], BINDINGS[module])
+                todo += reads(name)
     return seen
 
 
@@ -127,3 +132,16 @@ def test_seam(uses, patterns):
     used = uses()
     assert {name for name in used if not any(fnmatch(name, p) for p in patterns)} == set()
     assert [p for p in patterns if not any(fnmatch(name, p) for name in used)] == []
+
+
+#: the learning rounds: the chain env, a trace population's rounds and the
+#: closed-loop population loop
+ROUNDS = ("learning.chain_sim_env", "tracesim._Cohort", "tracesim.simulate_population")
+
+
+def test_only_replay_rows_reach_the_chunked_walk():
+    # a round walks its rows whole at any length; only a replay row longer
+    # than CHUNK_SLOTS runs as chunks, chosen by its length in _walk_patterns
+    assert "replay._walk_chunks" in reached(("replay._steps",))
+    assert "replay._walk_chunks" not in reached(ROUNDS)
+    assert {name for name in DEFS if "replay._walk_chunks" in reads(name)} == {"replay._walk_patterns"}

@@ -8,14 +8,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from agectl import (
+    Action,
     Policy,
+    PublisherInstance,
     SystemParams,
     UtilityFunction,
     always_active,
     always_inactive,
+    bonus_range_for_threshold,
     enumerate_optimal_thresholds,
     expected_reward_threshold,
     expected_reward_two_threshold,
@@ -30,7 +33,7 @@ from agectl import (
     threshold_response,
     verify_threshold_structure,
 )
-from agectl import chain, model
+from agectl import chain, learning, model, thresholds
 from agectl.chain import two_threshold_reward_grid
 
 from conftest import (
@@ -564,3 +567,66 @@ def test_s_star_non_decreasing_in_wifi_price(params, factors):
     grid = [params.bonus + f * total for f in factors]   # P >= B keeps the bonus valid
     s = [optimal_threshold(replace(params, wifi_price=price)).s_star for price in grid]
     assert s == sorted(s), grid
+
+
+@st.composite
+def params_with_an_edge_inside(draw):
+    """``system_params`` at M <= 12 without 3G, with the scan cost moved so
+    that one of its finite bonus edges lies at f * P, f in [0, 1]: every edge
+    moves up by G/p as the scan cost G grows."""
+    params = draw(system_params(max_age=12, with_3g=False))
+    free = thresholds.bonus_edges(replace(params, scan_cost=0.0))
+    free = free[np.isfinite(free)]
+    if not free.size:
+        return params
+    edge = draw(st.sampled_from(free.tolist()))
+    at = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) * params.wifi_price
+    return replace(params, scan_cost=max(params.contact_prob * (at - edge), 0.0))
+
+
+@settings(max_examples=60)
+@given(params_with_an_edge_inside())
+# the long-rounds preset's instance at M = 12, and a flat step whose exact
+# edges coincide
+@example(SystemParams(contact_prob=0.54, max_age=12, utility=UtilityFunction.linear(12),
+                      scan_cost=0.4, wifi_price=40.0))
+@example(SystemParams(contact_prob=0.5, max_age=12, utility=UtilityFunction.step(1.0, 5, 12),
+                      scan_cost=0.25, wifi_price=4.0))
+def test_routes_agree_at_every_bonus_edge(params):
+    # every route's s*(B) on each finite bonus edge c in [0, P] and the float
+    # on either side of it: optimal_threshold, threshold_response, the envs'
+    # scalar response, the ends of bonus_range_for_threshold and the solver's
+    # policy, against the threshold of the largest exact reward, ties to the
+    # smaller threshold.  The float routes answer from one set of float edges
+    # and must agree exactly with each other; against the exact answer they
+    # may take another threshold only where the float edge is within rounding
+    # of the exact one: where that threshold's exact reward trails the best
+    # by no more than the two rewards' rounding bounds (conftest.reward_bound).
+    # Policy iteration ties actions within TIE_TOL to the inactive one, so its
+    # threshold is the exact one or a larger one within TIE_TOL of the best
+    M, price = params.max_age, params.wifi_price
+    edges = thresholds.bonus_edges(params)
+    inside = edges[np.isfinite(edges) & (edges >= 0) & (edges <= price)]
+    bonuses = sorted({float(b) for c in inside for b in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf))
+                      if 0 <= b <= price})
+    response, instance = learning._env_response(params, 1, 1), PublisherInstance(params, 1, 1.0)
+    policies = [Policy.from_thresholds(s, None, M) for s in range(1, M + 2)]
+    exact = [reference_exact(policy, replace(params, bonus=0.0)) for policy in policies]
+    for b in bonuses:
+        at_b = replace(params, bonus=b)
+        gains = [e.gain + Fraction(b) * e.wifi_rate for e in exact]   # + B per WiFi update, B <= P
+        best = max(gains)
+        s_exact = gains.index(best) + 1
+        bounds = [Fraction(reward_bound(C_CLOSED, e, at_b)) for e in exact]
+        s = optimal_threshold(at_b).s_star
+        assert threshold_response(params, [b]).tolist() == [s] and response(b) == s, b
+        assert s == s_exact or best - gains[s - 1] <= bounds[s - 1] + bounds[s_exact - 1], (b, s, s_exact)
+        lo, hi = bonus_range_for_threshold(instance, s)
+        assert lo <= b <= hi
+        # an end falls on b where an edge does, or where [0, P] clips it
+        assert (lo == b) == (b in inside or b == 0), (b, lo)
+        assert (hi == b) == (np.nextafter(b, np.inf) in inside or b == price), (b, hi)
+        actions = solve_user_problem(at_b).policy.actions
+        t = next((x for x, a in enumerate(actions, start=1) if a is not Action.INACTIVE), M + 1)
+        assert actions == policies[t - 1].actions
+        assert s_exact <= t and best - gains[t - 1] <= model.TIE_TOL, (b, t, s_exact)
