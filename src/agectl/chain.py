@@ -57,7 +57,7 @@ def steady_state_threshold(s: int, p: float, max_age: int) -> np.ndarray:
     at max_age and callers should use the degenerate summary instead.
     """
     if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
+        raise ValueError(f"p must be in (0, 1), got {p}")
     if not 1 <= s <= max_age:
         raise ValueError(f"threshold {s} outside [1, {max_age}] (always-inactive has no chain)")
     excess = np.maximum(np.arange(1, max_age + 1) - s, 0)   # ages past the threshold
@@ -122,7 +122,7 @@ def expected_age(s: int, p: float, max_age: int) -> float:
     """Expected age under the WiFi threshold-``s`` policy (closed form), s in [1, max_age + 1]."""
     _check_threshold(s, max_age)
     if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
+        raise ValueError(f"p must be in (0, 1), got {p}")
     return float(threshold_ages(p, max_age)[s - 1])
 
 
@@ -274,7 +274,7 @@ def transition_matrix(policy: Policy, params: SystemParams) -> np.ndarray:
     """Row-stochastic age-transition matrix induced by ``policy``."""
     M = params.max_age
     if policy.max_age != M:
-        raise ValueError("policy and params disagree on max_age")
+        raise ValueError(f"policy and params disagree on max_age: {policy.max_age} != {M}")
     p = params.contact_prob
     mat = np.zeros((M, M))
     for age in range(1, M + 1):

@@ -51,13 +51,14 @@ class LearningConfig:
         if not all(math.isfinite(x) for x in reals):
             raise ValueError(f"learning settings must be finite, got {self}")
         if not 0.0 <= self.initial_bonus <= self.max_bonus:
-            raise ValueError("initial bonus must lie in [0, max_bonus]")
+            raise ValueError(f"initial bonus {self.initial_bonus} outside [0, {self.max_bonus}]")
         if self.round_slots < 1:
-            raise ValueError("round_slots must be >= 1")
+            raise ValueError(f"round_slots must be >= 1, got {self.round_slots}")
         if self.learning_rate <= 0 or self.tolerance <= 0:
-            raise ValueError("learning rate and tolerance must be positive")
+            raise ValueError("learning rate and tolerance must be positive, "
+                             f"got {self.learning_rate} and {self.tolerance}")
         if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ class UtilityFunction:
 
     def __post_init__(self) -> None:
         if not self.values:
-            raise ValueError("utility needs at least one age")
+            raise ValueError(f"utility needs at least one age, got {self.values!r}")
         for age, v in enumerate(self.values, start=1):
             if not math.isfinite(v):
                 raise ValueError(f"utility must be finite: u({age}) = {v!r}")
@@ -87,7 +87,7 @@ class UtilityFunction:
     def step(cls, value: float, cutoff: int, max_age: int) -> "UtilityFunction":
         """Utility ``value`` while age <= cutoff, zero afterwards."""
         if value < 0:
-            raise ValueError("step value must be nonnegative")
+            raise ValueError(f"step value must be nonnegative, got {value}")
         vals = tuple(float(value) if x <= cutoff else 0.0 for x in range(1, max_age + 1))
         return cls(values=vals, form="step", step_value=float(value), step_cutoff=int(cutoff))
 
@@ -136,14 +136,14 @@ class SystemParams:
         if not (math.isfinite(self.scan_cost) and math.isfinite(self.wifi_price)):
             raise ValueError(f"costs must be finite, got G={self.scan_cost}, P={self.wifi_price}")
         if self.scan_cost < 0 or self.wifi_price < 0:
-            raise ValueError("costs must be nonnegative")
+            raise ValueError(f"costs must be nonnegative, got G={self.scan_cost}, P={self.wifi_price}")
         if self.price_3g is not None:
             if math.isnan(self.price_3g):
                 raise ValueError("3G price must be a number or inf, got nan")
             if math.isinf(self.price_3g):
                 object.__setattr__(self, "price_3g", None)
             elif self.price_3g < 0:
-                raise ValueError("3G price must be nonnegative")
+                raise ValueError(f"3G price must be nonnegative, got {self.price_3g}")
         cap = self.wifi_price if self.price_3g is None else min(self.wifi_price, self.price_3g)
         if not 0 <= self.bonus <= cap + SLACK_TOL:
             raise ValueError(f"bonus must lie in [0, {cap}], got {self.bonus}")

@@ -23,7 +23,7 @@ class PublisherInstance:
 
     def __post_init__(self) -> None:
         if self.n_users < 1:
-            raise ValueError("need at least one user")
+            raise ValueError(f"need at least one user, got {self.n_users}")
         if not (math.isfinite(self.rate_cap) and self.rate_cap > 0):
             raise ValueError(f"rate cap must be positive and finite, got {self.rate_cap}")
 

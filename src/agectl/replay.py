@@ -1,8 +1,9 @@
 """The replay kernel: the one walk of k-slot contact patterns behind every
 trace replay and population round, the step tables it walks over, the step
-codes it walks, which only this module builds, and the counts read off the
-table rows it returns.  It imports only ``model``, and none of the routes
-that the replay is checked against imports it.
+codes it walks, which only this module builds, and the readers of the
+table rows it returns: the slots counted by age, the ages rows end at and
+the ages after each slot.  It imports only ``model``, and none of the
+routes that the replay is checked against imports it.
 """
 from __future__ import annotations
 
@@ -35,11 +36,11 @@ class _Steps:
     Row ((policy * 2**k + pattern) * M + age - 1) of each is the step that
     starts at ``age`` under the action row ``policy`` when bit j of
     ``pattern`` is the contact of the step's slot j + 1.  An age is 1 only
-    after an update, so a row's 1s are the updates of a step at that row,
-    and those after a slot whose pattern bit is 0 are its 3G updates.  A
-    step covers its start age, then the first k - 1 ages of its row.  The
+    after an update, so a row's 1s are the updates of a step at that row.
+    A step covers its start age, then the first k - 1 ages of its row.  The
     summaries a round reads, ``last`` and ``ones``, are built with the
-    table; the others on their first read, and then kept with it.
+    table; the tally cells and histograms on their first read, and then
+    kept with it.
     """
 
     def __init__(self, table: np.ndarray, policies: int, M: int):
@@ -47,18 +48,6 @@ class _Steps:
         self.table = _read_only(table)   # (rows, k): the age after each slot, narrowest dtype that holds M
         self.last = _read_only(table[:, -1].astype(np.intp))   # the age the step ends at
         self.ones = _read_only(np.count_nonzero(table == 1, axis=1).astype(np.uint8))   # its updates
-
-    @functools.cached_property
-    def at_1(self) -> np.ndarray:
-        """uint8: bit j set when slot j + 1 ends at age 1."""
-        return _read_only(np.packbits(self.table == 1, axis=1, bitorder="little")[:, 0])
-
-    @functools.cached_property
-    def ones_3g(self) -> np.ndarray:
-        """uint8: the 1s after a slot without a contact, the step's 3G updates."""
-        pattern = (np.arange(len(self.table)) // self.M).astype(np.uint8)   # the contacts in the low k bits
-        popcount = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1, dtype=np.uint8)
-        return _read_only(popcount.take(self.at_1 & ~pattern))
 
     @functools.cached_property
     def cells(self) -> np.ndarray:
@@ -94,16 +83,17 @@ def _step_table(codes: bytes, policies: int, M: int) -> _Steps:
 
     Tables are cached with their rows' summaries by the content of the
     action table, not by the array, in one least-recently-used cache of 64
-    entries.  An entry holds at most TABLE_CELLS cells of uint16 ages,
-    1 MiB; TABLE_CELLS / k rows of 11 bytes of summaries (an 8-byte
-    last-column entry and three 1-byte summaries); TABLE_CELLS tally cells
-    of at most 4 bytes, 2 MiB; and a uint8 histogram of at most TABLE_CELLS
-    cells, 512 KiB, kept only when it fits.  So an entry takes at most
-    8.5 MiB at k = 1 (where the rows are too many for a histogram) and
-    2.2 MiB at k = 8, and the cache at most 544 MiB; the 13 threshold
-    policies of M = 12 take 312 KiB of table, 429 KiB of summaries, 312 KiB
-    of cells and 468 KiB of histogram.  A k = 1 table too large for the
-    budget is built per call and not kept (``_tables``).
+    entries.  An entry holds at most TABLE_CELLS cells of ages, 1 MiB as
+    uint16 (M <= 65535) and 2 MiB as uint32; TABLE_CELLS / k rows of 9
+    bytes of summaries (an 8-byte last-column entry and a 1-byte count of
+    1s); TABLE_CELLS tally cells of at most 4 bytes, 2 MiB; and a uint8
+    histogram of at most TABLE_CELLS cells, 512 KiB, kept only when it
+    fits.  So an entry takes at most 8.5 MiB at k = 1 (where the rows are
+    too many for a histogram; 7.5 MiB when M <= 65535) and 2.1 MiB at
+    k = 8, and the cache at most 544 MiB; the 13 threshold policies of
+    M = 12 take 312 KiB of table, 351 KiB of summaries, 312 KiB of cells
+    and 468 KiB of histogram.  A k = 1 table too large for the budget is
+    built per call and not kept (``_tables``).
     """
     actions = np.frombuffer(codes, np.uint8).reshape(policies, M)
     k = _step_size(policies, M)
@@ -156,9 +146,12 @@ def _walk(last: np.ndarray, code: np.ndarray, start: np.ndarray) -> np.ndarray:
 
 
 def _step_count(n: int, k: int) -> int:
-    """The k-slot steps a row of n slots is laid out in: whole chunks of
-    CHUNK_SLOTS slots, a whole number of steps, for rows longer than that."""
-    return -(-n // CHUNK_SLOTS) * -(-min(n, CHUNK_SLOTS) // k)
+    """The k-slot steps a row of n slots is laid out in: ceil(n / CHUNK_SLOTS)
+    chunks of the fewest equal whole numbers of steps that hold the row.  So
+    a row pads less than one step per chunk, and no chunk of a row of
+    several is shorter than half of CHUNK_SLOTS."""
+    parts = -(-n // CHUNK_SLOTS)
+    return parts * -(-n // (k * parts))
 
 
 def _steps(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray,
@@ -178,7 +171,8 @@ def _walk_patterns(steps: _Steps, policy: np.ndarray, pattern: np.ndarray, n: in
     """What ``_walk_codes`` returns for the (rows, ``_step_count(n, k)``)
     uint8 k-slot contact patterns ``pattern`` of rows of n slots over the
     step table ``steps``, widened into codes once; rows longer than
-    CHUNK_SLOTS are walked as chunks (``_walk_chunks``).
+    CHUNK_SLOTS are walked as the chunks ``_step_count`` lays them out in
+    (``_walk_chunks``).
 
     Row r starts at age ``start[r]``, acts by the per-age action row
     ``policy[r]`` of the table and reads row r mod len(pattern): so rows that
@@ -231,7 +225,8 @@ def _end_ages(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
 
 def _walk_chunks(steps: _Steps, code: np.ndarray, n: int, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_walk_codes`` for rows of n > CHUNK_SLOTS slots, from their fresh
-    codes laid out as chunks of CHUNK_SLOTS slots, a whole number of steps:
+    codes laid out as parts = ceil(n / CHUNK_SLOTS) chunks of equal whole
+    numbers of steps (``_step_count``), each at least LOOK_BACK slots long:
     (steps per chunk, rows * parts), where column r * parts + j is chunk j
     of row r, and the last chunk is padded as the last step is.
 
@@ -377,27 +372,3 @@ def _count_ages(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
         blocks = np.arange(0, len(mine), len(mine) // policies)
         counts += np.add.reduceat(mine, blocks, axis=0, dtype=np.int64).ravel()
     return counts.reshape(policies, steps.M)
-
-
-def _count_3g(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
-    """Each row's 3G updates, an int64 array, over the rows of n slots whose
-    (steps, rows) table rows ``code`` ``_steps`` returned: the full steps'
-    cached counts, and the 1s among the first r slots of each row's last
-    step whose pattern bit is 0, r = n - (steps - 1) * k."""
-    k = steps.table.shape[1]
-    r = n - (len(code) - 1) * k
-    counts = steps.ones_3g.take(code if r == k else code[:-1], mode="clip").sum(0, dtype=np.int64)
-    if r < k:
-        pattern = (code[-1] // steps.M).astype(np.uint8)   # the step's contacts in its low k bits
-        bits = steps.at_1.take(code[-1], mode="clip") & ~pattern & ((1 << r) - 1)
-        counts += np.count_nonzero(np.unpackbits(bits[:, None], axis=1), axis=1)
-    return counts
-
-
-def _updated(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
-    """A (rows, n) bool array: True where a slot of a row ends at age 1, that
-    is, updates, over the rows of n slots whose (steps, rows) table rows
-    ``code`` ``_steps`` returned, read off the steps' cached bitmasks."""
-    rows, k = code.shape[1], steps.table.shape[1]
-    bits = np.unpackbits(steps.at_1.take(code.T, mode="clip"), axis=1, bitorder="little")
-    return bits.reshape(rows, -1, 8)[:, :, :k].reshape(rows, -1)[:, :n].view(bool)

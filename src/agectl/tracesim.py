@@ -5,12 +5,15 @@ estimate per-shift contact statistics, and run multi-user closed-loop rounds.
 Every replay here, one policy on one trace, each policy from each rotated
 phase, or one round of a user population, runs as the rows of one walk of
 the replay kernel (``replay``), which builds the step codes, walks them and
-reads its counts off the table rows the walk returns.  A trace replay takes
-its slots by age, updates, 3G updates and update slots from those readers
-and builds no age matrix; a population round reads its updates off the
-step summaries and tallies its users' slots by age from the ages its table
-rows expand to (``replay._after``).  Every reward, energy and fee total is
-then the exact sum of counted terms, rounded once.
+reads its counts off the table rows the walk returns.  A trace replay
+counts its slots by age and its updates off those rows.  Only its update
+slots, and its 3G updates when its policy has action 2, are read off the
+ages its rows expand to (``replay._after``): a slot updated when the age
+after it is 1, over 3G when it had no contact.  So tallies and comparison
+rows build no ages.  A population round reads its updates off the step
+summaries and tallies its users' slots by age from the ages after each
+slot.  Every reward, energy and fee total is then the exact sum of counted
+terms, rounded once.
 
 Traces are strings of ones (useful slot) and zeros; an optional second bit
 string of equal length marks location-privileged slots.
@@ -67,7 +70,7 @@ class ContactTrace:
             raise ValueError("trace must contain at least one slot")
         object.__setattr__(self, "slot_bits", _bits(self.slots, "slots"))
         if self.mask is not None and len(self.mask) != len(self.slots):
-            raise ValueError("mask length must match slot count")
+            raise ValueError(f"mask length {len(self.mask)} != slot count {len(self.slots)}")
         object.__setattr__(self, "mask_bits", None if self.mask is None else _bits(self.mask, "mask"))
 
     def __getstate__(self) -> dict:
@@ -274,39 +277,43 @@ def _policy_actions(params: SystemParams, policy: Policy | MaskPolicy) -> np.nda
     if isinstance(policy, MaskPolicy):
         return None
     if policy.max_age != params.max_age:
-        raise ValueError("policy and params disagree on max_age")
+        raise ValueError(f"policy and params disagree on max_age: {policy.max_age} != {params.max_age}")
     if policy.uses_3g() and not params.has_3g:
         raise ValueError("policy uses action 2 but 3G is unavailable")
     return np.array([policy.actions], np.uint8)
 
 
 def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.ndarray | None, replications: int,
-                      start_age: int) -> tuple[tuple[replay._Steps, np.ndarray], np.ndarray, list[float]]:
+                      start_age: int
+                      ) -> tuple[tuple[replay._Steps, np.ndarray, np.ndarray | None], np.ndarray, list[float]]:
     """Replay each row of the per-age action table ``actions``, or the mask
     policy when it is None, from every phase r * max(1, floor(len / replications))
     mod len, r < replications, as the rows of one ``replay._steps`` walk.
     The phases' contacts are packed once, and each policy's rows read them
     with its own block of the step table; one replication replays the
-    trace's own bits, with no copy.  Returns the walk's step table and
+    trace's own bits, with no copy.  Returns the walk's step table, its
     (steps, rows) table rows, row p * replications + r for policy p from
-    phase r; and, per policy over all its phases, the reward total and the
-    tally that ``_values`` prices: the slots at each age before the slot,
-    the active slots, the WiFi updates and the 3G updates.
+    phase r, and the (rows, slots) mask of the slots that update, None when
+    the table has no action 2; and, per policy over all its phases, the
+    reward total and the tally that ``_values`` prices: the slots at each
+    age before the slot, the active slots, the WiFi updates and the 3G
+    updates.
 
-    Every count is read off the table rows the steps take, through the
-    summaries cached with the table (``replay._Steps``), with no age matrix:
+    Every count but the 3G updates is read off the table rows the steps
+    take, through the summaries cached with the table (``replay._Steps``):
     ``replay._count_ages`` counts each policy's slots by age, and the active
     slots follow from the ages where a policy acts (for the mask policy,
     every masked slot).  An update leaves the age at 1, so a policy's
     updates are its slots at age 1, less its rows that start at age 1, plus
-    those that end there.  3G updates are counted only when the table has
-    action 2: an update after a slot without a contact is a 3G update, and
-    every other update is over WiFi."""
+    those that end there.  Only a table with action 2 updates over 3G: its
+    rows' ages are built once (``replay._after``), a slot updated when the
+    age after it is 1, and an update after a slot without a contact is a 3G
+    update.  Every other update is over WiFi."""
     M = params.max_age
     if not 1 <= start_age <= M:
         raise ValueError(f"start age {start_age} outside [1, {M}]")
     if replications < 1:
-        raise ValueError("need at least one replication")
+        raise ValueError(f"need at least one replication, got {replications}")
     if actions is None and trace.mask is None:
         raise ValueError(f"trace {trace.shift_id!r} has no location mask")
     bits, table = trace.slot_bits, actions
@@ -321,14 +328,16 @@ def _replay_rotations(trace: ContactTrace, params: SystemParams, actions: np.nda
     steps, code, end = replay._steps(table, policy, contacts, np.full(len(policy), start_age))
     by_age = replay._count_ages(steps, code, n)
     ends = (end == 1).reshape(k, replications).sum(1) - replications * (start_age == 1)
-    updates, updates_3g = by_age[:, 0] + ends, np.zeros(k, np.int64)
+    updates, updates_3g, updated = by_age[:, 0] + ends, np.zeros(k, np.int64), None
     if (table == 2).any():   # an update after a slot without a contact is a 3G update
-        updates_3g = replay._count_3g(steps, code, n).reshape(k, replications).sum(1)
+        updated = replay._after(steps, code, n) == 1
+        for i, block in enumerate(updated.reshape(k, replications, n)):
+            updates_3g[i] = np.count_nonzero(block > contacts)
     active = (by_age * (table >= 1)).sum(1)
     if actions is None:   # active on the masked slots, with or without a contact
         active[0] = replications * np.count_nonzero(trace.mask_bits)
     tally = np.column_stack((by_age, active, updates - updates_3g, updates_3g))
-    return (steps, code), tally, _exact_sums(tally, _values(params, params.bonus))
+    return (steps, code, updated), tally, _exact_sums(tally, _values(params, params.bonus))
 
 
 def simulate_policy(
@@ -343,10 +352,12 @@ def simulate_policy(
     to one starting from the next slot.  Deterministic: identical inputs give
     identical results.
     """
-    (steps, code), tally, (total,) = _replay_rotations(
+    (steps, code, updated), tally, (total,) = _replay_rotations(
         trace, params, _policy_actions(params, policy), 1, start_age)
     active, wifi, updates_3g = tally[0, -3:].tolist()
-    slots = np.flatnonzero(replay._updated(steps, code, len(trace))[0])
+    if updated is None:   # a slot updated when the age after it is 1
+        updated = replay._after(steps, code, len(trace)) == 1
+    slots = np.flatnonzero(updated)
     slots += 1   # the 1-based slot
     return SimResult(
         total_reward=total,

@@ -46,6 +46,7 @@ PI = "tests/test_solver.py::TestPolicyIteration::"
 RVI = "tests/test_solver.py::TestAgainstReferenceIteration::"
 COUNTS = "tests/test_replay.py::test_counts_from_codes_equal_slot_tallies"
 MODULO = "tests/test_replay.py::test_population_rounds_match_modulo_indexing"
+PUB_OPT = "tests/test_publisher.py::TestOptimalBonus::"
 
 
 @dataclass(frozen=True)
@@ -184,6 +185,29 @@ MUTANTS = (
            "max(raw, 0) - Fraction(1e-9)", "max(raw, 0)",
            ("tests/test_publisher.py::TestTargetThreshold"
             "::test_a_rate_on_the_budget_up_to_its_rounding_is_feasible",)),
+    # the publisher's threshold read at the low end of the bonuses that keep the target
+    Mutant("bonus-threshold-at-low-end", PUBLISHER,
+           "_threshold_at(edges, keeps_target[1])", "_threshold_at(edges, keeps_target[0])",
+           (PUB_OPT + "test_fifty_users_needs_threshold_four",
+            PUB_OPT + "test_matches_grid_scan_on_random_instances",
+            PUB_OPT + "test_property_against_brute_force_grid")),
+    # no None when even a zero bonus leaves users updating too often: the zero bonus's answer
+    Mutant("bonus-never-infeasible", PUBLISHER,
+           "    if keeps_target is None:\n        return None\n",
+           "    if keeps_target is None:\n        keeps_target = (0.0, 0.0)\n",
+           (PUB_OPT + "test_infeasible_when_zero_bonus_already_exceeds_cap",
+            PUB_OPT + "test_matches_grid_scan_on_random_instances",
+            PUB_OPT + "test_property_against_brute_force_grid")),
+    # the optimal bonus interval's upper end read as its lower end
+    Mutant("bonus-interval-low-for-high", PUBLISHER,
+           "bonus_lo=lo, bonus_hi=hi", "bonus_lo=lo, bonus_hi=lo",
+           (PUB_OPT + "test_reference_instance_sponsors_full_price",
+            "tests/test_publisher.py::TestBonusRange::test_interval_ends_are_the_rational_edges")),
+    # the message rate read off the next threshold's cycle
+    Mutant("message-rate-next-cycle", PUBLISHER,
+           "params.max_age)[s - 1])", "params.max_age)[s])",
+           ("tests/test_publisher.py::TestMessageRate::test_formula",
+            "tests/test_publisher.py::test_every_threshold_answer_reads_one_rule")),
     # the envs' s*(B): a bonus on an edge counted as above it
     Mutant("response-bisect-left", THRESHOLDS,
            "bisect.bisect_right(ascending, bonus)", "bisect.bisect_left(ascending, bonus)",
@@ -220,17 +244,16 @@ MUTANTS = (
            "self.cells % M   # the age before", "(self.table - 1)   # the age after",
            (COUNTS + "[12-per-age-13-by histogram]",
             "tests/test_replay.py::test_rotation_tallies_count_the_reference_parts")),
-    # the bitmask of ages at 1 packed big-endian: update slots reversed in each step
-    Mutant("at-1-big-endian", REPLAY,
-           'np.packbits(self.table == 1, axis=1, bitorder="little")',
-           'np.packbits(self.table == 1, axis=1, bitorder="big")',
-           ("tests/test_replay.py::test_step_tables_are_cached_by_content_read_only_and_bounded",
-            "tests/test_tracesim.py::TestSimulatePolicy::test_hand_stepped_example")),
     # 3G updates counted at the slots with a contact
-    Mutant("3g-at-contacts", REPLAY,
-           "popcount.take(self.at_1 & ~pattern)", "popcount.take(self.at_1 & pattern)",
+    Mutant("3g-at-contacts", TRACESIM,
+           "np.count_nonzero(block > contacts)", "np.count_nonzero(block & (contacts == 1))",
            ("tests/test_replay.py::test_rotation_tallies_count_the_reference_parts",
             "tests/test_replay.py::test_simulate_policy_equals_reference_replay")),
+    # update slots read where the age after the slot is 2, not 1
+    Mutant("update-slots-read-at-age-2", TRACESIM,
+           "updated = replay._after(steps, code, len(trace)) == 1",
+           "updated = replay._after(steps, code, len(trace)) == 2",
+           ("tests/test_tracesim.py::TestSimulatePolicy::test_hand_stepped_example",)),
     # each policy's codes offset by 1, not by its block of the step table
     Mutant("policy-offset-by-one", REPLAY,
            "np.repeat(policy * (M << k), parts)", "np.repeat(policy, parts)",

@@ -1,5 +1,6 @@
 """Closed-form chain analytics against the exact matrix oracles, the exact
 rational oracle ``reference_exact`` and a seeded Monte Carlo oracle."""
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -27,7 +28,7 @@ from agectl import (
     transition_matrix,
 )
 from agectl.chain import (
-    BLOCK_CELLS, _Panels, cycle_lengths, reward_curve_3g_only, threshold_ages,
+    BLOCK_CELLS, _Panels, cycle_lengths, expected_reward_vector, reward_curve_3g_only, threshold_ages,
     threshold_reward_affine, two_threshold_reward_grid,
 )
 from agectl import chain
@@ -504,3 +505,22 @@ class TestExactOracle:
                 assert abs(Fraction(summary.age) - exact.age) <= relative * exact.age
                 rate = exact.wifi_rate + exact.rate_3g
                 assert abs(Fraction(summary.update_rate) - rate) <= relative * rate
+
+
+NO_3G = SystemParams(contact_prob=0.5, max_age=5, utility=UtilityFunction.linear(5), scan_cost=0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: steady_state_threshold(2, 1.0, 5), "p must be in (0, 1), got 1.0"),
+    (lambda: expected_age(2, 0.0, 5), "p must be in (0, 1), got 0.0"),
+    (lambda: reward_curve_3g_only(NO_3G), "3G-only policy needs a finite 3G price"),
+    (lambda: expected_reward_two_threshold(NO_3G, 2, 3), "two-threshold policy needs a finite 3G price"),
+    (lambda: two_threshold_reward_grid(NO_3G), "two-threshold grid needs a finite 3G price"),
+    (lambda: transition_matrix(Policy.from_thresholds(2, None, 4), NO_3G),
+     "policy and params disagree on max_age: 4 != 5"),
+    (lambda: expected_reward_vector(Policy.from_thresholds(2, 3, 5), NO_3G),
+     "policy uses action 2 but 3G is unavailable"),
+], ids=["steady-state-p", "age-p", "3g-only", "two-threshold", "grid", "max-age", "action-2"])
+def test_input_checks_name_the_bad_value(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -6,10 +6,11 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from agectl import cli, learning, replay, tracesim
+from agectl import cli, learning, replay, thresholds, tracesim
 from agectl.cli import main
 from agectl.solver import relative_value_iteration
 
@@ -684,3 +685,21 @@ def test_python_dash_m_runs_the_cli(capsys):
     code, out, _ = run(capsys, *argv)
     assert proc.returncode == code == 0
     assert proc.stdout == out.encode()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "--p", "0.5"), "maximum age required (--M or config file)"),
+    (("learn", "--env", "trace"), "--env trace needs --traces"),
+], ids=["no-max-age", "trace-env-without-traces"])
+def test_missing_inputs_exit_2_naming_the_flag(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"agectl: {message}\n")
+
+
+def test_sweep_footer_names_a_monotonicity_violation(capsys, monkeypatch):
+    # s*(G) cannot fall as G grows; a stubbed search that does is reported
+    # after the table, at the first fall only
+    picks = {1.0: 5, 2.0: 3, 3.0: 4}
+    monkeypatch.setattr(thresholds, "optimal_threshold", lambda params: SimpleNamespace(s_star=picks[params.scan_cost]))
+    code, out, _ = run(capsys, "sweep", "--M", "12", "--p", "0.5", "--grid", "G=1,2,3")
+    assert code == 0
+    assert out.endswith("G,s_star\n1,5\n2,3\n3,4\n# monotonicity violated at grid index 0: 5 -> 3\n")

@@ -4,6 +4,7 @@ bonuses against the public step, and the round record."""
 import dataclasses
 import inspect
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -313,3 +314,21 @@ class TestPresets:
         assert PRESET_NAMES == ("long-rounds", "short-rounds", "short-rounds-iid")
         with pytest.raises(ValueError, match="choose long-rounds, short-rounds, short-rounds-iid$"):
             preset("nope")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LearningConfig(max_bonus=1.0, target_rate=0.5, round_slots=10, initial_bonus=2.0),
+     "initial bonus 2.0 outside [0, 1.0]"),
+    (lambda: LearningConfig(max_bonus=1.0, target_rate=0.5, round_slots=0), "round_slots must be >= 1, got 0"),
+    (lambda: LearningConfig(max_bonus=1.0, target_rate=0.5, round_slots=10, learning_rate=0.0),
+     "learning rate and tolerance must be positive, got 0.0 and 1e-09"),
+    (lambda: LearningConfig(max_bonus=1.0, target_rate=0.5, round_slots=10, tolerance=-1.0),
+     "learning rate and tolerance must be positive, got 1.0 and -1.0"),
+    (lambda: LearningConfig(max_bonus=1.0, target_rate=0.5, round_slots=10, max_rounds=0),
+     "max_rounds must be >= 1, got 0"),
+    (lambda: learning_step(1, 1.5, 0.3, LearningConfig(max_bonus=1.0, target_rate=0.5, round_slots=10)),
+     "bonus 1.5 outside [0, 1.0]"),
+], ids=["initial-bonus", "round-slots", "learning-rate", "tolerance", "max-rounds", "step-bonus"])
+def test_input_checks_name_the_bad_value(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -34,6 +34,7 @@ from agectl import (
 )
 from agectl import chain, model, solver, tracesim
 from agectl.cli import main
+from agectl.model import read_mapping
 from agectl.thresholds import bonus_edges
 
 from conftest import threshold_action
@@ -363,3 +364,39 @@ class TestToleranceHome:
             assert "tie_tol" not in inspect.signature(rule).parameters
         assert list(inspect.signature(lambert_w).parameters) == ["x"]
         assert not hasattr(chain, "TIE_TOL") and not hasattr(solver, "ACTION_TIE_TOL")
+
+
+FIVE = SystemParams(contact_prob=0.5, max_age=5, utility=UtilityFunction.linear(5))
+
+
+def costs(**fields):
+    return SystemParams(**{"contact_prob": 0.5, "max_age": 5, "utility": UtilityFunction.linear(5),
+                           "scan_cost": 0.5, "wifi_price": 1.0, **fields})
+
+
+def unparsable(tmp_path):
+    path = tmp_path / "params.txt"
+    path.write_text("M = 5\np 0.5\n")
+    return read_mapping(path)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: UtilityFunction(values=()), "utility needs at least one age, got ()"),
+    (lambda tmp: UtilityFunction.step(-1.0, 3, 5), "step value must be nonnegative, got -1.0"),
+    (lambda tmp: costs(scan_cost=-1.0), "costs must be nonnegative, got G=-1.0, P=1.0"),
+    (lambda tmp: costs(price_3g=-2.0), "3G price must be nonnegative, got -2.0"),
+    (lambda tmp: SystemParams(contact_prob=0.5, max_age=5, utility=UtilityFunction.linear(4)),
+     "utility covers ages 1..4, expected 1..5"),
+    (lambda tmp: instantaneous_reward(FIVE, 0, Action.WIFI, 1), "age 0 outside [1, 5]"),
+    (lambda tmp: instantaneous_reward(FIVE, 1, Action.WIFI, 2), "contact indicator must be 0 or 1, got 2"),
+    (lambda tmp: next_age(6, Action.WIFI, 1, 5), "age 6 outside [1, 5]"),
+    (lambda tmp: Policy.from_thresholds(2, None, 5).action_at(6), "age 6 outside [1, 5]"),
+    (lambda tmp: Policy.from_thresholds(0, None, 5), "WiFi threshold 0 outside [1, 6]"),
+    (lambda tmp: params_from_mapping({"M": "5", "p": "0.5", "utility.form": "cubic"}),
+     "unknown utility form 'cubic'"),
+    (unparsable, "params.txt:2: expected 'key = value', got 'p 0.5'"),
+], ids=["no-ages", "step-value", "costs", "3g-price", "utility-ages", "reward-age", "contact", "next-age",
+        "action-age", "wifi-threshold", "utility-form", "mapping-line"])
+def test_input_checks_name_the_bad_value(tmp_path, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(tmp_path)

@@ -1,6 +1,7 @@
 """Publisher problem: target threshold, bonus-range inversion, and the
 age-minimal bonus against a dense grid-scan oracle."""
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -368,3 +369,13 @@ def test_every_threshold_answer_reads_one_rule(params, n_users, position):
         assert optimal_threshold(replace(params, bonus=b)).s_star == s, b
     for b in ends:
         assert message_rate(replace(params, bonus=b), n_users) == solution.rate, b
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PublisherInstance(params=sponsorship_instance().params, n_users=0, rate_cap=1.0),
+     "need at least one user, got 0"),
+    (lambda: bonus_range_for_threshold(sponsorship_instance(), 32), "threshold 32 outside [1, 31]"),
+], ids=["no-users", "threshold"])
+def test_input_checks_name_the_bad_value(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -419,6 +419,30 @@ def test_trace_replays_build_no_age_matrix(monkeypatch, n):
     assert answers() == expected
 
 
+@pytest.mark.parametrize("n", [13, 3 * L + 5])
+def test_trace_replays_read_the_ages_at_most_once(monkeypatch, n):
+    # a replay's ages are built only for its update slots or for a table with
+    # action 2, and then once: threshold and mask rotations and comparison
+    # rows never build them
+    M = 12
+    params = params_for(M, 0.5, 0.5, 0.5, UtilityFunction.linear(M))
+    trace = ContactTrace("t", bits(n, 0.5, n), mask=bits(n, 0.3, n + 1))
+    calls, after = [], replay._after
+    monkeypatch.setattr(replay, "_after", lambda *args: calls.append(1) or after(*args))
+
+    def reads(call):
+        calls.clear()
+        call()
+        return len(calls)
+
+    threshold, band = Policy.from_thresholds(3, None, M), Policy.from_thresholds(3, 9, M)
+    assert [reads(lambda: simulate_policy(trace, params, policy)) for policy in (threshold, band, MASK_POLICY)] \
+        == [1, 1, 1]
+    assert [reads(lambda: tracesim.replayed_average_reward(trace, params, policy, 40))
+            for policy in (threshold, band)] == [0, 1]
+    assert reads(lambda: tracesim.comparison_table([trace], params, 40)) == 0
+
+
 def test_chunks_without_updates_settle_over_several_passes():
     # ages above the chunk length never saturate within one chunk, so every
     # chunk's start depends on all the chunks before it
@@ -672,23 +696,20 @@ def test_step_tables_are_cached_by_content_read_only_and_bounded():
     assert_cached_from_table(steps, *wide.shape)
 
 
-SUMMARIES = ("table", "last", "ones", "ones_3g", "at_1", "cells", "hist")
+SUMMARIES = ("table", "last", "ones", "cells", "hist")
 
 
 def assert_cached_from_table(steps, policies, M):
     """Each summary against its row of the table, one row at a time: row
-    ((policy * 2**k + pattern) * M + age - 1) starts at ``age``, bit j of
-    ``pattern`` is the contact of slot j + 1, and an age of 1 is an update."""
+    ((policy * 2**k + pattern) * M + age - 1) starts at ``age``, and an age
+    of 1 is an update."""
     table = steps.table
     k = table.shape[1]
     assert len(table) == policies * 2**k * M
     for row, ages in enumerate(table.tolist()):
-        policy, pattern, age = row // (M << k), row // M % 2**k, row % M + 1
+        policy, age = row // (M << k), row % M + 1
         before = [age] + ages[:-1]
-        updates = [j for j in range(k) if ages[j] == 1]
-        assert steps.last[row] == ages[-1] and steps.ones[row] == len(updates)
-        assert steps.ones_3g[row] == sum(not pattern >> j & 1 for j in updates)
-        assert steps.at_1[row] == sum(1 << j for j in updates)
+        assert steps.last[row] == ages[-1] and steps.ones[row] == ages.count(1)
         assert steps.cells[row].tolist() == [policy * M + a - 1 for a in before]
         if steps.hist is not None:
             assert steps.hist[row].tolist() == [before.count(a) for a in range(1, M + 1)]

@@ -95,7 +95,7 @@ REPLAY = ("tracesim._replay_rotations", "tracesim.simulate_policy")
 #: how a step's code is built, and from which k, stays inside ``replay``
 REPLAY_PRIVATES = ("replay._Steps", "replay._tables", "replay._pattern_codes", "replay._round_codes",
                    "replay._tile_codes", "replay._walk_codes", "replay._steps", "replay._count_ages",
-                   "replay._count_3g", "replay._updated", "replay._after")
+                   "replay._after")
 
 
 def replay_privates() -> set[str]:

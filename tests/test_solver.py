@@ -497,3 +497,8 @@ class TestStructure:
     def test_pure_3g_band(self):
         pol = Policy(actions=(0, 0, 2, 2))
         assert verify_threshold_structure(pol) == (3, 3)
+
+
+def test_value_function_reads_the_value_at_an_age():
+    values = ValueFunction(values=np.array([0.0, -1.5, -2.0]), gain=0.25)
+    assert [values(age) for age in (1, 2, 3)] == [0.0, -1.5, -2.0] and type(values(2)) is float

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -630,3 +631,20 @@ def test_routes_agree_at_every_bonus_edge(params):
         t = next((x for x, a in enumerate(actions, start=1) if a is not Action.INACTIVE), M + 1)
         assert actions == policies[t - 1].actions
         assert s_exact <= t and best - gains[t - 1] <= model.TIE_TOL, (b, t, s_exact)
+
+
+def test_monotonicity_check_reports_the_first_violation(monkeypatch):
+    # s*(B) cannot rise as B grows: a stubbed search that rises from 2 to 4
+    # and then falls to 3 is reported at its rise only
+    params = SystemParams(contact_prob=0.5, max_age=6, utility=UtilityFunction.linear(6), wifi_price=3.0)
+    picks = {0.0: 2, 1.0: 4, 2.0: 3}
+    monkeypatch.setattr(thresholds, "optimal_threshold", lambda swept: SimpleNamespace(s_star=picks[swept.bonus]))
+    report = monotonicity_check(params, "B", [0.0, 1.0, 2.0])
+    assert (report.thresholds, report.violation, report.ok) == ((2, 4, 3), (0, 2, 4), False)
+
+
+def test_zero_step_value_takes_the_fallback_sweep():
+    # v = 0 leaves the Lambert argument undefined, so the step search sweeps
+    params = SystemParams(contact_prob=0.5, max_age=8, utility=UtilityFunction.step(0.0, 3, 8), scan_cost=0.5)
+    assert thresholds._step_interior_root(params) is None
+    assert step_utility_threshold(params) == replace(optimal_threshold(params), fallback_sweep=True)

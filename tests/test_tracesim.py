@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import math
 import pickle
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -515,3 +516,24 @@ class TestComparisonTable:
             assert 0.0 <= p_hat <= 1.0
             assert 1 <= s_trace <= 13 and 1 <= s_model <= 13
             assert r_trace >= r_policy - 1e-9  # trace optimum dominates by construction
+
+
+TWELVE = SystemParams(contact_prob=0.5, max_age=12, utility=UtilityFunction.linear(12))
+SHORT = ContactTrace("t", (1, 0, 1, 1))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: simulate_policy(SHORT, TWELVE, Policy.from_thresholds(3, None, 12), start_age=0),
+     ValueError, "start age 0 outside [1, 12]"),
+    (lambda: replayed_average_reward(SHORT, TWELVE, Policy.from_thresholds(3, None, 12), replications=0),
+     ValueError, "need at least one replication, got 0"),
+    (lambda: ContactTrace("t", (1, 0, 1), mask=(1, 0)), ValueError, "mask length 2 != slot count 3"),
+    (lambda: parse_trace_text("a 101\nb 101 101 7\n"), TraceFormatError, "line 2: expected 2 or 3 fields, got 4"),
+    (lambda: simulate_policy(SHORT, TWELVE, Policy.from_thresholds(3, None, 9)),
+     ValueError, "policy and params disagree on max_age: 9 != 12"),
+    (lambda: simulate_policy(SHORT, TWELVE, Policy.from_thresholds(3, 9, 12)),
+     ValueError, "policy uses action 2 but 3G is unavailable"),
+], ids=["start-age", "replications", "mask-length", "field-count", "max-age", "action-2-without-3g"])
+def test_input_checks_name_the_bad_value(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
