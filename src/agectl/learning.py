@@ -9,15 +9,13 @@ every round's threshold off them by bisection; the simulated ones also look
 each threshold's step table up once, on its first round
 (``_ThresholdTables``), and replay a round of all their users as the rows
 of one walk of the replay kernel (``replay``), which builds no age matrix.
-The chain env widens its packed draw into the walk's codes
+The chain env makes its packed draw into the walk's codes
 (``replay._round_codes``); the trace env gathers them from the codes its
-population built once (``tracesim._Cohort``).  A ``Round`` record is
-written in one update of its fields.
+population built once (``tracesim._Cohort``).
 
 ``run_learning`` and the population loop of ``tracesim.simulate_population``
-read their settings once and take every round's correction through
-``_projected_step``, the step that ``learning_step`` takes after its checks,
-so each loop's bonuses are the public step's, bit for bit.
+take every round's correction through ``learning_step``, so each loop's
+bonuses are the public step's.
 """
 from __future__ import annotations
 
@@ -68,11 +66,6 @@ class Round:
     served: float
     rate: float
 
-    def __init__(self, index: int, bonus: float, served: float, rate: float) -> None:
-        # every field in one write, where the frozen dataclass's own __init__
-        # makes one object.__setattr__ call per field
-        self.__dict__.update(index=index, bonus=bonus, served=served, rate=rate)
-
 
 @dataclass
 class LearningTrajectory:
@@ -97,16 +90,8 @@ def learning_step(round_index: int, bonus: float, rate: float, config: LearningC
         raise ValueError("round index starts at 1")
     if not 0.0 <= bonus <= config.max_bonus:
         raise ValueError(f"bonus {bonus} outside [0, {config.max_bonus}]")
-    return _projected_step(round_index, bonus, rate, config.learning_rate, config.target_rate,
-                           config.max_bonus)
-
-
-def _projected_step(t: int, bonus: float, rate: float, alpha: float, target: float,
-                    max_bonus: float) -> float:
-    """``learning_step`` without its checks, on the settings it reads: the
-    controller loops check their settings once and call this every round."""
-    step = alpha * (target - rate) / t
-    return min(max_bonus, max(0.0, bonus + step))
+    step = config.learning_rate * (config.target_rate - rate) / round_index
+    return min(config.max_bonus, max(0.0, bonus + step))
 
 
 def run_learning(env: RoundEnv, config: LearningConfig) -> LearningTrajectory:
@@ -115,17 +100,15 @@ def run_learning(env: RoundEnv, config: LearningConfig) -> LearningTrajectory:
     the trajectory keeps every round either way.
     """
     traj = LearningTrajectory()
-    alpha, target, cap = config.learning_rate, config.target_rate, config.max_bonus
-    tau, tolerance, bonus = config.round_slots, config.tolerance, config.initial_bonus
-    rounds = traj.rounds
+    bonus, rounds = config.initial_bonus, traj.rounds
     for t in range(1, config.max_rounds + 1):
         served = float(env(bonus))
-        rate = served / tau
+        rate = served / config.round_slots
         rounds.append(Round(t, bonus, served, rate))
-        if abs(target - rate) <= tolerance:
+        if abs(config.target_rate - rate) <= config.tolerance:
             traj.converged = True
             break
-        bonus = _projected_step(t, bonus, rate, alpha, target, cap)
+        bonus = learning_step(t, bonus, rate, config)
     traj.final_bonus = rounds[-1].bonus
     return traj
 
@@ -192,15 +175,16 @@ def _threshold_actions(max_age: int) -> np.ndarray:
 
 class _ThresholdTables(dict):
     """Threshold s -> the step table (``replay._Steps``) of its action row
-    alone, looked up on its first use and then held, so that a population
-    env looks each threshold's table up once."""
+    alone, built and looked up on its first use and then held, so that a
+    population env looks each threshold's table up once and holds no other
+    threshold's row."""
 
     def __init__(self, max_age: int):
         super().__init__()
-        self.actions = _threshold_actions(max_age)
+        self.ages = np.arange(1, max_age + 1)
 
     def __missing__(self, s: int) -> replay._Steps:
-        steps = self[s] = replay._tables(self.actions[s - 1:s])
+        steps = self[s] = replay._tables(self.ages[None] >= s)
         return steps
 
 
@@ -231,12 +215,13 @@ def chain_sim_env(
     one ``rng.random(n_users)`` per slot, made into a buffer held across
     rounds whose slots past the round's end never see a contact.  Each
     user's 8 slots of a byte are compared side by side, so one flat
-    ``np.packbits`` packs the round for ``replay._round_codes``.  A
-    threshold policy updates only on a contact, so the round's updates are
-    its steps' cached counts of 1s, all of them.
+    ``np.packbits`` packs the round, whose bytes ``replay._round_codes``
+    makes into the walk's codes.  A threshold policy updates only on a
+    contact, so the round's updates are its steps' cached counts of 1s, all
+    of them.
     """
     response, tables = _env_response(params, n_users, round_slots), _ThresholdTables(params.max_age)
-    codes, p = replay._pattern_codes(params.max_age), params.contact_prob
+    M, p = params.max_age, params.contact_prob
     slots = -(-round_slots // 8) * 8   # whole bytes
     uniform = np.full((slots, n_users), np.inf)   # the round's draw, then slots without a contact
     draw, by_byte = uniform[:round_slots], uniform.reshape(-1, 8, n_users)
@@ -250,7 +235,7 @@ def chain_sim_env(
         rng.random(out=draw)
         np.less(by_byte, p, out=by_user)
         packed = np.packbits(contacts, axis=None, bitorder="little").reshape(-1, n_users)
-        code, ages = replay._walk_codes(steps, replay._round_codes(codes, packed, round_slots), round_slots, ages)
+        code, ages = replay._walk_codes(steps, replay._round_codes(packed, M, round_slots), round_slots, ages)
         return float(steps.ones.take(code, mode="clip").sum())
 
     return env

@@ -118,15 +118,19 @@ def _tables(actions: np.ndarray) -> _Steps:
     return (_step_table if 2 * actions.size <= TABLE_CELLS else _step_table.__wrapped__)(*key)
 
 
+def _split(packed: np.ndarray, k: int) -> np.ndarray:
+    """The k-slot patterns of the bytes ``packed``, k < 8: each byte's
+    8 // k patterns along a new last axis, the first in the low bits."""
+    return (packed[..., None] >> np.arange(0, 8, k, dtype=np.uint8)) & ((1 << k) - 1)
+
+
 def _patterns(contacts: np.ndarray, k: int, steps: int) -> np.ndarray:
     """The (rows, steps) uint8 patterns of the k-slot steps of each row of
     ``contacts``: a step's contacts packed little-endian, with the slots past
     the row's end as no contact."""
-    # each byte holds the patterns of 8 // k steps, the first in the low bits
     pattern = np.packbits(np.ascontiguousarray(contacts), axis=1, bitorder="little")
     if k < 8:
-        pattern = (pattern[..., None] >> np.arange(0, 8, k, dtype=np.uint8)) & ((1 << k) - 1)
-        pattern = pattern.reshape(len(contacts), -1)
+        pattern = _split(pattern, k).reshape(len(contacts), -1)
     if pattern.shape[1] < steps:
         pattern = np.concatenate((pattern, np.zeros((len(contacts), steps - pattern.shape[1]), np.uint8)), axis=1)
     return pattern[:, :steps]
@@ -270,16 +274,6 @@ def _walk_chunks(steps: _Steps, code: np.ndarray, n: int, start: np.ndarray) -> 
     return code, _end_ages(steps, code, n)
 
 
-def _pattern_codes(M: int) -> np.ndarray:
-    """(256, 8 // k) intp: the fresh code (``_fresh_codes``) at policy block
-    0 of the j-th k-slot pattern packed in each byte, as ``_patterns``
-    packs them, the first in the low bits, for the k of a one-policy table
-    of M ages."""
-    k = _step_size(1, M)
-    byte = np.arange(256)[:, None]
-    return _fresh_codes((byte >> np.arange(0, 8, k)) % (1 << k), M)
-
-
 def _tile_codes(tiles: np.ndarray, start: np.ndarray, n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     """The fresh codes at policy block 0, for the k of a one-policy table of
     M ages, of the k-slot contact pattern that starts at each position of the
@@ -303,17 +297,17 @@ def _tile_codes(tiles: np.ndarray, start: np.ndarray, n: int, M: int) -> tuple[n
     return _fresh_codes(np.concatenate((patterns, patterns & mask)), M), start + step[:, None]
 
 
-def _round_codes(codes: np.ndarray, packed: np.ndarray, n: int) -> np.ndarray:
-    """The (steps, rows) fresh codes at policy block 0 of a round of n slots
-    from its contacts ``packed``: (bytes, rows) uint8, each byte 8 slots of
-    a row packed little-endian, the slots past the round's end 0.  Each byte
-    is widened into the codes of its steps by one lookup in ``codes``
-    (``_pattern_codes``).  On a round of a few bytes a row the lookup is
-    faster than widening and scaling the patterns, as ``_walk_patterns``
-    does, but on a long replay several times slower, so only rounds take
-    it."""
-    steps = -(-n // (8 // codes.shape[1]))
-    return codes.take(packed, axis=0).transpose(0, 2, 1).reshape(-1, packed.shape[1])[:steps]
+def _round_codes(packed: np.ndarray, M: int, n: int) -> np.ndarray:
+    """The (steps, rows) fresh codes at policy block 0, for the k of a
+    one-policy table of M ages, of a round of n slots from its contacts
+    ``packed``: (bytes, rows) uint8, each byte 8 slots of a row packed
+    little-endian, the slots past the round's end 0.  Each byte is split
+    into the patterns of its 8 // k steps, as ``_patterns`` splits a row's
+    bytes, and the round's steps are widened into codes (``_fresh_codes``)."""
+    k = _step_size(1, M)
+    if k < 8:
+        packed = _split(packed, k).transpose(0, 2, 1).reshape(-1, packed.shape[1])
+    return _fresh_codes(packed[:-(-n // k)], M)
 
 
 def _after(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:

@@ -96,11 +96,12 @@ def always_inactive(params: SystemParams) -> bool:
 def lambert_w(x: float) -> float:
     """Principal branch of the Lambert W function: w with w * e^w = x.
 
-    Defined for x >= -1/e.  Halley iterations from a branch-aware start point;
-    the residual |w e^w - x| is driven below ``_LAMBERT_TOL * max(1, |x|)``.
+    Defined for finite x >= -1/e; nan and inf are rejected.  Halley
+    iterations from a branch-aware start point; the residual |w e^w - x| is
+    driven below ``_LAMBERT_TOL * max(1, |x|)``.
     """
-    if x < -_INV_E - 1e-15:
-        raise ValueError(f"lambert_w needs x >= -1/e, got {x}")
+    if not -_INV_E - 1e-15 <= x < math.inf:
+        raise ValueError(f"lambert_w needs finite x >= -1/e, got {x}")
     if x == 0.0:
         return 0.0
     if abs(x + _INV_E) < 1e-15:
@@ -115,11 +116,11 @@ def lambert_w(x: float) -> float:
     target = _LAMBERT_TOL * max(1.0, abs(x))
     for _ in range(_LAMBERT_MAX_ITER):
         ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= target:
+        f = w - x / ew   # the residual over e^w, which stays finite up to the largest x
+        if abs(f) * ew <= target:
             return w
         wp1 = w + 1.0
-        w -= f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        w -= f / (wp1 - (w + 2.0) * f / (2.0 * wp1))
     raise ArithmeticError(f"lambert_w failed to converge for x={x}")
 
 

@@ -580,8 +580,6 @@ def simulate_population(
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
     cohort = _Cohort(users, params, round_slots)
-    if controller is not None:
-        alpha, target, cap = controller.learning_rate, controller.target_rate, controller.max_bonus
     bonus = params.bonus if controller is None else controller.initial_bonus
     history = np.zeros((len(users), rounds * round_slots), dtype=np.int32) if record_ages else None
     M, first = params.max_age, cohort.ages
@@ -614,7 +612,7 @@ def simulate_population(
         rate = served / round_slots
         result.rounds.append(learning.Round(index=t, bonus=bonus, served=served, rate=rate))
         if controller is not None:
-            bonus = learning._projected_step(t, bonus, rate, alpha, target, cap)
+            bonus = learning.learning_step(t, bonus, rate, controller)
     if rounds:
         close_run(cohort.ages)
     by_age[base + first] += 1   # the tally by the age before each slot

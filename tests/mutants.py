@@ -162,17 +162,17 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_9_trace_ergodicity")),
     # the controller: no projection into [0, B-hat], and a step that never shrinks
     Mutant("learning-no-projection", LEARNING,
-           "return min(max_bonus, max(0.0, bonus + step))", "return bonus + step",
+           "return min(config.max_bonus, max(0.0, bonus + step))", "return bonus + step",
            ("tests/test_learning.py::TestLearningStep::test_upper_clamp",
             "tests/test_learning.py::TestLearningStep::test_lower_clamp",
             "tests/test_learning.py::TestRunLearning::test_projection_invariant")),
     Mutant("learning-step-without-1/t", LEARNING,
-           "step = alpha * (target - rate) / t", "step = alpha * (target - rate)",
+           "(config.target_rate - rate) / round_index", "(config.target_rate - rate)",
            ("tests/test_learning.py::TestLearningStep::test_step_arithmetic",
             "tests/test_learning.py::TestLearningStep::test_corrections_shrink_like_one_over_t")),
-    # the controller loops' private step on a 1/(t + 1) clock
+    # the controller's step on a 1/(t + 1) clock
     Mutant("learning-step-1/(t+1)", LEARNING,
-           "step = alpha * (target - rate) / t", "step = alpha * (target - rate) / (t + 1)",
+           "(config.target_rate - rate) / round_index", "(config.target_rate - rate) / (round_index + 1)",
            ("tests/test_learning.py::TestLearningStep::test_step_arithmetic",
             "tests/test_learning.py::TestConvergence::test_deterministic_env_reaches_optimal_interval")),
     # --b read as G = b * M, not b * (M - 1)
@@ -208,6 +208,19 @@ MUTANTS = (
            "params.max_age)[s - 1])", "params.max_age)[s])",
            ("tests/test_publisher.py::TestMessageRate::test_formula",
             "tests/test_publisher.py::test_every_threshold_answer_reads_one_rule")),
+    # Halley's step on the unscaled residual w e^w - x, whose terms overflow near the largest x
+    Mutant("lambert-unscaled-step", THRESHOLDS,
+           "        f = w - x / ew   # the residual over e^w, which stays finite up to the largest x\n"
+           "        if abs(f) * ew <= target:\n"
+           "            return w\n"
+           "        wp1 = w + 1.0\n"
+           "        w -= f / (wp1 - (w + 2.0) * f / (2.0 * wp1))\n",
+           "        f = w * ew - x\n"
+           "        if abs(f) <= target:\n"
+           "            return w\n"
+           "        wp1 = w + 1.0\n"
+           "        w -= f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))\n",
+           ("tests/test_thresholds.py::TestLambertW::test_largest_arguments",)),
     # the envs' s*(B): a bonus on an edge counted as above it
     Mutant("response-bisect-left", THRESHOLDS,
            "bisect.bisect_right(ascending, bonus)", "bisect.bisect_left(ascending, bonus)",
@@ -234,8 +247,8 @@ MUTANTS = (
             "tests/test_replay.py::test_trace_rounds_are_the_replay_of_their_windows[30-1]")),
     # an env that keeps the first threshold's step table after the threshold changes
     Mutant("round-table-stale", LEARNING,
-           "steps = self[s] = replay._tables(self.actions[s - 1:s])",
-           "steps = self.setdefault(0, replay._tables(self.actions[s - 1:s]))",
+           "steps = self[s] = replay._tables(self.ages[None] >= s)",
+           "steps = self.setdefault(0, replay._tables(self.ages[None] >= s))",
            ("tests/test_replay.py::test_chain_rounds_are_the_replay_of_their_draws[300-8]",
             "tests/test_replay.py::test_trace_rounds_are_the_replay_of_their_windows[30-8]",
             MODULO + "[one shared trace]")),
@@ -278,7 +291,13 @@ MUTANTS = (
     # a step's pattern not cut to its k bits: the later steps of its byte leak in
     Mutant("patterns-unmasked", REPLAY,
            " & ((1 << k) - 1)", "",
-           ("tests/test_replay.py::test_replay_ages_on_every_contact_layout",)),
+           ("tests/test_replay.py::test_replay_ages_on_every_contact_layout",
+            "tests/test_replay.py::test_chain_env_at_short_steps_draws_one_number_per_user_slot[300-4]")),
+    # a chain round's codes cut to its whole steps: a last step of fewer than k slots is lost
+    Mutant("round-codes-whole-steps", REPLAY,
+           "packed[:-(-n // k)]", "packed[:n // k]",
+           ("tests/test_replay.py::test_chain_rounds_are_the_replay_of_their_draws[30-7]",
+            "tests/test_replay.py::test_chain_rounds_are_the_replay_of_their_draws[300-7]")),
 )
 # a control: every entry's tests pass on an unbroken copy
 MUTANTS += (Mutant("comment-only", THRESHOLDS,

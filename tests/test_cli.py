@@ -353,6 +353,28 @@ class TestLearn:
         need = int(str(caught.value).split("needs at least ")[1].split()[0])
         assert 0 < need <= held[0]
 
+    def test_round_memory_check_passes_without_a_physical_memory_size(self, capsys, monkeypatch, tmp_path):
+        asked = []
+
+        def unknown(name):
+            asked.append(name)
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(cli.os, "sysconf", unknown)
+        path = tmp_path / "c.txt"
+        path.write_text("s0 0110\n")
+        code, out, _ = run(capsys, "learn", "--env", "trace", "--traces", str(path), "--drop", "20@5",
+                           "--rounds", "10")
+        assert code == 0 and asked
+        assert out.splitlines()[-1].startswith("10,")
+
+    def test_alpha_sets_the_learning_rate(self, capsys):
+        argv = ["learn", "--env", "analytic", "--rounds", "220"]
+        outs = [run(capsys, *argv, *alpha)[1].splitlines() for alpha in ((), ("--alpha", "3.5"))]
+        assert "# alpha=1" in outs[0] and "# alpha=3.5" in outs[1]
+        rows = [[line for line in out if not line.startswith("#")] for out in outs]
+        assert rows[0][0] == rows[1][0] and rows[0][1:] != rows[1][1:]
+
     @pytest.mark.parametrize("flags", [("--N", "10000000000000"), ("--drop", "10000000000000@200")])
     def test_trace_population_past_memory_exits_2_before_any_user(self, capsys, monkeypatch, tmp_path, flags):
         # cmd_learn built N UserAssignments, one Python object each, before any check

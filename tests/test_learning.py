@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from agectl import (
     run_learning,
     simulate_population,
     threshold_response,
+    trace_env,
 )
 from agectl import learning, thresholds
 from agectl.learning import PRESET_NAMES, ExperimentPreset, Round, preset, run_population_drop
@@ -95,8 +97,7 @@ class TestRunLearning:
         assert len(traj.rounds) == 10
 
     def test_round_is_the_frozen_dataclass_of_its_four_fields(self):
-        # Round writes its fields in one update of its __dict__; it must stay
-        # what the dataclass decorator alone would make of the same fields
+        # Round must stay what the dataclass decorator alone makes of its fields
         @dataclasses.dataclass(frozen=True)
         class Plain:
             index: int
@@ -268,6 +269,22 @@ class TestEnvironments:
         assert got == threshold_response(params, bonuses).tolist()
         if params.utility.form == "step":
             assert len(set(inside.tolist())) < inside.size
+
+    def test_envs_hold_only_the_rows_of_the_thresholds_they_meet(self):
+        # an (M + 1) x M table of every threshold's actions would take 77 MiB
+        M = 9000
+        params = SystemParams(contact_prob=0.54, max_age=M, utility=UtilityFunction.linear(M),
+                              scan_cost=0.4, wifi_price=40.0)
+        trace = ContactTrace("t", tuple(int(b) for b in make_rng(2).random(50) < 0.5))
+        tracemalloc.start()
+        try:
+            users = [UserAssignment(trace, phase=i) for i in range(5)]
+            for env in (chain_sim_env(params, 5, 10, make_rng(1)), trace_env(users, params, 10)):
+                env(1.0), env(30.0)   # thresholds 8 and 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestPresets:

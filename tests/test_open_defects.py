@@ -13,10 +13,13 @@ Open correctness FOUND lines that no test here expresses yet:
 - "agectl solve --M 12 --p 0.54 --utility tabular --values (eleven 1e308,
   then 0) --P3G 4 exits 3 now": all-3G earns 1e308 - 1.84;
   ``test_cli``'s ``test_values_past_the_float_range_exit_3`` pins that exit.
-- "the 3G-only branch of thresholds.optimal_two_thresholds returns a pair
-  whose reward is nan" (M = 7, p = 1e-300, G = 1e308, P3G = 1e308).
 - "in the 3G-only branch, optimal_two_thresholds breaks exact float ties
-  differently from its documented rule" (M = 36).
+  differently from its documented rule" (M = 36): no entry, as the exact
+  rewards of every pair show no wrong answer.  They hold no tie: the exact
+  best is (35, 35), and the pick (13, 13) trails it by 3.2e100, 2e-203 of
+  the 1.4e303 reward and far inside the rounding bound of any float reward
+  (``reward_bound``), as (16, 20) does.  So the line is about the order
+  in which float-equal rewards are read, not about the answer.
 - "in thresholds.optimal_two_thresholds, the grid-branch pick can miss the
   dense grid's pick"; its draws were not written out.
 - "float bonus edges (thresholds._edges) can be off the exact edge", at
@@ -30,10 +33,10 @@ from fractions import Fraction
 
 import pytest
 
-from agectl import Policy, SystemParams, UtilityFunction, optimal_threshold
+from agectl import Policy, SystemParams, UtilityFunction, optimal_threshold, optimal_two_thresholds
 from agectl.cli import _shared_parser, build_params, main
 
-from conftest import C_CLOSED, reference_exact, reward_bound
+from conftest import C_CLOSED, EPS, reference_exact, reward_bound
 
 open_defect = pytest.mark.xfail(strict=True, raises=AssertionError)
 
@@ -57,6 +60,8 @@ EXIT_3 = {
     # FOUND "agectl solve --M 2 --p 0.9999999999999999 ... exits 3"
     "p-near-1-huge-costs": ["solve", "--M", "2", "--p", "0.9999999999999999", "--G", "1e308", "--P", "1e308"],
 }
+HUGE_3G_ONLY = SystemParams(contact_prob=1e-300, max_age=7, utility=UtilityFunction.tabular([1e308] * 6 + [0.0]),
+                            scan_cost=1e308, wifi_price=3.0, price_3g=1e308)
 EDGE = SystemParams(contact_prob=1 / 128, max_age=2, utility=UtilityFunction.tabular([1.0, 0.0]),
                     scan_cost=1 / 128, wifi_price=0.65625, bonus=0.6562499999999929)
 
@@ -83,6 +88,11 @@ def exact_gains(params, policies):
 
 def thresholds_of(M):
     return [Policy.from_thresholds(s, None, M) for s in range(1, M + 2)]
+
+
+def pairs_of(M):
+    """Every two-threshold policy of M ages, (s_wifi, s_3g) in order."""
+    return {(s, s_3g): Policy.from_thresholds(s, s_3g, M) for s in range(1, M + 2) for s_3g in range(s, M + 2)}
 
 
 def exact_s_star(params):
@@ -161,6 +171,24 @@ def test_threshold_next_to_a_bonus_edge_is_within_rounding_of_the_best():
     assert s == s_exact or best - gains[s - 1] <= bounds[s - 1] + bounds[s_exact - 1], (s, s_exact)
 
 
+@open_defect
+def test_3g_only_pick_at_huge_costs_is_the_exact_best_pair():
+    # FOUND "the 3G-only branch of thresholds.optimal_two_thresholds returns
+    # a pair whose reward is nan": the curve's cumsum overflows to inf, less
+    # an inf cost is nan, and the pick is (7, 7), where (6, 6) earns the
+    # most, 6.67e307 exactly
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        result = optimal_two_thresholds(HUGE_3G_ONLY)
+    gains = {pair: reference_exact(policy, HUGE_3G_ONLY).gain for pair, policy in pairs_of(7).items()}
+    best = max(gains, key=gains.get)
+    assert (result.s_wifi, result.s_3g) == best and math.isfinite(result.reward)
+    # reward_bound's G/p is 1e608, past the float range: the bound is the
+    # relative one of C_CLOSED * M roundings
+    assert abs(Fraction(result.reward) - gains[best]) <= gains[best] * Fraction(C_CLOSED * 7 * EPS)
+    assert not caught
+
+
 def test_the_register_answers_are_exact_and_unique():
     # not a defect: the exact answers the entries above assert, each the one
     # largest exact reward, so that an entry fails only on the program's answer
@@ -179,3 +207,5 @@ def test_the_register_answers_are_exact_and_unique():
     assert [argmax(replace(params, bonus=b)) for b in (0.0, 1e-300, 3.0)] == [4, 4, 4]
     assert [argmax(read_params(argv)) for argv in EXIT_3.values()] == [1, 1, 3]
     assert argmax(EDGE) == 3
+    gains = {pair: reference_exact(policy, HUGE_3G_ONLY).gain for pair, policy in pairs_of(7).items()}
+    assert [pair for pair, gain in gains.items() if gain == max(gains.values())] == [(6, 6)]

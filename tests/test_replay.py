@@ -252,6 +252,13 @@ def test_chain_env_draws_one_number_per_user_slot(n_users, round_slots, bonuses,
     params = SystemParams(contact_prob=0.54, max_age=30, utility=UtilityFunction.linear(30),
                           scan_cost=0.4, wifi_price=40.0)
     env = chain_sim_env(params, n_users, round_slots, np.random.default_rng(seed))
+    assert [env(b) for b in bonuses] == per_slot_served(params, n_users, round_slots, bonuses, seed)
+
+
+def per_slot_served(params, n_users, round_slots, bonuses, seed):
+    """The updates of each round at ``bonuses``, slot by slot, from users at
+    age 1 and one ``rng.random(n_users)`` per slot of a generator seeded
+    ``seed``."""
     rng, ages, expected = np.random.default_rng(seed), np.ones(n_users, dtype=int), []
     for bonus in bonuses:   # one draw of rng.random(n_users) per slot
         s, served = int(threshold_response(params, [bonus])[0]), 0
@@ -260,7 +267,7 @@ def test_chain_env_draws_one_number_per_user_slot(n_users, round_slots, bonuses,
             served += int(updates.sum())
             ages = np.where(updates, 1, np.minimum(ages + 1, params.max_age))
         expected.append(float(served))
-    assert [env(b) for b in bonuses] == expected
+    return expected
 
 
 def round_params(M):
@@ -324,7 +331,7 @@ def trace_contacts(users, round_slots):
 def stepping_through_round_bonuses(monkeypatch, round_slots):
     """A controller whose population loop steps from each bonus of
     ROUND_BONUSES to the next, cyclically."""
-    monkeypatch.setattr(tracesim.learning, "_projected_step", lambda t, *args: ROUND_BONUSES[t % len(ROUND_BONUSES)])
+    monkeypatch.setattr(tracesim.learning, "learning_step", lambda t, *args: ROUND_BONUSES[t % len(ROUND_BONUSES)])
     return LearningConfig(max_bonus=40.0, target_rate=1.0, round_slots=round_slots, initial_bonus=ROUND_BONUSES[0])
 
 
@@ -341,6 +348,16 @@ def test_chain_rounds_are_the_replay_of_their_draws(monkeypatch, M, round_slots)
     draws = [(rng.random((round_slots, n_users)) < params.contact_prob).T for _ in ROUND_BONUSES]
     expected, expected_ends, _ = replayed_rounds(params, draws, np.ones(n_users, int))
     assert served == expected and got == expected_ends
+
+
+@pytest.mark.parametrize("M, k", [(300, 4), (9000, 2)])
+def test_chain_env_at_short_steps_draws_one_number_per_user_slot(M, k):
+    # each packed byte splits into 8 // k steps; the replay of the draws
+    # above splits a row's bytes with the same code, so check the slots
+    assert replay._step_size(1, M) == k
+    params = round_params(M)
+    env = chain_sim_env(params, 6, 13, np.random.default_rng(M))
+    assert [env(b) for b in ROUND_BONUSES] == per_slot_served(params, 6, 13, ROUND_BONUSES, M)
 
 
 @pytest.mark.parametrize("M, round_slots", ROUND_CASES)

@@ -1,6 +1,7 @@
 """Threshold search: first-crossing rule, regime tests, Lambert W, step
 candidates, multi-optimum enumeration, two-threshold grid, monotonicity."""
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -178,6 +179,22 @@ class TestLambertW:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             lambert_w(-0.5)
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, x):
+        with pytest.raises(ValueError, match=f"got {x}"):
+            lambert_w(x)
+
+    @pytest.mark.parametrize("x", [5e307, 1e308, sys.float_info.max])
+    def test_largest_arguments(self, x):
+        # w e^w = x as w + log w = log x, which no float overflows
+        w = lambert_w(x)
+        assert abs(w + math.log(w) - math.log(x)) <= 4 * math.ulp(math.log(x))
+
+    def test_no_convergence_within_the_step_cap(self, monkeypatch):
+        monkeypatch.setattr(thresholds, "_LAMBERT_MAX_ITER", 1)
+        with pytest.raises(ArithmeticError, match="failed to converge for x=100000.0"):
+            lambert_w(1e5)
 
 
 class TestStepUtility:
