@@ -1,9 +1,10 @@
 """The replay kernel: the one walk of k-slot contact patterns behind every
 trace replay and population round, the step tables it walks over, the step
 codes it walks, which only this module builds, and the readers of the
-table rows it returns: the slots counted by age, the ages rows end at and
-the ages after each slot.  It imports only ``model``, and none of the
-routes that the replay is checked against imports it.
+table rows it returns: the slots counted by age, the ages rows end at,
+the ages after each slot and the tally cells before it.  It imports only
+``model``, and none of the routes that the replay is checked against
+imports it.
 """
 from __future__ import annotations
 
@@ -38,9 +39,9 @@ class _Steps:
     ``pattern`` is the contact of the step's slot j + 1.  An age is 1 only
     after an update, so a row's 1s are the updates of a step at that row.
     A step covers its start age, then the first k - 1 ages of its row.  The
-    summaries a round reads, ``last`` and ``ones``, are built with the
-    table; the tally cells and histograms on their first read, and then
-    kept with it.
+    summaries every round reads, ``last`` and ``ones``, are built with the
+    table; the tally cells, which a population round also reads, and the
+    histograms on their first read, and then kept with it.
     """
 
     def __init__(self, table: np.ndarray, policies: int, M: int):
@@ -317,6 +318,13 @@ def _after(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
     since a row's last step may be padded.  The ages keep the table's dtype,
     the narrowest that holds M."""
     return steps.table.take(code.T, axis=0, mode="clip").reshape(code.shape[1], -1)[:, :n]
+
+
+def _before(steps: _Steps, code: np.ndarray, n: int) -> np.ndarray:
+    """The (rows, n) tally cells (``_Steps.cells``) of each slot of the rows
+    of n slots whose (steps, rows) table rows ``code`` the walk returned,
+    each by the age before the slot: ``_after``'s gather, of the cells."""
+    return steps.cells.take(code.T, axis=0, mode="clip").reshape(code.shape[1], -1)[:, :n]
 
 
 def _replay(actions: np.ndarray, policy: np.ndarray, contacts: np.ndarray, start: np.ndarray) -> np.ndarray:

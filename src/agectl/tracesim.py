@@ -11,9 +11,10 @@ slots, and its 3G updates when its policy has action 2, are read off the
 ages its rows expand to (``replay._after``): a slot updated when the age
 after it is 1, over 3G when it had no contact.  So tallies and comparison
 rows build no ages.  A population round reads its updates off the step
-summaries and tallies its users' slots by age from the ages after each
-slot.  Every reward, energy and fee total is then the exact sum of counted
-terms, rounded once.
+summaries and tallies its users' slots by the age before each slot, read
+off the tally cells of its table rows (``replay._before``), which it
+builds on its step table's first read.  Every reward, energy and fee total
+is then the exact sum of counted terms, rounded once.
 
 Traces are strings of ones (useful slot) and zeros; an optional second bit
 string of equal length marks location-privileged slots.
@@ -568,57 +569,39 @@ def simulate_population(
     bonus.  Fully deterministic given traces and phases.
 
     The rounds are ``trace_env``'s: one ``_Cohort`` walk each, whose WiFi
-    updates by user are its steps' cached counts of 1s.  Its slots by user
-    and age are tallied from the ages after each slot, the walk's table rows
-    expanded (``replay._after``); no step table's histogram is built.  Over
-    any stretch of a user's timeline the ages before its slots are those
-    after them, plus the age it starts at, less the one it ends at.  So the
-    age tally is corrected once, at the end, and the active slots, those at
-    an age of at least the threshold before the slot, once per run of rounds
-    at one threshold.
+    updates by user are its steps' cached counts of 1s.  Each round tallies
+    its users' slots by the age before the slot, read off the tally cells
+    of the walk's table rows (``replay._before``), which a round builds on
+    its step table's first read; the active slots are those at an age of at
+    least the round's threshold.  The ages after each slot are built only
+    to record them (``replay._after``).
     """
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
     cohort = _Cohort(users, params, round_slots)
     bonus = params.bonus if controller is None else controller.initial_bonus
     history = np.zeros((len(users), rounds * round_slots), dtype=np.int32) if record_ages else None
-    M, first = params.max_age, cohort.ages
-    base = M * np.arange(len(users)) - 1   # base + age: a user's flat tally cell at that age
-    # each user's slots by the age after the slot: in all rounds, and in the
-    # run of rounds since the threshold last changed
-    by_age, run = np.zeros(len(users) * M, np.int64), np.zeros(len(users) * M, np.int64)
-    active, wifi, fees = np.zeros(len(users), np.int64), np.empty((rounds, len(users)), np.int64), []
-    run_s = run_start = None
-
-    def close_run(end: np.ndarray) -> None:
-        active[:] += run.reshape(-1, M)[:, run_s - 1:].sum(1) + (run_start >= run_s) - (end >= run_s)
-        by_age[:] += run
-        run[:] = 0
-
+    M = params.max_age
+    base = M * np.arange(len(users))[:, None]   # base + cell: a user's flat tally cell
+    by_age, active = np.zeros((len(users), M), np.int64), np.zeros(len(users), np.int64)
+    wifi, fees = np.empty((rounds, len(users)), np.int64), []
     result = PopulationResult()
     for t in range(1, rounds + 1):
-        start = cohort.ages
         s, steps, code = cohort.round(bonus)
-        if s != run_s:
-            if run_s is not None:
-                close_run(start)
-            run_s, run_start = s, start
-        after = replay._after(steps, code, round_slots)
-        run += np.bincount((base[:, None] + after).ravel(), minlength=run.size)
+        cells = base + replay._before(steps, code, round_slots)
+        tally = np.bincount(cells.ravel(), minlength=by_age.size).reshape(-1, M)
+        by_age += tally
+        active += tally[:, s - 1:].sum(1)
         if history is not None:
-            history[:, (t - 1) * round_slots : t * round_slots] = after
+            history[:, (t - 1) * round_slots : t * round_slots] = replay._after(steps, code, round_slots)
         served = int(steps.ones.take(code, mode="clip").sum(0, out=wifi[t - 1]).sum())
         fees.append(-max(params.wifi_price - bonus, 0.0))   # every update is over WiFi
         rate = served / round_slots
         result.rounds.append(learning.Round(index=t, bonus=bonus, served=served, rate=rate))
         if controller is not None:
             bonus = learning.learning_step(t, bonus, rate, controller)
-    if rounds:
-        close_run(cohort.ages)
-    by_age[base + first] += 1   # the tally by the age before each slot
-    by_age[base + cohort.ages] -= 1
 
-    counts = np.column_stack((by_age.reshape(-1, M), active, wifi.T))
+    counts = np.column_stack((by_age, active, wifi.T))
     totals = _exact_sums(counts, np.concatenate((params.utility.value_array, [-params.scan_cost], fees)))
     result.users = [
         UserOutcome(updates=u, total_reward=r, final_age=a)

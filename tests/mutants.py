@@ -282,6 +282,22 @@ MUTANTS = (
            "rows = np.flatnonzero(used)", "rows = np.flatnonzero(used)[1:]",
            (COUNTS + "[12-per-age-13-by table row]",
             COUNTS + "[260-late-257-no histogram]")),
+    # a population round's active slots read from one age above its threshold
+    Mutant("population-active-one-age-late", TRACESIM,
+           "tally[:, s - 1:]", "tally[:, s:]",
+           ("tests/test_replay.py::test_trace_rounds_are_the_replay_of_their_windows[30-7]",
+            "tests/test_replay.py::test_population_totals_equal_parts_at_each_rounds_bonus")),
+    # a population round's slots tallied by the age after the slot
+    Mutant("population-tally-after-slots", TRACESIM,
+           "replay._before(steps, code, round_slots)", "replay._after(steps, code, round_slots) - 1",
+           ("tests/test_replay.py::test_trace_rounds_are_the_replay_of_their_windows[300-7]",
+            "tests/test_replay.py::test_single_user_population_equals_simulate_policy")),
+    # the cells before each slot not cut to the round's slots: a padded last step counts whole
+    Mutant("before-uncut", REPLAY,
+           'steps.cells.take(code.T, axis=0, mode="clip").reshape(code.shape[1], -1)[:, :n]',
+           'steps.cells.take(code.T, axis=0, mode="clip").reshape(code.shape[1], -1)',
+           ("tests/test_replay.py::test_trace_rounds_are_the_replay_of_their_windows[30-7]",
+            "tests/test_replay.py::test_trace_rounds_are_the_replay_of_their_windows[300-19]")),
     # a row's contacts packed big-endian: each step's slots read in reverse
     Mutant("patterns-big-endian", REPLAY,
            'np.packbits(np.ascontiguousarray(contacts), axis=1, bitorder="little")',

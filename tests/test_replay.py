@@ -363,10 +363,11 @@ def test_chain_env_at_short_steps_draws_one_number_per_user_slot(M, k):
 @pytest.mark.parametrize("M, round_slots", ROUND_CASES)
 def test_trace_rounds_are_the_replay_of_their_windows(monkeypatch, M, round_slots):
     # the trace env and a population on the same users against the replay
-    # of each round's contacts
+    # of each round's contacts, and the population's totals against the
+    # reference parts of those contacts
     params, users = round_params(M), round_users()
-    expected, expected_ends, after = replayed_rounds(params, trace_contacts(users, round_slots),
-                                                     [ua.start_age for ua in users])
+    contacts, starts = trace_contacts(users, round_slots), [ua.start_age for ua in users]
+    expected, expected_ends, after = replayed_rounds(params, contacts, starts)
     ends = spy_round_ends(monkeypatch)
     env = trace_env(users, params, round_slots)
     assert [env(bonus) for bonus in ROUND_BONUSES] == expected and ends == expected_ends
@@ -378,6 +379,13 @@ def test_trace_rounds_are_the_replay_of_their_windows(monkeypatch, M, round_slot
     assert [r.served for r in result.rounds] == expected and ends == expected_ends
     assert [u.final_age for u in result.users] == expected_ends[-1]
     np.testing.assert_array_equal(result.age_history, after)
+    rounds = list(zip(threshold_response(params, ROUND_BONUSES).tolist(), ROUND_BONUSES, contacts,
+                      [starts] + expected_ends[:-1]))
+    for i, user in enumerate(result.users):   # each round's fee at its own bonus
+        parts = [part for s, bonus, round_contacts, start in rounds
+                 for part in reference_parts(round_contacts[i], replace(params, bonus=bonus),
+                                             threshold_action(s), start[i])]
+        assert user.total_reward == parts_total(parts)
 
 
 def test_each_env_looks_up_each_thresholds_table_once(monkeypatch):
@@ -458,6 +466,20 @@ def test_trace_replays_read_the_ages_at_most_once(monkeypatch, n):
     assert [reads(lambda: tracesim.replayed_average_reward(trace, params, policy, 40))
             for policy in (threshold, band)] == [0, 1]
     assert reads(lambda: tracesim.comparison_table([trace], params, 40)) == 0
+
+
+def test_population_rounds_read_the_ages_only_to_record_them(monkeypatch):
+    # a population round tallies its slots off the cells before each slot;
+    # it builds the ages after each slot only for the recorded history, once
+    calls, after = [], replay._after
+    monkeypatch.setattr(replay, "_after", lambda *args: calls.append(1) or after(*args))
+    params, users = round_params(30), round_users()
+    controller = stepping_through_round_bonuses(monkeypatch, 13)
+    for record_ages, reads in ((False, 0), (True, len(ROUND_BONUSES))):
+        calls.clear()
+        simulate_population(users, params, len(ROUND_BONUSES), 13, controller=controller,
+                            record_ages=record_ages)
+        assert len(calls) == reads
 
 
 def test_chunks_without_updates_settle_over_several_passes():

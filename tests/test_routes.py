@@ -94,7 +94,8 @@ REPLAY = ("tracesim._replay_rotations", "tracesim.simulate_policy")
 #: step tables, the code builders, the walk and the readers of its table rows;
 #: how a step's code is built, and from which k, stays inside ``replay``
 REPLAY_PRIVATES = ("replay._Steps", "replay._tables", "replay._round_codes", "replay._tile_codes",
-                   "replay._walk_codes", "replay._steps", "replay._count_ages", "replay._after")
+                   "replay._walk_codes", "replay._steps", "replay._count_ages", "replay._after",
+                   "replay._before")
 
 
 def replay_privates() -> set[str]:
