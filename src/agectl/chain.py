@@ -6,7 +6,7 @@ the only home of never activating (s = max_age + 1): :func:`cycle_lengths`
 (inf there), :func:`threshold_reward_affine` and :func:`threshold_ages`.  The
 two-threshold reward's only home is the panel maker :class:`_Panels`: its
 scalar, its dense grid, the 3G-only curve, which is the grid's span-0 column,
-and both branches of the search in ``thresholds`` read their cells there.
+and the search in ``thresholds`` read their cells there.
 
 The closed forms and the matrix route are deliberately independent code paths:
 tests pit one against the other.

@@ -202,13 +202,9 @@ def multi_optimum_condition(params: SystemParams) -> bool:
 
 
 def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
-    """Best (s_wifi, s_3g) pair by closed-form evaluation.
+    """Best (s_wifi, s_3g) pair by closed-form evaluation over the triangular
+    grid plus the WiFi-only edge.
 
-    When the 3G price is dominated by the WiFi cycle cost G/p + P the WiFi
-    band is empty and only the 3G-only family competes with always-inactive:
-    :func:`chain.reward_curve_3g_only`, the grid's span-0 column, picks the
-    pair and gives its reward.  Otherwise the triangular grid plus the
-    WiFi-only edge is searched.
     Every pair within ``model.TIE_TOL`` of the best reward ties; ties prefer
     the larger s_wifi, then the smaller s_3g in that row: the latest start of
     activity, as in the solver, and then the earliest escalation to 3G.
@@ -230,17 +226,7 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     if not params.has_3g:
         raise ValueError("optimal_two_thresholds needs a finite 3G price")
     M = params.max_age
-    p = params.contact_prob
     never, tie = M + 1, model.TIE_TOL
-
-    if params.price_3g <= params.scan_cost / p + params.wifi_price:
-        only_3g = chain.reward_curve_3g_only(params)
-        top = float(only_3g.max())
-        if top <= tie:
-            return TwoThresholdResult(s_wifi=never, s_3g=never, reward=0.0)
-        s3 = M - int(np.argmax(only_3g[::-1] >= top - tie))
-        return TwoThresholdResult(s_wifi=s3, s_3g=s3, reward=float(only_3g[s3 - 1]))
-
     wifi_only = chain.threshold_reward_curve(params)[:M]
     panels = chain._Panels(params)
     width = min(_PANEL_SPANS, chain.BLOCK_CELLS)

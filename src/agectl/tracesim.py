@@ -522,8 +522,8 @@ class _Cohort:
         bits = [t.slot_bits for t in distinct.values()]
         lengths = np.array(list(map(len, bits)))
         sizes = lengths + round_slots - 1   # the furthest a round from any phase reads
-        tiles = np.concatenate([part for b, size in zip(bits, sizes.tolist())
-                                for part in [b] * (size // len(b)) + [b[:size % len(b)]]])
+        tiles = np.concatenate([b.take(np.arange(size), mode="wrap")
+                                for b, size in zip(bits, sizes.tolist())])
         tile_at = np.cumsum(sizes) - sizes   # where each tile starts
         self.tables = learning._ThresholdTables(M)
         self.codes, self.index = replay._tile_codes(tiles, tile_at[which], round_slots, M)

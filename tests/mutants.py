@@ -74,6 +74,12 @@ MUTANTS = (
            "r = M - 1 - int(np.argmax(((row_top >= floor) | (wifi_only >= floor))[::-1]))",
            "r = int(np.argmax((row_top >= floor) | (wifi_only >= floor)))",
            (STREAM + "test_exact_tie_across_a_block_boundary",)),
+    # the floor set by the grid's cells alone: a WiFi-only best loses to a
+    # later row within the tie of the grid's best, or to never activating
+    Mutant("top-without-wifi-only", THRESHOLDS,
+           "top = max(float(row_top.max()), float(wifi_only.max()))", "top = float(row_top.max())",
+           ("tests/test_thresholds.py::TestTwoThresholds::test_huge_3g_price_reduces_to_wifi_only",
+            STREAM + "test_matches_dense_pick_at_block_edges")),
     Mutant("utility-slack", MODEL,
            "            if b > a:", "            if b > a + SLACK_TOL:",
            ("tests/test_model.py::TestToleranceHome"

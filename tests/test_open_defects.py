@@ -13,15 +13,17 @@ Open correctness FOUND lines that no test here expresses yet:
 - "agectl solve --M 12 --p 0.54 --utility tabular --values (eleven 1e308,
   then 0) --P3G 4 exits 3 now": all-3G earns 1e308 - 1.84;
   ``test_cli``'s ``test_values_past_the_float_range_exit_3`` pins that exit.
-- "in the 3G-only branch, optimal_two_thresholds breaks exact float ties
-  differently from its documented rule" (M = 36): no entry, as the exact
-  rewards of every pair show no wrong answer.  They hold no tie: the exact
-  best is (35, 35), and the pick (13, 13) trails it by 3.2e100, 2e-203 of
-  the 1.4e303 reward and far inside the rounding bound of any float reward
-  (``reward_bound``), as (16, 20) does.  So the line is about the order
-  in which float-equal rewards are read, not about the answer.
 - "in thresholds.optimal_two_thresholds, the grid-branch pick can miss the
-  dense grid's pick"; its draws were not written out.
+  dense grid's pick": no entry, as the exact rewards show no wrong answer.
+  M = 58, p = 6.841885299867121e-252, u = 2.091882089507471e300 at ages
+  1-57 then 0, G = 1.963779157062056e120, P = 0.1561772480238904,
+  P3G = 1.4718313058586867e28: the search gives (57, 57) at
+  0x1.8fd3905aa812ap+997, the dense grid (4, 57) one ulp higher.  The
+  exact best is (57, 57), the search's pick; (4, 57) trails it by 1.8e120,
+  9e-181 of the reward and far inside the relative rounding bound of
+  C_CLOSED * M roundings, 5.4e286 (``reward_bound``'s G/p, 2.9e371, is past
+  the float range).  So the line is about the order in which float rewards
+  within rounding are read, not about the answer.
 - "float bonus edges (thresholds._edges) can be off the exact edge", at
   instances other than the two below.
 """
@@ -182,9 +184,10 @@ def test_threshold_next_to_a_bonus_edge_is_within_rounding_of_the_best(edge):
 @open_defect
 def test_3g_only_pick_at_huge_costs_is_the_exact_best_pair():
     # FOUND "the 3G-only branch of thresholds.optimal_two_thresholds returns
-    # a pair whose reward is nan": the curve's cumsum overflows to inf, less
-    # an inf cost is nan, and the pick is (7, 7), where (6, 6) earns the
-    # most, 6.67e307 exactly
+    # a pair whose reward is nan": the grid's cumsums overflow to inf, less
+    # an inf cost is nan, and so is every WiFi-only reward below M + 1, as
+    # G/p is inf; no cell reaches the floor, and the pick is (7, 8) at nan,
+    # where (6, 6) earns the most, 6.67e307 exactly
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         result = optimal_two_thresholds(HUGE_3G_ONLY)

@@ -337,7 +337,8 @@ def assert_same_pick(got, expected):
 
 
 def grid_branch(params):
-    """3G dearer than the WiFi cycle cost: the search runs over the grid."""
+    """3G dearer than the WiFi cycle cost G/p + P, the regime where a WiFi
+    band can pay."""
     return params.price_3g > params.scan_cost / params.contact_prob + params.wifi_price
 
 
@@ -386,9 +387,16 @@ class TestTwoThresholdStream:
 
     @given(st.one_of(system_params(with_3g=True), tie_heavy_params()),
            st.sampled_from((model.TIE_TOL, 1e-3, 0.1, 1.0)))
-    def test_3g_only_shortcut_matches_dense_pick(self, params, tie):
-        # 3G no dearer than the WiFi cycle: the O(M) 3G-only curve stands in
-        # for the grid and must pick the grid's pair
+    # costs far below one ulp of 1.4e303 rewards: (13, 13) and (16, 20) have
+    # the same reward bits, and the tie rule takes the larger s_wifi
+    @example(SystemParams(contact_prob=0.9542867100902295, max_age=36,
+                          utility=UtilityFunction.tabular([1.4149868178849858e303] * 35 + [0.0]),
+                          scan_cost=6.605142635834034e101, wifi_price=5.395921034316342,
+                          price_3g=4.308188010591358), model.TIE_TOL)
+    def test_cheap_3g_matches_dense_pick(self, params, tie):
+        # 3G no dearer than the WiFi cycle: no WiFi band pays in exact
+        # arithmetic, but float ties can put the dense grid's pick off the
+        # 3G-only pairs, and the search must pick it there too
         assume(not grid_branch(params))
         with mock.patch.object(model, "TIE_TOL", tie):
             assert_same_pick(optimal_two_thresholds(params), dense_two_threshold_pick(params))
@@ -469,8 +477,8 @@ class TestTwoThresholdStream:
 
     @given(system_params(with_3g=True), st.data())
     def test_scalar_has_the_bits_of_the_search_and_the_grid(self, params, data):
-        # one home for the two-threshold reward means one value per pair, in
-        # both branches of the search
+        # one home for the two-threshold reward means one value per pair, at
+        # every 3G price
         M = params.max_age
         res = optimal_two_thresholds(params)
         if res.s_3g <= M:
@@ -482,9 +490,9 @@ class TestTwoThresholdStream:
             assert grid[s_w - 1, s3 - 1] == expected_reward_two_threshold(params, s_w, s3)
 
     def test_3g_only_pick_reads_its_reward_from_the_blocks(self):
-        # 3G no dearer than the WiFi cycle: the O(M) 3G-only curve picks the
-        # pair, and gave it 0.4166666666666667; the block's cell, like every
-        # cell, is the exact 5/12 within its rounding bound
+        # 3G no dearer than the WiFi cycle: the search picks the 3G-only
+        # pair (3, 3) with its cell's bits, 0.41666666666666663; that cell,
+        # like every cell, is the exact 5/12 within its rounding bound
         params = linear_params(max_age=4, p=0.75, scan_cost=3.0, wifi_price=2.0, price_3g=1.0)
         assert not grid_branch(params)
         res = optimal_two_thresholds(params)
