@@ -76,7 +76,11 @@ def always_active(params: SystemParams) -> bool:
     p = params.contact_prob
     q = 1.0 - p
     u = params.utility.values
-    discounted = sum(u[x - 1] * q ** (x - 1) for x in range(1, params.max_age))
+    # sum of u(x) q^(x-1) over ages 1..M-1, in age order with a running power
+    discounted, power = 0.0, 1.0
+    for ux in u[: params.max_age - 1]:
+        discounted += ux * power
+        power *= q
     lhs = (u[0] - p * discounted) / q
     return lhs >= params.scan_cost / p + params.wifi_price - params.bonus
 
@@ -89,7 +93,12 @@ def always_inactive(params: SystemParams) -> bool:
     edge rule counts a crossing that holds with equality, so it picks the
     smaller threshold: s* = M + 1 holds only strictly past that boundary.
     """
-    total = sum(params.utility.values[: params.max_age - 1])
+    # the correctly rounded sum, the same on every Python; past the float range
+    # the utilities, never negative, sum to inf
+    try:
+        total = math.fsum(params.utility.values[: params.max_age - 1])
+    except OverflowError:
+        total = math.inf
     return total <= params.scan_cost / params.contact_prob + params.wifi_price - params.bonus
 
 

@@ -137,6 +137,24 @@ MUTANTS = (
            "-np.expm1(np.arange(1, M + 1) * np.log1p(-p)) / p", "(1.0 - q ** np.arange(1, M + 1)) / p",
            ("tests/test_chain.py::TestTwoThresholdGrid::test_exact_at_tiny_p[1e-12]",
             "tests/test_cli.py::TestSolve::test_two_threshold_grid_at_tiny_p")),
+    # the WiFi curve's tails recurrence with one term dropped: u(1) left out of
+    # the tail at threshold 1
+    Mutant("tails-drop-a-term", CHAIN,
+           "        tail = u[s] + q * tail\n", "        tail = (u[s] if s else 0.0) + q * tail\n",
+           ("tests/test_chain.py::TestRewardTails::test_within_the_stated_bound_of_the_exact_sums[0.5]",
+            "tests/test_chain.py::TestExpectedReward::test_matches_oracle_gain")),
+    # always_active's running power advanced before the product: u(x) q^x
+    # in place of u(x) q^(x-1)
+    Mutant("always-active-power-first", THRESHOLDS,
+           "        discounted += ux * power\n        power *= q\n",
+           "        power *= q\n        discounted += ux * power\n",
+           ("tests/test_thresholds.py::TestBoundaryConditions::test_always_active_matches_the_curve",
+            "tests/test_thresholds.py::TestOptimalThreshold::test_boundary_flags_imply_extreme_thresholds")),
+    # always_inactive's utility sum raises past the float range, where sum() gave inf
+    Mutant("always-inactive-sum-overflow-raises", THRESHOLDS,
+           "    except OverflowError:\n        total = math.inf\n",
+           "    except ZeroDivisionError:\n        total = math.inf\n",
+           ("tests/test_thresholds.py::TestBoundaryConditions::test_utility_sum_past_the_float_range_is_inf",)),
     # the matrix oracle: WiFi renews with probability 1 - p, not p
     Mutant("matrix-contact-swapped", CHAIN,
            "            mat[age - 1, 0] += p\n            mat[age - 1, nxt - 1] += 1.0 - p\n",

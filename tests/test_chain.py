@@ -1,7 +1,14 @@
 """Closed-form chain analytics against the exact matrix oracles, the exact
 rational oracle ``reference_exact`` and a seeded Monte Carlo oracle."""
+import inspect
+import math
+import os
 import re
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -39,6 +46,9 @@ from conftest import (
     reference_replay, reward_bound, system_params, threshold_action, tie_heavy_params,
     ulp_step_params,
 )
+
+#: numpy's AVX-512 dispatch groups, as ``NPY_DISABLE_CPU_FEATURES`` names them
+AVX512_GROUPS = "X86_V4 AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR"
 
 
 def linear_params(max_age=12, p=0.54, **kw):
@@ -161,6 +171,109 @@ class TestExpectedReward:
             diffs = np.diff(curve)
             assert np.all(diffs[: s_star - 1] >= -1e-9)
             assert np.all(diffs[s_star - 1 :] <= 1e-9)
+
+
+def exact_tails_in_ulps(u, q, tails):
+    """|tails[s-1] - sum_i u(s+i) q^i| in ulps of tails[s-1] for every s, the
+    exact sums by integer Horner: with q = a / 2^e and u = U / D over one
+    denominator, T_s = t_s / (D 2^(e (M - s))) where t_s = U_s 2^(e (M - s)) +
+    a t_(s+1)."""
+    a, b = q.as_integer_ratio()
+    e = b.bit_length() - 1
+    fracs = [Fraction(x) for x in u]
+    D = math.lcm(*(f.denominator for f in fracs))
+    U = [f.numerator * (D // f.denominator) for f in fracs]
+    M, t, errors = len(u), 0, []
+    for s in range(M - 1, -1, -1):
+        den = D << (e * (M - 1 - s))
+        t = U[s] * (den // D) + a * t
+        got = float(tails[s])
+        got_num, got_den = got.as_integer_ratio()
+        gap = abs(got_num * den - t * got_den)
+        errors.append(gap / (got_den * den) / math.ulp(got) if gap else 0.0)
+    return errors[::-1]
+
+
+#: the measured worst error of the tails, in ulps, at 1,000 ages: the pins of
+#: ``chain._tails``' docstring
+TAILS_ULPS = {0.95: 1.0, 0.5: 1.0, 0.05: 44.0, 1e-3: 44.0, 1e-6: 44.0}
+
+
+class TestRewardTails:
+    @pytest.mark.parametrize("p", TAILS_ULPS)
+    def test_within_the_stated_bound_of_the_exact_sums(self, p):
+        # Horner's rule over nonnegative terms: the relative error of a tail
+        # of n terms is at most gamma_2n = 2n u / (1 - 2n u), u = EPS / 2
+        M, q = 1000, 1.0 - p
+        rng = make_rng(4601)
+        values = np.append(np.sort(rng.uniform(0.0, 10.0, M - 1))[::-1], 0.0)
+        for utility in (UtilityFunction.linear(M), UtilityFunction.step(7.3, 400, M),
+                        UtilityFunction.tabular(values)):
+            tails = chain._tails(utility.values, q)
+            ulps = exact_tails_in_ulps(utility.values, q, tails)
+            assert max(ulps) <= TAILS_ULPS[p], (utility.form, max(ulps))
+            for s, (tail, err) in enumerate(zip(tails, ulps), start=1):
+                n = M - s + 1
+                assert err * math.ulp(tail) <= n * EPS / (1 - n * EPS) * tail, (utility.form, s)
+
+
+def curve_digest(draws=1200, seed=4602):
+    """sha-256 of the bytes of the WiFi curve's base and slope and of its bonus
+    edges over seeded draws: M log-uniform in [8, 1000], p in [0.05, 0.95],
+    the three utility forms in turn, and a bonus on every other draw.  Needs
+    only numpy and agectl, so a child interpreter can run its source."""
+    import hashlib
+    import math
+
+    import numpy as np
+
+    from agectl import SystemParams, UtilityFunction
+    from agectl.chain import threshold_reward_affine
+    from agectl.thresholds import bonus_edges
+
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    for i in range(draws):
+        M = int(round(math.exp(rng.uniform(math.log(8), math.log(1000)))))
+        if i % 3 == 0:
+            utility = UtilityFunction.linear(M)
+        elif i % 3 == 1:
+            utility = UtilityFunction.step(float(rng.uniform(0.5, 10.0)), int(rng.integers(1, M + 1)), M)
+        else:
+            utility = UtilityFunction.tabular(np.sort(rng.uniform(0.0, 10.0, M))[::-1])
+        scale = max(utility.values[0] / 10.0, 0.1)
+        price = float(rng.uniform(0.0, 5.0)) * scale
+        params = SystemParams(
+            contact_prob=float(rng.uniform(0.05, 0.95)), max_age=M, utility=utility,
+            scan_cost=float(rng.uniform(0.0, 3.0)) * scale, wifi_price=price,
+            bonus=float(rng.uniform(0.0, price)) if i % 2 else 0.0,
+        )
+        for part in (*threshold_reward_affine(params), bonus_edges(params)):
+            digest.update(part.tobytes())
+    return digest.hexdigest()
+
+
+def test_curve_bits_do_not_depend_on_numpy_cpu_dispatch():
+    """The WiFi curve and its bonus edges have the same bytes with numpy's
+    AVX-512 kernels on and off: the tails are a fixed-order recurrence, and the
+    heads' cumsum, the slope and the edges are elementwise or sequential.
+    Kernels that still follow the dispatch, and so are not hashed here:
+    ``np.expm1``/``np.log1p`` in ``chain.threshold_ages`` and in
+    ``chain._Panels``' reach, and numpy's ``**`` in ``_Panels``' powers of q.
+    On a CPU without AVX-512 the two runs match trivially."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:   # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    if not __cpu_features__.get("AVX512_SKX"):
+        warnings.warn("no AVX-512 on this CPU: the dispatch runs match trivially", UserWarning)
+    script = "\n".join((inspect.getsource(curve_digest), "print(curve_digest())"))
+    src = str(Path(chain.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_GROUPS,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    child = subprocess.run([sys.executable, "-W", "ignore::ImportWarning", "-c", script], env=env,
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == curve_digest()
 
 
 class TestExpectedAge:

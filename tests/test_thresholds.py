@@ -158,6 +158,32 @@ class TestBoundaryConditions:
         assert always_inactive(params)
         assert optimal_threshold(params).s_star == 13
 
+    def test_utility_sum_is_the_same_on_every_python(self):
+        # ten stored 0.1s sum to 1.0000000000000000555 exactly, past
+        # P = 1 - 2^-53, so threshold M earns more than never activating; a
+        # left-to-right float sum, Python 3.11's sum(), reads 0.9999999999999999
+        params = SystemParams(
+            contact_prob=0.5, max_age=11, utility=UtilityFunction.tabular([0.1] * 10 + [0.0]),
+            scan_cost=0.0, wifi_price=0.9999999999999999,
+        )
+        assert reference_exact(Policy.from_thresholds(11, None, 11), params).gain > 0
+        assert not always_inactive(params) and not optimal_threshold(params).always_inactive
+
+    def test_utility_sum_past_the_float_range_is_inf(self):
+        utility = UtilityFunction.tabular([1e308] * 3 + [0.0])
+        params = SystemParams(contact_prob=1e-300, max_age=4, utility=utility, scan_cost=1e308)
+        assert always_inactive(params)   # inf <= G/p = inf
+        assert not always_inactive(replace(params, scan_cost=1.0))
+
+    def test_always_active_matches_the_curve(self):
+        # s* = 1 exactly when E[r; 1] >= E[r; 2], with a margin for rounding
+        rng = make_rng(4603)
+        for _ in range(300):
+            params = random_wifi_params(rng, m_range=(2, 40))
+            curve = threshold_reward_curve(params)
+            if abs(curve[0] - curve[1]) > 1e-9:
+                assert always_active(params) == (curve[0] > curve[1])
+
 
 class TestLambertW:
     def test_special_points(self):
