@@ -6,7 +6,8 @@ the only home of never activating (s = max_age + 1): :func:`cycle_lengths`
 (inf there), :func:`threshold_reward_affine` and :func:`threshold_ages`.  The
 two-threshold reward's only home is the panel maker :class:`_Panels`: its
 scalar, its dense grid, the 3G-only curve, which is the grid's span-0 column,
-and the search in ``thresholds`` read their cells there.
+and the search in ``thresholds`` read their cells there, every panel from
+span 0.
 
 The closed forms and the matrix route are deliberately independent code paths:
 tests pit one against the other.
@@ -20,8 +21,8 @@ import numpy as np
 from .model import Action, Policy, SystemParams
 
 #: cells (rows x columns) one block may hold, read only where a temporary
-#: outgrows its input: the two-threshold search's panel shape, the dense
-#: grid's row blocks and the size of ``_Panels``' buffer
+#: outgrows its input: the two-threshold search's and the dense grid's row
+#: blocks and the size of ``_Panels``' buffer
 BLOCK_CELLS = 1 << 16
 
 
@@ -169,7 +170,7 @@ def reward_curve_3g_only(params: SystemParams) -> np.ndarray:
     panel buffer."""
     if not params.has_3g:
         raise ValueError("3G-only policy needs a finite 3G price")
-    return _Panels(params)(0, params.max_age, 0, 1)[0].copy()
+    return _Panels(params)(0, params.max_age, 1)[0].copy()
 
 
 def expected_reward_two_threshold(params: SystemParams, s_wifi: int, s_3g: int) -> float:
@@ -186,17 +187,18 @@ def expected_reward_two_threshold(params: SystemParams, s_wifi: int, s_3g: int) 
     M = params.max_age
     if not (1 <= s_wifi <= s_3g <= M):
         raise ValueError(f"need 1 <= s_wifi <= s_3g <= {M}, got ({s_wifi}, {s_3g})")
-    return float(_Panels(params)(s_wifi - 1, s_wifi, 0, s_3g - s_wifi + 1)[-1, 0])
+    return float(_Panels(params)(s_wifi - 1, s_wifi, s_3g - s_wifi + 1)[-1, 0])
 
 
 def two_threshold_reward_grid(params: SystemParams) -> np.ndarray:
     """Matrix R[s_wifi - 1, s_3g - 1] of two-threshold rewards; -inf off-domain.
 
     The dense M x M assembly of the panels of :class:`_Panels`, which
-    :func:`thresholds.optimal_two_thresholds` reads only a panel past each
-    row's peak, so every cell has the bits the search reads.  For tests and
-    callers that inspect the whole grid.  Row blocks hold as many whole rows
-    as ``BLOCK_CELLS`` allows, at least one, each one panel from span 0.
+    :func:`thresholds.optimal_two_thresholds` reads only up to the age each
+    row's 3G marginal allows, so every cell has the bits the search reads.
+    For tests and callers that inspect the whole grid.  Row blocks hold as
+    many whole rows as ``BLOCK_CELLS`` allows, at least one, each one panel
+    from span 0.
     """
     if not params.has_3g:
         raise ValueError("two-threshold grid needs a finite 3G price")
@@ -204,7 +206,7 @@ def two_threshold_reward_grid(params: SystemParams) -> np.ndarray:
     panels, rows = _Panels(params), max(1, BLOCK_CELLS // M)
     grid = np.full((M, M), -np.inf)
     for r0 in range(0, M, rows):
-        panel = panels(r0, min(r0 + rows, M), 0, M - r0)
+        panel = panels(r0, min(r0 + rows, M), M - r0)
         for r, cells in enumerate(panel.T, start=r0):
             grid[r, r:] = cells[: M - r]
     return grid
@@ -212,24 +214,20 @@ def two_threshold_reward_grid(params: SystemParams) -> np.ndarray:
 
 class _Panels:
     """The only home of the two-threshold grid's float operations and their
-    order.  ``panels(lo, hi, j0, width)`` returns the panel ``cells[t, k] =
-    R[lo + k, lo + k + j0 + t]`` over the s_wifi rows lo..hi-1 and the
-    ``width`` spans j = s_3g - s_wifi from j0 on, one column per row; cells
-    past max_age are -inf.  No row may start past max_age - j0, and width is
-    at most the first row's spans left.  A panel holds at most
-    max(``BLOCK_CELLS``, max_age) cells, so any one row or column fits
-    in one panel.  Panels live in one buffer of twice that, so a panel stays
-    valid only until the next one.
+    order.  ``panels(lo, hi, width)`` returns the panel ``cells[t, k] =
+    R[lo + k, lo + k + t]`` over the s_wifi rows lo..hi-1 and the ``width``
+    spans j = s_3g - s_wifi from 0 on, one column per row; cells past
+    max_age are -inf.  width is at most the first row's spans.  A panel
+    holds at most max(``BLOCK_CELLS``, max_age) cells, so any one row or
+    column fits in one panel.  Panels live in one buffer of twice that, so
+    a panel stays valid only until the next one.
 
     Each row runs over its spans as one in-order pass: its band is the running
     sum of u(s_wifi + j)·q^j, its head the in-order sum of u below s_wifi
     from 0.0, and its cell pi1 * (((head + band) - (P - B)) - ((P3G - P)·q^(j+1)
     + G·reach)), where reach = (1 - q^(j+1))/p is the expected number of
-    active slots in a cycle.  A panel from span j0 > 0 carries each row's band
-    in from the row's last panel, which must have ended at span j0 - 1: the
-    sum so far is added to the panel's first product before the running sum,
-    the very addition a one-pass sum makes there.  So a cell has the same bits
-    in every panel that holds it, whatever the panels' shapes.
+    active slots in a cycle.  Every panel starts at span 0, so a cell has
+    the same bits in every panel that holds it, whatever the panels' shapes.
     """
 
     def __init__(self, params: SystemParams):
@@ -254,32 +252,27 @@ class _Panels:
         padded = np.concatenate((u, np.zeros(M - 1)))
         self.windows = np.ndarray((M, M), buffer=padded, strides=2 * padded.strides)
         self.past = np.arange(2 * M) >= M                # past[r + j]: s_3g past max_age
-        self.carry = np.empty(M)                         # each row's band so far
         self.buffer = np.empty(2 * max(BLOCK_CELLS, M))   # the band, then the cells
 
-    def __call__(self, lo: int, hi: int, j0: int, width: int) -> np.ndarray:
+    def __call__(self, lo: int, hi: int, width: int) -> np.ndarray:
         n = hi - lo
         band = self._buffer(0, n, width)
-        spans = slice(j0, j0 + width)
         # windows is symmetric, so its span rows hold the panel's columns
-        np.multiply(self.windows[spans, lo:hi], self.band_q[spans, None], out=band)
-        if j0:
-            band[0] += self.carry[lo:hi]
+        np.multiply(self.windows[:width, lo:hi], self.band_q[:width, None], out=band)
         np.cumsum(band, axis=0, out=band)
-        self.carry[lo:hi] = band[-1]
         cells = self._buffer(1, n, width)
         np.add(self.heads[lo:hi], band, out=cells)
         np.subtract(cells, self.fees, out=cells)
-        np.subtract(cells, self.escalation[spans, None], out=cells)
+        np.subtract(cells, self.escalation[:width, None], out=cells)
         pi1 = band
-        np.add(self.first_age[lo:hi], self.reach[spans, None], out=pi1)   # s_wifi - 1 + reach
+        np.add(self.first_age[lo:hi], self.reach[:width, None], out=pi1)   # s_wifi - 1 + reach
         np.divide(1.0, pi1, out=pi1)
         np.multiply(pi1, cells, out=cells)
         # rows from k0 on end inside the panel: cell (t, k) is past max_age
-        # where lo + j0 + k + t >= max_age
-        k0 = max(0, self.max_age - lo - j0 - width + 1)
+        # where lo + k + t >= max_age
+        k0 = max(0, self.max_age - lo - width + 1)
         if k0 < n:
-            past = np.ndarray((width, n - k0), bool, self.past, lo + j0 + k0, (1, 1))
+            past = np.ndarray((width, n - k0), bool, self.past, lo + k0, (1, 1))
             np.copyto(cells[:, k0:], -np.inf, where=past)
         return cells
 

@@ -15,9 +15,6 @@ from .model import SystemParams
 
 _INV_E = math.exp(-1.0)
 _LAMBERT_TOL, _LAMBERT_MAX_ITER = 1e-12, 100   # relative residual bound, Halley step cap
-#: spans per panel of the two-threshold search, at every max_age: a row reads
-#: up to a panel past its peak, so a wider panel reads more cells past it
-_PANEL_SPANS = 16
 
 
 @dataclass(frozen=True)
@@ -221,16 +218,19 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     than ``model.TIE_TOL``; WiFi-only (s_3g = M + 1) is the last column of
     its row.
 
-    The grid is read in :class:`chain._Panels` panels of ``_PANEL_SPANS``
-    spans over the rows still rising, folded into row maxima; memory stays
-    O(max_age), the row maxima and the panel buffer.  A row retires at its
-    first panel that brings no new strict maximum.  That is exact in real
-    arithmetic for every valid input, since :class:`model.UtilityFunction`
-    admits no rise: with s_wifi fixed the reward is a ratio over the span
-    whose marginal, u(s_3g + 1) + p·(P3G - P - G/p), then never increases, so
-    once the ratio stops rising it never rises again.  The winning row is
-    read again from span 0, in one panel, for its first cell at or above the
-    floor.
+    The grid is read in :class:`chain._Panels` panels, each row only up to
+    the age its 3G marginal allows; memory stays O(max_age), the row maxima
+    and the panel buffer.  With s_wifi fixed the reward is a ratio N/D, and
+    moving s_3g up to age x changes N - g·D by q^j·(worth(x) - g), with
+    worth(x) = u(x) - G + p·(P3G - P) the same in every row.  A utility
+    never rises (:class:`model.UtilityFunction` admits no rise), so worth
+    never increases, and a row whose best reward is at least g peaks by
+    A(g), the last age worth more than g (Dinkelbach, "On nonlinear
+    fractional programming", 1967).  The span-0 column of every row and
+    the WiFi-only curve set g, less the tie and the cells' rounding; the
+    rows s_wifi < A(g) are read from span 0 to s_3g = A(g), in row blocks of
+    at most ``BLOCK_CELLS`` cells, and the others at span 0 alone.  The winning row is read again from span 0, in
+    one panel, for its first cell at or above the floor.
     """
     if not params.has_3g:
         raise ValueError("optimal_two_thresholds needs a finite 3G price")
@@ -238,23 +238,22 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     never, tie = M + 1, model.TIE_TOL
     wifi_only = chain.threshold_reward_curve(params)[:M]
     panels = chain._Panels(params)
-    width = min(_PANEL_SPANS, chain.BLOCK_CELLS)
-    rows = chain.BLOCK_CELLS // width
-    row_top = np.full(M, -np.inf)
-    for r0 in range(0, M, rows):
-        lo, hi, j0 = r0, min(r0 + rows, M), 0
-        while lo < hi:
-            panel = panels(lo, hi, j0, min(width, M - lo - j0))
-            peak, tops = panel.max(axis=0), row_top[lo:hi]
-            rising = np.flatnonzero(peak > tops)
-            np.maximum(tops, peak, out=tops)
-            j0 += len(panel)
-            if not rising.size:
-                break
-            # on to the rows whose maximum this panel raised, and that have
-            # spans left; rows retired between them are read on, which only
-            # brings their maxima closer to the dense grid's
-            lo, hi = lo + int(rising[0]), min(lo + int(rising[-1]) + 1, M - j0)
+    row_top = panels(0, M, 1)[0].copy()
+    best = max(0.0, float(wifi_only.max()), float(row_top.max()))
+    u = params.utility.value_array
+    # the cells' rounding: 2·M roundings of the largest term a cell sums
+    scale = max(best, abs(u[0]), abs(u[-1]), params.scan_cost, params.wifi_price, params.price_3g)
+    g = best - tie - 2 * M * math.ulp(1.0) * scale
+    worth = u - params.scan_cost + params.contact_prob * (params.price_3g - params.wifi_price)
+    # rounding is monotone, so worth never increases in floats either; a nan
+    # g, from an inf best, reads every row whole
+    last = int(np.count_nonzero(~(worth <= g)))
+    r0 = 0
+    while r0 < last - 1:   # rows s_wifi < A(g), each from span 0 to s_3g = A(g)
+        width = last - r0
+        hi = min(r0 + max(1, chain.BLOCK_CELLS // width), last - 1)
+        row_top[r0:hi] = np.maximum(row_top[r0:hi], panels(r0, hi, width).max(axis=0))
+        r0 = hi
     top = max(float(row_top.max()), float(wifi_only.max()))
     if top <= tie:
         return TwoThresholdResult(s_wifi=never, s_3g=never, reward=0.0)
@@ -264,7 +263,7 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
         return TwoThresholdResult(s_wifi=r + 1, s_3g=never, reward=float(wifi_only[r]))
     # the row's first cell at or above the floor lies at or before its peak:
     # read the whole row again from span 0, in one panel
-    cells = panels(r, r + 1, 0, M - r)[:, 0]
+    cells = panels(r, r + 1, M - r)[:, 0]
     hit = int(np.argmax(cells >= floor))
     return TwoThresholdResult(s_wifi=r + 1, s_3g=r + hit + 1, reward=float(cells[hit]))
 

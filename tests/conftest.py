@@ -245,12 +245,14 @@ C_CLOSED = 2     # chain's closed forms: 0.41, a threshold age at M = 2, p = 0.0
 C_MATRIX = 128   # chain_summary's linear solve (and RVI's sweeps): 36, an age at M = 45
 
 
-def reward_bound(c: float, exact: ExactSummary, params: SystemParams) -> float:
+def reward_bound(c: int, exact: ExactSummary, params: SystemParams) -> Fraction:
     """c·M·eps·pi_1·(|head| + |tail| + G/p + P + B), plus pi_1·P3G for a policy
     that escalates: the rounding a float evaluation of the reward may carry,
     with |head| + |tail| read as the exact sum of pi(x)/pi_1·|u(x)|.  A policy
     that never updates has pi_1 = 0, u(M) = 0 and a bound of 0: its float
-    reward must be exactly 0."""
+    reward must be exactly 0.  The bound is an exact ``Fraction``, so callers
+    compare exactly, and a scale past the float range (G/p at a tiny p)
+    gives a bound, not an overflow."""
     costs = (Fraction(params.scan_cost) / Fraction(params.contact_prob)
              + Fraction(params.wifi_price) + Fraction(params.bonus))
     if exact.rate_3g:
@@ -258,7 +260,7 @@ def reward_bound(c: float, exact: ExactSummary, params: SystemParams) -> float:
     utilities, unit = _integers_over_one_denominator(params.utility.values)
     scale = (Fraction(sum(w * abs(u) for w, u in zip(exact.weights, utilities)), unit)
              + exact.weights[0] * costs) / sum(exact.weights)
-    return c * params.max_age * EPS * float(scale)
+    return c * params.max_age * Fraction(EPS) * scale
 
 
 def reference_replay(

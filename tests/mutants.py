@@ -60,16 +60,26 @@ class Mutant:
 
 
 MUTANTS = (
-    Mutant("read-on-through-ties", THRESHOLDS,
-           "rising = np.flatnonzero(peak > tops)", "rising = np.flatnonzero(peak >= tops)",
-           (STREAM + "test_reads_rows_one_panel_past_their_peaks",)),
-    Mutant("retire-after-first-panel", THRESHOLDS,
-           "            if not rising.size:\n                break",
-           "            break",
-           (STREAM + "test_matches_dense_pick_at_block_edges",)),
-    Mutant("carry", CHAIN,
-           "band[0] += self.carry[lo:hi]", "pass",
-           (STREAM + "test_matches_dense_pick_at_block_edges",)),
+    # the floor g without the cells' rounding: at the M = 36 draw every cell
+    # rounds above u(1), and no row is read past span 0
+    Mutant("margin-dropped", THRESHOLDS,
+           "g = best - tie - 2 * M * math.ulp(1.0) * scale", "g = best - tie",
+           (STREAM + "test_a_pick_one_ulp_above_the_exact_best_is_within_the_bound_of_it",
+            STREAM + "test_cheap_3g_matches_dense_pick")),
+    # the 3G marginal without its price term: A(g) off the rows' peaks
+    Mutant("worth-without-3g-price", THRESHOLDS,
+           "worth = u - params.scan_cost + params.contact_prob * (params.price_3g - params.wifi_price)",
+           "worth = u - params.scan_cost",
+           (STREAM + "test_reads_rows_up_to_their_3g_marginal",
+            STREAM + "test_matches_dense_pick_at_block_edges")),
+    # a nan g, from an inf best, bounds every row at span 0
+    Mutant("nan-bound-reads-no-row", THRESHOLDS,
+           "last = int(np.count_nonzero(~(worth <= g)))", "last = int(np.count_nonzero(worth > g))",
+           (STREAM + "test_an_inf_best_reads_every_row_whole",)),
+    # the row s_wifi = A(g) - 1 left unread when a block starts on it
+    Mutant("blocks-one-row-short", THRESHOLDS,
+           "while r0 < last - 1:", "while r0 < last - 2:",
+           (STREAM + "test_matches_dense_pick_at_block_edges", STREAM + "test_matches_dense_pick")),
     Mutant("tie", THRESHOLDS,
            "r = M - 1 - int(np.argmax(((row_top >= floor) | (wifi_only >= floor))[::-1]))",
            "r = int(np.argmax((row_top >= floor) | (wifi_only >= floor)))",

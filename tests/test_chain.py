@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -135,8 +136,6 @@ class TestExpectedReward:
                 continue
             s = int(rng.integers(1, params.max_age + 1))
             base = expected_reward_threshold(params, s)
-            from dataclasses import replace
-
             assert expected_reward_threshold(replace(params, scan_cost=params.scan_cost + 1), s) < base
             assert expected_reward_threshold(replace(params, wifi_price=params.wifi_price + 1), s) < base
             shrunk = replace(params, bonus=params.bonus / 2)
@@ -447,33 +446,26 @@ class TestTwoThresholdGrid:
     def test_row_blocks_hold_the_grid_bits(self, params, rows, spans, data):
         # any rows x spans panel from any first row on holds the dense grid's
         # bytes, -inf past max_age: walked block by block from span 0, the
-        # panels cover each cell of those rows once; narrowed to fewer rows
-        # from one panel to the next, as the search reads them, they carry
-        # each row's running sum across panels
+        # whole-row panels cover each cell of those rows once
         M = params.max_age
         first = data.draw(st.integers(0, M - 1))
         grid = np.column_stack((two_threshold_reward_grid(params), np.full((M, M), -np.inf)))
         panels = _Panels(params)
 
-        def read(lo, hi, j0):   # the panel, checked against R[lo + k, lo + k + j0 + t] at [t, k]
-            panel = panels(lo, hi, j0, min(spans, M - lo - j0))
+        def read(lo, hi, width):   # the panel, checked against R[lo + k, lo + k + t] at [t, k]
+            panel = panels(lo, hi, width)
             k = lo + np.arange(panel.shape[1])
-            cells = k + j0 + np.arange(len(panel))[:, None]
+            cells = k + np.arange(len(panel))[:, None]
             assert panel.tobytes() == grid[k, cells].tobytes()
-            return k, cells, len(panel)
+            return k, cells
 
         covered = np.zeros((M, 2 * M), int)
         for r0 in range(first, M, rows):
-            for j0 in range(0, M - r0, spans):
-                k, cells, _ = read(r0, min(r0 + rows, M - j0), j0)
-                covered[k, cells] += 1
+            hi = min(r0 + rows, M)
+            read(r0, hi, min(spans, M - r0))
+            k, cells = read(r0, hi, M - r0)
+            covered[k, cells] += 1
         assert np.array_equal(covered[first:, :M], np.triu(np.ones((M, M), int))[first:])
-
-        lo, hi, j0 = first, M, 0
-        while lo < hi:
-            j0 += read(lo, hi, j0)[2]
-            lo = data.draw(st.integers(lo, hi - 1))
-            hi = min(data.draw(st.integers(lo + 1, hi)), M - j0)
 
     @given(system_params(with_3g=True), st.integers(1, 80))
     def test_3g_only_curve_is_the_grids_diagonal(self, params, block_cells):
@@ -488,9 +480,9 @@ class TestTwoThresholdGrid:
     @given(st.one_of(system_params(with_3g=True), system_params(max_age=300, with_3g=True),
                      tie_heavy_params(), ulp_step_params()))
     def test_rows_are_quasi_concave(self, params):
-        # the search retires a row at its first panel that brings no new
-        # strict maximum; no cell after the row's first one that fails to rise
-        # may top the cells before it by more than TIE_TOL
+        # with s_wifi fixed the reward is quasi-concave in s_3g: no cell
+        # after the row's first one that fails to rise may top the cells
+        # before it by more than TIE_TOL
         grid = two_threshold_reward_grid(params)
         for r, row in enumerate(grid):
             row = row[r:]
@@ -570,6 +562,30 @@ class TestExactOracle:
                     + float(1 - p) * instantaneous_reward(params, x, a, 0)
                     for x, a in enumerate(policy.actions, start=1)]
             assert float(exact.gain) == pytest.approx(float(np.dot(pi, slot)), rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=80)
+    @given(system_params(max_age=12), st.data())
+    def test_reward_bound_is_exact_and_never_negative_at_the_float_edges(self, params, data):
+        # G, P and u up to 1e308 and p down to 5e-324: the exact scale runs
+        # past the float range (G/p, or costs near 1e308 at pi_1 near 1),
+        # where a float bound overflowed
+        M = params.max_age
+        huge = st.floats(0.0, 1e308)
+        values = data.draw(st.one_of(st.just(list(params.utility.values)),
+                                     st.lists(huge, min_size=M, max_size=M)))
+        wide = replace(
+            params, utility=UtilityFunction.tabular(sorted(values, reverse=True)), bonus=0.0,
+            contact_prob=data.draw(st.one_of(st.just(params.contact_prob), st.just(5e-324),
+                                             st.floats(5e-324, 1e-300))),
+            scan_cost=data.draw(st.one_of(st.just(params.scan_cost), huge)),
+            wifi_price=data.draw(st.one_of(st.just(params.wifi_price), huge)))
+        cap = min(wide.wifi_price, wide.price_3g if wide.has_3g else math.inf)
+        wide = replace(wide, bonus=data.draw(st.floats(0.0, 1.0)) * cap)
+        s3 = data.draw(st.integers(1, M + 1)) if wide.has_3g else M + 1
+        sw = data.draw(st.integers(1, min(s3, M + 1)))
+        exact = reference_exact(Policy.from_thresholds(sw, s3 if s3 <= M else None, M), wide)
+        bound = reward_bound(C_CLOSED, exact, wide)
+        assert isinstance(bound, Fraction) and bound >= 0
 
     def test_threshold_forms(self):
         # reward curve, age and update rate at every threshold, never included

@@ -17,13 +17,14 @@ Open correctness FOUND lines that no test here expresses yet:
   dense grid's pick": no entry, as the exact rewards show no wrong answer.
   M = 58, p = 6.841885299867121e-252, u = 2.091882089507471e300 at ages
   1-57 then 0, G = 1.963779157062056e120, P = 0.1561772480238904,
-  P3G = 1.4718313058586867e28: the search gives (57, 57) at
-  0x1.8fd3905aa812ap+997, the dense grid (4, 57) one ulp higher.  The
-  exact best is (57, 57), the search's pick; (4, 57) trails it by 1.8e120,
-  9e-181 of the reward and far inside the relative rounding bound of
-  C_CLOSED * M roundings, 5.4e286 (``reward_bound``'s G/p, 2.9e371, is past
-  the float range).  So the line is about the order in which float rewards
-  within rounding are read, not about the answer.
+  P3G = 1.4718313058586867e28: the search now gives the dense grid's pick,
+  (4, 57) at 0x1.8fd3905aa812bp+997, pinned by an ``@example`` of
+  ``test_cheap_3g_matches_dense_pick``.  The exact best is still (57, 57),
+  one ulp lower in floats; (4, 57) trails it by 1.8e120, 9e-181 of the
+  reward and inside ``reward_bound``'s rounding bound, as
+  ``test_a_pick_one_ulp_above_the_exact_best_is_within_the_bound_of_it``
+  checks.  So the line is about the order in which float rewards within
+  rounding are read, not about the answer.
 - "float bonus edges (thresholds._edges) can be off the exact edge", at
   instances other than the two below.
 """
@@ -151,7 +152,7 @@ def test_subnormal_p_reward_curve_is_finite_and_exact(capsys):
     assert all(math.isfinite(r) for r in rewards), rewards
     for policy, r in zip(thresholds_of(params.max_age), rewards):
         exact = reference_exact(policy, params)
-        assert abs(Fraction(r) - exact.gain) <= Fraction(reward_bound(C_CLOSED, exact, params))
+        assert abs(Fraction(r) - exact.gain) <= reward_bound(C_CLOSED, exact, params)
 
 
 @open_defect
@@ -177,7 +178,7 @@ def test_threshold_next_to_a_bonus_edge_is_within_rounding_of_the_best(edge):
     best = max(gains)
     s_exact = gains.index(best) + 1
     s = optimal_threshold(edge).s_star
-    bounds = [Fraction(reward_bound(C_CLOSED, e, edge)) for e in exact]
+    bounds = [reward_bound(C_CLOSED, e, edge) for e in exact]
     assert s == s_exact or best - gains[s - 1] <= bounds[s - 1] + bounds[s_exact - 1], (s, s_exact)
 
 

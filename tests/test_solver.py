@@ -300,7 +300,7 @@ def assert_gain_exact(report, params):
     policy's gain, evaluated exactly up to rounding, and that policy earns the
     reported one's gain within the same bound."""
     exact = reference_exact(report.policy, params)
-    bound = DEFAULT_TOL / 2 + reward_bound(C_MATRIX, exact, params)
+    bound = Fraction(DEFAULT_TOL) / 2 + reward_bound(C_MATRIX, exact, params)
     assert abs(Fraction(report.value.gain) - exact.gain) <= bound
 
 

@@ -3,6 +3,7 @@ candidates, multi-optimum enumeration, two-threshold grid, monotonicity."""
 import math
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -39,7 +40,7 @@ from agectl import chain, learning, model, thresholds
 from agectl.chain import two_threshold_reward_grid
 
 from conftest import (
-    C_CLOSED, make_rng, random_3g_params, random_wifi_params, reference_exact,
+    C_CLOSED, EPS, make_rng, random_3g_params, random_wifi_params, reference_exact,
     reference_first_crossing, reward_bound, system_params, tie_heavy_params, ulp_step_params,
 )
 
@@ -397,7 +398,8 @@ class TestTwoThresholdStream:
     @settings(max_examples=150)   # the third on one-ulp utilities comes on top
     @given(st.one_of(st.tuples(system_params(with_3g=True), st.integers(1, 80)),
                      st.tuples(tie_heavy_params(), st.integers(1, 80)),
-                     # panels of 16 spans or more, as the search reads at every M
+                     # blocks of 16 cells or more: one-row panels on rows of up
+                     # to 300 ages, as the search reads rows at large M
                      st.tuples(ulp_step_params(), st.integers(16, 80))),
            st.sampled_from((model.TIE_TOL, 1e-3, 0.1, 1.0)))
     def test_matches_dense_pick(self, case, tie):
@@ -419,6 +421,17 @@ class TestTwoThresholdStream:
                           utility=UtilityFunction.tabular([1.4149868178849858e303] * 35 + [0.0]),
                           scan_cost=6.605142635834034e101, wifi_price=5.395921034316342,
                           price_3g=4.308188010591358), model.TIE_TOL)
+    # G/p past the float range, rewards near 1e300 and rows that rise and dip
+    # by an ulp: the dense picks (4, 57) at 0x1.8fd3905aa812bp+997 and (16, 59)
+    # at 0x1.2103d65005ec2p+1009, one ulp above the cells of (57, 57) and (52, 58)
+    @example(SystemParams(contact_prob=6.841885299867121e-252, max_age=58,
+                          utility=UtilityFunction.tabular([2.091882089507471e300] * 57 + [0.0]),
+                          scan_cost=1.963779157062056e120, wifi_price=0.1561772480238904,
+                          price_3g=1.4718313058586867e28), model.TIE_TOL)
+    @example(SystemParams(contact_prob=0.0013481116026128287, max_age=60,
+                          utility=UtilityFunction.tabular([6.193640964256937e303] * 59 + [0.0]),
+                          scan_cost=1.1743394560062807e237, wifi_price=7.648004568785868e31,
+                          price_3g=1.8716116238653966e80), model.TIE_TOL)
     def test_cheap_3g_matches_dense_pick(self, params, tie):
         # 3G no dearer than the WiFi cycle: no WiFi band pays in exact
         # arithmetic, but float ties can put the dense grid's pick off the
@@ -458,26 +471,64 @@ class TestTwoThresholdStream:
         SystemParams(contact_prob=0.5, max_age=120, utility=UtilityFunction.step(1.0, 30, 120),
                      scan_cost=0.0, wifi_price=0.0, price_3g=2.0),
     ], ids=["tabular", "flat-maxima"])
-    def test_reads_rows_one_panel_past_their_peaks(self, params):
-        # a row retires at its first panel that brings no new strict
-        # maximum, so no panel starts more than a panel past the spans that
-        # hold the rows' first maxima; a tie with the maximum retires the row
-        M = params.max_age
+    def test_reads_rows_up_to_their_3g_marginal(self, params):
+        # the floor g is the best of the span-0 column and the WiFi-only
+        # curve, less the tie and 2·M·eps of the largest term; A(g) is the
+        # last age whose 3G marginal u(x) - G + p·(P3G - P) tops it.  Every
+        # panel starts at span 0 and reads its first row no further than
+        # s_3g = max(s_wifi, A(g)), each later row of a panel as many ages
+        # further as it lies below the first; every row whose dense maximum
+        # reaches the pick's floor has its dense argmax in what was read
+        M, tie, p = params.max_age, model.TIE_TOL, params.contact_prob
+        G, P, P3G = params.scan_cost, params.wifi_price, params.price_3g
         grid = two_threshold_reward_grid(params)
-        peaks = [int(np.argmax(grid[r, r:])) for r in range(M)]
+        wifi_only = threshold_reward_curve(params)[:M]
+        u = params.utility.value_array
+        best = max(0.0, float(wifi_only.max()), float(np.diag(grid).max()))
+        g = best - tie - 2 * M * EPS * max(best, abs(u[0]), abs(u[-1]), G, P, P3G)
+        last = int(np.count_nonzero(u - G + p * (P3G - P) > g))
         expected = dense_two_threshold_pick(params)
-        read = []
+        calls = []
         call = chain._Panels.__call__
 
-        def spy(panels, lo, hi, j0, width):
-            read.append((hi - lo, j0, width))
-            return call(panels, lo, hi, j0, width)
+        def spy(panels, lo, hi, width):
+            calls.append((lo, hi, width))
+            return call(panels, lo, hi, width)
 
         with mock.patch.object(chain._Panels, "__call__", spy):
             assert_same_pick(optimal_two_thresholds(params), expected)
-        width = read[0][2]
-        assert width < max(peaks)
-        assert max(j0 for rows, j0, _ in read if rows > 1) <= (max(peaks) // width + 1) * width
+        assert calls[0] == (0, M, 1)
+        assert calls[-1] == (expected[0] - 1, expected[0], M - expected[0] + 1)   # the pick's row, whole
+        reach = np.arange(1, M + 1)   # the last s_3g read in each row
+        for lo, hi, width in calls[1:-1]:
+            assert lo + width <= max(lo + 1, last)
+            reach[lo:hi] = np.maximum(reach[lo:hi], np.minimum(np.arange(lo, hi) + width, M))
+        assert (reach[: last - 1] >= last).all()
+        top = max(grid.max(), wifi_only.max())
+        for r in np.flatnonzero(grid.max(axis=1) >= top - tie):
+            assert r + int(np.argmax(grid[r, r:])) + 1 <= reach[r], r
+
+    def test_an_inf_best_reads_every_row_whole(self):
+        # the heads overflow: the span-0 column holds inf and the WiFi-only
+        # curve nan, so g is nan and bounds no row.  Every row below M is
+        # read from span 0 to M, as the dense grid holds it; the nan cells
+        # there are ROADMAP item 5's class
+        M = 30
+        params = SystemParams(contact_prob=8.70168156431459e-242, max_age=M,
+                              utility=UtilityFunction.tabular([9.645542750399209e306] * 29 + [0.0]),
+                              scan_cost=6.333318040347827e307, wifi_price=6.772593395067656e271,
+                              price_3g=1.76055616677983e159)
+        calls = []
+        call = chain._Panels.__call__
+
+        def spy(panels, lo, hi, width):
+            calls.append((lo, hi, width))
+            return call(panels, lo, hi, width)
+
+        with warnings.catch_warnings(), mock.patch.object(chain._Panels, "__call__", spy):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            optimal_two_thresholds(params)
+        assert calls[:2] == [(0, M, 1), (0, M - 1, M)]
 
     def test_a_slowly_falling_utility_never_climbs_back_past_the_tie(self):
         # a utility that rises by just under SLACK_TOL an age is rejected
@@ -486,7 +537,7 @@ class TestTwoThresholdStream:
         M, d = 3000, 0.99 * model.SLACK_TOL
         with pytest.raises(ValueError, match="non-increasing"):
             drift_params(M, d)
-        row = chain._Panels(drift_params(M, -d))(0, 1, 0, M)[:, 0]
+        row = chain._Panels(drift_params(M, -d))(0, 1, M)[:, 0]
         assert row[1] < row[0]
         assert row.max() <= row[0] + model.TIE_TOL
 
@@ -528,6 +579,24 @@ class TestTwoThresholdStream:
         assert exact.gain == Fraction(5, 12)
         assert abs(Fraction(res.reward) - exact.gain) <= reward_bound(C_CLOSED, exact, params)
 
+
+    def test_a_pick_one_ulp_above_the_exact_best_is_within_the_bound_of_it(self):
+        # G/p = 2.9e371 is past the float range.  The search gives the dense
+        # grid's pick, (4, 57), one ulp above the cell of (57, 57); the exact
+        # best over all 1,711 pairs and 59 WiFi-only thresholds is (57, 57)
+        # (reference_exact over every one takes 20 s, so only the two are
+        # read here).  (4, 57) trails it by 1.8e120, inside both bounds
+        M = 58
+        params = SystemParams(contact_prob=6.841885299867121e-252, max_age=M,
+                              utility=UtilityFunction.tabular([2.091882089507471e300] * 57 + [0.0]),
+                              scan_cost=1.963779157062056e120, wifi_price=0.1561772480238904,
+                              price_3g=1.4718313058586867e28)
+        res = optimal_two_thresholds(params)
+        assert (res.s_wifi, res.s_3g, res.reward.hex()) == (4, 57, "0x1.8fd3905aa812bp+997")
+        pick, best = (reference_exact(Policy.from_thresholds(*pair, M), params) for pair in ((4, 57), (57, 57)))
+        assert 0 < best.gain - pick.gain < Fraction(2e120)
+        assert abs(Fraction(res.reward) - pick.gain) <= reward_bound(C_CLOSED, pick, params)
+        assert best.gain - Fraction(res.reward) <= reward_bound(C_CLOSED, best, params)
 
 class TestMonotonicity:
     def test_reference_cost_grid(self):
@@ -669,7 +738,7 @@ def test_routes_agree_at_every_bonus_edge(params):
         gains = [e.gain + Fraction(b) * e.wifi_rate for e in exact]   # + B per WiFi update, B <= P
         best = max(gains)
         s_exact = gains.index(best) + 1
-        bounds = [Fraction(reward_bound(C_CLOSED, e, at_b)) for e in exact]
+        bounds = [reward_bound(C_CLOSED, e, at_b) for e in exact]
         s = optimal_threshold(at_b).s_star
         assert threshold_response(params, [b]).tolist() == [s] and response(b) == s, b
         assert s == s_exact or best - gains[s - 1] <= bounds[s - 1] + bounds[s_exact - 1], (b, s, s_exact)
