@@ -22,7 +22,7 @@ from .model import Action, Policy, SystemParams
 
 #: cells (rows x columns) one block may hold, read only where a temporary
 #: outgrows its input: the two-threshold search's and the dense grid's row
-#: blocks and the size of ``_Panels``' buffer
+#: blocks
 BLOCK_CELLS = 1 << 16
 
 
@@ -166,11 +166,10 @@ def reward_curve_3g_only(params: SystemParams) -> np.ndarray:
     """Rewards of the 3G-only policy for every s_3g in [1, max_age]; index
     s_3g - 1 holds threshold s_3g.  The policy is the two-threshold pair
     (s_3g, s_3g), so the curve is the span-0 column of the two-threshold grid:
-    one one-span panel of :class:`_Panels` over every row, copied out of the
-    panel buffer."""
+    one one-span panel of :class:`_Panels` over every row."""
     if not params.has_3g:
         raise ValueError("3G-only policy needs a finite 3G price")
-    return _Panels(params)(0, params.max_age, 1)[0].copy()
+    return _Panels(params)(0, params.max_age, 1)[0]
 
 
 def expected_reward_two_threshold(params: SystemParams, s_wifi: int, s_3g: int) -> float:
@@ -214,13 +213,10 @@ def two_threshold_reward_grid(params: SystemParams) -> np.ndarray:
 
 class _Panels:
     """The only home of the two-threshold grid's float operations and their
-    order.  ``panels(lo, hi, width)`` returns the panel ``cells[t, k] =
+    order.  ``panels(lo, hi, width)`` returns a new panel ``cells[t, k] =
     R[lo + k, lo + k + t]`` over the s_wifi rows lo..hi-1 and the ``width``
     spans j = s_3g - s_wifi from 0 on, one column per row; cells past
-    max_age are -inf.  width is at most the first row's spans.  A panel
-    holds at most max(``BLOCK_CELLS``, max_age) cells, so any one row or
-    column fits in one panel.  Panels live in one buffer of twice that, so
-    a panel stays valid only until the next one.
+    max_age are -inf.  width is at most the first row's spans.
 
     Each row runs over its spans as one in-order pass: its band is the running
     sum of u(s_wifi + j)·q^j, its head the in-order sum of u below s_wifi
@@ -233,18 +229,18 @@ class _Panels:
     def __init__(self, params: SystemParams):
         M = params.max_age
         p = params.contact_prob
-        q = 1.0 - p
+        powers = (1.0 - p) ** np.arange(M + 1)          # q^j
         u = params.utility.value_array
         self.max_age = M
         self.fees = params.wifi_price - params.bonus
-        self.band_q = q ** np.arange(M)                  # q^j
+        self.band_q = powers[:-1]
         # (1 - q^(j + 1)) / p, with nothing to cancel as p -> 0
         self.reach = -np.expm1(np.arange(1, M + 1) * np.log1p(-p)) / p
         # scanning costs G per active slot, G·reach per cycle: G/p never
         # appears, so nothing cancels as p -> 0.  Costs near the float limit
         # overflow to inf, as scalar float arithmetic gives them, quietly
         with np.errstate(over="ignore"):
-            self.escalation = (params.price_3g - params.wifi_price) * q ** np.arange(1, M + 1) \
+            self.escalation = (params.price_3g - params.wifi_price) * powers[1:] \
                 + params.scan_cost * self.reach
         self.heads = np.cumsum(np.concatenate(([0.0], u[:-1])))
         self.first_age = np.arange(M, dtype=float)       # s_wifi - 1
@@ -252,33 +248,26 @@ class _Panels:
         padded = np.concatenate((u, np.zeros(M - 1)))
         self.windows = np.ndarray((M, M), buffer=padded, strides=2 * padded.strides)
         self.past = np.arange(2 * M) >= M                # past[r + j]: s_3g past max_age
-        self.buffer = np.empty(2 * max(BLOCK_CELLS, M))   # the band, then the cells
 
     def __call__(self, lo: int, hi: int, width: int) -> np.ndarray:
-        n = hi - lo
-        band = self._buffer(0, n, width)
         # windows is symmetric, so its span rows hold the panel's columns
-        np.multiply(self.windows[:width, lo:hi], self.band_q[:width, None], out=band)
+        band = self.windows[:width, lo:hi] * self.band_q[:width, None]
         np.cumsum(band, axis=0, out=band)
-        cells = self._buffer(1, n, width)
-        np.add(self.heads[lo:hi], band, out=cells)
-        np.subtract(cells, self.fees, out=cells)
-        np.subtract(cells, self.escalation[:width, None], out=cells)
-        pi1 = band
-        np.add(self.first_age[lo:hi], self.reach[:width, None], out=pi1)   # s_wifi - 1 + reach
-        np.divide(1.0, pi1, out=pi1)
-        np.multiply(pi1, cells, out=cells)
+        cells = self.heads[lo:hi] + band
+        cells -= self.fees
+        cells -= self.escalation[:width, None]
+        # pi1 = 1 / (s_wifi - 1 + reach), in the band's memory: a panel makes
+        # two new arrays, not five, which halves a whole-triangle read's page
+        # faults
+        np.add(self.first_age[lo:hi], self.reach[:width, None], out=band)
+        cells *= np.divide(1.0, band, out=band)
         # rows from k0 on end inside the panel: cell (t, k) is past max_age
         # where lo + k + t >= max_age
-        k0 = max(0, self.max_age - lo - width + 1)
+        n, k0 = hi - lo, max(0, self.max_age - lo - width + 1)
         if k0 < n:
             past = np.ndarray((width, n - k0), bool, self.past, lo + k0, (1, 1))
             np.copyto(cells[:, k0:], -np.inf, where=past)
         return cells
-
-    def _buffer(self, i: int, n: int, width: int) -> np.ndarray:
-        start = i * (len(self.buffer) // 2)
-        return self.buffer[start : start + n * width].reshape(width, n)
 
 
 # --- exact chain oracles --------------------------------------------------------------

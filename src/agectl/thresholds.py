@@ -220,7 +220,7 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
 
     The grid is read in :class:`chain._Panels` panels, each row only up to
     the age its 3G marginal allows; memory stays O(max_age), the row maxima
-    and the panel buffer.  With s_wifi fixed the reward is a ratio N/D, and
+    and one row block.  With s_wifi fixed the reward is a ratio N/D, and
     moving s_3g up to age x changes N - g·D by q^j·(worth(x) - g), with
     worth(x) = u(x) - G + p·(P3G - P) the same in every row.  A utility
     never rises (:class:`model.UtilityFunction` admits no rise), so worth
@@ -228,9 +228,10 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     A(g), the last age worth more than g (Dinkelbach, "On nonlinear
     fractional programming", 1967).  The span-0 column of every row and
     the WiFi-only curve set g, less the tie and the cells' rounding; the
-    rows s_wifi < A(g) are read from span 0 to s_3g = A(g), in row blocks of
-    at most ``BLOCK_CELLS`` cells, and the others at span 0 alone.  The winning row is read again from span 0, in
-    one panel, for its first cell at or above the floor.
+    rows s_wifi < A(g) are read from span 0 to s_3g = A(g), in row blocks
+    of at most ``BLOCK_CELLS`` cells, and the others at span 0 alone.  The
+    winning row is read again from span 0, in one panel, for its first
+    cell at or above the floor.
     """
     if not params.has_3g:
         raise ValueError("optimal_two_thresholds needs a finite 3G price")
@@ -238,7 +239,7 @@ def optimal_two_thresholds(params: SystemParams) -> TwoThresholdResult:
     never, tie = M + 1, model.TIE_TOL
     wifi_only = chain.threshold_reward_curve(params)[:M]
     panels = chain._Panels(params)
-    row_top = panels(0, M, 1)[0].copy()
+    row_top = panels(0, M, 1)[0]
     best = max(0.0, float(wifi_only.max()), float(row_top.max()))
     u = params.utility.value_array
     # the cells' rounding: 2·M roundings of the largest term a cell sums

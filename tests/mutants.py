@@ -47,6 +47,8 @@ RVI = "tests/test_solver.py::TestAgainstReferenceIteration::"
 COUNTS = "tests/test_replay.py::test_counts_from_codes_equal_slot_tallies"
 MODULO = "tests/test_replay.py::test_population_rounds_match_modulo_indexing"
 PUB_OPT = "tests/test_publisher.py::TestOptimalBonus::"
+TWO_G = "tests/test_chain.py::TestTwoThreshold::"
+GRID = "tests/test_chain.py::TestTwoThresholdGrid::"
 
 
 @dataclass(frozen=True)
@@ -165,6 +167,24 @@ MUTANTS = (
            "    except OverflowError:\n        total = math.inf\n",
            "    except ZeroDivisionError:\n        total = math.inf\n",
            ("tests/test_thresholds.py::TestBoundaryConditions::test_utility_sum_past_the_float_range_is_inf",)),
+    # the two-threshold cells: the WiFi fees added, not subtracted
+    Mutant("panel-fees-sign", CHAIN,
+           "cells -= self.fees", "cells += self.fees",
+           (TWO_G + "test_matches_oracle_gain", GRID + "test_matches_exact_oracle")),
+    # the two-threshold cells' pi1 read one age late: 1 / (s_wifi + reach)
+    Mutant("panel-pi1-one-age-late", CHAIN,
+           "np.add(self.first_age[lo:hi], self.reach",
+           "np.add(self.first_age[lo:hi] + 1.0, self.reach",
+           (TWO_G + "test_matches_oracle_gain", GRID + "test_matches_exact_oracle")),
+    # the 3G escalation priced at q^j, where the fee is paid with probability q^(j+1)
+    Mutant("panel-escalation-power-early", CHAIN,
+           "powers[1:]", "powers[:-1]",
+           (TWO_G + "test_matches_oracle_gain", GRID + "test_matches_exact_oracle",
+            GRID + "test_matches_exact_oracle_across_row_blocks[257]")),
+    # a panel's cells past max_age masked from one row later: the first is left finite
+    Mutant("panel-past-one-row-late", CHAIN,
+           "self.max_age - lo - width + 1)", "self.max_age - lo - width + 2)",
+           (GRID + "test_row_blocks_hold_the_grid_bits",)),
     # the matrix oracle: WiFi renews with probability 1 - p, not p
     Mutant("matrix-contact-swapped", CHAIN,
            "            mat[age - 1, 0] += p\n            mat[age - 1, nxt - 1] += 1.0 - p\n",

@@ -469,12 +469,28 @@ class TestTwoThresholdGrid:
 
     @given(system_params(with_3g=True), st.integers(1, 80))
     def test_3g_only_curve_is_the_grids_diagonal(self, params, block_cells):
-        # one one-span panel over every row, whatever the cap: the buffer
-        # holds a whole column, and the curve is copied out of it
+        # one one-span panel over every row, whatever the cap; another panel
+        # of the same params, or a second curve, leaves its bytes as they were
+        M = params.max_age
         with mock.patch.object(chain, "BLOCK_CELLS", block_cells):
             curve = reward_curve_3g_only(params)
-        assert curve.flags.owndata
+            before = curve.tobytes()
+            _Panels(params)(0, 1, M)
+            assert reward_curve_3g_only(params).tobytes() == before
+        assert curve.tobytes() == before
         assert curve.tobytes() == np.diag(two_threshold_reward_grid(params)).tobytes()
+
+    @given(system_params(with_3g=True))
+    def test_panels_read_back_to_back_share_no_memory(self, params):
+        # the span-0 column, then a row block from the same panel maker: each
+        # panel is its own array, and the first keeps its bytes
+        M = params.max_age
+        panels = _Panels(params)
+        column = panels(0, M, 1)
+        before = column.tobytes()
+        block = panels(0, min(M, max(1, BLOCK_CELLS // M)), M)
+        assert not np.shares_memory(column, block)
+        assert column.tobytes() == before
 
     @settings(max_examples=134)   # the quarter on one-ulp utilities comes on top
     @given(st.one_of(system_params(with_3g=True), system_params(max_age=300, with_3g=True),
